@@ -72,7 +72,7 @@ pub mod sharding;
 pub use diag::{error_count, max_severity, Diagnostic, Severity};
 pub use memory::{liveness_frees, static_peak_bound};
 pub use objective::{
-    equivalence_classes, static_cost, static_cost_with, ActionClass, ObjectiveConfig, StaticCost,
+    equivalence_classes, static_cost, static_cost_with, ObjectiveConfig, StaticCost,
     StaticObjective, TileCandidate,
 };
 pub use plan::{verify_plan, PlanView};

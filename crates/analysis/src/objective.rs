@@ -48,7 +48,7 @@
 //! after propagation, and each class only needs to be costed (and later
 //! simulator-rescored) once.
 
-use std::collections::HashMap;
+use std::collections::HashSet;
 
 use partir_core::{OpAxisCtx, Partitioning, ResultAction, ShardKind};
 use partir_ir::{Fingerprint, Func, IrError, OpId, OpKind, ValueId};
@@ -1307,48 +1307,40 @@ pub struct TileCandidate {
     pub axis: Axis,
 }
 
-/// A group of candidate actions whose propagated states coincide.
-#[derive(Debug)]
-pub struct ActionClass {
-    /// Indices into the candidate slice; the first is the representative.
-    pub members: Vec<usize>,
-    /// Fingerprint of the shared propagated state.
-    pub fingerprint: Fingerprint,
-    /// The propagated state itself (costed once per class).
-    pub state: Partitioning,
-}
-
-/// Groups `candidates` by the fingerprint of the state they reach after
-/// `tile` + `propagate` from `part`. Candidates whose `tile` fails are
-/// dropped. Classes come out in first-seen order, so the caller's
-/// largest-tensor-first candidate ordering is preserved.
-pub fn equivalence_classes(
+/// Visits the equivalence classes of `candidates`: the distinct states
+/// they reach after `tile` + `propagate` from `part`. Each candidate is
+/// tried in place ([`Partitioning::probe`]), so `part` is unchanged on
+/// return and no candidate costs a copy of the state; `visit` is called
+/// once per class, in first-seen order (the caller's largest-tensor-first
+/// candidate ordering is preserved), with the index of the class's first
+/// candidate and the propagated state. Candidates whose `tile` is refused
+/// are dropped. Returns how many candidates joined an earlier class.
+///
+/// # Errors
+///
+/// Stops at, and returns, the first error `visit` returns.
+pub fn equivalence_classes<E>(
     func: &Func,
-    part: &Partitioning,
+    part: &mut Partitioning,
     candidates: &[TileCandidate],
-) -> Vec<ActionClass> {
-    let mut classes: Vec<ActionClass> = Vec::new();
-    let mut index: HashMap<Fingerprint, usize> = HashMap::new();
+    mut visit: impl FnMut(usize, &Partitioning) -> Result<(), E>,
+) -> Result<usize, E> {
+    let mut reached: HashSet<Fingerprint> = HashSet::new();
+    let mut duplicates = 0;
     for (i, c) in candidates.iter().enumerate() {
-        let mut state = part.clone();
-        if state.tile(func, c.value, c.dim, &c.axis).is_err() {
-            continue;
-        }
-        state.propagate(func);
-        let fp = state.fingerprint();
-        match index.get(&fp) {
-            Some(&ci) => classes[ci].members.push(i),
-            None => {
-                index.insert(fp, classes.len());
-                classes.push(ActionClass {
-                    members: vec![i],
-                    fingerprint: fp,
-                    state,
-                });
+        let visited = part.probe(func, c.value, c.dim, &c.axis, |state| {
+            if reached.insert(state.fingerprint()) {
+                visit(i, state)
+            } else {
+                duplicates += 1;
+                Ok(())
             }
+        });
+        if let Ok(outcome) = visited {
+            outcome?;
         }
     }
-    classes
+    Ok(duplicates)
 }
 
 #[cfg(test)]
@@ -1468,7 +1460,7 @@ mod tests {
     fn equivalence_classes_group_by_fingerprint() {
         let f = matmul_chain();
         let mesh = Mesh::single("B", 4).unwrap();
-        let p = Partitioning::new(&f, mesh).unwrap();
+        let mut p = Partitioning::new(&f, mesh).unwrap();
         let params = f.params();
         let cands = vec![
             TileCandidate {
@@ -1487,16 +1479,33 @@ mod tests {
                 axis: "B".into(),
             },
         ];
-        let classes = equivalence_classes(&f, &p, &cands);
-        assert!(!classes.is_empty());
-        let total: usize = classes.iter().map(|c| c.members.len()).sum();
-        assert_eq!(total, 3, "every viable candidate lands in a class");
+        let before = format!("{p:?}");
+        let mut fps = Vec::new();
+        let duplicates = equivalence_classes(&f, &mut p, &cands, |rep, state| {
+            // The representative reaches the visited state the slow way.
+            let mut slow = Partitioning::new(&f, state.mesh().clone()).unwrap();
+            let c = &cands[rep];
+            slow.tile(&f, c.value, c.dim, &c.axis).unwrap();
+            slow.propagate(&f);
+            assert_eq!(slow.fingerprint(), state.fingerprint());
+            fps.push(state.fingerprint());
+            Ok::<(), ()>(())
+        })
+        .unwrap();
+        let classes = fps.len();
+        assert!(classes > 0);
+        assert_eq!(
+            classes + duplicates,
+            3,
+            "every viable candidate lands in a class"
+        );
         // x#0 and w1#0 propagate to different states; x#1 and w1#0 both
         // shard the contraction — whatever the grouping, fingerprints are
         // unique across classes.
-        let mut fps: Vec<_> = classes.iter().map(|c| c.fingerprint).collect();
+        fps.sort();
         fps.dedup();
-        assert_eq!(fps.len(), classes.len());
+        assert_eq!(fps.len(), classes);
+        assert_eq!(format!("{p:?}"), before, "the trials left no trace");
     }
 
     /// The explicit failure mode the mutation test relies on: zeroing the

@@ -14,73 +14,146 @@
 //! reports these to the user rather than resolving them heuristically).
 //! An `Info` summarises how many operand reshards lowering will insert.
 
-use partir_core::{OpAxisCtx, Partitioning};
+use std::ops::ControlFlow;
+
+use partir_core::{OpAxisCtx, Partitioning, ShardKind};
 use partir_ir::verify::op_path;
 use partir_ir::{Func, ValueId};
 use partir_mesh::Axis;
 
 use crate::diag::{Diagnostic, Severity};
 
-/// Checks one propagated partitioning for consistency.
-pub fn check_partitioning(func: &Func, part: &Partitioning) -> Vec<Diagnostic> {
-    let mut diags = Vec::new();
+/// One Error-severity finding, still unformatted: [`is_legal`] only asks
+/// whether there is one, [`legality_errors`] turns each into a
+/// [`Diagnostic`].
+enum Violation<'a> {
+    DuplicateAxis {
+        value: ValueId,
+        axis: &'a Axis,
+    },
+    UnknownAxis {
+        value: ValueId,
+        axis: &'a Axis,
+    },
+    DimOutOfRange {
+        value: ValueId,
+        axis: &'a Axis,
+        dim: usize,
+        rank: usize,
+    },
+    Indivisible {
+        value: ValueId,
+        dim: usize,
+        size: usize,
+        factor: usize,
+    },
+}
+
+impl Violation<'_> {
+    fn diagnostic(&self, func: &Func, part: &Partitioning) -> Diagnostic {
+        let name = |v: ValueId| match &func.value(v).name {
+            Some(name) => format!("value %{name}"),
+            None => format!("value v{}", v.0),
+        };
+        let (rule, message) = match *self {
+            Violation::DuplicateAxis { value, axis } => (
+                "sharding-duplicate-axis",
+                format!("{} acquires axis \"{axis}\" more than once", name(value)),
+            ),
+            Violation::UnknownAxis { value, axis } => (
+                "sharding-unknown-axis",
+                format!(
+                    "{} is sharded over \"{axis}\", absent from mesh {}",
+                    name(value),
+                    part.mesh()
+                ),
+            ),
+            Violation::DimOutOfRange {
+                value,
+                axis,
+                dim,
+                rank,
+            } => (
+                "sharding-dim-out-of-range",
+                format!(
+                    "{} tiles dimension {dim} over \"{axis}\" but has rank {rank}",
+                    name(value)
+                ),
+            ),
+            Violation::Indivisible {
+                value,
+                dim,
+                size,
+                factor,
+            } => (
+                "sharding-indivisible",
+                format!(
+                    "{} dimension {dim} of size {size} is not divisible by its \
+                     tiling factor {factor}",
+                    name(value)
+                ),
+            ),
+        };
+        Diagnostic::new(Severity::Error, rule, message)
+    }
+}
+
+/// The Error rules, stated once: walks every sharded value and hands
+/// each violation to `sink`, stopping as soon as it breaks. Allocates
+/// and formats nothing itself.
+fn walk_errors<'a>(
+    func: &Func,
+    part: &'a Partitioning,
+    sink: &mut impl FnMut(Violation<'a>) -> ControlFlow<()>,
+) -> ControlFlow<()> {
     let mesh = part.mesh();
-    for v in func.value_ids() {
-        let ctx = part.value_ctx(v);
-        if ctx.is_empty() {
+    for value in func.value_ids() {
+        let entries = part.value_ctx(value).entries();
+        if entries.is_empty() {
             continue;
         }
-        let rank = func.value_type(v).rank();
-        let dims = func.value_type(v).shape.dims().to_vec();
-        let name = describe_value(func, v);
-        let mut seen: Vec<&Axis> = Vec::new();
-        let mut dim_products: Vec<usize> = vec![1; rank];
-        for (axis, kind) in ctx.entries() {
-            if seen.contains(&axis) {
-                diags.push(Diagnostic::new(
-                    Severity::Error,
-                    "sharding-duplicate-axis",
-                    format!("{name} acquires axis \"{axis}\" more than once"),
-                ));
+        let shape = &func.value_type(value).shape;
+        let rank = shape.rank();
+        for (i, (axis, kind)) in entries.iter().enumerate() {
+            if entries[..i].iter().any(|(a, _)| a == axis) {
+                sink(Violation::DuplicateAxis { value, axis })?;
             }
-            seen.push(axis);
-            let size = match mesh.axis_size(axis) {
-                Ok(s) => s,
-                Err(_) => {
-                    diags.push(Diagnostic::new(
-                        Severity::Error,
-                        "sharding-unknown-axis",
-                        format!("{name} is sharded over \"{axis}\", absent from mesh {mesh}"),
-                    ));
-                    continue;
+            if mesh.axis_size(axis).is_err() {
+                sink(Violation::UnknownAxis { value, axis })?;
+            } else if let ShardKind::Tile { dim } = *kind {
+                if dim >= rank {
+                    sink(Violation::DimOutOfRange {
+                        value,
+                        axis,
+                        dim,
+                        rank,
+                    })?;
                 }
-            };
-            if let partir_core::ShardKind::Tile { dim } = kind {
-                if *dim >= rank {
-                    diags.push(Diagnostic::new(
-                        Severity::Error,
-                        "sharding-dim-out-of-range",
-                        format!("{name} tiles dimension {dim} over \"{axis}\" but has rank {rank}"),
-                    ));
-                    continue;
-                }
-                dim_products[*dim] *= size;
             }
         }
-        for (dim, product) in dim_products.iter().enumerate() {
-            if *product > 1 && !dims[dim].is_multiple_of(*product) {
-                diags.push(Diagnostic::new(
-                    Severity::Error,
-                    "sharding-indivisible",
-                    format!(
-                        "{name} dimension {dim} of size {} is not divisible by its \
-                         tiling factor {product}",
-                        dims[dim]
-                    ),
-                ));
+        for dim in 0..rank {
+            // Product of the known axes tiling `dim`.
+            let factor: usize = entries
+                .iter()
+                .filter(|(_, kind)| *kind == ShardKind::Tile { dim })
+                .filter_map(|(axis, _)| mesh.axis_size(axis).ok())
+                .product();
+            if factor > 1 && !shape.dim(dim).is_multiple_of(factor) {
+                sink(Violation::Indivisible {
+                    value,
+                    dim,
+                    size: shape.dim(dim),
+                    factor,
+                })?;
             }
         }
     }
+    ControlFlow::Continue(())
+}
+
+/// Checks one propagated partitioning for consistency.
+pub fn check_partitioning(func: &Func, part: &Partitioning) -> Vec<Diagnostic> {
+    let mut diags = legality_errors(func, part);
     for conflict in part.conflicts() {
         diags.push(
             Diagnostic::new(
@@ -106,17 +179,21 @@ pub fn check_partitioning(func: &Func, part: &Partitioning) -> Vec<Diagnostic> {
     diags
 }
 
-/// Error-severity findings only — the cheap legality gate `partir_sched`
-/// applies to search candidates before paying for lower + simulate.
+/// Error-severity findings only — the messages behind the legality gate.
 pub fn legality_errors(func: &Func, part: &Partitioning) -> Vec<Diagnostic> {
-    let mut diags = check_partitioning(func, part);
-    diags.retain(|d| d.severity == Severity::Error);
+    let mut diags = Vec::new();
+    let _ = walk_errors(func, part, &mut |violation| {
+        diags.push(violation.diagnostic(func, part));
+        ControlFlow::Continue(())
+    });
     diags
 }
 
-/// Whether a propagated state passes every Error-severity check.
+/// Whether a propagated state passes every Error-severity check — the
+/// cheap gate `partir_sched` applies to each search candidate before
+/// costing it. Stops at the first violation and formats nothing.
 pub fn is_legal(func: &Func, part: &Partitioning) -> bool {
-    legality_errors(func, part).is_empty()
+    walk_errors(func, part, &mut |_| ControlFlow::Break(())).is_continue()
 }
 
 /// Operands whose stored layout differs from the layout their consuming
@@ -128,28 +205,28 @@ fn count_reshards(func: &Func, part: &Partitioning) -> usize {
         if op.region.is_some() {
             continue; // loop inits reshard against region params, not a TMR entry
         }
+        let required = part.op_ctx(op_id).entries();
         for (i, &operand) in op.operands.iter().enumerate() {
-            let rank = func.value_type(operand).rank();
-            let mut required: Vec<Vec<Axis>> = vec![Vec::new(); rank];
-            for (axis, axis_ctx) in part.op_ctx(op_id).entries() {
-                let OpAxisCtx::Entry(e) = axis_ctx;
-                if let Some(Some(d)) = e.operands.get(i) {
-                    required[*d].push(axis.clone());
-                }
-            }
-            if part.value_ctx(operand).dim_axes(rank) != required {
+            let stored = part.value_ctx(operand).entries();
+            // Per dimension, the stored and the required axis stacks
+            // must be the same sequence.
+            let same_layout = (0..func.value_type(operand).rank()).all(|dim| {
+                let stored_axes = stored
+                    .iter()
+                    .filter(|(_, kind)| *kind == ShardKind::Tile { dim })
+                    .map(|(axis, _)| axis);
+                let required_axes = required
+                    .iter()
+                    .filter(|(_, OpAxisCtx::Entry(e))| e.operands.get(i) == Some(&Some(dim)))
+                    .map(|(axis, _)| axis);
+                stored_axes.eq(required_axes)
+            });
+            if !same_layout {
                 n += 1;
             }
         }
     }
     n
-}
-
-fn describe_value(func: &Func, v: ValueId) -> String {
-    match &func.value(v).name {
-        Some(name) => format!("value %{name}"),
-        None => format!("value v{}", v.0),
-    }
 }
 
 #[cfg(test)]

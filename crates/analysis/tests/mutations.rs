@@ -35,6 +35,19 @@ fn assert_rule(diags: &[partir_analysis::Diagnostic], rule: &str) {
     );
 }
 
+/// The legality gate and the diagnostics are two readers of one rule
+/// walk: the gate must say "illegal" exactly when there is an error to
+/// report.
+fn assert_gate_agrees(f: &Func, p: &Partitioning) {
+    let errors = sharding::legality_errors(f, p);
+    assert_eq!(
+        sharding::is_legal(f, p),
+        errors.is_empty(),
+        "is_legal disagrees with: {}",
+        lint::render(&errors)
+    );
+}
+
 fn two_device_traces(fa: &Func, fb: &Func) -> Vec<Vec<partir_analysis::collective::Event>> {
     let ta = device_trace(fa);
     let tb = device_trace(fb);
@@ -258,6 +271,7 @@ fn mutation_dropped_axis() {
     let cf = cb.build([cy]).unwrap();
     let mut p = Partitioning::new(&cf, mesh()).unwrap();
     p.tile(&cf, cx, 0, &"B".into()).unwrap();
+    assert_gate_agrees(&cf, &p);
     let in_ctx = p.value_ctx(cx).clone();
     let out_ctx = ValueCtx::new();
     let diags = check_layouts(
@@ -285,6 +299,7 @@ fn mutation_conflicting_tiling() {
     assert_rule(&diags, "sharding-conflict");
     // Conflicts are suspicious, not illegal: the program still executes.
     assert!(sharding::is_legal(&f, &p));
+    assert_gate_agrees(&f, &p);
 }
 
 /// Mutation 13: a redundant gather/slice round-trip the partitioner
@@ -316,6 +331,7 @@ fn mutation_redundant_collective_pair() {
     let cf = cb.build([cy]).unwrap();
     let mut p = Partitioning::new(&cf, mesh()).unwrap();
     p.tile(&cf, cx, 0, &"B".into()).unwrap();
+    assert_gate_agrees(&cf, &p);
     let in_ctx = p.value_ctx(cx).clone();
     let diags = check_layouts(&f, Some(std::slice::from_ref(&in_ctx)), None);
     assert!(
@@ -337,4 +353,102 @@ fn mutation_degenerate_axis() {
     let f = b.build([y]).unwrap();
     let diags = check_deadlock_freedom(&f, &degenerate);
     assert_rule(&diags, "collective-degenerate-axis");
+}
+
+/// A state checked against a function it was not built for: the action
+/// API never creates an illegal state, so this is how the gate's error
+/// rules are reached. Each mismatch must fire its rule, and the gate
+/// must agree with the diagnostics on every one.
+#[test]
+fn mismatched_function_trips_the_gate() {
+    let chain = |rows: usize, rank1: bool| {
+        let mut b = FuncBuilder::new("f");
+        let ty = if rank1 {
+            TensorType::f32([rows])
+        } else {
+            TensorType::f32([rows, 4])
+        };
+        let x = b.param("x", ty);
+        let y = b.neg(x).unwrap();
+        (b.build([y]).unwrap(), x)
+    };
+    let (f, x) = chain(4, false);
+    let mut p = Partitioning::new(&f, mesh()).unwrap();
+    p.tile(&f, x, 0, &"B".into()).unwrap();
+    p.tile(&f, x, 1, &"M".into()).unwrap();
+    p.propagate(&f);
+    assert!(sharding::is_legal(&f, &p));
+    assert_gate_agrees(&f, &p);
+
+    // Three rows do not divide over "B".
+    let (odd, _) = chain(3, false);
+    assert_rule(&sharding::legality_errors(&odd, &p), "sharding-indivisible");
+    assert!(!sharding::is_legal(&odd, &p));
+    assert_gate_agrees(&odd, &p);
+
+    // A rank-1 value has no dimension 1 to tile over "M".
+    let (flat, _) = chain(4, true);
+    assert_rule(
+        &sharding::legality_errors(&flat, &p),
+        "sharding-dim-out-of-range",
+    );
+    assert_gate_agrees(&flat, &p);
+    // The full report starts with exactly the gate's errors.
+    let errors = sharding::legality_errors(&flat, &p);
+    assert_eq!(
+        sharding::check_partitioning(&flat, &p)[..errors.len()],
+        errors[..]
+    );
+}
+
+/// The same differential over seeded random states of the tiny
+/// transformer, each read against its own function (always legal) and
+/// against a sibling of the same structure whose batch of 6 the 4-way
+/// axis does not divide (illegal once the batch is tiled over it, as in
+/// every other sample).
+#[test]
+fn gate_agrees_on_seeded_random_states() {
+    use partir_models::transformer::{build_train_step, TransformerConfig};
+    let own = build_train_step(&TransformerConfig::tiny()).unwrap().func;
+    let sibling = build_train_step(&TransformerConfig {
+        batch: 6,
+        ..TransformerConfig::tiny()
+    })
+    .unwrap()
+    .func;
+    assert_eq!(own.num_values(), sibling.num_values());
+    let mesh = Mesh::new([("batch", 4), ("model", 2)]).unwrap();
+    let axes = ["batch".into(), "model".into()];
+    let mut rng = partir_prng::Rng::seed_from_u64(0x1E6A1);
+    let mut illegal = 0;
+    let tokens = *own
+        .params()
+        .iter()
+        .find(|&&v| own.value(v).name.as_deref() == Some("tokens"))
+        .unwrap();
+    for sample in 0..48 {
+        let mut p = Partitioning::new(&own, mesh.clone()).unwrap();
+        if sample % 2 == 0 {
+            // The zoo's own batch-parallel tactic, so that half the
+            // states shard the batch the sibling cannot divide.
+            p.tile(&own, tokens, 0, &axes[0]).unwrap();
+            p.propagate(&own);
+        }
+        for _ in 0..rng.gen_range_in(1, 4) {
+            let v = *rng.choose(own.params());
+            let rank = own.value_type(v).rank();
+            if rank > 0 {
+                let _ = p.tile(&own, v, rng.gen_range(rank), rng.choose(&axes));
+                p.propagate(&own);
+            }
+        }
+        assert!(sharding::is_legal(&own, &p));
+        assert_gate_agrees(&own, &p);
+        assert_gate_agrees(&sibling, &p);
+        illegal += usize::from(!sharding::is_legal(&sibling, &p));
+    }
+    assert!(
+        illegal >= 24,
+        "the batch-parallel states must all trip the gate"
+    );
 }

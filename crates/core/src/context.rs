@@ -63,6 +63,12 @@ impl ValueCtx {
         self.entries.push((axis, kind));
     }
 
+    /// Removes the most recent entry (the undo of [`ValueCtx::push`],
+    /// used only by `Partitioning::probe`'s rollback).
+    pub(crate) fn pop(&mut self) {
+        self.entries.pop();
+    }
+
     /// The axes tiling dimension `dim`, in nesting order.
     pub fn axes_on_dim(&self, dim: usize) -> Vec<Axis> {
         self.entries
@@ -74,25 +80,39 @@ impl ValueCtx {
             .collect()
     }
 
+    /// The device-local size of dimension `dim` of a value with this
+    /// context: the global size divided by the product of the axes
+    /// tiling it. Allocation-free, for the propagation hot path.
+    ///
+    /// # Panics
+    ///
+    /// Panics if an axis is missing from the mesh or the dimension is not
+    /// divisible — the actions that create contexts enforce both.
+    pub fn local_dim(&self, global: &Shape, dim: usize, mesh: &Mesh) -> usize {
+        let mut local = global.dim(dim);
+        for (axis, kind) in &self.entries {
+            if *kind == (ShardKind::Tile { dim }) {
+                let size = mesh.axis_size(axis).expect("axis checked at action time");
+                assert!(
+                    local.is_multiple_of(size),
+                    "non-divisible tiling should have been rejected"
+                );
+                local /= size;
+            }
+        }
+        local
+    }
+
     /// The device-local shape of a value with this context: each tiled
     /// dimension is divided by the product of its tiling axes.
     ///
     /// # Panics
     ///
-    /// Panics if an axis is missing from the mesh or a dimension is not
-    /// divisible — the actions that create contexts enforce both.
+    /// As [`ValueCtx::local_dim`].
     pub fn local_shape(&self, global: &Shape, mesh: &Mesh) -> Shape {
-        let mut dims = global.dims().to_vec();
-        for (axis, kind) in &self.entries {
-            if let ShardKind::Tile { dim } = kind {
-                let size = mesh.axis_size(axis).expect("axis checked at action time");
-                assert!(
-                    dims[*dim].is_multiple_of(size),
-                    "non-divisible tiling should have been rejected"
-                );
-                dims[*dim] /= size;
-            }
-        }
+        let dims: Vec<usize> = (0..global.rank())
+            .map(|d| self.local_dim(global, d, mesh))
+            .collect();
         Shape::from(dims)
     }
 

@@ -17,15 +17,17 @@
 //!   [`Partitioning::propagate_full`] and is re-run as a debug-assert
 //!   oracle after every incremental propagation in debug builds.
 
-use std::collections::{BTreeMap, BTreeSet, HashMap};
+use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
-use partir_ir::{Fingerprint, Func, OpId, StableHasher, TensorType, ValueDef, ValueId};
+use partir_ir::{
+    Fingerprint, Func, OpData, OpId, ReduceOp, StableHasher, TensorType, ValueDef, ValueId,
+};
 use partir_mesh::{Axis, Mesh};
 
 use crate::context::{ShardKind, ValueCtx};
-use crate::tmr::{tmr_entries, ResultAction, TmrEntry};
+use crate::tmr::{ResultAction, TmrEntry, TmrTable};
 use crate::CoreError;
 
 /// The loop context an op acquired along one axis.
@@ -152,7 +154,8 @@ impl PropagationReport {
 /// contexts and per-op loop contexts.
 ///
 /// Actions ([`Partitioning::tile`], [`Partitioning::atomic`]) are never
-/// undone; [`Partitioning::propagate`] is a fixpoint over TMR matches.
+/// undone in any state a caller holds outside a [`Partitioning::probe`]
+/// closure; [`Partitioning::propagate`] is a fixpoint over TMR matches.
 /// This is the compiler API targeted by the tactics in `partir-sched`.
 ///
 /// The state also carries a cheap structural [`Partitioning::fingerprint`]
@@ -167,11 +170,9 @@ pub struct Partitioning {
     num_values: usize,
     /// Base (function ⊕ mesh) hash XOR one hash per decision taken.
     fp: Fingerprint,
-    /// Reverse def-use map indexed by value id, *including* the edges from
-    /// a region's yielded values to the owning region op (which
-    /// [`Func::uses`] omits — it only walks operand lists). Shared by all
-    /// clones so MCTS child states copy a pointer, not the map.
-    uses: Arc<Vec<Vec<OpId>>>,
+    /// Tables derived from the function alone. Shared by all clones so
+    /// MCTS child states copy a pointer, not the tables.
+    shared: Arc<FuncTables>,
     /// Values whose context gained entries since the last `propagate`.
     dirty_values: BTreeSet<ValueId>,
     /// Ops whose loop context gained entries since the last `propagate`
@@ -181,9 +182,52 @@ pub struct Partitioning {
     /// `(op, axis index)`. BTreeMap so report order matches the historic
     /// whole-module scan (ops ascending, axes in mesh order).
     conflicts: BTreeMap<(OpId, usize), Vec<TmrEntry>>,
+    /// Undo log of the [`Partitioning::probe`] calls in progress.
+    journal: Journal,
 }
 
-/// `uses` is derived from the function and identical across clones;
+/// What every state of one function shares.
+struct FuncTables {
+    /// Reverse def-use map indexed by value id, *including* the edges from
+    /// a region's yielded values to the owning region op (which
+    /// [`Func::uses`] omits — it only walks operand lists).
+    uses: Vec<Vec<OpId>>,
+    /// Built by the first propagation, not by [`Partitioning::new`]:
+    /// states that are only constructed, printed or lowered never pay
+    /// for it.
+    tmr: OnceLock<TmrTable>,
+}
+
+impl FuncTables {
+    fn tmr(&self, func: &Func) -> &TmrTable {
+        self.tmr.get_or_init(|| TmrTable::new(func))
+    }
+}
+
+/// One reversible step recorded while a probe is open. Contexts only
+/// ever grow by appending, so undoing an entry is a pop.
+enum Undo {
+    Value(ValueId),
+    Op(OpId),
+    /// The conflict map held `.1` under key `.0` before the change.
+    Conflict((OpId, usize), Option<Vec<TmrEntry>>),
+}
+
+/// The undo log and the number of open probes. A clone taken inside a
+/// probe closure is an ordinary state with nothing to undo.
+#[derive(Default)]
+struct Journal {
+    depth: u32,
+    log: Vec<Undo>,
+}
+
+impl Clone for Journal {
+    fn clone(&self) -> Self {
+        Journal::default()
+    }
+}
+
+/// `shared` is derived from the function and identical across clones;
 /// printing it (and the transient dirty sets) would only add noise, and
 /// the search's determinism tests compare `format!("{p:?}")` output.
 impl fmt::Debug for Partitioning {
@@ -237,7 +281,10 @@ impl Partitioning {
     pub fn new(func: &Func, mesh: Mesh) -> Result<Self, CoreError> {
         let fp = base_fingerprint(func, &mesh);
         Ok(Partitioning {
-            uses: Arc::new(build_uses(func)),
+            shared: Arc::new(FuncTables {
+                uses: build_uses(func),
+                tmr: OnceLock::new(),
+            }),
             mesh,
             value_ctx: vec![ValueCtx::new(); func.num_values()],
             op_ctx: vec![OpCtx::default(); func.num_ops()],
@@ -246,6 +293,7 @@ impl Partitioning {
             dirty_values: BTreeSet::new(),
             dirty_ops: BTreeSet::new(),
             conflicts: BTreeMap::new(),
+            journal: Journal::default(),
         })
     }
 
@@ -301,11 +349,14 @@ impl Partitioning {
         }
         self.fp = Fingerprint(self.fp.0 ^ h.finish().0);
         self.dirty_values.insert(v);
+        if self.journal.depth > 0 {
+            self.journal.log.push(Undo::Value(v));
+        }
     }
 
     /// Extends an op's loop context and folds the applied entry into the
     /// fingerprint. Counterpart of [`Partitioning::record_value_entry`].
-    fn record_op_entry(&mut self, op: OpId, axis: &Axis, entry: TmrEntry) {
+    fn record_op_entry(&mut self, op: OpId, axis: &Axis, entry: &TmrEntry) {
         let pos = self.op_ctx[op.0 as usize].entries.len();
         let mut h = StableHasher::new();
         h.write_u64(0x6f); // 'o': op-entry domain
@@ -329,14 +380,91 @@ impl Partitioning {
             }
             ResultAction::Reduce(r) => {
                 h.write_u64(2);
-                h.write_str(&format!("{r:?}"));
+                // The variant's `Debug` name, without formatting it.
+                h.write_str(match r {
+                    ReduceOp::Sum => "Sum",
+                    ReduceOp::Max => "Max",
+                    ReduceOp::Min => "Min",
+                    ReduceOp::Prod => "Prod",
+                });
             }
         }
         self.fp = Fingerprint(self.fp.0 ^ h.finish().0);
         self.op_ctx[op.0 as usize]
             .entries
-            .push((axis.clone(), OpAxisCtx::Entry(entry)));
+            .push((axis.clone(), OpAxisCtx::Entry(entry.clone())));
         self.dirty_ops.insert(op);
+        if self.journal.depth > 0 {
+            self.journal.log.push(Undo::Op(op));
+        }
+    }
+
+    /// Sets or clears one conflict-map slot. The only writer of
+    /// `conflicts`, so an open probe sees every change.
+    fn set_conflict(&mut self, key: (OpId, usize), candidates: Option<Vec<TmrEntry>>) {
+        let before = match candidates {
+            Some(c) => self.conflicts.insert(key, c),
+            None => self.conflicts.remove(&key),
+        };
+        if self.journal.depth > 0 {
+            self.journal.log.push(Undo::Conflict(key, before));
+        }
+    }
+
+    /// Tries `tile(v, dim, axis)` followed by propagation *in place*,
+    /// shows the resulting state to `f`, then takes everything back: the
+    /// context entries appended since the call are popped, and the
+    /// fingerprint, conflicts and pending-change sets are restored, so
+    /// after the call the state is indistinguishable from before it.
+    /// What `f` sees is exactly `clone → tile → propagate`, without the
+    /// clone — the search drivers cost one candidate per call and
+    /// materialise only the survivors.
+    ///
+    /// `f` may itself act on the state (and open nested probes, which is
+    /// how an MCTS rollout walks several steps deep); all of it is undone
+    /// with the outer step. A state cloned inside `f` is an ordinary,
+    /// permanent state.
+    ///
+    /// # Errors
+    ///
+    /// Fails as [`Partitioning::tile`] does, without calling `f`.
+    pub fn probe<R>(
+        &mut self,
+        func: &Func,
+        v: ValueId,
+        dim: usize,
+        axis: &Axis,
+        f: impl FnOnce(&mut Partitioning) -> R,
+    ) -> Result<R, CoreError> {
+        let mark = self.journal.log.len();
+        let fp = self.fp;
+        let dirty_values = self.dirty_values.clone();
+        let dirty_ops = self.dirty_ops.clone();
+        self.journal.depth += 1;
+        // A refused tile records nothing, so the rollback below is a no-op.
+        let out = self.tile(func, v, dim, axis).map(|()| {
+            self.propagate(func);
+            f(self)
+        });
+        self.journal.depth -= 1;
+        for undo in self.journal.log.drain(mark..).rev() {
+            match undo {
+                Undo::Value(v) => self.value_ctx[v.0 as usize].pop(),
+                Undo::Op(op) => {
+                    self.op_ctx[op.0 as usize].entries.pop();
+                }
+                Undo::Conflict(key, Some(before)) => {
+                    self.conflicts.insert(key, before);
+                }
+                Undo::Conflict(key, None) => {
+                    self.conflicts.remove(&key);
+                }
+            }
+        }
+        self.fp = fp;
+        self.dirty_values = dirty_values;
+        self.dirty_ops = dirty_ops;
+        out
     }
 
     /// The tiling context of a value.
@@ -449,7 +577,7 @@ impl Partitioning {
                 }
                 ValueDef::Param(_) => {}
             }
-            for &u in &self.uses[v.0 as usize] {
+            for &u in &self.shared.uses[v.0 as usize] {
                 seeds.insert(u);
             }
         }
@@ -520,21 +648,28 @@ impl Partitioning {
         }
         let mut report = PropagationReport::default();
         let axes: Vec<Axis> = self.mesh.axis_names().cloned().collect();
+        // Local handle on the per-function tables, so reading them does
+        // not hold a borrow of `self` across the rewrites below.
+        let shared = Arc::clone(&self.shared);
+        let tmr = shared.tmr(func);
         let mut queue = seeds;
         let mut touched: BTreeSet<OpId> = queue.clone();
         let mut pops = 0u64;
         let mut fires: BTreeMap<&'static str, u64> = BTreeMap::new();
+        // Values whose context one visit extended; reused across visits.
+        let mut changed: Vec<ValueId> = Vec::new();
 
         while let Some(op) = queue.pop_first() {
             pops += 1;
             let applied_before = report.applied;
             for axis in &axes {
-                let changed = if func.op(op).region.is_some() {
-                    self.unify_for(func, op, axis)
-                } else {
-                    self.try_rewrite(func, op, axis, &mut report)
-                };
-                for v in changed {
+                changed.clear();
+                if func.op(op).region.is_some() {
+                    self.unify_for(func, op, axis, &mut changed);
+                } else if self.try_rewrite(func, tmr.of(op), op, axis, &mut changed) {
+                    report.applied += 1;
+                }
+                for &v in &changed {
                     // Revisit the producer and all users of every value
                     // whose context we extended.
                     match func.value(v).def {
@@ -544,7 +679,7 @@ impl Partitioning {
                         }
                         ValueDef::Param(_) => {}
                     }
-                    for &u in &self.uses[v.0 as usize] {
+                    for &u in &shared.uses[v.0 as usize] {
                         queue.insert(u);
                         touched.insert(u);
                     }
@@ -562,25 +697,23 @@ impl Partitioning {
         // set depends solely on the op's operand/result contexts and its
         // own loop context, all of which only change when the op is
         // touched).
-        let recheck: Vec<OpId> = touched
-            .into_iter()
-            .chain(self.conflicts.keys().map(|&(op, _)| op))
-            .collect();
-        for op in recheck {
+        let conflicted: Vec<OpId> = self.conflicts.keys().map(|&(op, _)| op).collect();
+        for op in touched.into_iter().chain(conflicted) {
             if func.op(op).region.is_some() {
                 continue;
             }
             for (ai, axis) in axes.iter().enumerate() {
                 let key = (op, ai);
-                if self.op_ctx[op.0 as usize].contains_axis(axis) {
-                    self.conflicts.remove(&key);
-                    continue;
-                }
-                let candidates = self.candidates(func, op, axis);
-                if candidates.len() > 1 {
-                    self.conflicts.insert(key, candidates);
-                } else {
-                    self.conflicts.remove(&key);
+                let ambiguous = !self.op_ctx[op.0 as usize].contains_axis(axis)
+                    && self.matching(func, tmr.of(op), op, axis).nth(1).is_some();
+                if ambiguous {
+                    let candidates: Vec<TmrEntry> =
+                        self.matching(func, tmr.of(op), op, axis).cloned().collect();
+                    if self.conflicts.get(&key) != Some(&candidates) {
+                        self.set_conflict(key, Some(candidates));
+                    }
+                } else if self.conflicts.contains_key(&key) {
+                    self.set_conflict(key, None);
                 }
             }
         }
@@ -613,7 +746,9 @@ impl Partitioning {
         if self.op_ctx[op.0 as usize].contains_axis(axis) {
             return Vec::new();
         }
-        self.candidates(func, op, axis)
+        self.matching(func, self.shared.tmr(func).of(op), op, axis)
+            .cloned()
+            .collect()
     }
 
     /// Force-applies one TMR entry to `op` along `axis`, performing the
@@ -679,7 +814,7 @@ impl Partitioning {
                 }
             }
         }
-        self.record_op_entry(op, axis, entry.clone());
+        self.record_op_entry(op, axis, entry);
         Ok(())
     }
 
@@ -697,93 +832,120 @@ impl Partitioning {
             Ok(s) => s,
             Err(_) => return false,
         };
-        let local = ctx.local_shape(&ty.shape, &self.mesh);
-        local.dim(dim).is_multiple_of(axis_size)
+        ctx.local_dim(&ty.shape, dim, &self.mesh)
+            .is_multiple_of(axis_size)
     }
 
-    /// Candidate TMR entries for rewriting `op` along `axis` under the
-    /// current evidence. Exactly one candidate means propagation can fire;
-    /// more than one is a conflict.
-    fn candidates(&self, func: &Func, op: OpId, axis: &Axis) -> Vec<TmrEntry> {
+    /// The entries of `row` (the TMR row of `op`) that can rewrite `op`
+    /// along `axis` under the current evidence. Exactly one match means
+    /// propagation can fire; more than one is a conflict. The matches
+    /// borrow from the row, not from `self`.
+    fn matching<'s, 't>(
+        &'s self,
+        func: &'s Func,
+        row: &'t [TmrEntry],
+        op: OpId,
+        axis: &'s Axis,
+    ) -> impl Iterator<Item = &'t TmrEntry> + use<'s, 't> {
         let data = func.op(op);
-        if data.results.len() != 1 {
-            return Vec::new();
-        }
-        let result = data.results[0];
-        let result_obs = self.value_ctx[result.0 as usize].entry(axis);
-        if matches!(result_obs, Some(ShardKind::Atomic)) {
-            return Vec::new();
-        }
-        let mut candidates = Vec::new();
-        'entry: for entry in tmr_entries(func, op) {
-            let mut evidence = false;
-            match entry.result {
-                ResultAction::Tile(d) => match result_obs {
-                    Some(ShardKind::Tile { dim }) if dim == d => evidence = true,
-                    Some(_) => continue 'entry,
-                    None => {
-                        if !self.can_tile(func, result, d, axis) {
-                            continue 'entry;
-                        }
-                    }
-                },
-                ResultAction::Reduce(_) => {
-                    // A reduction produces the full result; any downstream
-                    // slicing of the result is reconciled at lowering
-                    // (all_reduce + all_slice fuse to reduce_scatter).
-                }
-            }
-            // Required inferred tilings, deduplicated per value so that an
-            // op using one value in two slots stays consistent.
-            let mut inferred: HashMap<ValueId, usize> = HashMap::new();
-            for (i, &need) in entry.operands.iter().enumerate() {
-                let operand = data.operands[i];
-                let obs = self.value_ctx[operand.0 as usize].entry(axis);
-                match (need, obs) {
-                    (Some(d), Some(ShardKind::Tile { dim })) if dim == d => evidence = true,
-                    (Some(_), Some(_)) => continue 'entry,
-                    (Some(d), None) => {
-                        if let Some(&prev) = inferred.get(&operand) {
-                            if prev != d {
-                                continue 'entry;
-                            }
-                        } else {
-                            if !self.can_tile(func, operand, d, axis) {
-                                continue 'entry;
-                            }
-                            inferred.insert(operand, d);
-                        }
-                    }
-                    (None, _) => {}
-                }
-            }
-            if evidence {
-                candidates.push(entry);
-            }
-        }
-        candidates
+        let result_obs = match data.results[..] {
+            [result] => self.value_ctx[result.0 as usize].entry(axis),
+            _ => None,
+        };
+        // Ops without exactly one result, or whose result is pinned on
+        // the axis, match nothing.
+        let row = if data.results.len() == 1 && result_obs != Some(ShardKind::Atomic) {
+            row
+        } else {
+            &row[..0]
+        };
+        row.iter()
+            .filter(move |entry| self.entry_matches(func, data, entry, axis, result_obs))
     }
 
-    /// Attempts one rewrite of `op` along `axis`; returns the values whose
-    /// contexts were extended.
+    /// Whether one TMR entry is consistent with the contexts of `data`'s
+    /// operands and result along `axis`, and backed by at least one
+    /// observed tiling.
+    fn entry_matches(
+        &self,
+        func: &Func,
+        data: &OpData,
+        entry: &TmrEntry,
+        axis: &Axis,
+        result_obs: Option<ShardKind>,
+    ) -> bool {
+        let mut evidence = false;
+        match entry.result {
+            ResultAction::Tile(d) => match result_obs {
+                Some(ShardKind::Tile { dim }) if dim == d => evidence = true,
+                Some(_) => return false,
+                None => {
+                    if !self.can_tile(func, data.results[0], d, axis) {
+                        return false;
+                    }
+                }
+            },
+            ResultAction::Reduce(_) => {
+                // A reduction produces the full result; any downstream
+                // slicing of the result is reconciled at lowering
+                // (all_reduce + all_slice fuse to reduce_scatter).
+            }
+        }
+        for (i, &need) in entry.operands.iter().enumerate() {
+            let operand = data.operands[i];
+            let obs = self.value_ctx[operand.0 as usize].entry(axis);
+            match (need, obs) {
+                (Some(d), Some(ShardKind::Tile { dim })) if dim == d => evidence = true,
+                (Some(_), Some(_)) => return false,
+                (Some(d), None) => {
+                    // Required inferred tilings must agree per value, so
+                    // that an op using one value in two slots stays
+                    // consistent: an earlier slot of the same value
+                    // already fixed (and checked) the dimension.
+                    let earlier = (0..i).find_map(|j| {
+                        (data.operands[j] == operand)
+                            .then_some(entry.operands[j])
+                            .flatten()
+                    });
+                    match earlier {
+                        Some(prev) if prev != d => return false,
+                        Some(_) => {}
+                        None => {
+                            if !self.can_tile(func, operand, d, axis) {
+                                return false;
+                            }
+                        }
+                    }
+                }
+                (None, _) => {}
+            }
+        }
+        evidence
+    }
+
+    /// Attempts one rewrite of `op` (whose TMR row is `row`) along
+    /// `axis`, appending the values whose contexts were extended to
+    /// `changed`. Returns whether the rewrite fired.
     fn try_rewrite(
         &mut self,
         func: &Func,
+        row: &[TmrEntry],
         op: OpId,
         axis: &Axis,
-        report: &mut PropagationReport,
-    ) -> Vec<ValueId> {
+        changed: &mut Vec<ValueId>,
+    ) -> bool {
         if self.op_ctx[op.0 as usize].contains_axis(axis) {
-            return Vec::new();
+            return false;
         }
-        let candidates = self.candidates(func, op, axis);
-        if candidates.len() != 1 {
-            return Vec::new();
-        }
-        let entry = candidates.into_iter().next().expect("len checked");
+        let entry = {
+            let mut matches = self.matching(func, row, op, axis);
+            match (matches.next(), matches.next()) {
+                (Some(only), None) => only,
+                _ => return false,
+            }
+        };
         let data = func.op(op);
         let result = data.results[0];
-        let mut changed = Vec::new();
         for (i, &need) in entry.operands.iter().enumerate() {
             let operand = data.operands[i];
             if let Some(d) = need {
@@ -800,18 +962,16 @@ impl Partitioning {
             }
         }
         self.record_op_entry(op, axis, entry);
-        report.applied += 1;
-        changed
+        true
     }
 
     /// Unifies contexts across a `for` op boundary: each carried tuple
     /// (init, region param, yielded value, result) must share its tiling.
-    fn unify_for(&mut self, func: &Func, op: OpId, axis: &Axis) -> Vec<ValueId> {
+    fn unify_for(&mut self, func: &Func, op: OpId, axis: &Axis, changed: &mut Vec<ValueId>) {
         let data = func.op(op);
         let Some(region) = &data.region else {
-            return Vec::new();
+            return;
         };
-        let mut changed = Vec::new();
         for i in 0..data.operands.len() {
             let group = [
                 data.operands[i],
@@ -856,7 +1016,6 @@ impl Partitioning {
                 }
             }
         }
-        changed
     }
 
     fn check_value(&self, func: &Func, v: ValueId) -> Result<(), CoreError> {

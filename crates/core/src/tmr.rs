@@ -10,6 +10,8 @@
 //! The propagation pass (`state.rs`) is *generic across all ops*: it only
 //! ever queries this registry, exactly as in the paper.
 
+use std::collections::HashMap;
+
 use partir_ir::{Func, OpId, OpKind, ReduceOp};
 
 /// The action of a loop rewrite on the op's (single) result.
@@ -38,6 +40,42 @@ pub struct TmrEntry {
 impl TmrEntry {
     fn new(operands: Vec<Option<usize>>, result: ResultAction) -> Self {
         TmrEntry { operands, result }
+    }
+}
+
+/// The TMR entries of every op of one function, computed once and read
+/// by reference: propagation visits an op many times per search
+/// candidate, and the entries depend on the function alone. Ops of the
+/// same kind and ranks share one row (a training step has thousands of
+/// ops and a few dozen distinct rows), so the table costs four bytes per
+/// op on top of the distinct rows.
+#[derive(Debug)]
+pub(crate) struct TmrTable {
+    rows: Vec<Vec<TmrEntry>>,
+    /// Index into `rows` per op.
+    row_of: Vec<u32>,
+}
+
+impl TmrTable {
+    pub(crate) fn new(func: &Func) -> Self {
+        let mut index: HashMap<Vec<TmrEntry>, u32> = HashMap::new();
+        let row_of = func
+            .op_ids()
+            .map(|op| {
+                let next = index.len() as u32;
+                *index.entry(tmr_entries(func, op)).or_insert(next)
+            })
+            .collect();
+        let mut rows = vec![Vec::new(); index.len()];
+        for (row, id) in index {
+            rows[id as usize] = row;
+        }
+        TmrTable { rows, row_of }
+    }
+
+    /// The entries of `op`, in [`tmr_entries`] order.
+    pub(crate) fn of(&self, op: OpId) -> &[TmrEntry] {
+        &self.rows[self.row_of[op.0 as usize] as usize]
     }
 }
 

@@ -2,9 +2,11 @@
 //! and random action sequences, the sharded program under sequential
 //! (temporal) semantics must equal the unpartitioned reference — the
 //! executable form of the paper's semantics-preservation claim —
-//! propagation must be monotone and idempotent, and the incremental
+//! propagation must be monotone and idempotent, the incremental
 //! worklist propagation must agree exactly with the whole-module
-//! fixed point.
+//! fixed point, and an in-place trial (`Partitioning::probe`) must show
+//! exactly the state `clone → tile → propagate` reaches and leave no
+//! trace behind.
 
 use partir_core::{temporal::interpret_sharded, Partitioning};
 use partir_ir::{
@@ -261,6 +263,142 @@ fn incremental_propagation_matches_full_fixpoint() {
             if inc.op_ctx(op) != full.op_ctx(op) {
                 return Err(format!("op ctx diverged at {op:?}"));
             }
+        }
+        Ok(())
+    });
+}
+
+/// Everything a caller can observe of a state.
+fn observe(func: &Func, part: &Partitioning) -> impl PartialEq + std::fmt::Debug {
+    (
+        func.value_ids()
+            .map(|v| part.value_ctx(v).clone())
+            .collect::<Vec<_>>(),
+        func.op_ids()
+            .map(|op| part.op_ctx(op).clone())
+            .collect::<Vec<_>>(),
+        part.fingerprint(),
+        part.conflicts(),
+        format!("{part:?}"),
+    )
+}
+
+/// The zoo's four cells at their smallest, built once.
+fn zoo() -> Vec<Func> {
+    use partir_models::{gns, itransformer, transformer, unet};
+    vec![
+        transformer::build_train_step(&transformer::TransformerConfig::tiny())
+            .unwrap()
+            .func,
+        unet::build_train_step(&unet::UNetConfig::tiny())
+            .unwrap()
+            .func,
+        gns::build_train_step(&gns::GnsConfig::tiny()).unwrap().func,
+        itransformer::build_decode_step(&itransformer::ServingConfig::tiny())
+            .unwrap()
+            .func,
+    ]
+}
+
+/// The trial primitive's contract, on the zoo models and on random
+/// programs (whose transposes and matmuls leave conflicts for a trial to
+/// resolve or reshape): after a random prefix of actions, `probe` of a
+/// random tile (a) fails exactly when `tile` would, (b) shows its closure
+/// the state `clone → tile → propagate` reaches, also one level deeper
+/// through a nested probe, and (c) returns the state — contexts,
+/// fingerprint, conflicts, `Debug` output and pending changes — to what
+/// it was.
+#[test]
+fn probe_shows_the_propagated_state_and_leaves_no_trace() {
+    let zoo = zoo();
+    let (mesh, axes) = test_mesh();
+    check("probe leaves no trace", 128, |rng| {
+        let random;
+        let func = if rng.gen_bool(0.5) {
+            &zoo[rng.gen_range(zoo.len())]
+        } else {
+            random = build_program(&gen_steps(rng)).0;
+            &random
+        };
+        let values: Vec<ValueId> = func.value_ids().collect();
+        let gen_tile = |rng: &mut Rng| {
+            let v = if rng.gen_bool(0.7) {
+                *rng.choose(func.params())
+            } else {
+                *rng.choose(&values)
+            };
+            let rank = func.value_type(v).rank().max(1);
+            (v, rng.gen_range(rank), &axes[rng.gen_range(2)])
+        };
+        let mut part = Partitioning::new(func, mesh.clone()).unwrap();
+        for _ in 0..rng.gen_range(5) {
+            let (v, dim, axis) = gen_tile(rng);
+            if rng.gen_bool(0.15) {
+                let _ = part.atomic(func, v, axis);
+            } else {
+                let _ = part.tile(func, v, dim, axis);
+            }
+            // Sometimes leave the action unpropagated, so the probe
+            // starts from a state with pending changes.
+            if rng.gen_bool(0.8) {
+                part.propagate(func);
+            }
+        }
+        let before = observe(func, &part);
+        let mut settled = part.clone();
+        settled.propagate(func);
+
+        let (mut v, mut dim, mut axis) = gen_tile(rng);
+        // Half the time a conflict is outstanding, aim the trial at it:
+        // tiling the ambiguous op's result settles or reshapes the
+        // conflict, which the rollback must then put back.
+        if let (Some(c), true) = (settled.conflicts().first(), rng.gen_bool(0.5)) {
+            v = func.op(c.op).results[0];
+            dim = rng.gen_range(func.value_type(v).rank().max(1));
+            axis = axes.iter().find(|a| **a == c.axis).unwrap();
+        }
+        let (v2, dim2, axis2) = gen_tile(rng);
+        let mut slow = part.clone();
+        let accepted = slow.tile(func, v, dim, axis).is_ok();
+        slow.propagate(func);
+        let mut deeper = slow.clone();
+        let deeper_accepted = deeper.tile(func, v2, dim2, axis2).is_ok();
+        deeper.propagate(func);
+
+        let seen = part.probe(func, v, dim, axis, |s| {
+            let outer = observe(func, s) == observe(func, &slow);
+            let inner = s.probe(func, v2, dim2, axis2, |s2| {
+                observe(func, s2) == observe(func, &deeper)
+            });
+            let restored = observe(func, s) == observe(func, &slow);
+            (outer, inner.ok(), restored)
+        });
+        match seen {
+            Err(_) if !accepted => {}
+            Err(e) => return Err(format!("probe refused a tile `tile` accepts: {e}")),
+            Ok(_) if !accepted => return Err("probe accepted a tile `tile` refuses".into()),
+            Ok((outer, inner, restored)) => {
+                if !outer {
+                    return Err("the closure saw a state other than clone→tile→propagate".into());
+                }
+                if inner != deeper_accepted.then_some(true) {
+                    return Err(format!(
+                        "nested probe: saw {inner:?}, tile accepted = {deeper_accepted}"
+                    ));
+                }
+                if !restored {
+                    return Err("the nested probe left a trace in the outer one".into());
+                }
+            }
+        }
+        if observe(func, &part) != before {
+            return Err("probe left a trace".into());
+        }
+        // Pending changes survive too: propagating now lands where
+        // propagating before the probe would have.
+        part.propagate(func);
+        if observe(func, &part) != observe(func, &settled) {
+            return Err("probe lost or invented pending changes".into());
         }
         Ok(())
     });

@@ -11,8 +11,9 @@
 //! branching factor is capped to the largest tensors, keeping searches on
 //! 10k-op training steps tractable.
 
+use partir_analysis::TileCandidate;
 use partir_core::Partitioning;
-use partir_ir::{Func, ValueId};
+use partir_ir::Func;
 use partir_mesh::{Axis, HardwareConfig};
 use partir_prng::Rng;
 
@@ -210,11 +211,10 @@ impl AutomaticPartition {
                 None => best_child(&node.children, node.visits, self.exploration),
             };
             // Materialise the child state if needed.
-            let parent_state = state.clone();
             let child = &mut node.children[idx];
             if child.state.is_none() {
                 let _span = partir_obs::span!("mcts.materialise");
-                let mut s = parent_state;
+                let mut s = state.clone();
                 match &child.action {
                     Some(a) => {
                         if s.tile(func, a.value, a.dim, &a.axis).is_ok() {
@@ -249,30 +249,10 @@ impl AutomaticPartition {
                 // rollout; keep the better (the evaluator is exact).
                 let _span = partir_obs::span!("mcts.rollout");
                 partir_obs::counter!("sched.mcts.rollouts", 1);
-                let own = evaluator.reward(child.state.as_ref().expect("set above"), baseline)?;
-                let mut roll = child.state.clone().expect("set above");
-                let mut depth = 0;
-                while depth < 3 {
-                    let actions = candidate_actions(func, &roll, &self.axes);
-                    if actions.is_empty() || rng.gen_bool(0.4) {
-                        break;
-                    }
-                    let a = &actions[rng.gen_range(actions.len().min(self.max_branching))];
-                    let snapshot = roll.clone();
-                    if roll.tile(func, a.value, a.dim, &a.axis).is_err() {
-                        break;
-                    }
-                    roll.propagate(func);
-                    if !partir_analysis::is_legal(func, &roll) {
-                        // Roll back the illegal step so the rollout is
-                        // scored on its last legal state.
-                        evaluator.cache.note_pruned(roll.fingerprint());
-                        roll = snapshot;
-                        break;
-                    }
-                    depth += 1;
-                }
-                let r = own.max(evaluator.reward(&roll, baseline)?);
+                let own = child.state.as_mut().expect("set above");
+                let r = evaluator
+                    .reward(own, baseline)?
+                    .max(self.rollout(own, 3, func, evaluator, baseline, rng)?);
                 child.visits += 1;
                 child.total += r;
                 r
@@ -284,19 +264,45 @@ impl AutomaticPartition {
         node.total += reward;
         Ok(reward)
     }
-}
 
-/// One search action (shared with the `StaticSearch` tactic).
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub(crate) struct TileAction {
-    pub(crate) value: ValueId,
-    pub(crate) dim: usize,
-    pub(crate) axis: Axis,
+    /// The reward of a random walk of at most `steps` further legal
+    /// actions from `state`, scored where it stops. Each step is a
+    /// [`Partitioning::probe`] nested in the previous one, so the walk
+    /// runs in place and `state` is unchanged on return; an illegal step
+    /// is taken back and the walk is scored on its last legal state.
+    fn rollout(
+        &self,
+        state: &mut Partitioning,
+        steps: usize,
+        func: &Func,
+        evaluator: &Evaluator,
+        baseline: f64,
+        rng: &mut Rng,
+    ) -> Result<f64, SchedError> {
+        if steps > 0 {
+            let actions = candidate_actions(func, state, &self.axes);
+            if !actions.is_empty() && !rng.gen_bool(0.4) {
+                let a = &actions[rng.gen_range(actions.len().min(self.max_branching))];
+                let deeper = state.probe(func, a.value, a.dim, &a.axis, |next| {
+                    if partir_analysis::is_legal(func, next) {
+                        Some(self.rollout(next, steps - 1, func, evaluator, baseline, rng))
+                    } else {
+                        evaluator.cache.note_pruned(next.fingerprint());
+                        None
+                    }
+                });
+                if let Ok(Some(reward)) = deeper {
+                    return reward;
+                }
+            }
+        }
+        evaluator.reward(state, baseline)
+    }
 }
 
 struct Node {
     /// The edge from the parent (`None` = stop here).
-    action: Option<TileAction>,
+    action: Option<TileCandidate>,
     /// Materialised lazily on first visit.
     state: Option<Partitioning>,
     visits: u32,
@@ -322,7 +328,7 @@ impl Node {
         }
     }
 
-    fn unexplored(action: Option<TileAction>) -> Self {
+    fn unexplored(action: Option<TileCandidate>) -> Self {
         Node {
             action,
             state: None,
@@ -370,8 +376,8 @@ pub(crate) fn candidate_actions(
     func: &Func,
     part: &Partitioning,
     axes: &[Axis],
-) -> Vec<TileAction> {
-    let mut out: Vec<(usize, TileAction)> = Vec::new();
+) -> Vec<TileCandidate> {
+    let mut out: Vec<(usize, TileCandidate)> = Vec::new();
     for axis in axes {
         let Ok(size) = part.mesh().axis_size(axis) else {
             continue;
@@ -386,7 +392,7 @@ pub(crate) fn candidate_actions(
                 if local.shape.dim(d).is_multiple_of(size) && local.shape.dim(d) >= size {
                     out.push((
                         local.size_bytes(),
-                        TileAction {
+                        TileCandidate {
                             value: v,
                             dim: d,
                             axis: axis.clone(),
@@ -398,11 +404,7 @@ pub(crate) fn candidate_actions(
     }
     out.sort_by(|a, b| {
         b.0.cmp(&a.0).then_with(|| {
-            (a.1.value, a.1.dim, a.1.axis.name().to_string()).cmp(&(
-                b.1.value,
-                b.1.dim,
-                b.1.axis.name().to_string(),
-            ))
+            (a.1.value, a.1.dim, a.1.axis.name()).cmp(&(b.1.value, b.1.dim, b.1.axis.name()))
         })
     });
     out.into_iter().map(|(_, a)| a).collect()

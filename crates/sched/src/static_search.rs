@@ -8,16 +8,18 @@
 //!
 //! 1. enumerates the same capped, largest-tensors-first action space as
 //!    MCTS ([`crate::auto`]'s `candidate_actions`);
-//! 2. collapses actions into equivalence classes by *propagated*
-//!    fingerprint ([`partir_analysis::equivalence_classes`]) — distinct
-//!    `tile` actions frequently converge to the same sharding once
-//!    propagation runs, and a class only needs to be costed once;
+//! 2. tries each action in place on the frontier state and collapses
+//!    them into equivalence classes by *propagated* fingerprint
+//!    ([`partir_analysis::equivalence_classes`]) — distinct `tile`
+//!    actions frequently converge to the same sharding once propagation
+//!    runs, and a class only needs to be costed once;
 //! 3. drops classes whose fingerprint was already explored or rejected
 //!    ([`partir_analysis::is_legal`], ticking the shared pruned
 //!    counters);
 //! 4. costs each surviving class through one amortised
-//!    [`partir_analysis::StaticObjective`] (built once per search) and
-//!    keeps the `beam_width` cheapest as the next frontier.
+//!    [`partir_analysis::StaticObjective`] (built once per search),
+//!    keeps the `beam_width` cheapest, and only then builds those
+//!    survivors' states as the next frontier.
 //!
 //! Every frontier state ever kept is pooled; at the end the `top_k`
 //! statically-cheapest pool entries (default 8) are rescored by the
@@ -35,7 +37,7 @@ use partir_core::Partitioning;
 use partir_ir::{Fingerprint, Func};
 use partir_mesh::{Axis, HardwareConfig};
 
-use crate::auto::{candidate_actions, TileAction};
+use crate::auto::candidate_actions;
 use crate::cache::FingerprintHasher;
 use crate::{EvalCache, SchedError};
 
@@ -190,9 +192,15 @@ impl StaticSearch {
             applied: 0,
         };
 
+        /// A frontier state and the actions that reached it.
         struct Candidate {
-            actions: Vec<TileAction>,
+            actions: Vec<TileCandidate>,
             state: Partitioning,
+        }
+        /// A costed class: one action from frontier state `parent`.
+        struct Scored {
+            parent: usize,
+            action: TileCandidate,
             cost: f64,
         }
 
@@ -202,68 +210,86 @@ impl StaticSearch {
         let mut beam = vec![Candidate {
             actions: Vec::new(),
             state: part.clone(),
-            cost: baseline_static,
         }];
-        let mut pool: Vec<(Vec<TileAction>, Fingerprint, f64)> = Vec::new();
+        let mut pool: Vec<(Vec<TileCandidate>, f64)> = Vec::new();
 
         for _level in 0..self.max_actions {
-            let mut next: Vec<Candidate> = Vec::new();
-            for cand in &beam {
+            let mut next: Vec<Scored> = Vec::new();
+            // This level's own decisions, reported as one sample each of
+            // the `sched.static.level.*` counters.
+            let (mut candidates, mut classes, mut pruned) = (0u64, 0u64, 0u64);
+            for (parent, cand) in beam.iter_mut().enumerate() {
                 let mut actions = candidate_actions(func, &cand.state, &self.axes);
                 actions.truncate(self.max_branching);
-                report.candidates += actions.len() as u64;
-                let tile_candidates: Vec<TileCandidate> = actions
-                    .iter()
-                    .map(|a| TileCandidate {
-                        value: a.value,
-                        dim: a.dim,
-                        axis: a.axis.clone(),
-                    })
-                    .collect();
-                for class in equivalence_classes(func, &cand.state, &tile_candidates) {
-                    partir_obs::counter!("sched.static.classes", 1);
-                    report.class_duplicates += class.members.len() as u64 - 1;
-                    if !seen.insert(class.fingerprint) {
-                        continue; // another path already reached this state
-                    }
-                    if !partir_analysis::is_legal(func, &class.state) {
-                        cache.note_pruned(class.fingerprint);
-                        report.pruned += 1;
-                        continue;
-                    }
-                    let cost = objective.cost(&class.state, hw)?.cost(hw);
-                    report.static_evals += 1;
-                    partir_obs::counter!("sched.static.evals", 1);
-                    let mut path = cand.actions.clone();
-                    path.push(actions[class.members[0]].clone());
-                    next.push(Candidate {
-                        actions: path,
-                        state: class.state,
-                        cost,
-                    });
-                }
+                candidates += actions.len() as u64;
+                // Every class is tried, deduplicated, filtered and costed
+                // on `cand.state` in place; nothing is copied here.
+                let duplicates =
+                    equivalence_classes(func, &mut cand.state, &actions, |first, state| {
+                        partir_obs::counter!("sched.static.classes", 1);
+                        classes += 1;
+                        if !seen.insert(state.fingerprint()) {
+                            return Ok(()); // another path already reached this state
+                        }
+                        if !partir_analysis::is_legal(func, state) {
+                            cache.note_pruned(state.fingerprint());
+                            pruned += 1;
+                            return Ok(());
+                        }
+                        let cost = objective.cost(state, hw)?.cost(hw);
+                        report.static_evals += 1;
+                        partir_obs::counter!("sched.static.evals", 1);
+                        next.push(Scored {
+                            parent,
+                            action: actions[first].clone(),
+                            cost,
+                        });
+                        Ok::<(), SchedError>(())
+                    })?;
+                report.class_duplicates += duplicates as u64;
             }
-            if next.is_empty() {
-                break;
-            }
+            report.candidates += candidates;
+            report.pruned += pruned;
             next.sort_by(|a, b| a.cost.total_cmp(&b.cost));
             next.truncate(self.beam_width);
-            for cand in &next {
-                pool.push((cand.actions.clone(), cand.state.fingerprint(), cand.cost));
+            partir_obs::counter!("sched.static.level.candidates", candidates);
+            partir_obs::counter!("sched.static.level.classes", classes);
+            partir_obs::counter!("sched.static.level.pruned", pruned);
+            partir_obs::counter!("sched.static.level.kept", next.len());
+            let Some(best) = next.first() else {
+                break;
+            };
+            partir_obs::counter!("sched.static.level.best_cost", best.cost);
+            // Only the survivors become states of their own.
+            let mut survivors = Vec::with_capacity(next.len());
+            for scored in next {
+                let from = &beam[scored.parent];
+                let mut state = from.state.clone();
+                state.tile(
+                    func,
+                    scored.action.value,
+                    scored.action.dim,
+                    &scored.action.axis,
+                )?;
+                state.propagate(func);
+                let mut actions = from.actions.clone();
+                actions.push(scored.action);
+                pool.push((actions.clone(), scored.cost));
+                survivors.push(Candidate { actions, state });
             }
-            beam = next;
+            beam = survivors;
         }
 
         // Final-K rescoring: the statically-cheapest pool entries meet
         // the simulator (through the shared cache); the winner is applied
         // only if its *simulated* cost beats the starting state.
-        pool.sort_by(|a, b| a.2.total_cmp(&b.2));
+        pool.sort_by(|a, b| a.1.total_cmp(&b.1));
         pool.truncate(self.top_k);
         if let Some(best) = pool.first() {
-            report.best_static_cost = best.2.min(baseline_static);
+            report.best_static_cost = best.1.min(baseline_static);
         }
-        let mut winner: Option<&Vec<TileAction>> = None;
-        for (actions, _fp, _static_cost) in &pool {
+        let mut winner: Option<&Vec<TileCandidate>> = None;
+        for (actions, _static_cost) in &pool {
             let mut state = part.clone();
             for a in actions {
                 state.tile(func, a.value, a.dim, &a.axis)?;
