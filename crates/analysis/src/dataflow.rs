@@ -155,9 +155,9 @@ pub fn forward_fixpoint<A: ForwardAnalysis>(func: &Func, analysis: &A) -> FactMa
     }
 }
 
-/// The linearisation the memory analyses agree on: region bodies inline
-/// once, *before* their owning op — exactly the order
-/// `partir_sim::memory::peak_memory_bytes` walks.
+/// The linearisation every memory estimate walks (through
+/// [`crate::memory::PeakWalk`]): region bodies inline once, *before*
+/// their owning op.
 #[derive(Debug, Clone)]
 pub struct Linearization {
     order: Vec<OpId>,
@@ -214,7 +214,7 @@ pub trait BackwardAnalysis {
 /// Runs `analysis` backward over `lin` to a fixpoint.
 ///
 /// Region results count as used by their owning `for` op (they are what
-/// the loop hands back), matching the simulator's liveness convention.
+/// the loop hands back).
 pub fn backward_fixpoint<A: BackwardAnalysis>(
     func: &Func,
     lin: &Linearization,

@@ -15,8 +15,11 @@
 //!   (illegal tile entries, unresolved conflicts, implied reshards);
 //! * [`layout`] — forward layout tracking through lowered programs
 //!   (dropped axes, double slicing, redundant gather/slice round trips);
-//! * [`memory`] — a static peak-memory bound guaranteed to dominate
-//!   `partir_sim`'s simulated peak;
+//! * [`cost`] — the cost model's formulas (roofline, FLOPs, ring
+//!   collective stages, OOM penalty), stated once for the simulator,
+//!   the static objective and the traffic predictor;
+//! * [`memory`] — the one peak-memory walk, and the static bound on it
+//!   guaranteed to dominate `partir_sim`'s simulated peak;
 //! * [`plan`] — translation validation of *compiled execution plans*:
 //!   a happens-before race detector over arena-slot effects and a
 //!   cross-device rendezvous-deadlock verifier for the overlap
@@ -60,6 +63,7 @@
 #![forbid(unsafe_code)]
 
 pub mod collective;
+pub mod cost;
 pub mod dataflow;
 pub mod diag;
 pub mod layout;
@@ -70,10 +74,9 @@ pub mod plan;
 pub mod sharding;
 
 pub use diag::{error_count, max_severity, Diagnostic, Severity};
-pub use memory::{liveness_frees, static_peak_bound};
+pub use memory::{static_peak_bound, PeakWalk};
 pub use objective::{
-    equivalence_classes, static_cost, static_cost_with, ObjectiveConfig, StaticCost,
-    StaticObjective, TileCandidate,
+    equivalence_classes, static_cost, ObjectiveConfig, StaticCost, StaticObjective, TileCandidate,
 };
 pub use plan::{verify_plan, PlanView};
 pub use sharding::is_legal;

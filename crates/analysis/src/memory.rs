@@ -1,12 +1,16 @@
-//! Static peak-memory bound via backward liveness.
+//! The peak-memory walk, and the static bound built on it.
 //!
-//! The bound walks the same linearisation as
-//! `partir_sim::peak_memory_bytes` (region bodies inline once,
-//! before their op), uses the same liveness conventions (parameters and
-//! results pinned to the end, unused values never freed), and charges
-//! the same allocations — *plus* the loop region parameters the
-//! simulator treats as zero-cost aliases. The static resident set is
-//! therefore pointwise ≥ the simulated one, so
+//! [`PeakWalk`] is the one alloc/free walk every memory estimate in the
+//! workspace runs: region bodies inline once, before their op; each
+//! value allocated at its definition and freed after its last use;
+//! parameters and results pinned to the end; unused values never freed.
+//! Callers differ only in what a value weighs and in three switches —
+//! `partir_sim::peak_memory_bytes` treats loop region parameters as
+//! free aliases of their carried inputs, [`static_peak_bound`] charges
+//! them, the SPMD plan compiler replays the bound in arena-pool bytes,
+//! and the static objective charges device-local sizes, skips dead ops
+//! and adds each op's gather temporary. Charging region parameters only
+//! ever adds to the resident set, so
 //!
 //! > `static_peak_bound(f) >= partir_sim::peak_memory_bytes(f)`
 //!
@@ -15,7 +19,7 @@
 //! every model/mesh pair. Liveness itself is an instance of the
 //! backward dataflow solver with a max-position lattice.
 
-use partir_ir::{Func, OpId, OpKind, ValueDef, ValueId};
+use partir_ir::{Func, OpId, ValueDef, ValueId};
 
 use crate::dataflow::{backward_fixpoint, BackwardAnalysis, Fact, Linearization};
 
@@ -66,82 +70,85 @@ impl BackwardAnalysis for Liveness {
     }
 }
 
-/// The liveness solution in free-list form: the linearisation the bound
-/// walks plus, for every value, `Some(pos)` when the value's last use is
-/// at linearised position `pos` (and it may be freed right after), or
-/// `None` when it stays resident to the end (parameters, results, and
-/// never-used values).
-///
-/// This is the exact schedule [`static_peak_bound`] charges; the SPMD
-/// plan compiler replays the same walk with its own byte accounting to
-/// cross-check its arena layout against this analysis.
-pub fn liveness_frees(func: &Func) -> (Linearization, Vec<Option<usize>>) {
-    let lin = Linearization::of(func);
-    let end = lin.len();
-    let live = backward_fixpoint(func, &lin, &Liveness { end });
-    let frees = func
-        .value_ids()
-        .map(|v| match live.get(v).0 {
+/// The alloc/free schedule of one function: the linearisation and, per
+/// position, the values whose last use is there. Depends only on the
+/// function, so a search builds it once and walks it per candidate.
+#[derive(Debug, Clone)]
+pub struct PeakWalk {
+    order: Vec<OpId>,
+    frees: Vec<Vec<ValueId>>,
+}
+
+impl PeakWalk {
+    /// Solves liveness for `func`.
+    pub fn of(func: &Func) -> Self {
+        let lin = Linearization::of(func);
+        let end = lin.len();
+        let live = backward_fixpoint(func, &lin, &Liveness { end });
+        let mut frees = vec![Vec::new(); end + 1];
+        for v in func.value_ids() {
             // ⊥ (never used) and end-pinned values stay resident.
-            Some(pos) if pos < end => Some(pos),
-            _ => None,
-        })
-        .collect();
-    (lin, frees)
+            if let Some(pos) = live.get(v).0.filter(|&pos| pos < end) {
+                frees[pos].push(v);
+            }
+        }
+        PeakWalk {
+            order: lin.order().to_vec(),
+            frees,
+        }
+    }
+
+    /// Peak resident bytes over the walk, where value `v` weighs
+    /// `bytes_of(v)`. With `charge_region_params`, entering a `for`
+    /// allocates its region parameters; without, they are free aliases.
+    /// Ops for which `skip` holds never run (their results are never
+    /// allocated), and `transient(op)` bytes are resident only while
+    /// `op` itself executes.
+    pub fn peak(
+        &self,
+        func: &Func,
+        bytes_of: impl Fn(ValueId) -> u64,
+        charge_region_params: bool,
+        skip: impl Fn(OpId) -> bool,
+        transient: impl Fn(OpId) -> u64,
+    ) -> u64 {
+        let mut current: u64 = func.params().iter().map(|&p| bytes_of(p)).sum();
+        let mut peak = current;
+        let mut alive = vec![false; func.num_values()];
+        for &p in func.params() {
+            alive[p.0 as usize] = true;
+        }
+        for (pos, &op_id) in self.order.iter().enumerate() {
+            if skip(op_id) {
+                continue;
+            }
+            let op = func.op(op_id);
+            let mut alloc = |v: ValueId| {
+                if !std::mem::replace(&mut alive[v.0 as usize], true) {
+                    current += bytes_of(v);
+                }
+            };
+            // Constants count too — they live in HBM.
+            op.results.iter().for_each(|&r| alloc(r));
+            if let (true, Some(region)) = (charge_region_params, &op.region) {
+                region.params.iter().for_each(|&p| alloc(p));
+            }
+            peak = peak.max(current + transient(op_id));
+            for &v in &self.frees[pos] {
+                if std::mem::replace(&mut alive[v.0 as usize], false) {
+                    current = current.saturating_sub(bytes_of(v));
+                }
+            }
+        }
+        peak
+    }
 }
 
 /// An upper bound on the peak device memory (bytes) of `func`,
 /// guaranteed to dominate the simulator's estimate.
 pub fn static_peak_bound(func: &Func) -> u64 {
-    let (lin, freed) = liveness_frees(func);
-    let end = lin.len();
-
     let bytes_of = |v: ValueId| func.value_type(v).size_bytes() as u64;
-    let freed_at = |v: ValueId| -> Option<usize> { freed[v.0 as usize] };
-
-    let mut current: u64 = func.params().iter().map(|&p| bytes_of(p)).sum();
-    let mut peak = current;
-    let mut frees: Vec<Vec<ValueId>> = vec![Vec::new(); end + 1];
-    for v in func.value_ids() {
-        if let Some(pos) = freed_at(v) {
-            frees[pos].push(v);
-        }
-    }
-    let mut alive = vec![false; func.num_values()];
-    for &p in func.params() {
-        alive[p.0 as usize] = true;
-    }
-    for (pos, &op_id) in lin.order().iter().enumerate() {
-        let op = func.op(op_id);
-        for &r in &op.results {
-            if !alive[r.0 as usize] {
-                alive[r.0 as usize] = true;
-                current += bytes_of(r);
-            }
-        }
-        // Where the simulator treats loop region params as free aliases
-        // of their carried inputs, the bound charges them — the one
-        // place the two walks deliberately differ, and what makes the
-        // bound an over-approximation.
-        if matches!(op.kind, OpKind::For { .. }) {
-            if let Some(region) = &op.region {
-                for &p in &region.params {
-                    if !alive[p.0 as usize] {
-                        alive[p.0 as usize] = true;
-                        current += bytes_of(p);
-                    }
-                }
-            }
-        }
-        peak = peak.max(current);
-        for &v in &frees[pos] {
-            if alive[v.0 as usize] {
-                alive[v.0 as usize] = false;
-                current = current.saturating_sub(bytes_of(v));
-            }
-        }
-    }
-    peak
+    PeakWalk::of(func).peak(func, bytes_of, true, |_| false, |_| 0)
 }
 
 /// The extra bytes the bound charges beyond the aliasing-aware

@@ -21,11 +21,16 @@
 //!   non-escaping, same-body use that reshards by pure slicing, the
 //!   fusion pass's cancel / `all_to_all` / `reduce_scatter` rewrites
 //!   are replayed on the pair;
-//! * compute costed with the same roofline model (local shapes derived
-//!   from the layouts, never materialised as IR);
-//! * peak memory bounded by the existing liveness walk
-//!   ([`crate::memory::liveness_frees`]) charging device-local sizes,
-//!   plus the largest gather temporary alive at each op.
+//! * compute costed with the roofline model (local shapes derived from
+//!   the layouts, never materialised as IR);
+//! * peak memory bounded by the shared walk ([`crate::memory::PeakWalk`])
+//!   charging device-local sizes, plus the largest gather temporary
+//!   alive at each op.
+//!
+//! *What* a collective stage, an op or an over-budget peak costs is not
+//! restated here: every formula is a call into [`crate::cost`], the same
+//! functions the simulator calls. What this module owns is the
+//! structural replay — where lowering and fusion would put collectives.
 //!
 //! A search evaluates thousands of candidates of *one* function, so the
 //! work is split accordingly: [`StaticObjective`] precomputes everything
@@ -37,10 +42,10 @@
 //! `Vec<Axis>`). Fully replicated ops — the common case away from the
 //! sharded data path — take a precomputed fast path.
 //!
-//! The constants deliberately mirror `partir_sim::SimConfig` — the
-//! rank-agreement property tests (`tests/objective_prop.rs`) pin the two
-//! models together, and a deliberately mis-weighted objective is caught
-//! by the same tests (the mutation check).
+//! The rank-agreement property tests (`tests/objective_prop.rs`) pin
+//! the replay to the simulator's walk of the lowered program, and a
+//! deliberately mis-weighted objective is caught by the same tests (the
+//! mutation check).
 //!
 //! On top of the cost, [`equivalence_classes`] groups candidate
 //! `tile(value, dim, axis)` actions whose *propagated* fingerprints
@@ -54,7 +59,11 @@ use partir_core::{OpAxisCtx, Partitioning, ResultAction, ShardKind};
 use partir_ir::{Fingerprint, Func, IrError, OpId, OpKind, ValueId};
 use partir_mesh::{Axis, HardwareConfig};
 
-use crate::memory::liveness_frees;
+use crate::cost::{
+    oom_penalty, op_class, op_flops, ring_time, OpClass, RingKind, Roofline, ShapeView,
+    MATMUL_EFFICIENCY,
+};
+use crate::memory::PeakWalk;
 
 /// Maximum tensor rank the packed layouts carry (split-head attention
 /// tensors are rank 5, the largest in the zoo). Kept tight: candidate
@@ -62,6 +71,11 @@ use crate::memory::liveness_frees;
 /// innermost loop, so struct size is throughput.
 /// [`StaticObjective::cost`] errors beyond it.
 const MAX_RANK: usize = 6;
+
+/// Maximum operands of a non-`for` op the per-op operand arrays carry
+/// (`dynamic_update_slice` at [`MAX_RANK`] takes eight; only a wider
+/// `concatenate` exceeds it). [`StaticObjective::cost`] errors beyond it.
+const MAX_OPERANDS: usize = 8;
 
 /// Maximum mesh axes (each axis tiles at most one dimension of a value,
 /// so this also bounds any per-dimension axis stack). Batch, model,
@@ -130,7 +144,7 @@ struct LocalShape {
     dim: [u32; MAX_RANK],
 }
 
-impl LocalShape {
+impl ShapeView for LocalShape {
     fn num_elements(&self) -> f64 {
         self.dim[..self.rank as usize]
             .iter()
@@ -244,29 +258,17 @@ fn reduce_scatter_fusion(reduce: &Stack, slice: &Layout) -> Option<(Layout, Layo
     Some((residual_slice, covered, residual_reduce))
 }
 
-/// Tunables of the static objective. The efficiency constants mirror
-/// `partir_sim::SimConfig`; the weights exist for calibration and for
-/// mutation tests (a mis-weighted objective must lose rank agreement).
+/// The static objective's one tunable, kept for the mutation tests: a
+/// mis-weighted objective must lose rank agreement with the simulator.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ObjectiveConfig {
-    /// Fraction of peak FLOPS achieved by contraction ops.
-    pub matmul_efficiency: f64,
-    /// Fraction of peak HBM bandwidth achieved by memory-bound ops.
-    pub hbm_efficiency: f64,
     /// Multiplier on all communication seconds.
     pub comm_weight: f64,
-    /// Multiplier on all compute seconds.
-    pub compute_weight: f64,
 }
 
 impl Default for ObjectiveConfig {
     fn default() -> Self {
-        ObjectiveConfig {
-            matmul_efficiency: 0.55,
-            hbm_efficiency: 0.7,
-            comm_weight: 1.0,
-            compute_weight: 1.0,
-        }
+        ObjectiveConfig { comm_weight: 1.0 }
     }
 }
 
@@ -293,10 +295,7 @@ impl StaticCost {
     /// `partir_sim::Evaluation::cost`: runtime with a multiplicative
     /// penalty once the memory bound exceeds device HBM.
     pub fn cost(&self, hw: &HardwareConfig) -> f64 {
-        let mem = self.peak_memory_bytes as f64;
-        let cap = hw.device.hbm_bytes as f64;
-        let penalty = if mem > cap { 10.0 * (mem / cap) } else { 1.0 };
-        self.runtime_s() * penalty
+        self.runtime_s() * oom_penalty(self.peak_memory_bytes, hw.device.hbm_bytes)
     }
 }
 
@@ -310,46 +309,14 @@ impl StaticCost {
 ///
 /// Fails when a context references an axis missing from the mesh or
 /// topology (impossible for states produced by `tile`/`propagate`), or
-/// when a tensor exceeds the packed-layout rank bound.
+/// when the function exceeds the packed walk's rank or operand-count
+/// bound.
 pub fn static_cost(
     func: &Func,
     part: &Partitioning,
     hw: &HardwareConfig,
 ) -> Result<StaticCost, IrError> {
     StaticObjective::new(func).cost(part, hw)
-}
-
-/// [`static_cost`] with an explicit configuration.
-///
-/// # Errors
-///
-/// Same failure modes as [`static_cost`].
-pub fn static_cost_with(
-    func: &Func,
-    part: &Partitioning,
-    hw: &HardwareConfig,
-    cfg: ObjectiveConfig,
-) -> Result<StaticCost, IrError> {
-    StaticObjective::with_config(func, cfg).cost(part, hw)
-}
-
-/// Roofline class of an op (which peak the flop term divides by).
-#[derive(Debug, Clone, Copy)]
-enum OpClass {
-    Contraction,
-    Constant,
-    Other,
-}
-
-fn op_class(kind: &OpKind) -> OpClass {
-    match kind {
-        OpKind::Dot(_)
-        | OpKind::Convolution(_)
-        | OpKind::ConvInputGrad { .. }
-        | OpKind::ConvFilterGrad { .. } => OpClass::Contraction,
-        OpKind::Constant(_) => OpClass::Constant,
-        _ => OpClass::Other,
-    }
 }
 
 /// Hardware-independent roofline terms of one op on its *global*
@@ -396,9 +363,8 @@ pub struct StaticObjective<'f> {
     /// carry dead input-gradient chains, for example), so the static
     /// walk must skip dead ops too.
     live: Vec<bool>,
-    /// Memory-walk linearisation and per-position free lists.
-    order: Vec<OpId>,
-    frees: Vec<Vec<ValueId>>,
+    /// The memory walk's alloc/free schedule.
+    walk: PeakWalk,
     /// Per-value use summaries and defining-body ids (cross-op fusion).
     uses: Vec<UseInfo>,
     def_body: Vec<u32>,
@@ -410,7 +376,9 @@ pub struct StaticObjective<'f> {
     global_bytes: Vec<u64>,
     gshape: Vec<LocalShape>,
     dsize: Vec<f64>,
-    rank_ok: bool,
+    /// Whether the packed walk can cost this function at all; the
+    /// reason when it cannot.
+    supported: Result<(), String>,
 }
 
 impl<'f> StaticObjective<'f> {
@@ -421,15 +389,7 @@ impl<'f> StaticObjective<'f> {
 
     /// [`StaticObjective::new`] with an explicit configuration.
     pub fn with_config(func: &'f Func, cfg: ObjectiveConfig) -> Self {
-        let live = liveness(func);
-        let (lin, freed) = liveness_frees(func);
-        let order: Vec<OpId> = lin.order().to_vec();
-        let mut frees: Vec<Vec<ValueId>> = vec![Vec::new(); order.len() + 1];
-        for (i, f) in freed.iter().enumerate() {
-            if let Some(pos) = f {
-                frees[*pos].push(ValueId(i as u32));
-            }
-        }
+        let live = partir_ir::passes::live_values(func);
         let mut uses = vec![UseInfo::default(); func.num_values()];
         let mut def_body = vec![0u32; func.num_values()];
         let mut next_body = 0u32;
@@ -444,10 +404,8 @@ impl<'f> StaticObjective<'f> {
         for &r in func.results() {
             uses[r.0 as usize].escapes = true;
         }
-        let rank_ok = func
-            .value_ids()
-            .all(|v| func.value_type(v).rank() <= MAX_RANK);
-        let gshape: Vec<LocalShape> = if rank_ok {
+        let supported = supported(func);
+        let gshape: Vec<LocalShape> = if supported.is_ok() {
             func.value_ids().map(|v| global_shape(func, v)).collect()
         } else {
             Vec::new()
@@ -460,18 +418,18 @@ impl<'f> StaticObjective<'f> {
             };
             func.num_ops()
         ];
-        if rank_ok {
+        if supported.is_ok() {
             for op_id in func.op_ids() {
                 let op = func.op(op_id);
                 if matches!(op.kind, OpKind::For { .. }) {
                     continue;
                 }
-                let mut operands = [LocalShape::default(); 8];
+                let mut operands = [LocalShape::default(); MAX_OPERANDS];
                 for (i, &o) in op.operands.iter().enumerate() {
                     operands[i] = gshape[o.0 as usize];
                 }
                 let result = gshape[op.results[0].0 as usize];
-                let flops = local_op_flops(&op.kind, &operands[..op.operands.len()], &result);
+                let flops = op_flops(&op.kind, &operands[..op.operands.len()], &result);
                 let bytes = op
                     .operands
                     .iter()
@@ -505,16 +463,21 @@ impl<'f> StaticObjective<'f> {
             func,
             cfg,
             live,
-            order,
-            frees,
+            walk: PeakWalk::of(func),
             uses,
             def_body,
             repl,
             global_bytes,
             gshape,
             dsize,
-            rank_ok,
+            supported,
         }
+    }
+
+    /// Whether the fusion pass's dead-code elimination drops `op`.
+    fn is_dead(&self, op: OpId) -> bool {
+        let results = &self.func.op(op).results;
+        !results.iter().any(|r| self.live[r.0 as usize])
     }
 
     /// Statically costs one candidate against the precomputed analysis.
@@ -523,10 +486,8 @@ impl<'f> StaticObjective<'f> {
     ///
     /// Same failure modes as [`static_cost`].
     pub fn cost(&self, part: &Partitioning, hw: &HardwareConfig) -> Result<StaticCost, IrError> {
-        if !self.rank_ok {
-            return Err(IrError::invalid(format!(
-                "static objective supports tensors of rank <= {MAX_RANK}"
-            )));
+        if let Err(reason) = &self.supported {
+            return Err(IrError::invalid(reason.clone()));
         }
         let mut ev = Eval::new(self, part, hw)?;
         // The cost walk also records per-op gather transients, which the
@@ -534,12 +495,36 @@ impl<'f> StaticObjective<'f> {
         let (compute_s, comm_s, comm_bytes) = ev.walk_body(self.func.body(), 1.0)?;
         let peak = ev.peak_memory()?;
         Ok(StaticCost {
-            compute_s: compute_s * self.cfg.compute_weight,
+            compute_s,
             comm_s: comm_s * self.cfg.comm_weight,
             comm_bytes,
             peak_memory_bytes: peak,
         })
     }
+}
+
+/// The bounds of the packed walk's fixed-size layouts and operand
+/// arrays, checked once per function so no candidate can index past
+/// them.
+fn supported(func: &Func) -> Result<(), String> {
+    if func
+        .value_ids()
+        .any(|v| func.value_type(v).rank() > MAX_RANK)
+    {
+        return Err(format!(
+            "static objective supports tensors of rank <= {MAX_RANK}"
+        ));
+    }
+    let wide = |o: OpId| {
+        let op = func.op(o);
+        !matches!(op.kind, OpKind::For { .. }) && op.operands.len() > MAX_OPERANDS
+    };
+    if func.op_ids().any(wide) {
+        return Err(format!(
+            "static objective supports ops of <= {MAX_OPERANDS} operands"
+        ));
+    }
+    Ok(())
 }
 
 fn global_shape(func: &Func, v: ValueId) -> LocalShape {
@@ -639,9 +624,7 @@ struct Eval<'a, 'f> {
     int_size: Vec<u64>,
     bw: Vec<f64>,
     lat: Vec<f64>,
-    contraction_flops: f64,
-    peak_flops: f64,
-    hbm: f64,
+    roofline: Roofline,
     /// Largest gather temporary per op, filled during the cost walk and
     /// consumed by the memory walk.
     transient: Vec<u64>,
@@ -672,7 +655,6 @@ impl<'a, 'f> Eval<'a, 'f> {
             bw.push(hw.topology.bandwidth(a).map_err(err)?);
             lat.push(hw.topology.latency(a).map_err(err)?);
         }
-        let cfg = obj.cfg;
         Ok(Eval {
             obj,
             part,
@@ -681,9 +663,7 @@ impl<'a, 'f> Eval<'a, 'f> {
             int_size,
             bw,
             lat,
-            contraction_flops: hw.device.peak_flops_f32 * cfg.matmul_efficiency,
-            peak_flops: hw.device.peak_flops_f32,
-            hbm: hw.device.hbm_bandwidth * cfg.hbm_efficiency,
+            roofline: Roofline::new(&hw.device, MATMUL_EFFICIENCY),
             transient: vec![0u64; obj.func.num_ops()],
         })
     }
@@ -786,67 +766,32 @@ impl<'a, 'f> Eval<'a, 'f> {
         (ls, bytes)
     }
 
-    /// Ring `all_reduce` over `axes` of a `bytes`-sized local value.
+    /// Ring cost of one collective of `kind` on a `bytes`-sized local
+    /// value, over the axes `ids` in stage order.
+    fn ring<'s>(&self, kind: RingKind, bytes: f64, ids: impl Iterator<Item = &'s u8>) -> Costs {
+        let (time, wire) = ring_time(kind, bytes, ids.map(|&id| self.link(id)));
+        (0.0, time, wire)
+    }
+
     fn all_reduce(&self, bytes: f64, axes: &Stack) -> Costs {
-        let mut time = 0.0;
-        let mut wire = 0.0;
-        for &id in axes.axes() {
-            let (k, bw, lat) = self.link(id);
-            let moved = 2.0 * (k - 1.0) / k * bytes;
-            time += moved / bw + 2.0 * (k - 1.0) * lat;
-            wire += moved;
-        }
-        (0.0, time, wire)
+        self.ring(RingKind::AllReduce, bytes, axes.axes().iter())
     }
 
-    /// Staged ring `all_gather`: sizes grow axis by axis, dims in
-    /// ascending order, axes within a dim innermost-first (the exact
-    /// iteration order of `partir_sim::collective_time`).
+    /// Staged `all_gather`: dims in ascending order, axes within a dim
+    /// innermost-first (the stage order of [`crate::cost::ring_stages`]).
     fn all_gather(&self, start_bytes: f64, gather: &Layout) -> Costs {
-        let mut bytes = start_bytes;
-        let mut time = 0.0;
-        let mut wire = 0.0;
-        for stack in gather.dims() {
-            for &id in stack.axes().iter().rev() {
-                let (k, bw, lat) = self.link(id);
-                let out = bytes * k;
-                let moved = (k - 1.0) / k * out;
-                time += moved / bw + (k - 1.0) * lat;
-                wire += moved;
-                bytes = out;
-            }
-        }
-        (0.0, time, wire)
+        let ids = gather.dims().iter().flat_map(|s| s.axes().iter().rev());
+        self.ring(RingKind::AllGather, start_bytes, ids)
     }
 
-    /// Staged ring `reduce_scatter`: sizes shrink axis by axis.
+    /// Staged `reduce_scatter`: axes within a dim outermost-first.
     fn reduce_scatter(&self, start_bytes: f64, covered: &Layout) -> Costs {
-        let mut bytes = start_bytes;
-        let mut time = 0.0;
-        let mut wire = 0.0;
-        for stack in covered.dims() {
-            for &id in stack.axes() {
-                let (k, bw, lat) = self.link(id);
-                let moved = (k - 1.0) / k * bytes;
-                time += moved / bw + (k - 1.0) * lat;
-                wire += moved;
-                bytes /= k;
-            }
-        }
-        (0.0, time, wire)
+        let ids = covered.dims().iter().flat_map(|s| s.axes().iter());
+        self.ring(RingKind::ReduceScatter, start_bytes, ids)
     }
 
-    /// Ring `all_to_all` over one axis stack.
     fn all_to_all(&self, bytes: f64, axes: &Stack) -> Costs {
-        let mut time = 0.0;
-        let mut wire = 0.0;
-        for &id in axes.axes() {
-            let (k, bw, lat) = self.link(id);
-            let moved = (k - 1.0) / k * bytes;
-            time += moved / bw + (k - 1.0) * lat;
-            wire += moved;
-        }
-        (0.0, time, wire)
+        self.ring(RingKind::AllToAll, bytes, axes.axes().iter())
     }
 
     /// Cost of resharding a value of `bytes_from` local bytes from layout
@@ -872,32 +817,10 @@ impl<'a, 'f> Eval<'a, 'f> {
         }
     }
 
-    /// Roofline compute time on device-local shapes (mirror of
-    /// `partir_sim`'s `op_time`).
-    fn op_time(
-        &self,
-        kind: &OpKind,
-        operands: &[LocalShape],
-        result: &LocalShape,
-        moved_bytes: f64,
-    ) -> f64 {
-        let flops = local_op_flops(kind, operands, result);
-        let mem_time = moved_bytes / self.hbm;
-        match op_class(kind) {
-            OpClass::Contraction => (flops / self.contraction_flops).max(mem_time),
-            OpClass::Constant => 0.0,
-            OpClass::Other => mem_time.max(flops / self.peak_flops),
-        }
-    }
-
     /// Roofline time of a fully replicated op from precomputed terms.
     fn repl_time(&self, op_id: OpId) -> f64 {
         let r = self.obj.repl[op_id.0 as usize];
-        match r.class {
-            OpClass::Contraction => (r.flops / self.contraction_flops).max(r.bytes / self.hbm),
-            OpClass::Constant => 0.0,
-            OpClass::Other => (r.bytes / self.hbm).max(r.flops / self.peak_flops),
-        }
+        self.roofline.op_time(r.class, r.flops, r.bytes)
     }
 
     /// Whether nothing around this op is sharded: no loop context, all
@@ -918,8 +841,8 @@ impl<'a, 'f> Eval<'a, 'f> {
         };
         for &op_id in body {
             let op = self.obj.func.op(op_id);
-            if !op.results.iter().any(|r| self.obj.live[r.0 as usize]) {
-                continue; // dead code: eliminated before the simulator runs
+            if self.obj.is_dead(op_id) {
+                continue; // eliminated before the simulator runs
             }
             if let (OpKind::For { trip_count }, Some(region)) = (&op.kind, &op.region) {
                 scale(self.for_cost(op_id, *trip_count, region)?, &mut total);
@@ -974,7 +897,7 @@ impl<'a, 'f> Eval<'a, 'f> {
         // reduced axes, all from one pass over the op context (mirror of
         // `spmd::lower`'s required/produced layouts).
         let n = op.operands.len();
-        let mut req = [Layout::empty(0); 8];
+        let mut req = [Layout::empty(0); MAX_OPERANDS];
         for (i, &o) in op.operands.iter().enumerate() {
             req[i].rank = self.obj.gshape[o.0 as usize].rank;
         }
@@ -995,7 +918,7 @@ impl<'a, 'f> Eval<'a, 'f> {
         }
 
         // 1. Operand reshards (stored layout → required layout).
-        let mut shapes = [LocalShape::default(); 8];
+        let mut shapes = [LocalShape::default(); MAX_OPERANDS];
         let mut moved = 0.0;
         let mut transient = 0.0f64;
         for (i, &operand) in op.operands.iter().enumerate() {
@@ -1014,7 +937,8 @@ impl<'a, 'f> Eval<'a, 'f> {
         // 2. Localized compute.
         let (local_result, produced_bytes) = self.local_shape_bytes(result, &produced);
         moved += produced_bytes;
-        cost.0 += self.op_time(&op.kind, &shapes[..n], &local_result, moved);
+        let flops = op_flops(&op.kind, &shapes[..n], &local_result);
+        cost.0 += self.roofline.op_time(op_class(&op.kind), flops, moved);
 
         // 3. Reduce + reshard to the stored layout, with the fusion
         // pass's rewrites applied analytically. When the chain ends in a
@@ -1181,118 +1105,13 @@ impl<'a, 'f> Eval<'a, 'f> {
         for v in func.value_ids() {
             local[v.0 as usize] = self.local_bytes_u64(v)?;
         }
-        let mut current = 0u64;
-        let mut alive = vec![false; func.num_values()];
-        for &p in func.params() {
-            alive[p.0 as usize] = true;
-            current += local[p.0 as usize];
-        }
-        let mut peak = current;
-        for (pos, &op_id) in self.obj.order.iter().enumerate() {
-            let op = func.op(op_id);
-            if !op.results.iter().any(|r| self.obj.live[r.0 as usize]) {
-                continue; // dead code never materialises
-            }
-            for &r in &op.results {
-                if !alive[r.0 as usize] {
-                    alive[r.0 as usize] = true;
-                    current += local[r.0 as usize];
-                }
-            }
-            if matches!(op.kind, OpKind::For { .. }) {
-                if let Some(region) = &op.region {
-                    for &p in &region.params {
-                        if !alive[p.0 as usize] {
-                            alive[p.0 as usize] = true;
-                            current += local[p.0 as usize];
-                        }
-                    }
-                }
-            }
-            peak = peak.max(current + self.transient[op_id.0 as usize]);
-            for &v in &self.obj.frees[pos] {
-                if alive[v.0 as usize] {
-                    alive[v.0 as usize] = false;
-                    current = current.saturating_sub(local[v.0 as usize]);
-                }
-            }
-        }
-        Ok(peak)
-    }
-}
-
-/// Values transitively needed by the function results — the same
-/// fixpoint the fusion pass's dead-code elimination runs (everything
-/// inside a live `for` is kept live through its region params/results).
-fn liveness(func: &Func) -> Vec<bool> {
-    let mut live = vec![false; func.num_values()];
-    for &r in func.results() {
-        live[r.0 as usize] = true;
-    }
-    let mut changed = true;
-    while changed {
-        changed = false;
-        for op_id in func.op_ids().collect::<Vec<_>>().into_iter().rev() {
-            let op = func.op(op_id);
-            if !op.results.iter().any(|r| live[r.0 as usize]) {
-                continue;
-            }
-            let mut mark = |v: ValueId, changed: &mut bool| {
-                if !live[v.0 as usize] {
-                    live[v.0 as usize] = true;
-                    *changed = true;
-                }
-            };
-            for &o in &op.operands {
-                mark(o, &mut changed);
-            }
-            if let Some(region) = &op.region {
-                for &y in &region.results {
-                    mark(y, &mut changed);
-                }
-                for &p in &region.params {
-                    mark(p, &mut changed);
-                }
-            }
-        }
-    }
-    live
-}
-
-/// FLOP count of one op on (local) shapes — the same formulas as
-/// `partir_sim::op_flops`, reimplemented here because `partir-sim`
-/// depends on this crate. The rank-agreement tests pin the two copies
-/// together.
-fn local_op_flops(kind: &OpKind, operands: &[LocalShape], result: &LocalShape) -> f64 {
-    match kind {
-        OpKind::Dot(dims) => {
-            let contract: f64 = dims
-                .lhs_contract
-                .iter()
-                .map(|&d| operands[0].dim(d) as f64)
-                .product();
-            2.0 * result.num_elements() * contract
-        }
-        OpKind::Convolution(_) => {
-            let k = &operands[1];
-            2.0 * result.num_elements() * (k.dim(1) * k.dim(2) * k.dim(3)) as f64
-        }
-        OpKind::ConvInputGrad { .. } => {
-            let k = &operands[1];
-            2.0 * operands[0].num_elements() * (k.dim(1) * k.dim(2) * k.dim(3)) as f64
-        }
-        OpKind::ConvFilterGrad { .. } => {
-            let g = &operands[1];
-            2.0 * result.num_elements() * (g.dim(0) * g.dim(2) * g.dim(3)) as f64
-        }
-        OpKind::Reduce { .. } | OpKind::ArgMax { .. } => operands[0].num_elements(),
-        OpKind::Unary(_)
-        | OpKind::Binary(_)
-        | OpKind::Compare(_)
-        | OpKind::Select
-        | OpKind::Convert(_) => result.num_elements(),
-        OpKind::ScatterAdd { .. } => operands[0].num_elements(),
-        _ => 0.0,
+        Ok(self.obj.walk.peak(
+            func,
+            |v| local[v.0 as usize],
+            true,
+            |op| self.obj.is_dead(op), // never materialises
+            |op| self.transient[op.0 as usize],
+        ))
     }
 }
 
@@ -1508,6 +1327,25 @@ mod tests {
         assert_eq!(format!("{p:?}"), before, "the trials left no trace");
     }
 
+    /// A verified function past the packed walk's operand bound is
+    /// refused with a structured error at costing time — never a panic at
+    /// construction — while the simulator still costs it.
+    #[test]
+    fn nine_operand_concatenate_is_an_error_not_a_panic() {
+        let mut b = FuncBuilder::new("f");
+        let xs: Vec<ValueId> = (0..9)
+            .map(|i| b.param(format!("x{i}"), TensorType::f32([4, 8])))
+            .collect();
+        let y = b.concatenate(&xs, 0).unwrap();
+        let f = b.build([y]).unwrap();
+        let mesh = Mesh::single("B", 4).unwrap();
+        let hw = hw(&mesh);
+        let p = Partitioning::new(&f, mesh).unwrap();
+        let err = static_cost(&f, &p, &hw).unwrap_err();
+        assert!(err.to_string().contains("operands"), "{err}");
+        assert!(partir_sim::evaluate(&f, &p, &hw).is_ok());
+    }
+
     /// The explicit failure mode the mutation test relies on: zeroing the
     /// communication weight makes a comm-heavy state look free.
     #[test]
@@ -1519,16 +1357,9 @@ mod tests {
         p.tile(&f, f.params()[1], 1, &"M".into()).unwrap();
         p.propagate(&f);
         let honest = static_cost(&f, &p, &hw).unwrap();
-        let zeroed = static_cost_with(
-            &f,
-            &p,
-            &hw,
-            ObjectiveConfig {
-                comm_weight: 0.0,
-                ..ObjectiveConfig::default()
-            },
-        )
-        .unwrap();
+        let zeroed = StaticObjective::with_config(&f, ObjectiveConfig { comm_weight: 0.0 })
+            .cost(&p, &hw)
+            .unwrap();
         assert!(honest.comm_s > 0.0);
         assert_eq!(zeroed.comm_s, 0.0);
     }

@@ -13,7 +13,7 @@
 //! (communication zeroed out) must *fail* the same property — proof the
 //! property has teeth, not just tolerance.
 
-use partir_analysis::{is_legal, static_cost_with, ObjectiveConfig};
+use partir_analysis::{is_legal, ObjectiveConfig, StaticObjective};
 use partir_core::Partitioning;
 use partir_ir::Func;
 use partir_mesh::{Axis, HardwareConfig, Mesh};
@@ -97,7 +97,9 @@ fn agreement_case(cfg: ObjectiveConfig, rng: &mut Rng) -> Result<(), String> {
     let mut static_bytes = Vec::with_capacity(states.len());
     let mut sim_bytes = Vec::with_capacity(states.len());
     for s in &states {
-        let stat = static_cost_with(&func, s, &hw, cfg).map_err(|e| format!("static cost: {e}"))?;
+        let stat = StaticObjective::with_config(&func, cfg)
+            .cost(s, &hw)
+            .map_err(|e| format!("static cost: {e}"))?;
         let eval = partir_sim::evaluate(&func, s, &hw).map_err(|e| format!("evaluate: {e}"))?;
         let breakdown = eval.cost_breakdown(&hw);
         static_costs.push(stat.cost(&hw));
@@ -155,10 +157,7 @@ fn misweighted_objective_is_caught() {
     // property over the *same* cases must now detect violations — if it
     // cannot tell an objective that ignores communication from the
     // honest one, it gates nothing.
-    let broken = ObjectiveConfig {
-        comm_weight: 0.0,
-        ..ObjectiveConfig::default()
-    };
+    let broken = ObjectiveConfig { comm_weight: 0.0 };
     let mut violations = 0;
     for case in 0..24u64 {
         let mut rng = Rng::seed_from_u64(0xBAD_0B1 ^ (case * 0x9E37_79B9));

@@ -53,13 +53,7 @@ fn measure(
 ) {
     let model_flops = func_flops(&model.func);
     let devices = hw.mesh.num_devices();
-    let sim = Simulator::new(
-        hw,
-        SimConfig {
-            overlap: 0.3,
-            ..Default::default()
-        },
-    );
+    let sim = Simulator::new(hw, SimConfig { overlap: 0.3 });
 
     // PartIR: the four-tactic schedule.
     let schedule = Schedule::new([

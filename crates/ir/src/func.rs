@@ -298,24 +298,6 @@ impl Func {
         self.fingerprint = OnceLock::new();
         &mut self.ops
     }
-
-    /// Total FLOP-relevant op count of the function, counting ops inside a
-    /// `for` region `trip_count` times. Useful for quick sanity checks on
-    /// model builders.
-    pub fn weighted_op_count(&self) -> usize {
-        fn count(f: &Func, body: &[OpId]) -> usize {
-            let mut n = 0;
-            for &op in body {
-                let data = f.op(op);
-                n += 1;
-                if let (OpKind::For { trip_count }, Some(region)) = (&data.kind, &data.region) {
-                    n += trip_count * count(f, &region.body);
-                }
-            }
-            n
-        }
-        count(self, &self.body)
-    }
 }
 
 /// A compilation unit: one or more functions plus the mesh they target.

@@ -56,7 +56,7 @@ pub fn cse(func: &Func) -> Result<Func, IrError> {
 ///
 /// Fails only on malformed functions.
 pub fn dce(func: &Func) -> Result<Func, IrError> {
-    let live = liveness(func);
+    let live = live_values(func);
     let mut b = FuncBuilder::new(func.name().to_string());
     let mut map: HashMap<ValueId, ValueId> = HashMap::new();
     for &p in func.params() {
@@ -160,11 +160,11 @@ fn rebuild_live(
     b: &mut FuncBuilder,
     body: &[OpId],
     map: &mut HashMap<ValueId, ValueId>,
-    live: &std::collections::HashSet<ValueId>,
+    live: &[bool],
 ) -> Result<(), IrError> {
     for &op_id in body {
         let op = func.op(op_id);
-        if !op.results.iter().any(|r| live.contains(r)) {
+        if !op.results.iter().any(|r| live[r.0 as usize]) {
             continue;
         }
         let operands: Vec<ValueId> = op
@@ -206,25 +206,33 @@ fn rebuild_live(
     Ok(())
 }
 
-fn liveness(func: &Func) -> std::collections::HashSet<ValueId> {
-    let mut live: std::collections::HashSet<ValueId> = func.results().iter().copied().collect();
+/// Which values the function results transitively need, indexed by
+/// value id: an op with any live result keeps its operands live, and a
+/// live `for` keeps its whole region (params and yields) live. [`dce`],
+/// collective fusion and the static objective all skip the ops this
+/// marks dead.
+pub fn live_values(func: &Func) -> Vec<bool> {
+    fn mark(live: &mut [bool], v: ValueId) -> bool {
+        !std::mem::replace(&mut live[v.0 as usize], true)
+    }
+    let mut live = vec![false; func.num_values()];
+    for &r in func.results() {
+        live[r.0 as usize] = true;
+    }
     let mut changed = true;
     while changed {
         changed = false;
-        for op_id in func.op_ids().collect::<Vec<_>>().into_iter().rev() {
+        for op_id in (0..func.num_ops() as u32).rev().map(OpId) {
             let op = func.op(op_id);
-            if !op.results.iter().any(|r| live.contains(r)) {
+            if !op.results.iter().any(|r| live[r.0 as usize]) {
                 continue;
             }
             for &o in &op.operands {
-                changed |= live.insert(o);
+                changed |= mark(&mut live, o);
             }
             if let Some(region) = &op.region {
-                for &y in &region.results {
-                    changed |= live.insert(y);
-                }
-                for &p in &region.params {
-                    changed |= live.insert(p);
+                for &v in region.results.iter().chain(&region.params) {
+                    changed |= mark(&mut live, v);
                 }
             }
         }

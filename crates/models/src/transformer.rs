@@ -12,7 +12,7 @@
 //! cross-entropy, reverse-mode backward and Adam — the graphs the paper's
 //! schedules (BP/MP/Z2/Z3/EMB) partition.
 
-use partir_ir::{BinaryOp, DotDims, Func, FuncBuilder, IrError, Literal, TensorType, ValueId};
+use partir_ir::{BinaryOp, DotDims, FuncBuilder, IrError, Literal, TensorType, ValueId};
 
 use crate::nn;
 use crate::train::{finish_train_step, int_input, param_with_opt, BuiltModel, Init};
@@ -357,13 +357,6 @@ pub fn build_forward_loss(cfg: &TransformerConfig) -> Result<BuiltModel, IrError
         num_param_tensors: cfg.num_param_tensors(),
         name: format!("T{}-fwd", cfg.layers),
     })
-}
-
-/// Convenience: a forward loss func for arbitrary direct use.
-pub fn tiny_forward() -> Func {
-    build_forward_loss(&TransformerConfig::tiny())
-        .expect("tiny transformer builds")
-        .func
 }
 
 #[cfg(test)]

@@ -17,9 +17,10 @@ use std::collections::{HashMap, HashSet};
 use std::hash::{BuildHasherDefault, Hasher};
 
 use partir_core::Partitioning;
-use partir_ir::{Fingerprint, Func};
+use partir_ir::{Fingerprint, Func, IrError};
 use partir_mesh::HardwareConfig;
-use partir_sim::{evaluate, Evaluation};
+use partir_sim::{evaluate, evaluate_program, Evaluation};
+use partir_spmd::SpmdProgram;
 
 use crate::SchedError;
 
@@ -141,10 +142,19 @@ impl EvalCache {
         part: &Partitioning,
         hw: &HardwareConfig,
     ) -> Result<Evaluation, SchedError> {
+        self.lookup(part, || evaluate(func, part, hw))
+    }
+
+    /// Answers `part` from the cache, or runs `compute` and stores it.
+    fn lookup(
+        &self,
+        part: &Partitioning,
+        compute: impl FnOnce() -> Result<Evaluation, IrError>,
+    ) -> Result<Evaluation, SchedError> {
         if !self.enabled {
             self.misses.set(self.misses.get() + 1);
             partir_obs::counter!("sched.cache.misses", 1);
-            return Ok(evaluate(func, part, hw)?);
+            return Ok(compute()?);
         }
         let key = part.fingerprint();
         if let Some(hit) = self.entries.borrow().get(&key) {
@@ -152,11 +162,28 @@ impl EvalCache {
             partir_obs::counter!("sched.cache.hits", 1);
             return Ok(*hit);
         }
-        let eval = evaluate(func, part, hw)?;
+        let eval = compute()?;
         self.misses.set(self.misses.get() + 1);
         partir_obs::counter!("sched.cache.misses", 1);
         self.entries.borrow_mut().insert(key, eval);
         Ok(eval)
+    }
+
+    /// [`EvalCache::evaluate`] for a caller that already holds `part`'s
+    /// lowered and fused `program`: same lookups, same counters, same
+    /// stored entry, but a miss simulates `program` instead of lowering
+    /// again.
+    ///
+    /// # Errors
+    ///
+    /// Propagates simulation failures (cache misses only).
+    pub(crate) fn evaluate_lowered(
+        &self,
+        part: &Partitioning,
+        program: &SpmdProgram,
+        hw: &HardwareConfig,
+    ) -> Result<Evaluation, SchedError> {
+        self.lookup(part, || evaluate_program(program, hw))
     }
 
     /// Records a candidate the legality pre-filter rejected before it

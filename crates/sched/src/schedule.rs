@@ -102,7 +102,9 @@ pub fn partir_jit(
     // transposition table, and the per-tactic metadata evaluation below
     // hits it for any state a search already scored.
     let cache = EvalCache::new();
-    for tactic in schedule.tactics() {
+    let mut program = None;
+    let last = schedule.tactics().len().checked_sub(1);
+    for (i, tactic) in schedule.tactics().iter().enumerate() {
         let _tactic_span = partir_obs::span!(format!("tactic.{}", tactic.name()));
         let start = Instant::now();
         let actions = match tactic {
@@ -114,8 +116,15 @@ pub fn partir_jit(
         let spent = start.elapsed();
         partition_time += spent;
         // Metadata evaluation: collective counts + simulator estimates as
-        // of this tactic (the user-facing incremental feedback).
-        let eval = cache.evaluate(func, &part, hw)?;
+        // of this tactic (the user-facing incremental feedback). The last
+        // tactic's state is the one the caller gets lowered, so it is
+        // lowered once and its report simulates that program.
+        let eval = if Some(i) == last {
+            let lowered = program.insert(lower_fused(func, &part, &mut partition_time)?);
+            cache.evaluate_lowered(&part, lowered, hw)?
+        } else {
+            cache.evaluate(func, &part, hw)?
+        };
         reports.push(TacticReport {
             tactic: tactic.name().to_string(),
             actions,
@@ -126,9 +135,10 @@ pub fn partir_jit(
             partition_time: spent,
         });
     }
-    let start = Instant::now();
-    let program = lower(func, &part)?.fused()?;
-    partition_time += start.elapsed();
+    let program = match program {
+        Some(program) => program,
+        None => lower_fused(func, &part, &mut partition_time)?, // empty schedule
+    };
     Ok(Jitted {
         program,
         partitioning: part,
@@ -136,6 +146,18 @@ pub fn partir_jit(
         partition_time,
         cache: cache.stats(),
     })
+}
+
+/// Lowers and fuses the final state, charging the time to partitioning.
+fn lower_fused(
+    func: &Func,
+    part: &Partitioning,
+    partition_time: &mut Duration,
+) -> Result<SpmdProgram, SchedError> {
+    let start = Instant::now();
+    let program = lower(func, part)?.fused()?;
+    *partition_time += start.elapsed();
+    Ok(program)
 }
 
 /// The PartIR-st ablation (paper §7.4): amalgamates every manual tactic
@@ -167,8 +189,8 @@ pub fn partir_jit_single_tactic(
     let report = part.propagate(func);
     let spent = start.elapsed();
     let cache = EvalCache::new();
-    let eval = cache.evaluate(func, &part, hw)?;
     let program = lower(func, &part)?.fused()?;
+    let eval = cache.evaluate_lowered(&part, &program, hw)?;
     Ok(Jitted {
         program,
         partitioning: part,

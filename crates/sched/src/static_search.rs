@@ -32,7 +32,7 @@
 use std::collections::HashSet;
 use std::hash::BuildHasherDefault;
 
-use partir_analysis::{equivalence_classes, ObjectiveConfig, StaticObjective, TileCandidate};
+use partir_analysis::{equivalence_classes, StaticObjective, TileCandidate};
 use partir_core::Partitioning;
 use partir_ir::{Fingerprint, Func};
 use partir_mesh::{Axis, HardwareConfig};
@@ -54,8 +54,6 @@ pub struct StaticSearch {
     pub beam_width: usize,
     /// Pool entries rescored by the simulator at the end.
     pub top_k: usize,
-    /// Static-objective tunables.
-    pub objective: ObjectiveConfig,
 }
 
 /// What one [`StaticSearch`] run did — the numbers `bench_search`
@@ -94,7 +92,6 @@ impl StaticSearch {
             max_branching: 24,
             beam_width: 4,
             top_k: 8,
-            objective: ObjectiveConfig::default(),
         }
     }
 
@@ -106,24 +103,6 @@ impl StaticSearch {
     /// Sets how many finalists the simulator rescores.
     pub fn with_top_k(mut self, top_k: usize) -> Self {
         self.top_k = top_k;
-        self
-    }
-
-    /// Sets the per-level frontier width.
-    pub fn with_beam_width(mut self, beam_width: usize) -> Self {
-        self.beam_width = beam_width;
-        self
-    }
-
-    /// Sets the maximum strategy length.
-    pub fn with_max_actions(mut self, max_actions: usize) -> Self {
-        self.max_actions = max_actions;
-        self
-    }
-
-    /// Sets the static-objective configuration.
-    pub fn with_objective(mut self, objective: ObjectiveConfig) -> Self {
-        self.objective = objective;
         self
     }
 
@@ -178,7 +157,7 @@ impl StaticSearch {
         let baseline_sim = cache.evaluate(func, part, hw)?.cost(hw);
         // One structural pass over the function; every candidate below is
         // then costed through the amortised evaluator.
-        let objective = StaticObjective::with_config(func, self.objective);
+        let objective = StaticObjective::new(func);
         let baseline_static = objective.cost(part, hw)?.cost(hw);
         let mut report = StaticSearchReport {
             candidates: 0,
@@ -408,6 +387,25 @@ mod tests {
             p.fingerprint()
         };
         assert_eq!(run(), run());
+    }
+
+    #[test]
+    fn unsupported_function_is_an_error_not_a_panic() {
+        // Nine operands exceed the static objective's packed operand
+        // arrays: the search must hand back its structured refusal.
+        let mut b = FuncBuilder::new("f");
+        let xs: Vec<_> = (0..9)
+            .map(|i| b.param(format!("x{i}"), TensorType::f32([4, 8])))
+            .collect();
+        let y = b.concatenate(&xs, 0).unwrap();
+        let f = b.build([y]).unwrap();
+        let mesh = Mesh::single("B", 4).unwrap();
+        let hw = HardwareConfig::tpu_v3_pod(mesh.clone());
+        let mut p = Partitioning::new(&f, mesh).unwrap();
+        let err = StaticSearch::new("static", ["B"])
+            .apply(&f, &hw, &mut p)
+            .unwrap_err();
+        assert!(err.to_string().contains("operands"), "{err}");
     }
 
     #[test]

@@ -1,36 +1,25 @@
 //! Analytical runtime model: roofline compute costs plus ring-style
 //! collective costs over the mesh topology.
 
+use partir_analysis::cost::{op_class, ring_stages, ring_time, Roofline, MATMUL_EFFICIENCY};
 use partir_ir::{Collective, Func, IrError, OpId, OpKind, TensorType};
 use partir_mesh::HardwareConfig;
 
-use crate::{func_flops, op_flops, peak_memory_bytes, SimReport};
+use crate::flops::{flops_of, moved_bytes_of};
+use crate::{func_flops, peak_memory_bytes, SimReport};
 
 /// Tunables of the analytical model.
-#[derive(Debug, Clone, Copy, PartialEq)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct SimConfig {
-    /// Fraction of peak FLOPS achieved by contraction ops (matmul/conv).
-    pub matmul_efficiency: f64,
-    /// Fraction of peak HBM bandwidth achieved by memory-bound ops.
-    pub hbm_efficiency: f64,
     /// Fraction of collective time hidden under compute (the paper's
     /// compute/communication-overlap rewrites, §6.1).
     pub overlap: f64,
 }
 
-impl Default for SimConfig {
-    fn default() -> Self {
-        SimConfig {
-            matmul_efficiency: 0.55,
-            hbm_efficiency: 0.7,
-            overlap: 0.0,
-        }
-    }
-}
-
 /// The analytical simulator (paper Appendix A.5): walks a device-local
 /// program once, costing compute with a roofline model and communication
-/// with ring-collective formulas over the per-axis links.
+/// with ring-collective formulas over the per-axis links (both from
+/// `partir_analysis::cost`).
 #[derive(Debug, Clone)]
 pub struct Simulator<'a> {
     hw: &'a HardwareConfig,
@@ -50,7 +39,8 @@ impl<'a> Simulator<'a> {
     /// Fails when a collective references an axis missing from the mesh
     /// or topology.
     pub fn simulate(&self, func: &Func) -> Result<SimReport, IrError> {
-        let (compute_s, comm_s, comm_bytes) = self.walk(func, func.body())?;
+        let roofline = Roofline::new(&self.hw.device, MATMUL_EFFICIENCY);
+        let (compute_s, comm_s, comm_bytes) = self.walk(func, func.body(), &roofline)?;
         let flops = func_flops(func);
         let runtime_s = compute_s + comm_s * (1.0 - self.cfg.overlap);
         Ok(SimReport {
@@ -63,7 +53,12 @@ impl<'a> Simulator<'a> {
         })
     }
 
-    fn walk(&self, func: &Func, body: &[OpId]) -> Result<(f64, f64, f64), IrError> {
+    fn walk(
+        &self,
+        func: &Func,
+        body: &[OpId],
+        roofline: &Roofline,
+    ) -> Result<(f64, f64, f64), IrError> {
         let mut compute = 0.0;
         let mut comm = 0.0;
         let mut bytes = 0.0;
@@ -72,7 +67,7 @@ impl<'a> Simulator<'a> {
             match &op.kind {
                 OpKind::For { trip_count } => {
                     let region = op.region.as_ref().expect("for has region");
-                    let (c, m, by) = self.walk(func, &region.body)?;
+                    let (c, m, by) = self.walk(func, &region.body, roofline)?;
                     compute += *trip_count as f64 * c;
                     comm += *trip_count as f64 * m;
                     bytes += *trip_count as f64 * by;
@@ -84,42 +79,23 @@ impl<'a> Simulator<'a> {
                     comm += t;
                     bytes += by;
                 }
-                kind => {
-                    let operand_tys: Vec<&TensorType> =
-                        op.operands.iter().map(|&v| func.value_type(v)).collect();
-                    let result_ty = func.value_type(op.results[0]);
-                    compute += self.op_time(kind, &operand_tys, result_ty);
-                }
+                _ => compute += op_time(func, op_id, roofline),
             }
         }
         Ok((compute, comm, bytes))
     }
+}
 
-    fn op_time(&self, kind: &OpKind, operands: &[&TensorType], result: &TensorType) -> f64 {
-        let flops = op_flops(kind, operands, result);
-        let moved_bytes: f64 = operands.iter().map(|t| t.size_bytes() as f64).sum::<f64>()
-            + result.size_bytes() as f64;
-        let mem_time = moved_bytes / (self.hw.device.hbm_bandwidth * self.cfg.hbm_efficiency);
-        match kind {
-            OpKind::Dot(_)
-            | OpKind::Convolution(_)
-            | OpKind::ConvInputGrad { .. }
-            | OpKind::ConvFilterGrad { .. } => {
-                let flop_time =
-                    flops / (self.hw.device.peak_flops_f32 * self.cfg.matmul_efficiency);
-                flop_time.max(mem_time)
-            }
-            OpKind::Constant(_) => 0.0,
-            _ => mem_time.max(flops / self.hw.device.peak_flops_f32),
-        }
-    }
+fn op_time(func: &Func, op_id: OpId, roofline: &Roofline) -> f64 {
+    let class = op_class(&func.op(op_id).kind);
+    roofline.op_time(class, flops_of(func, op_id), moved_bytes_of(func, op_id))
 }
 
 /// Ring-style cost of one collective: `(seconds, bytes_on_wire)`.
 ///
 /// Multi-axis collectives execute one axis at a time (sizes grow/shrink
-/// per stage), matching the hierarchical implementations used on real
-/// meshes.
+/// per stage from the operand's, so `_result` is not consulted),
+/// matching the hierarchical implementations used on real meshes.
 ///
 /// # Errors
 ///
@@ -127,69 +103,24 @@ impl<'a> Simulator<'a> {
 pub fn collective_time(
     c: &Collective,
     operand: &TensorType,
-    result: &TensorType,
+    _result: &TensorType,
     hw: &HardwareConfig,
 ) -> Result<(f64, f64), IrError> {
+    let Some((kind, axes)) = ring_stages(c) else {
+        return Ok((0.0, 0.0)); // all_slice is device-local
+    };
     let err = |e: partir_mesh::MeshError| IrError::invalid(e.to_string());
-    let mut time = 0.0;
-    let mut wire_bytes = 0.0;
-    match c {
-        Collective::AllSlice { .. } => { /* device-local */ }
-        Collective::AllReduce { axes, .. } => {
-            let bytes = operand.size_bytes() as f64;
-            for axis in axes {
-                let k = hw.mesh.axis_size(axis).map_err(err)? as f64;
-                let bw = hw.topology.bandwidth(axis).map_err(err)?;
-                let lat = hw.topology.latency(axis).map_err(err)?;
-                let moved = 2.0 * (k - 1.0) / k * bytes;
-                time += moved / bw + 2.0 * (k - 1.0) * lat;
-                wire_bytes += moved;
-            }
-        }
-        Collective::AllGather { dim_axes } => {
-            // Sizes grow stage by stage; process axes innermost-first.
-            let mut bytes = operand.size_bytes() as f64;
-            for axes in dim_axes {
-                for axis in axes.iter().rev() {
-                    let k = hw.mesh.axis_size(axis).map_err(err)? as f64;
-                    let bw = hw.topology.bandwidth(axis).map_err(err)?;
-                    let lat = hw.topology.latency(axis).map_err(err)?;
-                    let out = bytes * k;
-                    let moved = (k - 1.0) / k * out;
-                    time += moved / bw + (k - 1.0) * lat;
-                    wire_bytes += moved;
-                    bytes = out;
-                }
-            }
-        }
-        Collective::ReduceScatter { dim_axes, .. } => {
-            let mut bytes = operand.size_bytes() as f64;
-            for axes in dim_axes {
-                for axis in axes {
-                    let k = hw.mesh.axis_size(axis).map_err(err)? as f64;
-                    let bw = hw.topology.bandwidth(axis).map_err(err)?;
-                    let lat = hw.topology.latency(axis).map_err(err)?;
-                    let moved = (k - 1.0) / k * bytes;
-                    time += moved / bw + (k - 1.0) * lat;
-                    wire_bytes += moved;
-                    bytes /= k;
-                }
-            }
-        }
-        Collective::AllToAll { axes, .. } => {
-            let bytes = operand.size_bytes() as f64;
-            for axis in axes {
-                let k = hw.mesh.axis_size(axis).map_err(err)? as f64;
-                let bw = hw.topology.bandwidth(axis).map_err(err)?;
-                let lat = hw.topology.latency(axis).map_err(err)?;
-                let moved = (k - 1.0) / k * bytes;
-                time += moved / bw + (k - 1.0) * lat;
-                wire_bytes += moved;
-            }
-        }
-    }
-    let _ = result;
-    Ok((time, wire_bytes))
+    let links = axes
+        .into_iter()
+        .map(|axis| {
+            Ok((
+                hw.mesh.axis_size(axis).map_err(err)? as f64,
+                hw.topology.bandwidth(axis).map_err(err)?,
+                hw.topology.latency(axis).map_err(err)?,
+            ))
+        })
+        .collect::<Result<Vec<_>, IrError>>()?;
+    Ok(ring_time(kind, operand.size_bytes() as f64, links))
 }
 
 #[cfg(test)]

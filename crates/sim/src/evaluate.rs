@@ -8,10 +8,11 @@
 //! the unit whose results the search's evaluation cache memoises (keyed
 //! by [`partir_core::Partitioning::fingerprint`]).
 
+use partir_analysis::cost::oom_penalty;
 use partir_core::Partitioning;
 use partir_ir::{Func, IrError};
 use partir_mesh::HardwareConfig;
-use partir_spmd::CollectiveStats;
+use partir_spmd::{CollectiveStats, SpmdProgram};
 
 use crate::{SimConfig, SimReport, Simulator};
 
@@ -27,10 +28,10 @@ pub struct Evaluation {
 }
 
 /// Where an [`Evaluation`]'s scalar cost comes from, component by
-/// component — the calibration surface for static objectives
-/// (`partir_analysis::objective`) that mirror this cost model without
-/// running it: agreement is checked term-wise, not just on the final
-/// scalar.
+/// component — the calibration surface for the static objective
+/// (`partir_analysis::objective`), which prices a partitioning with the
+/// same formulas without lowering it: agreement is checked term-wise,
+/// not just on the final scalar.
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct CostBreakdown {
     /// Roofline compute seconds.
@@ -57,9 +58,7 @@ impl Evaluation {
 
     /// [`Evaluation::cost`] split into its components.
     pub fn cost_breakdown(&self, hw: &HardwareConfig) -> CostBreakdown {
-        let mem = self.sim.peak_memory_bytes as f64;
-        let cap = hw.device.hbm_bytes as f64;
-        let penalty = if mem > cap { 10.0 * (mem / cap) } else { 1.0 };
+        let penalty = oom_penalty(self.sim.peak_memory_bytes, hw.device.hbm_bytes);
         CostBreakdown {
             compute_s: self.sim.compute_s,
             comm_s: self.sim.comm_s,
@@ -84,24 +83,25 @@ pub fn evaluate(
     part: &Partitioning,
     hw: &HardwareConfig,
 ) -> Result<Evaluation, IrError> {
-    evaluate_with(func, part, hw, SimConfig::default())
+    let _span = partir_obs::span!("sim.evaluate");
+    let program = partir_spmd::lower(func, part)?.fused()?;
+    simulate_fused(&program, hw)
 }
 
-/// [`evaluate`] with an explicit simulator configuration.
+/// The second half of [`evaluate`], for callers that already hold the
+/// lowered and fused program of the state they are scoring.
 ///
 /// # Errors
 ///
-/// Same failure modes as [`evaluate`].
-pub fn evaluate_with(
-    func: &Func,
-    part: &Partitioning,
-    hw: &HardwareConfig,
-    config: SimConfig,
-) -> Result<Evaluation, IrError> {
+/// Fails if simulation fails.
+pub fn evaluate_program(program: &SpmdProgram, hw: &HardwareConfig) -> Result<Evaluation, IrError> {
     let _span = partir_obs::span!("sim.evaluate");
-    let program = partir_spmd::lower(func, part)?.fused()?;
+    simulate_fused(program, hw)
+}
+
+fn simulate_fused(program: &SpmdProgram, hw: &HardwareConfig) -> Result<Evaluation, IrError> {
     let stats = program.stats();
-    let sim = Simulator::new(hw, config).simulate(program.func())?;
+    let sim = Simulator::new(hw, SimConfig::default()).simulate(program.func())?;
     // Cost-component breakdown: where the simulated runtime comes from
     // (seconds), plus the memory/traffic drivers behind it.
     partir_obs::counter!("sim.compute_s", sim.compute_s);

@@ -25,10 +25,12 @@
 
 use std::collections::BTreeMap;
 
-use partir_ir::{Func, IrError, OpId, OpKind, TensorType, ValueId};
+use partir_analysis::cost::{op_class, Roofline, MATMUL_EFFICIENCY};
+use partir_ir::{Func, IrError, OpId, OpKind, ValueId};
 use partir_mesh::{Axis, HardwareConfig};
 
-use crate::{collective_time, op_flops, peak_memory_bytes, SimConfig, SimReport};
+use crate::flops::{flops_of, moved_bytes_of};
+use crate::{collective_time, peak_memory_bytes, SimReport};
 
 /// Tunables of the event model.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -121,11 +123,9 @@ pub fn measure_overlap(
     hw: &HardwareConfig,
     cfg: &EventConfig,
 ) -> Result<(SimReport, OverlapPrediction), IrError> {
-    let base = SimConfig::default();
     let mut state = MeasureState {
         hw,
         cfg,
-        base,
         ready: vec![0.0; func.num_values()],
         compute_free: 0.0,
         link_free: BTreeMap::new(),
@@ -196,7 +196,6 @@ struct CollState {
 struct MeasureState<'a> {
     hw: &'a HardwareConfig,
     cfg: &'a EventConfig,
-    base: SimConfig,
     /// Per-value completion time (flat arena, parameters ready at 0).
     ready: Vec<f64>,
     /// When the compute lane frees up.
@@ -333,12 +332,8 @@ impl MeasureState<'_> {
                     self.colls[ci].unconsumed_end = Some(end);
                     self.producer[op.results[0].0 as usize] = Some(ci);
                 }
-                kind => {
-                    let operand_tys: Vec<&TensorType> =
-                        op.operands.iter().map(|&v| func.value_type(v)).collect();
-                    let result_ty = func.value_type(op.results[0]);
-                    let t = self.op_time(kind, &operand_tys, result_ty) * self.jitter()
-                        + self.cfg.op_overhead_s;
+                _ => {
+                    let t = self.op_time(func, op_id) * self.jitter() + self.cfg.op_overhead_s;
                     let start = self.consume_operands(&op.operands, self.compute_free);
                     let end = start + t;
                     self.compute_free = end;
@@ -363,34 +358,22 @@ impl MeasureState<'_> {
         self.link_free.values().copied().fold(results, f64::max)
     }
 
-    fn op_time(&self, kind: &OpKind, operands: &[&TensorType], result: &TensorType) -> f64 {
-        let flops = op_flops(kind, operands, result);
-        let moved: f64 = operands.iter().map(|t| t.size_bytes() as f64).sum::<f64>()
-            + result.size_bytes() as f64;
-        let mem_time = moved / (self.hw.device.hbm_bandwidth * self.base.hbm_efficiency);
-        match kind {
-            OpKind::Dot(_)
-            | OpKind::Convolution(_)
-            | OpKind::ConvInputGrad { .. }
-            | OpKind::ConvFilterGrad { .. } => {
-                // Real kernels lose efficiency on small tiles.
-                let eff = if flops < 1e7 {
-                    0.3
-                } else {
-                    self.base.matmul_efficiency
-                };
-                (flops / (self.hw.device.peak_flops_f32 * eff)).max(mem_time)
-            }
-            OpKind::Constant(_) => 0.0,
-            _ => mem_time.max(flops / self.hw.device.peak_flops_f32),
-        }
+    fn op_time(&self, func: &Func, op_id: OpId) -> f64 {
+        let flops = flops_of(func, op_id);
+        // Real kernels lose efficiency on small tiles.
+        let eff = if flops < 1e7 { 0.3 } else { MATMUL_EFFICIENCY };
+        Roofline::new(&self.hw.device, eff).op_time(
+            op_class(&func.op(op_id).kind),
+            flops,
+            moved_bytes_of(func, op_id),
+        )
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::Simulator;
+    use crate::{SimConfig, Simulator};
     use partir_ir::{Collective, FuncBuilder, ReduceOp, TensorType};
     use partir_mesh::Mesh;
 

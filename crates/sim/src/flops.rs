@@ -1,55 +1,28 @@
-//! Per-op FLOP counting.
+//! Per-op work on the types a function records: FLOPs (formula in
+//! `partir_analysis::cost`) and HBM bytes moved.
 
-use partir_ir::{Func, OpId, OpKind, TensorType};
+use partir_analysis::cost::op_flops;
+use partir_ir::{Func, OpId, OpKind, Shape};
 
-/// Floating point operations performed by one op with the given operand
-/// and result types. Elementwise ops count one flop per output element;
-/// contractions count multiply-accumulates as two.
-pub fn op_flops(kind: &OpKind, operands: &[&TensorType], result: &TensorType) -> f64 {
-    match kind {
-        OpKind::Dot(dims) => {
-            let contract: f64 = dims
-                .lhs_contract
-                .iter()
-                .map(|&d| operands[0].shape.dim(d) as f64)
-                .product();
-            2.0 * result.shape.num_elements() as f64 * contract
-        }
-        OpKind::Convolution(_) => {
-            let k = &operands[1].shape;
-            // per output element: Ci * kh * kw MACs.
-            2.0 * result.shape.num_elements() as f64 * (k.dim(1) * k.dim(2) * k.dim(3)) as f64
-        }
-        OpKind::ConvInputGrad { .. } => {
-            let k = &operands[1].shape;
-            2.0 * operands[0].shape.num_elements() as f64 * (k.dim(1) * k.dim(2) * k.dim(3)) as f64
-        }
-        OpKind::ConvFilterGrad { .. } => {
-            let g = &operands[1].shape;
-            2.0 * result.shape.num_elements() as f64 * (g.dim(0) * g.dim(2) * g.dim(3)) as f64
-        }
-        OpKind::Reduce { .. } | OpKind::ArgMax { .. } => operands[0].shape.num_elements() as f64,
-        OpKind::Unary(_)
-        | OpKind::Binary(_)
-        | OpKind::Compare(_)
-        | OpKind::Select
-        | OpKind::Convert(_) => result.shape.num_elements() as f64,
-        OpKind::ScatterAdd { .. } => operands[0].shape.num_elements() as f64,
-        // Data movement and bookkeeping ops: no flops.
-        OpKind::Constant(_)
-        | OpKind::Iota { .. }
-        | OpKind::Transpose { .. }
-        | OpKind::Reshape { .. }
-        | OpKind::BroadcastInDim { .. }
-        | OpKind::Slice { .. }
-        | OpKind::Pad { .. }
-        | OpKind::Concatenate { .. }
-        | OpKind::DynamicSlice { .. }
-        | OpKind::DynamicUpdateSlice
-        | OpKind::Gather { .. }
-        | OpKind::For { .. }
-        | OpKind::Collective(_) => 0.0,
-    }
+/// FLOPs of one non-region op.
+pub(crate) fn flops_of(func: &Func, op_id: OpId) -> f64 {
+    let op = func.op(op_id);
+    let shapes: Vec<&Shape> = op
+        .operands
+        .iter()
+        .map(|&v| &func.value_type(v).shape)
+        .collect();
+    op_flops(&op.kind, &shapes, &&func.value_type(op.results[0]).shape)
+}
+
+/// HBM bytes one non-region op moves: its operands plus its result.
+pub(crate) fn moved_bytes_of(func: &Func, op_id: OpId) -> f64 {
+    let op = func.op(op_id);
+    op.operands
+        .iter()
+        .map(|&v| func.value_type(v).size_bytes() as f64)
+        .sum::<f64>()
+        + func.value_type(op.results[0]).size_bytes() as f64
 }
 
 /// Total flops of a function, multiplying through `for` trip counts.
@@ -64,9 +37,7 @@ pub fn func_flops(func: &Func) -> f64 {
                 total += *trip_count as f64 * body_flops(func, &region.body);
                 continue;
             }
-            let operand_tys: Vec<&TensorType> =
-                op.operands.iter().map(|&v| func.value_type(v)).collect();
-            total += op_flops(&op.kind, &operand_tys, func.value_type(op.results[0]));
+            total += flops_of(func, op_id);
         }
         total
     }
@@ -76,7 +47,7 @@ pub fn func_flops(func: &Func) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use partir_ir::FuncBuilder;
+    use partir_ir::{FuncBuilder, TensorType};
 
     #[test]
     fn matmul_flops_are_2mnk() {

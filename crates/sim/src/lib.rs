@@ -49,8 +49,8 @@ mod memory;
 pub mod reconcile;
 
 pub use cost::{collective_time, SimConfig, Simulator};
-pub use evaluate::{evaluate, evaluate_with, CostBreakdown, Evaluation};
-pub use flops::{func_flops, op_flops};
+pub use evaluate::{evaluate, evaluate_program, CostBreakdown, Evaluation};
+pub use flops::func_flops;
 pub use memory::peak_memory_bytes;
 pub use reconcile::{
     reconcile, reconcile_overlap, AxisCheck, OverlapCheck, OverlapReconciliation, Reconciliation,

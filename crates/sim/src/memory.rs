@@ -4,96 +4,20 @@
 //! The program is linearised (loop bodies once — carried values dominate
 //! loop-internal allocation in the benchmark models), each value is
 //! allocated at its definition and freed after its last use. Parameters
-//! are live from entry; results are live to the end. A configurable
-//! fusion discount models the backend fusing elementwise chains; like the
-//! paper we prefer over-estimation.
+//! are live from entry; results are live to the end. Like the paper we
+//! prefer over-estimation. The walk itself is
+//! [`partir_analysis::PeakWalk`].
 
-use std::collections::HashMap;
+use partir_analysis::PeakWalk;
+use partir_ir::{Func, ValueId};
 
-use partir_ir::{Func, OpId, OpKind, ValueId};
-
-/// Peak memory (bytes) of a device-local program.
+/// Peak memory (bytes) of a device-local program: the shared walk with
+/// loop region params treated as free aliases of their carried inputs.
 pub fn peak_memory_bytes(func: &Func) -> u64 {
-    // Linearise ops (region bodies inline once, in place of their op).
-    let mut order: Vec<OpId> = Vec::with_capacity(func.num_ops());
-    fn linearize(func: &Func, body: &[OpId], order: &mut Vec<OpId>) {
-        for &op_id in body {
-            let op = func.op(op_id);
-            if let Some(region) = &op.region {
-                linearize(func, &region.body, order);
-            }
-            order.push(op_id);
-        }
-    }
-    linearize(func, func.body(), &mut order);
-
-    // Last use position of each value (function results live forever).
-    let mut last_use: HashMap<ValueId, usize> = HashMap::new();
-    for (pos, &op_id) in order.iter().enumerate() {
-        let op = func.op(op_id);
-        for &operand in &op.operands {
-            last_use.insert(operand, pos);
-        }
-        if let Some(region) = &op.region {
-            for &y in &region.results {
-                last_use.insert(y, pos);
-            }
-        }
-    }
-    let end = order.len();
-    for &r in func.results() {
-        last_use.insert(r, end);
-    }
-    for &p in func.params() {
-        last_use.insert(p, end); // pinned: parameters persist to step end
-    }
-
     let bytes_of = |v: ValueId| func.value_type(v).size_bytes() as u64;
-
-    // Parameters are resident from the start.
-    let mut current: u64 = func.params().iter().map(|&p| bytes_of(p)).sum();
-    let mut peak = current;
-    // Values to free after each position.
-    let mut frees: Vec<Vec<ValueId>> = vec![Vec::new(); end + 1];
-    for (&v, &pos) in &last_use {
-        if pos < end {
-            frees[pos].push(v);
-        }
-    }
-    let mut alive: HashMap<ValueId, bool> = HashMap::new();
-    for &p in func.params() {
-        alive.insert(p, true);
-    }
-    for (pos, &op_id) in order.iter().enumerate() {
-        let op = func.op(op_id);
-        // Allocate results (constants count too — they live in HBM).
-        for &r in &op.results {
-            if alive.insert(r, true).is_none() {
-                current += bytes_of(r);
-            }
-        }
-        // Region params alias their carried inputs: treated as free.
-        if matches!(op.kind, OpKind::For { .. }) {
-            if let Some(region) = &op.region {
-                for &p in &region.params {
-                    alive.insert(p, true);
-                }
-            }
-        }
-        peak = peak.max(current);
-        for &v in &frees[pos] {
-            if alive.remove(&v).is_some() {
-                // Region params were never charged; don't credit them.
-                let charged = !matches!(func.value(v).def, partir_ir::ValueDef::RegionParam { .. });
-                if charged {
-                    current = current.saturating_sub(bytes_of(v));
-                }
-            }
-        }
-    }
-    // Contract with the static analyzer: its bound walks the same
-    // linearisation but charges loop region params, so it must dominate
-    // this estimate on every function.
+    let peak = PeakWalk::of(func).peak(func, bytes_of, false, |_| false, |_| 0);
+    // Contract with the static analyzer: its bound is this walk charging
+    // the region params too, so it must dominate on every function.
     debug_assert!(
         partir_analysis::static_peak_bound(func) >= peak,
         "static peak-memory bound fell below the simulated peak ({} < {peak})",

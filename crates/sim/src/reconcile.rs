@@ -209,12 +209,6 @@ impl OverlapReconciliation {
         self.agreement(|c| c.predicted())
     }
 
-    /// Whether both agreements hold within `tolerance` (the stated
-    /// tolerance of the overlap conformance battery).
-    pub fn within_tolerance(&self, tolerance: f64) -> bool {
-        self.plan_agreement() >= 1.0 - tolerance && self.model_agreement() >= 1.0 - tolerance
-    }
-
     fn agreement(&self, f: impl Fn(&OverlapCheck) -> bool) -> f64 {
         if self.per_collective.is_empty() {
             return 1.0;

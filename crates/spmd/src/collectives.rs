@@ -28,15 +28,18 @@
 //!   falls back to ring all-gather + local slice.
 //! * `all_slice`: device-local, no communication.
 //!
-//! [`predict_traffic`] mirrors exactly what the algorithms move, byte for
-//! byte and message for message, from types alone — the executable
-//! counterpart of the analytical model's collective formulas, and the
-//! oracle `partir_sim::reconcile` checks [`RuntimeStats`] against.
+//! [`predict_traffic`] states exactly what the algorithms move, byte for
+//! byte and message for message, from types alone. Its byte column is
+//! the analytical model's ring stage rule in exact integer form
+//! (`partir_analysis::cost::ring_traffic`); message counts and the
+//! leader/chunked switch are the runtime's own. It is the oracle
+//! `partir_sim::reconcile` checks [`RuntimeStats`] against.
 //!
 //! [`RuntimeStats`]: crate::runtime::RuntimeStats
 
 use std::collections::BTreeMap;
 
+use partir_analysis::cost::{ring_stages, ring_traffic, RingKind};
 use partir_ir::{
     interp::eval_op, Collective, DType, Func, IrError, Literal, OpId, OpKind, ReduceOp, TensorType,
 };
@@ -770,6 +773,20 @@ fn add_traffic(
         });
 }
 
+/// The ring form the runtime *executes* for `c`, with its stage axes in
+/// order: the analytic form of [`ring_stages`], except that a multi-axis
+/// `all_to_all` runs as the unfused ring gathers + local slice (see
+/// [`schedule_collective`]) — the one collective whose executed traffic
+/// exceeds the analytical model's.
+fn executed_ring(c: &Collective) -> Option<(RingKind, Vec<&Axis>)> {
+    match c {
+        Collective::AllToAll { axes, .. } if axes.len() > 1 => {
+            Some((RingKind::AllGather, axes.iter().rev().collect()))
+        }
+        _ => ring_stages(c),
+    }
+}
+
 fn predict_collective(
     c: &Collective,
     operand: &TensorType,
@@ -777,95 +794,40 @@ fn predict_collective(
     multiplier: u64,
     pred: &mut TrafficPrediction,
 ) -> Result<(), IrError> {
-    let err = |e: partir_mesh::MeshError| IrError::invalid(e.to_string());
+    let Some((kind, axes)) = executed_ring(c) else {
+        return Ok(()); // all_slice is device-local
+    };
     let devices = mesh.num_devices() as u64;
-    let eb = operand.element_bytes() as u64;
-    match c {
-        Collective::AllSlice { .. } => {}
-        Collective::AllReduce { axes, .. } => {
-            let n = operand.shape.num_elements();
-            let leader = operand.size_bytes() <= LEADER_ALL_REDUCE_MAX_BYTES;
-            for axis in axes {
-                let k = mesh.axis_size(axis).map_err(err)?;
-                if k == 1 {
-                    continue;
-                }
-                let groups = devices / k as u64;
-                // Either algorithm moves every element 2(k-1) times per
-                // group: gather-in + broadcast-out for the leader form,
-                // scatter-reduce + ring gather for the chunked form.
-                let bytes = 2 * groups * (k as u64 - 1) * n as u64 * eb;
-                let messages = if leader {
-                    if n == 0 {
-                        0
-                    } else {
-                        2 * groups * (k as u64 - 1)
-                    }
-                } else {
-                    let nonempty = (0..k)
-                        .filter(|&j| {
-                            let (lo, hi) = chunk_bounds(n, k, j);
-                            lo < hi
-                        })
-                        .count() as u64;
-                    2 * groups * (k as u64 - 1) * nonempty
-                };
-                add_traffic(pred, axis, bytes, messages, multiplier);
-            }
+    let ks = axes
+        .iter()
+        .map(|axis| mesh.axis_size(axis).map(|k| k as u64))
+        .collect::<Result<Vec<_>, _>>()
+        .map_err(|e| IrError::invalid(e.to_string()))?;
+    let stage_bytes = ring_traffic(kind, operand.size_bytes() as u64, devices, &ks);
+    let n = operand.shape.num_elements();
+    for ((axis, &k), bytes) in axes.into_iter().zip(&ks).zip(stage_bytes) {
+        if k == 1 {
+            continue;
         }
-        Collective::AllGather { dim_axes } => {
-            let mut cur = operand.shape.num_elements() as u64;
-            for axes in dim_axes {
-                for axis in axes.iter().rev() {
-                    let k = mesh.axis_size(axis).map_err(err)? as u64;
-                    if k == 1 {
-                        continue;
-                    }
-                    let bytes = devices * (k - 1) * cur * eb;
-                    let messages = devices * (k - 1);
-                    add_traffic(pred, axis, bytes, messages, multiplier);
-                    cur *= k;
-                }
-            }
-        }
-        Collective::ReduceScatter { dim_axes, .. } => {
-            let mut cur = operand.shape.num_elements() as u64;
-            for axis in &c.axes() {
-                let k = mesh.axis_size(axis).map_err(err)? as u64;
-                if k == 1 {
-                    continue;
-                }
-                let _ = dim_axes;
-                let bytes = devices * (k - 1) * (cur / k) * eb;
-                let messages = devices * (k - 1);
-                add_traffic(pred, axis, bytes, messages, multiplier);
-                cur /= k;
-            }
-        }
-        Collective::AllToAll { axes, .. } => {
-            let n = operand.shape.num_elements() as u64;
-            if let [axis] = axes.as_slice() {
-                let k = mesh.axis_size(axis).map_err(err)? as u64;
-                if k > 1 {
-                    let bytes = devices * (k - 1) * (n / k) * eb;
-                    let messages = devices * (k - 1);
-                    add_traffic(pred, axis, bytes, messages, multiplier);
-                }
+        // Every device sends one message to each of its k-1 peers; an
+        // all_reduce does so per phase, per group rather than per
+        // device in the leader form and per non-empty chunk in the
+        // chunked form.
+        let messages = if kind != RingKind::AllReduce {
+            devices * (k - 1)
+        } else {
+            let per_phase = if operand.size_bytes() <= LEADER_ALL_REDUCE_MAX_BYTES {
+                u64::from(n > 0)
             } else {
-                // Multi-axis fallback: ring gathers (sizes grow), free slice.
-                let mut cur = n;
-                for axis in axes.iter().rev() {
-                    let k = mesh.axis_size(axis).map_err(err)? as u64;
-                    if k == 1 {
-                        continue;
-                    }
-                    let bytes = devices * (k - 1) * cur * eb;
-                    let messages = devices * (k - 1);
-                    add_traffic(pred, axis, bytes, messages, multiplier);
-                    cur *= k;
-                }
-            }
-        }
+                let nonempty = |&j: &usize| {
+                    let (lo, hi) = chunk_bounds(n, k as usize, j);
+                    lo < hi
+                };
+                (0..k as usize).filter(nonempty).count() as u64
+            };
+            2 * (devices / k) * (k - 1) * per_phase
+        };
+        add_traffic(pred, axis, bytes, messages, multiplier);
     }
     Ok(())
 }

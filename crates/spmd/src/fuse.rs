@@ -150,7 +150,7 @@ pub fn fuse_collectives(func: &Func, mesh: &partir_mesh::Mesh) -> Result<Func, I
         }
     }
     partir_obs::counter!("spmd.fuse.absorbed", absorbed.len());
-    let live = liveness(func);
+    let live = partir_ir::passes::live_values(func);
     let mut b = FuncBuilder::with_mesh(func.name().to_string(), mesh.clone());
     let mut map: HashMap<ValueId, ValueId> = HashMap::new();
     for &p in func.params() {
@@ -181,14 +181,14 @@ fn rebuild(
     body: &[OpId],
     map: &mut HashMap<ValueId, ValueId>,
     absorbed: &HashSet<OpId>,
-    live: &HashSet<ValueId>,
+    live: &[bool],
 ) -> Result<(), IrError> {
     for &op_id in body {
         let op = func.op(op_id);
         if absorbed.contains(&op_id) {
             continue; // emitted as part of the fused user
         }
-        if !op.results.iter().any(|r| live.contains(r)) {
+        if !op.results.iter().any(|r| live[r.0 as usize]) {
             continue; // dead code
         }
         if let OpKind::For { trip_count } = op.kind {
@@ -288,7 +288,7 @@ fn rebuild_for(
     trip_count: usize,
     map: &mut HashMap<ValueId, ValueId>,
     absorbed: &HashSet<OpId>,
-    live: &HashSet<ValueId>,
+    live: &[bool],
 ) -> Result<(), IrError> {
     let region = op.region.as_ref().expect("for has region");
     let inits: Vec<ValueId> = op
@@ -327,37 +327,6 @@ fn producer_op(func: &Func, v: ValueId) -> Option<OpId> {
         partir_ir::ValueDef::OpResult { op, .. } => Some(op),
         _ => None,
     }
-}
-
-/// Values transitively needed by the function results (everything inside
-/// live `for` loops is kept live — loops are cheap to keep whole and the
-/// model zoo never yields dead carried slots).
-fn liveness(func: &Func) -> HashSet<ValueId> {
-    let mut live: HashSet<ValueId> = func.results().iter().copied().collect();
-    // Fixpoint over ops in reverse arena order (defs precede uses).
-    let mut changed = true;
-    while changed {
-        changed = false;
-        for op_id in func.op_ids().collect::<Vec<_>>().into_iter().rev() {
-            let op = func.op(op_id);
-            let any_live = op.results.iter().any(|r| live.contains(r));
-            if !any_live {
-                continue;
-            }
-            for &o in &op.operands {
-                changed |= live.insert(o);
-            }
-            if let Some(region) = &op.region {
-                for &y in &region.results {
-                    changed |= live.insert(y);
-                }
-                for &p in &region.params {
-                    changed |= live.insert(p);
-                }
-            }
-        }
-    }
-    live
 }
 
 #[cfg(test)]

@@ -471,7 +471,6 @@ pub struct CompiledPlan {
     result_slots: Vec<Slot>,
     result_tys: Vec<TensorType>,
     num_devices: usize,
-    static_peak: u64,
     arena_bytes: u64,
     fused_ops: usize,
     /// Static collective steps (also the executor's pending-table size).
@@ -612,7 +611,6 @@ impl CompiledPlan {
             result_slots,
             result_tys,
             num_devices: mesh.num_devices(),
-            static_peak: analysis,
             arena_bytes,
             fused_ops,
             num_colls,
@@ -635,12 +633,6 @@ impl CompiledPlan {
     /// Bytes of the per-device arena the executor allocates up front.
     pub fn arena_bytes(&self) -> u64 {
         self.arena_bytes
-    }
-
-    /// The [`partir_analysis::static_peak_bound`] of the program, as
-    /// cross-checked at compile time.
-    pub fn static_peak_bytes(&self) -> u64 {
-        self.static_peak
     }
 
     /// Ops folded into fused elementwise loops.
@@ -797,55 +789,14 @@ impl CompiledPlan {
     }
 }
 
-/// Replays the [`partir_analysis::liveness_frees`] schedule with the
-/// plan's own pool-element byte accounting. Must agree exactly with
-/// [`partir_analysis::static_peak_bound`].
+/// The [`partir_analysis::static_peak_bound`] walk with the plan's own
+/// pool-element byte accounting. Must agree exactly with the bound.
 fn replay_bound(func: &Func) -> u64 {
-    let (lin, freed) = partir_analysis::liveness_frees(func);
-    let end = lin.len();
     let bytes_of = |v: ValueId| -> u64 {
         let ty = func.value_type(v);
         ty.shape.num_elements() as u64 * pool_elem_bytes(ty.dtype) as u64
     };
-    let mut current: u64 = func.params().iter().map(|&p| bytes_of(p)).sum();
-    let mut peak = current;
-    let mut frees: Vec<Vec<ValueId>> = vec![Vec::new(); end + 1];
-    for v in func.value_ids() {
-        if let Some(pos) = freed[v.0 as usize] {
-            frees[pos].push(v);
-        }
-    }
-    let mut alive = vec![false; func.num_values()];
-    for &p in func.params() {
-        alive[p.0 as usize] = true;
-    }
-    for (pos, &op_id) in lin.order().iter().enumerate() {
-        let op = func.op(op_id);
-        for &r in &op.results {
-            if !alive[r.0 as usize] {
-                alive[r.0 as usize] = true;
-                current += bytes_of(r);
-            }
-        }
-        if matches!(op.kind, OpKind::For { .. }) {
-            if let Some(region) = &op.region {
-                for &p in &region.params {
-                    if !alive[p.0 as usize] {
-                        alive[p.0 as usize] = true;
-                        current += bytes_of(p);
-                    }
-                }
-            }
-        }
-        peak = peak.max(current);
-        for &v in &frees[pos] {
-            if alive[v.0 as usize] {
-                alive[v.0 as usize] = false;
-                current = current.saturating_sub(bytes_of(v));
-            }
-        }
-    }
-    peak
+    partir_analysis::PeakWalk::of(func).peak(func, bytes_of, true, |_| false, |_| 0)
 }
 
 // ---------------------------------------------------------------------------

@@ -6,11 +6,12 @@
 
 use partir_core::Partitioning;
 use partir_ir::{
-    interp::interpret, BinaryOp, Func, FuncBuilder, Literal, TensorType, UnaryOp, ValueId,
+    interp::interpret, BinaryOp, Collective, Func, FuncBuilder, Literal, ReduceOp, TensorType,
+    UnaryOp, ValueId,
 };
-use partir_mesh::Mesh;
+use partir_mesh::{Axis, HardwareConfig, Mesh};
 use partir_prng::{propcheck::check, Rng};
-use partir_spmd::lower;
+use partir_spmd::{lower, predict_traffic};
 
 const N: usize = 8;
 
@@ -159,5 +160,96 @@ fn spmd_execution_matches_reference() {
             return Err(format!("fused {fused_comm} > unfused {unfused_comm}"));
         }
         Ok(())
+    });
+}
+
+/// A random collective over a random non-empty subset of `mesh`'s axes,
+/// with a rank-2 operand shape it accepts.
+fn gen_collective(rng: &mut Rng, mesh: &Mesh) -> (Collective, TensorType) {
+    let mut axes: Vec<(Axis, usize)> = mesh.axes().to_vec();
+    for i in (1..axes.len()).rev() {
+        axes.swap(i, rng.gen_range(i + 1));
+    }
+    axes.truncate(1 + rng.gen_range(axes.len()));
+    let names = |axes: &[(Axis, usize)]| axes.iter().map(|(a, _)| a.clone()).collect::<Vec<_>>();
+    // Each axis lands on one of the two dims.
+    let split = rng.gen_range(axes.len() + 1);
+    let dim_axes = vec![names(&axes[..split]), names(&axes[split..])];
+    let factor = |axes: &[(Axis, usize)]| axes.iter().map(|(_, k)| k).product::<usize>();
+    let base = [1 + rng.gen_range(5), 1 + rng.gen_range(5)];
+    match rng.gen_range(4) {
+        0 => {
+            let c = Collective::AllReduce {
+                axes: names(&axes),
+                reduce: ReduceOp::Sum,
+            };
+            (c, TensorType::f32(base))
+        }
+        1 => (Collective::AllGather { dim_axes }, TensorType::f32(base)),
+        2 => {
+            let c = Collective::ReduceScatter {
+                dim_axes,
+                reduce: ReduceOp::Sum,
+            };
+            let dims = [
+                base[0] * factor(&axes[..split]),
+                base[1] * factor(&axes[split..]),
+            ];
+            (c, TensorType::f32(dims))
+        }
+        _ => {
+            let c = Collective::AllToAll {
+                src_dim: 0,
+                dst_dim: 1,
+                axes: names(&axes),
+            };
+            (c, TensorType::f32([base[0], base[1] * factor(&axes)]))
+        }
+    }
+}
+
+/// The analytical model and the runtime's traffic predictor are two
+/// folds of one ring stage rule: over random shapes, collective kinds
+/// and 1–3-axis meshes (sizes 1–4, so size-1 skips and the inexact
+/// `(k-1)/k` of a 3-ring are both drawn), the simulator's bytes on the
+/// wire per device × devices equals the predicted bytes. The one named
+/// exception is the multi-axis `all_to_all`, which the runtime executes
+/// as ring gathers + a local slice: there predicted ≥ analytic.
+#[test]
+fn analytic_bytes_times_devices_equal_predicted_traffic() {
+    check("analytic bytes x devices == predicted", 256, |rng| {
+        let sizes: Vec<(String, usize)> = (0..1 + rng.gen_range(3))
+            .map(|i| (format!("a{i}"), 1 + rng.gen_range(4)))
+            .collect();
+        let mesh = Mesh::new(sizes).unwrap();
+        let hw = HardwareConfig::tpu_v3_pod(mesh.clone());
+        let (c, operand) = gen_collective(rng, &mesh);
+
+        let mut b = FuncBuilder::with_mesh("f", mesh.clone());
+        let x = b.param("x", operand.clone());
+        let y = b
+            .collective(c.clone(), x)
+            .map_err(|e| format!("{c:?}: {e}"))?;
+        let f = b.build([y]).unwrap();
+
+        let (_, per_device) =
+            partir_sim::collective_time(&c, &operand, f.value_type(y), &hw).unwrap();
+        let analytic = per_device * mesh.num_devices() as f64;
+        let predicted = predict_traffic(&f, &mesh).unwrap().total_bytes() as f64;
+
+        let multi_axis_all_to_all_fallback =
+            matches!(&c, Collective::AllToAll { axes, .. } if axes.len() > 1);
+        let holds = if multi_axis_all_to_all_fallback {
+            predicted >= analytic * (1.0 - 1e-12)
+        } else {
+            (predicted - analytic).abs() <= 1e-12 * predicted
+        };
+        if holds {
+            Ok(())
+        } else {
+            Err(format!(
+                "{c:?} on {operand:?}, mesh {mesh:?}: analytic {analytic} vs predicted {predicted}"
+            ))
+        }
     });
 }
