@@ -1,6 +1,8 @@
 //! Micro-benchmarks for the PartIR-rs compiler stack: propagation, SPMD
 //! lowering, collective fusion, the analytical simulator and the
-//! end-to-end `partir_jit`.
+//! end-to-end `partir_jit` — and the slice kernels beside the index-walk
+//! forms they replaced, at the shard shapes of the benchmarked training
+//! step.
 //!
 //! The workspace is registry-free, so this is a self-timed harness
 //! (`harness = false`) instead of criterion: each benchmark runs a
@@ -12,6 +14,8 @@
 use std::time::Instant;
 
 use partir_core::Partitioning;
+use partir_ir::interp::eval_op;
+use partir_ir::{reference, CompareDir, Literal, OpKind, TensorType};
 use partir_mesh::{HardwareConfig, Mesh};
 use partir_models::schedules::{self, BATCH, MODEL};
 use partir_models::transformer::TransformerConfig;
@@ -101,7 +105,78 @@ fn bench_tmr_queries() {
     });
 }
 
+/// `compare` / `select` / `pad` / `scatter_add` as one device of the
+/// `train_step` workload runs them (T 2L d32 seq32 batch32, `BP+MP+Z3`,
+/// 2×2): `old` is the index walk kept in `ir::reference`, `new` is
+/// `eval_op`, i.e. result allocation plus the slice kernel a compiled
+/// plan runs in place. (`select` was a linear zip in the interpreter
+/// already — its cost in a plan was the fallback's lift into `Literal`s —
+/// so its `old` row is the oracle, not what the interpreter used to run.)
+fn bench_slice_kernels() {
+    let ramp = |dims: &[usize]| -> Literal {
+        let n: usize = dims.iter().product();
+        Literal::from_f32((0..n).map(|i| (i % 97) as f32).collect(), dims.to_vec()).unwrap()
+    };
+    // Any type: `eval_op` reads its result type only to word an error.
+    let ty = TensorType::f32([1]);
+    let pair = |name: &str, old: &dyn Fn() -> Literal, kind: OpKind, operands: &[&Literal]| {
+        bench(&format!("{name} old"), 2, 20, old);
+        bench(&format!("{name} new"), 2, 20, || {
+            eval_op(&kind, operands, &ty).unwrap()
+        });
+    };
+
+    // Attention-score masking: [16, 1, 32, 32].
+    let scores = ramp(&[16, 1, 32, 32]);
+    let shifted = ramp(&[16, 1, 32, 32]);
+    pair(
+        "compare [16,1,32,32]",
+        &|| reference::compare(CompareDir::Eq, &scores, &shifted).unwrap(),
+        OpKind::Compare(CompareDir::Eq),
+        &[&scores, &shifted],
+    );
+    let mask = reference::compare(CompareDir::Eq, &scores, &shifted).unwrap();
+    pair(
+        "select [16,1,32,32]",
+        &|| reference::select(&mask, &scores, &shifted).unwrap(),
+        OpKind::Select,
+        &[&mask, &scores, &shifted],
+    );
+    // One-hot of the targets: [16, 32, 64].
+    let logits = ramp(&[16, 32, 64]);
+    let onehot = ramp(&[16, 32, 64]);
+    pair(
+        "compare [16,32,64]",
+        &|| reference::compare(CompareDir::Eq, &logits, &onehot).unwrap(),
+        OpKind::Compare(CompareDir::Eq),
+        &[&logits, &onehot],
+    );
+    // Head re-assembly in the attention backward pass.
+    let head = ramp(&[16, 32, 1, 1, 16]);
+    let zero = Literal::scalar_f32(0.0);
+    let (low, high) = (vec![0, 0, 0, 1, 0], vec![0, 0, 0, 1, 0]);
+    pair(
+        "pad [16,32,1,1,16]->[..,3,16]",
+        &|| reference::pad(&head, &zero, &low, &high).unwrap(),
+        OpKind::Pad {
+            low: low.clone(),
+            high: high.clone(),
+        },
+        &[&head, &zero],
+    );
+    // Embedding gradient: 512 token rows into a 64-row table shard.
+    let rows = ramp(&[512, 32]);
+    let tokens = Literal::from_i32((0..512).map(|i| (i * 37 % 80) - 8).collect(), [512]).unwrap();
+    pair(
+        "scatter_add [512,32]->[64,32]",
+        &|| reference::scatter_add(&rows, &tokens, 0, 64).unwrap(),
+        OpKind::ScatterAdd { axis: 0, size: 64 },
+        &[&rows, &tokens],
+    );
+}
+
 fn main() {
+    bench_slice_kernels();
     bench_propagation();
     bench_lowering_and_fusion();
     bench_end_to_end_jit();

@@ -5,9 +5,10 @@
 //! oracle that the SPMD lowering (in `partir-spmd`) is tested against.
 //! Collectives are *illegal* here and produce [`IrError::Unsupported`].
 
+use crate::kernels::{Buf, SliceKernel};
 use crate::{
-    BinaryOp, CompareDir, ConvDims, DType, DotDims, Func, IrError, Literal, OpData, OpId, OpKind,
-    ReduceOp, Shape, TensorType, UnaryOp, ValueId,
+    BinaryOp, ConvDims, DType, DotDims, Func, IrError, Literal, OpData, OpId, OpKind, ReduceOp,
+    Shape, TensorType, UnaryOp, ValueId,
 };
 
 /// Runs `func` on the given inputs, returning its results.
@@ -116,12 +117,16 @@ pub fn eval_op(
 ) -> Result<Vec<Literal>, IrError> {
     match kind {
         OpKind::Constant(lit) => Ok(vec![lit.clone()]),
-        OpKind::Iota { dim, shape, dtype } => Ok(vec![eval_iota(*dim, shape, *dtype)?]),
+        OpKind::Iota { .. }
+        | OpKind::Compare(_)
+        | OpKind::Select
+        | OpKind::Convert(_)
+        | OpKind::Pad { .. }
+        | OpKind::Gather { .. }
+        | OpKind::ScatterAdd { .. }
+        | OpKind::ArgMax { .. } => Ok(vec![eval_slice_kernel(kind, operands)?]),
         OpKind::Unary(u) => Ok(vec![eval_unary(*u, operands[0])?]),
         OpKind::Binary(b) => Ok(vec![eval_binary(*b, operands[0], operands[1])?]),
-        OpKind::Compare(dir) => Ok(vec![eval_compare(*dir, operands[0], operands[1])?]),
-        OpKind::Select => Ok(vec![eval_select(operands[0], operands[1], operands[2])?]),
-        OpKind::Convert(to) => Ok(vec![eval_convert(operands[0], *to)?]),
         OpKind::Dot(dims) => Ok(vec![eval_dot(dims, operands[0], operands[1])?]),
         OpKind::Transpose { perm } => Ok(vec![eval_transpose(operands[0], perm)?]),
         OpKind::Reshape { shape } => Ok(vec![operands[0].clone().reshaped(shape.clone())?]),
@@ -135,17 +140,9 @@ pub fn eval_op(
             limits,
             strides,
         } => Ok(vec![eval_slice(operands[0], starts, limits, strides)?]),
-        OpKind::Pad { low, high } => Ok(vec![eval_pad(operands[0], operands[1], low, high)?]),
         OpKind::Concatenate { dim } => Ok(vec![eval_concat(operands, *dim)?]),
         OpKind::DynamicSlice { sizes } => Ok(vec![eval_dynamic_slice(operands, sizes)?]),
         OpKind::DynamicUpdateSlice => Ok(vec![eval_dynamic_update_slice(operands)?]),
-        OpKind::Gather { axis } => Ok(vec![eval_gather(operands[0], operands[1], *axis)?]),
-        OpKind::ScatterAdd { axis, size } => Ok(vec![eval_scatter_add(
-            operands[0],
-            operands[1],
-            *axis,
-            *size,
-        )?]),
         OpKind::Convolution(dims) => Ok(vec![eval_conv(dims, operands[0], operands[1])?]),
         OpKind::ConvInputGrad { dims, input_hw } => Ok(vec![eval_conv_input_grad(
             dims,
@@ -159,7 +156,6 @@ pub fn eval_op(
             operands[0],
             operands[1],
         )?]),
-        OpKind::ArgMax { dim } => Ok(vec![eval_argmax(operands[0], *dim)?]),
         OpKind::For { .. } => Err(IrError::invalid("for must be handled by the interpreter")),
         OpKind::Collective(c) => Err(IrError::unsupported(format!(
             "collective {} in the reference interpreter (result type {result_ty})",
@@ -168,25 +164,16 @@ pub fn eval_op(
     }
 }
 
-fn eval_iota(dim: usize, shape: &Shape, dtype: DType) -> Result<Literal, IrError> {
-    let n = shape.num_elements();
-    match dtype {
-        DType::I32 => {
-            let mut data = Vec::with_capacity(n);
-            for idx in shape.indices() {
-                data.push(idx[dim] as i32);
-            }
-            Literal::from_i32(data, shape.clone())
-        }
-        DType::F32 => {
-            let mut data = Vec::with_capacity(n);
-            for idx in shape.indices() {
-                data.push(idx[dim] as f32);
-            }
-            Literal::from_f32(data, shape.clone())
-        }
-        DType::Pred => Err(IrError::unsupported("pred iota")),
-    }
+/// The predicate and data-movement ops: plan the op's [`SliceKernel`]
+/// against the operand types, allocate the result, run the kernel on it.
+/// Compiled plans run the same kernels on arena ranges.
+fn eval_slice_kernel(kind: &OpKind, operands: &[&Literal]) -> Result<Literal, IrError> {
+    let tys: Vec<TensorType> = operands.iter().map(|lit| lit.ty()).collect();
+    let (kernel, out_ty) = SliceKernel::plan(kind, &tys)?;
+    let srcs: Vec<Buf<'_>> = operands.iter().map(|lit| lit.as_buf()).collect();
+    let mut out = Literal::zeros(&out_ty);
+    kernel.run(&srcs, out.as_buf_mut())?;
+    Ok(out)
 }
 
 fn eval_unary(u: UnaryOp, x: &Literal) -> Result<Literal, IrError> {
@@ -261,79 +248,9 @@ fn eval_binary(b: BinaryOp, x: &Literal, y: &Literal) -> Result<Literal, IrError
     }
 }
 
-fn eval_compare(dir: CompareDir, x: &Literal, y: &Literal) -> Result<Literal, IrError> {
-    let n = x.num_elements();
-    let mut data = Vec::with_capacity(n);
-    for lin in 0..n {
-        let idx = x.shape().multi_index(lin);
-        let (a, b) = (x.get(&idx)?, y.get(&idx)?);
-        data.push(match dir {
-            CompareDir::Eq => a == b,
-            CompareDir::Ne => a != b,
-            CompareDir::Lt => a < b,
-            CompareDir::Le => a <= b,
-            CompareDir::Gt => a > b,
-            CompareDir::Ge => a >= b,
-        });
-    }
-    Literal::from_pred(data, x.shape().clone())
-}
-
-fn eval_select(pred: &Literal, t: &Literal, f: &Literal) -> Result<Literal, IrError> {
-    let p = pred.as_pred()?;
-    match t.dtype() {
-        DType::F32 => {
-            let (a, b) = (t.as_f32()?, f.as_f32()?);
-            let data: Vec<f32> = p
-                .iter()
-                .zip(a.iter().zip(b))
-                .map(|(&c, (&x, &y))| if c { x } else { y })
-                .collect();
-            Literal::from_f32(data, t.shape().clone())
-        }
-        DType::I32 => {
-            let (a, b) = (t.as_i32()?, f.as_i32()?);
-            let data: Vec<i32> = p
-                .iter()
-                .zip(a.iter().zip(b))
-                .map(|(&c, (&x, &y))| if c { x } else { y })
-                .collect();
-            Literal::from_i32(data, t.shape().clone())
-        }
-        DType::Pred => Err(IrError::unsupported("select on pred payloads")),
-    }
-}
-
-fn eval_convert(x: &Literal, to: DType) -> Result<Literal, IrError> {
-    let n = x.num_elements();
-    match to {
-        DType::F32 => {
-            let mut data = Vec::with_capacity(n);
-            for lin in 0..n {
-                data.push(x.get(&x.shape().multi_index(lin))? as f32);
-            }
-            Literal::from_f32(data, x.shape().clone())
-        }
-        DType::I32 => {
-            let mut data = Vec::with_capacity(n);
-            for lin in 0..n {
-                data.push(x.get(&x.shape().multi_index(lin))? as i32);
-            }
-            Literal::from_i32(data, x.shape().clone())
-        }
-        DType::Pred => {
-            let mut data = Vec::with_capacity(n);
-            for lin in 0..n {
-                data.push(x.get(&x.shape().multi_index(lin))? != 0.0);
-            }
-            Literal::from_pred(data, x.shape().clone())
-        }
-    }
-}
-
 fn eval_dot(dims: &DotDims, lhs: &Literal, rhs: &Literal) -> Result<Literal, IrError> {
     // Blocked batched-matmul fast path; bit-identical to the index-walk
-    // oracle retained as `kernels::dot_general_reference`.
+    // oracle retained as `reference::dot_general_reference`.
     crate::kernels::dot_general(dims, lhs, rhs)
 }
 
@@ -360,33 +277,6 @@ fn eval_slice(
     strides: &[usize],
 ) -> Result<Literal, IrError> {
     crate::kernels::slice(x, starts, limits, strides)
-}
-
-fn eval_pad(x: &Literal, value: &Literal, low: &[i64], high: &[i64]) -> Result<Literal, IrError> {
-    let in_shape = x.shape().clone();
-    let out_dims: Vec<usize> = (0..in_shape.rank())
-        .map(|d| (in_shape.dim(d) as i64 + low[d] + high[d]) as usize)
-        .collect();
-    let out_shape = Shape::from(out_dims);
-    let a = x.as_f32()?;
-    let pad = value.as_f32()?[0];
-    let mut data = vec![pad; out_shape.num_elements()];
-    for (out_lin, out_idx) in out_shape.indices().enumerate() {
-        let mut in_idx = Vec::with_capacity(out_idx.len());
-        let mut inside = true;
-        for (d, &i) in out_idx.iter().enumerate() {
-            let s = i as i64 - low[d];
-            if s < 0 || s >= in_shape.dim(d) as i64 {
-                inside = false;
-                break;
-            }
-            in_idx.push(s as usize);
-        }
-        if inside {
-            data[out_lin] = a[in_shape.linear_index(&in_idx)];
-        }
-    }
-    Literal::from_f32(data, out_shape)
 }
 
 fn eval_concat(operands: &[&Literal], dim: usize) -> Result<Literal, IrError> {
@@ -423,43 +313,6 @@ fn eval_dynamic_update_slice(operands: &[&Literal]) -> Result<Literal, IrError> 
     // `clone()` is a refcount bump; the kernel copies on write only when
     // the buffer is shared (and then copies whole rows, not elements).
     crate::kernels::update_slice_in_place(x.clone(), update, &starts)
-}
-
-fn eval_gather(x: &Literal, indices: &Literal, axis: usize) -> Result<Literal, IrError> {
-    let idx = indices.as_i32()?;
-    let in_shape = x.shape().clone();
-    let out_shape = in_shape.with_dim(axis, idx.len());
-    let a = x.as_f32()?;
-    let axis_size = in_shape.dim(axis);
-    let mut data = Vec::with_capacity(out_shape.num_elements());
-    for mut out_idx in out_shape.indices() {
-        let gathered = idx[out_idx[axis]].clamp(0, axis_size as i32 - 1) as usize;
-        out_idx[axis] = gathered;
-        data.push(a[in_shape.linear_index(&out_idx)]);
-    }
-    Literal::from_f32(data, out_shape)
-}
-
-fn eval_scatter_add(
-    src: &Literal,
-    indices: &Literal,
-    axis: usize,
-    size: usize,
-) -> Result<Literal, IrError> {
-    let idx = indices.as_i32()?;
-    let in_shape = src.shape().clone();
-    let out_shape = in_shape.with_dim(axis, size);
-    let a = src.as_f32()?;
-    let mut data = vec![0f32; out_shape.num_elements()];
-    for (lin, mut src_idx) in in_shape.indices().enumerate() {
-        let target = idx[src_idx[axis]];
-        if target < 0 || target as usize >= size {
-            continue; // out-of-bounds updates are dropped, as in XLA scatter
-        }
-        src_idx[axis] = target as usize;
-        data[out_shape.linear_index(&src_idx)] += a[lin];
-    }
-    Literal::from_f32(data, out_shape)
 }
 
 fn eval_conv(dims: &ConvDims, input: &Literal, kernel: &Literal) -> Result<Literal, IrError> {
@@ -604,24 +457,6 @@ fn eval_conv_filter_grad(
         }
     }
     Literal::from_f32(data, out_shape)
-}
-
-fn eval_argmax(x: &Literal, dim: usize) -> Result<Literal, IrError> {
-    let in_shape = x.shape().clone();
-    let kept: Vec<usize> = (0..in_shape.rank()).filter(|&d| d != dim).collect();
-    let out_shape = Shape::from(kept.iter().map(|&d| in_shape.dim(d)).collect::<Vec<_>>());
-    let a = x.as_f32()?;
-    let mut best = vec![f32::NEG_INFINITY; out_shape.num_elements()];
-    let mut arg = vec![0i32; out_shape.num_elements()];
-    for (lin, in_idx) in in_shape.indices().enumerate() {
-        let out_idx: Vec<usize> = kept.iter().map(|&d| in_idx[d]).collect();
-        let o = out_shape.linear_index(&out_idx);
-        if a[lin] > best[o] {
-            best[o] = a[lin];
-            arg[o] = in_idx[dim] as i32;
-        }
-    }
-    Literal::from_i32(arg, out_shape)
 }
 
 #[cfg(test)]

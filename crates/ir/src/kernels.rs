@@ -3,8 +3,9 @@
 //!
 //! The interpreter in [`crate::interp`] originally walked every output
 //! element through a fresh multi-index `Vec` — correct, but dominated by
-//! allocation and index arithmetic. This module provides the fast paths it
-//! now dispatches to:
+//! allocation and index arithmetic (those forms survive as oracles in
+//! [`crate::reference`]). This module provides the kernels it now
+//! dispatches to:
 //!
 //! * [`dot_general`] reduces *any* [`DotDims`] contraction to a batched
 //!   row-major matmul (`[b, m, k] × [b, k, n]`) via at most one physical
@@ -26,6 +27,12 @@
 //! * [`fold_reduce`] is the collectives' accumulation step: it mutates the
 //!   accumulator in place when its copy-on-write buffer is uniquely owned
 //!   (the common case for payloads received over runtime channels).
+//! * [`SliceKernel`] is the one definition of the predicate and
+//!   data-movement ops (`iota`, `compare`, `select`, `convert`, `pad`,
+//!   index `gather`, `scatter_add`, `arg_max`): planned once against the
+//!   operand types, then run slice-in/slice-out with no allocation, by
+//!   the interpreter on a fresh result and by compiled plans on arena
+//!   ranges.
 //!
 //! # Scratch arena
 //!
@@ -38,7 +45,11 @@
 
 use std::cell::RefCell;
 
-use crate::{BinaryOp, DType, DotDims, IrError, Literal, ReduceOp, Shape};
+pub use crate::reference::dot_general_reference;
+
+use crate::{
+    BinaryOp, CompareDir, DType, DotDims, IrError, Literal, OpKind, ReduceOp, Shape, TensorType,
+};
 
 // ---------------------------------------------------------------------------
 // Scratch arena
@@ -201,8 +212,9 @@ pub fn gather_strided_into<T: Copy>(
 // ---------------------------------------------------------------------------
 
 /// The output shape of a `Dot` op: batch dims, then LHS free, then RHS
-/// free — shared by the fast path and the reference oracle.
-fn dot_out_shape(dims: &DotDims, ls: &Shape, rs: &Shape) -> Shape {
+/// free — shared by the fast path and the reference oracle
+/// ([`crate::reference::dot_general_reference`]).
+pub(crate) fn dot_out_shape(dims: &DotDims, ls: &Shape, rs: &Shape) -> Shape {
     let lhs_free = dims.free_dims(ls.rank(), true);
     let rhs_free = dims.free_dims(rs.rank(), false);
     let mut out_dims: Vec<usize> = Vec::new();
@@ -352,66 +364,6 @@ pub fn dot_general(dims: &DotDims, lhs: &Literal, rhs: &Literal) -> Result<Liter
     let mut out = vec![0f32; out_shape.num_elements()];
     dot_general_into(&plan, lhs.as_f32()?, rhs.as_f32()?, &mut out);
     Literal::from_f32(out, out_shape)
-}
-
-/// The original element-at-a-time `Dot` evaluation: walks every output
-/// element and every contraction index through multi-index iterators.
-///
-/// Kept as the oracle the property tests compare [`dot_general`] against
-/// (and as a fallback should a caller ever need the allocation-free,
-/// never-staging path).
-///
-/// # Errors
-///
-/// Fails if either operand is not f32.
-pub fn dot_general_reference(
-    dims: &DotDims,
-    lhs: &Literal,
-    rhs: &Literal,
-) -> Result<Literal, IrError> {
-    let (ls, rs) = (lhs.shape().clone(), rhs.shape().clone());
-    let lhs_free = dims.free_dims(ls.rank(), true);
-    let rhs_free = dims.free_dims(rs.rank(), false);
-    let out_shape = dot_out_shape(dims, &ls, &rs);
-    let contract_shape = Shape::from(
-        dims.lhs_contract
-            .iter()
-            .map(|&d| ls.dim(d))
-            .collect::<Vec<_>>(),
-    );
-    let (a, b) = (lhs.as_f32()?, rhs.as_f32()?);
-    let (lstr, rstr) = (ls.strides(), rs.strides());
-    let mut data = vec![0f32; out_shape.num_elements()];
-    let nb = dims.lhs_batch.len();
-    for (out_lin, out_idx) in out_shape.indices().enumerate() {
-        // Base offsets from batch + free coordinates.
-        let mut l_base = 0usize;
-        let mut r_base = 0usize;
-        for (i, &bd) in dims.lhs_batch.iter().enumerate() {
-            l_base += out_idx[i] * lstr[bd];
-        }
-        for (i, &bd) in dims.rhs_batch.iter().enumerate() {
-            r_base += out_idx[i] * rstr[bd];
-        }
-        for (i, &fd) in lhs_free.iter().enumerate() {
-            l_base += out_idx[nb + i] * lstr[fd];
-        }
-        for (i, &fd) in rhs_free.iter().enumerate() {
-            r_base += out_idx[nb + lhs_free.len() + i] * rstr[fd];
-        }
-        let mut acc = 0f32;
-        for c_idx in contract_shape.indices() {
-            let mut lo = l_base;
-            let mut ro = r_base;
-            for (i, &c) in c_idx.iter().enumerate() {
-                lo += c * lstr[dims.lhs_contract[i]];
-                ro += c * rstr[dims.rhs_contract[i]];
-            }
-            acc += a[lo] * b[ro];
-        }
-        data[out_lin] = acc;
-    }
-    Literal::from_f32(data, out_shape)
 }
 
 // ---------------------------------------------------------------------------
@@ -778,6 +730,427 @@ pub fn update_slice_in_place(
             Ok(base)
         }
         _ => Err(IrError::unsupported("dynamic_update_slice on pred")),
+    }
+}
+
+// ---------------------------------------------------------------------------
+// Slice kernels: predicate and data-movement ops
+// ---------------------------------------------------------------------------
+
+/// A borrowed, typed, row-major operand buffer of a [`SliceKernel`]: a
+/// [`Literal`]'s data or a range of a compiled plan's arena.
+#[derive(Debug, Clone, Copy)]
+pub enum Buf<'a> {
+    /// `f32` elements.
+    F32(&'a [f32]),
+    /// `i32` elements.
+    I32(&'a [i32]),
+    /// `pred` elements.
+    Pred(&'a [bool]),
+}
+
+/// The mutable destination buffer of a [`SliceKernel`].
+#[derive(Debug)]
+pub enum BufMut<'a> {
+    /// `f32` elements.
+    F32(&'a mut [f32]),
+    /// `i32` elements.
+    I32(&'a mut [i32]),
+    /// `pred` elements.
+    Pred(&'a mut [bool]),
+}
+
+/// `Pad` resolved to a fill plus one box copy: the part of the operand
+/// that survives (negative padding crops) lands at a fixed offset of the
+/// result, whole innermost rows at a time.
+#[derive(Debug, Clone)]
+pub struct PadPlan {
+    /// Extent of the copied box per dimension.
+    extents: Vec<usize>,
+    src_strides: Vec<usize>,
+    src_base: usize,
+    dst_strides: Vec<usize>,
+    dst_base: usize,
+}
+
+/// One predicate or data-movement op compiled against its operand
+/// types: extents, strides and clamp/drop rules are fixed here, once, and
+/// [`SliceKernel::run`] then works on plain slices without allocating.
+///
+/// This is the single definition of these ops. [`crate::interp::eval_op`]
+/// allocates a result and runs the kernel on it, which covers the
+/// reference and lockstep interpreters; compiled plans keep the kernel in
+/// a step and run it on arena ranges — so the three agree bit for bit by
+/// construction. The element-at-a-time forms they replace live on as
+/// oracles in [`crate::reference`].
+///
+/// Operand order is the op's; every dimension triple below is the
+/// row-major split `[outer, axis, inner]` around the op's axis.
+#[derive(Debug, Clone)]
+pub enum SliceKernel {
+    /// `[] → f32 | i32`: element `[o, j, i]` is `j`.
+    Iota {
+        /// Extent of the counted dimension.
+        n: usize,
+        /// Elements per step of the counted dimension.
+        inner: usize,
+    },
+    /// `[x, y] → pred`, `x` and `y` of one dtype (`false < true`).
+    Compare(CompareDir),
+    /// `[pred, on_true, on_false] → f32 | i32`.
+    Select,
+    /// `[x] → any`: numeric casts saturate, `→ pred` is `!= 0`.
+    Convert,
+    /// `[x, scalar] → f32`.
+    Pad(PadPlan),
+    /// `[x, indices] → f32`: rows of `x` picked along the axis, indices
+    /// clamped into `0..n`.
+    Gather {
+        /// Product of the dimensions before the axis.
+        outer: usize,
+        /// Extent of the operand's axis.
+        n: usize,
+        /// Product of the dimensions after the axis.
+        inner: usize,
+    },
+    /// `[src, indices] → f32`: rows of `src` added into a zeroed result
+    /// in source order; targets outside `0..size` are dropped.
+    ScatterAdd {
+        /// Product of the dimensions before the axis.
+        outer: usize,
+        /// Extent of the result's axis.
+        size: usize,
+        /// Product of the dimensions after the axis.
+        inner: usize,
+    },
+    /// `[x] → i32`: first strict maximum along the axis; a row with
+    /// nothing above `-inf` (all `-inf`, all NaN) answers 0.
+    ArgMax {
+        /// Product of the dimensions before the axis.
+        outer: usize,
+        /// Extent of the reduced axis.
+        n: usize,
+        /// Product of the dimensions after the axis.
+        inner: usize,
+    },
+}
+
+/// `[outer, axis, inner]` extents of `shape` around `axis`.
+fn split_at_axis(shape: &Shape, axis: usize) -> (usize, usize, usize) {
+    let dims = shape.dims();
+    (
+        dims[..axis].iter().product(),
+        dims[axis],
+        dims[axis + 1..].iter().product(),
+    )
+}
+
+impl SliceKernel {
+    /// Compiles `kind` against its operand types. Returns the kernel and
+    /// the type of the buffer it fills.
+    ///
+    /// # Errors
+    ///
+    /// An op kind this module does not define; whatever
+    /// [`crate::infer::infer_result_types`] rejects; the dtypes the op
+    /// has no semantics for (`pred` iota, non-`f32` pad / gather /
+    /// scatter_add / arg_max); a gather from an empty axis.
+    pub fn plan(kind: &OpKind, operands: &[TensorType]) -> Result<(Self, TensorType), IrError> {
+        let out = crate::infer::infer_result_types(kind, operands, None)?
+            .pop()
+            .ok_or_else(|| IrError::invalid("slice kernel op without a result"))?;
+        let f32_only = |ty: &TensorType| match ty.dtype {
+            DType::F32 => Ok(()),
+            dt => Err(IrError::type_mismatch("f32 operand", dt)),
+        };
+        let kernel = match kind {
+            OpKind::Iota { dim, shape, dtype } => {
+                if *dtype == DType::Pred {
+                    return Err(IrError::unsupported("pred iota"));
+                }
+                let (_, n, inner) = split_at_axis(shape, *dim);
+                SliceKernel::Iota { n, inner }
+            }
+            OpKind::Compare(dir) => SliceKernel::Compare(*dir),
+            OpKind::Select => SliceKernel::Select,
+            OpKind::Convert(_) => SliceKernel::Convert,
+            OpKind::Pad { low, high } => {
+                f32_only(&operands[0])?;
+                SliceKernel::Pad(plan_pad(&operands[0].shape, &out.shape, low, high))
+            }
+            OpKind::Gather { axis } => {
+                f32_only(&operands[0])?;
+                let (outer, n, inner) = split_at_axis(&operands[0].shape, *axis);
+                if n == 0 && out.shape.num_elements() > 0 {
+                    return Err(IrError::invalid("gather from an empty axis"));
+                }
+                SliceKernel::Gather { outer, n, inner }
+            }
+            OpKind::ScatterAdd { axis, size } => {
+                f32_only(&operands[0])?;
+                let (outer, _, inner) = split_at_axis(&operands[0].shape, *axis);
+                SliceKernel::ScatterAdd {
+                    outer,
+                    size: *size,
+                    inner,
+                }
+            }
+            OpKind::ArgMax { dim } => {
+                f32_only(&operands[0])?;
+                let (outer, n, inner) = split_at_axis(&operands[0].shape, *dim);
+                SliceKernel::ArgMax { outer, n, inner }
+            }
+            other => {
+                return Err(IrError::invalid(format!(
+                    "{} is not a slice kernel op",
+                    other.name()
+                )))
+            }
+        };
+        Ok((kernel, out))
+    }
+
+    /// Fills `dst` from `srcs`. Performs no heap allocation.
+    ///
+    /// # Errors
+    ///
+    /// When the buffers' dtypes are not the ones the kernel was planned
+    /// for. Buffer *lengths* are the planner's contract and are asserted.
+    pub fn run(&self, srcs: &[Buf<'_>], dst: BufMut<'_>) -> Result<(), IrError> {
+        use {Buf as B, BufMut as M};
+        match (self, srcs, dst) {
+            (SliceKernel::Iota { n, inner }, [], M::F32(out)) => {
+                iota_into(out, *n, *inner, |j| j as f32)
+            }
+            (SliceKernel::Iota { n, inner }, [], M::I32(out)) => {
+                iota_into(out, *n, *inner, |j| j as i32)
+            }
+            (SliceKernel::Compare(dir), [B::F32(x), B::F32(y)], M::Pred(out)) => {
+                compare_into(*dir, x, y, out)
+            }
+            (SliceKernel::Compare(dir), [B::I32(x), B::I32(y)], M::Pred(out)) => {
+                compare_into(*dir, x, y, out)
+            }
+            (SliceKernel::Compare(dir), [B::Pred(x), B::Pred(y)], M::Pred(out)) => {
+                compare_into(*dir, x, y, out)
+            }
+            (SliceKernel::Select, [B::Pred(p), B::F32(t), B::F32(f)], M::F32(out)) => {
+                select_into(p, t, f, out)
+            }
+            (SliceKernel::Select, [B::Pred(p), B::I32(t), B::I32(f)], M::I32(out)) => {
+                select_into(p, t, f, out)
+            }
+            (SliceKernel::Convert, [x], out) => convert_into(*x, out),
+            (SliceKernel::Pad(plan), [B::F32(x), B::F32(value)], M::F32(out)) => {
+                pad_into(plan, x, value[0], out)
+            }
+            (SliceKernel::Gather { outer, n, inner }, [B::F32(x), B::I32(idx)], M::F32(out)) => {
+                gather_rows_into(out, x, idx, *outer, *n, *inner)
+            }
+            (
+                SliceKernel::ScatterAdd { outer, size, inner },
+                [B::F32(src), B::I32(idx)],
+                M::F32(out),
+            ) => scatter_add_into(out, src, idx, *outer, *size, *inner),
+            (SliceKernel::ArgMax { outer, n, inner }, [B::F32(x)], M::I32(out)) => {
+                arg_max_into(out, x, *outer, *n, *inner)
+            }
+            (kernel, _, _) => {
+                return Err(IrError::invalid(format!(
+                    "slice kernel {kernel:?} run on buffers it was not planned for"
+                )))
+            }
+        }
+        Ok(())
+    }
+}
+
+fn iota_into<T: Copy>(out: &mut [T], n: usize, inner: usize, from: impl Fn(usize) -> T) {
+    if out.is_empty() {
+        return;
+    }
+    for (row, chunk) in out.chunks_exact_mut(inner).enumerate() {
+        chunk.fill(from(row % n));
+    }
+}
+
+/// `out[i] = x[i] <dir> y[i]`, the direction matched once outside the
+/// loop. `f32` follows IEEE (every ordered comparison with a NaN is
+/// false, `!=` true); `pred` orders `false < true`.
+fn compare_into<T: Copy + PartialOrd>(dir: CompareDir, x: &[T], y: &[T], out: &mut [bool]) {
+    assert!(x.len() == out.len() && y.len() == out.len());
+    macro_rules! lanes {
+        ($op:tt) => {
+            for ((o, &a), &b) in out.iter_mut().zip(x).zip(y) {
+                *o = a $op b;
+            }
+        };
+    }
+    match dir {
+        CompareDir::Eq => lanes!(==),
+        CompareDir::Ne => lanes!(!=),
+        CompareDir::Lt => lanes!(<),
+        CompareDir::Le => lanes!(<=),
+        CompareDir::Gt => lanes!(>),
+        CompareDir::Ge => lanes!(>=),
+    }
+}
+
+fn select_into<T: Copy>(pred: &[bool], on_true: &[T], on_false: &[T], out: &mut [T]) {
+    assert!(pred.len() == out.len() && on_true.len() == out.len() && on_false.len() == out.len());
+    for (((o, &p), &t), &f) in out.iter_mut().zip(pred).zip(on_true).zip(on_false) {
+        *o = if p { t } else { f };
+    }
+}
+
+fn map_into<S: Copy, D>(src: &[S], out: &mut [D], f: impl Fn(S) -> D) {
+    assert_eq!(src.len(), out.len());
+    for (o, &v) in out.iter_mut().zip(src) {
+        *o = f(v);
+    }
+}
+
+/// Rust's `as` casts are the op's semantics: float → int saturates and
+/// sends NaN to 0, int → float rounds to nearest even.
+fn convert_into(src: Buf<'_>, out: BufMut<'_>) {
+    use {Buf as B, BufMut as M};
+    match (src, out) {
+        (B::F32(s), M::F32(d)) => d.copy_from_slice(s),
+        (B::I32(s), M::I32(d)) => d.copy_from_slice(s),
+        (B::Pred(s), M::Pred(d)) => d.copy_from_slice(s),
+        (B::F32(s), M::I32(d)) => map_into(s, d, |v| v as i32),
+        (B::F32(s), M::Pred(d)) => map_into(s, d, |v| v != 0.0),
+        (B::I32(s), M::F32(d)) => map_into(s, d, |v| v as f32),
+        (B::I32(s), M::Pred(d)) => map_into(s, d, |v| v != 0),
+        (B::Pred(s), M::F32(d)) => map_into(s, d, |v| v as u8 as f32),
+        (B::Pred(s), M::I32(d)) => map_into(s, d, i32::from),
+    }
+}
+
+/// The box of `in_shape` that survives `low`/`high` and where it lands
+/// in `out_shape`: input index `s` of dimension `d` is kept when
+/// `0 <= s < in` and `0 <= s + low < out`.
+fn plan_pad(in_shape: &Shape, out_shape: &Shape, low: &[i64], high: &[i64]) -> PadPlan {
+    let rank = in_shape.rank();
+    let mut extents = Vec::with_capacity(rank);
+    let (mut src_base, mut dst_base) = (0usize, 0usize);
+    let (src_strides, dst_strides) = (in_shape.strides(), out_shape.strides());
+    for d in 0..rank {
+        let size = in_shape.dim(d) as i64;
+        let first = (-low[d]).max(0);
+        let end = size.min(size + high[d]);
+        extents.push((end - first).max(0) as usize);
+        src_base += first as usize * src_strides[d];
+        dst_base += (first + low[d]) as usize * dst_strides[d];
+    }
+    PadPlan {
+        extents,
+        src_strides,
+        src_base,
+        dst_strides,
+        dst_base,
+    }
+}
+
+fn pad_into(plan: &PadPlan, x: &[f32], value: f32, out: &mut [f32]) {
+    out.fill(value);
+    let total: usize = plan.extents.iter().product();
+    if total == 0 {
+        return;
+    }
+    let Some((&row, outer_extents)) = plan.extents.split_last() else {
+        out[plan.dst_base] = x[plan.src_base];
+        return;
+    };
+    let inner = outer_extents.len();
+    assert!(inner < MAX_RANK, "tensor rank exceeds MAX_RANK");
+    let mut idx = [0usize; MAX_RANK];
+    let (mut src, mut dst) = (plan.src_base, plan.dst_base);
+    for _ in 0..total / row {
+        out[dst..dst + row].copy_from_slice(&x[src..src + row]);
+        for d in (0..inner).rev() {
+            idx[d] += 1;
+            src += plan.src_strides[d];
+            dst += plan.dst_strides[d];
+            if idx[d] < outer_extents[d] {
+                break;
+            }
+            src -= plan.src_strides[d] * outer_extents[d];
+            dst -= plan.dst_strides[d] * outer_extents[d];
+            idx[d] = 0;
+        }
+    }
+}
+
+fn gather_rows_into(
+    out: &mut [f32],
+    x: &[f32],
+    indices: &[i32],
+    outer: usize,
+    n: usize,
+    inner: usize,
+) {
+    assert_eq!(out.len(), outer * indices.len() * inner);
+    assert_eq!(x.len(), outer * n * inner);
+    if out.is_empty() {
+        return;
+    }
+    let last = n as i32 - 1;
+    let mut rows = out.chunks_exact_mut(inner);
+    for o in 0..outer {
+        for (&i, row) in indices.iter().zip(&mut rows) {
+            let at = (o * n + i.clamp(0, last) as usize) * inner;
+            row.copy_from_slice(&x[at..at + inner]);
+        }
+    }
+}
+
+/// For one result element the contributions arrive in ascending source
+/// index along the axis — the order of a linear walk over `src` — so
+/// `f32` sums over duplicate targets are bit-identical to that walk.
+fn scatter_add_into(
+    out: &mut [f32],
+    src: &[f32],
+    indices: &[i32],
+    outer: usize,
+    size: usize,
+    inner: usize,
+) {
+    assert_eq!(out.len(), outer * size * inner);
+    assert_eq!(src.len(), outer * indices.len() * inner);
+    out.fill(0.0);
+    if src.is_empty() {
+        return;
+    }
+    let mut rows = src.chunks_exact(inner);
+    for o in 0..outer {
+        for (&target, row) in indices.iter().zip(&mut rows) {
+            if target < 0 || target as usize >= size {
+                continue;
+            }
+            let at = (o * size + target as usize) * inner;
+            for (acc, &v) in out[at..at + inner].iter_mut().zip(row) {
+                *acc += v;
+            }
+        }
+    }
+}
+
+fn arg_max_into(out: &mut [i32], x: &[f32], outer: usize, n: usize, inner: usize) {
+    assert_eq!(out.len(), outer * inner);
+    assert_eq!(x.len(), outer * n * inner);
+    for (o, out_row) in out.chunks_exact_mut(inner.max(1)).enumerate() {
+        for (i, arg) in out_row.iter_mut().enumerate() {
+            let mut best = f32::NEG_INFINITY;
+            *arg = 0;
+            for j in 0..n {
+                let v = x[(o * n + j) * inner + i];
+                if v > best {
+                    best = v;
+                    *arg = j as i32;
+                }
+            }
+        }
     }
 }
 

@@ -58,6 +58,7 @@ mod ops;
 pub mod parse;
 pub mod passes;
 pub mod print;
+pub mod reference;
 mod shape;
 pub mod verify;
 

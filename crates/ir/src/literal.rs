@@ -231,6 +231,25 @@ impl Literal {
         }
     }
 
+    /// The data as a typed [`Buf`](crate::kernels::Buf), whatever the dtype.
+    pub fn as_buf(&self) -> crate::kernels::Buf<'_> {
+        match &self.data {
+            Data::F32(v) => crate::kernels::Buf::F32(v),
+            Data::I32(v) => crate::kernels::Buf::I32(v),
+            Data::Pred(v) => crate::kernels::Buf::Pred(v),
+        }
+    }
+
+    /// The data as a mutable typed [`BufMut`](crate::kernels::BufMut)
+    /// (copy-on-write).
+    pub fn as_buf_mut(&mut self) -> crate::kernels::BufMut<'_> {
+        match &mut self.data {
+            Data::F32(v) => crate::kernels::BufMut::F32(Arc::make_mut(v).as_mut_slice()),
+            Data::I32(v) => crate::kernels::BufMut::I32(Arc::make_mut(v).as_mut_slice()),
+            Data::Pred(v) => crate::kernels::BufMut::Pred(Arc::make_mut(v).as_mut_slice()),
+        }
+    }
+
     /// Whether two literals alias the same underlying buffer (refcount
     /// sharing, not value equality). Used to verify copy-on-write
     /// behaviour in tests and to assert zero-copy transport.

@@ -79,7 +79,9 @@ mod stats;
 pub use collectives::{predict_traffic, AxisTraffic, TrafficPrediction};
 pub use fuse::fuse_collectives;
 pub use lower::lower;
-pub use plan::{CollWindow, CompiledPlan, PlanError, PlanExecutor, PlanOptions};
+pub use plan::{
+    CollWindow, CompiledPlan, PlanError, PlanExecutor, PlanOptions, GENERAL_STEP_EXCEPTIONS,
+};
 pub use program::SpmdProgram;
 pub use runtime::{
     seeded_faults, ChaosConfig, DeviceCounters, Fault, RunOutcome, RuntimeConfig, RuntimeError,

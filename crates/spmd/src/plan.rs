@@ -7,19 +7,38 @@
 //! performs that work exactly once:
 //!
 //! * every op is pre-resolved to a direct kernel call
-//!   ([`partir_ir::kernels`] matmul / transpose / broadcast / reduce
-//!   fast paths) with shapes, strides and staging permutations baked in;
+//!   ([`partir_ir::kernels`]: matmul / transpose / broadcast / reduce
+//!   fast paths, and the [`SliceKernel`]s the interpreters themselves run
+//!   for `compare` / `select` / `convert` / `pad` / index `gather` /
+//!   `scatter_add` / `arg_max`) with shapes, strides and staging
+//!   permutations baked in;
 //! * adjacent same-shape `f32` elementwise ops are fused into a single
 //!   register-machine loop body ([`Step::Eltwise`]), so chains like
 //!   `neg → exp → add` make one pass over memory;
 //! * buffer lifetimes are derived from the same liveness schedule as
 //!   [`partir_analysis::static_peak_bound`] (hierarchically per region,
 //!   so loop-carried storage is never reused across iterations) and each
-//!   intermediate gets a fixed slot in a per-device arena — the
-//!   steady-state loop performs **zero** heap allocations;
+//!   intermediate gets a fixed slot in a per-device arena;
 //! * collective schedules ([`crate::collectives`]) are wired ahead of
 //!   time per device: rendezvous partners, staging order and per-axis
 //!   chunking are all resolved at compile time.
+//!
+//! **What allocates.** After one warm-up run (which sizes the kernels'
+//! per-thread scratch pool), loading inputs and running the *local* steps
+//! of a plan performs zero heap allocations — provided
+//! [`CompiledPlan::general_steps`] is empty. That holds for every
+//! transformer, itransformer-serve (decode step) and GNS plan, and
+//! `tests/plan_alloc.rs` asserts it on the transformer training step and
+//! the decode step. Not covered: `Step::General`, the interpreter
+//! fallback, which lifts its operands into fresh [`Literal`]s on every
+//! execution ([`GENERAL_STEP_EXCEPTIONS`] names the op kinds the zoo still
+//! reaches that way); collective steps, which snapshot their operand
+//! into a `Literal` payload and receive fresh ones (messages own their
+//! data); `read_outputs`, which materialises results for the caller; and
+//! what the threaded runtime sets up around the plan on every run —
+//! channels and one thread per device. The arenas themselves are resident:
+//! the plan owns one [`PlanExecutor`] per device, allocated on the first
+//! run and reused by every later one.
 //!
 //! The compiler cross-checks its byte accounting against the analysis
 //! crate by replaying the liveness walk ([`PlanError::BoundMismatch`])
@@ -33,14 +52,14 @@
 //! unpartitioned reference), which the conformance suite asserts across
 //! the model zoo.
 
-use std::collections::{HashMap, HashSet};
+use std::collections::{BTreeMap, HashMap, HashSet};
 use std::fmt;
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
 use partir_analysis::plan::{Access, ForView, PlanView, StageView, StepView};
 use partir_analysis::Diagnostic;
 use partir_ir::interp::eval_op;
-use partir_ir::kernels::{self, DotPlan, ReducePlan};
+use partir_ir::kernels::{self, Buf, BufMut, DotPlan, ReducePlan, SliceKernel};
 use partir_ir::{
     BinaryOp, Collective, DType, Func, IrError, Literal, OpId, OpKind, TensorType, UnaryOp, ValueId,
 };
@@ -375,8 +394,52 @@ struct CollWaitStep {
     span: String,
 }
 
-/// Fallback for rare ops: lift slots to [`Literal`]s and evaluate via
-/// [`eval_op`]. Allocates — never used for the model-zoo hot path.
+/// A predicate or data-movement op (`compare`, `select`, `convert`,
+/// `pad`, index `gather`, `scatter_add`, `arg_max`) as the
+/// [`SliceKernel`] the interpreters run, planned once against the
+/// operand types and executed directly on arena ranges.
+#[derive(Debug, Clone)]
+struct KernelStep {
+    kernel: SliceKernel,
+    /// Operand slots, in the op's operand order (at most [`MAX_KERNEL_SRCS`]).
+    srcs: Vec<Slot>,
+    dst: Slot,
+    name: &'static str,
+}
+
+/// The op kinds (by [`OpKind::name`]) a plan of the model zoo may still
+/// run through `Step::General`, with the reason each has no native
+/// step yet. `partir-lint --plans --deny` fails a cell that falls back on
+/// any other kind; DESIGN §8 carries the per-cell counts.
+pub const GENERAL_STEP_EXCEPTIONS: &[(&str, &str)] = &[
+    (
+        "convolution",
+        "U-Net only; a direct loop nest over array indices, nothing allocated per element",
+    ),
+    ("conv_input_grad", "U-Net only; as convolution"),
+    ("conv_filter_grad", "U-Net only; as convolution"),
+    (
+        "dynamic_slice",
+        "itransformer `build_serving` loop; start offsets are runtime scalars, row copies inside",
+    ),
+    (
+        "dynamic_update_slice",
+        "itransformer `build_serving` loop; as dynamic_slice",
+    ),
+    (
+        "add",
+        "i32 only (f32 fuses): the position counters of the `build_serving` loop, a few elements",
+    ),
+];
+
+/// Operand count of the widest [`SliceKernel`] (`select`).
+const MAX_KERNEL_SRCS: usize = 3;
+
+/// Fallback for ops with no native step: lift the operand slots to
+/// [`Literal`]s, evaluate via [`eval_op`], write the results back.
+/// Allocates on every execution. [`GENERAL_STEP_EXCEPTIONS`] lists the op
+/// kinds the model zoo still reaches this way;
+/// [`CompiledPlan::general_steps`] counts them per plan.
 #[derive(Debug, Clone)]
 struct GeneralStep {
     kind: OpKind,
@@ -412,6 +475,7 @@ enum Step {
     For(Box<ForStep>),
     CollStart(Box<CollStartStep>),
     CollWait(Box<CollWaitStep>),
+    Kernel(Box<KernelStep>),
     General(Box<GeneralStep>),
 }
 
@@ -432,6 +496,7 @@ impl Step {
             Step::For(_) => "for",
             Step::CollStart(_) => "coll.start",
             Step::CollWait(_) => "coll.wait",
+            Step::Kernel(k) => k.name,
             Step::General(g) => g.name,
         }
     }
@@ -483,6 +548,30 @@ pub struct CompiledPlan {
     /// with `steps` (including through the overlap pass). Untouched by
     /// execution — zero steady-state cost.
     view: PlanView,
+    /// The plan's resident executors, parked here between runs (at most
+    /// one per device). The plan is the one object that outlives a call
+    /// on every path that runs it — the serving engine holds it across
+    /// decode steps, `execute_global_planned` builds a fresh runtime per
+    /// call — so the arenas live here and are freed when the plan drops.
+    parked: ExecutorPool,
+}
+
+/// Executors parked on a [`CompiledPlan`] between runs.
+#[derive(Default)]
+struct ExecutorPool(Mutex<Vec<PlanExecutor>>);
+
+impl ExecutorPool {
+    fn lock(&self) -> MutexGuard<'_, Vec<PlanExecutor>> {
+        // Only whole-element pushes and pops happen under the lock, so
+        // the vector is valid even if a holder panicked.
+        self.0.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+}
+
+impl fmt::Debug for ExecutorPool {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(f, "ExecutorPool({} parked)", self.lock().len())
+    }
 }
 
 impl CompiledPlan {
@@ -617,6 +706,7 @@ impl CompiledPlan {
             windows,
             overlapped: options.overlap,
             view,
+            parked: ExecutorPool::default(),
         })
     }
 
@@ -648,6 +738,25 @@ impl CompiledPlan {
     /// Static collective steps in the plan (loop bodies counted once).
     pub fn num_collectives(&self) -> usize {
         self.num_colls
+    }
+
+    /// Interpreter-fallback steps by op kind, loop bodies
+    /// counted once. Empty means the whole plan runs as native steps on
+    /// arena slices: nothing is lifted into a [`Literal`] outside the
+    /// collectives, and the steady-state loop is allocation-free.
+    pub fn general_steps(&self) -> BTreeMap<&'static str, usize> {
+        fn count(steps: &[Step], hist: &mut BTreeMap<&'static str, usize>) {
+            for step in steps {
+                match step {
+                    Step::General(g) => *hist.entry(g.name).or_default() += 1,
+                    Step::For(f) => count(&f.body, hist),
+                    _ => {}
+                }
+            }
+        }
+        let mut hist = BTreeMap::new();
+        count(&self.steps, &mut hist);
+        hist
     }
 
     /// Whether the plan was compiled with overlap scheduling
@@ -696,9 +805,58 @@ impl CompiledPlan {
         per_step * (self.dynamic_steps().clamp(1, u32::MAX as u64) as u32)
     }
 
-    /// Fresh executor state (arena pools + carry scratch) for this plan.
+    /// Fresh executor state (arena pools + carry scratch) for this plan,
+    /// owned by the caller — for single-device use through
+    /// [`CompiledPlan::load_inputs`] / [`CompiledPlan::run_local_steps`].
+    /// The threaded runtime uses the plan's resident executors instead.
     pub fn new_executor(&self) -> PlanExecutor {
         PlanExecutor::new(self)
+    }
+
+    /// Checks out one executor per device for a run: the parked ones
+    /// first, the missing ones allocated here — on the calling thread,
+    /// in device order, so device threads never allocate or zero an
+    /// arena. A reused executor's in-flight collective table is cleared:
+    /// a run that failed between a start and its wait leaves entries
+    /// behind. Arena contents are *not* cleared; every step writes a
+    /// range before anything reads it (the plan verifier's dataflow
+    /// check, and `tests/residency.rs` over garbage-filled arenas).
+    ///
+    /// Concurrent runs of one plan never wait on each other: each takes
+    /// what is parked at that moment and allocates the rest.
+    pub(crate) fn checkout_executors(&self) -> Vec<PlanExecutor> {
+        let mut executors = std::mem::take(&mut *self.parked.lock());
+        for st in &mut executors {
+            st.pending.fill_with(|| None);
+        }
+        executors.resize_with(self.num_devices, || PlanExecutor::new(self));
+        executors
+    }
+
+    /// Parks a run's executors for the next one, on success and on error
+    /// alike. At most one per device stays resident; what concurrent
+    /// runs allocated beyond that is freed here.
+    pub(crate) fn park_executors(&self, executors: Vec<PlanExecutor>) {
+        let mut parked = self.parked.lock();
+        parked.extend(executors);
+        parked.truncate(self.num_devices);
+    }
+
+    /// Test hook: overwrites every pool and carry buffer of the parked
+    /// executors with garbage (NaN / `i32::MIN` / `true`) and returns how
+    /// many are parked. The next run must not notice.
+    #[doc(hidden)]
+    pub fn scribble_parked_executors(&self) -> usize {
+        let mut parked = self.parked.lock();
+        for st in parked.iter_mut() {
+            st.f32s.fill(f32::NAN);
+            st.carry_f32s.fill(f32::NAN);
+            st.i32s.fill(i32::MIN);
+            st.carry_i32s.fill(i32::MIN);
+            st.preds.fill(true);
+            st.carry_preds.fill(true);
+        }
+        parked.len()
     }
 
     /// Type-checks `inputs` and copies them into the executor's arena.
@@ -736,7 +894,7 @@ impl CompiledPlan {
     /// Runs the compiled steps without a communication fabric — the
     /// steady-state hot loop. Heap-allocation-free after the first run
     /// warms the kernel scratch pool, provided the program contains no
-    /// collective exchanges or [`Step::General`] fallbacks.
+    /// collective exchanges and [`CompiledPlan::general_steps`] is empty.
     ///
     /// # Errors
     ///
@@ -1430,7 +1588,39 @@ impl<'f> Compiler<'f> {
                     },
                 );
             }
-            _ => self.emit_general(op_id, out, scope)?,
+            // Whatever `ir::kernels` defines as a slice kernel runs
+            // natively; ops it does not define, and operand types it has
+            // no semantics for, fall back — so the runtime error stays
+            // the interpreter's.
+            kind => {
+                let tys: Vec<TensorType> = op
+                    .operands
+                    .iter()
+                    .map(|&o| self.func.value_type(o).clone())
+                    .collect();
+                match SliceKernel::plan(kind, &tys) {
+                    Ok((kernel, _)) => {
+                        let srcs = op
+                            .operands
+                            .iter()
+                            .map(|&o| self.slot_of(o))
+                            .collect::<Result<_, _>>()?;
+                        let dst = self.alloc_value(op.results[0]);
+                        scope.add(op.results[0]);
+                        let view = self.op_view(op_id)?;
+                        out.push(
+                            Step::Kernel(Box::new(KernelStep {
+                                kernel,
+                                srcs,
+                                dst,
+                                name,
+                            })),
+                            view,
+                        );
+                    }
+                    Err(_) => self.emit_general(op_id, out, scope)?,
+                }
+            }
         }
         Ok(())
     }
@@ -1693,6 +1883,10 @@ fn step_effects(step: &Step, reads: &mut Vec<Slot>, writes: &mut Vec<Slot>) {
         }
         Step::CollStart(c) => reads.push(c.src),
         Step::CollWait(c) => writes.push(c.dst),
+        Step::Kernel(k) => {
+            reads.extend_from_slice(&k.srcs);
+            writes.push(k.dst);
+        }
         Step::General(g) => {
             for &(s, _) in &g.operands {
                 reads.push(s);
@@ -1832,7 +2026,9 @@ fn baked_data(lit: &Literal) -> Result<BakedData, PlanError> {
 
 /// Mutable per-device execution state: the typed arena pools, the
 /// carry-staging scratch, and the in-flight collective table. Allocated
-/// once per device; every run reuses it.
+/// once per device; every run reuses it — the threaded runtime checks
+/// the plan's resident executors out and parks them again after the
+/// join.
 pub struct PlanExecutor {
     f32s: Vec<f32>,
     i32s: Vec<i32>,
@@ -1932,6 +2128,74 @@ fn split2<T>(pool: &mut [T], r1: Slot, r2: Slot, w: Slot) -> (&[T], &[T], &mut [
         read_part(left, right, w.off, w_end, r2),
         wslice,
     )
+}
+
+/// One arena pool as a [`KernelStep`] reads it: split around the
+/// destination range when the pool holds it, whole otherwise.
+struct PoolView<'a, T> {
+    left: &'a [T],
+    right: &'a [T],
+    /// `[start, end)` of the range carved out for writing (empty, at the
+    /// pool's end, when the destination lives in another pool).
+    hole: (usize, usize),
+}
+
+impl<'a, T> PoolView<'a, T> {
+    /// Opens `pool` for a step writing `dst`: the read view, and the
+    /// write range when `pool` is `dst`'s (`dtype`) pool.
+    fn open(pool: &'a mut [T], dtype: DType, dst: Slot) -> (Self, Option<&'a mut [T]>) {
+        if dst.dtype != dtype {
+            let hole = (pool.len(), pool.len());
+            let view = PoolView {
+                left: pool,
+                right: &[],
+                hole,
+            };
+            return (view, None);
+        }
+        let (left, rest) = pool.split_at_mut(dst.off);
+        let (write, right) = rest.split_at_mut(dst.len);
+        let view = PoolView {
+            left,
+            right,
+            hole: (dst.off, dst.off + dst.len),
+        };
+        (view, Some(write))
+    }
+
+    /// The slot's elements; panics if it overlaps the write range.
+    fn read(&self, s: Slot) -> &'a [T] {
+        read_part(self.left, self.right, self.hole.0, self.hole.1, s)
+    }
+}
+
+/// Resolves a [`KernelStep`]'s slots to typed arena slices: the
+/// destination mutably, the sources immutably (they may alias each
+/// other, never the destination). Unused source entries stay empty.
+fn kernel_bufs<'a>(
+    st: &'a mut PlanExecutor,
+    srcs: &[Slot],
+    dst: Slot,
+) -> ([Buf<'a>; MAX_KERNEL_SRCS], BufMut<'a>) {
+    let (f32s, f32_w) = PoolView::open(&mut st.f32s, DType::F32, dst);
+    let (i32s, i32_w) = PoolView::open(&mut st.i32s, DType::I32, dst);
+    let (preds, pred_w) = PoolView::open(&mut st.preds, DType::Pred, dst);
+    let mut bufs = [Buf::Pred(&[]); MAX_KERNEL_SRCS];
+    for (buf, &s) in bufs.iter_mut().zip(srcs) {
+        *buf = match s.dtype {
+            DType::F32 => Buf::F32(f32s.read(s)),
+            DType::I32 => Buf::I32(i32s.read(s)),
+            DType::Pred => Buf::Pred(preds.read(s)),
+            dt => unreachable!("plan: unsupported dtype {dt}"),
+        };
+    }
+    let out = match (f32_w, i32_w, pred_w) {
+        (Some(w), _, _) => BufMut::F32(w),
+        (_, Some(w), _) => BufMut::I32(w),
+        (_, _, Some(w)) => BufMut::Pred(w),
+        _ => unreachable!("plan: unsupported dtype {}", dst.dtype),
+    };
+    (bufs, out)
 }
 
 /// Elements per register block of the fused-elementwise machine. The
@@ -2225,6 +2489,12 @@ fn run_steps<E: Exchange>(
                 let out = wait_scheduled(&cw.kind, ex, &cw.scheds[ex.device()], cw.tag, pending)?;
                 write_slot(st, &cw.dst, &out)?;
             }
+            Step::Kernel(k) => {
+                let (srcs, dst) = kernel_bufs(st, &k.srcs, k.dst);
+                k.kernel
+                    .run(&srcs[..k.srcs.len()], dst)
+                    .map_err(RuntimeError::Ir)?;
+            }
             Step::General(g) => {
                 let operands: Vec<Literal> = g
                     .operands
@@ -2294,6 +2564,72 @@ mod tests {
         let got = plan.execute_local(std::slice::from_ref(&input)).unwrap();
         let want = crate::interp::run_devices(&f, &mesh, &[vec![input]]).unwrap();
         assert_eq!(got[0].as_f32().unwrap(), want[0][0].as_f32().unwrap());
+    }
+
+    /// Every slice-kernel op compiles to a native step (no interpreter
+    /// fallback), across pools and with operands sharing the
+    /// destination's pool, and matches op-by-op interpretation exactly.
+    #[test]
+    fn kernel_steps_match_interpreter_without_fallback() {
+        use partir_ir::CompareDir;
+        let mut b = FuncBuilder::new("f");
+        let x = b.param("x", TensorType::f32([4, 6]));
+        let ids = b.param("ids", TensorType::i32([5]));
+        let zero = b.const_f32(0.0).unwrap();
+        let padded = b.pad(x, zero, vec![1, -1], vec![0, 2]).unwrap(); // [5, 7]
+        let rows = b.gather(padded, ids, 0).unwrap(); // [5, 7]
+        let back = b.scatter_add(rows, ids, 0, 4).unwrap(); // [4, 7]
+        let best = b.argmax(back, 1).unwrap(); // i32 [4]
+        let bestf = b.convert(best, DType::F32).unwrap();
+        let row0 = b.slice(x, vec![0, 0], vec![1, 4]).unwrap();
+        let row0 = b.reshape(row0, [4]).unwrap();
+        let gt = b.compare(CompareDir::Gt, bestf, row0).unwrap(); // pred [4]
+        let picked = b.select(gt, bestf, row0).unwrap();
+        let flags = b.convert(gt, DType::I32).unwrap();
+        let same = b.compare(CompareDir::Eq, gt, gt).unwrap(); // pred → pred
+        let f = b.build([picked, flags, same, back]).unwrap();
+        let mesh = single_mesh();
+        let plan = CompiledPlan::compile(&f, &mesh, &PlanOptions::default()).unwrap();
+        assert!(
+            plan.general_steps().is_empty(),
+            "{:?}",
+            plan.general_steps()
+        );
+        let inputs = vec![
+            Literal::from_f32((0..24).map(|i| (i * 7 % 11) as f32 - 3.0).collect(), [4, 6])
+                .unwrap(),
+            Literal::from_i32(vec![3, -2, 0, 9, 3], [5]).unwrap(),
+        ];
+        // Two runs over one arena: kernels must not depend on what the
+        // previous run left in their destination ranges.
+        let mut st = plan.new_executor();
+        for _ in 0..2 {
+            plan.load_inputs(&mut st, &inputs).unwrap();
+            plan.run_local_steps(&mut st).unwrap();
+            let got = plan.read_outputs(&st).unwrap();
+            let want = partir_ir::interp::interpret(&f, &inputs).unwrap();
+            assert_eq!(got, want);
+        }
+    }
+
+    /// An op with no native step is counted by kind, loop bodies once.
+    #[test]
+    fn general_steps_counts_fallbacks_through_loops() {
+        let mut b = FuncBuilder::new("f");
+        let x = b.param("x", TensorType::f32([4]));
+        let i0 = b.const_i32(0).unwrap();
+        let head = b.dynamic_slice(x, &[i0], vec![2]).unwrap();
+        let out = b
+            .for_loop(3, &[x], |inner, i, c| {
+                Ok(vec![inner.dynamic_update_slice(c[0], head, &[i])?])
+            })
+            .unwrap();
+        let f = b.build(out).unwrap();
+        let plan = CompiledPlan::compile(&f, &single_mesh(), &PlanOptions::default()).unwrap();
+        let hist = plan.general_steps();
+        assert_eq!(hist.get("dynamic_slice"), Some(&1));
+        assert_eq!(hist.get("dynamic_update_slice"), Some(&1));
+        assert_eq!(hist.len(), 2);
     }
 
     #[test]

@@ -171,15 +171,7 @@ impl SpmdProgram {
         config: &RuntimeConfig,
     ) -> Result<(Vec<Literal>, RuntimeStats), RuntimeError> {
         let _span = partir_obs::span!("runtime.execute");
-        let n = self.mesh.num_devices();
-        let mut per_device: Vec<Vec<Literal>> = Vec::with_capacity(n);
-        for device in 0..n {
-            let mut dev_inputs = Vec::with_capacity(inputs.len());
-            for (lit, ctx) in inputs.iter().zip(&self.input_ctxs) {
-                dev_inputs.push(shard_value(lit, ctx, &self.mesh, device)?);
-            }
-            per_device.push(dev_inputs);
-        }
+        let per_device = self.shard_inputs(inputs)?;
         let outcome = ThreadedRuntime::new(config.clone()).run_plan(plan, &per_device)?;
         let mut global = Vec::with_capacity(self.output_ctxs.len());
         for (i, ctx) in self.output_ctxs.iter().enumerate() {
@@ -187,6 +179,24 @@ impl SpmdProgram {
             global.push(unshard_value(&shards, ctx, &self.mesh)?);
         }
         Ok((global, outcome.stats))
+    }
+
+    /// Shards every global input: `result[d]` are device `d`'s local
+    /// inputs, as [`crate::ThreadedRuntime::run_plan`] takes them.
+    ///
+    /// # Errors
+    ///
+    /// Fails if an input mismatches its global type.
+    pub fn shard_inputs(&self, inputs: &[Literal]) -> Result<Vec<Vec<Literal>>, IrError> {
+        (0..self.mesh.num_devices())
+            .map(|device| {
+                inputs
+                    .iter()
+                    .zip(&self.input_ctxs)
+                    .map(|(lit, ctx)| shard_value(lit, ctx, &self.mesh, device))
+                    .collect()
+            })
+            .collect()
     }
 
     /// Shards one global input into its per-device fragments, per that

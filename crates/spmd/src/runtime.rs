@@ -807,12 +807,18 @@ impl ThreadedRuntime {
         // each worker under a per-device track, so one run produces one
         // multi-track timeline (`device0`, `device1`, ...).
         let collector = partir_obs::current();
+        // The arenas are resident on the plan: checked out (and, the
+        // first time, allocated) here on the calling thread, one lent to
+        // each device thread, parked again after the join whatever the
+        // outcome.
+        let mut executors = plan.checkout_executors();
         let results: Vec<DeviceResult> = std::thread::scope(|scope| {
             let handles: Vec<_> = txs
                 .into_iter()
                 .zip(rxs)
+                .zip(&mut executors)
                 .enumerate()
-                .map(|(d, (tx_row, rx_row))| {
+                .map(|(d, ((tx_row, rx_row), state))| {
                     let my_inputs = inputs[d].clone();
                     let stall = stall_ms[d];
                     let corrupt = corrupt_at[d];
@@ -841,8 +847,7 @@ impl ThreadedRuntime {
                                 traced: partir_obs::current().is_some(),
                                 stats: DeviceCounters::default(),
                             };
-                            let mut state = plan.new_executor();
-                            let outputs = plan.run_device(&mut links, &mut state, &my_inputs)?;
+                            let outputs = plan.run_device(&mut links, state, &my_inputs)?;
                             Ok((outputs, links.stats))
                         };
                         match &collector {
@@ -861,6 +866,7 @@ impl ThreadedRuntime {
                 })
                 .collect()
         });
+        plan.park_executors(executors);
 
         if let Some(err) = results
             .iter()
