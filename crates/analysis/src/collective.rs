@@ -50,13 +50,10 @@ pub struct CollectiveEvent {
 }
 
 impl CollectiveEvent {
-    /// Whether two events rendezvous successfully (everything but the
-    /// issue site must agree).
-    fn matches(&self, other: &CollectiveEvent) -> bool {
-        self.mnemonic == other.mnemonic
-            && self.axes == other.axes
-            && self.reduce == other.reduce
-            && self.elements == other.elements
+    /// What two events must agree on to rendezvous: everything but the
+    /// issue site.
+    fn identity(&self) -> (&'static str, &[Axis], Option<ReduceOp>, usize) {
+        (self.mnemonic, &self.axes, self.reduce, self.elements)
     }
 
     fn describe(&self) -> String {
@@ -171,7 +168,7 @@ fn first_divergence(a: &[Event], b: &[Event]) -> Option<String> {
                 return Some("a loop of collectives has no counterpart".to_string())
             }
             (Some(Event::Collective(x)), Some(Event::Collective(y))) => {
-                if !x.matches(y) {
+                if x.identity() != y.identity() {
                     return Some(format!("{} vs {}", x.describe(), y.describe()));
                 }
             }
@@ -342,54 +339,64 @@ fn per_axis_mismatches(traces: &[Vec<Event>], mesh: &Mesh) -> Vec<Diagnostic> {
     diags
 }
 
-/// Abstractly executes the rendezvous system: a collective completes
-/// when it is at the head of every participant's trace and all heads
-/// agree. Blocking rendezvous is monotone (completing an enabled
-/// collective never disables another), so greedy completion is a sound
-/// *and* complete deadlock check: the traces drain fully iff no
-/// schedule deadlocks.
-fn rendezvous_deadlock(queues: &mut [Vec<CollectiveEvent>], mesh: &Mesh) -> Option<String> {
-    let mut cursor = vec![0usize; queues.len()];
+/// Greedy completion of a blocking-rendezvous system. `head(d, c)` is
+/// what device `d` blocks on at position `c` of its trace — the group
+/// that must show up and a key every member's head must equal — or
+/// `None` once `d` has drained. An event completes when it is at the
+/// head of every member of its group; completing an enabled event never
+/// disables another (the system is monotone), so greedy completion is a
+/// sound *and* complete deadlock check: the returned cursors reach the
+/// end of every trace iff no schedule deadlocks.
+pub(crate) fn drain<G: AsRef<[usize]>, K: PartialEq>(
+    num_devices: usize,
+    head: impl Fn(usize, usize) -> Option<(G, K)>,
+) -> Vec<usize> {
+    let mut cursor = vec![0usize; num_devices];
     loop {
         let mut progressed = false;
-        for d in 0..queues.len() {
-            let Some(head) = queues[d].get(cursor[d]) else {
+        for d in 0..num_devices {
+            let Some((group, key)) = head(d, cursor[d]) else {
                 continue;
             };
-            let group = mesh
-                .collective_groups(&head.axes)
-                .ok()?
-                .into_iter()
-                .find(|g| g.contains(&d))
-                .expect("every device is in some group");
-            let enabled = group.iter().all(|&peer| {
-                queues[peer]
-                    .get(cursor[peer])
-                    .is_some_and(|h| h.matches(head))
-            });
+            let group = group.as_ref();
+            let enabled = group
+                .iter()
+                .all(|&peer| head(peer, cursor[peer]).is_some_and(|(_, k)| k == key));
             if enabled {
-                for &peer in &group {
+                for &peer in group {
                     cursor[peer] += 1;
                 }
                 progressed = true;
             }
         }
         if !progressed {
-            let blocked: Vec<String> = queues
-                .iter()
-                .zip(&cursor)
-                .enumerate()
-                .filter_map(|(d, (q, &c))| {
-                    q.get(c)
-                        .map(|h| format!("device {d} blocked at {}", h.describe()))
-                })
-                .collect();
-            if blocked.is_empty() {
-                return None; // all traces drained: deadlock-free
-            }
-            return Some(blocked.join("; "));
+            return cursor;
         }
     }
+}
+
+/// Abstractly executes the rendezvous system over IR-level traces
+/// ([`drain`]); `Some(who is stuck where)` when it wedges.
+fn rendezvous_deadlock(queues: &[Vec<CollectiveEvent>], mesh: &Mesh) -> Option<String> {
+    let cursor = drain(queues.len(), |d, c| {
+        let head = queues[d].get(c)?;
+        let group = mesh
+            .collective_groups(&head.axes)
+            .ok()?
+            .into_iter()
+            .find(|g| g.contains(&d))?;
+        Some((group, head.identity()))
+    });
+    let blocked: Vec<String> = queues
+        .iter()
+        .zip(&cursor)
+        .enumerate()
+        .filter_map(|(d, (q, &c))| {
+            q.get(c)
+                .map(|h| format!("device {d} blocked at {}", h.describe()))
+        })
+        .collect();
+    (!blocked.is_empty()).then(|| blocked.join("; "))
 }
 
 /// Upper bound on unrolled trace length before the checker falls back
@@ -428,8 +435,8 @@ pub fn check_device_traces(traces: &[Vec<Event>], mesh: &Mesh) -> Vec<Diagnostic
     let flat: Option<Vec<Vec<CollectiveEvent>>> =
         traces.iter().map(|t| flatten(t, UNROLL_CAP)).collect();
     match flat {
-        Some(mut queues) => {
-            if let Some(blocked) = rendezvous_deadlock(&mut queues, mesh) {
+        Some(queues) => {
+            if let Some(blocked) = rendezvous_deadlock(&queues, mesh) {
                 if diags.is_empty() {
                     diags.push(Diagnostic::new(
                         Severity::Error,

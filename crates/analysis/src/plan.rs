@@ -828,9 +828,9 @@ struct Rendezvous {
 /// any stage sitting at the head of all of its members' queues.
 /// Completing an enabled stage never disables another (monotonicity),
 /// so the greedy drain empties the queues iff some global order of the
-/// rendezvous edges exists — the same argument as the IR-level
-/// [`crate::collective`] drain, applied after the overlap pass has
-/// reordered the waits.
+/// rendezvous edges exists — [`crate::collective::drain`], the drain the
+/// IR-level check runs, applied after the overlap pass has reordered the
+/// waits.
 fn check_rendezvous(view: &PlanView, diags: &mut Vec<Diagnostic>) {
     let mut sites: Vec<(u32, Arc<Vec<Vec<StageView>>>)> = Vec::new();
     collect_wait_sites(&view.steps, &mut sites);
@@ -911,7 +911,7 @@ fn check_rendezvous(view: &PlanView, diags: &mut Vec<Diagnostic>) {
 
     // Flatten each device's blocking trace through the loops.
     let mut trace: Vec<Rendezvous> = Vec::new();
-    let truncated = flatten_waits(&view.steps, 1, &mut trace);
+    let truncated = flatten_waits(&view.steps, &mut trace);
     if truncated {
         diags.push(Diagnostic::new(
             Severity::Warning,
@@ -927,65 +927,29 @@ fn check_rendezvous(view: &PlanView, diags: &mut Vec<Diagnostic>) {
         sites.iter().map(|(t, s)| (*t, s)).collect();
 
     // Per-device queues over the shared trace: device d blocks on the
-    // stages of its own schedule, in its own order.
-    let queues: Vec<Vec<&StageView>> = (0..view.num_devices)
+    // stages of its own schedule, in its own order. `trace` enumerates
+    // (tag, stage index); a device skips stages its schedule doesn't
+    // have (size-1 axes are dropped uniformly, so in a well-formed plan
+    // this never diverges; asymmetric counts were flagged above).
+    let queues: Vec<Vec<(u32, &StageView)>> = (0..view.num_devices)
         .map(|d| {
             trace
                 .iter()
-                .filter_map(|r| scheds.get(&r.tag).and_then(|s| s[d].get(r.stage)))
+                .filter_map(|r| Some((r.tag, scheds.get(&r.tag)?[d].get(r.stage)?)))
                 .collect()
         })
         .collect();
-    // `trace` enumerates (tag, stage index); a device skips stages its
-    // schedule doesn't have (size-1 axes are dropped uniformly, so in a
-    // well-formed plan this never diverges; asymmetric counts were
-    // flagged above).
-    let tags: Vec<Vec<u32>> = (0..view.num_devices)
-        .map(|d| {
-            trace
-                .iter()
-                .filter(|r| {
-                    scheds
-                        .get(&r.tag)
-                        .is_some_and(|s| s[d].get(r.stage).is_some())
-                })
-                .map(|r| r.tag)
-                .collect()
-        })
-        .collect();
-
-    let mut cursor = vec![0usize; view.num_devices];
-    loop {
-        let mut progressed = false;
-        for d in 0..view.num_devices {
-            let Some(stage) = queues[d].get(cursor[d]) else {
-                continue;
-            };
-            let tag = tags[d][cursor[d]];
-            let enabled = stage.group.iter().all(|&e| {
-                queues[e]
-                    .get(cursor[e])
-                    .is_some_and(|s| tags[e][cursor[e]] == tag && *s == *stage)
-            });
-            if enabled {
-                for &e in &stage.group {
-                    cursor[e] += 1;
-                }
-                progressed = true;
-            }
-        }
-        if !progressed {
-            break;
-        }
-    }
+    let cursor = crate::collective::drain(view.num_devices, |d, c| {
+        let &(tag, stage) = queues[d].get(c)?;
+        Some((&stage.group, (tag, stage)))
+    });
     let blocked: Vec<String> = (0..view.num_devices)
-        .filter(|&d| cursor[d] < queues[d].len())
-        .map(|d| {
-            let s = queues[d][cursor[d]];
-            format!(
-                "device {d} blocked on tag {} axis \"{}\" group {:?}",
-                tags[d][cursor[d]], s.axis, s.group
-            )
+        .filter_map(|d| {
+            let (tag, s) = queues[d].get(cursor[d])?;
+            Some(format!(
+                "device {d} blocked on tag {tag} axis \"{}\" group {:?}",
+                s.axis, s.group
+            ))
         })
         .collect();
     if !blocked.is_empty() {
@@ -1011,17 +975,15 @@ fn collect_wait_sites(steps: &[StepView], sites: &mut Vec<(u32, Arc<Vec<Vec<Stag
 /// `Rendezvous` per stage index — stage counts per tag are uniform
 /// across devices up to dropped size-1 axes, handled by the caller).
 /// Returns `true` when the trace exceeds [`UNROLL_CAP`].
-fn flatten_waits(steps: &[StepView], mult: usize, out: &mut Vec<Rendezvous>) -> bool {
+fn flatten_waits(steps: &[StepView], out: &mut Vec<Rendezvous>) -> bool {
     for step in steps {
         match step {
             StepView::CollWait { tag, stages, .. } => {
                 let max_stages = stages.iter().map(Vec::len).max().unwrap_or(0);
-                for _ in 0..mult {
-                    for stage in 0..max_stages {
-                        out.push(Rendezvous { tag: *tag, stage });
-                        if out.len() > UNROLL_CAP {
-                            return true;
-                        }
+                for stage in 0..max_stages {
+                    out.push(Rendezvous { tag: *tag, stage });
+                    if out.len() > UNROLL_CAP {
+                        return true;
                     }
                 }
             }
@@ -1030,7 +992,7 @@ fn flatten_waits(steps: &[StepView], mult: usize, out: &mut Vec<Rendezvous>) -> 
                 // expand the body once per iteration so inter-tag
                 // order inside the loop is preserved.
                 let mut body = Vec::new();
-                if flatten_waits(&l.body, mult, &mut body) {
+                if flatten_waits(&l.body, &mut body) {
                     return true;
                 }
                 for _ in 0..l.trip_count {

@@ -38,7 +38,7 @@ pub use adam::{adam_update, AdamConfig};
 
 use std::collections::HashMap;
 
-use partir_ir::{FuncBuilder, IrError, Literal, OpKind, ValueId};
+use partir_ir::{FuncBuilder, IrError, Literal, ValueId};
 
 /// Appends the reverse-mode backward pass for scalar `loss` to `b` and
 /// returns `d loss / d v` for each value in `wrt` (zeros when a value does
@@ -112,9 +112,4 @@ pub fn backward(
             }
         })
         .collect()
-}
-
-/// Whether [`backward`] has a differentiation rule for `kind`.
-pub fn is_differentiable(kind: &OpKind) -> bool {
-    vjp::has_rule(kind)
 }

@@ -9,24 +9,12 @@ use partir_ir::{
     BinaryOp, CompareDir, DotDims, FuncBuilder, IrError, Literal, OpKind, UnaryOp, ValueId,
 };
 
-/// Whether a VJP rule exists for `kind`.
-pub fn has_rule(kind: &OpKind) -> bool {
-    !matches!(
-        kind,
-        OpKind::For { .. }
-            | OpKind::Collective(_)
-            | OpKind::DynamicSlice { .. }
-            | OpKind::DynamicUpdateSlice
-            | OpKind::ConvInputGrad { .. }
-            | OpKind::ConvFilterGrad { .. }
-    )
-}
-
 /// Emits the VJP of one op; returns one optional cotangent per operand.
 ///
 /// # Errors
 ///
-/// Fails for ops without rules ([`has_rule`] is false) and for a few
+/// Fails for ops without rules (`for`, collectives, the dynamic slices,
+/// the convolution gradients) and for a few
 /// attribute combinations the model zoo never produces (documented on
 /// each arm).
 pub fn vjp(

@@ -15,7 +15,7 @@ use std::time::Instant;
 
 use partir_core::Partitioning;
 use partir_ir::interp::eval_op;
-use partir_ir::{reference, CompareDir, Literal, OpKind, TensorType};
+use partir_ir::{reference, CompareDir, Literal, OpKind};
 use partir_mesh::{HardwareConfig, Mesh};
 use partir_models::schedules::{self, BATCH, MODEL};
 use partir_models::transformer::TransformerConfig;
@@ -110,19 +110,17 @@ fn bench_tmr_queries() {
 /// 2×2): `old` is the index walk kept in `ir::reference`, `new` is
 /// `eval_op`, i.e. result allocation plus the slice kernel a compiled
 /// plan runs in place. (`select` was a linear zip in the interpreter
-/// already — its cost in a plan was the fallback's lift into `Literal`s —
+/// already — its cost in a plan was the old fallback's lift into `Literal`s —
 /// so its `old` row is the oracle, not what the interpreter used to run.)
 fn bench_slice_kernels() {
     let ramp = |dims: &[usize]| -> Literal {
         let n: usize = dims.iter().product();
         Literal::from_f32((0..n).map(|i| (i % 97) as f32).collect(), dims.to_vec()).unwrap()
     };
-    // Any type: `eval_op` reads its result type only to word an error.
-    let ty = TensorType::f32([1]);
     let pair = |name: &str, old: &dyn Fn() -> Literal, kind: OpKind, operands: &[&Literal]| {
         bench(&format!("{name} old"), 2, 20, old);
         bench(&format!("{name} new"), 2, 20, || {
-            eval_op(&kind, operands, &ty).unwrap()
+            eval_op(&kind, operands).unwrap()
         });
     };
 

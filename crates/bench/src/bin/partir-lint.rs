@@ -10,14 +10,13 @@
 //!   mesh; the propagated partitioning and the lowered device program
 //!   (plus its fused form) are linted. `--smoke` trims the sweep for CI.
 //! * `partir-lint --plans [--smoke]` — compile every zoo model ×
-//!   schedule on the 1×2/2×2/4×2 mesh ladder into a [`CompiledPlan`]
+//!   schedule on the 1×2/2×2/4×2 mesh ladder into a [`partir_spmd::CompiledPlan`]
 //!   (both overlapped and blocking) and run the plan-level translation
 //!   validator ([`partir_analysis::plan`]): happens-before races,
 //!   arena-lifetime disjointness, and cross-device rendezvous
-//!   linearisation. Each cell also prints its interpreter-fallback
-//!   histogram ([`CompiledPlan::general_steps`]); under `--deny` a
-//!   cell fails on any kind outside [`GENERAL_STEP_EXCEPTIONS`] (which
-//!   leaves the transformer, itransformer-serve and GNS cells none).
+//!   linearisation. A cell whose program holds an op the plan compiler
+//!   refuses (no kernel for the op or its operand dtype) fails with
+//!   `error[plan]`.
 //!
 //! Prints every diagnostic (severity, rule, op path, message), worst
 //! first. By default the exit code is non-zero iff any
@@ -40,7 +39,7 @@ use partir_models::{
     unet::UNetConfig,
 };
 use partir_sched::{partir_jit, Schedule};
-use partir_spmd::{CompiledPlan, PlanOptions, GENERAL_STEP_EXCEPTIONS};
+use partir_spmd::PlanOptions;
 
 fn parse_mesh(spec: &str) -> Mesh {
     let axes: Vec<(String, usize)> = spec
@@ -211,35 +210,10 @@ fn lint_zoo(smoke: bool, deny: Severity) -> usize {
     denied
 }
 
-/// Prints a plan's interpreter-fallback histogram
-/// ([`CompiledPlan::general_steps`]) under its cell line. With `gate`,
-/// returns how many kinds it falls back on outside
-/// [`GENERAL_STEP_EXCEPTIONS`].
-fn report_general_steps(plan: &CompiledPlan, gate: bool) -> usize {
-    let hist = plan.general_steps();
-    if hist.is_empty() {
-        println!("      general steps: none");
-        return 0;
-    }
-    let listed: Vec<String> = hist.iter().map(|(k, n)| format!("{k} {n}")).collect();
-    println!("      general steps: {}", listed.join(", "));
-    if !gate {
-        return 0;
-    }
-    let mut denied = 0;
-    for kind in hist.keys() {
-        if !GENERAL_STEP_EXCEPTIONS.iter().any(|(k, _)| k == kind) {
-            println!("      error[plan-general-step] `{kind}` runs through the interpreter fallback and is not in GENERAL_STEP_EXCEPTIONS");
-            denied += 1;
-        }
-    }
-    denied
-}
-
 /// The `--plans` sweep: every zoo model × schedule on the conformance
 /// mesh ladder (1×2, 2×2, 4×2), compiled both overlapped and blocking,
 /// pushed through the plan-level translation validator.
-fn lint_plans(smoke: bool, deny: Severity, gate_general: bool) -> usize {
+fn lint_plans(smoke: bool, deny: Severity) -> usize {
     let meshes: Vec<Mesh> = [1usize, 2, 4]
         .into_iter()
         .map(|b| Mesh::new([(BATCH, b), (MODEL, 2)]).expect("mesh"))
@@ -318,7 +292,6 @@ fn lint_plans(smoke: bool, deny: Severity, gate_general: bool) -> usize {
                                 &plan.verify(),
                                 deny,
                             );
-                            denied += report_general_steps(&plan, gate_general);
                         }
                         Err(e) => {
                             println!("check {label} (plan {opt_label})\n      error[plan] {e}");
@@ -338,7 +311,6 @@ fn main() -> ExitCode {
     let mut smoke = false;
     let mut plans = false;
     let mut deny = Severity::Error;
-    let mut gate_general = false;
     let raw: Vec<String> = std::env::args().skip(1).collect();
     let mut i = 0;
     while i < raw.len() {
@@ -350,7 +322,6 @@ fn main() -> ExitCode {
                 mesh_spec = raw.get(i).expect("--mesh needs a value").clone();
             }
             "--deny" => {
-                gate_general = true;
                 // Optional value: bare `--deny` fails on any diagnostic.
                 deny = match raw.get(i + 1).map(String::as_str) {
                     Some("info") => {
@@ -381,7 +352,7 @@ fn main() -> ExitCode {
     }
 
     let denied = if plans {
-        lint_plans(smoke, deny, gate_general)
+        lint_plans(smoke, deny)
     } else if files.is_empty() {
         lint_zoo(smoke, deny)
     } else {

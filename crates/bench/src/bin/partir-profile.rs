@@ -22,9 +22,9 @@
 //!   `coll.start`, `coll.wait`, gaps between steps, and the tail after
 //!   its last step. The columns partition the call by construction;
 //!   the table also prints the untraced wall time beside the traced
-//!   one. Two more cells size what still runs through the interpreter
-//!   fallback: the IT32 serving loop (`dynamic_*`, `i32` add) and the
-//!   U-Net step (convolutions). These are the tables in DESIGN §8.
+//!   one. Two more cells cover the other kernel families: the IT32
+//!   serving loop (`dynamic_*`, `i32` add) and the U-Net step
+//!   (convolutions). These are the tables in DESIGN §8.
 //! * `--tiny` — CI smoke mode: just the MLP on a 1×2 mesh.
 //! * `--fake-clock` — stamp events with deterministic per-track ticks
 //!   instead of wall time, making the emitted JSON byte-reproducible.
@@ -246,10 +246,9 @@ fn attribute(
         }
     }
     println!(
-        "\n# {name}: run_plan {:.2} ms untraced, {:.2} ms traced (medians of {runs}); general steps {:?}",
+        "\n# {name}: run_plan {:.2} ms untraced, {:.2} ms traced (medians of {runs})",
         median(untraced),
-        median(traced),
-        plan.general_steps()
+        median(traced)
     );
     // One row per category: its median on every device, largest first.
     let mut rows: Vec<(String, Vec<f64>)> = samples
@@ -288,8 +287,8 @@ fn attribute(
     }
 }
 
-/// The two plans `BENCHMARK.json` runs, attributed — then the two zoo
-/// plans that still contain fallback steps.
+/// The two plans `BENCHMARK.json` runs, attributed — then the serving
+/// loop and U-Net, whose time is in kernels those two never run.
 fn attribute_benchmark_plans() {
     partir_bench::tune_allocator_for_benchmarks();
     let hw = HardwareConfig::tpu_v3_pod(Mesh::new([(BATCH, 2), (MODEL, 2)]).expect("mesh"));
@@ -330,7 +329,7 @@ fn attribute_benchmark_plans() {
     let serving = partir_models::itransformer::build_serving(&ITransformerConfig::it32(8))
         .expect("itransformer");
     attribute(
-        "fallback: itransformer serving loop (IT32, 8 trips, BP+MP+MQ, 2x2)",
+        "itransformer serving loop (IT32, 8 trips, BP+MP+MQ, 2x2)",
         &serving,
         &row(schedules::itransformer_table2(), "BP+MP+MQ"),
         &hw,
@@ -338,7 +337,7 @@ fn attribute_benchmark_plans() {
     );
     let unet = partir_models::unet::build_train_step(&UNetConfig::paper()).expect("unet");
     attribute(
-        "fallback: U-Net train step (paper config, BP+Z3, 2x2)",
+        "U-Net train step (paper config, BP+Z3, 2x2)",
         &unet,
         &row(schedules::unet_table2(), "BP+Z3"),
         &hw,

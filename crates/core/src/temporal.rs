@@ -86,7 +86,7 @@ fn exec_ops(
                 .collect()
         };
         let result_shape = func.value_type(op.results[0]).shape.clone();
-        let value = run_nest(func, part, op, &nest, operands, result_shape)?;
+        let value = run_nest(part, op, &nest, operands, result_shape)?;
         env[op.results[0].0 as usize] = Some(value);
     }
     Ok(())
@@ -136,7 +136,6 @@ fn exec_for(
 
 /// Runs one op under the remaining loop nest, returning the *full* result.
 fn run_nest(
-    func: &Func,
     part: &Partitioning,
     op: &OpData,
     nest: &[(Axis, TmrEntry)],
@@ -148,7 +147,7 @@ fn run_nest(
         // and evaluate.
         let kind = localize_kind(&op.kind, &result_shape)?;
         let refs: Vec<&Literal> = operands.iter().collect();
-        let results = eval_op(&kind, &refs, func.value_type(op.results[0]))?;
+        let results = eval_op(&kind, &refs)?;
         return Ok(results.into_iter().next().expect("single result"));
     };
     let k = part
@@ -179,7 +178,7 @@ fn run_nest(
             }
             ResultAction::Reduce(_) => result_shape.clone(),
         };
-        chunks.push(run_nest(func, part, op, rest, sliced, inner_shape)?);
+        chunks.push(run_nest(part, op, rest, sliced, inner_shape)?);
     }
     combine(chunks, entry.result)
 }
@@ -204,7 +203,7 @@ fn slice_chunk(lit: &Literal, dim: usize, c: usize, k: usize) -> Result<Literal,
         limits,
         strides,
     };
-    let out = eval_op(&kind, &[lit], &lit.ty())?;
+    let out = eval_op(&kind, &[lit])?;
     Ok(out.into_iter().next().expect("single result"))
 }
 
@@ -212,7 +211,7 @@ fn combine(chunks: Vec<Literal>, action: ResultAction) -> Result<Literal, IrErro
     match action {
         ResultAction::Tile(d) => {
             let refs: Vec<&Literal> = chunks.iter().collect();
-            let out = eval_op(&OpKind::Concatenate { dim: d }, &refs, &chunks[0].ty())?;
+            let out = eval_op(&OpKind::Concatenate { dim: d }, &refs)?;
             Ok(out.into_iter().next().expect("single result"))
         }
         ResultAction::Reduce(op) => {
@@ -225,7 +224,7 @@ fn combine(chunks: Vec<Literal>, action: ResultAction) -> Result<Literal, IrErro
             let mut iter = chunks.into_iter();
             let mut acc = iter.next().ok_or_else(|| IrError::invalid("empty loop"))?;
             for chunk in iter {
-                let out = eval_op(&OpKind::Binary(bin), &[&acc, &chunk], &acc.ty())?;
+                let out = eval_op(&OpKind::Binary(bin), &[&acc, &chunk])?;
                 acc = out.into_iter().next().expect("single result");
             }
             Ok(acc)

@@ -99,23 +99,6 @@ impl FuncBuilder {
         self.mesh.as_ref()
     }
 
-    /// Reopens a finished function for appending more ops.
-    ///
-    /// Existing [`ValueId`]s remain valid in the reopened builder, which is
-    /// what allows autodiff to reference forward values when emitting the
-    /// backward pass.
-    pub fn from_func(func: Func, mesh: Option<Mesh>) -> Self {
-        let (name, params, values, ops, body, _results) = func.into_parts();
-        FuncBuilder {
-            name,
-            params,
-            values,
-            ops,
-            region_stack: vec![body],
-            mesh,
-        }
-    }
-
     /// Emits an op with explicit kind and operands, inferring result
     /// types. Returns the result values.
     ///

@@ -266,27 +266,6 @@ impl Func {
         Ok(())
     }
 
-    #[allow(clippy::type_complexity)]
-    pub(crate) fn into_parts(
-        self,
-    ) -> (
-        String,
-        Vec<ValueId>,
-        Vec<ValueInfo>,
-        Vec<OpData>,
-        Vec<OpId>,
-        Vec<ValueId>,
-    ) {
-        (
-            self.name,
-            self.params,
-            self.values,
-            self.ops,
-            self.body,
-            self.results,
-        )
-    }
-
     #[cfg(test)]
     pub(crate) fn values_mut(&mut self) -> &mut Vec<ValueInfo> {
         self.fingerprint = OnceLock::new();

@@ -5,11 +5,8 @@
 //! oracle that the SPMD lowering (in `partir-spmd`) is tested against.
 //! Collectives are *illegal* here and produce [`IrError::Unsupported`].
 
-use crate::kernels::{Buf, SliceKernel};
-use crate::{
-    BinaryOp, ConvDims, DType, DotDims, Func, IrError, Literal, OpData, OpId, OpKind, ReduceOp,
-    Shape, TensorType, UnaryOp, ValueId,
-};
+use crate::kernels::SliceKernel;
+use crate::{Func, IrError, Literal, OpData, OpId, OpKind, TensorType, ValueId};
 
 /// Runs `func` on the given inputs, returning its results.
 ///
@@ -94,375 +91,44 @@ fn exec_op(func: &Func, op: &OpData, env: &mut Vec<Option<Literal>>) -> Result<(
         .iter()
         .map(|&v| take(env, v))
         .collect::<Result<_, _>>()?;
-    let results = eval_op(&op.kind, &operands, func.value_type(op.results[0]))?;
+    let results = eval_op(&op.kind, &operands)?;
     for (&r, val) in op.results.iter().zip(results) {
         env[r.0 as usize] = Some(val);
     }
     Ok(())
 }
 
-/// Evaluates a single (region-free, collective-free) op.
-///
-/// `result_ty` is the declared type of the first result (needed by ops
-/// whose output shape is an attribute of the op-site, e.g. after SPMD
-/// rewrites changed operand shapes this catches inconsistencies early).
+/// Evaluates a single (region-free, collective-free) op: plans the op's
+/// [`SliceKernel`] against the operand types, allocates the result it
+/// infers and runs the kernel on it. Compiled plans run the same kernels
+/// on arena ranges.
 ///
 /// # Errors
 ///
-/// Fails on collectives, `for` (handled by the caller) and malformed data.
-pub fn eval_op(
-    kind: &OpKind,
-    operands: &[&Literal],
-    result_ty: &TensorType,
-) -> Result<Vec<Literal>, IrError> {
+/// Fails on collectives, `for` (handled by the caller), whatever
+/// [`SliceKernel::plan`] refuses and malformed data.
+pub fn eval_op(kind: &OpKind, operands: &[&Literal]) -> Result<Vec<Literal>, IrError> {
     match kind {
         OpKind::Constant(lit) => Ok(vec![lit.clone()]),
-        OpKind::Iota { .. }
-        | OpKind::Compare(_)
-        | OpKind::Select
-        | OpKind::Convert(_)
-        | OpKind::Pad { .. }
-        | OpKind::Gather { .. }
-        | OpKind::ScatterAdd { .. }
-        | OpKind::ArgMax { .. } => Ok(vec![eval_slice_kernel(kind, operands)?]),
-        OpKind::Unary(u) => Ok(vec![eval_unary(*u, operands[0])?]),
-        OpKind::Binary(b) => Ok(vec![eval_binary(*b, operands[0], operands[1])?]),
-        OpKind::Dot(dims) => Ok(vec![eval_dot(dims, operands[0], operands[1])?]),
-        OpKind::Transpose { perm } => Ok(vec![eval_transpose(operands[0], perm)?]),
-        OpKind::Reshape { shape } => Ok(vec![operands[0].clone().reshaped(shape.clone())?]),
-        OpKind::BroadcastInDim {
-            shape,
-            broadcast_dims,
-        } => Ok(vec![eval_broadcast(operands[0], shape, broadcast_dims)?]),
-        OpKind::Reduce { op, dims } => Ok(vec![eval_reduce(*op, operands[0], dims)?]),
-        OpKind::Slice {
-            starts,
-            limits,
-            strides,
-        } => Ok(vec![eval_slice(operands[0], starts, limits, strides)?]),
-        OpKind::Concatenate { dim } => Ok(vec![eval_concat(operands, *dim)?]),
-        OpKind::DynamicSlice { sizes } => Ok(vec![eval_dynamic_slice(operands, sizes)?]),
-        OpKind::DynamicUpdateSlice => Ok(vec![eval_dynamic_update_slice(operands)?]),
-        OpKind::Convolution(dims) => Ok(vec![eval_conv(dims, operands[0], operands[1])?]),
-        OpKind::ConvInputGrad { dims, input_hw } => Ok(vec![eval_conv_input_grad(
-            dims,
-            *input_hw,
-            operands[0],
-            operands[1],
-        )?]),
-        OpKind::ConvFilterGrad { dims, kernel_hw } => Ok(vec![eval_conv_filter_grad(
-            dims,
-            *kernel_hw,
-            operands[0],
-            operands[1],
-        )?]),
         OpKind::For { .. } => Err(IrError::invalid("for must be handled by the interpreter")),
-        OpKind::Collective(c) => Err(IrError::unsupported(format!(
-            "collective {} in the reference interpreter (result type {result_ty})",
-            OpKind::Collective(c.clone()).name()
+        OpKind::Collective(_) => Err(IrError::unsupported(format!(
+            "collective {} in the reference interpreter",
+            kind.name()
         ))),
-    }
-}
-
-/// The predicate and data-movement ops: plan the op's [`SliceKernel`]
-/// against the operand types, allocate the result, run the kernel on it.
-/// Compiled plans run the same kernels on arena ranges.
-fn eval_slice_kernel(kind: &OpKind, operands: &[&Literal]) -> Result<Literal, IrError> {
-    let tys: Vec<TensorType> = operands.iter().map(|lit| lit.ty()).collect();
-    let (kernel, out_ty) = SliceKernel::plan(kind, &tys)?;
-    let srcs: Vec<Buf<'_>> = operands.iter().map(|lit| lit.as_buf()).collect();
-    let mut out = Literal::zeros(&out_ty);
-    kernel.run(&srcs, out.as_buf_mut())?;
-    Ok(out)
-}
-
-fn eval_unary(u: UnaryOp, x: &Literal) -> Result<Literal, IrError> {
-    let f = |v: f32| -> f32 {
-        match u {
-            UnaryOp::Neg => -v,
-            UnaryOp::Exp => v.exp(),
-            UnaryOp::Log => v.ln(),
-            UnaryOp::Tanh => v.tanh(),
-            UnaryOp::Sqrt => v.sqrt(),
-            UnaryOp::Rsqrt => 1.0 / v.sqrt(),
-            UnaryOp::Abs => v.abs(),
-            UnaryOp::Logistic => 1.0 / (1.0 + (-v).exp()),
-            UnaryOp::Sin => v.sin(),
-            UnaryOp::Cos => v.cos(),
-        }
-    };
-    let data: Vec<f32> = x.as_f32()?.iter().copied().map(f).collect();
-    Literal::from_f32(data, x.shape().clone())
-}
-
-fn eval_binary(b: BinaryOp, x: &Literal, y: &Literal) -> Result<Literal, IrError> {
-    match x.dtype() {
-        DType::F32 => {
-            let f = |a: f32, c: f32| -> f32 {
-                match b {
-                    BinaryOp::Add => a + c,
-                    BinaryOp::Sub => a - c,
-                    BinaryOp::Mul => a * c,
-                    BinaryOp::Div => a / c,
-                    BinaryOp::Max => a.max(c),
-                    BinaryOp::Min => a.min(c),
-                    BinaryOp::Pow => a.powf(c),
-                }
-            };
-            let data: Vec<f32> = x
-                .as_f32()?
-                .iter()
-                .zip(y.as_f32()?)
-                .map(|(&a, &c)| f(a, c))
-                .collect();
-            Literal::from_f32(data, x.shape().clone())
-        }
-        DType::I32 => {
-            let f = |a: i32, c: i32| -> Result<i32, IrError> {
-                Ok(match b {
-                    BinaryOp::Add => a.wrapping_add(c),
-                    BinaryOp::Sub => a.wrapping_sub(c),
-                    BinaryOp::Mul => a.wrapping_mul(c),
-                    BinaryOp::Div => {
-                        if c == 0 {
-                            return Err(IrError::invalid("integer division by zero"));
-                        }
-                        a / c
-                    }
-                    BinaryOp::Max => a.max(c),
-                    BinaryOp::Min => a.min(c),
-                    BinaryOp::Pow => {
-                        return Err(IrError::unsupported("integer pow"));
-                    }
-                })
-            };
-            let data: Vec<i32> = x
-                .as_i32()?
-                .iter()
-                .zip(y.as_i32()?)
-                .map(|(&a, &c)| f(a, c))
-                .collect::<Result<_, _>>()?;
-            Literal::from_i32(data, x.shape().clone())
-        }
-        DType::Pred => Err(IrError::unsupported("binary op on pred")),
-    }
-}
-
-fn eval_dot(dims: &DotDims, lhs: &Literal, rhs: &Literal) -> Result<Literal, IrError> {
-    // Blocked batched-matmul fast path; bit-identical to the index-walk
-    // oracle retained as `reference::dot_general_reference`.
-    crate::kernels::dot_general(dims, lhs, rhs)
-}
-
-fn eval_transpose(x: &Literal, perm: &[usize]) -> Result<Literal, IrError> {
-    crate::kernels::transpose(x, perm)
-}
-
-fn eval_broadcast(
-    x: &Literal,
-    shape: &Shape,
-    broadcast_dims: &[usize],
-) -> Result<Literal, IrError> {
-    crate::kernels::broadcast(x, shape, broadcast_dims)
-}
-
-fn eval_reduce(op: ReduceOp, x: &Literal, dims: &[usize]) -> Result<Literal, IrError> {
-    crate::kernels::reduce_f32(op, x, dims)
-}
-
-fn eval_slice(
-    x: &Literal,
-    starts: &[usize],
-    limits: &[usize],
-    strides: &[usize],
-) -> Result<Literal, IrError> {
-    crate::kernels::slice(x, starts, limits, strides)
-}
-
-fn eval_concat(operands: &[&Literal], dim: usize) -> Result<Literal, IrError> {
-    crate::kernels::concat(operands, dim)
-}
-
-fn clamp_starts(
-    indices: &[&Literal],
-    operand: &Shape,
-    sizes: &[usize],
-) -> Result<Vec<usize>, IrError> {
-    indices
-        .iter()
-        .enumerate()
-        .map(|(d, lit)| {
-            let raw = lit.as_i32()?[0].max(0) as usize;
-            Ok(raw.min(operand.dim(d) - sizes[d]))
-        })
-        .collect()
-}
-
-fn eval_dynamic_slice(operands: &[&Literal], sizes: &[usize]) -> Result<Literal, IrError> {
-    let x = operands[0];
-    let starts = clamp_starts(&operands[1..], x.shape(), sizes)?;
-    let limits: Vec<usize> = starts.iter().zip(sizes).map(|(&s, &z)| s + z).collect();
-    let strides = vec![1; sizes.len()];
-    eval_slice(x, &starts, &limits, &strides)
-}
-
-fn eval_dynamic_update_slice(operands: &[&Literal]) -> Result<Literal, IrError> {
-    let (x, update) = (operands[0], operands[1]);
-    let sizes: Vec<usize> = update.shape().dims().to_vec();
-    let starts = clamp_starts(&operands[2..], x.shape(), &sizes)?;
-    // `clone()` is a refcount bump; the kernel copies on write only when
-    // the buffer is shared (and then copies whole rows, not elements).
-    crate::kernels::update_slice_in_place(x.clone(), update, &starts)
-}
-
-fn eval_conv(dims: &ConvDims, input: &Literal, kernel: &Literal) -> Result<Literal, IrError> {
-    let (isz, ksz) = (
-        input.shape().dims().to_vec(),
-        kernel.shape().dims().to_vec(),
-    );
-    let (n, ci, h, w) = (isz[0], isz[1], isz[2], isz[3]);
-    let (co, _, kh, kw) = (ksz[0], ksz[1], ksz[2], ksz[3]);
-    let (sh, sw) = dims.strides;
-    let (ph, pw) = dims.padding;
-    let (ho, wo) = crate::infer::conv_out_hw((h, w), (kh, kw), dims.strides, dims.padding)?;
-    let a = input.as_f32()?;
-    let k = kernel.as_f32()?;
-    let out_shape = Shape::from([n, co, ho, wo]);
-    let mut data = vec![0f32; out_shape.num_elements()];
-    let in_shape = input.shape();
-    let k_shape = kernel.shape();
-    for bi in 0..n {
-        for oc in 0..co {
-            for oh in 0..ho {
-                for ow in 0..wo {
-                    let mut acc = 0f32;
-                    for icn in 0..ci {
-                        for khi in 0..kh {
-                            for kwi in 0..kw {
-                                let ih = (oh * sh + khi) as i64 - ph as i64;
-                                let iw = (ow * sw + kwi) as i64 - pw as i64;
-                                if ih < 0 || iw < 0 || ih >= h as i64 || iw >= w as i64 {
-                                    continue;
-                                }
-                                let av =
-                                    a[in_shape.linear_index(&[bi, icn, ih as usize, iw as usize])];
-                                let kv = k[k_shape.linear_index(&[oc, icn, khi, kwi])];
-                                acc += av * kv;
-                            }
-                        }
-                    }
-                    data[out_shape.linear_index(&[bi, oc, oh, ow])] = acc;
-                }
-            }
+        kind => {
+            let tys: Vec<TensorType> = operands.iter().map(|lit| lit.ty()).collect();
+            let (kernel, out_ty) = SliceKernel::plan(kind, &tys)?;
+            let mut out = Literal::zeroed(out_ty);
+            kernel.run(operands.iter().map(|lit| lit.as_buf()), out.as_buf_mut())?;
+            Ok(vec![out])
         }
     }
-    Literal::from_f32(data, out_shape)
-}
-
-fn eval_conv_input_grad(
-    dims: &ConvDims,
-    input_hw: (usize, usize),
-    out_grad: &Literal,
-    kernel: &Literal,
-) -> Result<Literal, IrError> {
-    let gsz = out_grad.shape().dims().to_vec();
-    let ksz = kernel.shape().dims().to_vec();
-    let (n, co, ho, wo) = (gsz[0], gsz[1], gsz[2], gsz[3]);
-    let (_, ci, kh, kw) = (ksz[0], ksz[1], ksz[2], ksz[3]);
-    let (sh, sw) = dims.strides;
-    let (ph, pw) = dims.padding;
-    let (h, w) = input_hw;
-    let g = out_grad.as_f32()?;
-    let k = kernel.as_f32()?;
-    let out_shape = Shape::from([n, ci, h, w]);
-    let g_shape = out_grad.shape();
-    let k_shape = kernel.shape();
-    let mut data = vec![0f32; out_shape.num_elements()];
-    for bi in 0..n {
-        for oc in 0..co {
-            for oh in 0..ho {
-                for ow in 0..wo {
-                    let gv = g[g_shape.linear_index(&[bi, oc, oh, ow])];
-                    if gv == 0.0 {
-                        continue;
-                    }
-                    for icn in 0..ci {
-                        for khi in 0..kh {
-                            for kwi in 0..kw {
-                                let ih = (oh * sh + khi) as i64 - ph as i64;
-                                let iw = (ow * sw + kwi) as i64 - pw as i64;
-                                if ih < 0 || iw < 0 || ih >= h as i64 || iw >= w as i64 {
-                                    continue;
-                                }
-                                let kv = k[k_shape.linear_index(&[oc, icn, khi, kwi])];
-                                data[out_shape.linear_index(&[
-                                    bi,
-                                    icn,
-                                    ih as usize,
-                                    iw as usize,
-                                ])] += gv * kv;
-                            }
-                        }
-                    }
-                }
-            }
-        }
-    }
-    Literal::from_f32(data, out_shape)
-}
-
-fn eval_conv_filter_grad(
-    dims: &ConvDims,
-    kernel_hw: (usize, usize),
-    input: &Literal,
-    out_grad: &Literal,
-) -> Result<Literal, IrError> {
-    let isz = input.shape().dims().to_vec();
-    let gsz = out_grad.shape().dims().to_vec();
-    let (n, ci, h, w) = (isz[0], isz[1], isz[2], isz[3]);
-    let (_, co, ho, wo) = (gsz[0], gsz[1], gsz[2], gsz[3]);
-    let (kh, kw) = kernel_hw;
-    let (sh, sw) = dims.strides;
-    let (ph, pw) = dims.padding;
-    let a = input.as_f32()?;
-    let g = out_grad.as_f32()?;
-    let out_shape = Shape::from([co, ci, kh, kw]);
-    let in_shape = input.shape();
-    let g_shape = out_grad.shape();
-    let mut data = vec![0f32; out_shape.num_elements()];
-    for bi in 0..n {
-        for oc in 0..co {
-            for oh in 0..ho {
-                for ow in 0..wo {
-                    let gv = g[g_shape.linear_index(&[bi, oc, oh, ow])];
-                    if gv == 0.0 {
-                        continue;
-                    }
-                    for icn in 0..ci {
-                        for khi in 0..kh {
-                            for kwi in 0..kw {
-                                let ih = (oh * sh + khi) as i64 - ph as i64;
-                                let iw = (ow * sw + kwi) as i64 - pw as i64;
-                                if ih < 0 || iw < 0 || ih >= h as i64 || iw >= w as i64 {
-                                    continue;
-                                }
-                                let av =
-                                    a[in_shape.linear_index(&[bi, icn, ih as usize, iw as usize])];
-                                data[out_shape.linear_index(&[oc, icn, khi, kwi])] += gv * av;
-                            }
-                        }
-                    }
-                }
-            }
-        }
-    }
-    Literal::from_f32(data, out_shape)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{FuncBuilder, TensorType};
+    use crate::{ConvDims, DType, DotDims, FuncBuilder, ReduceOp};
 
     fn lit(data: Vec<f32>, dims: &[usize]) -> Literal {
         Literal::from_f32(data, dims.to_vec()).unwrap()

@@ -15,24 +15,21 @@
 //!   [`dot_general_reference`] — the oracle the property tests compare
 //!   against. Both accumulate partial products in the same (row-major
 //!   contraction) order, so their results are bit-identical.
-//! * [`transpose`], [`broadcast`] and [`slice`] are strided gathers over a
-//!   shared odometer walker ([`gather_strided`]): the inner loop copies
-//!   whole contiguous rows with `extend_from_slice` when the innermost
-//!   input stride is 1 (and splats when it is 0) instead of calling
-//!   `linear_index` per element.
-//! * [`reduce_f32`] folds inputs in linear order while tracking the output
-//!   offset incrementally — the exact accumulation order of the original
-//!   loop (bit-identical), without a multi-index allocation per element.
-//! * [`concat`] and [`update_slice_in_place`] copy whole row spans.
+//! * [`SliceKernel`] is the one definition of every region-free,
+//!   collective-free op: planned once against the operand types, then run
+//!   slice-in/slice-out with no allocation — by the interpreter on a
+//!   fresh result ([`crate::interp::eval_op`]) and by compiled plans on
+//!   arena ranges. `transpose`, `broadcast_in_dim` and `slice` are one
+//!   strided gather over a stack odometer whose inner loop copies whole
+//!   contiguous rows when the innermost input stride is 1 (and splats
+//!   when it is 0); `reduce` folds inputs in linear order while tracking
+//!   the output offset incrementally; `concatenate`, `pad` and the
+//!   dynamic slices copy whole row spans; the elementwise lanes
+//!   ([`apply_un`], [`apply_bin`]) are also what a plan's fused
+//!   elementwise machine calls per register block.
 //! * [`fold_reduce`] is the collectives' accumulation step: it mutates the
 //!   accumulator in place when its copy-on-write buffer is uniquely owned
 //!   (the common case for payloads received over runtime channels).
-//! * [`SliceKernel`] is the one definition of the predicate and
-//!   data-movement ops (`iota`, `compare`, `select`, `convert`, `pad`,
-//!   index `gather`, `scatter_add`, `arg_max`): planned once against the
-//!   operand types, then run slice-in/slice-out with no allocation, by
-//!   the interpreter on a fresh result and by compiled plans on arena
-//!   ranges.
 //!
 //! # Scratch arena
 //!
@@ -48,7 +45,8 @@ use std::cell::RefCell;
 pub use crate::reference::dot_general_reference;
 
 use crate::{
-    BinaryOp, CompareDir, DType, DotDims, IrError, Literal, OpKind, ReduceOp, Shape, TensorType,
+    BinaryOp, CompareDir, ConvDims, DType, DotDims, IrError, Literal, OpKind, ReduceOp, Shape,
+    TensorType, UnaryOp,
 };
 
 // ---------------------------------------------------------------------------
@@ -155,10 +153,10 @@ fn gather_strided<T: Copy>(
     }
 }
 
-/// [`gather_strided`] into a preallocated destination slice: the
-/// allocation-free variant compiled execution plans use in their
-/// steady-state loop. `dst.len()` must equal the product of `out_dims`.
-pub fn gather_strided_into<T: Copy>(
+/// [`gather_strided`] into a preallocated destination slice — the
+/// [`SliceKernel::Strided`] body. `dst.len()` must equal the product of
+/// `out_dims`.
+fn gather_strided_into<T: Copy>(
     dst: &mut [T],
     src: &[T],
     out_dims: &[usize],
@@ -263,17 +261,17 @@ pub struct DotPlan {
     /// LHS staging gather to `[batch, free, contract]` layout as
     /// `(out_dims, in_strides)`; `None` when the permutation is the
     /// identity and the operand can be used in place.
-    pub lhs_stage: Option<(Vec<usize>, Vec<usize>)>,
+    lhs_stage: Option<(Vec<usize>, Vec<usize>)>,
     /// RHS staging gather to `[batch, contract, free]` layout.
-    pub rhs_stage: Option<(Vec<usize>, Vec<usize>)>,
+    rhs_stage: Option<(Vec<usize>, Vec<usize>)>,
     /// Batch extent (product of batch dims).
-    pub b: usize,
+    b: usize,
     /// LHS free extent.
-    pub m: usize,
+    m: usize,
     /// Contraction extent.
-    pub k: usize,
+    k: usize,
     /// RHS free extent.
-    pub n: usize,
+    n: usize,
 }
 
 /// One staging gather of a [`DotPlan`]: stages `[group0, group1, group2]`
@@ -291,21 +289,18 @@ fn plan_stage(shape: &Shape, groups: [&[usize]; 3]) -> Option<(Vec<usize>, Vec<u
     Some((out_dims, in_strides))
 }
 
-/// Compiles a `Dot` op's staging and matmul dimensions once. Returns the
-/// plan and the output shape.
-pub fn plan_dot(dims: &DotDims, ls: &Shape, rs: &Shape) -> (DotPlan, Shape) {
+/// Compiles a `Dot` op's staging and matmul dimensions once.
+fn plan_dot(dims: &DotDims, ls: &Shape, rs: &Shape) -> DotPlan {
     let lhs_free = dims.free_dims(ls.rank(), true);
     let rhs_free = dims.free_dims(rs.rank(), false);
-    let out_shape = dot_out_shape(dims, ls, rs);
-    let plan = DotPlan {
+    DotPlan {
         lhs_stage: plan_stage(ls, [&dims.lhs_batch, &lhs_free, &dims.lhs_contract]),
         rhs_stage: plan_stage(rs, [&dims.rhs_batch, &dims.rhs_contract, &rhs_free]),
         b: dims.lhs_batch.iter().map(|&d| ls.dim(d)).product(),
         m: lhs_free.iter().map(|&d| ls.dim(d)).product(),
         k: dims.lhs_contract.iter().map(|&d| ls.dim(d)).product(),
         n: rhs_free.iter().map(|&d| rs.dim(d)).product(),
-    };
-    (plan, out_shape)
+    }
 }
 
 /// Executes a compiled [`DotPlan`] into a preallocated output buffer
@@ -313,7 +308,7 @@ pub fn plan_dot(dims: &DotDims, ls: &Shape, rs: &Shape) -> (DotPlan, Shape) {
 /// per-thread scratch arena, so warm steady-state calls are
 /// allocation-free. Bit-identical to [`dot_general`] /
 /// [`dot_general_reference`].
-pub fn dot_general_into(plan: &DotPlan, a_src: &[f32], b_src: &[f32], out: &mut [f32]) {
+fn dot_general_into(plan: &DotPlan, a_src: &[f32], b_src: &[f32], out: &mut [f32]) {
     let (b, m, k, n) = (plan.b, plan.m, plan.k, plan.n);
     debug_assert_eq!(out.len(), b * m * n);
     // matmul_ikj accumulates into its output, so a reused buffer must be
@@ -360,124 +355,11 @@ pub fn dot_general_into(plan: &DotPlan, a_src: &[f32], b_src: &[f32], out: &mut 
 ///
 /// Fails if either operand is not f32.
 pub fn dot_general(dims: &DotDims, lhs: &Literal, rhs: &Literal) -> Result<Literal, IrError> {
-    let (plan, out_shape) = plan_dot(dims, lhs.shape(), rhs.shape());
+    let plan = plan_dot(dims, lhs.shape(), rhs.shape());
+    let out_shape = dot_out_shape(dims, lhs.shape(), rhs.shape());
     let mut out = vec![0f32; out_shape.num_elements()];
     dot_general_into(&plan, lhs.as_f32()?, rhs.as_f32()?, &mut out);
     Literal::from_f32(out, out_shape)
-}
-
-// ---------------------------------------------------------------------------
-// transpose / broadcast / slice
-// ---------------------------------------------------------------------------
-
-/// Evaluates a `Transpose` for any dtype: a strided gather whose inner
-/// loop copies contiguous rows whenever the last output dimension is the
-/// last input dimension.
-///
-/// # Errors
-///
-/// Infallible for well-formed permutations (enforced by the verifier).
-pub fn transpose(x: &Literal, perm: &[usize]) -> Result<Literal, IrError> {
-    let in_shape = x.shape();
-    let strides = in_shape.strides();
-    let out_dims: Vec<usize> = perm.iter().map(|&p| in_shape.dim(p)).collect();
-    let in_strides: Vec<usize> = perm.iter().map(|&p| strides[p]).collect();
-    let out_shape = Shape::from(out_dims.clone());
-    match x.dtype() {
-        DType::F32 => {
-            let mut data = Vec::new();
-            gather_strided(&mut data, x.as_f32()?, &out_dims, &in_strides, 0);
-            Literal::from_f32(data, out_shape)
-        }
-        DType::I32 => {
-            let mut data = Vec::new();
-            gather_strided(&mut data, x.as_i32()?, &out_dims, &in_strides, 0);
-            Literal::from_i32(data, out_shape)
-        }
-        DType::Pred => {
-            let mut data = Vec::new();
-            gather_strided(&mut data, x.as_pred()?, &out_dims, &in_strides, 0);
-            Literal::from_pred(data, out_shape)
-        }
-    }
-}
-
-/// The per-output-dimension input strides of a `BroadcastInDim`
-/// (0 = replicated along that output dimension).
-fn broadcast_strides(x: &Literal, shape: &Shape, broadcast_dims: &[usize]) -> Vec<usize> {
-    let in_shape = x.shape();
-    let in_strides = in_shape.strides();
-    let mut strides = vec![0usize; shape.rank()];
-    for (i, &bd) in broadcast_dims.iter().enumerate() {
-        if in_shape.dim(i) != 1 {
-            strides[bd] = in_strides[i];
-        }
-    }
-    strides
-}
-
-/// Evaluates a `BroadcastInDim` for any dtype as a strided gather
-/// (stride 0 along replicated output dimensions).
-///
-/// # Errors
-///
-/// Infallible for well-formed broadcasts (enforced by the verifier).
-pub fn broadcast(x: &Literal, shape: &Shape, broadcast_dims: &[usize]) -> Result<Literal, IrError> {
-    let in_strides = broadcast_strides(x, shape, broadcast_dims);
-    match x.dtype() {
-        DType::F32 => {
-            let mut data = Vec::new();
-            gather_strided(&mut data, x.as_f32()?, shape.dims(), &in_strides, 0);
-            Literal::from_f32(data, shape.clone())
-        }
-        DType::I32 => {
-            let mut data = Vec::new();
-            gather_strided(&mut data, x.as_i32()?, shape.dims(), &in_strides, 0);
-            Literal::from_i32(data, shape.clone())
-        }
-        DType::Pred => {
-            let mut data = Vec::new();
-            gather_strided(&mut data, x.as_pred()?, shape.dims(), &in_strides, 0);
-            Literal::from_pred(data, shape.clone())
-        }
-    }
-}
-
-/// Evaluates a strided `Slice`: a gather whose base offset encodes the
-/// start coordinates; unit-stride slices copy whole inner rows.
-///
-/// # Errors
-///
-/// Fails on pred operands (as the original implementation did).
-pub fn slice(
-    x: &Literal,
-    starts: &[usize],
-    limits: &[usize],
-    strides: &[usize],
-) -> Result<Literal, IrError> {
-    let in_shape = x.shape();
-    let in_strides = in_shape.strides();
-    let out_dims: Vec<usize> = (0..in_shape.rank())
-        .map(|d| (limits[d] - starts[d]).div_ceil(strides[d]))
-        .collect();
-    let gather_strides: Vec<usize> = (0..in_shape.rank())
-        .map(|d| in_strides[d] * strides[d])
-        .collect();
-    let base: usize = starts.iter().zip(&in_strides).map(|(&s, &st)| s * st).sum();
-    let out_shape = Shape::from(out_dims.clone());
-    match x.dtype() {
-        DType::F32 => {
-            let mut data = Vec::new();
-            gather_strided(&mut data, x.as_f32()?, &out_dims, &gather_strides, base);
-            Literal::from_f32(data, out_shape)
-        }
-        DType::I32 => {
-            let mut data = Vec::new();
-            gather_strided(&mut data, x.as_i32()?, &out_dims, &gather_strides, base);
-            Literal::from_i32(data, out_shape)
-        }
-        DType::Pred => Err(IrError::unsupported("slice on pred")),
-    }
 }
 
 // ---------------------------------------------------------------------------
@@ -485,30 +367,28 @@ pub fn slice(
 // ---------------------------------------------------------------------------
 
 /// An ahead-of-time compiled f32 `Reduce`: the kept-dimension analysis
-/// and stride tables [`reduce_f32`] would recompute per call, resolved
-/// once for allocation-free steady-state execution
-/// ([`reduce_f32_into`]).
+/// and stride tables, resolved once for allocation-free steady-state
+/// execution ([`reduce_f32_into`]).
 #[derive(Debug, Clone)]
 pub struct ReducePlan {
     /// Monoid identity the output is initialized to.
-    pub init: f32,
+    init: f32,
     /// Reduction monoid.
-    pub op: ReduceOp,
+    op: ReduceOp,
     /// `Some(span)` when the reduced dims are a contiguous trailing
     /// block: each output element folds one contiguous input span of
     /// this length.
-    pub trailing_inner: Option<usize>,
+    trailing_inner: Option<usize>,
     /// Input dimension sizes (general path odometer).
-    pub in_dims: Vec<usize>,
+    in_dims: Vec<usize>,
     /// Output stride of each input dim (0 for reduced dims).
-    pub out_strides: Vec<usize>,
+    out_strides: Vec<usize>,
     /// Output element count.
-    pub out_len: usize,
+    out_len: usize,
 }
 
-/// Compiles a `Reduce` op's fold layout once. Returns the plan and the
-/// output shape.
-pub fn plan_reduce(op: ReduceOp, in_shape: &Shape, dims: &[usize]) -> (ReducePlan, Shape) {
+/// Compiles a `Reduce` op's fold layout once.
+fn plan_reduce(op: ReduceOp, in_shape: &Shape, dims: &[usize]) -> ReducePlan {
     let rank = in_shape.rank();
     let kept: Vec<usize> = (0..rank).filter(|d| !dims.contains(d)).collect();
     let out_shape = Shape::from(kept.iter().map(|&d| in_shape.dim(d)).collect::<Vec<_>>());
@@ -529,22 +409,22 @@ pub fn plan_reduce(op: ReduceOp, in_shape: &Shape, dims: &[usize]) -> (ReducePla
     for (i, &d) in kept.iter().enumerate() {
         out_strides[d] = out_strides_kept[i];
     }
-    let plan = ReducePlan {
+    ReducePlan {
         init,
         op,
         trailing_inner,
         in_dims: in_shape.dims().to_vec(),
         out_strides,
         out_len: out_shape.num_elements(),
-    };
-    (plan, out_shape)
+    }
 }
 
 /// Executes a compiled [`ReducePlan`] into a preallocated output buffer
 /// (`out.len()` must be the plan's `out_len`). Inputs fold in linear
-/// (row-major) order — bit-identical to [`reduce_f32`].
-pub fn reduce_f32_into(plan: &ReducePlan, a: &[f32], out: &mut [f32]) {
-    debug_assert_eq!(out.len(), plan.out_len);
+/// (row-major) order while the output offset is tracked incrementally —
+/// the accumulation order of a multi-index walk over the input.
+fn reduce_f32_into(plan: &ReducePlan, a: &[f32], out: &mut [f32]) {
+    assert_eq!(out.len(), plan.out_len);
     out.fill(plan.init);
     let op = plan.op;
     let fold = |acc: f32, v: f32| -> f32 {
@@ -585,156 +465,8 @@ pub fn reduce_f32_into(plan: &ReducePlan, a: &[f32], out: &mut [f32]) {
     }
 }
 
-/// Evaluates a `Reduce` over f32: inputs are folded in linear (row-major)
-/// order while the output offset is tracked incrementally — the exact
-/// accumulation order of the original multi-index walk, bit-identical,
-/// without per-element allocation. Contiguous trailing reductions collapse
-/// to a tight inner loop.
-///
-/// # Errors
-///
-/// Fails if the operand is not f32.
-pub fn reduce_f32(op: ReduceOp, x: &Literal, dims: &[usize]) -> Result<Literal, IrError> {
-    let (plan, out_shape) = plan_reduce(op, x.shape(), dims);
-    let mut data = vec![plan.init; plan.out_len];
-    reduce_f32_into(&plan, x.as_f32()?, &mut data);
-    Literal::from_f32(data, out_shape)
-}
-
 // ---------------------------------------------------------------------------
-// concatenate / dynamic_update_slice
-// ---------------------------------------------------------------------------
-
-fn concat_typed<T: Copy + Default>(
-    parts: &[(&[T], usize)],
-    out_len: usize,
-    dim_total: usize,
-    outer: usize,
-    inner: usize,
-) -> Vec<T> {
-    let mut data = vec![T::default(); out_len];
-    let out_row = dim_total * inner;
-    let mut offset = 0usize;
-    for &(src, d) in parts {
-        let rows = d * inner;
-        for o in 0..outer {
-            data[o * out_row + offset..o * out_row + offset + rows]
-                .copy_from_slice(&src[o * rows..o * rows + rows]);
-        }
-        offset += rows;
-    }
-    data
-}
-
-/// Evaluates a `Concatenate` along `dim` by copying whole row spans.
-///
-/// # Errors
-///
-/// Fails on pred operands (as the original implementation did).
-pub fn concat(operands: &[&Literal], dim: usize) -> Result<Literal, IrError> {
-    let first = operands[0];
-    let in_shape = first.shape();
-    let dim_total: usize = operands.iter().map(|t| t.shape().dim(dim)).sum();
-    let out_shape = in_shape.with_dim(dim, dim_total);
-    let outer: usize = in_shape.dims()[..dim].iter().product();
-    let inner: usize = in_shape.dims()[dim + 1..].iter().product();
-    let out_len = out_shape.num_elements();
-    match first.dtype() {
-        DType::F32 => {
-            let parts: Vec<(&[f32], usize)> = operands
-                .iter()
-                .map(|t| Ok((t.as_f32()?, t.shape().dim(dim))))
-                .collect::<Result<_, IrError>>()?;
-            Literal::from_f32(
-                concat_typed(&parts, out_len, dim_total, outer, inner),
-                out_shape,
-            )
-        }
-        DType::I32 => {
-            let parts: Vec<(&[i32], usize)> = operands
-                .iter()
-                .map(|t| Ok((t.as_i32()?, t.shape().dim(dim))))
-                .collect::<Result<_, IrError>>()?;
-            Literal::from_i32(
-                concat_typed(&parts, out_len, dim_total, outer, inner),
-                out_shape,
-            )
-        }
-        DType::Pred => Err(IrError::unsupported("concatenate on pred")),
-    }
-}
-
-/// Writes `update` into `base` at `starts`, copying whole innermost rows.
-/// Copy-on-write: when `base` is the unique owner of its buffer the write
-/// happens in place with no element copy of the untouched region.
-///
-/// # Errors
-///
-/// Fails on pred operands or dtype mismatches.
-pub fn update_slice_in_place(
-    mut base: Literal,
-    update: &Literal,
-    starts: &[usize],
-) -> Result<Literal, IrError> {
-    let in_shape = base.shape().clone();
-    let in_strides = in_shape.strides();
-    let u_shape = update.shape().clone();
-    let rank = in_shape.rank();
-    let base_off: usize = starts.iter().zip(&in_strides).map(|(&s, &st)| s * st).sum();
-    if u_shape.num_elements() == 0 {
-        return Ok(base);
-    }
-    let inner = if rank == 0 { 1 } else { u_shape.dim(rank - 1) };
-    let rows = u_shape.num_elements() / inner.max(1);
-    // Row-major walk over the update's outer dims, tracking the base
-    // offset incrementally.
-    let run = |dst: &mut [f32], src: &[f32]| {
-        let mut idx = vec![0usize; rank.saturating_sub(1)];
-        let mut off = base_off;
-        for r in 0..rows {
-            dst[off..off + inner].copy_from_slice(&src[r * inner..r * inner + inner]);
-            for d in (0..rank.saturating_sub(1)).rev() {
-                idx[d] += 1;
-                off += in_strides[d];
-                if idx[d] < u_shape.dim(d) {
-                    break;
-                }
-                off -= in_strides[d] * u_shape.dim(d);
-                idx[d] = 0;
-            }
-        }
-    };
-    match (base.dtype(), update.dtype()) {
-        (DType::F32, DType::F32) => {
-            run(base.as_f32_mut()?, update.as_f32()?);
-            Ok(base)
-        }
-        (DType::I32, DType::I32) => {
-            // Same walk, i32 lanes.
-            let src = update.as_i32()?;
-            let dst = base.as_i32_mut()?;
-            let mut idx = vec![0usize; rank.saturating_sub(1)];
-            let mut off = base_off;
-            for r in 0..rows {
-                dst[off..off + inner].copy_from_slice(&src[r * inner..r * inner + inner]);
-                for d in (0..rank.saturating_sub(1)).rev() {
-                    idx[d] += 1;
-                    off += in_strides[d];
-                    if idx[d] < u_shape.dim(d) {
-                        break;
-                    }
-                    off -= in_strides[d] * u_shape.dim(d);
-                    idx[d] = 0;
-                }
-            }
-            Ok(base)
-        }
-        _ => Err(IrError::unsupported("dynamic_update_slice on pred")),
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Slice kernels: predicate and data-movement ops
+// Slice kernels: one definition per op
 // ---------------------------------------------------------------------------
 
 /// A borrowed, typed, row-major operand buffer of a [`SliceKernel`]: a
@@ -760,11 +492,39 @@ pub enum BufMut<'a> {
     Pred(&'a mut [bool]),
 }
 
-/// `Pad` resolved to a fill plus one box copy: the part of the operand
-/// that survives (negative padding crops) lands at a fixed offset of the
-/// result, whole innermost rows at a time.
+fn unplanned() -> IrError {
+    IrError::invalid("slice kernel run on buffers it was not planned for")
+}
+
+impl<'a> Buf<'a> {
+    fn f32(self) -> Result<&'a [f32], IrError> {
+        match self {
+            Buf::F32(v) => Ok(v),
+            _ => Err(unplanned()),
+        }
+    }
+
+    fn i32(self) -> Result<&'a [i32], IrError> {
+        match self {
+            Buf::I32(v) => Ok(v),
+            _ => Err(unplanned()),
+        }
+    }
+
+    fn pred(self) -> Result<&'a [bool], IrError> {
+        match self {
+            Buf::Pred(v) => Ok(v),
+            _ => Err(unplanned()),
+        }
+    }
+}
+
+/// One box copied between two strided layouts, whole innermost rows at a
+/// time (the innermost stride is 1 on both sides). `pad` lands the part
+/// of its operand that survives cropping at a fixed offset of the result;
+/// `dynamic_update_slice` lands the update at a runtime offset.
 #[derive(Debug, Clone)]
-pub struct PadPlan {
+pub struct BoxCopy {
     /// Extent of the copied box per dimension.
     extents: Vec<usize>,
     src_strides: Vec<usize>,
@@ -773,7 +533,24 @@ pub struct PadPlan {
     dst_base: usize,
 }
 
-/// One predicate or data-movement op compiled against its operand
+/// The geometry the three convolution kinds share: input `[n, ci, h, w]`,
+/// kernel `[co, ci, kh, kw]`, output `[n, co, ho, wo]`, strides and
+/// symmetric zero padding.
+#[derive(Debug, Clone)]
+pub struct ConvPlan {
+    n: usize,
+    ci: usize,
+    h: usize,
+    w: usize,
+    co: usize,
+    kh: usize,
+    kw: usize,
+    ho: usize,
+    wo: usize,
+    dims: ConvDims,
+}
+
+/// One region-free, collective-free op compiled against its operand
 /// types: extents, strides and clamp/drop rules are fixed here, once, and
 /// [`SliceKernel::run`] then works on plain slices without allocating.
 ///
@@ -785,7 +562,8 @@ pub struct PadPlan {
 /// oracles in [`crate::reference`].
 ///
 /// Operand order is the op's; every dimension triple below is the
-/// row-major split `[outer, axis, inner]` around the op's axis.
+/// row-major split `[outer, axis, inner]` around the op's axis. A kernel
+/// writes its whole destination and never reads it first.
 #[derive(Debug, Clone)]
 pub enum SliceKernel {
     /// `[] → f32 | i32`: element `[o, j, i]` is `j`.
@@ -795,14 +573,64 @@ pub enum SliceKernel {
         /// Elements per step of the counted dimension.
         inner: usize,
     },
+    /// `[x] → f32`, lane by lane ([`apply_un`]).
+    Unary(UnaryOp),
+    /// `[x, y] → f32 | i32`, lane by lane: `f32` is [`apply_bin`]; `i32`
+    /// wraps on overflow, has no `pow`, and fails the run on a zero
+    /// divisor.
+    Binary(BinaryOp),
     /// `[x, y] → pred`, `x` and `y` of one dtype (`false < true`).
     Compare(CompareDir),
     /// `[pred, on_true, on_false] → f32 | i32`.
     Select,
     /// `[x] → any`: numeric casts saturate, `→ pred` is `!= 0`.
     Convert,
+    /// `[lhs, rhs] → f32`: batched row-major matmul after at most one
+    /// staging gather per operand.
+    Dot(DotPlan),
+    /// `[x] → x's dtype` — `transpose`, `broadcast_in_dim` and `slice`:
+    /// result element `i` is `x[base + Σ i[d] · in_strides[d]]`.
+    Strided {
+        /// Result dimensions.
+        out_dims: Vec<usize>,
+        /// Operand stride per result dimension (0 = replicated).
+        in_strides: Vec<usize>,
+        /// Operand offset of result element 0.
+        base: usize,
+    },
+    /// `[x] → x's dtype` — `reshape`: the same elements in the same order.
+    Copy,
+    /// `[x] → f32`, folded in the operand's linear order.
+    Reduce(ReducePlan),
     /// `[x, scalar] → f32`.
-    Pad(PadPlan),
+    Pad(BoxCopy),
+    /// `[x0, …, xk] → their dtype`, joined along the axis.
+    Concatenate {
+        /// Product of the dimensions before the axis.
+        outer: usize,
+        /// Product of the dimensions after the axis.
+        inner: usize,
+        /// Axis extent of each operand.
+        extents: Vec<usize>,
+    },
+    /// `[x, start…] → x's dtype`: the `sizes` box at the `i32` scalar
+    /// starts, each clamped into `0..=max_start`.
+    DynamicSlice {
+        /// Result dimensions.
+        sizes: Vec<usize>,
+        /// Operand strides.
+        strides: Vec<usize>,
+        /// Largest start that keeps the box inside the operand.
+        max_start: Vec<usize>,
+    },
+    /// `[x, update, start…] → x's dtype`: `x` with `update` written at
+    /// the clamped starts.
+    DynamicUpdateSlice {
+        /// Where the update lands when every start is 0.
+        place: BoxCopy,
+        /// Largest start that keeps the update inside the operand.
+        max_start: Vec<usize>,
+    },
     /// `[x, indices] → f32`: rows of `x` picked along the axis, indices
     /// clamped into `0..n`.
     Gather {
@@ -823,6 +651,14 @@ pub enum SliceKernel {
         /// Product of the dimensions after the axis.
         inner: usize,
     },
+    /// `[input, kernel] → f32`: each output sums its taps in
+    /// `(channel, kh, kw)` order.
+    Convolution(ConvPlan),
+    /// `[out_grad, kernel] → f32`: contributions added in the forward
+    /// loop order, zero gradients skipped.
+    ConvInputGrad(ConvPlan),
+    /// `[input, out_grad] → f32`: as [`SliceKernel::ConvInputGrad`].
+    ConvFilterGrad(ConvPlan),
     /// `[x] → i32`: first strict maximum along the axis; a row with
     /// nothing above `-inf` (all `-inf`, all NaN) answers 0.
     ArgMax {
@@ -835,6 +671,11 @@ pub enum SliceKernel {
     },
 }
 
+/// Operand views [`SliceKernel::run`] keeps on the stack: enough for
+/// `dynamic_update_slice` at rank 6, the widest op of the zoo (and
+/// `analysis::objective::MAX_OPERANDS`).
+const STACK_SRCS: usize = 8;
+
 /// `[outer, axis, inner]` extents of `shape` around `axis`.
 fn split_at_axis(shape: &Shape, axis: usize) -> (usize, usize, usize) {
     let dims = shape.dims();
@@ -845,16 +686,27 @@ fn split_at_axis(shape: &Shape, axis: usize) -> (usize, usize, usize) {
     )
 }
 
+/// Per-dimension largest start of a `sizes` box inside `shape`.
+fn max_starts(shape: &Shape, sizes: &[usize]) -> Vec<usize> {
+    shape
+        .dims()
+        .iter()
+        .zip(sizes)
+        .map(|(&d, &s)| d - s)
+        .collect()
+}
+
 impl SliceKernel {
     /// Compiles `kind` against its operand types. Returns the kernel and
     /// the type of the buffer it fills.
     ///
     /// # Errors
     ///
-    /// An op kind this module does not define; whatever
+    /// `constant`, `for` and collectives, which are not kernels; whatever
     /// [`crate::infer::infer_result_types`] rejects; the dtypes the op
-    /// has no semantics for (`pred` iota, non-`f32` pad / gather /
-    /// scatter_add / arg_max); a gather from an empty axis.
+    /// has no semantics for (`pred` iota, `pred` binary, integer `pow`,
+    /// non-`f32` dot / reduce / pad / gather / scatter_add / arg_max /
+    /// convolution); a gather from an empty axis.
     pub fn plan(kind: &OpKind, operands: &[TensorType]) -> Result<(Self, TensorType), IrError> {
         let out = crate::infer::infer_result_types(kind, operands, None)?
             .pop()
@@ -863,6 +715,12 @@ impl SliceKernel {
             DType::F32 => Ok(()),
             dt => Err(IrError::type_mismatch("f32 operand", dt)),
         };
+        let strided =
+            |out_dims: Vec<usize>, in_strides: Vec<usize>, base: usize| SliceKernel::Strided {
+                out_dims,
+                in_strides,
+                base,
+            };
         let kernel = match kind {
             OpKind::Iota { dim, shape, dtype } => {
                 if *dtype == DType::Pred {
@@ -871,12 +729,84 @@ impl SliceKernel {
                 let (_, n, inner) = split_at_axis(shape, *dim);
                 SliceKernel::Iota { n, inner }
             }
+            OpKind::Unary(u) => SliceKernel::Unary(*u),
+            OpKind::Binary(b) => match (operands[0].dtype, b) {
+                (DType::Pred, _) => return Err(IrError::unsupported("binary op on pred")),
+                (DType::I32, BinaryOp::Pow) => return Err(IrError::unsupported("integer pow")),
+                _ => SliceKernel::Binary(*b),
+            },
             OpKind::Compare(dir) => SliceKernel::Compare(*dir),
             OpKind::Select => SliceKernel::Select,
             OpKind::Convert(_) => SliceKernel::Convert,
+            OpKind::Dot(dims) => {
+                f32_only(&operands[0])?;
+                SliceKernel::Dot(plan_dot(dims, &operands[0].shape, &operands[1].shape))
+            }
+            OpKind::Transpose { perm } => {
+                let strides = operands[0].shape.strides();
+                strided(
+                    out.shape.dims().to_vec(),
+                    perm.iter().map(|&p| strides[p]).collect(),
+                    0,
+                )
+            }
+            OpKind::BroadcastInDim { broadcast_dims, .. } => {
+                let in_shape = &operands[0].shape;
+                let strides = in_shape.strides();
+                let mut in_strides = vec![0usize; out.shape.rank()];
+                for (i, &bd) in broadcast_dims.iter().enumerate() {
+                    if in_shape.dim(i) != 1 {
+                        in_strides[bd] = strides[i];
+                    }
+                }
+                strided(out.shape.dims().to_vec(), in_strides, 0)
+            }
+            OpKind::Slice {
+                starts,
+                strides: steps,
+                ..
+            } => {
+                let strides = operands[0].shape.strides();
+                strided(
+                    out.shape.dims().to_vec(),
+                    strides.iter().zip(steps).map(|(&s, &k)| s * k).collect(),
+                    starts.iter().zip(&strides).map(|(&s, &st)| s * st).sum(),
+                )
+            }
+            OpKind::Reshape { .. } => SliceKernel::Copy,
+            OpKind::Reduce { op, dims } => {
+                f32_only(&operands[0])?;
+                SliceKernel::Reduce(plan_reduce(*op, &operands[0].shape, dims))
+            }
             OpKind::Pad { low, high } => {
                 f32_only(&operands[0])?;
                 SliceKernel::Pad(plan_pad(&operands[0].shape, &out.shape, low, high))
+            }
+            OpKind::Concatenate { dim } => {
+                let (outer, _, inner) = split_at_axis(&out.shape, *dim);
+                SliceKernel::Concatenate {
+                    outer,
+                    inner,
+                    extents: operands.iter().map(|t| t.shape.dim(*dim)).collect(),
+                }
+            }
+            OpKind::DynamicSlice { sizes } => SliceKernel::DynamicSlice {
+                sizes: sizes.clone(),
+                strides: operands[0].shape.strides(),
+                max_start: max_starts(&operands[0].shape, sizes),
+            },
+            OpKind::DynamicUpdateSlice => {
+                let update = &operands[1].shape;
+                SliceKernel::DynamicUpdateSlice {
+                    place: BoxCopy {
+                        extents: update.dims().to_vec(),
+                        src_strides: update.strides(),
+                        src_base: 0,
+                        dst_strides: out.shape.strides(),
+                        dst_base: 0,
+                    },
+                    max_start: max_starts(&out.shape, update.dims()),
+                }
             }
             OpKind::Gather { axis } => {
                 f32_only(&operands[0])?;
@@ -895,35 +825,94 @@ impl SliceKernel {
                     inner,
                 }
             }
+            OpKind::Convolution(dims) => {
+                f32_only(&operands[0])?;
+                let (input, kernel) = (&operands[0].shape, &operands[1].shape);
+                SliceKernel::Convolution(plan_conv(*dims, input, kernel, &out.shape))
+            }
+            OpKind::ConvInputGrad { dims, .. } => {
+                f32_only(&operands[0])?;
+                let (out_grad, kernel) = (&operands[0].shape, &operands[1].shape);
+                SliceKernel::ConvInputGrad(plan_conv(*dims, &out.shape, kernel, out_grad))
+            }
+            OpKind::ConvFilterGrad { dims, .. } => {
+                f32_only(&operands[0])?;
+                let (input, out_grad) = (&operands[0].shape, &operands[1].shape);
+                SliceKernel::ConvFilterGrad(plan_conv(*dims, input, &out.shape, out_grad))
+            }
             OpKind::ArgMax { dim } => {
                 f32_only(&operands[0])?;
                 let (outer, n, inner) = split_at_axis(&operands[0].shape, *dim);
                 SliceKernel::ArgMax { outer, n, inner }
             }
-            other => {
+            OpKind::Constant(_) | OpKind::For { .. } | OpKind::Collective(_) => {
                 return Err(IrError::invalid(format!(
                     "{} is not a slice kernel op",
-                    other.name()
+                    kind.name()
                 )))
             }
         };
         Ok((kernel, out))
     }
 
-    /// Fills `dst` from `srcs`. Performs no heap allocation.
+    /// Fills `dst` from `srcs`, the op's operands in order. Performs no
+    /// heap allocation for up to eight operands — every op but a wider
+    /// `concatenate`, whose operand views spill to a `Vec`.
     ///
     /// # Errors
     ///
     /// When the buffers' dtypes are not the ones the kernel was planned
-    /// for. Buffer *lengths* are the planner's contract and are asserted.
-    pub fn run(&self, srcs: &[Buf<'_>], dst: BufMut<'_>) -> Result<(), IrError> {
+    /// for; an `i32` division by zero. Buffer *lengths* are the planner's
+    /// contract and are asserted.
+    pub fn run<'a>(
+        &self,
+        srcs: impl IntoIterator<Item = Buf<'a>>,
+        dst: BufMut<'_>,
+    ) -> Result<(), IrError> {
+        let mut stack = [Buf::Pred(&[]); STACK_SRCS];
+        let mut spill = Vec::new();
+        let mut n = 0;
+        for src in srcs {
+            match stack.get_mut(n) {
+                Some(slot) => *slot = src,
+                None => {
+                    if spill.is_empty() {
+                        spill.extend_from_slice(&stack);
+                    }
+                    spill.push(src);
+                }
+            }
+            n += 1;
+        }
+        self.run_on(if n <= STACK_SRCS { &stack[..n] } else { &spill }, dst)
+    }
+
+    fn run_on(&self, srcs: &[Buf<'_>], dst: BufMut<'_>) -> Result<(), IrError> {
         use {Buf as B, BufMut as M};
+        // `$call` once per dtype, sources and destination bound to slices of it.
+        macro_rules! same_dtype {
+            ($($x:ident),+ => $out:ident: $call:expr) => {
+                match ($(*$x),+, $out) {
+                    ($(B::F32($x)),+, M::F32($out)) => $call,
+                    ($(B::I32($x)),+, M::I32($out)) => $call,
+                    ($(B::Pred($x)),+, M::Pred($out)) => $call,
+                    _ => return Err(unplanned()),
+                }
+            };
+        }
         match (self, srcs, dst) {
             (SliceKernel::Iota { n, inner }, [], M::F32(out)) => {
                 iota_into(out, *n, *inner, |j| j as f32)
             }
             (SliceKernel::Iota { n, inner }, [], M::I32(out)) => {
                 iota_into(out, *n, *inner, |j| j as i32)
+            }
+            (SliceKernel::Unary(op), [B::F32(x)], M::F32(out)) => apply_un(*op, x, out),
+            (SliceKernel::Binary(op), [B::F32(x), B::F32(y)], M::F32(out)) => {
+                apply_bin(*op, x, y, out)
+            }
+            (SliceKernel::Binary(op), [B::I32(x), B::I32(y)], M::I32(out)) => {
+                binary_i32_into(*op, x, y, out)?
             }
             (SliceKernel::Compare(dir), [B::F32(x), B::F32(y)], M::Pred(out)) => {
                 compare_into(*dir, x, y, out)
@@ -941,8 +930,59 @@ impl SliceKernel {
                 select_into(p, t, f, out)
             }
             (SliceKernel::Convert, [x], out) => convert_into(*x, out),
-            (SliceKernel::Pad(plan), [B::F32(x), B::F32(value)], M::F32(out)) => {
-                pad_into(plan, x, value[0], out)
+            (SliceKernel::Dot(plan), [B::F32(a), B::F32(b)], M::F32(out)) => {
+                dot_general_into(plan, a, b, out)
+            }
+            (
+                SliceKernel::Strided {
+                    out_dims,
+                    in_strides,
+                    base,
+                },
+                [x],
+                out,
+            ) => same_dtype!(x => out: gather_strided_into(out, x, out_dims, in_strides, *base)),
+            (SliceKernel::Copy, [x], out) => same_dtype!(x => out: out.copy_from_slice(x)),
+            (SliceKernel::Reduce(plan), [B::F32(x)], M::F32(out)) => reduce_f32_into(plan, x, out),
+            (SliceKernel::Pad(place), [B::F32(x), B::F32(value)], M::F32(out)) => {
+                out.fill(value[0]);
+                copy_box(place, x, out, 0);
+            }
+            (
+                SliceKernel::Concatenate {
+                    outer,
+                    inner,
+                    extents,
+                },
+                srcs,
+                out,
+            ) => match out {
+                M::F32(out) => concat_into(out, srcs, Buf::f32, *outer, *inner, extents)?,
+                M::I32(out) => concat_into(out, srcs, Buf::i32, *outer, *inner, extents)?,
+                M::Pred(out) => concat_into(out, srcs, Buf::pred, *outer, *inner, extents)?,
+            },
+            (
+                SliceKernel::DynamicSlice {
+                    sizes,
+                    strides,
+                    max_start,
+                },
+                [x, starts @ ..],
+                out,
+            ) => {
+                let base = clamped_base(starts, max_start, strides)?;
+                same_dtype!(x => out: gather_strided_into(out, x, sizes, strides, base))
+            }
+            (
+                SliceKernel::DynamicUpdateSlice { place, max_start },
+                [x, update, starts @ ..],
+                out,
+            ) => {
+                let base = clamped_base(starts, max_start, &place.dst_strides)?;
+                same_dtype!(x, update => out: {
+                    out.copy_from_slice(x);
+                    copy_box(place, update, out, base);
+                })
             }
             (SliceKernel::Gather { outer, n, inner }, [B::F32(x), B::I32(idx)], M::F32(out)) => {
                 gather_rows_into(out, x, idx, *outer, *n, *inner)
@@ -952,14 +992,19 @@ impl SliceKernel {
                 [B::F32(src), B::I32(idx)],
                 M::F32(out),
             ) => scatter_add_into(out, src, idx, *outer, *size, *inner),
+            (SliceKernel::Convolution(p), [B::F32(input), B::F32(kernel)], M::F32(out)) => {
+                conv_into(p, input, kernel, out)
+            }
+            (SliceKernel::ConvInputGrad(p), [B::F32(out_grad), B::F32(kernel)], M::F32(out)) => {
+                conv_input_grad_into(p, out_grad, kernel, out)
+            }
+            (SliceKernel::ConvFilterGrad(p), [B::F32(input), B::F32(out_grad)], M::F32(out)) => {
+                conv_filter_grad_into(p, input, out_grad, out)
+            }
             (SliceKernel::ArgMax { outer, n, inner }, [B::F32(x)], M::I32(out)) => {
                 arg_max_into(out, x, *outer, *n, *inner)
             }
-            (kernel, _, _) => {
-                return Err(IrError::invalid(format!(
-                    "slice kernel {kernel:?} run on buffers it was not planned for"
-                )))
-            }
+            _ => return Err(unplanned()),
         }
         Ok(())
     }
@@ -972,6 +1017,83 @@ fn iota_into<T: Copy>(out: &mut [T], n: usize, inner: usize, from: impl Fn(usize
     for (row, chunk) in out.chunks_exact_mut(inner).enumerate() {
         chunk.fill(from(row % n));
     }
+}
+
+/// `d[j] = op(a[j])` with the operator match hoisted out of the loop so
+/// each arm is a tight, autovectorizable kernel. The one statement of the
+/// unary lane formulas: [`SliceKernel::Unary`] and the register blocks of
+/// a compiled plan's fused elementwise machine both call it, so fused and
+/// op-by-op evaluation agree bit for bit.
+pub fn apply_un(op: UnaryOp, a: &[f32], d: &mut [f32]) {
+    assert_eq!(a.len(), d.len());
+    macro_rules! lanes {
+        ($f:expr) => {
+            for (y, &x) in d.iter_mut().zip(a) {
+                *y = $f(x);
+            }
+        };
+    }
+    match op {
+        UnaryOp::Neg => lanes!(|x: f32| -x),
+        UnaryOp::Exp => lanes!(f32::exp),
+        UnaryOp::Log => lanes!(f32::ln),
+        UnaryOp::Tanh => lanes!(f32::tanh),
+        UnaryOp::Sqrt => lanes!(f32::sqrt),
+        UnaryOp::Rsqrt => lanes!(|x: f32| 1.0 / x.sqrt()),
+        UnaryOp::Abs => lanes!(f32::abs),
+        UnaryOp::Logistic => lanes!(|x: f32| 1.0 / (1.0 + (-x).exp())),
+        UnaryOp::Sin => lanes!(f32::sin),
+        UnaryOp::Cos => lanes!(f32::cos),
+    }
+}
+
+/// `d[j] = op(a[j], b[j])`, operator match hoisted like [`apply_un`].
+pub fn apply_bin(op: BinaryOp, a: &[f32], b: &[f32], d: &mut [f32]) {
+    assert!(a.len() == d.len() && b.len() == d.len());
+    macro_rules! lanes {
+        ($f:expr) => {
+            for ((y, &x1), &x2) in d.iter_mut().zip(a).zip(b) {
+                *y = $f(x1, x2);
+            }
+        };
+    }
+    match op {
+        BinaryOp::Add => lanes!(|x: f32, y: f32| x + y),
+        BinaryOp::Sub => lanes!(|x: f32, y: f32| x - y),
+        BinaryOp::Mul => lanes!(|x: f32, y: f32| x * y),
+        BinaryOp::Div => lanes!(|x: f32, y: f32| x / y),
+        BinaryOp::Max => lanes!(f32::max),
+        BinaryOp::Min => lanes!(f32::min),
+        BinaryOp::Pow => lanes!(f32::powf),
+    }
+}
+
+/// The `i32` lanes: arithmetic wraps (`i32::MIN / -1` included), a zero
+/// divisor fails the run. `pow` is refused when the kernel is planned.
+fn binary_i32_into(op: BinaryOp, a: &[i32], b: &[i32], d: &mut [i32]) -> Result<(), IrError> {
+    assert!(a.len() == d.len() && b.len() == d.len());
+    macro_rules! lanes {
+        ($f:expr) => {
+            for ((y, &x1), &x2) in d.iter_mut().zip(a).zip(b) {
+                *y = $f(x1, x2);
+            }
+        };
+    }
+    match op {
+        BinaryOp::Add => lanes!(i32::wrapping_add),
+        BinaryOp::Sub => lanes!(i32::wrapping_sub),
+        BinaryOp::Mul => lanes!(i32::wrapping_mul),
+        BinaryOp::Div => {
+            if b.contains(&0) {
+                return Err(IrError::invalid("integer division by zero"));
+            }
+            lanes!(i32::wrapping_div)
+        }
+        BinaryOp::Max => lanes!(i32::max),
+        BinaryOp::Min => lanes!(i32::min),
+        BinaryOp::Pow => return Err(IrError::unsupported("integer pow")),
+    }
+    Ok(())
 }
 
 /// `out[i] = x[i] <dir> y[i]`, the direction matched once outside the
@@ -1030,7 +1152,7 @@ fn convert_into(src: Buf<'_>, out: BufMut<'_>) {
 /// The box of `in_shape` that survives `low`/`high` and where it lands
 /// in `out_shape`: input index `s` of dimension `d` is kept when
 /// `0 <= s < in` and `0 <= s + low < out`.
-fn plan_pad(in_shape: &Shape, out_shape: &Shape, low: &[i64], high: &[i64]) -> PadPlan {
+fn plan_pad(in_shape: &Shape, out_shape: &Shape, low: &[i64], high: &[i64]) -> BoxCopy {
     let rank = in_shape.rank();
     let mut extents = Vec::with_capacity(rank);
     let (mut src_base, mut dst_base) = (0usize, 0usize);
@@ -1043,7 +1165,7 @@ fn plan_pad(in_shape: &Shape, out_shape: &Shape, low: &[i64], high: &[i64]) -> P
         src_base += first as usize * src_strides[d];
         dst_base += (first + low[d]) as usize * dst_strides[d];
     }
-    PadPlan {
+    BoxCopy {
         extents,
         src_strides,
         src_base,
@@ -1052,34 +1174,77 @@ fn plan_pad(in_shape: &Shape, out_shape: &Shape, low: &[i64], high: &[i64]) -> P
     }
 }
 
-fn pad_into(plan: &PadPlan, x: &[f32], value: f32, out: &mut [f32]) {
-    out.fill(value);
-    let total: usize = plan.extents.iter().product();
+/// Copies `place`'s box from `src` into `dst`, `offset` elements past
+/// where the plan put it.
+fn copy_box<T: Copy>(place: &BoxCopy, src: &[T], dst: &mut [T], offset: usize) {
+    let dst_base = place.dst_base + offset;
+    let total: usize = place.extents.iter().product();
     if total == 0 {
         return;
     }
-    let Some((&row, outer_extents)) = plan.extents.split_last() else {
-        out[plan.dst_base] = x[plan.src_base];
+    let Some((&row, outer_extents)) = place.extents.split_last() else {
+        dst[dst_base] = src[place.src_base];
         return;
     };
     let inner = outer_extents.len();
     assert!(inner < MAX_RANK, "tensor rank exceeds MAX_RANK");
     let mut idx = [0usize; MAX_RANK];
-    let (mut src, mut dst) = (plan.src_base, plan.dst_base);
+    let (mut from, mut to) = (place.src_base, dst_base);
     for _ in 0..total / row {
-        out[dst..dst + row].copy_from_slice(&x[src..src + row]);
+        dst[to..to + row].copy_from_slice(&src[from..from + row]);
         for d in (0..inner).rev() {
             idx[d] += 1;
-            src += plan.src_strides[d];
-            dst += plan.dst_strides[d];
+            from += place.src_strides[d];
+            to += place.dst_strides[d];
             if idx[d] < outer_extents[d] {
                 break;
             }
-            src -= plan.src_strides[d] * outer_extents[d];
-            dst -= plan.dst_strides[d] * outer_extents[d];
+            from -= place.src_strides[d] * outer_extents[d];
+            to -= place.dst_strides[d] * outer_extents[d];
             idx[d] = 0;
         }
     }
+}
+
+/// Linear offset of a box at the runtime `starts` (`i32` scalars):
+/// negative starts clamp to 0, large ones to `max_start`.
+fn clamped_base(
+    starts: &[Buf<'_>],
+    max_start: &[usize],
+    strides: &[usize],
+) -> Result<usize, IrError> {
+    assert_eq!(starts.len(), max_start.len());
+    let mut base = 0;
+    for ((start, &max), &stride) in starts.iter().zip(max_start).zip(strides) {
+        base += (start.i32()?[0].max(0) as usize).min(max) * stride;
+    }
+    Ok(base)
+}
+
+/// Row-span concatenation; `typed` views each operand as the result's
+/// dtype.
+fn concat_into<'a, T: Copy>(
+    out: &mut [T],
+    srcs: &[Buf<'a>],
+    typed: fn(Buf<'a>) -> Result<&'a [T], IrError>,
+    outer: usize,
+    inner: usize,
+    extents: &[usize],
+) -> Result<(), IrError> {
+    assert_eq!(srcs.len(), extents.len());
+    let out_row = extents.iter().sum::<usize>() * inner;
+    assert_eq!(out.len(), outer * out_row);
+    let mut offset = 0;
+    for (&src, &extent) in srcs.iter().zip(extents) {
+        let src = typed(src)?;
+        let rows = extent * inner;
+        for o in 0..outer {
+            out[o * out_row + offset..o * out_row + offset + rows]
+                .copy_from_slice(&src[o * rows..(o + 1) * rows]);
+        }
+        offset += rows;
+    }
+    Ok(())
 }
 
 fn gather_rows_into(
@@ -1134,6 +1299,94 @@ fn scatter_add_into(
             }
         }
     }
+}
+
+fn plan_conv(dims: ConvDims, input: &Shape, kernel: &Shape, output: &Shape) -> ConvPlan {
+    ConvPlan {
+        n: input.dim(0),
+        ci: input.dim(1),
+        h: input.dim(2),
+        w: input.dim(3),
+        co: kernel.dim(0),
+        kh: kernel.dim(2),
+        kw: kernel.dim(3),
+        ho: output.dim(2),
+        wo: output.dim(3),
+        dims,
+    }
+}
+
+impl ConvPlan {
+    /// The input pixel kernel tap `(khi, kwi)` reads for output pixel
+    /// `(oh, ow)`; `None` in the zero padding.
+    fn tap(&self, oh: usize, ow: usize, khi: usize, kwi: usize) -> Option<(usize, usize)> {
+        let ih = (oh * self.dims.strides.0 + khi).checked_sub(self.dims.padding.0)?;
+        let iw = (ow * self.dims.strides.1 + kwi).checked_sub(self.dims.padding.1)?;
+        (ih < self.h && iw < self.w).then_some((ih, iw))
+    }
+
+    fn input_at(&self, bi: usize, icn: usize, ih: usize, iw: usize) -> usize {
+        ((bi * self.ci + icn) * self.h + ih) * self.w + iw
+    }
+
+    fn kernel_at(&self, oc: usize, icn: usize, khi: usize, kwi: usize) -> usize {
+        ((oc * self.ci + icn) * self.kh + khi) * self.kw + kwi
+    }
+
+    fn output_at(&self, bi: usize, oc: usize, oh: usize, ow: usize) -> usize {
+        ((bi * self.co + oc) * self.ho + oh) * self.wo + ow
+    }
+
+    /// `f(output element, input element, kernel element)` for every tap
+    /// that lands inside the input, in the forward loop order: output
+    /// elements row-major, then `(channel, kh, kw)`.
+    fn for_each_tap(&self, mut f: impl FnMut(usize, usize, usize)) {
+        for bi in 0..self.n {
+            for oc in 0..self.co {
+                for oh in 0..self.ho {
+                    for ow in 0..self.wo {
+                        let o = self.output_at(bi, oc, oh, ow);
+                        for icn in 0..self.ci {
+                            for khi in 0..self.kh {
+                                for kwi in 0..self.kw {
+                                    if let Some((ih, iw)) = self.tap(oh, ow, khi, kwi) {
+                                        f(
+                                            o,
+                                            self.input_at(bi, icn, ih, iw),
+                                            self.kernel_at(oc, icn, khi, kwi),
+                                        );
+                                    }
+                                }
+                            }
+                        }
+                    }
+                }
+            }
+        }
+    }
+}
+
+fn conv_into(p: &ConvPlan, input: &[f32], kernel: &[f32], out: &mut [f32]) {
+    out.fill(0.0);
+    p.for_each_tap(|o, i, k| out[o] += input[i] * kernel[k]);
+}
+
+fn conv_input_grad_into(p: &ConvPlan, out_grad: &[f32], kernel: &[f32], out: &mut [f32]) {
+    out.fill(0.0);
+    p.for_each_tap(|o, i, k| {
+        if out_grad[o] != 0.0 {
+            out[i] += out_grad[o] * kernel[k];
+        }
+    });
+}
+
+fn conv_filter_grad_into(p: &ConvPlan, input: &[f32], out_grad: &[f32], out: &mut [f32]) {
+    out.fill(0.0);
+    p.for_each_tap(|o, i, k| {
+        if out_grad[o] != 0.0 {
+            out[k] += out_grad[o] * input[i];
+        }
+    });
 }
 
 fn arg_max_into(out: &mut [i32], x: &[f32], outer: usize, n: usize, inner: usize) {
@@ -1301,10 +1554,20 @@ mod tests {
         );
     }
 
+    /// One op through its kernel, as the interpreter runs it.
+    fn eval(kind: OpKind, operands: &[&Literal]) -> Literal {
+        crate::interp::eval_op(&kind, operands).unwrap().remove(0)
+    }
+
     #[test]
     fn strided_slice_matches_semantics() {
         let x = lit((0..24).map(|v| v as f32).collect(), &[4, 6]);
-        let s = slice(&x, &[1, 0], &[4, 6], &[2, 3]).unwrap();
+        let kind = OpKind::Slice {
+            starts: vec![1, 0],
+            limits: vec![4, 6],
+            strides: vec![2, 3],
+        };
+        let s = eval(kind, &[&x]);
         assert_eq!(s.shape().dims(), &[2, 2]);
         assert_eq!(s.as_f32().unwrap(), &[6.0, 9.0, 18.0, 21.0]);
     }
@@ -1313,24 +1576,24 @@ mod tests {
     fn concat_copies_row_spans() {
         let a = lit(vec![0., 1., 2., 3.], &[2, 2]);
         let b = lit(vec![4., 5., 6., 7.], &[2, 2]);
-        let c = concat(&[&a, &b], 1).unwrap();
+        let c = eval(OpKind::Concatenate { dim: 1 }, &[&a, &b]);
         assert_eq!(c.shape().dims(), &[2, 4]);
         assert_eq!(c.as_f32().unwrap(), &[0., 1., 4., 5., 2., 3., 6., 7.]);
-        let c0 = concat(&[&a, &b], 0).unwrap();
+        let c0 = eval(OpKind::Concatenate { dim: 0 }, &[&a, &b]);
         assert_eq!(c0.as_f32().unwrap(), &[0., 1., 2., 3., 4., 5., 6., 7.]);
     }
 
     #[test]
-    fn update_slice_is_in_place_when_unique() {
+    fn update_slice_lands_at_the_start_and_leaves_the_operand_alone() {
         let base = lit(vec![0.0; 16], &[4, 4]);
-        let ptr = base.as_f32().unwrap().as_ptr();
         let update = lit(vec![1.0, 2.0, 3.0, 4.0], &[2, 2]);
-        let out = update_slice_in_place(base, &update, &[1, 1]).unwrap();
-        assert_eq!(out.as_f32().unwrap().as_ptr(), ptr, "no copy when unique");
+        let one = Literal::scalar_i32(1);
+        let out = eval(OpKind::DynamicUpdateSlice, &[&base, &update, &one, &one]);
         assert_eq!(
             out.as_f32().unwrap(),
             &[0., 0., 0., 0., 0., 1., 2., 0., 0., 3., 4., 0., 0., 0., 0., 0.]
         );
+        assert_eq!(base.as_f32().unwrap(), &[0.0; 16]);
     }
 
     #[test]
@@ -1353,11 +1616,15 @@ mod tests {
     fn reduce_middle_dim_matches_trailing_path() {
         let x = lit((0..24).map(|v| v as f32).collect(), &[2, 3, 4]);
         // Reduce the middle dim (general path).
-        let mid = reduce_f32(ReduceOp::Sum, &x, &[1]).unwrap();
+        let sum = |dims: Vec<usize>| OpKind::Reduce {
+            op: ReduceOp::Sum,
+            dims,
+        };
+        let mid = eval(sum(vec![1]), &[&x]);
         assert_eq!(mid.shape().dims(), &[2, 4]);
         assert_eq!(mid.as_f32().unwrap()[0], 0.0 + 4.0 + 8.0);
         // Reduce trailing dims (fast path).
-        let tail = reduce_f32(ReduceOp::Sum, &x, &[1, 2]).unwrap();
+        let tail = eval(sum(vec![1, 2]), &[&x]);
         assert_eq!(tail.shape().dims(), &[2]);
         assert_eq!(tail.as_f32().unwrap()[0], (0..12).sum::<i32>() as f32);
     }

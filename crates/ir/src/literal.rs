@@ -124,6 +124,16 @@ impl Literal {
     /// A literal of the given type with every element set to `v`
     /// (cast per dtype; `Pred` becomes `v != 0`).
     pub fn filled(ty: &TensorType, v: f32) -> Self {
+        Literal::filled_owned(ty.clone(), v)
+    }
+
+    /// [`Literal::zeros`] of a type the caller is done with (no shape
+    /// clone): the result buffer of [`crate::interp::eval_op`].
+    pub(crate) fn zeroed(ty: TensorType) -> Self {
+        Literal::filled_owned(ty, 0.0)
+    }
+
+    fn filled_owned(ty: TensorType, v: f32) -> Self {
         let n = ty.shape.num_elements();
         let data = match ty.dtype {
             DType::F32 => Data::F32(Arc::new(vec![v; n])),
@@ -131,7 +141,7 @@ impl Literal {
             DType::Pred => Data::Pred(Arc::new(vec![v != 0.0; n])),
         };
         Literal {
-            shape: ty.shape.clone(),
+            shape: ty.shape,
             data,
         }
     }

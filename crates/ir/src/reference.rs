@@ -1,14 +1,16 @@
-//! Index-walk oracles: the element-at-a-time forms the interpreter used
-//! before [`crate::kernels`] replaced them.
+//! Oracles: the element-at-a-time forms the interpreter used before
+//! [`crate::kernels`] replaced them.
 //!
-//! Every function here walks multi-indices (`Shape::indices`,
-//! `Shape::multi_index`, `Literal::get`) and allocates per element. None
-//! is reachable from [`crate::interp`], the SPMD interpreters or a
-//! compiled plan: they exist so that the property tests
-//! (`tests/kernels_prop.rs`, `tests/slice_kernels_prop.rs`) and the micro benches can hold each kernel
-//! to the definition it replaced, bit for bit.
+//! The index walks step through multi-indices (`Shape::indices`,
+//! `Shape::multi_index`, `Literal::get`) and allocate per element;
+//! [`unary`] and [`binary`] are the scalar expressions the elementwise
+//! lanes were written from. None is reachable from [`crate::interp`], the
+//! SPMD interpreters or a compiled plan: they exist so that the property
+//! tests (`tests/kernels_prop.rs`, `tests/slice_kernels_prop.rs`) and the
+//! micro benches can hold each kernel to the definition it replaced, bit
+//! for bit.
 
-use crate::{CompareDir, DType, DotDims, IrError, Literal, Shape};
+use crate::{BinaryOp, CompareDir, DType, DotDims, IrError, Literal, Shape, UnaryOp};
 
 /// The original element-at-a-time `Dot` evaluation: walks every output
 /// element and every contraction index through multi-index iterators.
@@ -67,6 +69,88 @@ pub fn dot_general_reference(
         data[out_lin] = acc;
     }
     Literal::from_f32(data, out_shape)
+}
+
+/// `Unary`, one scalar expression per element.
+///
+/// # Errors
+///
+/// Fails on non-`f32` operands.
+pub fn unary(u: UnaryOp, x: &Literal) -> Result<Literal, IrError> {
+    let f = |v: f32| -> f32 {
+        match u {
+            UnaryOp::Neg => -v,
+            UnaryOp::Exp => v.exp(),
+            UnaryOp::Log => v.ln(),
+            UnaryOp::Tanh => v.tanh(),
+            UnaryOp::Sqrt => v.sqrt(),
+            UnaryOp::Rsqrt => 1.0 / v.sqrt(),
+            UnaryOp::Abs => v.abs(),
+            UnaryOp::Logistic => 1.0 / (1.0 + (-v).exp()),
+            UnaryOp::Sin => v.sin(),
+            UnaryOp::Cos => v.cos(),
+        }
+    };
+    let data: Vec<f32> = x.as_f32()?.iter().copied().map(f).collect();
+    Literal::from_f32(data, x.shape().clone())
+}
+
+/// `Binary`, one scalar expression per element; `i32` wraps.
+///
+/// # Errors
+///
+/// Fails on `pred` operands, integer `pow` and an integer zero divisor.
+pub fn binary(b: BinaryOp, x: &Literal, y: &Literal) -> Result<Literal, IrError> {
+    match x.dtype() {
+        DType::F32 => {
+            let f = |a: f32, c: f32| -> f32 {
+                match b {
+                    BinaryOp::Add => a + c,
+                    BinaryOp::Sub => a - c,
+                    BinaryOp::Mul => a * c,
+                    BinaryOp::Div => a / c,
+                    BinaryOp::Max => a.max(c),
+                    BinaryOp::Min => a.min(c),
+                    BinaryOp::Pow => a.powf(c),
+                }
+            };
+            let data: Vec<f32> = x
+                .as_f32()?
+                .iter()
+                .zip(y.as_f32()?)
+                .map(|(&a, &c)| f(a, c))
+                .collect();
+            Literal::from_f32(data, x.shape().clone())
+        }
+        DType::I32 => {
+            let f = |a: i32, c: i32| -> Result<i32, IrError> {
+                Ok(match b {
+                    BinaryOp::Add => a.wrapping_add(c),
+                    BinaryOp::Sub => a.wrapping_sub(c),
+                    BinaryOp::Mul => a.wrapping_mul(c),
+                    BinaryOp::Div => {
+                        if c == 0 {
+                            return Err(IrError::invalid("integer division by zero"));
+                        }
+                        a.wrapping_div(c)
+                    }
+                    BinaryOp::Max => a.max(c),
+                    BinaryOp::Min => a.min(c),
+                    BinaryOp::Pow => {
+                        return Err(IrError::unsupported("integer pow"));
+                    }
+                })
+            };
+            let data: Vec<i32> = x
+                .as_i32()?
+                .iter()
+                .zip(y.as_i32()?)
+                .map(|(&a, &c)| f(a, c))
+                .collect::<Result<_, _>>()?;
+            Literal::from_i32(data, x.shape().clone())
+        }
+        DType::Pred => Err(IrError::unsupported("binary op on pred")),
+    }
 }
 
 /// `Iota` by multi-index walk.

@@ -79,19 +79,6 @@ impl DeviceSpec {
             hbm_bandwidth: 1555.0e9,
         }
     }
-
-    /// A small fictional device used by functional tests so that
-    /// memory-limit code paths can be exercised with tiny tensors.
-    pub fn test_device(hbm_bytes: u64) -> Self {
-        DeviceSpec {
-            name: "TestDev".to_string(),
-            kind: DeviceKind::Cpu,
-            peak_flops_f32: 1.0e12,
-            peak_flops_bf16: 2.0e12,
-            hbm_bytes,
-            hbm_bandwidth: 100.0e9,
-        }
-    }
 }
 
 /// Per-axis interconnect description for a mesh.
@@ -206,16 +193,6 @@ impl HardwareConfig {
             mesh,
             device: DeviceSpec::a100_40gb(),
             topology: Topology { links },
-        }
-    }
-
-    /// A tiny test machine with `hbm_bytes` of memory per device.
-    pub fn test_machine(mesh: Mesh, hbm_bytes: u64) -> Self {
-        let topology = Topology::uniform(&mesh, 10.0e9, 1.0e-6);
-        HardwareConfig {
-            mesh,
-            device: DeviceSpec::test_device(hbm_bytes),
-            topology,
         }
     }
 }

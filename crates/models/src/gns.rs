@@ -10,7 +10,7 @@
 //! partial sum — one all-reduce per aggregation, exactly the collective
 //! pattern Table 2 reports.
 
-use partir_ir::{Func, FuncBuilder, IrError, TensorType, ValueId};
+use partir_ir::{FuncBuilder, IrError, TensorType, ValueId};
 
 use crate::nn;
 use crate::train::{f32_input, finish_train_step, int_input, param_with_opt, BuiltModel, Init};
@@ -219,19 +219,6 @@ pub fn build_train_step(cfg: &GnsConfig) -> Result<BuiltModel, IrError> {
         num_param_tensors,
         name: "GNS".to_string(),
     })
-}
-
-/// Forward-only variant (used by examples).
-///
-/// # Errors
-///
-/// Fails only on internal IR construction errors.
-pub fn build_forward(cfg: &GnsConfig) -> Result<Func, IrError> {
-    // Reuse the training builder then strip: cheapest is rebuilding a
-    // forward-only graph; the training step is what benchmarks use, so a
-    // minimal forward here keeps the API surface honest.
-    let model = build_train_step(cfg)?;
-    Ok(model.func)
 }
 
 #[cfg(test)]

@@ -29,24 +29,6 @@ pub struct BuiltModel {
     pub name: String,
 }
 
-impl BuiltModel {
-    /// Total parameter element count.
-    pub fn num_param_elements(&self) -> usize {
-        self.func
-            .params()
-            .iter()
-            .filter(|&&p| {
-                self.func
-                    .value(p)
-                    .name
-                    .as_deref()
-                    .is_some_and(|n| n.starts_with("params."))
-            })
-            .map(|&p| self.func.value_type(p).shape.num_elements())
-            .sum()
-    }
-}
-
 /// Deterministic synthetic inputs for a built model.
 pub fn synthetic_inputs(model: &BuiltModel, seed: u64) -> Vec<Literal> {
     let mut state = seed.wrapping_mul(0x9e3779b97f4a7c15) | 1;

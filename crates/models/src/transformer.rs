@@ -342,23 +342,6 @@ pub fn build_train_step(cfg: &TransformerConfig) -> Result<BuiltModel, IrError> 
     })
 }
 
-/// Builds the forward-only loss function (used by examples and tests that
-/// don't need the optimizer).
-///
-/// # Errors
-///
-/// Fails only on internal IR construction errors.
-pub fn build_forward_loss(cfg: &TransformerConfig) -> Result<BuiltModel, IrError> {
-    let (b, loss, _, inits) = build_loss(cfg)?;
-    let func = b.build([loss])?;
-    Ok(BuiltModel {
-        func,
-        inits,
-        num_param_tensors: cfg.num_param_tensors(),
-        name: format!("T{}-fwd", cfg.layers),
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

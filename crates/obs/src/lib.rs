@@ -167,11 +167,6 @@ impl Collector {
         }
     }
 
-    /// Whether this collector records anything.
-    pub fn is_enabled(&self) -> bool {
-        self.inner.enabled
-    }
-
     /// The existing track named `name`, or a freshly registered one.
     fn track(&self, name: &str) -> Arc<TrackBuf> {
         let mut tracks = self.inner.tracks.lock().expect("track registry");

@@ -98,11 +98,6 @@ impl ManualPartition {
         self.rule(Matcher::Exact(name.into()), DimSpec::Dim(dim))
     }
 
-    /// Shards every value whose name starts with `prefix` on `dim`.
-    pub fn prefix_dim(self, prefix: impl Into<String>, dim: usize) -> Self {
-        self.rule(Matcher::Prefix(prefix.into()), DimSpec::Dim(dim))
-    }
-
     /// Shards every value whose name starts with `prefix` on its first
     /// divisible dimension.
     pub fn prefix_first_divisible(self, prefix: impl Into<String>) -> Self {
@@ -112,11 +107,6 @@ impl ManualPartition {
     /// Shards every value whose name contains `fragment` on `dim`.
     pub fn contains_dim(self, fragment: impl Into<String>, dim: usize) -> Self {
         self.rule(Matcher::Contains(fragment.into()), DimSpec::Dim(dim))
-    }
-
-    /// Pins every value whose name starts with `prefix` replicated.
-    pub fn prefix_replicated(self, prefix: impl Into<String>) -> Self {
-        self.rule(Matcher::Prefix(prefix.into()), DimSpec::Replicated)
     }
 
     /// Pins the exactly-named value replicated.

@@ -43,11 +43,6 @@ impl Workload {
         Workload { requests }
     }
 
-    /// Total decode work across all requests, in engine steps.
-    pub fn total_decode_steps(&self) -> usize {
-        self.requests.iter().map(|r| r.decode_steps).sum()
-    }
-
     /// The longest `prompt + decode` over all requests — must fit the
     /// model's `max_seq`.
     pub fn max_seq_len(&self) -> usize {

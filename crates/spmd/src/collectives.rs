@@ -625,11 +625,7 @@ fn axis_ring_gather<E: Exchange>(
         .map(|b| b.expect("all blocks received"))
         .collect();
     let refs: Vec<&Literal> = ordered.iter().collect();
-    let mut out_ty = ordered[0].ty();
-    let mut dims = out_ty.shape.dims().to_vec();
-    dims[dim] *= k;
-    out_ty.shape = dims.into();
-    let out = eval_op(&OpKind::Concatenate { dim }, &refs, &out_ty)?;
+    let out = eval_op(&OpKind::Concatenate { dim }, &refs)?;
     Ok(out.into_iter().next().expect("single result"))
 }
 
@@ -688,11 +684,7 @@ fn axis_all_to_all<E: Exchange>(
         });
     }
     let refs: Vec<&Literal> = parts.iter().collect();
-    let mut out_ty = parts[0].ty();
-    let mut dims = out_ty.shape.dims().to_vec();
-    dims[src_dim] *= k;
-    out_ty.shape = dims.into();
-    let out = eval_op(&OpKind::Concatenate { dim: src_dim }, &refs, &out_ty)?;
+    let out = eval_op(&OpKind::Concatenate { dim: src_dim }, &refs)?;
     Ok(out.into_iter().next().expect("single result"))
 }
 

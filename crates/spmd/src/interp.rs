@@ -14,8 +14,10 @@
 //! localises a plan-compiler bug.
 
 use partir_core::{ShardKind, ValueCtx};
+use partir_ir::kernels::SliceKernel;
 use partir_ir::{
     interp::eval_op, BinaryOp, Collective, Func, IrError, Literal, OpId, OpKind, ReduceOp,
+    TensorType,
 };
 use partir_mesh::{Axis, Mesh};
 
@@ -148,7 +150,7 @@ fn exec_body(
                                 .ok_or_else(|| IrError::invalid("use before def"))
                         })
                         .collect::<Result<_, _>>()?;
-                    let results = eval_op(&op.kind, &operands, func.value_type(op.results[0]))?;
+                    let results = eval_op(&op.kind, &operands)?;
                     for (&r, val) in op.results.iter().zip(results) {
                         env[r.0 as usize] = Some(val);
                     }
@@ -220,7 +222,7 @@ fn all_reduce(
         for group in groups {
             let mut acc = vals[group[0]].clone();
             for &member in &group[1..] {
-                let r = eval_op(&OpKind::Binary(bin), &[&acc, &vals[member]], &acc.ty())?;
+                let r = eval_op(&OpKind::Binary(bin), &[&acc, &vals[member]])?;
                 acc = r.into_iter().next().expect("single result");
             }
             for &member in &group {
@@ -273,7 +275,7 @@ fn all_gather(
                     .axis_group(device, axis)
                     .map_err(|e| IrError::invalid(e.to_string()))?;
                 let chunks: Vec<&Literal> = peers.iter().map(|&p| &vals[p]).collect();
-                let out = eval_op(&OpKind::Concatenate { dim: d }, &chunks, &vals[device].ty())?;
+                let out = eval_op(&OpKind::Concatenate { dim: d }, &chunks)?;
                 *slot = out.into_iter().next().expect("single result");
             }
             vals = next;
@@ -282,13 +284,18 @@ fn all_gather(
     Ok(vals)
 }
 
+/// Chunk `c` of the `k` equal chunks of `lit` along `dim`. Every stage of
+/// every collective on a device thread takes one, so the chunk is handed
+/// to the strided-gather kernel as the view it is (offset `c · chunk`
+/// rows of `dim` into the operand, the operand's own strides) instead of
+/// being spelled as a `slice` op for `eval_op` to infer and plan again.
 pub(crate) fn slice_chunk(
     lit: &Literal,
     dim: usize,
     c: usize,
     k: usize,
 ) -> Result<Literal, IrError> {
-    let shape = lit.shape().clone();
+    let shape = lit.shape();
     if !shape.dim(dim).is_multiple_of(k) {
         return Err(IrError::shape(
             "all_slice",
@@ -296,20 +303,16 @@ pub(crate) fn slice_chunk(
         ));
     }
     let chunk = shape.dim(dim) / k;
-    let mut starts = vec![0; shape.rank()];
-    let mut limits: Vec<usize> = shape.dims().to_vec();
-    starts[dim] = c * chunk;
-    limits[dim] = (c + 1) * chunk;
-    let out = eval_op(
-        &OpKind::Slice {
-            starts,
-            limits,
-            strides: vec![1; shape.rank()],
-        },
-        &[lit],
-        &lit.ty(),
-    )?;
-    Ok(out.into_iter().next().expect("single result"))
+    let in_strides = shape.strides();
+    let out_ty = TensorType::new(shape.with_dim(dim, chunk), lit.dtype());
+    let kernel = SliceKernel::Strided {
+        out_dims: out_ty.shape.dims().to_vec(),
+        base: c * chunk * in_strides[dim],
+        in_strides,
+    };
+    let mut out = Literal::zeros(&out_ty);
+    kernel.run([lit.as_buf()], out.as_buf_mut())?;
+    Ok(out)
 }
 
 /// Extracts device `device`'s shard of a global value under `ctx`.

@@ -79,9 +79,7 @@ mod stats;
 pub use collectives::{predict_traffic, AxisTraffic, TrafficPrediction};
 pub use fuse::fuse_collectives;
 pub use lower::lower;
-pub use plan::{
-    CollWindow, CompiledPlan, PlanError, PlanExecutor, PlanOptions, GENERAL_STEP_EXCEPTIONS,
-};
+pub use plan::{CollWindow, CompiledPlan, PlanError, PlanExecutor, PlanOptions};
 pub use program::SpmdProgram;
 pub use runtime::{
     seeded_faults, ChaosConfig, DeviceCounters, Fault, RunOutcome, RuntimeConfig, RuntimeError,

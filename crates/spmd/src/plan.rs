@@ -6,12 +6,10 @@
 //! [`Literal`] for every intermediate on every step. [`CompiledPlan`]
 //! performs that work exactly once:
 //!
-//! * every op is pre-resolved to a direct kernel call
-//!   ([`partir_ir::kernels`]: matmul / transpose / broadcast / reduce
-//!   fast paths, and the [`SliceKernel`]s the interpreters themselves run
-//!   for `compare` / `select` / `convert` / `pad` / index `gather` /
-//!   `scatter_add` / `arg_max`) with shapes, strides and staging
-//!   permutations baked in;
+//! * every op is pre-resolved to the [`SliceKernel`] the interpreters
+//!   themselves run for it ([`partir_ir::kernels`] holds the one
+//!   definition of each op), planned against the operand types with
+//!   shapes, strides and staging permutations baked in;
 //! * adjacent same-shape `f32` elementwise ops are fused into a single
 //!   register-machine loop body ([`Step::Eltwise`]), so chains like
 //!   `neg → exp → add` make one pass over memory;
@@ -25,20 +23,23 @@
 //!
 //! **What allocates.** After one warm-up run (which sizes the kernels'
 //! per-thread scratch pool), loading inputs and running the *local* steps
-//! of a plan performs zero heap allocations — provided
-//! [`CompiledPlan::general_steps`] is empty. That holds for every
-//! transformer, itransformer-serve (decode step) and GNS plan, and
-//! `tests/plan_alloc.rs` asserts it on the transformer training step and
-//! the decode step. Not covered: `Step::General`, the interpreter
-//! fallback, which lifts its operands into fresh [`Literal`]s on every
-//! execution ([`GENERAL_STEP_EXCEPTIONS`] names the op kinds the zoo still
-//! reaches that way); collective steps, which snapshot their operand
+//! of a plan performs zero heap allocations; `tests/plan_alloc.rs`
+//! asserts it on the transformer training step, the decode step, the
+//! `build_serving` loop and U-Net. (The one exception is a kernel step
+//! with more than eight operands — a wide `concatenate` — whose operand
+//! views [`SliceKernel::run`] collects into a `Vec`; the zoo has none.)
+//! Not covered: collective steps, which snapshot their operand
 //! into a `Literal` payload and receive fresh ones (messages own their
 //! data); `read_outputs`, which materialises results for the caller; and
 //! what the threaded runtime sets up around the plan on every run —
 //! channels and one thread per device. The arenas themselves are resident:
 //! the plan owns one [`PlanExecutor`] per device, allocated on the first
 //! run and reused by every later one.
+//!
+//! An op or operand dtype [`SliceKernel::plan`] has no semantics for
+//! (integer `pow`, a `pred` binary, a non-`f32` dot) is refused here, at
+//! [`CompiledPlan::compile`], with the [`IrError`] the interpreter raises
+//! for it — there is no fallback path.
 //!
 //! The compiler cross-checks its byte accounting against the analysis
 //! crate by replaying the liveness walk ([`PlanError::BoundMismatch`])
@@ -52,14 +53,14 @@
 //! unpartitioned reference), which the conformance suite asserts across
 //! the model zoo.
 
-use std::collections::{BTreeMap, HashMap, HashSet};
+use std::collections::{HashMap, HashSet};
 use std::fmt;
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
 use partir_analysis::plan::{Access, ForView, PlanView, StageView, StepView};
 use partir_analysis::Diagnostic;
 use partir_ir::interp::eval_op;
-use partir_ir::kernels::{self, Buf, BufMut, DotPlan, ReducePlan, SliceKernel};
+use partir_ir::kernels::{apply_bin, apply_un, Buf, BufMut, SliceKernel};
 use partir_ir::{
     BinaryOp, Collective, DType, Func, IrError, Literal, OpId, OpKind, TensorType, UnaryOp, ValueId,
 };
@@ -281,45 +282,6 @@ struct EltwiseStep {
     stores: Vec<(u8, Slot)>,
 }
 
-/// A `Dot` pre-planned down to staging gathers and matmul extents.
-#[derive(Debug, Clone)]
-struct DotStep {
-    plan: DotPlan,
-    lhs: Slot,
-    rhs: Slot,
-    dst: Slot,
-}
-
-/// Transpose / broadcast / slice as one precomputed strided gather.
-#[derive(Debug, Clone)]
-struct GatherStep {
-    out_dims: Vec<usize>,
-    in_strides: Vec<usize>,
-    base: usize,
-    src: Slot,
-    dst: Slot,
-    name: &'static str,
-}
-
-/// An `f32` reduction with precomputed output strides.
-#[derive(Debug, Clone)]
-struct ReduceStep {
-    plan: ReducePlan,
-    src: Slot,
-    dst: Slot,
-}
-
-/// Concatenation as per-operand row-span copies.
-#[derive(Debug, Clone)]
-struct ConcatStep {
-    /// `(slot, extent along the concat dim)` per operand.
-    parts: Vec<(Slot, usize)>,
-    dst: Slot,
-    outer: usize,
-    inner: usize,
-    dim_total: usize,
-}
-
 /// Compile-time-materialized constant (or folded iota) payload.
 #[derive(Debug, Clone)]
 enum BakedData {
@@ -394,57 +356,15 @@ struct CollWaitStep {
     span: String,
 }
 
-/// A predicate or data-movement op (`compare`, `select`, `convert`,
-/// `pad`, index `gather`, `scatter_add`, `arg_max`) as the
-/// [`SliceKernel`] the interpreters run, planned once against the
-/// operand types and executed directly on arena ranges.
+/// One region-free, collective-free op as the [`SliceKernel`] the
+/// interpreters run for it, planned once against the operand types and
+/// executed directly on arena ranges.
 #[derive(Debug, Clone)]
 struct KernelStep {
     kernel: SliceKernel,
-    /// Operand slots, in the op's operand order (at most [`MAX_KERNEL_SRCS`]).
+    /// Operand slots, in the op's operand order.
     srcs: Vec<Slot>,
     dst: Slot,
-    name: &'static str,
-}
-
-/// The op kinds (by [`OpKind::name`]) a plan of the model zoo may still
-/// run through `Step::General`, with the reason each has no native
-/// step yet. `partir-lint --plans --deny` fails a cell that falls back on
-/// any other kind; DESIGN §8 carries the per-cell counts.
-pub const GENERAL_STEP_EXCEPTIONS: &[(&str, &str)] = &[
-    (
-        "convolution",
-        "U-Net only; a direct loop nest over array indices, nothing allocated per element",
-    ),
-    ("conv_input_grad", "U-Net only; as convolution"),
-    ("conv_filter_grad", "U-Net only; as convolution"),
-    (
-        "dynamic_slice",
-        "itransformer `build_serving` loop; start offsets are runtime scalars, row copies inside",
-    ),
-    (
-        "dynamic_update_slice",
-        "itransformer `build_serving` loop; as dynamic_slice",
-    ),
-    (
-        "add",
-        "i32 only (f32 fuses): the position counters of the `build_serving` loop, a few elements",
-    ),
-];
-
-/// Operand count of the widest [`SliceKernel`] (`select`).
-const MAX_KERNEL_SRCS: usize = 3;
-
-/// Fallback for ops with no native step: lift the operand slots to
-/// [`Literal`]s, evaluate via [`eval_op`], write the results back.
-/// Allocates on every execution. [`GENERAL_STEP_EXCEPTIONS`] lists the op
-/// kinds the model zoo still reaches this way;
-/// [`CompiledPlan::general_steps`] counts them per plan.
-#[derive(Debug, Clone)]
-struct GeneralStep {
-    kind: OpKind,
-    operands: Vec<(Slot, TensorType)>,
-    results: Vec<(Slot, TensorType)>,
     name: &'static str,
 }
 
@@ -452,31 +372,11 @@ struct GeneralStep {
 #[derive(Debug, Clone)]
 enum Step {
     Baked(BakedStep),
-    Unary1 {
-        op: UnaryOp,
-        src: Slot,
-        dst: Slot,
-    },
-    Binary1 {
-        op: BinaryOp,
-        a: Slot,
-        b: Slot,
-        dst: Slot,
-    },
     Eltwise(EltwiseStep),
-    Dot(DotStep),
-    Gather(GatherStep),
-    Reduce(ReduceStep),
-    Copy {
-        src: Slot,
-        dst: Slot,
-    },
-    Concat(ConcatStep),
+    Kernel(Box<KernelStep>),
     For(Box<ForStep>),
     CollStart(Box<CollStartStep>),
     CollWait(Box<CollWaitStep>),
-    Kernel(Box<KernelStep>),
-    General(Box<GeneralStep>),
 }
 
 impl Step {
@@ -485,19 +385,11 @@ impl Step {
     fn name(&self) -> &'static str {
         match self {
             Step::Baked(b) => b.name,
-            Step::Unary1 { op, .. } => OpKind::Unary(*op).name(),
-            Step::Binary1 { op, .. } => OpKind::Binary(*op).name(),
             Step::Eltwise(_) => "fused_eltwise",
-            Step::Dot(_) => "dot",
-            Step::Gather(g) => g.name,
-            Step::Reduce(_) => "reduce",
-            Step::Copy { .. } => "reshape",
-            Step::Concat(_) => "concatenate",
+            Step::Kernel(k) => k.name,
             Step::For(_) => "for",
             Step::CollStart(_) => "coll.start",
             Step::CollWait(_) => "coll.wait",
-            Step::Kernel(k) => k.name,
-            Step::General(g) => g.name,
         }
     }
 }
@@ -730,33 +622,9 @@ impl CompiledPlan {
         self.fused_ops
     }
 
-    /// Top-level steps of the plan.
-    pub fn num_steps(&self) -> usize {
-        self.steps.len()
-    }
-
     /// Static collective steps in the plan (loop bodies counted once).
     pub fn num_collectives(&self) -> usize {
         self.num_colls
-    }
-
-    /// Interpreter-fallback steps by op kind, loop bodies
-    /// counted once. Empty means the whole plan runs as native steps on
-    /// arena slices: nothing is lifted into a [`Literal`] outside the
-    /// collectives, and the steady-state loop is allocation-free.
-    pub fn general_steps(&self) -> BTreeMap<&'static str, usize> {
-        fn count(steps: &[Step], hist: &mut BTreeMap<&'static str, usize>) {
-            for step in steps {
-                match step {
-                    Step::General(g) => *hist.entry(g.name).or_default() += 1,
-                    Step::For(f) => count(&f.body, hist),
-                    _ => {}
-                }
-            }
-        }
-        let mut hist = BTreeMap::new();
-        count(&self.steps, &mut hist);
-        hist
     }
 
     /// Whether the plan was compiled with overlap scheduling
@@ -894,12 +762,12 @@ impl CompiledPlan {
     /// Runs the compiled steps without a communication fabric — the
     /// steady-state hot loop. Heap-allocation-free after the first run
     /// warms the kernel scratch pool, provided the program contains no
-    /// collective exchanges and [`CompiledPlan::general_steps`] is empty.
+    /// collective exchanges.
     ///
     /// # Errors
     ///
     /// If the program attempts device-to-device communication, or a
-    /// general-fallback op fails evaluation.
+    /// kernel fails on its data (an `i32` division by zero).
     pub fn run_local_steps(&self, st: &mut PlanExecutor) -> Result<(), RuntimeError> {
         let mut ex = NoExchange { device: 0 };
         let traced = partir_obs::current().is_some();
@@ -1123,7 +991,7 @@ impl<'f> Compiler<'f> {
                     }
                     for (s, e) in self.segment_run(body, pos, run_end) {
                         if e - s == 1 {
-                            self.emit_eltwise_single(body[s], out, &mut scope)?;
+                            self.emit_op(body[s], out, &mut scope)?;
                         } else {
                             self.emit_fused(&body[s..e], n, out, &mut scope)?;
                         }
@@ -1342,34 +1210,6 @@ impl<'f> Compiler<'f> {
         Ok(r)
     }
 
-    fn emit_eltwise_single(
-        &mut self,
-        op_id: OpId,
-        out: &mut PlanSteps,
-        scope: &mut ScopeAlloc,
-    ) -> Result<(), PlanError> {
-        let op = self.func.op(op_id);
-        let step = match &op.kind {
-            OpKind::Unary(u) => {
-                let src = self.slot_of(op.operands[0])?;
-                let dst = self.alloc_value(op.results[0]);
-                scope.add(op.results[0]);
-                Step::Unary1 { op: *u, src, dst }
-            }
-            OpKind::Binary(bo) => {
-                let a = self.slot_of(op.operands[0])?;
-                let b = self.slot_of(op.operands[1])?;
-                let dst = self.alloc_value(op.results[0]);
-                scope.add(op.results[0]);
-                Step::Binary1 { op: *bo, a, b, dst }
-            }
-            _ => return Err(PlanError::Ir(IrError::invalid("non-elementwise singleton"))),
-        };
-        let view = self.op_view(op_id)?;
-        out.push(step, view);
-        Ok(())
-    }
-
     fn emit_op(
         &mut self,
         op_id: OpId,
@@ -1379,150 +1219,18 @@ impl<'f> Compiler<'f> {
         let op = self.func.op(op_id);
         let name = op.kind.name();
         match &op.kind {
-            OpKind::Constant(lit) => {
+            OpKind::Constant(_) | OpKind::Iota { .. } => {
+                // An iota is folded at compile time: the plan bakes what
+                // its kernel writes.
+                let lits = eval_op(&op.kind, &[])?;
                 let dst = self.alloc_value(op.results[0]);
                 scope.add(op.results[0]);
                 let view = self.op_view(op_id)?;
                 out.push(
                     Step::Baked(BakedStep {
-                        data: baked_data(lit)?,
+                        data: baked_data(&lits[0])?,
                         dst,
                         name,
-                    }),
-                    view,
-                );
-            }
-            OpKind::Iota { .. } => {
-                let rty = self.func.value_type(op.results[0]).clone();
-                // Fold at compile time; fall back for variants eval_op
-                // rejects so runtime errors stay identical.
-                match eval_op(&op.kind, &[], &rty) {
-                    Ok(lits) => {
-                        let dst = self.alloc_value(op.results[0]);
-                        scope.add(op.results[0]);
-                        let view = self.op_view(op_id)?;
-                        out.push(
-                            Step::Baked(BakedStep {
-                                data: baked_data(&lits[0])?,
-                                dst,
-                                name,
-                            }),
-                            view,
-                        );
-                    }
-                    Err(_) => self.emit_general(op_id, out, scope)?,
-                }
-            }
-            OpKind::Dot(dims) => {
-                let lty = self.func.value_type(op.operands[0]);
-                let rty = self.func.value_type(op.operands[1]);
-                if lty.dtype == DType::F32 && rty.dtype == DType::F32 {
-                    let (plan, _) = kernels::plan_dot(dims, &lty.shape, &rty.shape);
-                    let lhs = self.slot_of(op.operands[0])?;
-                    let rhs = self.slot_of(op.operands[1])?;
-                    let dst = self.alloc_value(op.results[0]);
-                    scope.add(op.results[0]);
-                    let view = self.op_view(op_id)?;
-                    out.push(
-                        Step::Dot(DotStep {
-                            plan,
-                            lhs,
-                            rhs,
-                            dst,
-                        }),
-                        view,
-                    );
-                } else {
-                    self.emit_general(op_id, out, scope)?;
-                }
-            }
-            OpKind::Transpose { perm } => {
-                let in_shape = &self.func.value_type(op.operands[0]).shape;
-                let strides = in_shape.strides();
-                let out_dims: Vec<usize> = perm.iter().map(|&p| in_shape.dim(p)).collect();
-                let in_strides: Vec<usize> = perm.iter().map(|&p| strides[p]).collect();
-                self.push_gather(op_id, out_dims, in_strides, 0, name, out, scope)?;
-            }
-            OpKind::BroadcastInDim {
-                shape,
-                broadcast_dims,
-            } => {
-                let in_shape = &self.func.value_type(op.operands[0]).shape;
-                let src_strides = in_shape.strides();
-                let mut in_strides = vec![0usize; shape.rank()];
-                for (i, &bd) in broadcast_dims.iter().enumerate() {
-                    if in_shape.dim(i) != 1 {
-                        in_strides[bd] = src_strides[i];
-                    }
-                }
-                self.push_gather(
-                    op_id,
-                    shape.dims().to_vec(),
-                    in_strides,
-                    0,
-                    name,
-                    out,
-                    scope,
-                )?;
-            }
-            OpKind::Slice {
-                starts,
-                limits: _,
-                strides,
-            } => {
-                let in_shape = &self.func.value_type(op.operands[0]).shape;
-                let src_strides = in_shape.strides();
-                let out_dims = self.func.value_type(op.results[0]).shape.dims().to_vec();
-                let in_strides: Vec<usize> = (0..in_shape.rank())
-                    .map(|d| src_strides[d] * strides[d])
-                    .collect();
-                let base: usize = starts
-                    .iter()
-                    .zip(&src_strides)
-                    .map(|(&s, &st)| s * st)
-                    .sum();
-                self.push_gather(op_id, out_dims, in_strides, base, name, out, scope)?;
-            }
-            OpKind::Reshape { .. } => {
-                let src = self.slot_of(op.operands[0])?;
-                let dst = self.alloc_value(op.results[0]);
-                scope.add(op.results[0]);
-                let view = self.op_view(op_id)?;
-                out.push(Step::Copy { src, dst }, view);
-            }
-            OpKind::Reduce { op: rop, dims } => {
-                let in_ty = self.func.value_type(op.operands[0]);
-                if in_ty.dtype == DType::F32 {
-                    let (plan, _) = kernels::plan_reduce(*rop, &in_ty.shape, dims);
-                    let src = self.slot_of(op.operands[0])?;
-                    let dst = self.alloc_value(op.results[0]);
-                    scope.add(op.results[0]);
-                    let view = self.op_view(op_id)?;
-                    out.push(Step::Reduce(ReduceStep { plan, src, dst }), view);
-                } else {
-                    self.emit_general(op_id, out, scope)?;
-                }
-            }
-            OpKind::Concatenate { dim } => {
-                let first = self.func.value_type(op.operands[0]);
-                let outer: usize = first.shape.dims()[..*dim].iter().product();
-                let inner: usize = first.shape.dims()[*dim + 1..].iter().product();
-                let dim_total = self.func.value_type(op.results[0]).shape.dim(*dim);
-                let parts: Vec<(Slot, usize)> = op
-                    .operands
-                    .iter()
-                    .map(|&o| Ok((self.slot_of(o)?, self.func.value_type(o).shape.dim(*dim))))
-                    .collect::<Result<_, PlanError>>()?;
-                let dst = self.alloc_value(op.results[0]);
-                scope.add(op.results[0]);
-                let view = self.op_view(op_id)?;
-                out.push(
-                    Step::Concat(ConcatStep {
-                        parts,
-                        dst,
-                        outer,
-                        inner,
-                        dim_total,
                     }),
                     view,
                 );
@@ -1588,70 +1296,35 @@ impl<'f> Compiler<'f> {
                     },
                 );
             }
-            // Whatever `ir::kernels` defines as a slice kernel runs
-            // natively; ops it does not define, and operand types it has
-            // no semantics for, fall back — so the runtime error stays
-            // the interpreter's.
+            // Every other op is the slice kernel `ir::kernels` defines for
+            // it; an op or operand dtype it has no semantics for is
+            // refused here, with the interpreter's error.
             kind => {
                 let tys: Vec<TensorType> = op
                     .operands
                     .iter()
                     .map(|&o| self.func.value_type(o).clone())
                     .collect();
-                match SliceKernel::plan(kind, &tys) {
-                    Ok((kernel, _)) => {
-                        let srcs = op
-                            .operands
-                            .iter()
-                            .map(|&o| self.slot_of(o))
-                            .collect::<Result<_, _>>()?;
-                        let dst = self.alloc_value(op.results[0]);
-                        scope.add(op.results[0]);
-                        let view = self.op_view(op_id)?;
-                        out.push(
-                            Step::Kernel(Box::new(KernelStep {
-                                kernel,
-                                srcs,
-                                dst,
-                                name,
-                            })),
-                            view,
-                        );
-                    }
-                    Err(_) => self.emit_general(op_id, out, scope)?,
-                }
+                let (kernel, _) = SliceKernel::plan(kind, &tys)?;
+                let srcs = op
+                    .operands
+                    .iter()
+                    .map(|&o| self.slot_of(o))
+                    .collect::<Result<_, _>>()?;
+                let dst = self.alloc_value(op.results[0]);
+                scope.add(op.results[0]);
+                let view = self.op_view(op_id)?;
+                out.push(
+                    Step::Kernel(Box::new(KernelStep {
+                        kernel,
+                        srcs,
+                        dst,
+                        name,
+                    })),
+                    view,
+                );
             }
         }
-        Ok(())
-    }
-
-    #[allow(clippy::too_many_arguments)]
-    fn push_gather(
-        &mut self,
-        op_id: OpId,
-        out_dims: Vec<usize>,
-        in_strides: Vec<usize>,
-        base: usize,
-        name: &'static str,
-        out: &mut PlanSteps,
-        scope: &mut ScopeAlloc,
-    ) -> Result<(), PlanError> {
-        let op = self.func.op(op_id);
-        let src = self.slot_of(op.operands[0])?;
-        let dst = self.alloc_value(op.results[0]);
-        scope.add(op.results[0]);
-        let view = self.op_view(op_id)?;
-        out.push(
-            Step::Gather(GatherStep {
-                out_dims,
-                in_strides,
-                base,
-                src,
-                dst,
-                name,
-            }),
-            view,
-        );
         Ok(())
     }
 
@@ -1761,41 +1434,6 @@ impl<'f> Compiler<'f> {
         );
         Ok(())
     }
-
-    fn emit_general(
-        &mut self,
-        op_id: OpId,
-        out: &mut PlanSteps,
-        scope: &mut ScopeAlloc,
-    ) -> Result<(), PlanError> {
-        let op = self.func.op(op_id);
-        let name = op.kind.name();
-        let operands: Vec<(Slot, TensorType)> = op
-            .operands
-            .iter()
-            .map(|&o| Ok((self.slot_of(o)?, self.func.value_type(o).clone())))
-            .collect::<Result<_, PlanError>>()?;
-        let results: Vec<(Slot, TensorType)> = op
-            .results
-            .iter()
-            .map(|&r| {
-                let slot = self.alloc_value(r);
-                scope.add(r);
-                (slot, self.func.value_type(r).clone())
-            })
-            .collect();
-        let view = self.op_view(op_id)?;
-        out.push(
-            Step::General(Box::new(GeneralStep {
-                kind: op.kind.clone(),
-                operands,
-                results,
-                name,
-            })),
-            view,
-        );
-        Ok(())
-    }
 }
 
 // ---------------------------------------------------------------------------
@@ -1825,15 +1463,6 @@ fn any_conflict(xs: &[Slot], ys: &[Slot]) -> bool {
 fn step_effects(step: &Step, reads: &mut Vec<Slot>, writes: &mut Vec<Slot>) {
     match step {
         Step::Baked(b) => writes.push(b.dst),
-        Step::Unary1 { src, dst, .. } => {
-            reads.push(*src);
-            writes.push(*dst);
-        }
-        Step::Binary1 { a, b, dst, .. } => {
-            reads.push(*a);
-            reads.push(*b);
-            writes.push(*dst);
-        }
         Step::Eltwise(e) => {
             for &(_, s) in &e.loads {
                 reads.push(s);
@@ -1841,29 +1470,6 @@ fn step_effects(step: &Step, reads: &mut Vec<Slot>, writes: &mut Vec<Slot>) {
             for &(_, s) in &e.stores {
                 writes.push(s);
             }
-        }
-        Step::Dot(d) => {
-            reads.push(d.lhs);
-            reads.push(d.rhs);
-            writes.push(d.dst);
-        }
-        Step::Gather(g) => {
-            reads.push(g.src);
-            writes.push(g.dst);
-        }
-        Step::Reduce(r) => {
-            reads.push(r.src);
-            writes.push(r.dst);
-        }
-        Step::Copy { src, dst } => {
-            reads.push(*src);
-            writes.push(*dst);
-        }
-        Step::Concat(c) => {
-            for &(s, _) in &c.parts {
-                reads.push(s);
-            }
-            writes.push(c.dst);
         }
         Step::For(f) => {
             writes.push(f.index);
@@ -1886,14 +1492,6 @@ fn step_effects(step: &Step, reads: &mut Vec<Slot>, writes: &mut Vec<Slot>) {
         Step::Kernel(k) => {
             reads.extend_from_slice(&k.srcs);
             writes.push(k.dst);
-        }
-        Step::General(g) => {
-            for &(s, _) in &g.operands {
-                reads.push(s);
-            }
-            for &(s, _) in &g.results {
-                writes.push(s);
-            }
         }
     }
 }
@@ -2091,21 +1689,6 @@ impl Exchange for NoExchange {
     }
 }
 
-/// Splits `pool` into one read slice and one disjoint write slice.
-fn split1<T>(pool: &mut [T], r: Slot, w: Slot) -> (&[T], &mut [T]) {
-    assert!(
-        r.off + r.len <= w.off || w.off + w.len <= r.off,
-        "plan: aliasing read/write slots"
-    );
-    if r.off < w.off {
-        let (a, b) = pool.split_at_mut(w.off);
-        (&a[r.off..r.off + r.len], &mut b[..w.len])
-    } else {
-        let (a, b) = pool.split_at_mut(r.off);
-        (&b[..r.len], &mut a[w.off..w.off + w.len])
-    }
-}
-
 /// Resolves a read slot against the two halves around a carved-out
 /// write range.
 fn read_part<'a, T>(left: &'a [T], right: &'a [T], w_off: usize, w_end: usize, s: Slot) -> &'a [T] {
@@ -2115,19 +1698,6 @@ fn read_part<'a, T>(left: &'a [T], right: &'a [T], w_off: usize, w_end: usize, s
         assert!(s.off >= w_end, "plan: aliasing read/write slots");
         &right[s.off - w_end..s.off - w_end + s.len]
     }
-}
-
-/// Splits `pool` into two read slices (which may alias each other) and
-/// one write slice disjoint from both.
-fn split2<T>(pool: &mut [T], r1: Slot, r2: Slot, w: Slot) -> (&[T], &[T], &mut [T]) {
-    let (left, rest) = pool.split_at_mut(w.off);
-    let (wslice, right) = rest.split_at_mut(w.len);
-    let w_end = w.off + w.len;
-    (
-        read_part(left, right, w.off, w_end, r1),
-        read_part(left, right, w.off, w_end, r2),
-        wslice,
-    )
 }
 
 /// One arena pool as a [`KernelStep`] reads it: split around the
@@ -2169,33 +1739,26 @@ impl<'a, T> PoolView<'a, T> {
     }
 }
 
-/// Resolves a [`KernelStep`]'s slots to typed arena slices: the
-/// destination mutably, the sources immutably (they may alias each
-/// other, never the destination). Unused source entries stay empty.
-fn kernel_bufs<'a>(
-    st: &'a mut PlanExecutor,
-    srcs: &[Slot],
-    dst: Slot,
-) -> ([Buf<'a>; MAX_KERNEL_SRCS], BufMut<'a>) {
-    let (f32s, f32_w) = PoolView::open(&mut st.f32s, DType::F32, dst);
-    let (i32s, i32_w) = PoolView::open(&mut st.i32s, DType::I32, dst);
-    let (preds, pred_w) = PoolView::open(&mut st.preds, DType::Pred, dst);
-    let mut bufs = [Buf::Pred(&[]); MAX_KERNEL_SRCS];
-    for (buf, &s) in bufs.iter_mut().zip(srcs) {
-        *buf = match s.dtype {
-            DType::F32 => Buf::F32(f32s.read(s)),
-            DType::I32 => Buf::I32(i32s.read(s)),
-            DType::Pred => Buf::Pred(preds.read(s)),
-            dt => unreachable!("plan: unsupported dtype {dt}"),
-        };
-    }
-    let out = match (f32_w, i32_w, pred_w) {
+/// Runs a [`KernelStep`] on its arena ranges: the destination mutably,
+/// the sources immutably (they may alias each other, never the
+/// destination).
+fn run_kernel(st: &mut PlanExecutor, k: &KernelStep) -> Result<(), IrError> {
+    let (f32s, f32_w) = PoolView::open(&mut st.f32s, DType::F32, k.dst);
+    let (i32s, i32_w) = PoolView::open(&mut st.i32s, DType::I32, k.dst);
+    let (preds, pred_w) = PoolView::open(&mut st.preds, DType::Pred, k.dst);
+    let read = |s: &Slot| match s.dtype {
+        DType::F32 => Buf::F32(f32s.read(*s)),
+        DType::I32 => Buf::I32(i32s.read(*s)),
+        DType::Pred => Buf::Pred(preds.read(*s)),
+        dt => unreachable!("plan: unsupported dtype {dt}"),
+    };
+    let dst = match (f32_w, i32_w, pred_w) {
         (Some(w), _, _) => BufMut::F32(w),
         (_, Some(w), _) => BufMut::I32(w),
         (_, _, Some(w)) => BufMut::Pred(w),
-        _ => unreachable!("plan: unsupported dtype {}", dst.dtype),
+        _ => unreachable!("plan: unsupported dtype {}", k.dst.dtype),
     };
-    (bufs, out)
+    k.kernel.run(k.srcs.iter().map(read), dst)
 }
 
 /// Elements per register block of the fused-elementwise machine. The
@@ -2203,56 +1766,11 @@ fn kernel_bufs<'a>(
 /// comfortably inside L1.
 const ELT_BLOCK: usize = 128;
 
-/// `d[j] = op(a[j])` with the operator match hoisted out of the loop so
-/// each arm is a tight, autovectorizable kernel. Each lane computes the
-/// exact expression `ir::interp`'s unary evaluation uses, so results
-/// are bit-identical to op-by-op interpretation.
-fn apply_un(op: UnaryOp, a: &[f32], d: &mut [f32]) {
-    macro_rules! lanes {
-        ($f:expr) => {
-            for (y, &x) in d.iter_mut().zip(a) {
-                *y = $f(x);
-            }
-        };
-    }
-    match op {
-        UnaryOp::Neg => lanes!(|x: f32| -x),
-        UnaryOp::Exp => lanes!(f32::exp),
-        UnaryOp::Log => lanes!(f32::ln),
-        UnaryOp::Tanh => lanes!(f32::tanh),
-        UnaryOp::Sqrt => lanes!(f32::sqrt),
-        UnaryOp::Rsqrt => lanes!(|x: f32| 1.0 / x.sqrt()),
-        UnaryOp::Abs => lanes!(f32::abs),
-        UnaryOp::Logistic => lanes!(|x: f32| 1.0 / (1.0 + (-x).exp())),
-        UnaryOp::Sin => lanes!(f32::sin),
-        UnaryOp::Cos => lanes!(f32::cos),
-    }
-}
-
-/// `d[j] = op(a[j], b[j])`, operator match hoisted like [`apply_un`].
-fn apply_bin(op: BinaryOp, a: &[f32], b: &[f32], d: &mut [f32]) {
-    macro_rules! lanes {
-        ($f:expr) => {
-            for ((y, &x1), &x2) in d.iter_mut().zip(a).zip(b) {
-                *y = $f(x1, x2);
-            }
-        };
-    }
-    match op {
-        BinaryOp::Add => lanes!(|x: f32, y: f32| x + y),
-        BinaryOp::Sub => lanes!(|x: f32, y: f32| x - y),
-        BinaryOp::Mul => lanes!(|x: f32, y: f32| x * y),
-        BinaryOp::Div => lanes!(|x: f32, y: f32| x / y),
-        BinaryOp::Max => lanes!(f32::max),
-        BinaryOp::Min => lanes!(f32::min),
-        BinaryOp::Pow => lanes!(f32::powf),
-    }
-}
-
 /// Executes one fused elementwise segment as a blocked vector machine:
 /// [`ELT_BLOCK`] elements at a time through the register file, each
-/// instruction a whole-block kernel ([`apply_un`]/[`apply_bin`]) rather
-/// than a per-element dispatch. Elements are independent, so blocking
+/// instruction a whole-block call of the lane functions the unfused
+/// kernels run ([`apply_un`]/[`apply_bin`]) rather than a per-element
+/// dispatch. Elements are independent, so blocking
 /// is bit-identical to scalar order — while keeping every intermediate
 /// of the chain in L1 instead of round-tripping arrays through memory.
 fn run_eltwise(pool: &mut [f32], e: &EltwiseStep) {
@@ -2326,22 +1844,11 @@ fn write_slot(st: &mut PlanExecutor, slot: &Slot, lit: &Literal) -> Result<(), R
 }
 
 fn copy_slot(st: &mut PlanExecutor, src: Slot, dst: Slot) {
-    if src == dst {
-        return;
-    }
+    let from = src.off..src.off + src.len;
     match dst.dtype {
-        DType::F32 => {
-            let (s, d) = split1(&mut st.f32s, src, dst);
-            d.copy_from_slice(s);
-        }
-        DType::I32 => {
-            let (s, d) = split1(&mut st.i32s, src, dst);
-            d.copy_from_slice(s);
-        }
-        DType::Pred => {
-            let (s, d) = split1(&mut st.preds, src, dst);
-            d.copy_from_slice(s);
-        }
+        DType::F32 => st.f32s.copy_within(from, dst.off),
+        DType::I32 => st.i32s.copy_within(from, dst.off),
+        DType::Pred => st.preds.copy_within(from, dst.off),
         dt => unreachable!("plan: unsupported dtype {dt}"),
     }
 }
@@ -2416,45 +1923,7 @@ fn run_steps<E: Exchange>(
                     st.preds[b.dst.off..b.dst.off + b.dst.len].copy_from_slice(data)
                 }
             },
-            Step::Unary1 { op, src, dst } => {
-                let (s, d) = split1(&mut st.f32s, *src, *dst);
-                apply_un(*op, s, d);
-            }
-            Step::Binary1 { op, a, b, dst } => {
-                let (xa, xb, d) = split2(&mut st.f32s, *a, *b, *dst);
-                apply_bin(*op, xa, xb, d);
-            }
             Step::Eltwise(e) => run_eltwise(&mut st.f32s, e),
-            Step::Dot(dstep) => {
-                let (a, b, out) = split2(&mut st.f32s, dstep.lhs, dstep.rhs, dstep.dst);
-                kernels::dot_general_into(&dstep.plan, a, b, out);
-            }
-            Step::Gather(g) => match g.src.dtype {
-                DType::F32 => {
-                    let (s, d) = split1(&mut st.f32s, g.src, g.dst);
-                    kernels::gather_strided_into(d, s, &g.out_dims, &g.in_strides, g.base);
-                }
-                DType::I32 => {
-                    let (s, d) = split1(&mut st.i32s, g.src, g.dst);
-                    kernels::gather_strided_into(d, s, &g.out_dims, &g.in_strides, g.base);
-                }
-                DType::Pred => {
-                    let (s, d) = split1(&mut st.preds, g.src, g.dst);
-                    kernels::gather_strided_into(d, s, &g.out_dims, &g.in_strides, g.base);
-                }
-                dt => unreachable!("plan: unsupported dtype {dt}"),
-            },
-            Step::Reduce(r) => {
-                let (s, d) = split1(&mut st.f32s, r.src, r.dst);
-                kernels::reduce_f32_into(&r.plan, s, d);
-            }
-            Step::Copy { src, dst } => copy_slot(st, *src, *dst),
-            Step::Concat(c) => match c.dst.dtype {
-                DType::F32 => concat_into(&mut st.f32s, c),
-                DType::I32 => concat_into(&mut st.i32s, c),
-                DType::Pred => concat_into(&mut st.preds, c),
-                dt => unreachable!("plan: unsupported dtype {dt}"),
-            },
             Step::For(f) => {
                 if f.trip_count == 0 {
                     copy_pairs(st, &f.bypass);
@@ -2489,50 +1958,10 @@ fn run_steps<E: Exchange>(
                 let out = wait_scheduled(&cw.kind, ex, &cw.scheds[ex.device()], cw.tag, pending)?;
                 write_slot(st, &cw.dst, &out)?;
             }
-            Step::Kernel(k) => {
-                let (srcs, dst) = kernel_bufs(st, &k.srcs, k.dst);
-                k.kernel
-                    .run(&srcs[..k.srcs.len()], dst)
-                    .map_err(RuntimeError::Ir)?;
-            }
-            Step::General(g) => {
-                let operands: Vec<Literal> = g
-                    .operands
-                    .iter()
-                    .map(|(slot, ty)| read_slot(st, slot, ty))
-                    .collect::<Result<_, _>>()?;
-                let refs: Vec<&Literal> = operands.iter().collect();
-                let rty = &g
-                    .results
-                    .first()
-                    .ok_or_else(|| RuntimeError::Ir(IrError::invalid("general op without result")))?
-                    .1;
-                let outs = eval_op(&g.kind, &refs, rty).map_err(RuntimeError::Ir)?;
-                for ((slot, _), lit) in g.results.iter().zip(&outs) {
-                    write_slot(st, slot, lit)?;
-                }
-            }
+            Step::Kernel(k) => run_kernel(st, k).map_err(RuntimeError::Ir)?,
         }
     }
     Ok(())
-}
-
-/// Row-span concatenation, bit-identical to `kernels::concat`.
-fn concat_into<T: Copy>(pool: &mut [T], c: &ConcatStep) {
-    let (left, rest) = pool.split_at_mut(c.dst.off);
-    let (out, right) = rest.split_at_mut(c.dst.len);
-    let w_end = c.dst.off + c.dst.len;
-    let out_row = c.dim_total * c.inner;
-    let mut offset = 0;
-    for &(s, d) in &c.parts {
-        let src = read_part(left, right, c.dst.off, w_end, s);
-        let rows = d * c.inner;
-        for o in 0..c.outer {
-            out[o * out_row + offset..o * out_row + offset + rows]
-                .copy_from_slice(&src[o * rows..(o + 1) * rows]);
-        }
-        offset += rows;
-    }
 }
 
 #[cfg(test)]
@@ -2566,9 +1995,8 @@ mod tests {
         assert_eq!(got[0].as_f32().unwrap(), want[0][0].as_f32().unwrap());
     }
 
-    /// Every slice-kernel op compiles to a native step (no interpreter
-    /// fallback), across pools and with operands sharing the
-    /// destination's pool, and matches op-by-op interpretation exactly.
+    /// Kernel steps across pools, and with operands sharing the
+    /// destination's pool, match op-by-op interpretation exactly.
     #[test]
     fn kernel_steps_match_interpreter_without_fallback() {
         use partir_ir::CompareDir;
@@ -2590,11 +2018,6 @@ mod tests {
         let f = b.build([picked, flags, same, back]).unwrap();
         let mesh = single_mesh();
         let plan = CompiledPlan::compile(&f, &mesh, &PlanOptions::default()).unwrap();
-        assert!(
-            plan.general_steps().is_empty(),
-            "{:?}",
-            plan.general_steps()
-        );
         let inputs = vec![
             Literal::from_f32((0..24).map(|i| (i * 7 % 11) as f32 - 3.0).collect(), [4, 6])
                 .unwrap(),
@@ -2612,24 +2035,46 @@ mod tests {
         }
     }
 
-    /// An op with no native step is counted by kind, loop bodies once.
+    /// Runtime-offset slices inside a loop, a kernel step wider than the
+    /// stack operand array, and `i32` lanes: all kernel steps, all equal
+    /// to the interpreter.
     #[test]
-    fn general_steps_counts_fallbacks_through_loops() {
+    fn dynamic_slices_and_wide_concat_match_interpreter() {
         let mut b = FuncBuilder::new("f");
-        let x = b.param("x", TensorType::f32([4]));
+        let x = b.param("x", TensorType::f32([6]));
         let i0 = b.const_i32(0).unwrap();
         let head = b.dynamic_slice(x, &[i0], vec![2]).unwrap();
         let out = b
-            .for_loop(3, &[x], |inner, i, c| {
-                Ok(vec![inner.dynamic_update_slice(c[0], head, &[i])?])
+            .for_loop(3, &[x, i0], |inner, i, c| {
+                let at = inner.add(i, c[1])?;
+                Ok(vec![inner.dynamic_update_slice(c[0], head, &[at])?, at])
             })
             .unwrap();
-        let f = b.build(out).unwrap();
+        let wide = b.concatenate(&[out[0]; 9], 0).unwrap();
+        let f = b.build([wide, out[1]]).unwrap();
         let plan = CompiledPlan::compile(&f, &single_mesh(), &PlanOptions::default()).unwrap();
-        let hist = plan.general_steps();
-        assert_eq!(hist.get("dynamic_slice"), Some(&1));
-        assert_eq!(hist.get("dynamic_update_slice"), Some(&1));
-        assert_eq!(hist.len(), 2);
+        let input = Literal::from_f32((0..6).map(|i| i as f32).collect::<Vec<_>>(), [6]).unwrap();
+        let got = plan.execute_local(std::slice::from_ref(&input)).unwrap();
+        let want = partir_ir::interp::interpret(&f, &[input]).unwrap();
+        assert_eq!(got, want);
+    }
+
+    /// What `SliceKernel::plan` has no semantics for is refused when the
+    /// plan is compiled, with the error the interpreter raises when it
+    /// reaches the op.
+    #[test]
+    fn integer_pow_is_refused_at_compile_with_the_interpreters_error() {
+        let mut b = FuncBuilder::new("f");
+        let x = b.param("x", TensorType::i32([2]));
+        let y = b.binary(BinaryOp::Pow, x, x).unwrap();
+        let f = b.build([y]).unwrap();
+        let input = Literal::from_i32(vec![2, 3], [2]).unwrap();
+        let interp = partir_ir::interp::interpret(&f, &[input]).unwrap_err();
+        assert!(matches!(interp, IrError::Unsupported(_)), "{interp}");
+        match CompiledPlan::compile(&f, &single_mesh(), &PlanOptions::default()) {
+            Err(PlanError::Ir(e)) => assert_eq!(e.to_string(), interp.to_string()),
+            other => panic!("expected PlanError::Ir, got {other:?}"),
+        }
     }
 
     #[test]

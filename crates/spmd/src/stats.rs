@@ -26,14 +26,6 @@ impl CollectiveStats {
     pub fn total(&self) -> usize {
         self.all_gather + self.all_reduce + self.reduce_scatter + self.all_to_all
     }
-
-    /// Formats like the paper's Table 2 header: AG AR RS A2A.
-    pub fn as_row(&self) -> String {
-        format!(
-            "{:>6} {:>6} {:>6} {:>6}",
-            self.all_gather, self.all_reduce, self.reduce_scatter, self.all_to_all
-        )
-    }
 }
 
 impl std::fmt::Display for CollectiveStats {
