@@ -1,8 +1,9 @@
 //! Micro-benchmarks for the PartIR-rs compiler stack: propagation, SPMD
 //! lowering, collective fusion, the analytical simulator and the
-//! end-to-end `partir_jit` — and the slice kernels beside the index-walk
+//! end-to-end `partir_jit` — the slice kernels beside the index-walk
 //! forms they replaced, at the shard shapes of the benchmarked training
-//! step.
+//! step — and the `dot` kernel at every device shape of the benchmarked
+//! training and decode steps.
 //!
 //! The workspace is registry-free, so this is a self-timed harness
 //! (`harness = false`) instead of criterion: each benchmark runs a
@@ -11,20 +12,24 @@
 //!
 //! Run with: `cargo bench -p partir-bench`
 
+use std::collections::BTreeMap;
 use std::time::Instant;
 
 use partir_core::Partitioning;
 use partir_ir::interp::eval_op;
-use partir_ir::{reference, CompareDir, Literal, OpKind};
+use partir_ir::kernels::{Buf, BufMut, SliceKernel};
+use partir_ir::{reference, CompareDir, DotDims, Literal, OpKind, TensorType};
 use partir_mesh::{HardwareConfig, Mesh};
+use partir_models::itransformer::ServingConfig;
 use partir_models::schedules::{self, BATCH, MODEL};
 use partir_models::transformer::TransformerConfig;
+use partir_models::BuiltModel;
 use partir_sched::{partir_jit, Schedule};
 use partir_sim::{SimConfig, Simulator};
 
 /// Times `f` over `iters` iterations (after `warmup` discarded runs) and
-/// prints `name: median min` in microseconds.
-fn bench<T>(name: &str, warmup: u32, iters: u32, mut f: impl FnMut() -> T) {
+/// returns the median and minimum in microseconds.
+fn time_us<T>(warmup: u32, iters: u32, mut f: impl FnMut() -> T) -> (f64, f64) {
     for _ in 0..warmup {
         std::hint::black_box(f());
     }
@@ -36,8 +41,12 @@ fn bench<T>(name: &str, warmup: u32, iters: u32, mut f: impl FnMut() -> T) {
         })
         .collect();
     samples.sort_by(|a, b| a.total_cmp(b));
-    let median = samples[samples.len() / 2];
-    let min = samples[0];
+    (samples[samples.len() / 2], samples[0])
+}
+
+/// [`time_us`], printed as `name: median min`.
+fn bench<T>(name: &str, warmup: u32, iters: u32, f: impl FnMut() -> T) {
+    let (median, min) = time_us(warmup, iters, f);
     println!("{name:<40} median {median:>10.1} µs   min {min:>10.1} µs");
 }
 
@@ -173,7 +182,100 @@ fn bench_slice_kernels() {
     );
 }
 
+/// Every distinct `dot` one device runs in `model` partitioned by
+/// `schedule` on 2×2, as the device program states it (`OpKind::Dot`
+/// and its operand types), with how many times a step runs it.
+fn device_dots(model: &BuiltModel, schedule: &Schedule) -> Vec<(DotDims, Vec<TensorType>, usize)> {
+    let hw = HardwareConfig::tpu_v3_pod(Mesh::new([(BATCH, 2), (MODEL, 2)]).unwrap());
+    let program = partir_jit(&model.func, &hw, schedule).unwrap().program;
+    let func = program.func();
+    let mut classes: BTreeMap<String, (DotDims, Vec<TensorType>, usize)> = BTreeMap::new();
+    for op in func.op_ids().map(|op| func.op(op)) {
+        if let OpKind::Dot(dims) = &op.kind {
+            let types: Vec<TensorType> = op
+                .operands
+                .iter()
+                .map(|&v| func.value_type(v).clone())
+                .collect();
+            let key = format!("{dims:?} {types:?}");
+            classes.entry(key).or_insert((dims.clone(), types, 0)).2 += 1;
+        }
+    }
+    classes.into_values().collect()
+}
+
+/// The `dot` kernel as a compiled plan runs it (planned once, then run
+/// on preallocated buffers) at every device shape of the two stepped
+/// plans the benchmark times — `train_step` (T 2 layers, d_model 32,
+/// seq 32, batch 32, `BP+MP+Z3`: 18 shapes, 39 dots a step) and one
+/// `serve_mix` decode step (IT32, 16 slots, `BP+MP+MQ`: 8 shapes, 225
+/// dots a step), both on 2×2; the same shapes are pinned by name in
+/// `crates/ir/tests/kernels_prop.rs`. Prints µs and GMAC/s per shape and
+/// the step's `dot` time on one device, each shape weighted by its count.
+fn bench_dot() {
+    let row = |rows: Vec<(&'static str, Schedule)>, label: &str| {
+        rows.into_iter().find(|(l, _)| *l == label).unwrap().1
+    };
+    let train = partir_models::transformer::build_train_step(&TransformerConfig {
+        layers: 2,
+        d_model: 32,
+        heads: 2,
+        d_ff: 128,
+        vocab: 64,
+        seq: 32,
+        batch: 32,
+    })
+    .unwrap();
+    let decode = partir_models::itransformer::build_decode_step(&ServingConfig::it32()).unwrap();
+    for (workload, model, schedule) in [
+        (
+            "train_step",
+            train,
+            row(schedules::transformer_table2(), "BP+MP+Z3"),
+        ),
+        (
+            "serve_mix decode",
+            decode,
+            row(schedules::itransformer_table2(), "BP+MP+MQ"),
+        ),
+    ] {
+        let mut step_us = 0.0;
+        for (dims, types, count) in device_dots(&model, &schedule) {
+            let (kernel, out_ty) = SliceKernel::plan(&OpKind::Dot(dims.clone()), &types).unwrap();
+            let ramp = |ty: &TensorType| -> Vec<f32> {
+                (0..ty.shape.num_elements())
+                    .map(|i| (i % 97) as f32 * 0.01 - 0.5)
+                    .collect()
+            };
+            let (lhs, rhs) = (ramp(&types[0]), ramp(&types[1]));
+            let mut out = vec![0f32; out_ty.shape.num_elements()];
+            let (median, _) = time_us(3, 60, || {
+                kernel
+                    .run([Buf::F32(&lhs), Buf::F32(&rhs)], BufMut::F32(&mut out))
+                    .unwrap()
+            });
+            let k: usize = dims
+                .lhs_contract
+                .iter()
+                .map(|&d| types[0].shape.dim(d))
+                .product();
+            let gmacs = (out.len() * k) as f64 / median / 1e3;
+            let shape = format!(
+                "{:?}·{:?} c{:?}:{:?}",
+                types[0].shape.dims(),
+                types[1].shape.dims(),
+                dims.lhs_contract,
+                dims.rhs_contract
+            );
+            println!("dot {shape:<44} {count:>3}×  median {median:>8.1} µs  {gmacs:>6.2} GMAC/s");
+            step_us += count as f64 * median;
+        }
+        println!("dot {workload}: {step_us:.1} µs a step per device (count-weighted)");
+    }
+}
+
 fn main() {
+    bench_dot();
     bench_slice_kernels();
     bench_propagation();
     bench_lowering_and_fusion();

@@ -8,13 +8,20 @@
 //! dispatches to:
 //!
 //! * [`dot_general`] reduces *any* [`DotDims`] contraction to a batched
-//!   row-major matmul (`[b, m, k] × [b, k, n]`) via at most one physical
-//!   transpose per operand, then runs a k-blocked i-k-j microkernel whose
-//!   inner loop is a contiguous multiply-accumulate the compiler can
-//!   autovectorize. The element-at-a-time index walk survives as
-//!   [`dot_general_reference`] — the oracle the property tests compare
-//!   against. Both accumulate partial products in the same (row-major
-//!   contraction) order, so their results are bit-identical.
+//!   matmul (`[b, m, k] × [b, k, n]`) of register tiles. An operand whose
+//!   batch, free and contract dimensions each collapse to one stride is
+//!   read in place through those strides — transposed layouts included;
+//!   only a general permutation is staged through a strided gather. A
+//!   right operand whose columns are not contiguous is packed into the
+//!   tile's column panels (16, 8, 4 or 1 wide, chosen from `n` when the op
+//!   is planned). The tile keeps a 4×16 (down to 1×1) block of
+//!   accumulators in registers, starts them at `+0.0`, adds one product
+//!   per `k` in ascending order and stores each output once. The
+//!   element-at-a-time index walk survives as [`dot_general_reference`] —
+//!   the oracle the property tests compare against. Per output element
+//!   both add the same products to `+0.0` in the same (row-major
+//!   contraction) order and never split `k`, so their results are
+//!   bit-identical.
 //! * [`SliceKernel`] is the one definition of every region-free,
 //!   collective-free op: planned once against the operand types, then run
 //!   slice-in/slice-out with no allocation — by the interpreter on a
@@ -33,12 +40,13 @@
 //!
 //! # Scratch arena
 //!
-//! The physical transposes [`dot_general`] stages its operands through are
-//! pure temporaries, so their buffers are recycled through a small
-//! per-thread arena ([`with_scratch`]) instead of hitting the allocator
-//! once per op. The threaded runtime runs one OS thread per device, so the
-//! thread-local arena doubles as a per-device scratch pool that lives for
-//! the whole execution; buffers are returned (not freed) after each dot.
+//! The staging gathers and B-panels of [`dot_general`] are pure
+//! temporaries, so their buffers are recycled through a small per-thread
+//! arena ([`with_scratch`]) instead of hitting the allocator once per op;
+//! a dot whose operands are both read in place borrows nothing. The
+//! threaded runtime runs one OS thread per device, so the thread-local
+//! arena doubles as a per-device scratch pool that lives for the whole
+//! execution; buffers are returned (not freed) after each dot.
 
 use std::cell::RefCell;
 
@@ -228,128 +236,308 @@ pub(crate) fn dot_out_shape(dims: &DotDims, ls: &Shape, rs: &Shape) -> Shape {
     Shape::from(out_dims)
 }
 
-/// `c[m×n] += a[m×k] · b[k×n]`, all row-major and dense.
+/// Rows of a register tile; the last `m % 4` rows of a panel go through
+/// a 3-, 2- or 1-row tile.
+const MR: usize = 4;
+
+/// Column panel widths, widest first. A row of `n` outputs is cut into
+/// as many 16-wide panels as fit, then at most one 8- and one 4-wide
+/// panel, then single columns ([`DotPlan::panels`]).
+const PANEL_WIDTHS: [usize; 4] = [16, 8, 4, 1];
+
+/// A 2-D view of an operand: element `(r, c)` is
+/// `data[at + r · rs + c · cs]`.
+#[derive(Debug, Clone, Copy)]
+struct View<'a> {
+    data: &'a [f32],
+    at: usize,
+    rs: usize,
+    cs: usize,
+}
+
+/// One `R × W` block of outputs, `c[r][j] = Σ_kk a[r][kk] · b[kk][j]`.
 ///
-/// k-blocked i-k-j loop: the innermost loop is a contiguous axpy over a
-/// row of `b` and a row of `c`, which autovectorizes. For every output
-/// element the partial products accumulate in ascending-`k` order — the
-/// same order as [`dot_general_reference`], so results are bit-identical.
-fn matmul_ikj(a: &[f32], b: &[f32], c: &mut [f32], m: usize, k: usize, n: usize) {
-    const KC: usize = 128;
-    let mut k0 = 0;
-    while k0 < k {
-        let k1 = (k0 + KC).min(k);
-        for i in 0..m {
-            let c_row = &mut c[i * n..i * n + n];
-            for (kk, &a_ik) in a[i * k + k0..i * k + k1].iter().enumerate() {
-                let b_row = &b[(k0 + kk) * n..(k0 + kk) * n + n];
-                for (cj, &bj) in c_row.iter_mut().zip(b_row) {
-                    *cj += a_ik * bj;
-                }
+/// The accumulators start at `+0.0` and add one product per `kk` in
+/// ascending order, then each output is stored once: per output element
+/// that is exactly [`dot_general_reference`]'s sequence of roundings, so
+/// the result is bit-identical (a tile started from its first product
+/// would turn `0.0 + (−0.0)` into `−0.0`). `k` is never split. `b`'s
+/// columns are contiguous (`b.cs` is 1 and not read); `c` starts at the
+/// block's first element and has row stride `ldc`.
+///
+/// The loop nest indexes constant-extent arrays on purpose: in that form
+/// the compiler unrolls it into `W / 4` vector registers per row, and it
+/// is also the fastest tile form unoptimised. Zipped-iterator forms of
+/// the same nest measured 1.2–1.5× slower optimised, up to 3× slower
+/// unoptimised.
+#[allow(clippy::needless_range_loop)]
+fn tile<const R: usize, const W: usize>(
+    a: View<'_>,
+    b: View<'_>,
+    k: usize,
+    c: &mut [f32],
+    ldc: usize,
+) {
+    let mut acc = [[0.0f32; W]; R];
+    for kk in 0..k {
+        let at = b.at + kk * b.rs;
+        let b_row: [f32; W] = b.data[at..at + W].try_into().expect("W columns");
+        let a_col = a.at + kk * a.cs;
+        for r in 0..R {
+            let a_rk = a.data[a_col + r * a.rs];
+            for j in 0..W {
+                acc[r][j] += a_rk * b_row[j];
             }
         }
-        k0 = k1;
+    }
+    for r in 0..R {
+        c[r * ldc..r * ldc + W].copy_from_slice(&acc[r]);
     }
 }
 
-/// An ahead-of-time compiled `Dot` contraction: the staging gathers and
-/// batched-matmul dimensions [`dot_general`] would recompute per call,
-/// resolved once so the steady-state execution
-/// ([`dot_general_into`]) does no shape or permutation work at all.
+/// One `W`-wide column panel of a `m × n` output: full [`MR`]-row tiles
+/// down the panel, then one 3-, 2- or 1-row tile for the rest.
+fn panel<const W: usize>(a: View<'_>, b: View<'_>, k: usize, m: usize, c: &mut [f32], n: usize) {
+    let mut i = 0;
+    let rows = |i: usize| View {
+        at: a.at + i * a.rs,
+        ..a
+    };
+    while i + MR <= m {
+        tile::<MR, W>(rows(i), b, k, &mut c[i * n..], n);
+        i += MR;
+    }
+    match m - i {
+        3 => tile::<3, W>(rows(i), b, k, &mut c[i * n..], n),
+        2 => tile::<2, W>(rows(i), b, k, &mut c[i * n..], n),
+        1 => tile::<1, W>(rows(i), b, k, &mut c[i * n..], n),
+        _ => {}
+    }
+}
+
+/// A staging gather of one `Dot` operand to row-major order, as
+/// `(out_dims, in_strides)` for [`gather_strided`].
+type Stage = (Vec<usize>, Vec<usize>);
+
+/// How [`dot_general_into`] reads the right operand.
+#[derive(Debug, Clone)]
+enum RhsRead {
+    /// In place: its columns are contiguous.
+    InPlace,
+    /// Each batch is first packed into the tile's column panels, read
+    /// through the operand's own strides.
+    Panels,
+    /// Staged to row-major `[batch, contract, free]` first.
+    Stage(Stage),
+}
+
+/// An ahead-of-time compiled `Dot` contraction: how each operand is read,
+/// the batched-matmul extents and the column panels, resolved once so
+/// the steady-state execution ([`dot_general_into`]) does no shape or
+/// permutation work at all.
 #[derive(Debug, Clone)]
 pub struct DotPlan {
-    /// LHS staging gather to `[batch, free, contract]` layout as
-    /// `(out_dims, in_strides)`; `None` when the permutation is the
-    /// identity and the operand can be used in place.
-    lhs_stage: Option<(Vec<usize>, Vec<usize>)>,
-    /// RHS staging gather to `[batch, contract, free]` layout.
-    rhs_stage: Option<(Vec<usize>, Vec<usize>)>,
+    /// LHS staging gather to row-major `[batch, free, contract]`; `None`
+    /// when the operand is read in place.
+    lhs_stage: Option<Stage>,
+    /// `[batch, row, column]` strides of the LHS as the tile reads it
+    /// (`m` rows of `k`): its own, or its stage's.
+    lhs: [usize; 3],
+    rhs_read: RhsRead,
+    /// `[batch, row, column]` strides of the RHS (`k` rows of `n`): its
+    /// own, or its stage's.
+    rhs: [usize; 3],
     /// Batch extent (product of batch dims).
-    b: usize,
+    batch: usize,
     /// LHS free extent.
     m: usize,
     /// Contraction extent.
     k: usize,
     /// RHS free extent.
     n: usize,
+    /// How many column panels of each of [`PANEL_WIDTHS`] cover `n`.
+    panel_counts: [usize; 4],
 }
 
-/// One staging gather of a [`DotPlan`]: stages `[group0, group1, group2]`
-/// into row-major order, where the groups are dimension-index lists whose
-/// concatenation is a permutation of `0..rank`. `None` when the
-/// permutation is the identity (the operand can be used in place).
-fn plan_stage(shape: &Shape, groups: [&[usize]; 3]) -> Option<(Vec<usize>, Vec<usize>)> {
-    let perm: Vec<usize> = groups.iter().flat_map(|g| g.iter().copied()).collect();
-    if perm.iter().enumerate().all(|(i, &p)| i == p) {
-        return None;
+impl DotPlan {
+    /// `(first column, width)` of every column panel, left to right.
+    fn panels(&self) -> impl Iterator<Item = (usize, usize)> + '_ {
+        PANEL_WIDTHS
+            .iter()
+            .zip(self.panel_counts)
+            .flat_map(|(&w, count)| std::iter::repeat_n(w, count))
+            .scan(0, |j0, w| {
+                *j0 += w;
+                Some((*j0 - w, w))
+            })
     }
+}
+
+/// The one stride through which a dimension group's row-major linear
+/// index reaches memory, if there is one. Size-1 dimensions do not count;
+/// a group of extent 0 or 1 is never stepped through and answers 0.
+fn collapse(shape: &Shape, strides: &[usize], group: &[usize]) -> Option<usize> {
+    if group.iter().any(|&d| shape.dim(d) == 0) {
+        return Some(0);
+    }
+    let mut stride = None;
+    let mut next = 0;
+    for &d in group.iter().rev().filter(|&&d| shape.dim(d) > 1) {
+        match stride {
+            None => stride = Some(strides[d]),
+            Some(_) if strides[d] != next => return None,
+            Some(_) => {}
+        }
+        next = strides[d] * shape.dim(d);
+    }
+    Some(stride.unwrap_or(0))
+}
+
+/// How one operand is read as `[group0, group1, group2]`, where the groups
+/// are dimension-index lists whose concatenation is a permutation of
+/// `0..rank`: in place through one stride per group when every group
+/// collapses ([`collapse`]), else through a staging gather to row-major
+/// order. Returns the gather, if any, and the three strides.
+fn plan_operand(shape: &Shape, groups: [&[usize]; 3]) -> (Option<Stage>, [usize; 3]) {
     let strides = shape.strides();
+    if let [Some(s0), Some(s1), Some(s2)] = groups.map(|g| collapse(shape, &strides, g)) {
+        return (None, [s0, s1, s2]);
+    }
+    let perm: Vec<usize> = groups.iter().flat_map(|g| g.iter().copied()).collect();
     let out_dims: Vec<usize> = perm.iter().map(|&p| shape.dim(p)).collect();
     let in_strides: Vec<usize> = perm.iter().map(|&p| strides[p]).collect();
-    Some((out_dims, in_strides))
+    let [_, e1, e2] = groups.map(|g| g.iter().map(|&d| shape.dim(d)).product::<usize>());
+    (Some((out_dims, in_strides)), [e1 * e2, e2, 1])
 }
 
-/// Compiles a `Dot` op's staging and matmul dimensions once.
+/// Compiles a `Dot` op's operand reads, extents and column panels once.
 fn plan_dot(dims: &DotDims, ls: &Shape, rs: &Shape) -> DotPlan {
     let lhs_free = dims.free_dims(ls.rank(), true);
     let rhs_free = dims.free_dims(rs.rank(), false);
+    let (lhs_stage, lhs) = plan_operand(ls, [&dims.lhs_batch, &lhs_free, &dims.lhs_contract]);
+    let (rhs_stage, rhs) = plan_operand(rs, [&dims.rhs_batch, &dims.rhs_contract, &rhs_free]);
+    let n = rhs_free.iter().map(|&d| rs.dim(d)).product();
+    let rhs_read = match rhs_stage {
+        Some(stage) => RhsRead::Stage(stage),
+        None if rhs[2] == 1 || n <= 1 => RhsRead::InPlace,
+        None => RhsRead::Panels,
+    };
+    let mut panel_counts = [0; 4];
+    let mut rest = n;
+    for (count, w) in panel_counts.iter_mut().zip(PANEL_WIDTHS) {
+        *count = rest / w;
+        rest %= w;
+    }
     DotPlan {
-        lhs_stage: plan_stage(ls, [&dims.lhs_batch, &lhs_free, &dims.lhs_contract]),
-        rhs_stage: plan_stage(rs, [&dims.rhs_batch, &dims.rhs_contract, &rhs_free]),
-        b: dims.lhs_batch.iter().map(|&d| ls.dim(d)).product(),
+        lhs_stage,
+        lhs,
+        rhs_read,
+        rhs,
+        batch: dims.lhs_batch.iter().map(|&d| ls.dim(d)).product(),
         m: lhs_free.iter().map(|&d| ls.dim(d)).product(),
         k: dims.lhs_contract.iter().map(|&d| ls.dim(d)).product(),
-        n: rhs_free.iter().map(|&d| rs.dim(d)).product(),
+        n,
+        panel_counts,
     }
 }
 
 /// Executes a compiled [`DotPlan`] into a preallocated output buffer
-/// (`out.len()` must be `b·m·n`). Staging temporaries come from the
-/// per-thread scratch arena, so warm steady-state calls are
-/// allocation-free. Bit-identical to [`dot_general`] /
+/// (`out.len()` must be `batch·m·n`), writing every element once. A
+/// staging gather or B-panel buffer is borrowed from the per-thread
+/// scratch arena only when the plan needs one, so warm steady-state calls
+/// are allocation-free. Bit-identical to [`dot_general`] /
 /// [`dot_general_reference`].
-fn dot_general_into(plan: &DotPlan, a_src: &[f32], b_src: &[f32], out: &mut [f32]) {
-    let (b, m, k, n) = (plan.b, plan.m, plan.k, plan.n);
-    debug_assert_eq!(out.len(), b * m * n);
-    // matmul_ikj accumulates into its output, so a reused buffer must be
-    // cleared first.
-    out.fill(0.0);
-    with_scratch(|a_buf| {
-        let a: &[f32] = match &plan.lhs_stage {
-            None => a_src,
-            Some((od, st)) => {
-                gather_strided(a_buf, a_src, od, st, 0);
-                a_buf.as_slice()
-            }
-        };
-        with_scratch(|b_buf| {
-            let bm: &[f32] = match &plan.rhs_stage {
-                None => b_src,
-                Some((od, st)) => {
-                    gather_strided(b_buf, b_src, od, st, 0);
-                    b_buf.as_slice()
-                }
-            };
-            for bi in 0..b {
-                matmul_ikj(
-                    &a[bi * m * k..bi * m * k + m * k],
-                    &bm[bi * k * n..bi * k * n + k * n],
-                    &mut out[bi * m * n..bi * m * n + m * n],
-                    m,
-                    k,
-                    n,
-                );
-            }
-        });
-    });
+fn dot_general_into(plan: &DotPlan, a: &[f32], b: &[f32], out: &mut [f32]) {
+    debug_assert_eq!(out.len(), plan.batch * plan.m * plan.n);
+    match &plan.lhs_stage {
+        None => dot_rhs(plan, a, b, out),
+        Some((out_dims, in_strides)) => with_scratch(|staged| {
+            gather_strided(staged, a, out_dims, in_strides, 0);
+            dot_rhs(plan, staged, b, out)
+        }),
+    }
 }
 
-/// Evaluates a `Dot` op by reduction to batched row-major matmul.
+/// [`dot_general_into`] once the LHS is readable: reads the RHS as the
+/// plan says, then runs the column panels batch by batch.
+fn dot_rhs(plan: &DotPlan, a: &[f32], b: &[f32], out: &mut [f32]) {
+    match &plan.rhs_read {
+        RhsRead::InPlace => dot_panels(plan, a, b, out, None),
+        RhsRead::Panels => with_scratch(|packed| dot_panels(plan, a, b, out, Some(packed))),
+        RhsRead::Stage((out_dims, in_strides)) => with_scratch(|staged| {
+            gather_strided(staged, b, out_dims, in_strides, 0);
+            dot_panels(plan, a, staged, out, None)
+        }),
+    }
+}
+
+/// The batched matmul proper. With `packed`, each batch of `b` is first
+/// copied into column panels — the panel of columns `j0..j0 + w` is `k`
+/// rows of `w` starting at `k · j0` — so every tile reads contiguous
+/// rows of its panel.
+fn dot_panels(
+    plan: &DotPlan,
+    a: &[f32],
+    b: &[f32],
+    out: &mut [f32],
+    mut packed: Option<&mut Vec<f32>>,
+) {
+    let (m, k, n) = (plan.m, plan.k, plan.n);
+    let [a_bs, a_rs, a_cs] = plan.lhs;
+    let [b_bs, b_rs, b_cs] = plan.rhs;
+    if out.is_empty() {
+        return;
+    }
+    for (bi, c) in out.chunks_exact_mut(m * n).enumerate() {
+        let a = View {
+            data: a,
+            at: bi * a_bs,
+            rs: a_rs,
+            cs: a_cs,
+        };
+        if let Some(buf) = packed.as_deref_mut() {
+            buf.clear();
+            for (j0, w) in plan.panels() {
+                for kk in 0..k {
+                    let row = bi * b_bs + kk * b_rs + j0 * b_cs;
+                    buf.extend((0..w).map(|j| b[row + j * b_cs]));
+                }
+            }
+        }
+        for (j0, w) in plan.panels() {
+            let b = match packed.as_deref() {
+                Some(buf) => View {
+                    data: buf,
+                    at: k * j0,
+                    rs: w,
+                    cs: 1,
+                },
+                None => View {
+                    data: b,
+                    at: bi * b_bs + j0,
+                    rs: b_rs,
+                    cs: 1,
+                },
+            };
+            let c = &mut c[j0..];
+            match w {
+                16 => panel::<16>(a, b, k, m, c, n),
+                8 => panel::<8>(a, b, k, m, c, n),
+                4 => panel::<4>(a, b, k, m, c, n),
+                _ => panel::<1>(a, b, k, m, c, n),
+            }
+        }
+    }
+}
+
+/// Evaluates a `Dot` op as a batched matmul of register tiles.
 ///
-/// Both operands are staged (via at most one physical transpose each, into
-/// the per-thread scratch arena) to `[batch, free, contract]` /
-/// `[batch, contract, free]` layout, then multiplied with [`matmul_ikj`].
-/// Bit-identical to [`dot_general_reference`].
+/// Each operand is read in place through per-operand strides when its
+/// batch, free and contract dimensions each collapse to one stride
+/// (transposed layouts included); otherwise it is staged once, by a
+/// strided gather into the per-thread scratch arena. A right operand
+/// whose columns are not contiguous is packed into the tile's column
+/// panels instead. Bit-identical to [`dot_general_reference`].
 ///
 /// # Errors
 ///
@@ -585,8 +773,9 @@ pub enum SliceKernel {
     Select,
     /// `[x] → any`: numeric casts saturate, `→ pred` is `!= 0`.
     Convert,
-    /// `[lhs, rhs] → f32`: batched row-major matmul after at most one
-    /// staging gather per operand.
+    /// `[lhs, rhs] → f32`: batched matmul of register tiles, each
+    /// operand read in place through its strides, packed into column
+    /// panels (a non-contiguous RHS) or staged by one gather.
     Dot(DotPlan),
     /// `[x] → x's dtype` — `transpose`, `broadcast_in_dim` and `slice`:
     /// result element `i` is `x[base + Σ i[d] · in_strides[d]]`.
@@ -1539,7 +1728,8 @@ mod tests {
 
     #[test]
     fn scratch_arena_recycles_buffers() {
-        let dims = DotDims {
+        // A transposed LHS is read in place: no buffer is borrowed.
+        let at_b = DotDims {
             lhs_batch: vec![],
             rhs_batch: vec![],
             lhs_contract: vec![0],
@@ -1547,10 +1737,29 @@ mod tests {
         };
         let a = lit(vec![1.0; 8], &[4, 2]);
         let b = lit(vec![2.0; 12], &[4, 3]);
-        dot_general(&dims, &a, &b).unwrap();
+        let before = scratch_pool_len();
+        dot_general(&at_b, &a, &b).unwrap();
+        assert_eq!(
+            scratch_pool_len(),
+            before,
+            "nothing borrowed, nothing pooled"
+        );
+        // A transposed RHS is packed into column panels, and an LHS whose
+        // free dims are split by the contract dim is staged: both buffers
+        // come from the arena and go back to it.
+        let split = DotDims {
+            lhs_batch: vec![],
+            rhs_batch: vec![],
+            lhs_contract: vec![1],
+            rhs_contract: vec![1],
+        };
+        let a = lit(vec![1.0; 24], &[2, 4, 3]);
+        let b = lit(vec![2.0; 20], &[5, 4]);
+        let fast = dot_general(&split, &a, &b).unwrap();
+        assert_eq!(fast, dot_general_reference(&split, &a, &b).unwrap());
         assert!(
-            scratch_pool_len() >= 1,
-            "staging buffers return to the pool"
+            scratch_pool_len() >= before + 2,
+            "staging and panel buffers return to the pool"
         );
     }
 
