@@ -528,7 +528,7 @@ impl TokenCheck {
                  in the happens-before order",
                 describe_range(a),
                 if found == UNDEF {
-                    "uninitialized data".to_string()
+                    "no defined value".to_string()
                 } else {
                     format!("value %{found}")
                 },
@@ -558,7 +558,8 @@ impl TokenCheck {
 /// body-and-carry transformation writes fixed tokens to fixed ranges,
 /// so it is idempotent on the token map — the second pass observes
 /// exactly the cross-back-edge state every later iteration observes,
-/// making two passes exhaustive.
+/// making two passes exhaustive. A token names a value, not an
+/// iteration, so the back-edge kills every param no carry redefines.
 fn check_token_flow(view: &PlanView, diags: &mut Vec<Diagnostic>) {
     let mut chk = TokenCheck {
         state: TokenState::new(&view.pool_len),
@@ -599,6 +600,15 @@ fn interp_steps(steps: &[StepView], path: &str, chk: &mut TokenCheck, diags: &mu
                 interp_steps(&l.body, &at, chk, diags);
                 if l.trip_count > 1 {
                     chk.copy_pairs(&l.carry, &at, diags);
+                    // A param no carry pair redefines is dead here.
+                    for (_, param) in &l.entry {
+                        if !l.carry.iter().any(|(_, d)| d.value == param.value) {
+                            chk.state.write(&Access {
+                                value: UNDEF,
+                                ..*param
+                            });
+                        }
+                    }
                     chk.state.write(&l.index);
                     interp_steps(&l.body, &at, chk, diags);
                 }

@@ -7,10 +7,13 @@
 //!   `PlanOptions::default()` (overlapped) and `PlanOptions::blocking()`,
 //!   and the static verifier accepts every one. Blocking plans must
 //!   verify *trivially*: no collective window is open at any step.
-//! * a **mutation suite**: ≥10 seeded overlap-pass bugs injected into
-//!   the verifier view of real compiled plans — over-hoisted starts,
-//!   mis-sunk waits, aliased slots, permuted stage orders, dropped wait
-//!   edges and friends — each of which the verifier must flag.
+//! * a **mutation suite**: 14 seeded overlap-pass and allocator bugs
+//!   injected into the verifier view of real compiled plans —
+//!   over-hoisted starts, mis-sunk waits, aliased and swapped slots,
+//!   permuted stage orders, dropped wait edges, a dropped loop carry
+//!   and friends — each of which the verifier must flag. The swapped
+//!   slots and the dropped carry are value-bookkeeping bugs no run
+//!   catches by comparison with a second executor: the verifier must.
 //!
 //! The mutations operate on a clone of [`CompiledPlan::verifier_view`],
 //! exactly the data a buggy overlap/allocation pass would have produced,
@@ -495,4 +498,84 @@ fn mutation_swapped_dependent_steps() {
         .expect("no adjacent dependent compute pair");
     view.steps.swap(i, i + 1);
     assert_flags(&view, "plan-race", "swapped dependent steps");
+}
+
+/// Mutation 13: swapped slots — the allocator hands each of two
+/// simultaneously-live, equal-size values the other's slot where it is
+/// defined, while their readers keep the original assignment. Every
+/// range stays in bounds and no two live values overlap, so only the
+/// token flow can tell: each reader finds the other value.
+#[test]
+fn mutation_swapped_slots() {
+    let mut view = mlp_view();
+    // (value, defining step, pool, off, len, last top-level read).
+    let mut defs: Vec<(u32, usize, usize, usize, usize, usize)> = Vec::new();
+    for (i, step) in view.steps.iter().enumerate() {
+        let StepView::Compute { reads, writes, .. } = step else {
+            continue;
+        };
+        for r in reads {
+            if let Some(d) = defs.iter_mut().find(|d| d.0 == r.value) {
+                d.5 = i;
+            }
+        }
+        for w in writes {
+            defs.push((w.value, i, w.pool, w.off, w.len, i));
+        }
+    }
+    // Both defined before either is last read: simultaneously live.
+    let (a, b) = defs
+        .iter()
+        .find_map(|a| {
+            let b = defs.iter().find(|b| {
+                a.1 < b.1 && b.1 < a.5 && b.1 < b.5 && (a.2, a.4) == (b.2, b.4) && a.3 != b.3
+            })?;
+            Some((*a, *b))
+        })
+        .expect("no two simultaneously-live, equal-size values in the plan");
+    for step in &mut view.steps {
+        if let StepView::Compute { writes, .. } = step {
+            for w in writes {
+                if w.value == a.0 {
+                    w.off = b.3;
+                } else if w.value == b.0 {
+                    w.off = a.3;
+                }
+            }
+        }
+    }
+    assert_flags(&view, "plan-race", "swapped slots");
+}
+
+/// Mutation 14: dropped loop-carry pair — the compiler forgets to copy
+/// one region result back into its loop param, so every iteration after
+/// the first re-reads the first iteration's input.
+#[test]
+fn mutation_dropped_carry() {
+    let mut b = FuncBuilder::new("carry");
+    let x = b.param("x", TensorType::f32([8]));
+    let out = b
+        .for_loop(3, &[x, x], |inner, _i, c| {
+            Ok(vec![inner.tanh(c[0])?, inner.add(c[0], c[1])?])
+        })
+        .unwrap();
+    let f = b.build([out[0], out[1]]).unwrap();
+    let mesh = Mesh::single(BATCH, 1).unwrap();
+    let plan = partir_spmd::CompiledPlan::compile(&f, &mesh, &PlanOptions::default()).unwrap();
+    let mut view = plan.verifier_view().clone();
+    assert!(
+        rules(&view).is_empty(),
+        "baseline loop plan must verify before mutation"
+    );
+    let l = view
+        .steps
+        .iter_mut()
+        .find_map(|s| match s {
+            StepView::For(l) => Some(l),
+            _ => None,
+        })
+        .expect("plan has a loop");
+    assert!(l.trip_count > 1 && l.carry.len() == 2);
+    l.carry.remove(0);
+    assert_flags(&view, "plan-race", "dropped carry");
 }

@@ -1,7 +1,8 @@
 //! The analyzer's soundness property: programs the static analyzer
 //! passes (zero `Error` diagnostics) execute deadlock-free on the
-//! threaded message-passing runtime — over both a 1×2 and a 2×2 mesh —
-//! and the static peak-memory bound dominates the simulated peak.
+//! threaded message-passing runtime — free-running and under the seeded
+//! scheduler, over both a 1×2 and a 2×2 mesh — and the static
+//! peak-memory bound dominates the simulated peak.
 //!
 //! This is the link the issue demands between the deadlock *checker*
 //! and the deadlock-*prone* runtime: the checker's verdict is tested
@@ -12,7 +13,7 @@ use partir_core::Partitioning;
 use partir_ir::{BinaryOp, Func, FuncBuilder, Literal, TensorType, UnaryOp, ValueId};
 use partir_mesh::{Axis, Mesh};
 use partir_prng::{propcheck::check, Rng};
-use partir_spmd::{lower, RuntimeConfig};
+use partir_spmd::{lower, RuntimeConfig, ThreadedRuntime};
 
 const N: usize = 8;
 
@@ -119,18 +120,28 @@ fn analyzer_passing_programs_run_deadlock_free() {
             ));
         }
 
-        // The analyzer passed it, so the threaded runtime must not
-        // deadlock (any timeout/failure here falsifies the property).
+        // The analyzer passed it, so the runtime must not deadlock:
+        // neither free-running (any timeout or failure falsifies the
+        // property) nor under the seeded scheduler, which reports a
+        // deadlock exactly instead of timing out.
         let inputs = inputs_for(&func, rng);
         let (outputs, _stats) = program
             .execute_global_threaded(&inputs, &RuntimeConfig::default())
             .map_err(|e| format!("threaded runtime failed: {e}"))?;
-        let lockstep = program
-            .execute_global(&inputs)
-            .map_err(|e| format!("lockstep runtime failed: {e}"))?;
-        let diff = lockstep[0].max_abs_diff(&outputs[0]).unwrap();
-        if diff != 0.0 {
-            return Err(format!("threaded vs lockstep diff {diff}"));
+        let plan = program.compile().map_err(|e| e.to_string())?;
+        let per_device = program.shard_inputs(&inputs).map_err(|e| e.to_string())?;
+        for seed in 0..4 {
+            let run = ThreadedRuntime::default()
+                .run_scheduled(&plan, &per_device, seed)
+                .map_err(|e| format!("scheduled run (seed {seed}) failed: {e}"))?;
+            let scheduled = program
+                .unshard_outputs(&run.outputs)
+                .map_err(|e| e.to_string())?;
+            if scheduled != outputs {
+                return Err(format!(
+                    "threaded vs scheduled (seed {seed}) outputs differ"
+                ));
+            }
         }
 
         // Static memory bound dominates the simulated peak.

@@ -146,9 +146,9 @@ pub fn emit(rows: &[Row]) {
 /// secondary arenas, whose trim policy returns large frees to the
 /// kernel immediately; every subsequent run then re-faults those pages
 /// in, which shows up as multi-percent noise in runtime comparisons on
-/// small machines (the lockstep interpreter, living on the main arena,
+/// small machines (single-threaded code, living on the main arena,
 /// never pays it). Pinning one arena and raising the trim/mmap
-/// thresholds gives both runtimes the same allocator placement and
+/// thresholds gives every path the same allocator placement and
 /// keeps hot pages committed across trials. Measurement hygiene only —
 /// a no-op on non-glibc targets, and never called from library code.
 pub fn tune_allocator_for_benchmarks() {

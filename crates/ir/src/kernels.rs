@@ -744,9 +744,9 @@ pub struct ConvPlan {
 ///
 /// This is the single definition of these ops. [`crate::interp::eval_op`]
 /// allocates a result and runs the kernel on it, which covers the
-/// reference and lockstep interpreters; compiled plans keep the kernel in
-/// a step and run it on arena ranges — so the three agree bit for bit by
-/// construction. The element-at-a-time forms they replace live on as
+/// reference interpreter and the collectives' specification; compiled
+/// plans keep the kernel in a step and run it on arena ranges — so they
+/// agree bit for bit by construction. The element-at-a-time forms they replace live on as
 /// oracles in [`crate::reference`].
 ///
 /// Operand order is the op's; every dimension triple below is the
@@ -1605,8 +1605,8 @@ fn arg_max_into(out: &mut [i32], x: &[f32], outer: usize, n: usize, inner: usize
 /// accumulator's copy-on-write buffer is uniquely owned.
 ///
 /// Bit-identical to evaluating the corresponding `Binary` op (same
-/// operand order, same operation), which is what the lockstep interpreter
-/// does; the threaded runtime's collectives use this on received payloads,
+/// operand order, same operation), which is what the collectives'
+/// specification does; the threaded runtime's collectives use this on received payloads,
 /// which are always unique.
 ///
 /// # Errors

@@ -15,9 +15,9 @@
 //!   the same linear order, then a ring all-gather of the reduced chunks
 //!   — the bandwidth-optimal form that also spreads the fold across
 //!   devices. Both fold orders make the result bit-identical to the
-//!   staged lockstep interpreter, and both move the same total bytes
-//!   (`2(k-1)·n` per group), so the analytical ring formula holds for
-//!   either.
+//!   staged [`crate::apply_collective`] under any interleaving, and both
+//!   move the same total bytes (`2(k-1)·n` per group), so the analytical
+//!   ring formula holds for either.
 //! * `all_gather`: ring — `k-1` steps forwarding the most recently
 //!   received block, then concatenation in coordinate order.
 //! * `reduce_scatter`: per axis, direct exchange of the eventual output
@@ -87,8 +87,8 @@ impl TrafficPrediction {
 /// The communication endpoint one device's collectives run over.
 ///
 /// `send` must be non-blocking (the runtime uses unbounded channels);
-/// `recv` blocks until the peer's message arrives or the rendezvous
-/// timeout fires.
+/// `recv` blocks until the peer's message arrives, or fails on a
+/// rendezvous timeout or a detected deadlock.
 ///
 /// Every message carries a `tag` identifying the collective instance it
 /// belongs to. Overlapped plans hoist one collective's eager sends above
@@ -302,7 +302,7 @@ pub(crate) fn start_scheduled<E: Exchange>(
 /// first, and produces the device-local result. With `pending` fresh
 /// from [`start_scheduled`] this is stage-for-stage identical to the
 /// blocking dispatch it replaced, so results stay bit-identical to the
-/// lockstep interpreter.
+/// specification.
 pub(crate) fn wait_scheduled<E: Exchange>(
     c: &Collective,
     ex: &mut E,
@@ -475,7 +475,7 @@ fn concat_flat(chunks: Vec<Option<Literal>>, ty: &TensorType) -> Result<Literal,
 /// Uses [`partir_ir::kernels::fold_reduce`], which mutates the
 /// accumulator in place when its buffer is uniquely owned — true for
 /// payloads received over channels — and is bit-identical to evaluating
-/// the corresponding `Binary` op (what the lockstep interpreter does).
+/// the corresponding `Binary` op (what the specification does).
 fn fold(
     acc: Option<Literal>,
     piece: Literal,
@@ -500,7 +500,7 @@ pub(crate) const LEADER_ALL_REDUCE_MAX_BYTES: usize = 256 * 1024;
 /// Leader-based single-axis all-reduce for small payloads: every member
 /// sends its full payload to the group leader (position 0) — a zero-copy
 /// `Arc` transfer — the leader folds them linearly in coordinate order
-/// (own value first, exactly the lockstep fold), then broadcasts the
+/// (own value first, exactly the specification's fold), then broadcasts the
 /// result back as refcount bumps. `2(k-1)` messages and `2(k-1)·n`
 /// attributed bytes per group, no chunk copies.
 fn axis_leader_all_reduce<E: Exchange>(

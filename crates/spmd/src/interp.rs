@@ -1,167 +1,33 @@
-//! Lockstep multi-device interpreter for SPMD programs.
+//! The specification of every collective, and the layout of values
+//! across a mesh.
 //!
-//! Every simulated device executes the same device-local program;
-//! collectives exchange data across [`partir_mesh::Mesh`] groups. Used to
-//! validate that lowering + fusion preserve semantics (the executable
-//! analogue of the paper's correctness proof for SPMD lowering).
+//! [`apply_collective`] states what each collective computes, with the
+//! whole mesh in view at once: it takes every device's value and returns
+//! every device's result, folding and concatenating in mesh-coordinate
+//! order. It is the spec the message-passing algorithms of
+//! [`crate::collectives`] are checked against, bit for bit
+//! (`tests/runtime_prop.rs`); programs themselves run only on the
+//! threaded runtime ([`crate::runtime`]).
 //!
-//! This interpreter deliberately stays op-by-op: it is the
-//! *differential oracle* for the compiled execution path. The threaded
-//! runtime compiles programs into [`crate::plan::CompiledPlan`]s (direct
-//! kernel calls, fused elementwise loops, arena-allocated
-//! intermediates); conformance and property tests assert plan execution
-//! is bit-identical to what this module computes, so any disagreement
-//! localises a plan-compiler bug.
+//! [`shard_value`] and [`unshard_value`] move global values to and from
+//! their per-device shards under a sharding context, and
+//! [`slice_chunk`] is the one chunk extraction both they and the
+//! collectives use.
 
 use partir_core::{ShardKind, ValueCtx};
 use partir_ir::kernels::SliceKernel;
 use partir_ir::{
-    interp::eval_op, BinaryOp, Collective, Func, IrError, Literal, OpId, OpKind, ReduceOp,
-    TensorType,
+    interp::eval_op, BinaryOp, Collective, IrError, Literal, OpKind, ReduceOp, TensorType,
 };
 use partir_mesh::{Axis, Mesh};
 
-/// Runs `func` on every device of `mesh` in lockstep.
-///
-/// `inputs[d]` are the device-local inputs of device `d`. Returns the
-/// device-local outputs per device.
+/// Applies one collective across the whole mesh: `vals[d]` is device
+/// `d`'s operand, and the result's entry `d` is device `d`'s result.
 ///
 /// # Errors
 ///
-/// Fails on malformed programs or mismatched inputs.
-pub fn run_devices(
-    func: &Func,
-    mesh: &Mesh,
-    inputs: &[Vec<Literal>],
-) -> Result<Vec<Vec<Literal>>, IrError> {
-    let n = mesh.num_devices();
-    if inputs.len() != n {
-        return Err(IrError::invalid(format!(
-            "expected inputs for {n} devices, got {}",
-            inputs.len()
-        )));
-    }
-    let mut envs: Vec<Vec<Option<Literal>>> = vec![vec![None; func.num_values()]; n];
-    for (d, device_inputs) in inputs.iter().enumerate() {
-        if device_inputs.len() != func.params().len() {
-            return Err(IrError::invalid("wrong per-device input arity"));
-        }
-        for (&p, lit) in func.params().iter().zip(device_inputs) {
-            if &lit.ty() != func.value_type(p) {
-                return Err(IrError::invalid(format!(
-                    "device {d} input for {:?} has type {}, expected {}",
-                    func.value(p).name,
-                    lit.ty(),
-                    func.value_type(p)
-                )));
-            }
-            envs[d][p.0 as usize] = Some(lit.clone());
-        }
-    }
-    exec_body(func, mesh, func.body(), &mut envs)?;
-    (0..n)
-        .map(|d| {
-            func.results()
-                .iter()
-                .map(|&r| {
-                    envs[d][r.0 as usize]
-                        .clone()
-                        .ok_or_else(|| IrError::invalid("result never computed"))
-                })
-                .collect()
-        })
-        .collect()
-}
-
-fn exec_body(
-    func: &Func,
-    mesh: &Mesh,
-    body: &[OpId],
-    envs: &mut [Vec<Option<Literal>>],
-) -> Result<(), IrError> {
-    let n = envs.len();
-    for &op_id in body {
-        let op = func.op(op_id);
-        match &op.kind {
-            OpKind::For { trip_count } => {
-                let region = op
-                    .region
-                    .as_ref()
-                    .ok_or_else(|| IrError::invalid("for without region"))?;
-                let mut carried: Vec<Vec<Literal>> = (0..n)
-                    .map(|d| {
-                        op.operands
-                            .iter()
-                            .map(|&v| {
-                                envs[d][v.0 as usize]
-                                    .clone()
-                                    .ok_or_else(|| IrError::invalid("use before def"))
-                            })
-                            .collect::<Result<Vec<_>, _>>()
-                    })
-                    .collect::<Result<_, _>>()?;
-                for i in 0..*trip_count {
-                    for (d, env) in envs.iter_mut().enumerate() {
-                        env[region.params[0].0 as usize] = Some(Literal::scalar_i32(i as i32));
-                        for (p, val) in region.params[1..].iter().zip(&carried[d]) {
-                            env[p.0 as usize] = Some(val.clone());
-                        }
-                    }
-                    exec_body(func, mesh, &region.body, envs)?;
-                    for (d, env) in envs.iter().enumerate() {
-                        carried[d] = region
-                            .results
-                            .iter()
-                            .map(|&v| {
-                                env[v.0 as usize]
-                                    .clone()
-                                    .ok_or_else(|| IrError::invalid("yield before def"))
-                            })
-                            .collect::<Result<_, _>>()?;
-                    }
-                }
-                for (d, env) in envs.iter_mut().enumerate() {
-                    for (&r, val) in op.results.iter().zip(carried[d].drain(..)) {
-                        env[r.0 as usize] = Some(val);
-                    }
-                }
-            }
-            OpKind::Collective(c) => {
-                let vals: Vec<Literal> = (0..n)
-                    .map(|d| {
-                        envs[d][op.operands[0].0 as usize]
-                            .clone()
-                            .ok_or_else(|| IrError::invalid("use before def"))
-                    })
-                    .collect::<Result<_, _>>()?;
-                let outs = apply_collective(c, mesh, vals)?;
-                for (d, out) in outs.into_iter().enumerate() {
-                    envs[d][op.results[0].0 as usize] = Some(out);
-                }
-            }
-            _ => {
-                for env in envs.iter_mut() {
-                    let operands: Vec<&Literal> = op
-                        .operands
-                        .iter()
-                        .map(|&v| {
-                            env[v.0 as usize]
-                                .as_ref()
-                                .ok_or_else(|| IrError::invalid("use before def"))
-                        })
-                        .collect::<Result<_, _>>()?;
-                    let results = eval_op(&op.kind, &operands)?;
-                    for (&r, val) in op.results.iter().zip(results) {
-                        env[r.0 as usize] = Some(val);
-                    }
-                }
-            }
-        }
-    }
-    Ok(())
-}
-
-/// Applies one collective across the whole mesh (index = device id).
+/// Fails if the collective names an axis missing from the mesh or
+/// slices a dimension its axes do not divide.
 pub fn apply_collective(
     c: &Collective,
     mesh: &Mesh,
@@ -192,7 +58,7 @@ pub fn apply_collective(
     }
 }
 
-pub(crate) fn reduce_binary(reduce: ReduceOp) -> BinaryOp {
+fn reduce_binary(reduce: ReduceOp) -> BinaryOp {
     match reduce {
         ReduceOp::Sum => BinaryOp::Add,
         ReduceOp::Max => BinaryOp::Max,
@@ -206,7 +72,7 @@ pub(crate) fn reduce_binary(reduce: ReduceOp) -> BinaryOp {
 ///
 /// Staging matters for floating point: the threaded runtime
 /// ([`crate::runtime`]) reduces hierarchically per axis, and staging the
-/// lockstep reference the same way makes the two bit-identical.
+/// spec the same way makes the two bit-identical.
 fn all_reduce(
     mesh: &Mesh,
     axes: &[Axis],
@@ -320,7 +186,7 @@ pub(crate) fn slice_chunk(
 /// # Errors
 ///
 /// Fails if a tiled dimension is not divisible.
-pub fn shard_value(
+pub(crate) fn shard_value(
     lit: &Literal,
     ctx: &ValueCtx,
     mesh: &Mesh,
@@ -348,7 +214,11 @@ pub fn shard_value(
 /// # Errors
 ///
 /// Fails if shards disagree with the expected layout.
-pub fn unshard_value(shards: &[Literal], ctx: &ValueCtx, mesh: &Mesh) -> Result<Literal, IrError> {
+pub(crate) fn unshard_value(
+    shards: &[Literal],
+    ctx: &ValueCtx,
+    mesh: &Mesh,
+) -> Result<Literal, IrError> {
     let tiled: Vec<(Axis, usize)> = ctx
         .entries()
         .iter()

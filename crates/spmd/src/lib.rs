@@ -1,5 +1,5 @@
 //! PartIR:HLO — SPMD lowering, collective fusion and a multi-device
-//! interpreter (paper §6).
+//! runtime (paper §6).
 //!
 //! [`lower`] turns a function plus its [`partir_core::Partitioning`] into
 //! a *device-local* program: every value takes its sharded type, every op
@@ -10,30 +10,28 @@
 //! all-reduce per parameter gradient under batch parallelism, gathers
 //! before use under Z3, reduce-scatters for sharded gradients, …).
 //!
-//! The [`interp`] module executes the lowered program on every simulated
-//! device in lockstep, implementing the collectives over the mesh. Its
-//! outputs must match the unpartitioned reference interpretation — the
-//! executable counterpart of the paper's lowering-correctness proof.
+//! The [`plan`] module compiles a lowered program once: it resolves
+//! every op to a direct kernel call, fuses adjacent elementwise chains
+//! into single loop bodies, lays intermediates out in a bump arena sized
+//! by `partir_analysis`'s static peak bound, and bakes each device's
+//! collective schedule (rendezvous partners, per-axis byte counts) ahead
+//! of time. Compile once with [`SpmdProgram::compile`], then run many
+//! steps without per-step dispatch, shape inference, or allocation.
 //!
-//! The [`runtime`] module goes one step further: a [`ThreadedRuntime`]
-//! runs one OS thread per device with channel-based message-passing
-//! collectives ([`collectives`]), records executed per-axis traffic into
-//! [`RuntimeStats`], detects deadlock via a rendezvous timeout, and
-//! injects deterministic faults for failure-path testing. Fault-free, it
-//! is bit-identical to the lockstep interpreter; `predict_traffic`
-//! mirrors its byte counts exactly so the simulator can reconcile
-//! predictions against execution.
-//!
-//! The [`plan`] module is the runtime's compilation layer: a one-time
-//! pass over the lowered program that resolves every op to a direct
-//! kernel call, fuses adjacent elementwise chains into single loop
-//! bodies, lays intermediates out in a bump arena sized by
-//! `partir_analysis`'s static peak bound, and bakes each device's
-//! collective schedule (rendezvous partners, per-axis byte counts)
-//! ahead of time. [`ThreadedRuntime`] executes [`CompiledPlan`]s; the
-//! lockstep interpreter stays op-by-op as the differential oracle.
-//! Compile once with [`SpmdProgram::compile`], then run many steps
-//! without per-step dispatch, shape inference, or allocation.
+//! The [`runtime`] module is the one executor of those plans: a
+//! [`ThreadedRuntime`] runs one OS thread per device with channel-based
+//! message-passing collectives ([`collectives`]), records executed
+//! per-axis traffic into [`RuntimeStats`], and injects deterministic
+//! faults for failure-path testing. Free-running, it detects deadlock by
+//! a rendezvous timeout; under its seeded turn-taking scheduler
+//! ([`ThreadedRuntime::run_scheduled`], what
+//! [`SpmdProgram::execute_global`] uses) the interleaving replays from a
+//! seed and deadlock is reported exactly. Outputs must match the
+//! unpartitioned reference interpretation — the executable counterpart
+//! of the paper's lowering-correctness proof — and each collective
+//! matches its whole-mesh specification, [`apply_collective`], bit for
+//! bit. `predict_traffic` mirrors the executed byte counts exactly so
+//! the simulator can reconcile predictions against execution.
 //!
 //! # Examples
 //!
@@ -69,7 +67,7 @@
 
 pub mod collectives;
 mod fuse;
-pub mod interp;
+mod interp;
 mod lower;
 pub mod plan;
 mod program;
@@ -78,11 +76,12 @@ mod stats;
 
 pub use collectives::{predict_traffic, AxisTraffic, TrafficPrediction};
 pub use fuse::fuse_collectives;
+pub use interp::apply_collective;
 pub use lower::lower;
 pub use plan::{CollWindow, CompiledPlan, PlanError, PlanExecutor, PlanOptions};
 pub use program::SpmdProgram;
 pub use runtime::{
-    seeded_faults, ChaosConfig, DeviceCounters, Fault, RunOutcome, RuntimeConfig, RuntimeError,
+    seeded_faults, BlockedWait, DeviceCounters, Fault, RunOutcome, RuntimeConfig, RuntimeError,
     RuntimeStats, ThreadedRuntime,
 };
 pub use stats::{collect_stats, CollectiveStats};

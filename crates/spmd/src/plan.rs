@@ -1,10 +1,9 @@
 //! Compiled per-device execution plans: compile once, run many.
 //!
-//! The [`crate::interp`] lockstep interpreter and the threaded runtime's
-//! original hot loop both re-interpret the lowered program op by op —
-//! re-inferring shapes, re-matching dtypes and allocating a fresh
-//! [`Literal`] for every intermediate on every step. [`CompiledPlan`]
-//! performs that work exactly once:
+//! Interpreting the lowered program op by op re-infers shapes,
+//! re-matches dtypes and allocates a fresh [`Literal`] for every
+//! intermediate on every step. [`CompiledPlan`] performs that work
+//! exactly once:
 //!
 //! * every op is pre-resolved to the [`SliceKernel`] the interpreters
 //!   themselves run for it ([`partir_ir::kernels`] holds the one
@@ -48,10 +47,13 @@
 //! the whole mesh; only the per-device collective schedules differ, and
 //! they are stored per device inside the plan's collective steps.
 //!
-//! The lockstep interpreter remains the differential oracle: fault-free
-//! plan execution is bit-identical to it (and hence to the
-//! unpartitioned reference), which the conformance suite asserts across
-//! the model zoo.
+//! Plans are the only way partitioned programs run: the threaded runtime
+//! executes them free-running or under its seeded scheduler, with
+//! bit-identical outputs either way. What the compiler decides about
+//! values — slots, lifetimes, loop carries, stage orders — is proven by
+//! [`CompiledPlan::verify`] (a debug post-condition of every compile);
+//! numerics are checked against the unpartitioned reference by the
+//! conformance suite across the model zoo.
 
 use std::collections::{HashMap, HashSet};
 use std::fmt;
@@ -1991,8 +1993,8 @@ mod tests {
         )
         .unwrap();
         let got = plan.execute_local(std::slice::from_ref(&input)).unwrap();
-        let want = crate::interp::run_devices(&f, &mesh, &[vec![input]]).unwrap();
-        assert_eq!(got[0].as_f32().unwrap(), want[0][0].as_f32().unwrap());
+        let want = partir_ir::interp::interpret(&f, &[input]).unwrap();
+        assert_eq!(got, want);
     }
 
     /// Kernel steps across pools, and with operands sharing the
@@ -2139,7 +2141,61 @@ mod tests {
         let plan = CompiledPlan::compile(&f, &mesh, &PlanOptions::default()).unwrap();
         let input = Literal::from_f32((0..16).map(|i| i as f32).collect::<Vec<_>>(), [16]).unwrap();
         let got = plan.execute_local(std::slice::from_ref(&input)).unwrap();
-        let want = crate::interp::run_devices(&f, &mesh, &[vec![input]]).unwrap();
-        assert_eq!(got[0].as_f32().unwrap(), want[0][0].as_f32().unwrap());
+        let want = partir_ir::interp::interpret(&f, &[input]).unwrap();
+        assert_eq!(got, want);
+    }
+
+    /// Mutation 7 of `analysis/tests/plan_verify.rs` on an executable
+    /// plan: a 2×2 all_gather over both axes with the stage order
+    /// reversed on the diagonal devices 0 and 3. The scheduler reports
+    /// the four-cycle of waits at once, on every seed; free-running
+    /// threads only see each wait time out.
+    #[test]
+    fn reversed_stage_order_is_reported_as_deadlock() {
+        use crate::runtime::{RuntimeConfig, RuntimeError, ThreadedRuntime};
+        let mesh = Mesh::new([("x", 2), ("y", 2)]).unwrap();
+        let mut b = FuncBuilder::with_mesh("f", mesh.clone());
+        let x = b.param("x", TensorType::f32([2, 2]));
+        let gather = Collective::AllGather {
+            dim_axes: vec![vec!["x".into()], vec!["y".into()]],
+        };
+        let y = b.collective(gather, x).unwrap();
+        let f = b.build([y]).unwrap();
+        let mut plan = CompiledPlan::compile(&f, &mesh, &PlanOptions::default()).unwrap();
+        for step in &mut plan.steps {
+            let scheds = match step {
+                Step::CollStart(s) => &mut s.scheds,
+                Step::CollWait(w) => &mut w.scheds,
+                _ => continue,
+            };
+            for d in [0, 3] {
+                Arc::make_mut(scheds)[d].stages.reverse();
+            }
+        }
+        let inputs: Vec<Vec<Literal>> = (0..4)
+            .map(|d| vec![Literal::from_f32(vec![d as f32; 4], [2, 2]).unwrap()])
+            .collect();
+        for seed in 0..4 {
+            let err = ThreadedRuntime::default()
+                .run_scheduled(&plan, &inputs, seed)
+                .unwrap_err();
+            let RuntimeError::Deadlock { waits } = err else {
+                panic!("seed {seed}: expected a deadlock, got {err}");
+            };
+            let cycle: Vec<(usize, usize, &str)> = waits
+                .iter()
+                .map(|w| (w.device, w.peer, w.axis.name()))
+                .collect();
+            assert_eq!(
+                cycle,
+                [(0, 1, "y"), (1, 3, "x"), (2, 0, "x"), (3, 2, "y")],
+                "seed {seed}"
+            );
+        }
+        let budget = plan.rendezvous_budget(std::time::Duration::from_millis(5));
+        let err = ThreadedRuntime::new(RuntimeConfig::with_timeout(budget))
+            .run_plan(&plan, &inputs)
+            .unwrap_err();
+        assert!(matches!(err, RuntimeError::Timeout { .. }), "{err}");
     }
 }

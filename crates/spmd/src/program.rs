@@ -3,7 +3,7 @@ use partir_ir::{Func, IrError, Literal};
 use partir_mesh::Mesh;
 
 use crate::collectives::{predict_traffic, TrafficPrediction};
-use crate::interp::{run_devices, shard_value, unshard_value};
+use crate::interp::{shard_value, unshard_value};
 use crate::plan::{CompiledPlan, PlanError, PlanOptions};
 use crate::runtime::{RuntimeConfig, RuntimeError, RuntimeStats, ThreadedRuntime};
 use crate::stats::{collect_stats, CollectiveStats};
@@ -79,29 +79,22 @@ impl SpmdProgram {
         })
     }
 
-    /// Shards `inputs` per the input contexts, runs every device in
-    /// lockstep and reassembles global outputs.
+    /// Shards `inputs` per the input contexts, compiles the program and
+    /// runs it one device at a time under the turn-taking scheduler with
+    /// seed 0 ([`ThreadedRuntime::run_scheduled`]), then reassembles
+    /// global outputs. The outputs are bit-identical to every other run
+    /// of the program, scheduled or free-running.
     ///
     /// # Errors
     ///
-    /// Fails if inputs mismatch the original (global) parameter types.
-    pub fn execute_global(&self, inputs: &[Literal]) -> Result<Vec<Literal>, IrError> {
-        let n = self.mesh.num_devices();
-        let mut per_device: Vec<Vec<Literal>> = Vec::with_capacity(n);
-        for device in 0..n {
-            let mut dev_inputs = Vec::with_capacity(inputs.len());
-            for (lit, ctx) in inputs.iter().zip(&self.input_ctxs) {
-                dev_inputs.push(shard_value(lit, ctx, &self.mesh, device)?);
-            }
-            per_device.push(dev_inputs);
-        }
-        let outputs = run_devices(&self.func, &self.mesh, &per_device)?;
-        let mut global = Vec::with_capacity(self.output_ctxs.len());
-        for (i, ctx) in self.output_ctxs.iter().enumerate() {
-            let shards: Vec<Literal> = outputs.iter().map(|o| o[i].clone()).collect();
-            global.push(unshard_value(&shards, ctx, &self.mesh)?);
-        }
-        Ok(global)
+    /// Fails if inputs mismatch the original (global) parameter types,
+    /// if the program does not compile, or on a runtime failure (a
+    /// deadlock included — see [`RuntimeError`]).
+    pub fn execute_global(&self, inputs: &[Literal]) -> Result<Vec<Literal>, RuntimeError> {
+        let plan = self.compile()?;
+        let outcome =
+            ThreadedRuntime::default().run_scheduled(&plan, &self.shard_inputs(inputs)?, 0)?;
+        Ok(self.unshard_outputs(&outcome.outputs)?)
     }
 
     /// Compiles the device-local program into a [`CompiledPlan`]: op
@@ -139,7 +132,7 @@ impl SpmdProgram {
     /// [`SpmdProgram::execute_global_planned`].
     ///
     /// Fault-free, the outputs are bit-identical to
-    /// [`SpmdProgram::execute_global`].
+    /// [`SpmdProgram::execute_global`]'s scheduled run.
     ///
     /// # Errors
     ///
@@ -173,12 +166,23 @@ impl SpmdProgram {
         let _span = partir_obs::span!("runtime.execute");
         let per_device = self.shard_inputs(inputs)?;
         let outcome = ThreadedRuntime::new(config.clone()).run_plan(plan, &per_device)?;
-        let mut global = Vec::with_capacity(self.output_ctxs.len());
-        for (i, ctx) in self.output_ctxs.iter().enumerate() {
-            let shards: Vec<Literal> = outcome.outputs.iter().map(|o| o[i].clone()).collect();
-            global.push(unshard_value(&shards, ctx, &self.mesh)?);
-        }
-        Ok((global, outcome.stats))
+        Ok((self.unshard_outputs(&outcome.outputs)?, outcome.stats))
+    }
+
+    /// Reassembles every global output from the per-device outputs of a
+    /// run (`outputs[d]` are device `d`'s, as
+    /// [`crate::RunOutcome::outputs`] holds them).
+    ///
+    /// # Errors
+    ///
+    /// Fails if the fragments mismatch the outputs' sharded types.
+    pub fn unshard_outputs(&self, outputs: &[Vec<Literal>]) -> Result<Vec<Literal>, IrError> {
+        (0..self.output_ctxs.len())
+            .map(|i| {
+                let shards: Vec<Literal> = outputs.iter().map(|o| o[i].clone()).collect();
+                self.unshard_output(i, &shards)
+            })
+            .collect()
     }
 
     /// Shards every global input: `result[d]` are device `d`'s local

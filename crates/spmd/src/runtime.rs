@@ -1,28 +1,25 @@
-//! Threaded message-passing SPMD runtime over compiled execution plans.
+//! Threaded message-passing SPMD runtime over compiled execution plans:
+//! the one executor of partitioned programs.
 //!
 //! One OS thread per simulated mesh device. Each device executes a
 //! [`CompiledPlan`] ([`crate::plan`]) — the device-local program
 //! pre-resolved to direct kernel calls over a fixed arena, with
-//! collective schedules wired per device at compile time — rather than
-//! re-interpreting the program op by op every run. Collectives exchange
-//! tensors over per-device-pair channels using the algorithms in
-//! [`crate::collectives`] (ring all-gather, scatter-reduce + ring
-//! all-reduce, direct-exchange reduce-scatter / all-to-all). Unlike the
-//! lockstep interpreter ([`crate::interp::run_devices`]) — kept as the
-//! differential oracle — nothing reaches into another device's
-//! environment: every cross-device byte travels through a channel, is
-//! sequence-numbered and checksummed, and is counted per mesh axis into
-//! [`RuntimeStats`] — which `partir_sim::reconcile` cross-checks against
-//! the analytical cost model and the exact mirror
-//! [`crate::collectives::predict_traffic`].
+//! collective schedules wired per device at compile time. Collectives
+//! exchange tensors over per-device-pair channels using the algorithms
+//! in [`crate::collectives`]. Every cross-device byte travels through a
+//! channel, is sequence-numbered (checksummed when faults are armed) and
+//! is counted per mesh axis into [`RuntimeStats`] — which
+//! `partir_sim::reconcile` cross-checks against the analytical cost
+//! model and the exact mirror [`crate::collectives::predict_traffic`].
 //!
-//! The runtime is deterministic where it matters: collective fold and
-//! concatenation orders are fixed by mesh coordinates (matching the
-//! staged lockstep interpreter bit-for-bit), so fault-free concurrent
-//! runs produce bit-identical outputs regardless of thread scheduling.
-//! Only [`RuntimeStats::rendezvous_waits`] — how often a receive had to
-//! park the thread because its peer had not sent yet — varies run to
-//! run.
+//! [`ThreadedRuntime::run_plan`] lets the threads run free and detects
+//! deadlock by [`RuntimeConfig::rendezvous_timeout`].
+//! [`ThreadedRuntime::run_scheduled`] runs the same body under a seeded
+//! turn-taking scheduler, so the interleaving replays from its seed and
+//! a deadlock is reported at once ([`RuntimeError::Deadlock`]). Outputs
+//! never depend on the interleaving: folds and concatenations follow
+//! mesh coordinates, as in each collective's specification
+//! ([`crate::apply_collective`]).
 //!
 //! # Fault injection
 //!
@@ -36,35 +33,25 @@
 
 use std::collections::{BTreeMap, VecDeque};
 use std::sync::mpsc::{channel, Receiver, RecvTimeoutError, Sender, TryRecvError};
+use std::sync::{Condvar, Mutex, MutexGuard, PoisonError};
 use std::time::Duration;
 
-use partir_ir::{DType, Func, IrError, Literal};
+use partir_ir::{DType, IrError, Literal};
 use partir_mesh::{Axis, Mesh};
 use partir_prng::Rng;
 
 use crate::collectives::{AxisTraffic, Exchange, TrafficPrediction};
-use crate::plan::{CompiledPlan, PlanOptions};
+use crate::plan::CompiledPlan;
 
 /// Knobs for one threaded execution.
 #[derive(Debug, Clone)]
 pub struct RuntimeConfig {
-    /// How long a device waits on a rendezvous before declaring the
-    /// program deadlocked ([`RuntimeError::Timeout`]).
+    /// How long a free-running device waits on a rendezvous before
+    /// declaring the program deadlocked ([`RuntimeError::Timeout`]).
     pub rendezvous_timeout: Duration,
-    /// Faults to inject, normally empty.
+    /// Faults to inject, normally empty. A non-empty plan also arms
+    /// message checksums ([`RuntimeConfig::checksums_armed`]).
     pub faults: Vec<Fault>,
-    /// Whether to checksum every message (FNV-1a over the payload) and
-    /// verify it on receive. Off by default — in-process channels cannot
-    /// corrupt payloads, and hashing every byte dominates small-message
-    /// runs. Forced on whenever `faults` is non-empty, so every
-    /// fault-injection test verifies checksums regardless of this flag.
-    pub verify_checksums: bool,
-    /// Schedule-perturbation fuzzing: when set, every device injects
-    /// seeded random yields/sleeps at its channel send/recv boundaries.
-    /// Payloads and counters are untouched — chaos shakes thread
-    /// interleavings, so a run that is bit-identical under chaos really
-    /// is schedule-independent. `None` (the default) injects nothing.
-    pub chaos: Option<ChaosConfig>,
 }
 
 impl Default for RuntimeConfig {
@@ -72,8 +59,6 @@ impl Default for RuntimeConfig {
         RuntimeConfig {
             rendezvous_timeout: Duration::from_secs(5),
             faults: Vec::new(),
-            verify_checksums: false,
-            chaos: None,
         }
     }
 }
@@ -87,8 +72,8 @@ impl RuntimeConfig {
         }
     }
 
-    /// Default config with the given fault plan. A non-empty plan forces
-    /// checksum verification on.
+    /// Default config with the given fault plan. A non-empty plan arms
+    /// checksum verification.
     pub fn with_faults(faults: Vec<Fault>) -> Self {
         RuntimeConfig {
             faults,
@@ -96,28 +81,12 @@ impl RuntimeConfig {
         }
     }
 
-    /// Default config with checksum verification explicitly enabled.
-    pub fn with_checksums() -> Self {
-        RuntimeConfig {
-            verify_checksums: true,
-            ..RuntimeConfig::default()
-        }
-    }
-
-    /// Default config with schedule-perturbation fuzzing armed from
-    /// `seed`. Equal seeds perturb identically per device, so a failing
-    /// interleaving replays exactly.
-    pub fn with_chaos(seed: u64) -> Self {
-        RuntimeConfig {
-            chaos: Some(ChaosConfig { seed }),
-            ..RuntimeConfig::default()
-        }
-    }
-
-    /// Whether this run computes and verifies message checksums: the
-    /// explicit flag, or any armed fault.
+    /// Whether this run computes and verifies message checksums (FNV-1a
+    /// over every payload): exactly when a fault is armed. In-process
+    /// channels cannot corrupt payloads on their own, and hashing every
+    /// byte dominates small-message runs.
     pub fn checksums_armed(&self) -> bool {
-        self.verify_checksums || !self.faults.is_empty()
+        !self.faults.is_empty()
     }
 }
 
@@ -125,8 +94,8 @@ impl RuntimeConfig {
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum Fault {
     /// The device sleeps `millis` before executing anything. With a
-    /// shorter rendezvous timeout its peers surface
-    /// [`RuntimeError::Timeout`] — the deadlock-detection path.
+    /// shorter rendezvous timeout its free-running peers surface
+    /// [`RuntimeError::Timeout`].
     Stall {
         /// Device to stall.
         device: usize,
@@ -149,29 +118,6 @@ pub enum Fault {
         /// Device that drops out.
         device: usize,
     },
-}
-
-/// Seeded schedule-perturbation fuzzing ([`RuntimeConfig::chaos`]).
-///
-/// Each device derives its own generator from `seed` and, at every
-/// channel send/receive boundary, draws one perturbation: usually
-/// nothing, sometimes a scheduler yield, occasionally a sleep of tens
-/// of microseconds. That is enough to shake loose any ordering the
-/// runtime silently relies on — an overlapped plan whose eager sends
-/// race peers' receives must produce bit-identical outputs and exact
-/// traffic counts under every seed (`spmd/tests/chaos_conformance.rs`).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct ChaosConfig {
-    /// Root seed; device `d` perturbs with a generator derived from
-    /// `(seed, d)`, so plans replay exactly.
-    pub seed: u64,
-}
-
-impl ChaosConfig {
-    /// The perturbation generator for one device.
-    fn rng_for(&self, device: usize) -> Rng {
-        Rng::seed_from_u64(self.seed ^ (device as u64).wrapping_mul(0x9e3779b97f4a7c15))
-    }
 }
 
 /// Derives a deterministic single-fault plan from a seed.
@@ -227,8 +173,8 @@ pub enum RuntimeError {
         /// Received sequence number.
         got: u64,
     },
-    /// A rendezvous did not complete within the configured timeout:
-    /// the runtime's deadlock detection.
+    /// A rendezvous did not complete within the configured timeout: the
+    /// free-running runtime's deadlock detection.
     Timeout {
         /// Device whose receive timed out.
         device: usize,
@@ -236,6 +182,12 @@ pub enum RuntimeError {
         peer: usize,
         /// Mesh axis of the pending exchange.
         axis: Axis,
+    },
+    /// Under [`ThreadedRuntime::run_scheduled`], no device could run
+    /// while some had not finished.
+    Deadlock {
+        /// Every blocked receive, in device order.
+        waits: Vec<BlockedWait>,
     },
     /// A device thread panicked.
     Panicked {
@@ -252,18 +204,31 @@ pub enum RuntimeError {
     },
 }
 
+/// One receive that can never complete: `device` waits for a message
+/// from `peer` over `axis`.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct BlockedWait {
+    /// The blocked device.
+    pub device: usize,
+    /// The peer whose message it waits for.
+    pub peer: usize,
+    /// Mesh axis of the pending exchange.
+    pub axis: Axis,
+}
+
 impl RuntimeError {
     /// How diagnostic the error is; when several devices fail, the run
-    /// surfaces the most specific one (cascade errors like
-    /// [`RuntimeError::Disconnected`] rank lowest).
+    /// surfaces the most specific one (cascades such as a deadlock behind
+    /// a failed device, or [`RuntimeError::Disconnected`], rank lowest).
     fn severity(&self) -> u8 {
         match self {
-            RuntimeError::Corrupt { .. } => 7,
-            RuntimeError::Dropped { .. } => 6,
-            RuntimeError::Ir(_) => 5,
-            RuntimeError::Protocol { .. } => 4,
-            RuntimeError::Timeout { .. } => 3,
-            RuntimeError::Panicked { .. } => 2,
+            RuntimeError::Corrupt { .. } => 8,
+            RuntimeError::Dropped { .. } => 7,
+            RuntimeError::Ir(_) => 6,
+            RuntimeError::Protocol { .. } => 5,
+            RuntimeError::Timeout { .. } => 4,
+            RuntimeError::Panicked { .. } => 3,
+            RuntimeError::Deadlock { .. } => 2,
             RuntimeError::Disconnected { .. } => 1,
         }
     }
@@ -297,6 +262,14 @@ impl std::fmt::Display for RuntimeError {
                  timed out (deadlock?)",
                 axis.name()
             ),
+            RuntimeError::Deadlock { waits } => {
+                write!(f, "deadlock, no device can run:")?;
+                for w in waits {
+                    let axis = w.axis.name();
+                    write!(f, " device {} waits on {} over {axis:?};", w.device, w.peer)?;
+                }
+                Ok(())
+            }
             RuntimeError::Panicked { device } => write!(f, "device {device} panicked"),
             RuntimeError::Disconnected { device, peer } => {
                 write!(
@@ -323,7 +296,7 @@ impl From<IrError> for RuntimeError {
 /// Every counter here — including [`RuntimeStats::rendezvous_waits`] —
 /// is only meaningful *after all device threads have joined*: each
 /// device accumulates its own [`DeviceCounters`] privately while
-/// running, and [`ThreadedRuntime::run`] merges them exactly once after
+/// running, and [`ThreadedRuntime::run_plan`] merges them exactly once after
 /// the join barrier. There is no mid-run view; a `RuntimeStats` you hold
 /// is always complete. By construction the merged totals are exact sums
 /// of the per-device rows: `per_axis` is the axis-wise sum of every
@@ -337,10 +310,9 @@ pub struct RuntimeStats {
     /// Payload bytes sent by each device (deterministic). Equal to
     /// `per_device[d].bytes`; kept as a flat view for reporting.
     pub per_device_bytes: Vec<u64>,
-    /// Receives that actually parked the thread waiting for the peer —
-    /// misses that resolve within the yield-and-poll rounds are not
-    /// counted. Depends on thread scheduling — a measure of rendezvous
-    /// pressure, not part of the deterministic contract.
+    /// Receives that had to wait for the peer: free-running, those that
+    /// parked the thread (it depends on thread scheduling); scheduled,
+    /// those that found the channel empty (a function of the seed).
     pub rendezvous_waits: u64,
     /// The unmerged per-device rows, indexed by device id.
     pub per_device: Vec<DeviceCounters>,
@@ -482,14 +454,163 @@ pub struct DeviceCounters {
     pub per_axis: BTreeMap<Axis, AxisTraffic>,
     /// Total payload bytes this device sent.
     pub bytes: u64,
-    /// Receives on this device that actually parked the thread.
+    /// Receives on this device that had to wait for the peer (see
+    /// [`RuntimeStats::rendezvous_waits`]).
     pub rendezvous_waits: u64,
+}
+
+/// Where one device stands in a scheduled run.
+#[derive(Debug, Clone)]
+enum Standing {
+    /// May take the turn.
+    Runnable,
+    /// Runnable again once the peer it waits on sends to it.
+    Blocked(BlockedWait),
+    /// Returned, failed or panicked.
+    Finished,
+}
+
+/// The turn table of [`ThreadedRuntime::run_scheduled`]: only the
+/// holder runs, and at every scheduling point it hands the turn to a
+/// runnable device drawn from the seeded stream. Everything the draw
+/// depends on changes only under the turn.
+struct Turns {
+    state: Mutex<TurnState>,
+    /// `wake[d]` is signalled when device `d` gets the turn, and when a
+    /// deadlock is declared.
+    wake: Vec<Condvar>,
+}
+
+struct TurnState {
+    /// `None` once every device finished or a deadlock was declared.
+    holder: Option<usize>,
+    standing: Vec<Standing>,
+    rng: Rng,
+    /// Every blocked wait, once no device could run.
+    deadlock: Option<Vec<BlockedWait>>,
+}
+
+impl Turns {
+    fn new(devices: usize, seed: u64) -> Self {
+        let mut rng = Rng::seed_from_u64(seed);
+        let state = TurnState {
+            holder: Some(rng.gen_range(devices)),
+            standing: vec![Standing::Runnable; devices],
+            rng,
+            deadlock: None,
+        };
+        Turns {
+            state: Mutex::new(state),
+            wake: (0..devices).map(|_| Condvar::new()).collect(),
+        }
+    }
+
+    fn lock(&self) -> MutexGuard<'_, TurnState> {
+        // Standings are replaced whole under the lock, so the table is
+        // valid even if a holder panicked.
+        self.state.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// Blocks until `device` holds the turn or a deadlock is declared.
+    fn wait<'a>(
+        &'a self,
+        mut st: MutexGuard<'a, TurnState>,
+        device: usize,
+    ) -> MutexGuard<'a, TurnState> {
+        while st.holder != Some(device) && st.deadlock.is_none() {
+            st = self.wake[device]
+                .wait(st)
+                .unwrap_or_else(PoisonError::into_inner);
+        }
+        st
+    }
+
+    /// Waits for `device`'s first turn. The guard passes the turn on
+    /// when the device's thread exits — returned, failed or panicked —
+    /// so no other device is left parked.
+    fn enter(&self, device: usize) -> TurnGuard<'_> {
+        drop(self.wait(self.lock(), device));
+        TurnGuard {
+            turns: self,
+            device,
+        }
+    }
+
+    /// Hands the turn to a runnable device drawn from the seeded stream;
+    /// with none runnable and some blocked, declares the deadlock.
+    fn pass(&self, st: &mut TurnState) {
+        let runnable: Vec<usize> = (0..st.standing.len())
+            .filter(|&d| matches!(st.standing[d], Standing::Runnable))
+            .collect();
+        if !runnable.is_empty() {
+            let next = runnable[st.rng.gen_range(runnable.len())];
+            st.holder = Some(next);
+            self.wake[next].notify_one();
+            return;
+        }
+        st.holder = None;
+        let waits: Vec<BlockedWait> = st
+            .standing
+            .iter()
+            .filter_map(|s| match s {
+                Standing::Blocked(w) => Some(w.clone()),
+                _ => None,
+            })
+            .collect();
+        if !waits.is_empty() {
+            st.deadlock = Some(waits);
+            self.wake.iter().for_each(Condvar::notify_one);
+        }
+    }
+
+    /// The scheduling point after `device` sent to `dst`.
+    fn sent(&self, device: usize, dst: usize) {
+        let mut st = self.lock();
+        if matches!(&st.standing[dst], Standing::Blocked(w) if w.peer == device) {
+            st.standing[dst] = Standing::Runnable;
+        }
+        self.pass(&mut st);
+        drop(self.wait(st, device));
+    }
+
+    /// The scheduling point at a receive that found its channel empty:
+    /// the device blocks until the peer sends to it, or until no device
+    /// can run ([`RuntimeError::Deadlock`]).
+    fn block(&self, wait: BlockedWait) -> Result<(), RuntimeError> {
+        let device = wait.device;
+        let mut st = self.lock();
+        st.standing[device] = Standing::Blocked(wait);
+        self.pass(&mut st);
+        let st = self.wait(st, device);
+        match &st.deadlock {
+            Some(waits) => Err(RuntimeError::Deadlock {
+                waits: waits.clone(),
+            }),
+            None => Ok(()),
+        }
+    }
+}
+
+/// Marks its device finished, passing the turn on if it held it.
+struct TurnGuard<'t> {
+    turns: &'t Turns,
+    device: usize,
+}
+
+impl Drop for TurnGuard<'_> {
+    fn drop(&mut self) {
+        let mut st = self.turns.lock();
+        st.standing[self.device] = Standing::Finished;
+        if st.holder == Some(self.device) {
+            self.turns.pass(&mut st);
+        }
+    }
 }
 
 /// One device's channel endpoints — the [`Exchange`] the collective
 /// algorithms run over. Rendezvous partners are baked into the plan's
 /// collective schedules, so links carry no mesh topology of their own.
-struct DeviceLinks {
+struct DeviceLinks<'t> {
     device: usize,
     /// Senders to every device, indexed by destination (self unused).
     txs: Vec<Sender<Message>>,
@@ -509,9 +630,8 @@ struct DeviceLinks {
     corrupt_at: Option<u64>,
     /// Compute + verify checksums ([`RuntimeConfig::checksums_armed`]).
     verify: bool,
-    /// Schedule-perturbation generator ([`ChaosConfig`]), drawn at every
-    /// send/recv boundary.
-    chaos: Option<Rng>,
+    /// The shared turn table of a scheduled run; `None` runs free.
+    turns: Option<&'t Turns>,
     /// Whether an observability collector is installed for this thread
     /// (checked once at device start so the per-axis counter names below
     /// are only formatted when recording).
@@ -519,22 +639,11 @@ struct DeviceLinks {
     stats: DeviceCounters,
 }
 
-impl DeviceLinks {
-    /// Draws one chaos perturbation: usually nothing, sometimes a
-    /// scheduler yield, occasionally a sleep of tens of microseconds.
-    /// Payloads and counters are never touched.
-    fn perturb(&mut self) {
-        if let Some(rng) = &mut self.chaos {
-            match rng.gen_range(8) {
-                0..=4 => {}
-                5 => std::thread::yield_now(),
-                6 => {
-                    for _ in 0..rng.gen_range(4) + 1 {
-                        std::thread::yield_now();
-                    }
-                }
-                _ => std::thread::sleep(Duration::from_micros(rng.gen_range(50) as u64 + 1)),
-            }
+impl DeviceLinks<'_> {
+    fn disconnected(&self, peer: usize) -> RuntimeError {
+        RuntimeError::Disconnected {
+            device: self.device,
+            peer,
         }
     }
 
@@ -543,67 +652,12 @@ impl DeviceLinks {
     /// (so violations surface exactly once per message, regardless of
     /// which receive ends up consuming it).
     fn dequeue(&mut self, src: usize, axis: &Axis) -> Result<Message, RuntimeError> {
-        /// Yield-and-poll rounds before parking on the timed receive.
-        ///
-        /// A rendezvous miss usually means the peer just hasn't been
-        /// scheduled yet; `yield_now` hands it the core and the message
-        /// is typically there on re-poll — microseconds, versus the
-        /// futex sleep + wake of parking in `recv_timeout`. If the peer
-        /// is genuinely far behind (or stalled), fall through to the
-        /// parked wait so deadlock detection still fires.
-        const YIELD_ROUNDS: usize = 32;
         let rx = self.rxs[src].as_ref().expect("no self-receive");
-        let mut first = rx.try_recv();
-        let wait_span = if matches!(first, Err(TryRecvError::Empty)) {
-            let span = self
-                .traced
-                .then(|| partir_obs::span_enter("rendezvous_wait"));
-            for _ in 0..YIELD_ROUNDS {
-                std::thread::yield_now();
-                first = rx.try_recv();
-                if !matches!(first, Err(TryRecvError::Empty)) {
-                    break;
-                }
-            }
-            span
-        } else {
-            None
-        };
-        let msg = match first {
+        let msg = match rx.try_recv() {
             Ok(m) => m,
-            Err(TryRecvError::Empty) => {
-                // Still empty after the yield-and-poll rounds: this
-                // receive genuinely parks. Count it only now — a miss
-                // that resolves within the yield loop is the scheduler
-                // being a step behind, not rendezvous pressure.
-                self.stats.rendezvous_waits += 1;
-                match rx.recv_timeout(self.timeout) {
-                    Ok(m) => m,
-                    Err(RecvTimeoutError::Timeout) => {
-                        return Err(RuntimeError::Timeout {
-                            device: self.device,
-                            peer: src,
-                            axis: axis.clone(),
-                        })
-                    }
-                    Err(RecvTimeoutError::Disconnected) => {
-                        return Err(RuntimeError::Disconnected {
-                            device: self.device,
-                            peer: src,
-                        })
-                    }
-                }
-            }
-            Err(TryRecvError::Disconnected) => {
-                return Err(RuntimeError::Disconnected {
-                    device: self.device,
-                    peer: src,
-                })
-            }
+            Err(TryRecvError::Empty) => self.wait_for(src, axis)?,
+            Err(TryRecvError::Disconnected) => return Err(self.disconnected(src)),
         };
-        // The wait span covers exactly the blocked portion of the
-        // rendezvous, not sequence/checksum verification.
-        drop(wait_span);
         if self.traced {
             partir_obs::counter_add("runtime.recv.messages", 1.0);
             partir_obs::counter_add("runtime.recv.bytes", msg.payload.ty().size_bytes() as f64);
@@ -627,9 +681,54 @@ impl DeviceLinks {
         }
         Ok(msg)
     }
+
+    /// A receive that found `src`'s channel empty. Scheduled, the device
+    /// gives up the turn until `src` sends to it. Free-running, it yields
+    /// and re-polls, then parks in the timed receive. The
+    /// `rendezvous_wait` span covers exactly this blocked portion.
+    fn wait_for(&mut self, src: usize, axis: &Axis) -> Result<Message, RuntimeError> {
+        /// Yield-and-poll rounds before parking on the timed receive: a
+        /// miss usually means the peer just hasn't been scheduled yet, and
+        /// re-polling after `yield_now` takes microseconds, versus the
+        /// futex sleep + wake of parking in `recv_timeout`.
+        const YIELD_ROUNDS: usize = 32;
+        let _span = self
+            .traced
+            .then(|| partir_obs::span_enter("rendezvous_wait"));
+        let rx = self.rxs[src].as_ref().expect("no self-receive");
+        if let Some(turns) = self.turns {
+            self.stats.rendezvous_waits += 1;
+            turns.block(BlockedWait {
+                device: self.device,
+                peer: src,
+                axis: axis.clone(),
+            })?;
+            // The turn came back because `src` sent: the message is there.
+            return rx.try_recv().map_err(|_| self.disconnected(src));
+        }
+        for _ in 0..YIELD_ROUNDS {
+            std::thread::yield_now();
+            match rx.try_recv() {
+                Ok(m) => return Ok(m),
+                Err(TryRecvError::Empty) => {}
+                Err(TryRecvError::Disconnected) => return Err(self.disconnected(src)),
+            }
+        }
+        // Only a receive that genuinely parks counts: a miss the yield
+        // loop resolves is the OS scheduler a step behind, not pressure.
+        self.stats.rendezvous_waits += 1;
+        rx.recv_timeout(self.timeout).map_err(|e| match e {
+            RecvTimeoutError::Timeout => RuntimeError::Timeout {
+                device: self.device,
+                peer: src,
+                axis: axis.clone(),
+            },
+            RecvTimeoutError::Disconnected => self.disconnected(src),
+        })
+    }
 }
 
-impl Exchange for DeviceLinks {
+impl Exchange for DeviceLinks<'_> {
     fn device(&self) -> usize {
         self.device
     }
@@ -641,7 +740,6 @@ impl Exchange for DeviceLinks {
         tag: u32,
         mut payload: Literal,
     ) -> Result<(), RuntimeError> {
-        self.perturb();
         let checksum = if self.verify {
             literal_checksum(&payload)
         } else {
@@ -672,14 +770,14 @@ impl Exchange for DeviceLinks {
                 checksum,
                 payload,
             })
-            .map_err(|_| RuntimeError::Disconnected {
-                device: self.device,
-                peer: dst,
-            })
+            .map_err(|_| self.disconnected(dst))?;
+        if let Some(turns) = self.turns {
+            turns.sent(self.device, dst);
+        }
+        Ok(())
     }
 
     fn recv(&mut self, src: usize, axis: &Axis, tag: u32) -> Result<Literal, RuntimeError> {
-        self.perturb();
         // A stashed message for this tag takes priority: it left the
         // channel (and passed verification) before anything still
         // queued, so FIFO-within-tag is preserved.
@@ -712,41 +810,55 @@ impl ThreadedRuntime {
         ThreadedRuntime { config }
     }
 
-    /// Compiles `func` into a [`CompiledPlan`] and runs it on every
-    /// device of `mesh` concurrently — compile-once/run-once
-    /// convenience over [`ThreadedRuntime::run_plan`].
-    ///
-    /// `inputs[d]` are device `d`'s local inputs. On success returns the
-    /// per-device outputs — bit-identical to the lockstep
-    /// [`crate::interp::run_devices`] — plus observed [`RuntimeStats`].
-    ///
-    /// # Errors
-    ///
-    /// Returns the most diagnostic failure across devices: malformed
-    /// programs or inputs, detected deadlock ([`RuntimeError::Timeout`]),
-    /// corruption, or a dropped participant.
-    pub fn run(
-        &self,
-        func: &Func,
-        mesh: &Mesh,
-        inputs: &[Vec<Literal>],
-    ) -> Result<RunOutcome, RuntimeError> {
-        let plan = CompiledPlan::compile(func, mesh, &PlanOptions::default())?;
-        self.run_plan(&plan, inputs)
-    }
-
     /// Runs a pre-compiled plan on every device concurrently. The plan
     /// carries everything once derived from the program — kernel
     /// bindings, arena layout, per-device collective schedules — so
     /// repeated steps pay no per-op dispatch or shape inference.
     ///
+    /// `inputs[d]` are device `d`'s local inputs. On success returns the
+    /// per-device outputs plus observed [`RuntimeStats`].
+    ///
     /// # Errors
     ///
-    /// See [`ThreadedRuntime::run`].
+    /// Returns the most diagnostic failure across devices: malformed
+    /// inputs, detected deadlock ([`RuntimeError::Timeout`]), corruption,
+    /// or a dropped participant.
     pub fn run_plan(
         &self,
         plan: &CompiledPlan,
         inputs: &[Vec<Literal>],
+    ) -> Result<RunOutcome, RuntimeError> {
+        self.run_threads(plan, inputs, None)
+    }
+
+    /// Runs a pre-compiled plan as [`ThreadedRuntime::run_plan`] does,
+    /// but one device at a time: at every send and at every receive that
+    /// finds its channel empty, a stream seeded by `seed` picks which
+    /// runnable device goes next. The interleaving, and with it
+    /// [`RuntimeStats::rendezvous_waits`], is a pure function of (plan,
+    /// inputs, seed); outputs and traffic equal a free-running run's.
+    ///
+    /// # Errors
+    ///
+    /// As [`ThreadedRuntime::run_plan`], except that no receive times
+    /// out: when no device can run while some have not finished, the run
+    /// fails at once with [`RuntimeError::Deadlock`].
+    pub fn run_scheduled(
+        &self,
+        plan: &CompiledPlan,
+        inputs: &[Vec<Literal>],
+        seed: u64,
+    ) -> Result<RunOutcome, RuntimeError> {
+        self.run_threads(plan, inputs, Some(seed))
+    }
+
+    /// The one body of [`ThreadedRuntime::run_plan`] (`seed == None`)
+    /// and [`ThreadedRuntime::run_scheduled`].
+    fn run_threads(
+        &self,
+        plan: &CompiledPlan,
+        inputs: &[Vec<Literal>],
+        seed: Option<u64>,
     ) -> Result<RunOutcome, RuntimeError> {
         let n = plan.num_devices();
         if inputs.len() != n {
@@ -775,7 +887,8 @@ impl ThreadedRuntime {
 
         // One channel per ordered device pair: txs[src][dst] feeds
         // rxs[dst][src]. Senders never block (unbounded), so with every
-        // receive bounded by the rendezvous timeout all threads terminate.
+        // receive bounded by the rendezvous timeout (free-running) or by
+        // deadlock detection (scheduled) all threads terminate.
         let mut txs: Vec<Vec<Sender<Message>>> = (0..n).map(|_| Vec::with_capacity(n)).collect();
         let mut rxs: Vec<Vec<Option<Receiver<Message>>>> =
             (0..n).map(|_| (0..n).map(|_| None).collect()).collect();
@@ -801,7 +914,8 @@ impl ThreadedRuntime {
         type DeviceResult = Result<(Vec<Literal>, DeviceCounters), RuntimeError>;
         let timeout = self.config.rendezvous_timeout;
         let verify = self.config.checksums_armed();
-        let chaos = self.config.chaos;
+        let turns = seed.map(|s| Turns::new(n, s));
+        let turns = turns.as_ref();
         // Device threads do not inherit the caller's thread-local
         // observability scope — capture it here and re-install it inside
         // each worker under a per-device track, so one run produces one
@@ -825,6 +939,10 @@ impl ThreadedRuntime {
                     let drop_out = dropped[d];
                     let collector = collector.clone();
                     scope.spawn(move || -> DeviceResult {
+                        // Scheduled, nothing — not even a drop-out — runs
+                        // before the device's first turn; declared
+                        // first, the guard passes the turn on last.
+                        let _turn = turns.map(|t| t.enter(d));
                         let body = move || -> DeviceResult {
                             if drop_out {
                                 return Err(RuntimeError::Dropped { device: d });
@@ -843,7 +961,7 @@ impl ThreadedRuntime {
                                 sent_total: 0,
                                 corrupt_at: corrupt,
                                 verify,
-                                chaos: chaos.map(|c| c.rng_for(d)),
+                                turns,
                                 traced: partir_obs::current().is_some(),
                                 stats: DeviceCounters::default(),
                             };
@@ -903,14 +1021,37 @@ impl ThreadedRuntime {
 mod tests {
     use super::*;
     use crate::collectives::predict_traffic;
-    use crate::interp::run_devices;
-    use partir_ir::{Collective, FuncBuilder, ReduceOp, TensorType};
+    use crate::interp::apply_collective;
+    use crate::plan::PlanOptions;
+    use partir_ir::{Collective, Func, FuncBuilder, ReduceOp, TensorType};
 
     fn collective_func(mesh: &Mesh, c: Collective, ty: TensorType) -> Func {
         let mut b = FuncBuilder::with_mesh("f", mesh.clone());
         let x = b.param("x", ty);
         let y = b.collective(c, x).unwrap();
         b.build([y]).unwrap()
+    }
+
+    /// Compiles `func` and runs it free on every device of `mesh`.
+    fn run(
+        rt: &ThreadedRuntime,
+        func: &Func,
+        mesh: &Mesh,
+        inputs: &[Vec<Literal>],
+    ) -> Result<RunOutcome, RuntimeError> {
+        let plan = CompiledPlan::compile(func, mesh, &PlanOptions::default())?;
+        rt.run_plan(&plan, inputs)
+    }
+
+    /// The collective's specification applied to every device's input in
+    /// lockstep ([`apply_collective`]), as per-device outputs.
+    fn lockstep(c: &Collective, mesh: &Mesh, inputs: &[Vec<Literal>]) -> Vec<Vec<Literal>> {
+        let vals = inputs.iter().map(|d| d[0].clone()).collect();
+        apply_collective(c, mesh, vals)
+            .unwrap()
+            .into_iter()
+            .map(|v| vec![v])
+            .collect()
     }
 
     fn device_inputs(mesh: &Mesh, n: usize) -> Vec<Vec<Literal>> {
@@ -929,12 +1070,10 @@ mod tests {
             axes: vec!["x".into(), "y".into()],
             reduce: ReduceOp::Sum,
         };
-        let func = collective_func(&mesh, c, TensorType::f32([8]));
+        let func = collective_func(&mesh, c.clone(), TensorType::f32([8]));
         let inputs = device_inputs(&mesh, 8);
-        let lockstep = run_devices(&func, &mesh, &inputs).unwrap();
-        let outcome = ThreadedRuntime::default()
-            .run(&func, &mesh, &inputs)
-            .unwrap();
+        let lockstep = lockstep(&c, &mesh, &inputs);
+        let outcome = run(&ThreadedRuntime::default(), &func, &mesh, &inputs).unwrap();
         assert_eq!(outcome.outputs, lockstep);
         let prediction = predict_traffic(&func, &mesh).unwrap();
         assert!(
@@ -956,8 +1095,7 @@ mod tests {
         };
         let func = collective_func(&mesh, c, TensorType::f32([1024]));
         let inputs = device_inputs(&mesh, 1024);
-        let stats = ThreadedRuntime::default()
-            .run(&func, &mesh, &inputs)
+        let stats = run(&ThreadedRuntime::default(), &func, &mesh, &inputs)
             .unwrap()
             .stats;
         assert_eq!(stats.per_device.len(), mesh.num_devices());
@@ -991,12 +1129,10 @@ mod tests {
             axes: vec!["a".into()],
             reduce: ReduceOp::Sum,
         };
-        let func = collective_func(&mesh, c, TensorType::f32([n]));
+        let func = collective_func(&mesh, c.clone(), TensorType::f32([n]));
         let inputs = device_inputs(&mesh, n);
-        let lockstep = run_devices(&func, &mesh, &inputs).unwrap();
-        let outcome = ThreadedRuntime::default()
-            .run(&func, &mesh, &inputs)
-            .unwrap();
+        let lockstep = lockstep(&c, &mesh, &inputs);
+        let outcome = run(&ThreadedRuntime::default(), &func, &mesh, &inputs).unwrap();
         assert_eq!(outcome.outputs, lockstep);
         let prediction = predict_traffic(&func, &mesh).unwrap();
         assert!(
@@ -1015,12 +1151,10 @@ mod tests {
             axes: vec!["a".into()],
             reduce: ReduceOp::Max,
         };
-        let func = collective_func(&mesh, c, TensorType::f32([3]));
+        let func = collective_func(&mesh, c.clone(), TensorType::f32([3]));
         let inputs = device_inputs(&mesh, 3);
-        let lockstep = run_devices(&func, &mesh, &inputs).unwrap();
-        let outcome = ThreadedRuntime::default()
-            .run(&func, &mesh, &inputs)
-            .unwrap();
+        let lockstep = lockstep(&c, &mesh, &inputs);
+        let outcome = run(&ThreadedRuntime::default(), &func, &mesh, &inputs).unwrap();
         assert_eq!(outcome.outputs, lockstep);
         let prediction = predict_traffic(&func, &mesh).unwrap();
         assert!(outcome.stats.matches_prediction(&prediction));
@@ -1066,9 +1200,7 @@ mod tests {
             device: 1,
             message: 0,
         }]);
-        let err = ThreadedRuntime::new(config)
-            .run(&func, &mesh, &inputs)
-            .unwrap_err();
+        let err = run(&ThreadedRuntime::new(config), &func, &mesh, &inputs).unwrap_err();
         assert!(
             matches!(err, RuntimeError::Corrupt { peer: 1, .. }),
             "expected corruption detected from device 1, got: {err}"
@@ -1094,6 +1226,26 @@ mod tests {
         assert_eq!(err, RuntimeError::Dropped { device: 1 });
     }
 
+    /// Scheduled, a dropped participant needs no timeout: its peers'
+    /// waits on it are a deadlock the moment nothing else can run, and
+    /// the drop outranks that cascade on every seed.
+    #[test]
+    fn dropped_participant_is_surfaced_by_the_scheduler() {
+        let mesh = Mesh::new([("x", 2), ("y", 2)]).unwrap();
+        let c = Collective::AllReduce {
+            axes: vec!["x".into(), "y".into()],
+            reduce: ReduceOp::Sum,
+        };
+        let func = collective_func(&mesh, c, TensorType::f32([4]));
+        let inputs = device_inputs(&mesh, 4);
+        let plan = CompiledPlan::compile(&func, &mesh, &PlanOptions::default()).unwrap();
+        let rt = ThreadedRuntime::new(RuntimeConfig::with_faults(vec![Fault::Drop { device: 1 }]));
+        for seed in 0..8 {
+            let err = rt.run_scheduled(&plan, &inputs, seed).unwrap_err();
+            assert_eq!(err, RuntimeError::Dropped { device: 1 }, "seed {seed}");
+        }
+    }
+
     #[test]
     fn seeded_fault_plans_are_deterministic() {
         let mesh = Mesh::new([("x", 2), ("y", 2)]).unwrap();
@@ -1105,17 +1257,19 @@ mod tests {
     }
 
     #[test]
-    fn checksums_armed_by_flag_or_faults() {
+    fn checksums_armed_by_faults() {
         assert!(!RuntimeConfig::default().checksums_armed());
-        assert!(RuntimeConfig::with_checksums().checksums_armed());
         assert!(
             RuntimeConfig::with_faults(vec![Fault::Drop { device: 0 }]).checksums_armed(),
-            "any fault plan forces verification on"
+            "any fault plan arms verification"
         );
     }
 
+    /// A fault plan that never fires — a corruption past the last
+    /// message any device sends — still arms checksums on every message,
+    /// and changes nothing: the outputs equal the fault-free run's.
     #[test]
-    fn explicit_checksums_still_match_lockstep() {
+    fn armed_fault_that_never_fires_matches_fault_free_run() {
         let mesh = Mesh::new([("x", 2), ("y", 2)]).unwrap();
         let c = Collective::AllReduce {
             axes: vec!["x".into(), "y".into()],
@@ -1123,11 +1277,15 @@ mod tests {
         };
         let func = collective_func(&mesh, c, TensorType::f32([8]));
         let inputs = device_inputs(&mesh, 8);
-        let lockstep = run_devices(&func, &mesh, &inputs).unwrap();
-        let outcome = ThreadedRuntime::new(RuntimeConfig::with_checksums())
-            .run(&func, &mesh, &inputs)
-            .unwrap();
-        assert_eq!(outcome.outputs, lockstep);
+        let fault_free = run(&ThreadedRuntime::default(), &func, &mesh, &inputs).unwrap();
+        let config = RuntimeConfig::with_faults(vec![Fault::Corrupt {
+            device: 0,
+            message: u64::MAX,
+        }]);
+        assert!(config.checksums_armed());
+        let armed = run(&ThreadedRuntime::new(config), &func, &mesh, &inputs).unwrap();
+        assert_eq!(armed.outputs, fault_free.outputs);
+        assert_eq!(armed.stats.per_axis, fault_free.stats.per_axis);
     }
 
     #[test]

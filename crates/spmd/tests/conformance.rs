@@ -1,15 +1,16 @@
 //! Differential conformance suite: for every model-zoo schedule on 1×2,
 //! 2×2 and 4×2 meshes, the execution paths must agree —
 //!
-//! * threaded runtime executing a [`CompiledPlan`]
-//!   ([`SpmdProgram::execute_global_threaded`], and the same plan run
-//!   again through [`SpmdProgram::execute_global_planned`]) vs lockstep
-//!   interpreter ([`SpmdProgram::execute_global`]): **element-exact**
-//!   (direct kernel calls, fused elementwise loops, and staged
-//!   collective algorithms are all designed to be bit-identical to
-//!   op-by-op interpretation);
-//! * both vs the unpartitioned reference interpretation: tolerance-based
-//!   (the partitioned schedules legitimately reassociate f32 reductions);
+//! * free-running threaded runs of a [`CompiledPlan`]
+//!   ([`SpmdProgram::execute_global_threaded`], and one plan run twice
+//!   through [`SpmdProgram::execute_global_planned`]) vs the same plan
+//!   under the seeded turn-taking scheduler
+//!   ([`ThreadedRuntime::run_scheduled`]): **element-exact** (collective
+//!   folds and concatenations follow mesh coordinates, never arrival
+//!   order);
+//! * all of them vs the unpartitioned reference interpretation:
+//!   tolerance-based (the partitioned schedules legitimately
+//!   reassociate f32 reductions);
 //!
 //! and the executed traffic must reconcile exactly with the predicted
 //! per-axis byte/message counts (`partir_sim::reconcile`) — including
@@ -29,7 +30,7 @@ use partir_models::{
     transformer::TransformerConfig, unet::UNetConfig, BuiltModel,
 };
 use partir_sched::{partir_jit, Schedule};
-use partir_spmd::{Fault, RuntimeConfig, RuntimeError, SpmdProgram};
+use partir_spmd::{Fault, RuntimeConfig, RuntimeError, SpmdProgram, ThreadedRuntime};
 
 /// The mesh ladder the suite sweeps: 1×2, 2×2, 4×2 (batch × model).
 fn meshes() -> Vec<Mesh> {
@@ -48,21 +49,30 @@ fn check_program(
     reference: &[partir_ir::Literal],
     label: &str,
 ) {
-    let lockstep = program.execute_global(inputs).expect(label);
     let (threaded, stats) = program
         .execute_global_threaded(inputs, &RuntimeConfig::default())
         .expect(label);
-    // Threaded vs lockstep: element-exact, no tolerance.
-    assert_eq!(threaded, lockstep, "{label}: threaded != lockstep");
-    // Compile once, run the plan twice: both runs must be bit-identical
-    // to the lockstep oracle (the arena is reused across runs, so this
-    // also catches any step reading state a prior run left behind).
+    // The same plan, one device at a time under the scheduler: threaded
+    // vs scheduled is element-exact, no tolerance.
     let plan = program.compile().expect(label);
+    let per_device = program.shard_inputs(inputs).expect(label);
+    let run = ThreadedRuntime::default()
+        .run_scheduled(&plan, &per_device, 0)
+        .expect(label);
+    let scheduled = program.unshard_outputs(&run.outputs).expect(label);
+    assert_eq!(threaded, scheduled, "{label}: threaded != scheduled");
+    // Run the plan twice more, free-running: both runs must be
+    // bit-identical to the scheduled one (the arena is reused across
+    // runs, so this also catches any step reading state a prior run
+    // left behind).
     for run in 0..2 {
         let (planned, plan_stats) = program
             .execute_global_planned(&plan, inputs, &RuntimeConfig::default())
             .expect(label);
-        assert_eq!(planned, lockstep, "{label}: planned run {run} != lockstep");
+        assert_eq!(
+            planned, scheduled,
+            "{label}: planned run {run} != scheduled"
+        );
         assert_eq!(
             plan_stats.per_device_bytes, stats.per_device_bytes,
             "{label}: planned run {run} moved different bytes"
