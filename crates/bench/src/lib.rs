@@ -5,6 +5,7 @@ use std::time::Duration;
 
 use partir_mesh::{HardwareConfig, Mesh};
 use partir_models::schedules::{BATCH, MODEL};
+use partir_obs::json_escape;
 
 /// A machine-readable experiment row, dumped as JSON when `--json` is
 /// passed so EXPERIMENTS.md tables can be regenerated.
@@ -38,33 +39,13 @@ impl Row {
     }
 }
 
-/// Escapes a string for inclusion in a JSON document. The workspace is
-/// registry-free, so JSON output is rendered by hand instead of through
-/// serde; experiment strings are plain ASCII but escaping keeps the
-/// output valid regardless.
-pub fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
-}
-
 /// Renders a JSON number: finite floats as-is, integral values without a
 /// trailing `.0`, non-finite values as `null` (JSON has no NaN/inf).
 /// Sub-nanosecond magnitudes clamp to `0`: every metric here is
 /// milliseconds, bytes, counts or ratios, so anything below 1e-12 is
 /// floating-point residue (an overlap subtraction landing at 4.2e-40
 /// once churned committed-JSON diffs for noise).
-pub fn json_number(value: f64) -> String {
+fn json_number(value: f64) -> String {
     if !value.is_finite() {
         "null".to_string()
     } else if value.abs() < 1e-12 {
@@ -78,8 +59,9 @@ pub fn json_number(value: f64) -> String {
 
 /// Serialises rows to a pretty-printed JSON array (the format the old
 /// serde_json path produced: a list of objects with a `metrics` list of
-/// `[name, value]` pairs).
-pub fn rows_to_json(rows: &[Row]) -> String {
+/// `[name, value]` pairs). The workspace is registry-free, so the JSON is
+/// rendered by hand, with strings escaped by [`json_escape`].
+fn rows_to_json(rows: &[Row]) -> String {
     let mut out = String::from("[\n");
     for (i, row) in rows.iter().enumerate() {
         out.push_str("  {\n");
@@ -202,7 +184,6 @@ mod tests {
 
     #[test]
     fn json_rendering_is_valid_and_escaped() {
-        assert_eq!(json_escape("a\"b\\c\nd"), "a\\\"b\\\\c\\nd");
         assert_eq!(json_number(290.0), "290");
         assert_eq!(json_number(0.5), "0.5");
         assert_eq!(json_number(f64::NAN), "null");
@@ -213,13 +194,13 @@ mod tests {
         assert_eq!(json_number(1.5e-9), "0.0000000015");
         let rows = vec![
             Row::new("t", "m", "s").metric("x", 1.0).metric("y", 2.5),
-            Row::new("t", "m", "s2"),
+            Row::new("t", "m", "s\"2"),
         ];
         let json = rows_to_json(&rows);
         assert!(json.starts_with("[\n"));
         assert!(json.ends_with(']'));
         assert!(json.contains("[\"x\", 1], [\"y\", 2.5]"));
-        assert!(json.contains("\"schedule\": \"s2\""));
+        assert!(json.contains("\"schedule\": \"s\\\"2\""));
         // Balanced brackets/braces (cheap well-formedness check).
         for (open, close) in [('{', '}'), ('[', ']')] {
             assert_eq!(

@@ -5,9 +5,7 @@
 //! the order the paper applies them (BP before Z2/Z3 — the ZeRO
 //! strategies *rely* on batch-parallelism propagating first, §2.2).
 
-use partir_sched::{
-    AutomaticPartition, DimSpec, ManualPartition, Matcher, Schedule, StaticSearch, Tactic,
-};
+use partir_sched::{DimSpec, ManualPartition, Matcher, Schedule, StaticSearch, Tactic};
 
 /// Canonical batch ("data") axis name.
 pub const BATCH: &str = "batch";
@@ -97,28 +95,11 @@ pub fn transformer_table2() -> Vec<(&'static str, Schedule)> {
     ]
 }
 
-/// Simulator-in-the-loop MCTS over both mesh axes — the auto-partitioning
-/// baseline (`bench_search`'s "sim-in-the-loop" rows).
-pub fn t_auto(budget: usize) -> Tactic {
-    AutomaticPartition::new("Auto", [BATCH, MODEL])
-        .with_budget(budget)
-        .into()
-}
-
 /// Static-objective beam search over both mesh axes: candidates ranked by
 /// `partir_analysis::static_cost`, simulator kept for final top-K
 /// rescoring only.
 pub fn t_static() -> Tactic {
     StaticSearch::new("Static", [BATCH, MODEL]).into()
-}
-
-/// The auto-partitioning rows `bench_search` compares on the T48-scale
-/// entry ([`crate::transformer::TransformerConfig::t48_search`]).
-pub fn transformer_search_table(budget: usize) -> Vec<(&'static str, Schedule)> {
-    vec![
-        ("Auto", Schedule::new([t_auto(budget)])),
-        ("Static", Schedule::new([t_static()])),
-    ]
 }
 
 // ---- Inference transformer (IT32) tactics ------------------------------
@@ -243,21 +224,5 @@ mod tests {
         assert_eq!(itransformer_table2().len(), 4);
         assert_eq!(unet_table2().len(), 3);
         assert_eq!(gns_table2().len(), 1);
-    }
-
-    #[test]
-    fn search_table_has_sim_and_static_rows() {
-        let rows = transformer_search_table(8);
-        assert_eq!(rows.len(), 2);
-        assert_eq!(rows[0].1.label(), "Auto");
-        assert_eq!(rows[1].1.label(), "Static");
-    }
-
-    #[test]
-    fn t48_search_keeps_the_t48_structure() {
-        use crate::transformer::TransformerConfig;
-        let cfg = TransformerConfig::t48_search();
-        assert_eq!(cfg.layers, 48);
-        assert_eq!(cfg.num_param_tensors(), 433);
     }
 }

@@ -95,24 +95,6 @@ impl TransformerConfig {
         }
     }
 
-    /// The T48 structure sized for *search* benchmarking: the same
-    /// 48-layer / 433-parameter-tensor structure as [`TransformerConfig::t48`],
-    /// with batch, sequence and vocabulary grown so candidate
-    /// partitionings differ measurably in simulated cost on the
-    /// benchmark meshes. Widths stay CPU-cheap to build and lower —
-    /// searches cost and simulate this model, they never interpret it.
-    pub fn t48_search() -> Self {
-        TransformerConfig {
-            layers: 48,
-            d_model: 128,
-            heads: 16,
-            d_ff: 512,
-            vocab: 256,
-            seq: 32,
-            batch: 128,
-        }
-    }
-
     /// A configuration small enough for the SPMD interpreter in tests.
     pub fn tiny() -> Self {
         TransformerConfig {

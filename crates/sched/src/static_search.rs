@@ -56,8 +56,8 @@ pub struct StaticSearch {
     pub top_k: usize,
 }
 
-/// What one [`StaticSearch`] run did — the numbers `bench_search`
-/// reports and the CI smoke job gates on.
+/// What one [`StaticSearch`] run did — the numbers the `search_pair`
+/// benchmark reports and `tests/search_pins.rs` pins.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct StaticSearchReport {
     /// Tile actions enumerated across all levels.
@@ -140,8 +140,7 @@ impl StaticSearch {
     }
 
     /// [`StaticSearch::apply_with_cache`] returning the full search
-    /// report (candidate counts, class dedup, final costs) —
-    /// `bench_search` reads these.
+    /// report (candidate counts, class dedup, final costs).
     ///
     /// # Errors
     ///

@@ -2,7 +2,9 @@
 //! continuously-batched engine is bit-identical to the same request run
 //! *alone* through the original fixed-batch IT32 serving loop
 //! (interpreted, unpartitioned), swept over the 1×2/2×2/4×2 mesh ladder,
-//! every Table 2 IT32 schedule, and {blocking, overlapped} plans.
+//! every Table 2 IT32 schedule, and {blocking, overlapped} plans. Some
+//! overlapped plan on 2×2 must hoist a collective window open, so the
+//! overlap pass stays live under serving shapes.
 //!
 //! Tokens are i32 argmax outputs, compared with `assert_eq!` — the same
 //! exact-integer-output convention as the spmd conformance suite.
@@ -72,6 +74,8 @@ fn batched_engine_matches_solo_oracle_across_the_mesh_ladder() {
         ("overlapped", PlanOptions::default()),
         ("blocking", PlanOptions::blocking()),
     ];
+    // Whether some overlapped 2×2 plan hoisted a collective window open.
+    let mut hoisted_on_2x2 = false;
     for b in [1usize, 2, 4] {
         let mesh = Mesh::new([(BATCH, b), (MODEL, 2)]).expect("mesh");
         let hw = HardwareConfig::tpu_v3_pod(mesh);
@@ -80,6 +84,13 @@ fn batched_engine_matches_solo_oracle_across_the_mesh_ladder() {
                 let label = format!("{sched_label}/{opt_label} on {b}x2");
                 let engine = ServingEngine::new(&cfg, &hw, &schedule, opts, SEED)
                     .unwrap_or_else(|e| panic!("{label}: build failed: {e}"));
+                if b == 2 && opts.overlap {
+                    hoisted_on_2x2 |= engine
+                        .plan()
+                        .collective_windows()
+                        .iter()
+                        .any(|w| w.gap_steps > 0);
+                }
                 let report = engine
                     .run(
                         &workload,
@@ -104,6 +115,10 @@ fn batched_engine_matches_solo_oracle_across_the_mesh_ladder() {
             }
         }
     }
+    assert!(
+        hoisted_on_2x2,
+        "no overlapped 2x2 engine hoisted a collective window"
+    );
 }
 
 /// The slot arena really is sharded: under BP+MP+MQ on the 2×2 mesh the

@@ -126,3 +126,47 @@ fn measured_overlap_reconciles_with_plan_and_event_model() {
         "no zoo case showed any measured overlap"
     );
 }
+
+/// The overlap pass keeps paying off at benchmark scale: on the T-train
+/// step (the `train_step` benchmark's model at batch 64) under BP+MP+Z3
+/// on 2×2, the overlapped plan hoists some collective window open and
+/// the event model predicts collective time hidden behind compute for
+/// one of those hoisted collectives. Compiles only; runs nothing.
+#[test]
+fn overlap_hides_collective_time_at_benchmark_scale() {
+    let model = partir_models::transformer::build_train_step(&TransformerConfig {
+        layers: 2,
+        d_model: 32,
+        heads: 2,
+        d_ff: 128,
+        vocab: 64,
+        seq: 32,
+        batch: 64,
+    })
+    .expect("transformer");
+    let mesh = Mesh::new([(BATCH, 2), (MODEL, 2)]).expect("mesh");
+    let hw = HardwareConfig::tpu_v3_pod(mesh);
+    let (_, schedule) = schedules::transformer_table2()
+        .into_iter()
+        .find(|(label, _)| *label == "BP+MP+Z3")
+        .expect("BP+MP+Z3 row");
+    let program = build_program(&model, Some(&schedule), &hw);
+    let plan = program.compile().expect("compile");
+    let (_, prediction) =
+        measure_overlap(program.func(), &hw, &EventConfig::default()).expect("event model");
+    let hoisted: Vec<u32> = plan
+        .collective_windows()
+        .iter()
+        .filter(|w| w.gap_steps > 0)
+        .map(|w| w.tag)
+        .collect();
+    assert!(!hoisted.is_empty(), "BP+MP+Z3 hoisted no collective window");
+    assert!(prediction.hidden_s() > 0.0, "event model hides no time");
+    assert!(
+        prediction
+            .collectives
+            .iter()
+            .any(|c| c.hidden_s > 0.0 && hoisted.contains(&c.index)),
+        "no hoisted window hides collective time: hoisted {hoisted:?}"
+    );
+}
