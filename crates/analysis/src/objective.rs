@@ -5,32 +5,33 @@
 //! The analytical simulator is exact but expensive per candidate: every
 //! evaluation builds the device-local function (lowering), rebuilds it
 //! again (collective fusion), and only then walks it. This module walks
-//! the *original* function once instead, replaying the lowering rules
+//! the *original* function once instead, replaying lowering and fusion
 //! cost-only:
 //!
 //! * per operand, the reshard from its stored layout (value context) to
-//!   the layout the op's loop context requires — common slicing prefix
-//!   kept, gather suffix costed with the staged ring `all_gather`
-//!   formula, slice suffix free;
-//! * `#sum` contexts cost a ring `all_reduce`, with the fusion pass's
-//!   `reduce_scatter` rewrite (covered-suffix peeling, residual reduce
-//!   and slice) applied analytically;
-//! * the gather+slice → `all_to_all` fusion applied analytically inside
-//!   each reshard, *and across op boundaries*: when a producer's chain
-//!   ends in a bare gather/reduce whose stored value has exactly one
-//!   non-escaping, same-body use that reshards by pure slicing, the
-//!   fusion pass's cancel / `all_to_all` / `reduce_scatter` rewrites
-//!   are replayed on the pair;
+//!   the layout the op's loop context requires, split by
+//!   [`reshard_split`]: the gather is costed with the staged ring
+//!   `all_gather` formula, the slice is free;
+//! * `#sum` contexts cost a ring `all_reduce`, or the `reduce_scatter`
+//!   form [`fuse_reduce_slice`] gives when a slice follows;
+//! * the gather∘slice fusion ([`fuse_gather_slice`]: cancel or
+//!   `all_to_all`) applied inside each reshard, *and across op
+//!   boundaries*: when a producer's chain ends in a bare gather/reduce
+//!   whose stored value has exactly one non-escaping, same-body use that
+//!   reshards by pure slicing, the fusion rules are applied to the pair;
 //! * compute costed with the roofline model (local shapes derived from
 //!   the layouts, never materialised as IR);
 //! * peak memory bounded by the shared walk ([`crate::memory::PeakWalk`])
 //!   charging device-local sizes, plus the largest gather temporary
 //!   alive at each op.
 //!
-//! *What* a collective stage, an op or an over-budget peak costs is not
-//! restated here: every formula is a call into [`crate::cost`], the same
-//! functions the simulator calls. What this module owns is the
-//! structural replay — where lowering and fusion would put collectives.
+//! Neither *what* a collective stage, an op or an over-budget peak costs
+//! nor *which* collectives a reshard or fusion yields is restated here:
+//! the formulas are calls into [`crate::cost`], the same functions the
+//! simulator calls, and the rules are the [`crate::layout`] functions
+//! `spmd::lower` and `spmd::fuse` call, instantiated on packed layouts.
+//! What this module owns is the structural replay — where lowering and
+//! fusion would put collectives.
 //!
 //! A search evaluates thousands of candidates of *one* function, so the
 //! work is split accordingly: [`StaticObjective`] precomputes everything
@@ -42,10 +43,10 @@
 //! `Vec<Axis>`). Fully replicated ops — the common case away from the
 //! sharded data path — take a precomputed fast path.
 //!
-//! The rank-agreement property tests (`tests/objective_prop.rs`) pin
-//! the replay to the simulator's walk of the lowered program, and a
-//! deliberately mis-weighted objective is caught by the same tests (the
-//! mutation check).
+//! `tests/objective_prop.rs` pins the replay to the simulator's walk of
+//! the lowered program: wire bytes equal on every Table 2 cell, rank
+//! agreement on random states, and a deliberately mis-weighted
+//! objective caught by the same tests (the mutation check).
 //!
 //! On top of the cost, [`equivalence_classes`] groups candidate
 //! `tile(value, dim, axis)` actions whose *propagated* fingerprints
@@ -62,6 +63,9 @@ use partir_mesh::{Axis, HardwareConfig};
 use crate::cost::{
     oom_penalty, op_class, op_flops, ring_time, OpClass, RingKind, Roofline, ShapeView,
     MATMUL_EFFICIENCY,
+};
+use crate::layout::{
+    fuse_gather_slice, fuse_reduce_slice, reshard_split, AxisStacks, GatherSlice, ReduceSlice,
 };
 use crate::memory::PeakWalk;
 
@@ -85,7 +89,7 @@ const MAX_AXES: usize = 4;
 
 /// One dimension's axis stack, outer-to-inner, as mesh-axis ids.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-struct Stack {
+pub(crate) struct Stack {
     len: u8,
     ax: [u8; MAX_AXES],
 }
@@ -96,16 +100,16 @@ impl Stack {
         self.len += 1;
     }
 
-    fn axes(&self) -> &[u8] {
+    pub(crate) fn axes(&self) -> &[u8] {
         &self.ax[..self.len as usize]
     }
+}
 
-    fn is_empty(&self) -> bool {
-        self.len == 0
-    }
-
-    fn contains(&self, id: u8) -> bool {
-        self.axes().contains(&id)
+impl Extend<u8> for Stack {
+    fn extend<I: IntoIterator<Item = u8>>(&mut self, ids: I) {
+        for id in ids {
+            self.push(id);
+        }
     }
 }
 
@@ -113,12 +117,28 @@ impl Stack {
 /// same shape `all_gather`/`all_slice` collectives carry — packed so a
 /// candidate walk never touches the heap.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-struct Layout {
+pub(crate) struct Layout {
     rank: u8,
     dims: [Stack; MAX_RANK],
 }
 
 impl Layout {
+    fn dims(&self) -> &[Stack] {
+        &self.dims[..self.rank as usize]
+    }
+}
+
+impl AxisStacks for Layout {
+    type Axis = u8;
+
+    fn rank(&self) -> usize {
+        self.rank as usize
+    }
+
+    fn stack(&self, d: usize) -> &[u8] {
+        self.dims[d].axes()
+    }
+
     fn empty(rank: usize) -> Self {
         Layout {
             rank: rank as u8,
@@ -126,12 +146,14 @@ impl Layout {
         }
     }
 
-    fn dims(&self) -> &[Stack] {
-        &self.dims[..self.rank as usize]
+    fn push(&mut self, d: usize, id: u8) {
+        self.dims[d].push(id);
     }
 
-    fn any_axes(&self) -> bool {
-        self.dims().iter().any(|s| !s.is_empty())
+    // The candidate walk asks this several times per op: read the
+    // lengths without building per-dimension slices.
+    fn has_axes(&self) -> bool {
+        self.dims().iter().any(|s| s.len != 0)
     }
 }
 
@@ -155,107 +177,6 @@ impl ShapeView for LocalShape {
     fn dim(&self, d: usize) -> usize {
         self.dim[d] as usize
     }
-}
-
-/// What a producer-tail `all_gather` fuses into when its sole consumer
-/// starts with an `all_slice` (mirror of `spmd::fuse::decide`).
-enum GatherFusion {
-    /// Gather and slice cancel exactly.
-    Cancel,
-    /// Gather on one dim + slice on another over the same axis stack.
-    AllToAll(Stack),
-}
-
-/// The single dimension of `l` carrying axes, if exactly one does.
-fn single_dim(l: &Layout) -> Option<usize> {
-    let mut found = None;
-    for (d, s) in l.dims().iter().enumerate() {
-        if !s.is_empty() {
-            if found.is_some() {
-                return None;
-            }
-            found = Some(d);
-        }
-    }
-    found
-}
-
-/// `spmd::fuse::decide` for an `all_gather` producer, on layouts.
-fn gather_slice_fusion(gather: &Layout, slice: &Layout) -> Option<GatherFusion> {
-    if gather == slice {
-        return Some(GatherFusion::Cancel);
-    }
-    let (g, s) = (single_dim(gather)?, single_dim(slice)?);
-    if g != s && gather.dims[g] == slice.dims[s] {
-        return Some(GatherFusion::AllToAll(gather.dims[g]));
-    }
-    None
-}
-
-/// Per-dimension reshard diff: the common slicing prefix stays, the
-/// rest of `from` is gathered and the rest of `to` sliced (mirror of
-/// `spmd::lower::reshard`).
-fn reshard_diff(from: &Layout, to: &Layout) -> (Layout, Layout) {
-    let rank = from.rank as usize;
-    let mut gather = Layout::empty(rank);
-    let mut slice = Layout::empty(rank);
-    for d in 0..rank {
-        let (f, t) = (&from.dims[d], &to.dims[d]);
-        if f == t {
-            continue;
-        }
-        let common = f
-            .axes()
-            .iter()
-            .zip(t.axes())
-            .take_while(|(a, b)| a == b)
-            .count();
-        for &a in &f.axes()[common..] {
-            gather.dims[d].push(a);
-        }
-        for &a in &t.axes()[common..] {
-            slice.dims[d].push(a);
-        }
-    }
-    (gather, slice)
-}
-
-/// The fusion pass's `all_slice(all_reduce(x))` → `reduce_scatter`
-/// decision, replayed on layouts: returns
-/// `(residual_slice, covered, residual_reduce)` when the rewrite fires
-/// (mirror of `spmd::fuse::decide`).
-fn reduce_scatter_fusion(reduce: &Stack, slice: &Layout) -> Option<(Layout, Layout, Stack)> {
-    let rank = slice.rank as usize;
-    let mut covered = Layout::empty(rank);
-    let mut residual_slice = Layout::empty(rank);
-    let mut used = Stack::default();
-    for (d, stack) in slice.dims().iter().enumerate() {
-        let axes_d = stack.axes();
-        let suffix_start = axes_d
-            .iter()
-            .rposition(|&a| !reduce.contains(a))
-            .map_or(0, |p| p + 1);
-        if axes_d[..suffix_start].iter().any(|&a| reduce.contains(a)) {
-            return None; // a covered axis before the suffix would reorder
-        }
-        for &a in &axes_d[..suffix_start] {
-            residual_slice.dims[d].push(a);
-        }
-        for &a in &axes_d[suffix_start..] {
-            covered.dims[d].push(a);
-            used.push(a);
-        }
-    }
-    if used.is_empty() {
-        return None;
-    }
-    let mut residual_reduce = Stack::default();
-    for &a in reduce.axes() {
-        if !used.contains(a) {
-            residual_reduce.push(a);
-        }
-    }
-    Some((residual_slice, covered, residual_reduce))
 }
 
 /// The static objective's one tunable, kept for the mutation tests: a
@@ -716,8 +637,7 @@ impl<'a, 'f> Eval<'a, 'f> {
         Ok((l, bytes / divisor))
     }
 
-    /// The layout the op's loop context requires for operand slot `i`
-    /// (mirror of `spmd::lower::required_operand_layout`).
+    /// The layout the op's loop context requires for operand slot `i`.
     fn required_operand_layout(
         &self,
         op_id: OpId,
@@ -734,9 +654,9 @@ impl<'a, 'f> Eval<'a, 'f> {
         Ok(l)
     }
 
-    /// Device-local byte size of `v` under `layout`.
-    fn local_bytes(&self, v: ValueId, layout: &Layout) -> f64 {
-        let mut bytes = self.obj.global_bytes[v.0 as usize] as f64;
+    /// `bytes` divided over the axes of `layout`: the device-local size
+    /// of a value of `bytes` sliced further by `layout`.
+    fn shard_bytes(&self, mut bytes: f64, layout: &Layout) -> f64 {
         for s in layout.dims() {
             for &id in s.axes() {
                 bytes /= self.size[id as usize];
@@ -773,8 +693,8 @@ impl<'a, 'f> Eval<'a, 'f> {
         (0.0, time, wire)
     }
 
-    fn all_reduce(&self, bytes: f64, axes: &Stack) -> Costs {
-        self.ring(RingKind::AllReduce, bytes, axes.axes().iter())
+    fn all_reduce(&self, bytes: f64, axes: &[u8]) -> Costs {
+        self.ring(RingKind::AllReduce, bytes, axes.iter())
     }
 
     /// Staged `all_gather`: dims in ascending order, axes within a dim
@@ -790,29 +710,25 @@ impl<'a, 'f> Eval<'a, 'f> {
         self.ring(RingKind::ReduceScatter, start_bytes, ids)
     }
 
-    fn all_to_all(&self, bytes: f64, axes: &Stack) -> Costs {
-        self.ring(RingKind::AllToAll, bytes, axes.axes().iter())
-    }
-
     /// Cost of resharding a value of `bytes_from` local bytes from layout
     /// `from` to `to`. Slices are device-local and free.
     fn reshard_cost(&self, bytes_from: f64, from: &Layout, to: &Layout) -> Costs {
-        if from == to {
-            return ZERO;
-        }
-        let (gather, slice) = reshard_diff(from, to);
+        let (gather, slice) = reshard_split(from, to);
         self.resolved_reshard(bytes_from, &gather, &slice)
     }
 
-    /// [`Eval::reshard_cost`] on an already-computed diff, with the
-    /// fusion pass's gather+slice → `all_to_all` rewrite applied.
+    /// [`Eval::reshard_cost`] on an already-split reshard, with the
+    /// gather∘slice fusion applied.
     fn resolved_reshard(&self, bytes_from: f64, gather: &Layout, slice: &Layout) -> Costs {
-        if !gather.any_axes() {
+        if !gather.has_axes() {
             return ZERO; // pure slice: free
         }
-        match gather_slice_fusion(gather, slice) {
-            Some(GatherFusion::Cancel) => ZERO,
-            Some(GatherFusion::AllToAll(axes)) => self.all_to_all(bytes_from, &axes),
+        match fuse_gather_slice(gather, slice) {
+            Some(GatherSlice::Cancel) => ZERO,
+            Some(GatherSlice::AllToAll { src_dim, .. }) => {
+                let ids = gather.stack(src_dim).iter();
+                self.ring(RingKind::AllToAll, bytes_from, ids)
+            }
             None => self.all_gather(bytes_from, gather),
         }
     }
@@ -874,8 +790,8 @@ impl<'a, 'f> Eval<'a, 'f> {
             UseSite::Boundary { param } => self.stored_layout(param)?,
         };
         let stored = self.stored_layout(v)?;
-        let (gather, slice) = reshard_diff(&stored, &required);
-        Ok((!gather.any_axes() && slice.any_axes()).then_some(slice))
+        let (gather, slice) = reshard_split(&stored, &required);
+        Ok((!gather.has_axes() && slice.has_axes()).then_some(slice))
     }
 
     /// Cost of one non-region op: operand reshards, localized compute,
@@ -894,8 +810,7 @@ impl<'a, 'f> Eval<'a, 'f> {
         }
 
         // Required per-slot layouts, the produced result layout and the
-        // reduced axes, all from one pass over the op context (mirror of
-        // `spmd::lower`'s required/produced layouts).
+        // reduced axes, all from one pass over the op context.
         let n = op.operands.len();
         let mut req = [Layout::empty(0); MAX_OPERANDS];
         for (i, &o) in op.operands.iter().enumerate() {
@@ -925,7 +840,7 @@ impl<'a, 'f> Eval<'a, 'f> {
             let to = &req[i];
             let (from, bytes_from) = self.stored_layout_bytes(operand)?;
             if from != *to {
-                let (g, s) = reshard_diff(&from, to);
+                let (g, s) = reshard_split(&from, to);
                 add(self.resolved_reshard(bytes_from, &g, &s), &mut cost);
                 transient = transient.max(self.gather_growth(bytes_from, &g));
             }
@@ -940,80 +855,51 @@ impl<'a, 'f> Eval<'a, 'f> {
         let flops = op_flops(&op.kind, &shapes[..n], &local_result);
         cost.0 += self.roofline.op_time(op_class(&op.kind), flops, moved);
 
-        // 3. Reduce + reshard to the stored layout, with the fusion
-        // pass's rewrites applied analytically. When the chain ends in a
-        // bare gather/reduce, the sole consumer's pure-slice reshard (if
-        // any) plays the role of the chain's own slice.
+        // 3. Reduce + reshard to the stored layout, with the fusion rules
+        // applied.
         let stored = self.stored_layout(result)?;
-        let (gather, slice) = reshard_diff(&produced, &stored);
+        let (gather, slice) = reshard_split(&produced, &stored);
         transient = transient.max(self.gather_growth(produced_bytes, &gather));
         self.transient[op_id.0 as usize] = transient as u64;
-        let gathers = gather.any_axes();
-        let slices = slice.any_axes();
-
-        if reduce_axes.is_empty() {
-            if !gathers {
-                return Ok(cost); // identity or pure slice: free
-            }
-            if !slices {
-                if let Some(s2) = self.cross_slice(result)? {
-                    match gather_slice_fusion(&gather, &s2) {
-                        Some(GatherFusion::Cancel) => return Ok(cost),
-                        Some(GatherFusion::AllToAll(axes)) => {
-                            add(self.all_to_all(produced_bytes, &axes), &mut cost);
-                            return Ok(cost);
-                        }
-                        None => {}
-                    }
-                }
-            }
-            add(
-                self.resolved_reshard(produced_bytes, &gather, &slice),
-                &mut cost,
-            );
-            return Ok(cost);
+        let reduce = reduce_axes.axes();
+        if reduce.is_empty() && !gather.has_axes() {
+            return Ok(cost); // identity or pure slice: free
         }
-        if !gathers {
-            let absorbing = if slices {
-                Some(slice)
+        // When the chain ends in a bare gather/reduce, the sole
+        // consumer's pure-slice reshard (if any) plays the role of the
+        // chain's own slice.
+        let slice = if slice.has_axes() {
+            slice
+        } else {
+            self.cross_slice(result)?.unwrap_or(slice)
+        };
+        if !gather.has_axes() {
+            // Most reduces meet no slice; those skip the rule's walk.
+            let fused = if slice.has_axes() {
+                fuse_reduce_slice::<_, Stack>(reduce, &slice)
             } else {
-                self.cross_slice(result)?
+                None
             };
-            if let Some(s) = absorbing {
-                if let Some((residual_slice, covered, residual_reduce)) =
-                    reduce_scatter_fusion(&reduce_axes, &s)
-                {
-                    // Fused emission order: residual slice (free),
-                    // residual all_reduce, reduce_scatter — all on the
-                    // sliced bytes.
-                    let mut bytes = produced_bytes;
-                    for stack in residual_slice.dims() {
-                        for &id in stack.axes() {
-                            bytes /= self.size[id as usize];
-                        }
-                    }
-                    add(self.all_reduce(bytes, &residual_reduce), &mut cost);
-                    add(self.reduce_scatter(bytes, &covered), &mut cost);
-                    return Ok(cost);
-                }
+            if let Some(ReduceSlice {
+                residual_slice,
+                covered,
+                residual_reduce,
+            }) = fused
+            {
+                // Fused emission order: residual slice (free), residual
+                // all_reduce, reduce_scatter — all on the sliced bytes.
+                let bytes = self.shard_bytes(produced_bytes, &residual_slice);
+                add(self.all_reduce(bytes, residual_reduce.axes()), &mut cost);
+                add(self.reduce_scatter(bytes, &covered), &mut cost);
+            } else {
+                add(self.all_reduce(produced_bytes, reduce), &mut cost);
             }
-            add(self.all_reduce(produced_bytes, &reduce_axes), &mut cost);
             return Ok(cost);
         }
         // Reduce then gather: the all_reduce always runs; the trailing
-        // gather may still fuse with the sole consumer's slice.
-        add(self.all_reduce(produced_bytes, &reduce_axes), &mut cost);
-        if !slices {
-            if let Some(s2) = self.cross_slice(result)? {
-                match gather_slice_fusion(&gather, &s2) {
-                    Some(GatherFusion::Cancel) => return Ok(cost),
-                    Some(GatherFusion::AllToAll(axes)) => {
-                        add(self.all_to_all(produced_bytes, &axes), &mut cost);
-                        return Ok(cost);
-                    }
-                    None => {}
-                }
-            }
+        // gather may still fuse with the slice.
+        if !reduce.is_empty() {
+            add(self.all_reduce(produced_bytes, reduce), &mut cost);
         }
         add(
             self.resolved_reshard(produced_bytes, &gather, &slice),
@@ -1067,10 +953,8 @@ impl<'a, 'f> Eval<'a, 'f> {
         for (i, &orig) in op.results.iter().enumerate() {
             let from = self.stored_layout(region.params[i + 1])?;
             let to = self.stored_layout(orig)?;
-            add(
-                self.reshard_cost(self.local_bytes(orig, &from), &from, &to),
-                &mut cost,
-            );
+            let bytes = self.shard_bytes(self.obj.global_bytes[orig.0 as usize] as f64, &from);
+            add(self.reshard_cost(bytes, &from, &to), &mut cost);
         }
         Ok(cost)
     }

@@ -12,13 +12,22 @@
 //! Plus the mutation check: a deliberately mis-weighted objective
 //! (communication zeroed out) must *fail* the same property — proof the
 //! property has teeth, not just tolerance.
+//!
+//! Rank agreement tolerates drift; the Table 2 cells pin the two walks
+//! exactly: on every paper schedule the static objective's wire bytes
+//! equal the simulator's on the lowered, fused program.
 
 use partir_analysis::{is_legal, ObjectiveConfig, StaticObjective};
 use partir_core::Partitioning;
 use partir_ir::Func;
 use partir_mesh::{Axis, HardwareConfig, Mesh};
-use partir_models::{mlp::MlpConfig, transformer::TransformerConfig};
+use partir_models::schedules::{self, BATCH, MODEL};
+use partir_models::{
+    gns::GnsConfig, itransformer::ITransformerConfig, mlp::MlpConfig,
+    transformer::TransformerConfig, unet::UNetConfig,
+};
 use partir_prng::{propcheck::check, Rng};
+use partir_sched::partir_jit;
 
 /// Relative tolerance for "same cost": exact ties (symmetric states) and
 /// float noise, nothing more.
@@ -170,4 +179,64 @@ fn misweighted_objective_is_caught() {
         "a comm-blind objective passed all 24 rank-agreement cases — \
          the property has no teeth"
     );
+}
+
+#[test]
+fn static_bytes_equal_simulator_on_table2_cells() {
+    let hw = HardwareConfig::tpu_v3_pod(Mesh::new([(BATCH, 4), (MODEL, 2)]).unwrap());
+    let cells = [
+        (
+            "T32",
+            partir_models::transformer::build_train_step(&TransformerConfig::t32())
+                .expect("T32")
+                .func,
+            schedules::transformer_table2(),
+        ),
+        (
+            "IT32",
+            partir_models::itransformer::build_serving(&ITransformerConfig::it32(4))
+                .expect("IT32")
+                .func,
+            schedules::itransformer_table2(),
+        ),
+        (
+            "UNet",
+            partir_models::unet::build_train_step(&UNetConfig::paper())
+                .expect("UNet")
+                .func,
+            schedules::unet_table2(),
+        ),
+        (
+            "GNS",
+            partir_models::gns::build_train_step(&GnsConfig::paper())
+                .expect("GNS")
+                .func,
+            schedules::gns_table2(),
+        ),
+    ];
+    let mut checked = 0;
+    for (model, func, rows) in &cells {
+        let obj = StaticObjective::new(func);
+        for (name, schedule) in rows {
+            let part = partir_jit(func, &hw, schedule)
+                .unwrap_or_else(|e| panic!("{model} {name}: {e}"))
+                .partitioning;
+            let stat = obj.cost(&part, &hw).expect("static cost");
+            let sim = partir_sim::evaluate(func, &part, &hw)
+                .expect("evaluate")
+                .cost_breakdown(&hw);
+            assert_eq!(
+                stat.comm_bytes, sim.comm_bytes,
+                "{model} {name}: static and simulated wire bytes differ"
+            );
+            assert!(
+                (stat.comm_s - sim.comm_s).abs() <= 1e-12 * sim.comm_s,
+                "{model} {name}: comm_s {} vs simulated {}",
+                stat.comm_s,
+                sim.comm_s
+            );
+            checked += 1;
+        }
+    }
+    assert_eq!(checked, 15, "every Table 2 row is a cell");
 }

@@ -1,101 +1,33 @@
 //! Collective fusion (paper §6): `all_slice(all_gather(x))` cancels or
 //! becomes `all_to_all`; `all_slice(all_reduce(x))` becomes
-//! `reduce_scatter`. Plus dead-code elimination for orphaned ops.
+//! `reduce_scatter`. Plus dead-code elimination for orphaned ops. The
+//! rules themselves are [`fuse_gather_slice`] and [`fuse_reduce_slice`];
+//! this pass finds the pairs and emits what the rules decide.
 
 use std::collections::{HashMap, HashSet};
 
-use partir_ir::{Collective, Func, FuncBuilder, IrError, OpData, OpId, OpKind, ValueId};
+use partir_analysis::layout::{
+    fuse_gather_slice, fuse_reduce_slice, DimLayout, GatherSlice, ReduceSlice,
+};
+use partir_ir::{Collective, Func, FuncBuilder, IrError, OpData, OpId, OpKind, ReduceOp, ValueId};
 use partir_mesh::Axis;
 
 /// What an `all_slice(all_gather | all_reduce)` pair fuses into.
 #[derive(Debug, Clone, PartialEq)]
 enum Fusion {
-    /// Gather and slice cancel exactly.
-    Cancel,
-    /// Gather on one dim + slice on another over the same axes.
-    AllToAll {
-        src_dim: usize,
-        dst_dim: usize,
-        axes: Vec<Axis>,
-    },
-    /// Reduce + slice; optionally a residual reduce over leftover axes
-    /// and a residual slice over axes the reduce did not cover.
-    ReduceScatter {
-        residual_reduce: Vec<Axis>,
-        dim_axes: Vec<Vec<Axis>>,
-        residual_slice: Vec<Vec<Axis>>,
-        monoid: partir_ir::ReduceOp,
-    },
+    Gather(GatherSlice),
+    Reduce(ReduceSlice<DimLayout, Vec<Axis>>, ReduceOp),
 }
 
 /// Decides whether `slice_axes` applied to the result of `producer`
 /// (an all_gather or all_reduce) fuses, and into what.
-fn decide(producer: &Collective, slice_axes: &[Vec<Axis>]) -> Option<Fusion> {
+fn decide(producer: &Collective, slice_axes: &DimLayout) -> Option<Fusion> {
     match producer {
         Collective::AllGather { dim_axes } => {
-            if dim_axes == slice_axes {
-                return Some(Fusion::Cancel);
-            }
-            let g_dims: Vec<usize> = dim_axes
-                .iter()
-                .enumerate()
-                .filter(|(_, a)| !a.is_empty())
-                .map(|(d, _)| d)
-                .collect();
-            let s_dims: Vec<usize> = slice_axes
-                .iter()
-                .enumerate()
-                .filter(|(_, a)| !a.is_empty())
-                .map(|(d, _)| d)
-                .collect();
-            if g_dims.len() == 1
-                && s_dims.len() == 1
-                && g_dims[0] != s_dims[0]
-                && dim_axes[g_dims[0]] == slice_axes[s_dims[0]]
-            {
-                return Some(Fusion::AllToAll {
-                    src_dim: g_dims[0],
-                    dst_dim: s_dims[0],
-                    axes: dim_axes[g_dims[0]].clone(),
-                });
-            }
-            None
+            fuse_gather_slice(dim_axes, slice_axes).map(Fusion::Gather)
         }
         Collective::AllReduce { axes, reduce } => {
-            // Scatter the slice axes the reduce covers. Slicing order
-            // within a dimension is significant (it defines shard
-            // layout), so only a covered *suffix* of each dimension's
-            // stack may be peeled into the reduce_scatter; the uncovered
-            // prefix is sliced first (slice and reduce commute).
-            let mut covered: Vec<Vec<Axis>> = vec![Vec::new(); slice_axes.len()];
-            let mut residual_slice: Vec<Vec<Axis>> = vec![Vec::new(); slice_axes.len()];
-            let mut used: HashSet<&Axis> = HashSet::new();
-            for (d, axes_d) in slice_axes.iter().enumerate() {
-                let suffix_start = axes_d
-                    .iter()
-                    .rposition(|a| !axes.contains(a))
-                    .map_or(0, |p| p + 1);
-                // A covered axis before the suffix would be reordered.
-                if axes_d[..suffix_start].iter().any(|a| axes.contains(a)) {
-                    return None;
-                }
-                residual_slice[d] = axes_d[..suffix_start].to_vec();
-                for a in &axes_d[suffix_start..] {
-                    covered[d].push(a.clone());
-                    used.insert(a);
-                }
-            }
-            if used.is_empty() {
-                return None;
-            }
-            let residual_reduce: Vec<Axis> =
-                axes.iter().filter(|a| !used.contains(a)).cloned().collect();
-            Some(Fusion::ReduceScatter {
-                residual_reduce,
-                dim_axes: covered,
-                residual_slice,
-                monoid: *reduce,
-            })
+            fuse_reduce_slice(axes, slice_axes).map(|split| Fusion::Reduce(split, *reduce))
         }
         _ => None,
     }
@@ -209,25 +141,25 @@ fn rebuild(
                         .get(&pop.operands[0])
                         .ok_or_else(|| IrError::invalid("fusion source not rebuilt"))?;
                     let out = match fusion {
-                        Fusion::Cancel => src,
-                        Fusion::AllToAll {
-                            src_dim,
-                            dst_dim,
-                            axes,
-                        } => b.collective(
-                            Collective::AllToAll {
+                        Fusion::Gather(GatherSlice::Cancel) => src,
+                        // The rule matched the gathered and sliced stacks.
+                        Fusion::Gather(GatherSlice::AllToAll { src_dim, dst_dim }) => {
+                            let axes = dim_axes[dst_dim].clone();
+                            let a2a = Collective::AllToAll {
                                 src_dim,
                                 dst_dim,
                                 axes,
+                            };
+                            b.collective(a2a, src)?
+                        }
+                        Fusion::Reduce(
+                            ReduceSlice {
+                                residual_slice,
+                                covered: dim_axes,
+                                residual_reduce,
                             },
-                            src,
-                        )?,
-                        Fusion::ReduceScatter {
-                            residual_reduce,
-                            dim_axes,
-                            residual_slice,
                             monoid,
-                        } => {
+                        ) => {
                             // Uncovered slice prefix first (slice/reduce
                             // commute and this preserves the per-dim
                             // slicing order), then the reductions.

@@ -16,21 +16,14 @@
 
 use std::collections::HashMap;
 
+use partir_analysis::layout::{reshard_split, AxisStacks, DimLayout};
 use partir_core::temporal::localize_kind;
 use partir_core::tmr::ResultAction;
-use partir_core::{OpAxisCtx, Partitioning, ValueCtx};
+use partir_core::{OpAxisCtx, Partitioning};
 use partir_ir::{Collective, Func, FuncBuilder, IrError, OpId, OpKind, ReduceOp, Shape, ValueId};
 use partir_mesh::Axis;
 
 use crate::program::SpmdProgram;
-
-/// Per-dimension layout of a value: the axes each dimension is sliced
-/// over, in slicing (outer-to-inner) order.
-pub(crate) type DimLayout = Vec<Vec<Axis>>;
-
-fn ctx_layout(ctx: &ValueCtx, rank: usize) -> DimLayout {
-    ctx.dim_axes(rank)
-}
 
 /// Lowers `func` under `part` into a device-local SPMD program.
 ///
@@ -146,11 +139,10 @@ impl Lowerer<'_> {
     }
 
     /// Emits gather/slice collectives moving `v` from layout `from` to
-    /// layout `to`. Per dimension, the common slicing prefix is kept in
-    /// place: only the differing suffix is gathered and the target suffix
-    /// sliced (so "shard this partial result further" costs a slice, which
-    /// fuses with a preceding all_reduce into a reduce_scatter). The
-    /// fusion pass cancels and merges what remains.
+    /// layout `to`, split by [`reshard_split`]: the common slicing prefix
+    /// stays in place (so "shard this partial result further" costs a
+    /// slice, which fuses with a preceding all_reduce into a
+    /// reduce_scatter). The fusion pass cancels and merges what remains.
     fn reshard(
         &self,
         b: &mut FuncBuilder,
@@ -161,43 +153,20 @@ impl Lowerer<'_> {
         if from == to {
             return Ok(v);
         }
-        let rank = from.len();
-        let mut gather_axes: DimLayout = vec![Vec::new(); rank];
-        let mut slice_axes: DimLayout = vec![Vec::new(); rank];
-        for d in 0..rank {
-            if from[d] == to[d] {
-                continue;
-            }
-            let common = from[d]
-                .iter()
-                .zip(&to[d])
-                .take_while(|(a, b)| a == b)
-                .count();
-            gather_axes[d] = from[d][common..].to_vec();
-            slice_axes[d] = to[d][common..].to_vec();
-        }
+        let (gather, slice) = reshard_split(from, to);
         let mut cur = v;
-        if gather_axes.iter().any(|a| !a.is_empty()) {
-            cur = b.collective(
-                Collective::AllGather {
-                    dim_axes: gather_axes,
-                },
-                cur,
-            )?;
+        if gather.has_axes() {
+            cur = b.collective(Collective::AllGather { dim_axes: gather }, cur)?;
         }
-        if slice_axes.iter().any(|a| !a.is_empty()) {
-            cur = b.collective(
-                Collective::AllSlice {
-                    dim_axes: slice_axes,
-                },
-                cur,
-            )?;
+        if slice.has_axes() {
+            cur = b.collective(Collective::AllSlice { dim_axes: slice }, cur)?;
         }
         Ok(cur)
     }
 
     fn stored_layout(&self, v: ValueId) -> DimLayout {
-        ctx_layout(self.part.value_ctx(v), self.func.value_type(v).rank())
+        let rank = self.func.value_type(v).rank();
+        self.part.value_ctx(v).dim_axes(rank)
     }
 
     fn lower_op(
@@ -216,7 +185,7 @@ impl Lowerer<'_> {
         if op.operands.is_empty() {
             let full = b.emit(op.kind.clone(), &[])?[0];
             let stored = self.stored_layout(result);
-            let identity: DimLayout = vec![Vec::new(); result_ty.rank()];
+            let identity = DimLayout::empty(result_ty.rank());
             let out = self.reshard(b, full, &identity, &stored)?;
             map.insert(result, out);
             return Ok(());
