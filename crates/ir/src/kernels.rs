@@ -34,9 +34,9 @@
 //!   dynamic slices copy whole row spans; the elementwise lanes
 //!   ([`apply_un`], [`apply_bin`]) are also what a plan's fused
 //!   elementwise machine calls per register block.
-//! * [`fold_reduce`] is the collectives' accumulation step: it mutates the
-//!   accumulator in place when its copy-on-write buffer is uniquely owned
-//!   (the common case for payloads received over runtime channels).
+//! * [`fold_reduce`] is the collectives' accumulation step: it folds a
+//!   received payload into an accumulator buffer in place — a compiled
+//!   plan's destination slot, or the first payload of a fold.
 //!
 //! # Scratch arena
 //!
@@ -49,6 +49,7 @@
 //! execution; buffers are returned (not freed) after each dot.
 
 use std::cell::RefCell;
+use std::ops::Range;
 
 pub use crate::reference::dot_general_reference;
 
@@ -685,6 +686,29 @@ fn unplanned() -> IrError {
 }
 
 impl<'a> Buf<'a> {
+    /// Number of elements.
+    pub fn len(&self) -> usize {
+        match self {
+            Buf::F32(v) => v.len(),
+            Buf::I32(v) => v.len(),
+            Buf::Pred(v) => v.len(),
+        }
+    }
+
+    /// Whether the buffer has no elements.
+    pub fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
+
+    /// The elements in `range`.
+    pub fn slice(self, range: Range<usize>) -> Buf<'a> {
+        match self {
+            Buf::F32(v) => Buf::F32(&v[range]),
+            Buf::I32(v) => Buf::I32(&v[range]),
+            Buf::Pred(v) => Buf::Pred(&v[range]),
+        }
+    }
+
     fn f32(self) -> Result<&'a [f32], IrError> {
         match self {
             Buf::F32(v) => Ok(v),
@@ -703,6 +727,41 @@ impl<'a> Buf<'a> {
         match self {
             Buf::Pred(v) => Ok(v),
             _ => Err(unplanned()),
+        }
+    }
+}
+
+impl BufMut<'_> {
+    /// Number of elements.
+    pub fn len(&self) -> usize {
+        match self {
+            BufMut::F32(v) => v.len(),
+            BufMut::I32(v) => v.len(),
+            BufMut::Pred(v) => v.len(),
+        }
+    }
+
+    /// Whether the buffer has no elements.
+    pub fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
+
+    /// The elements in `range`, borrowed for a shorter time, so one
+    /// destination can take several writes.
+    pub fn slice(&mut self, range: Range<usize>) -> BufMut<'_> {
+        match self {
+            BufMut::F32(v) => BufMut::F32(&mut v[range]),
+            BufMut::I32(v) => BufMut::I32(&mut v[range]),
+            BufMut::Pred(v) => BufMut::Pred(&mut v[range]),
+        }
+    }
+
+    /// The whole buffer, borrowed for a shorter time.
+    pub fn reborrow(&mut self) -> BufMut<'_> {
+        match self {
+            BufMut::F32(v) => BufMut::F32(v),
+            BufMut::I32(v) => BufMut::I32(v),
+            BufMut::Pred(v) => BufMut::Pred(v),
         }
     }
 }
@@ -1600,63 +1659,45 @@ fn arg_max_into(out: &mut [i32], x: &[f32], outer: usize, n: usize, inner: usize
 // elementwise fold (collectives)
 // ---------------------------------------------------------------------------
 
-/// Folds `piece` into an owned accumulator elementwise
-/// (`acc[i] = acc[i] ⊕ piece[i]`), mutating in place when the
-/// accumulator's copy-on-write buffer is uniquely owned.
+/// Folds `piece` into the accumulator elementwise, in place
+/// (`acc[i] = acc[i] ⊕ piece[i]`).
 ///
 /// Bit-identical to evaluating the corresponding `Binary` op (same
 /// operand order, same operation), which is what the collectives'
-/// specification does; the threaded runtime's collectives use this on received payloads,
-/// which are always unique.
+/// specification does; the threaded runtime's collectives fold received
+/// payloads straight into their destination with it.
 ///
 /// # Errors
 ///
-/// Fails on dtype/shape mismatches or pred operands.
-pub fn fold_reduce(
-    mut acc: Literal,
-    piece: &Literal,
-    reduce: ReduceOp,
-) -> Result<Literal, IrError> {
-    if acc.shape() != piece.shape() {
-        return Err(IrError::invalid(format!(
-            "fold shape mismatch {} vs {}",
-            acc.shape(),
-            piece.shape()
-        )));
-    }
-    let bin = match reduce {
-        ReduceOp::Sum => BinaryOp::Add,
-        ReduceOp::Max => BinaryOp::Max,
-        ReduceOp::Min => BinaryOp::Min,
-        ReduceOp::Prod => BinaryOp::Mul,
-    };
-    match acc.dtype() {
-        DType::F32 => {
-            let rhs = piece.as_f32()?;
-            for (a, &b) in acc.as_f32_mut()?.iter_mut().zip(rhs) {
-                *a = match bin {
-                    BinaryOp::Add => *a + b,
-                    BinaryOp::Max => a.max(b),
-                    BinaryOp::Min => a.min(b),
-                    _ => *a * b,
-                };
+/// Fails on a dtype mismatch or pred operands. Equal lengths are the
+/// caller's contract and are asserted.
+pub fn fold_reduce(reduce: ReduceOp, acc: BufMut<'_>, piece: Buf<'_>) -> Result<(), IrError> {
+    assert_eq!(acc.len(), piece.len(), "fold length mismatch");
+    // The operator is matched once, outside the lane loop.
+    macro_rules! lanes {
+        ($acc:expr, $piece:expr, $f:expr) => {
+            for (a, &b) in $acc.iter_mut().zip($piece) {
+                *a = $f(*a, b);
             }
-            Ok(acc)
-        }
-        DType::I32 => {
-            let rhs = piece.as_i32()?;
-            for (a, &b) in acc.as_i32_mut()?.iter_mut().zip(rhs) {
-                *a = match bin {
-                    BinaryOp::Add => a.wrapping_add(b),
-                    BinaryOp::Max => (*a).max(b),
-                    BinaryOp::Min => (*a).min(b),
-                    _ => a.wrapping_mul(b),
-                };
-            }
-            Ok(acc)
-        }
-        DType::Pred => Err(IrError::unsupported("fold on pred")),
+        };
     }
+    match (acc, piece) {
+        (BufMut::F32(acc), Buf::F32(piece)) => match reduce {
+            ReduceOp::Sum => lanes!(acc, piece, |a: f32, b: f32| a + b),
+            ReduceOp::Max => lanes!(acc, piece, f32::max),
+            ReduceOp::Min => lanes!(acc, piece, f32::min),
+            ReduceOp::Prod => lanes!(acc, piece, |a: f32, b: f32| a * b),
+        },
+        (BufMut::I32(acc), Buf::I32(piece)) => match reduce {
+            ReduceOp::Sum => lanes!(acc, piece, i32::wrapping_add),
+            ReduceOp::Max => lanes!(acc, piece, i32::max),
+            ReduceOp::Min => lanes!(acc, piece, i32::min),
+            ReduceOp::Prod => lanes!(acc, piece, i32::wrapping_mul),
+        },
+        (BufMut::Pred(_), Buf::Pred(_)) => return Err(IrError::unsupported("fold on pred")),
+        _ => return Err(unplanned()),
+    }
+    Ok(())
 }
 
 #[cfg(test)]
@@ -1807,18 +1848,15 @@ mod tests {
 
     #[test]
     fn fold_reduce_in_place_and_correct() {
-        let acc = lit(vec![1.0, 5.0], &[2]);
-        let ptr = acc.as_f32().unwrap().as_ptr();
-        let piece = lit(vec![3.0, 2.0], &[2]);
-        let out = fold_reduce(acc, &piece, ReduceOp::Max).unwrap();
-        assert_eq!(out.as_f32().unwrap(), &[3.0, 5.0]);
-        assert_eq!(out.as_f32().unwrap().as_ptr(), ptr);
-        let i = Literal::from_i32(vec![2, 3], [2]).unwrap();
-        let j = Literal::from_i32(vec![5, 7], [2]).unwrap();
-        assert_eq!(
-            fold_reduce(i, &j, ReduceOp::Sum).unwrap().as_i32().unwrap(),
-            &[7, 10]
-        );
+        let mut acc = [1.0f32, 5.0];
+        fold_reduce(ReduceOp::Max, BufMut::F32(&mut acc), Buf::F32(&[3.0, 2.0])).unwrap();
+        assert_eq!(acc, [3.0, 5.0]);
+        let mut i = [2, 3];
+        fold_reduce(ReduceOp::Sum, BufMut::I32(&mut i), Buf::I32(&[5, 7])).unwrap();
+        assert_eq!(i, [7, 10]);
+        let mut p = [true];
+        let err = fold_reduce(ReduceOp::Max, BufMut::Pred(&mut p), Buf::Pred(&[false]));
+        assert!(matches!(err, Err(IrError::Unsupported(_))), "{err:?}");
     }
 
     #[test]

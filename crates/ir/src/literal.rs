@@ -95,6 +95,22 @@ impl Literal {
         })
     }
 
+    /// A literal holding a copy of `buf`'s elements, of its dtype.
+    ///
+    /// # Errors
+    ///
+    /// Fails if `buf.len()` does not match the shape's element count.
+    pub fn from_buf(
+        buf: crate::kernels::Buf<'_>,
+        shape: impl Into<Shape>,
+    ) -> Result<Self, IrError> {
+        match buf {
+            crate::kernels::Buf::F32(v) => Literal::from_f32(v.to_vec(), shape),
+            crate::kernels::Buf::I32(v) => Literal::from_i32(v.to_vec(), shape),
+            crate::kernels::Buf::Pred(v) => Literal::from_pred(v.to_vec(), shape),
+        }
+    }
+
     /// An f32 scalar.
     pub fn scalar_f32(v: f32) -> Self {
         Literal {

@@ -8,9 +8,9 @@
 //!
 //! * `all_reduce`: selected by payload size, NCCL-style. At or below
 //!   [`LEADER_ALL_REDUCE_MAX_BYTES`] the group leader receives every
-//!   member's full payload (a zero-copy `Arc` transfer), folds them
-//!   *linearly in coordinate order*, and broadcasts the result (refcount
-//!   bumps) — minimal messages and no chunk copies. Above the cutoff,
+//!   member's full payload, folds them *linearly in coordinate order*
+//!   into its own, and broadcasts the result (one payload, shared by
+//!   refcount) — minimal messages and no chunks. Above the cutoff,
 //!   two-phase: scatter chunks to distributed roots which fold them in
 //!   the same linear order, then a ring all-gather of the reduced chunks
 //!   — the bandwidth-optimal form that also spreads the fold across
@@ -28,6 +28,19 @@
 //!   falls back to ring all-gather + local slice.
 //! * `all_slice`: device-local, no communication.
 //!
+//! **Planned once, finished in the arena.** [`plan_collective`] plans a
+//! collective when its plan is compiled: the strided view that cuts a
+//! stage's pieces (chunk `j` is the same view `j` chunks further in), the
+//! `concatenate` kernel that joins a gather or an `all_to_all`, and the
+//! trailing local slice (the same view on every device, at a
+//! per-device offset). At run time a collective's start copies out of
+//! the operand's arena slot only what leaves the device and the piece
+//! its own wait needs; the wait folds or joins what it receives straight
+//! into the result's slot. A stage that feeds another stage produces a
+//! `Literal`, because its result is the next stage's payload. Messages
+//! own their data: a payload is a `Literal` the sender hands over, and a
+//! broadcast or a forwarded ring block shares one buffer by refcount.
+//!
 //! [`predict_traffic`] states exactly what the algorithms move, byte for
 //! byte and message for message, from types alone. Its byte column is
 //! the analytical model's ring stage rule in exact integer form
@@ -40,12 +53,10 @@
 use std::collections::BTreeMap;
 
 use partir_analysis::cost::{ring_stages, ring_traffic, RingKind};
-use partir_ir::{
-    interp::eval_op, Collective, DType, Func, IrError, Literal, OpId, OpKind, ReduceOp, TensorType,
-};
+use partir_ir::kernels::{fold_reduce, Buf, BufMut, SliceKernel};
+use partir_ir::{Collective, Func, IrError, Literal, OpId, OpKind, ReduceOp, Shape, TensorType};
 use partir_mesh::{Axis, Mesh};
 
-use crate::interp::slice_chunk;
 use crate::runtime::RuntimeError;
 
 /// Bytes and message count moved over one mesh axis.
@@ -143,28 +154,31 @@ pub(crate) struct AxisStage {
 }
 
 /// A fully wired collective schedule for one device: the ordered exchange
-/// stages (size-1 axes already dropped) followed by device-local slices
-/// `(dim, k, coord)`. Baked into compiled execution plans.
+/// stages (size-1 axes already dropped) and where this device's piece of
+/// the trailing local slice starts. Baked into compiled execution plans
+/// beside the device-independent [`CollKernels`].
 #[derive(Debug, Clone, Default)]
 pub(crate) struct CollSched {
     /// Ordered communication stages.
     pub(crate) stages: Vec<AxisStage>,
-    /// Device-local slices applied after the stages: `(dim, k, coord)`.
-    pub(crate) slices: Vec<(usize, usize, usize)>,
+    /// Element offset of this device's piece in the value the trailing
+    /// local slice cuts ([`CollKernels`]); 0 without one.
+    slice_base: usize,
 }
 
+/// One device-local slice `(dim, k, coord)`: chunk `coord` of `k` along
+/// `dim`.
+type Cut = (usize, usize, usize);
+
 /// Resolves one collective's communication pattern for one device:
-/// groups, positions and slice coordinates, in exactly the stage order
-/// [`start_scheduled`] + [`wait_scheduled`] execute.
-///
-/// # Errors
-///
-/// Fails if the collective references an axis missing from the mesh.
-pub(crate) fn schedule_collective(
+/// groups and positions in exactly the stage order [`start_scheduled`] +
+/// [`wait_scheduled`] execute, and the trailing device-local slices
+/// `(dim, k, coord)`.
+fn schedule_collective(
     c: &Collective,
     mesh: &Mesh,
     device: usize,
-) -> Result<CollSched, IrError> {
+) -> Result<(CollSched, Vec<Cut>), IrError> {
     let err = |e: partir_mesh::MeshError| IrError::invalid(e.to_string());
     let stage_for = |axis: &Axis, dim: usize| -> Result<Option<AxisStage>, IrError> {
         let group = mesh.axis_group(device, axis).map_err(err)?;
@@ -182,12 +196,13 @@ pub(crate) fn schedule_collective(
             my_pos,
         }))
     };
-    let slice_for = |axis: &Axis, dim: usize| -> Result<(usize, usize, usize), IrError> {
+    let slice_for = |axis: &Axis, dim: usize| -> Result<Cut, IrError> {
         let k = mesh.axis_size(axis).map_err(err)?;
         let coord = mesh.coordinate_along(device, axis).map_err(err)?;
         Ok((dim, k, coord))
     };
     let mut sched = CollSched::default();
+    let mut slices = Vec::new();
     match c {
         Collective::AllReduce { axes, .. } => {
             for axis in axes {
@@ -197,7 +212,7 @@ pub(crate) fn schedule_collective(
         Collective::AllSlice { dim_axes } => {
             for (d, axes) in dim_axes.iter().enumerate() {
                 for axis in axes {
-                    sched.slices.push(slice_for(axis, d)?);
+                    slices.push(slice_for(axis, d)?);
                 }
             }
         }
@@ -232,472 +247,479 @@ pub(crate) fn schedule_collective(
                     sched.stages.extend(stage_for(axis, *src_dim)?);
                 }
                 for axis in axes {
-                    sched.slices.push(slice_for(axis, *dst_dim)?);
+                    slices.push(slice_for(axis, *dst_dim)?);
                 }
             }
         }
     }
-    Ok(sched)
-}
-
-/// In-flight state of a collective between its start and wait phases:
-/// the snapshotted device-local operand plus whether the first exchange
-/// stage's input-dependent sends were already issued eagerly.
-#[derive(Debug)]
-pub(crate) struct CollPending {
-    value: Literal,
-    eager: bool,
-}
-
-/// The *start* phase of one collective: issues every send of the first
-/// exchange stage that depends only on the device-local input, without
-/// receiving anything. Overlapped plans run this as soon as the operand
-/// is ready, so the payloads are in flight while the thread keeps
-/// computing; all receives (and every later stage) happen in
-/// [`wait_scheduled`] at the first consuming step. The sends here are
-/// byte-for-byte the ones the blocking path would issue — overlap moves
-/// traffic in time, never in content.
-pub(crate) fn start_scheduled<E: Exchange>(
-    c: &Collective,
-    ex: &mut E,
-    sched: &CollSched,
-    tag: u32,
-    value: Literal,
-) -> Result<CollPending, RuntimeError> {
-    let eager = match (c, sched.stages.first()) {
-        (_, None) | (Collective::AllSlice { .. }, Some(_)) => false,
-        (Collective::AllReduce { .. }, Some(stage)) => {
-            if value.ty().size_bytes() <= LEADER_ALL_REDUCE_MAX_BYTES {
-                leader_reduce_sends(ex, stage, tag, &value)?;
-            } else {
-                scatter_reduce_sends(ex, stage, tag, &value)?;
-            }
-            true
-        }
-        (Collective::AllGather { .. }, Some(stage)) => {
-            ring_first_send(ex, stage, tag, &value)?;
-            true
-        }
-        (Collective::ReduceScatter { .. }, Some(stage)) => {
-            slice_exchange_sends(ex, stage, tag, &value)?;
-            true
-        }
-        (Collective::AllToAll { .. }, Some(stage)) => {
-            if sched.slices.is_empty() {
-                // Single-axis direct pairwise exchange; the stage dim is
-                // the split (dst) dimension.
-                slice_exchange_sends(ex, stage, tag, &value)?;
-            } else {
-                // Multi-axis fallback: the first stage is a ring gather.
-                ring_first_send(ex, stage, tag, &value)?;
-            }
-            true
-        }
-    };
-    Ok(CollPending { value, eager })
-}
-
-/// The *wait* (rendezvous/completion) phase of one collective: receives
-/// and folds everything the peers sent, runs every stage after the
-/// first, and produces the device-local result. With `pending` fresh
-/// from [`start_scheduled`] this is stage-for-stage identical to the
-/// blocking dispatch it replaced, so results stay bit-identical to the
-/// specification.
-pub(crate) fn wait_scheduled<E: Exchange>(
-    c: &Collective,
-    ex: &mut E,
-    sched: &CollSched,
-    tag: u32,
-    pending: CollPending,
-) -> Result<Literal, RuntimeError> {
-    let CollPending { value, eager } = pending;
-    match c {
-        Collective::AllReduce { reduce, .. } => {
-            let mut val = value;
-            for (i, stage) in sched.stages.iter().enumerate() {
-                val = axis_all_reduce(ex, stage, tag, *reduce, val, eager && i == 0)?;
-            }
-            Ok(val)
-        }
-        Collective::AllSlice { .. } => apply_slices(&sched.slices, value),
-        Collective::AllGather { .. } => {
-            let mut val = value;
-            for (i, stage) in sched.stages.iter().enumerate() {
-                val = axis_ring_gather(ex, stage, tag, val, eager && i == 0)?;
-            }
-            Ok(val)
-        }
-        Collective::ReduceScatter { reduce, .. } => {
-            let mut val = value;
-            for (i, stage) in sched.stages.iter().enumerate() {
-                val = axis_reduce_scatter(ex, stage, tag, *reduce, val, eager && i == 0)?;
-            }
-            Ok(val)
-        }
-        Collective::AllToAll {
-            src_dim, dst_dim, ..
-        } => {
-            if sched.slices.is_empty() {
-                // Single-axis direct pairwise exchange (or size-1 axis:
-                // no stages, the value passes through).
-                return match sched.stages.first() {
-                    None => Ok(value),
-                    Some(stage) => {
-                        axis_all_to_all(ex, stage, tag, *src_dim, *dst_dim, value, eager)
-                    }
-                };
-            }
-            let mut val = value;
-            for (i, stage) in sched.stages.iter().enumerate() {
-                val = axis_ring_gather(ex, stage, tag, val, eager && i == 0)?;
-            }
-            apply_slices(&sched.slices, val)
-        }
-    }
-}
-
-/// Eager sends of the leader all-reduce: a non-root member's full-payload
-/// transfer to its group leader. Mirrors the send in
-/// [`axis_leader_all_reduce`] exactly (including the empty-payload skip).
-fn leader_reduce_sends<E: Exchange>(
-    ex: &mut E,
-    stage: &AxisStage,
-    tag: u32,
-    val: &Literal,
-) -> Result<(), RuntimeError> {
-    if val.num_elements() == 0 {
-        return Ok(());
-    }
-    if stage.my_pos != 0 {
-        ex.send(stage.group[0], &stage.axis, tag, val.clone())?;
-    }
-    Ok(())
-}
-
-/// Eager sends of the chunked all-reduce: the phase-1 scatter of flat
-/// chunks to their distributed roots. Mirrors [`axis_all_reduce`].
-fn scatter_reduce_sends<E: Exchange>(
-    ex: &mut E,
-    stage: &AxisStage,
-    tag: u32,
-    val: &Literal,
-) -> Result<(), RuntimeError> {
-    let k = stage.group.len();
-    for (j, &root) in stage.group.iter().enumerate() {
-        if j == stage.my_pos {
-            continue;
-        }
-        if let Some(chunk) = flat_chunk(val, k, j)? {
-            ex.send(root, &stage.axis, tag, chunk)?;
-        }
-    }
-    Ok(())
-}
-
-/// Eager send of a ring stage: step 0 forwards the device-local block to
-/// the ring successor. Mirrors [`axis_ring_gather`]'s first step.
-fn ring_first_send<E: Exchange>(
-    ex: &mut E,
-    stage: &AxisStage,
-    tag: u32,
-    val: &Literal,
-) -> Result<(), RuntimeError> {
-    let k = stage.group.len();
-    let next = stage.group[(stage.my_pos + 1) % k];
-    ex.send(next, &stage.axis, tag, val.clone())
-}
-
-/// Eager sends of a direct slice exchange (reduce_scatter and
-/// single-axis all_to_all): every peer's `stage.dim` slice of the local
-/// value. Mirrors [`axis_reduce_scatter`] / [`axis_all_to_all`].
-fn slice_exchange_sends<E: Exchange>(
-    ex: &mut E,
-    stage: &AxisStage,
-    tag: u32,
-    val: &Literal,
-) -> Result<(), RuntimeError> {
-    let k = stage.group.len();
-    for (j, &peer) in stage.group.iter().enumerate() {
-        if j != stage.my_pos {
-            ex.send(peer, &stage.axis, tag, slice_chunk(val, stage.dim, j, k)?)?;
-        }
-    }
-    Ok(())
-}
-
-/// Extracts flat chunk `j` (1-D) of a literal split `k` ways.
-fn flat_chunk(lit: &Literal, k: usize, j: usize) -> Result<Option<Literal>, RuntimeError> {
-    let n = lit.num_elements();
-    let (start, end) = chunk_bounds(n, k, j);
-    if start == end {
-        return Ok(None);
-    }
-    let chunk = match lit.dtype() {
-        DType::F32 => Literal::from_f32(lit.as_f32()?[start..end].to_vec(), [end - start]),
-        DType::I32 => Literal::from_i32(lit.as_i32()?[start..end].to_vec(), [end - start]),
-        DType::Pred => Literal::from_pred(lit.as_pred()?[start..end].to_vec(), [end - start]),
-        other => Err(IrError::unsupported(format!("chunking dtype {other}"))),
-    }?;
-    Ok(Some(chunk))
-}
-
-/// Reassembles flat chunks (in order, `None` = empty) into `ty`'s shape.
-fn concat_flat(chunks: Vec<Option<Literal>>, ty: &TensorType) -> Result<Literal, RuntimeError> {
-    let lit = match ty.dtype {
-        DType::F32 => {
-            let mut data = Vec::with_capacity(ty.shape.num_elements());
-            for c in chunks.iter().flatten() {
-                data.extend_from_slice(c.as_f32()?);
-            }
-            Literal::from_f32(data, ty.shape.clone())?
-        }
-        DType::I32 => {
-            let mut data = Vec::with_capacity(ty.shape.num_elements());
-            for c in chunks.iter().flatten() {
-                data.extend_from_slice(c.as_i32()?);
-            }
-            Literal::from_i32(data, ty.shape.clone())?
-        }
-        DType::Pred => {
-            let mut data = Vec::with_capacity(ty.shape.num_elements());
-            for c in chunks.iter().flatten() {
-                data.extend_from_slice(c.as_pred()?);
-            }
-            Literal::from_pred(data, ty.shape.clone())?
-        }
-        other => return Err(invalid(format!("concatenating dtype {other}"))),
-    };
-    Ok(lit)
-}
-
-/// Folds `piece` into `acc` (linear, left-to-right).
-///
-/// Uses [`partir_ir::kernels::fold_reduce`], which mutates the
-/// accumulator in place when its buffer is uniquely owned — true for
-/// payloads received over channels — and is bit-identical to evaluating
-/// the corresponding `Binary` op (what the specification does).
-fn fold(
-    acc: Option<Literal>,
-    piece: Literal,
-    reduce: ReduceOp,
-) -> Result<Option<Literal>, RuntimeError> {
-    Ok(Some(match acc {
-        None => piece,
-        Some(acc) => partir_ir::kernels::fold_reduce(acc, &piece, reduce)?,
-    }))
+    Ok((sched, slices))
 }
 
 /// Payload-size cutoff below which `all_reduce` uses the latency-optimal
 /// leader algorithm instead of scatter-reduce + ring gather.
 ///
-/// In-process channels move `Arc`-backed literals by refcount, so a
-/// full-payload send costs the same as a chunk send; the ring's only
-/// remaining virtue is distributing the fold across device threads,
-/// which pays off only once the fold outweighs the extra `~2(k-1)²`
-/// messages and `~2k·n` chunk-extraction/reassembly copies per group.
+/// Messages are moved, not copied, through in-process channels, so a
+/// full-payload send costs the same copy out of the arena as the chunks
+/// of it; the ring's only remaining virtue is distributing the fold
+/// across device threads, which pays off only once the fold outweighs
+/// the extra `~2(k-1)²` messages per group.
 pub(crate) const LEADER_ALL_REDUCE_MAX_BYTES: usize = 256 * 1024;
 
-/// Leader-based single-axis all-reduce for small payloads: every member
-/// sends its full payload to the group leader (position 0) — a zero-copy
-/// `Arc` transfer — the leader folds them linearly in coordinate order
-/// (own value first, exactly the specification's fold), then broadcasts the
-/// result back as refcount bumps. `2(k-1)` messages and `2(k-1)·n`
-/// attributed bytes per group, no chunk copies.
-fn axis_leader_all_reduce<E: Exchange>(
-    ex: &mut E,
-    stage: &AxisStage,
-    tag: u32,
-    reduce: ReduceOp,
-    val: Literal,
-    eager: bool,
-) -> Result<Literal, RuntimeError> {
-    if val.num_elements() == 0 {
-        return Ok(val);
-    }
-    let (axis, group, my_pos) = (&stage.axis, &stage.group, stage.my_pos);
-    let root = group[0];
-    if my_pos != 0 {
-        if !eager {
-            ex.send(root, axis, tag, val)?;
-        }
-        return ex.recv(root, axis, tag);
-    }
-    let mut acc = Some(val);
-    for &member in &group[1..] {
-        let piece = ex.recv(member, axis, tag)?;
-        acc = fold(acc, piece, reduce)?;
-    }
-    let result = acc.expect("own value folded");
-    for &member in &group[1..] {
-        ex.send(member, axis, tag, result.clone())?;
-    }
-    Ok(result)
+/// How one exchange stage moves and combines data.
+#[derive(Debug)]
+enum Algo {
+    /// `all_reduce` at or below [`LEADER_ALL_REDUCE_MAX_BYTES`]: members
+    /// send their value to the group leader, which folds and broadcasts.
+    Leader(ReduceOp),
+    /// `all_reduce` above it: flat chunks scatter-reduced to distributed
+    /// roots, then a ring all-gather of the reduced chunks.
+    Chunked(ReduceOp),
+    /// Ring all-gather (`all_gather`; the multi-axis `all_to_all`'s
+    /// gathers): blocks forwarded around the group, then `join`ed in
+    /// coordinate order.
+    Ring { join: SliceKernel },
+    /// `reduce_scatter`: each member's `piece` for its owner sent
+    /// directly, folded by the owner in coordinate order.
+    Scatter { piece: Piece, reduce: ReduceOp },
+    /// Single-axis `all_to_all`: each member's `piece` for its owner sent
+    /// directly, `join`ed by the owner in coordinate order.
+    Exchange {
+        piece: Piece,
+        join: Box<SliceKernel>,
+    },
 }
 
-/// Single-axis all-reduce: leader-based below
-/// [`LEADER_ALL_REDUCE_MAX_BYTES`]; otherwise two-phase — scatter-reduce
-/// to distributed roots (root `j` folds chunk `j` linearly in coordinate
-/// order), then a ring all-gather of the reduced chunks.
-fn axis_all_reduce<E: Exchange>(
-    ex: &mut E,
-    stage: &AxisStage,
-    tag: u32,
-    reduce: ReduceOp,
-    val: Literal,
-    eager: bool,
-) -> Result<Literal, RuntimeError> {
-    if val.ty().size_bytes() <= LEADER_ALL_REDUCE_MAX_BYTES {
-        return axis_leader_all_reduce(ex, stage, tag, reduce, val, eager);
-    }
-    let (axis, group, my_pos) = (&stage.axis, &stage.group, stage.my_pos);
-    let k = group.len();
-    let n = val.num_elements();
-    let ty = val.ty();
-
-    // Phase 1: every member sends chunk j to root j = group[j]; roots
-    // fold incoming chunks in group (coordinate) order. Skipped when the
-    // start phase already scattered the chunks eagerly.
-    if !eager {
-        scatter_reduce_sends(ex, stage, tag, &val)?;
-    }
-    let mut acc: Option<Literal> = None;
-    if chunk_bounds(n, k, my_pos).0 < chunk_bounds(n, k, my_pos).1 {
-        for (m, &member) in group.iter().enumerate() {
-            let piece = if m == my_pos {
-                flat_chunk(&val, k, my_pos)?.expect("own chunk is non-empty")
-            } else {
-                ex.recv(member, axis, tag)?
-            };
-            acc = fold(acc, piece, reduce)?;
-        }
-    }
-
-    // Phase 2: ring all-gather of the reduced chunks. At step s each
-    // device forwards the chunk originated at position (pos - s) mod k
-    // and receives the one originated at (pos - 1 - s) mod k.
-    let next = group[(my_pos + 1) % k];
-    let prev = group[(my_pos + k - 1) % k];
-    let mut reduced: Vec<Option<Literal>> = vec![None; k];
-    reduced[my_pos] = acc;
-    for s in 0..k - 1 {
-        let send_origin = (my_pos + k - s % k) % k;
-        if let Some(chunk) = &reduced[send_origin] {
-            ex.send(next, axis, tag, chunk.clone())?;
-        }
-        let recv_origin = (my_pos + 2 * k - 1 - s % k) % k;
-        let (lo, hi) = chunk_bounds(n, k, recv_origin);
-        if lo < hi {
-            reduced[recv_origin] = Some(ex.recv(prev, axis, tag)?);
-        }
-    }
-    concat_flat(reduced, &ty)
+/// Chunk `j` of `k` equal chunks along one dimension: a strided view
+/// planned at chunk 0, which is chunk `j` read `j · step` elements
+/// further into the operand.
+#[derive(Debug)]
+struct Piece {
+    kernel: SliceKernel,
+    ty: TensorType,
+    step: usize,
 }
 
-/// Ring all-gather along one axis in dimension `dim`: `k-1` forwarding
-/// steps, then concatenation in coordinate order.
-fn axis_ring_gather<E: Exchange>(
-    ex: &mut E,
-    stage: &AxisStage,
-    tag: u32,
-    val: Literal,
-    eager: bool,
-) -> Result<Literal, RuntimeError> {
-    let (axis, group, my_pos) = (&stage.axis, &stage.group, stage.my_pos);
-    let dim = stage.dim;
-    let k = group.len();
-    let next = group[(my_pos + 1) % k];
-    let prev = group[(my_pos + k - 1) % k];
-    let mut blocks: Vec<Option<Literal>> = vec![None; k];
-    blocks[my_pos] = Some(val);
-    for s in 0..k - 1 {
-        // Step 0 forwards the device-local block — already in flight
-        // when the start phase ran eagerly.
-        if s > 0 || !eager {
-            let send_origin = (my_pos + k - s % k) % k;
-            let block = blocks[send_origin].clone().expect("block received");
-            ex.send(next, axis, tag, block)?;
-        }
-        let recv_origin = (my_pos + 2 * k - 1 - s % k) % k;
-        blocks[recv_origin] = Some(ex.recv(prev, axis, tag)?);
+/// Extent of one of `k` equal chunks of `shape` along `dim`.
+fn chunk_extent(shape: &Shape, dim: usize, k: usize) -> Result<usize, IrError> {
+    let size = shape.dim(dim);
+    if !size.is_multiple_of(k) {
+        return Err(IrError::shape(
+            "all_slice",
+            format!("dim {dim} of size {size} not divisible by {k}"),
+        ));
     }
-    let ordered: Vec<Literal> = blocks
-        .into_iter()
-        .map(|b| b.expect("all blocks received"))
-        .collect();
-    let refs: Vec<&Literal> = ordered.iter().collect();
-    let out = eval_op(&OpKind::Concatenate { dim }, &refs)?;
-    Ok(out.into_iter().next().expect("single result"))
+    Ok(size / k)
 }
 
-/// Direct-exchange reduce-scatter along one axis in dimension `dim`:
-/// every member sends slice `j` to the member at position `j`, which
-/// folds its incoming slices linearly in coordinate order.
-fn axis_reduce_scatter<E: Exchange>(
-    ex: &mut E,
-    stage: &AxisStage,
-    tag: u32,
-    reduce: ReduceOp,
-    val: Literal,
-    eager: bool,
-) -> Result<Literal, RuntimeError> {
-    let (axis, group, my_pos) = (&stage.axis, &stage.group, stage.my_pos);
-    let dim = stage.dim;
-    let k = group.len();
-    if !eager {
-        slice_exchange_sends(ex, stage, tag, &val)?;
-    }
-    let mut acc: Option<Literal> = None;
-    for (m, &member) in group.iter().enumerate() {
-        let piece = if m == my_pos {
-            slice_chunk(&val, dim, my_pos, k)?
-        } else {
-            ex.recv(member, axis, tag)?
+impl Piece {
+    /// Plans the `k` chunks of `ty` along `dim`.
+    fn plan(ty: &TensorType, dim: usize, k: usize) -> Result<Self, IrError> {
+        let chunk = chunk_extent(&ty.shape, dim, k)?;
+        let in_strides = ty.shape.strides();
+        let step = chunk * in_strides[dim];
+        let ty = TensorType::new(ty.shape.with_dim(dim, chunk), ty.dtype);
+        let kernel = SliceKernel::Strided {
+            out_dims: ty.shape.dims().to_vec(),
+            in_strides,
+            base: 0,
         };
-        acc = fold(acc, piece, reduce)?;
+        Ok(Piece { kernel, ty, step })
     }
-    Ok(acc.expect("group is non-empty"))
+
+    /// Chunk `j` of `src`, as a payload.
+    fn cut(&self, src: Buf<'_>, j: usize) -> Result<Literal, RuntimeError> {
+        let mut piece = Literal::zeros(&self.ty);
+        strided_into(&self.kernel, src, j * self.step, piece.as_buf_mut())?;
+        Ok(piece)
+    }
 }
 
-/// Direct pairwise all-to-all over one axis: member `i` sends its
-/// `dst_dim` slice `j` to member `j` and concatenates what it receives
-/// along `src_dim` in coordinate order.
-fn axis_all_to_all<E: Exchange>(
-    ex: &mut E,
-    stage: &AxisStage,
-    tag: u32,
-    src_dim: usize,
-    dst_dim: usize,
-    val: Literal,
-    eager: bool,
-) -> Result<Literal, RuntimeError> {
-    let (axis, group, my_pos) = (&stage.axis, &stage.group, stage.my_pos);
-    let k = group.len();
-    if !eager {
-        slice_exchange_sends(ex, stage, tag, &val)?;
+/// Runs a strided view planned at offset 0 from offset `base` of `src`.
+fn strided_into(
+    kernel: &SliceKernel,
+    src: Buf<'_>,
+    base: usize,
+    dst: BufMut<'_>,
+) -> Result<(), RuntimeError> {
+    Ok(kernel.run([src.slice(base..src.len())], dst)?)
+}
+
+/// One exchange stage of a collective, planned for every device at once.
+#[derive(Debug)]
+struct StagePlan {
+    /// The stage's input: the operand, or the previous stage's result.
+    in_ty: TensorType,
+    /// The stage's result.
+    out_ty: TensorType,
+    algo: Algo,
+}
+
+/// The device-independent half of a compiled collective: how each
+/// exchange stage cuts its input and combines what it receives, planned
+/// once against the operand type by [`plan_collective`]. Each device's
+/// [`CollSched`] supplies its groups, positions and slice offset.
+#[derive(Debug)]
+pub(crate) struct CollKernels {
+    /// Parallel to every device's [`CollSched::stages`].
+    stages: Vec<StagePlan>,
+    /// The trailing device-local slice (`all_slice`, the multi-axis
+    /// `all_to_all`) as one strided view at offset 0, and its type.
+    slice: Option<(SliceKernel, TensorType)>,
+    /// The operand type.
+    in_ty: TensorType,
+}
+
+impl CollKernels {
+    /// This device's piece of `src` under the trailing local slice — all
+    /// of `src` when there is none — written to `dst`.
+    fn cut_into(
+        &self,
+        src: Buf<'_>,
+        sched: &CollSched,
+        dst: BufMut<'_>,
+    ) -> Result<(), RuntimeError> {
+        match &self.slice {
+            Some((kernel, _)) => strided_into(kernel, src, sched.slice_base, dst),
+            None => copy(src, dst),
+        }
     }
-    let mut parts: Vec<Literal> = Vec::with_capacity(k);
-    for (j, &peer) in group.iter().enumerate() {
-        parts.push(if j == my_pos {
-            slice_chunk(&val, dst_dim, my_pos, k)?
-        } else {
-            ex.recv(peer, axis, tag)?
+}
+
+fn copy(src: Buf<'_>, dst: BufMut<'_>) -> Result<(), RuntimeError> {
+    Ok(SliceKernel::Copy.run([src], dst)?)
+}
+
+/// Plans one collective over `mesh` for an operand of type `ty`: the
+/// kernels every device shares, and each device's schedule.
+///
+/// # Errors
+///
+/// Fails if the collective references an axis missing from the mesh or
+/// splits a dimension its axes do not divide.
+pub(crate) fn plan_collective(
+    c: &Collective,
+    ty: &TensorType,
+    mesh: &Mesh,
+) -> Result<(CollKernels, Vec<CollSched>), IrError> {
+    let (mut scheds, slices): (Vec<_>, Vec<_>) = (0..mesh.num_devices())
+        .map(|d| schedule_collective(c, mesh, d))
+        .collect::<Result<Vec<_>, _>>()?
+        .into_iter()
+        .unzip();
+    // Every device runs the same stages — axes, dims and group sizes —
+    // in the same order, so device 0's fix every stage's types.
+    let mut cur = ty.clone();
+    let mut stages = Vec::new();
+    for stage in &scheds[0].stages {
+        let k = stage.group.len();
+        let join = |ty: &TensorType, dim: usize| {
+            SliceKernel::plan(&OpKind::Concatenate { dim }, &vec![ty.clone(); k])
+        };
+        let (algo, out_ty) = match c {
+            Collective::AllReduce { reduce, .. } => {
+                let algo = if cur.size_bytes() <= LEADER_ALL_REDUCE_MAX_BYTES {
+                    Algo::Leader(*reduce)
+                } else {
+                    Algo::Chunked(*reduce)
+                };
+                (algo, cur.clone())
+            }
+            Collective::ReduceScatter { reduce, .. } => {
+                let piece = Piece::plan(&cur, stage.dim, k)?;
+                let out_ty = piece.ty.clone();
+                let reduce = *reduce;
+                (Algo::Scatter { piece, reduce }, out_ty)
+            }
+            Collective::AllToAll { src_dim, axes, .. } if axes.len() == 1 => {
+                let piece = Piece::plan(&cur, stage.dim, k)?;
+                let (join, out_ty) = join(&piece.ty, *src_dim)?;
+                let join = Box::new(join);
+                (Algo::Exchange { piece, join }, out_ty)
+            }
+            // `all_gather`, and the gathers of a multi-axis `all_to_all`
+            // (`all_slice` has no stages).
+            _ => {
+                let (join, out_ty) = join(&cur, stage.dim)?;
+                (Algo::Ring { join }, out_ty)
+            }
+        };
+        let in_ty = std::mem::replace(&mut cur, out_ty.clone());
+        stages.push(StagePlan {
+            in_ty,
+            out_ty,
+            algo,
         });
     }
-    let refs: Vec<&Literal> = parts.iter().collect();
-    let out = eval_op(&OpKind::Concatenate { dim: src_dim }, &refs)?;
-    Ok(out.into_iter().next().expect("single result"))
+    let mut slice = None;
+    for (sched, cuts) in scheds.iter_mut().zip(&slices) {
+        if cuts.is_empty() {
+            continue;
+        }
+        // The slices, applied in order, compose into one strided view of
+        // the stages' result; only its offset differs per device.
+        let strides = cur.shape.strides();
+        let mut shape = cur.shape.clone();
+        for &(dim, k, coord) in cuts {
+            let chunk = chunk_extent(&shape, dim, k)?;
+            sched.slice_base += coord * chunk * strides[dim];
+            shape = shape.with_dim(dim, chunk);
+        }
+        slice.get_or_insert_with(|| {
+            let kernel = SliceKernel::Strided {
+                out_dims: shape.dims().to_vec(),
+                in_strides: strides,
+                base: 0,
+            };
+            (kernel, TensorType::new(shape, cur.dtype))
+        });
+    }
+    let kernels = CollKernels {
+        stages,
+        slice,
+        in_ty: ty.clone(),
+    };
+    Ok((kernels, scheds))
 }
 
-/// Device-local slicing (no communication): applies the schedule's
-/// precomputed `(dim, k, coord)` slices in order.
-fn apply_slices(
-    slices: &[(usize, usize, usize)],
-    mut val: Literal,
-) -> Result<Literal, RuntimeError> {
-    for &(d, k, c) in slices {
-        val = slice_chunk(&val, d, c, k)?;
+/// In-flight state of a collective between its start and its wait: what
+/// the wait still needs of this device's own operand, copied out of the
+/// arena at the start (the operand's range may be recycled meanwhile).
+#[derive(Debug)]
+pub(crate) struct CollPending {
+    own: Option<Literal>,
+}
+
+/// The *start* phase of one collective: issues every send of the first
+/// exchange stage, without receiving anything, and keeps the piece of
+/// the operand its own wait needs. What it copies out of `src` — the
+/// device's arena slot — is exactly that: the payloads that leave the
+/// device and its own block, piece or chunk. Overlapped plans run this as
+/// soon as the operand is ready, so the payloads are in flight while the
+/// thread keeps computing; all receives (and every later stage) happen
+/// in [`wait_scheduled`] at the first consuming step.
+pub(crate) fn start_scheduled<E: Exchange>(
+    kernels: &CollKernels,
+    ex: &mut E,
+    sched: &CollSched,
+    tag: u32,
+    src: Buf<'_>,
+) -> Result<CollPending, RuntimeError> {
+    let own = match (sched.stages.first(), kernels.stages.first()) {
+        (Some(stage), Some(plan)) => stage_sends(ex, stage, plan, tag, src)?,
+        // Nothing to exchange (`all_slice`, or only size-1 axes): keep the
+        // device's piece.
+        _ => {
+            let ty = kernels.slice.as_ref().map_or(&kernels.in_ty, |(_, ty)| ty);
+            let mut piece = Literal::zeros(ty);
+            kernels.cut_into(src, sched, piece.as_buf_mut())?;
+            Some(piece)
+        }
+    };
+    Ok(CollPending { own })
+}
+
+/// The *wait* (rendezvous/completion) phase of one collective: receives
+/// what the peers sent, runs every stage after the first, and writes the
+/// device's result into `dst`, its arena slot. The last stage folds or
+/// joins straight into `dst`; an earlier stage's result is a `Literal`,
+/// because it is the next stage's payload. Folds and joins follow mesh
+/// coordinates, so the result is bit-identical to the specification
+/// ([`crate::apply_collective`]) under any interleaving.
+pub(crate) fn wait_scheduled<E: Exchange>(
+    kernels: &CollKernels,
+    ex: &mut E,
+    sched: &CollSched,
+    tag: u32,
+    pending: CollPending,
+    dst: BufMut<'_>,
+) -> Result<(), RuntimeError> {
+    let mut own = pending.own;
+    let last = sched.stages.len();
+    for (i, (stage, plan)) in sched.stages.iter().zip(&kernels.stages).enumerate() {
+        if i + 1 == last && kernels.slice.is_none() {
+            return stage_finish(ex, stage, plan, tag, own, dst);
+        }
+        let mut val = Literal::zeros(&plan.out_ty);
+        stage_finish(ex, stage, plan, tag, own, val.as_buf_mut())?;
+        own = match (sched.stages.get(i + 1), kernels.stages.get(i + 1)) {
+            (Some(next), Some(next_plan)) => stage_sends(ex, next, next_plan, tag, val.as_buf())?,
+            // Only the trailing slice follows the last stage here.
+            _ => return kernels.cut_into(val.as_buf(), sched, dst),
+        };
     }
-    Ok(val)
+    copy(taken(own)?.as_buf(), dst)
+}
+
+fn taken(own: Option<Literal>) -> Result<Literal, RuntimeError> {
+    own.ok_or_else(|| invalid("collective wait without its own piece"))
+}
+
+/// The sends of one exchange stage — everything that depends only on the
+/// stage's input `src` — and the piece of `src` the stage's own
+/// [`stage_finish`] needs.
+fn stage_sends<E: Exchange>(
+    ex: &mut E,
+    stage: &AxisStage,
+    plan: &StagePlan,
+    tag: u32,
+    src: Buf<'_>,
+) -> Result<Option<Literal>, RuntimeError> {
+    let (axis, group, my_pos) = (&stage.axis, &stage.group, stage.my_pos);
+    let k = group.len();
+    match &plan.algo {
+        Algo::Leader(_) => {
+            if src.is_empty() {
+                return Ok(None);
+            }
+            let value = Literal::from_buf(src, plan.in_ty.shape.clone())?;
+            if my_pos == 0 {
+                return Ok(Some(value));
+            }
+            ex.send(group[0], axis, tag, value)?;
+            Ok(None)
+        }
+        Algo::Chunked(_) => {
+            // Chunk j goes to root j = group[j]; the root keeps its own.
+            let mut own = None;
+            for (j, &root) in group.iter().enumerate() {
+                let (lo, hi) = chunk_bounds(src.len(), k, j);
+                if lo == hi {
+                    continue;
+                }
+                let chunk = Literal::from_buf(src.slice(lo..hi), [hi - lo])?;
+                if j == my_pos {
+                    own = Some(chunk);
+                } else {
+                    ex.send(root, axis, tag, chunk)?;
+                }
+            }
+            Ok(own)
+        }
+        Algo::Ring { .. } => {
+            // Step 0 of the ring forwards the device's own block.
+            let block = Literal::from_buf(src, plan.in_ty.shape.clone())?;
+            ex.send(group[(my_pos + 1) % k], axis, tag, block.clone())?;
+            Ok(Some(block))
+        }
+        Algo::Scatter { piece, .. } | Algo::Exchange { piece, .. } => {
+            for (j, &peer) in group.iter().enumerate() {
+                if j != my_pos {
+                    ex.send(peer, axis, tag, piece.cut(src, j)?)?;
+                }
+            }
+            Ok(Some(piece.cut(src, my_pos)?))
+        }
+    }
+}
+
+/// The rest of one exchange stage: receives everything its peers sent,
+/// folds or joins it with `own` in coordinate order, and writes the
+/// stage's result to `out`.
+fn stage_finish<E: Exchange>(
+    ex: &mut E,
+    stage: &AxisStage,
+    plan: &StagePlan,
+    tag: u32,
+    mut own: Option<Literal>,
+    mut out: BufMut<'_>,
+) -> Result<(), RuntimeError> {
+    let (axis, group, my_pos) = (&stage.axis, &stage.group, stage.my_pos);
+    let k = group.len();
+    let (next, prev) = (group[(my_pos + 1) % k], group[(my_pos + k - 1) % k]);
+    // Member `m`'s contribution: this device's own piece or a receive.
+    let mut piece_of = |ex: &mut E, m: usize| {
+        if m == my_pos {
+            taken(own.take())
+        } else {
+            ex.recv(group[m], axis, tag)
+        }
+    };
+    match &plan.algo {
+        Algo::Leader(reduce) => {
+            if out.is_empty() {
+                return Ok(());
+            }
+            if my_pos != 0 {
+                return copy(ex.recv(group[0], axis, tag)?.as_buf(), out);
+            }
+            // The leader folds every member's value into its own, in
+            // coordinate order, then broadcasts one shared payload.
+            let mut acc = piece_of(ex, 0)?;
+            for m in 1..k {
+                fold_reduce(*reduce, acc.as_buf_mut(), piece_of(ex, m)?.as_buf())?;
+            }
+            for &member in &group[1..] {
+                ex.send(member, axis, tag, acc.clone())?;
+            }
+            copy(acc.as_buf(), out)
+        }
+        Algo::Chunked(reduce) => {
+            let n = out.len();
+            // Phase 1: root `my_pos` folds every member's chunk `my_pos`
+            // in coordinate order.
+            let (lo, hi) = chunk_bounds(n, k, my_pos);
+            let mut reduced: Option<Literal> = None;
+            if lo < hi {
+                for m in 0..k {
+                    let piece = piece_of(ex, m)?;
+                    reduced = Some(match reduced {
+                        None => piece,
+                        Some(mut acc) => {
+                            fold_reduce(*reduce, acc.as_buf_mut(), piece.as_buf())?;
+                            acc
+                        }
+                    });
+                }
+            }
+            // Phase 2: ring all-gather of the reduced chunks, each written
+            // to its range of `out` as it arrives. At step s a device
+            // forwards the chunk it received at step s - 1 (its own at
+            // step 0) and receives the one originated at (pos - 1 - s).
+            let mut forward = reduced;
+            if let Some(chunk) = &forward {
+                copy(chunk.as_buf(), out.slice(lo..hi))?;
+            }
+            for s in 0..k - 1 {
+                if let Some(chunk) = &forward {
+                    ex.send(next, axis, tag, chunk.clone())?;
+                }
+                let (lo, hi) = chunk_bounds(n, k, (my_pos + k - 1 - s) % k);
+                forward = None;
+                if lo < hi {
+                    let chunk = ex.recv(prev, axis, tag)?;
+                    copy(chunk.as_buf(), out.slice(lo..hi))?;
+                    forward = Some(chunk);
+                }
+            }
+            Ok(())
+        }
+        Algo::Ring { join } => {
+            let mut blocks: Vec<Option<Literal>> = vec![None; k];
+            blocks[my_pos] = own.take();
+            for s in 0..k - 1 {
+                // Step 0's send — the own block — left at the start.
+                if s > 0 {
+                    let block = blocks[(my_pos + k - s) % k].clone();
+                    ex.send(next, axis, tag, taken(block)?)?;
+                }
+                blocks[(my_pos + k - 1 - s) % k] = Some(ex.recv(prev, axis, tag)?);
+            }
+            Ok(join.run(blocks.iter().flatten().map(Literal::as_buf), out)?)
+        }
+        Algo::Scatter { reduce, .. } => {
+            copy(piece_of(ex, 0)?.as_buf(), out.reborrow())?;
+            for m in 1..k {
+                fold_reduce(*reduce, out.reborrow(), piece_of(ex, m)?.as_buf())?;
+            }
+            Ok(())
+        }
+        Algo::Exchange { join, .. } => {
+            let parts = (0..k)
+                .map(|m| piece_of(ex, m))
+                .collect::<Result<Vec<_>, _>>()?;
+            Ok(join.run(parts.iter().map(Literal::as_buf), out)?)
+        }
+    }
 }
 
 // ---- Traffic prediction -------------------------------------------------

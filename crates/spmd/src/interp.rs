@@ -10,9 +10,10 @@
 //! threaded runtime ([`crate::runtime`]).
 //!
 //! [`shard_value`] and [`unshard_value`] move global values to and from
-//! their per-device shards under a sharding context, and
-//! [`slice_chunk`] is the one chunk extraction both they and the
-//! collectives use.
+//! their per-device shards under a sharding context; [`slice_chunk`] is
+//! the chunk extraction both they and the specification use. (The
+//! collectives themselves cut chunks with views planned when their plan
+//! is compiled, [`crate::collectives`].)
 
 use partir_core::{ShardKind, ValueCtx};
 use partir_ir::kernels::SliceKernel;
@@ -150,11 +151,9 @@ fn all_gather(
     Ok(vals)
 }
 
-/// Chunk `c` of the `k` equal chunks of `lit` along `dim`. Every stage of
-/// every collective on a device thread takes one, so the chunk is handed
-/// to the strided-gather kernel as the view it is (offset `c · chunk`
-/// rows of `dim` into the operand, the operand's own strides) instead of
-/// being spelled as a `slice` op for `eval_op` to infer and plan again.
+/// Chunk `c` of the `k` equal chunks of `lit` along `dim`, handed to the
+/// strided-gather kernel as the view it is (offset `c · chunk` rows of
+/// `dim` into the operand, the operand's own strides).
 pub(crate) fn slice_chunk(
     lit: &Literal,
     dim: usize,

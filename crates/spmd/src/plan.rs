@@ -16,9 +16,10 @@
 //!   [`partir_analysis::static_peak_bound`] (hierarchically per region,
 //!   so loop-carried storage is never reused across iterations) and each
 //!   intermediate gets a fixed slot in a per-device arena;
-//! * collective schedules ([`crate::collectives`]) are wired ahead of
-//!   time per device: rendezvous partners, staging order and per-axis
-//!   chunking are all resolved at compile time.
+//! * collectives ([`crate::collectives`]) are planned ahead of time:
+//!   rendezvous partners and staging order per device, and once for all
+//!   devices the kernels that cut a stage's pieces out of the arena and
+//!   fold or join what arrives into the result's slot.
 //!
 //! **What allocates.** After one warm-up run (which sizes the kernels'
 //! per-thread scratch pool), loading inputs and running the *local* steps
@@ -27,13 +28,18 @@
 //! `build_serving` loop and U-Net. (The one exception is a kernel step
 //! with more than eight operands — a wide `concatenate` — whose operand
 //! views [`SliceKernel::run`] collects into a `Vec`; the zoo has none.)
-//! Not covered: collective steps, which snapshot their operand
-//! into a `Literal` payload and receive fresh ones (messages own their
-//! data); `read_outputs`, which materialises results for the caller; and
-//! what the threaded runtime sets up around the plan on every run —
-//! channels and one thread per device. The arenas themselves are resident:
-//! the plan owns one [`PlanExecutor`] per device, allocated on the first
-//! run and reused by every later one.
+//! A collective allocates what a message must own: the payloads its start
+//! copies out of the arena, the one piece of its own operand its wait
+//! needs later, and, in a collective with several stages, each earlier
+//! stage's result (the next stage's payload); a gather or an `all_to_all`
+//! also collects its blocks' handles in a `Vec`. Its last stage folds or
+//! joins straight into the destination slot. `plan_alloc.rs` bounds the
+//! whole second `run_plan` of the 2×2 decode step. Beyond the
+//! collectives, a run allocates `read_outputs`' results for the caller
+//! and what the threaded runtime sets up around the plan — channels and
+//! one thread per device. The arenas themselves are resident: the plan
+//! owns one [`PlanExecutor`] per device, allocated on the first run and
+//! reused by every later one.
 //!
 //! An op or operand dtype [`SliceKernel::plan`] has no semantics for
 //! (integer `pow`, a `pred` binary, a non-`f32` dot) is refused here, at
@@ -64,12 +70,12 @@ use partir_analysis::Diagnostic;
 use partir_ir::interp::eval_op;
 use partir_ir::kernels::{apply_bin, apply_un, Buf, BufMut, SliceKernel};
 use partir_ir::{
-    BinaryOp, Collective, DType, Func, IrError, Literal, OpId, OpKind, TensorType, UnaryOp, ValueId,
+    BinaryOp, DType, Func, IrError, Literal, OpId, OpKind, TensorType, UnaryOp, ValueId,
 };
 use partir_mesh::Mesh;
 
 use crate::collectives::{
-    schedule_collective, start_scheduled, wait_scheduled, CollPending, CollSched, Exchange,
+    plan_collective, start_scheduled, wait_scheduled, CollKernels, CollPending, CollSched, Exchange,
 };
 use crate::runtime::RuntimeError;
 
@@ -322,16 +328,18 @@ struct ForStep {
     bypass: Vec<(Slot, Slot)>,
 }
 
-/// The *start* phase of a collective: snapshots the operand and issues
-/// the first stage's input-dependent sends eagerly
-/// ([`start_scheduled`]). Paired with the [`CollWaitStep`] carrying the
-/// same `tag`; the in-flight state travels through
-/// [`PlanExecutor::pending`].
+/// The *start* phase of a collective: issues the first stage's
+/// input-dependent sends, copying out of the operand's slot only the
+/// payloads and the device's own piece ([`start_scheduled`]). Paired
+/// with the [`CollWaitStep`] carrying the same `tag`; the in-flight state
+/// travels through [`PlanExecutor::pending`].
 #[derive(Debug, Clone)]
 struct CollStartStep {
-    kind: Collective,
+    /// The kernels every device runs for this collective, planned once
+    /// — shared with the paired wait step.
+    kernels: Arc<CollKernels>,
     /// `scheds[d]` is device `d`'s staging order, rendezvous groups and
-    /// local slice chain — shared with the paired wait step.
+    /// local slice offset — shared with the paired wait step.
     scheds: Arc<Vec<CollSched>>,
     /// Message tag of this collective instance (also its
     /// [`PlanExecutor::pending`] index), unique per static collective
@@ -339,18 +347,17 @@ struct CollStartStep {
     /// device issues a tag's messages in the same program order.
     tag: u32,
     src: Slot,
-    src_ty: TensorType,
     /// Timeline span name, `coll.start.<tag>` — paired with the wait
     /// span by tag when reconciling measured overlap.
     span: String,
 }
 
 /// The *wait* (rendezvous/completion) phase of a collective: receives
-/// and folds what the peers sent and writes the device-local result
-/// ([`wait_scheduled`]).
+/// what the peers sent and folds or joins it straight into the result's
+/// slot ([`wait_scheduled`]).
 #[derive(Debug, Clone)]
 struct CollWaitStep {
-    kind: Collective,
+    kernels: Arc<CollKernels>,
     scheds: Arc<Vec<CollSched>>,
     tag: u32,
     dst: Slot,
@@ -756,7 +763,7 @@ impl CompiledPlan {
                     lit.ty()
                 ))));
             }
-            write_slot(st, slot, lit)?;
+            write_slot(st, *slot, lit)?;
         }
         Ok(())
     }
@@ -786,7 +793,7 @@ impl CompiledPlan {
         self.result_slots
             .iter()
             .zip(&self.result_tys)
-            .map(|(slot, ty)| read_slot(st, slot, ty))
+            .map(|(slot, ty)| read_slot(st, *slot, ty))
             .collect()
     }
 
@@ -1239,13 +1246,10 @@ impl<'f> Compiler<'f> {
             }
             OpKind::For { trip_count } => self.emit_for(op_id, *trip_count, out, scope)?,
             OpKind::Collective(c) => {
-                let scheds: Arc<Vec<CollSched>> = Arc::new(
-                    (0..self.mesh.num_devices())
-                        .map(|d| schedule_collective(c, self.mesh, d))
-                        .collect::<Result<_, _>>()?,
-                );
+                let (kernels, scheds) =
+                    plan_collective(c, self.func.value_type(op.operands[0]), self.mesh)?;
+                let (kernels, scheds) = (Arc::new(kernels), Arc::new(scheds));
                 let src = self.slot_of(op.operands[0])?;
-                let src_ty = self.func.value_type(op.operands[0]).clone();
                 let dst = self.alloc_value(op.results[0]);
                 scope.add(op.results[0]);
                 let tag = self.next_tag;
@@ -1271,11 +1275,10 @@ impl<'f> Compiler<'f> {
                 // pass hoists the start and sinks the wait afterwards.
                 out.push(
                     Step::CollStart(Box::new(CollStartStep {
-                        kind: c.clone(),
+                        kernels: kernels.clone(),
                         scheds: scheds.clone(),
                         tag,
                         src,
-                        src_ty,
                         span: format!("coll.start.{tag}"),
                     })),
                     StepView::CollStart {
@@ -1285,7 +1288,7 @@ impl<'f> Compiler<'f> {
                 );
                 out.push(
                     Step::CollWait(Box::new(CollWaitStep {
-                        kind: c.clone(),
+                        kernels,
                         scheds,
                         tag,
                         dst,
@@ -1460,8 +1463,8 @@ fn any_conflict(xs: &[Slot], ys: &[Slot]) -> bool {
 /// Arena ranges a step reads and writes, conservatively: `For` steps
 /// account for their whole body plus entry/carry/exit/bypass copies, so
 /// nothing ever moves across a dependency hidden in a nested region.
-/// Collective starts read only their operand (the in-flight snapshot is
-/// executor-private); waits write only their result.
+/// Collective starts read only their operand (what they copy out of it
+/// is executor-private); waits write only their result.
 fn step_effects(step: &Step, reads: &mut Vec<Slot>, writes: &mut Vec<Slot>) {
     match step {
         Step::Baked(b) => writes.push(b.dst),
@@ -1806,26 +1809,33 @@ fn run_eltwise(pool: &mut [f32], e: &EltwiseStep) {
     }
 }
 
-fn read_slot(st: &PlanExecutor, slot: &Slot, ty: &TensorType) -> Result<Literal, RuntimeError> {
-    let lit = match slot.dtype {
-        DType::F32 => Literal::from_f32(
-            st.f32s[slot.off..slot.off + slot.len].to_vec(),
-            ty.shape.clone(),
-        ),
-        DType::I32 => Literal::from_i32(
-            st.i32s[slot.off..slot.off + slot.len].to_vec(),
-            ty.shape.clone(),
-        ),
-        DType::Pred => Literal::from_pred(
-            st.preds[slot.off..slot.off + slot.len].to_vec(),
-            ty.shape.clone(),
-        ),
+/// A slot's elements.
+fn slot_buf(st: &PlanExecutor, s: Slot) -> Buf<'_> {
+    let range = s.off..s.off + s.len;
+    match s.dtype {
+        DType::F32 => Buf::F32(&st.f32s[range]),
+        DType::I32 => Buf::I32(&st.i32s[range]),
+        DType::Pred => Buf::Pred(&st.preds[range]),
         dt => unreachable!("plan: unsupported dtype {dt}"),
-    };
-    lit.map_err(RuntimeError::Ir)
+    }
 }
 
-fn write_slot(st: &mut PlanExecutor, slot: &Slot, lit: &Literal) -> Result<(), RuntimeError> {
+/// A slot's elements, for writing.
+fn slot_buf_mut(st: &mut PlanExecutor, s: Slot) -> BufMut<'_> {
+    let range = s.off..s.off + s.len;
+    match s.dtype {
+        DType::F32 => BufMut::F32(&mut st.f32s[range]),
+        DType::I32 => BufMut::I32(&mut st.i32s[range]),
+        DType::Pred => BufMut::Pred(&mut st.preds[range]),
+        dt => unreachable!("plan: unsupported dtype {dt}"),
+    }
+}
+
+fn read_slot(st: &PlanExecutor, slot: Slot, ty: &TensorType) -> Result<Literal, RuntimeError> {
+    Ok(Literal::from_buf(slot_buf(st, slot), ty.shape.clone())?)
+}
+
+fn write_slot(st: &mut PlanExecutor, slot: Slot, lit: &Literal) -> Result<(), RuntimeError> {
     if lit.num_elements() != slot.len {
         return Err(RuntimeError::Ir(IrError::invalid(format!(
             "plan: payload has {} elements, slot holds {}",
@@ -1833,16 +1843,7 @@ fn write_slot(st: &mut PlanExecutor, slot: &Slot, lit: &Literal) -> Result<(), R
             slot.len
         ))));
     }
-    match slot.dtype {
-        DType::F32 => st.f32s[slot.off..slot.off + slot.len]
-            .copy_from_slice(lit.as_f32().map_err(RuntimeError::Ir)?),
-        DType::I32 => st.i32s[slot.off..slot.off + slot.len]
-            .copy_from_slice(lit.as_i32().map_err(RuntimeError::Ir)?),
-        DType::Pred => st.preds[slot.off..slot.off + slot.len]
-            .copy_from_slice(lit.as_pred().map_err(RuntimeError::Ir)?),
-        dt => unreachable!("plan: unsupported dtype {dt}"),
-    }
-    Ok(())
+    Ok(SliceKernel::Copy.run([lit.as_buf()], slot_buf_mut(st, slot))?)
 }
 
 fn copy_slot(st: &mut PlanExecutor, src: Slot, dst: Slot) {
@@ -1946,19 +1947,21 @@ fn run_steps<E: Exchange>(
                 }
             }
             Step::CollStart(cs) => {
-                // Snapshot the operand (read_slot copies out of the
-                // arena) and put the first stage's sends in flight; the
-                // arena range is free to be recycled immediately.
-                let val = read_slot(st, &cs.src, &cs.src_ty)?;
-                let pending = start_scheduled(&cs.kind, ex, &cs.scheds[ex.device()], cs.tag, val)?;
+                // Put the first stage's sends in flight, keeping what the
+                // wait needs; the arena range is free to be recycled
+                // immediately.
+                let sched = &cs.scheds[ex.device()];
+                let src = slot_buf(st, cs.src);
+                let pending = start_scheduled(&cs.kernels, ex, sched, cs.tag, src)?;
                 st.pending[cs.tag as usize] = Some(pending);
             }
             Step::CollWait(cw) => {
                 let pending = st.pending[cw.tag as usize].take().ok_or_else(|| {
                     RuntimeError::Ir(IrError::invalid("collective wait without start"))
                 })?;
-                let out = wait_scheduled(&cw.kind, ex, &cw.scheds[ex.device()], cw.tag, pending)?;
-                write_slot(st, &cw.dst, &out)?;
+                let sched = &cw.scheds[ex.device()];
+                let dst = slot_buf_mut(st, cw.dst);
+                wait_scheduled(&cw.kernels, ex, sched, cw.tag, pending, dst)?;
             }
             Step::Kernel(k) => run_kernel(st, k).map_err(RuntimeError::Ir)?,
         }
@@ -1969,7 +1972,7 @@ fn run_steps<E: Exchange>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use partir_ir::FuncBuilder;
+    use partir_ir::{Collective, FuncBuilder};
 
     fn single_mesh() -> Mesh {
         Mesh::single("B", 1).unwrap()

@@ -362,10 +362,10 @@ struct Message {
     /// FNV-1a over the payload, computed before fault injection; 0 when
     /// checksumming is disarmed (see [`RuntimeConfig::checksums_armed`]).
     checksum: u64,
-    /// The tensor itself. `Literal` buffers are `Arc`-backed, so moving
-    /// one through a channel (and the send-side `clone()` in ring
-    /// collectives) transfers a refcount, not the data — payloads are
-    /// zero-copy end to end.
+    /// The tensor itself, copied once, out of the sender's arena.
+    /// `Literal` buffers are `Arc`-backed, so moving one through a
+    /// channel (and forwarding it around a ring, or broadcasting it)
+    /// transfers a refcount, not the data.
     payload: Literal,
 }
 
@@ -749,7 +749,7 @@ impl Exchange for DeviceLinks<'_> {
             poison(&mut payload);
         }
         self.sent_total += 1;
-        let bytes = payload.ty().size_bytes() as u64;
+        let bytes = (payload.num_elements() * payload.dtype().size_bytes()) as u64;
         self.stats
             .per_axis
             .entry(axis.clone())
@@ -875,7 +875,7 @@ impl ThreadedRuntime {
                 );
             }
             for (ty, lit) in plan.param_tys().iter().zip(device_inputs) {
-                if &lit.ty() != ty {
+                if lit.dtype() != ty.dtype || lit.shape() != &ty.shape {
                     return Err(IrError::invalid(format!(
                         "device {d} input has type {}, expected {ty}",
                         lit.ty()
@@ -933,7 +933,7 @@ impl ThreadedRuntime {
                 .zip(&mut executors)
                 .enumerate()
                 .map(|(d, ((tx_row, rx_row), state))| {
-                    let my_inputs = inputs[d].clone();
+                    let my_inputs = &inputs[d];
                     let stall = stall_ms[d];
                     let corrupt = corrupt_at[d];
                     let drop_out = dropped[d];
@@ -965,7 +965,7 @@ impl ThreadedRuntime {
                                 traced: partir_obs::current().is_some(),
                                 stats: DeviceCounters::default(),
                             };
-                            let outputs = plan.run_device(&mut links, state, &my_inputs)?;
+                            let outputs = plan.run_device(&mut links, state, my_inputs)?;
                             Ok((outputs, links.stats))
                         };
                         match &collector {

@@ -23,7 +23,10 @@
 //! The threaded runtime is audited for what it promises: it allocates per
 //! run (channels, threads, message payloads, outputs), but never an arena —
 //! the executors are resident on the plan, so the second `run_plan` of a
-//! 2×2 plan makes no allocation as large as the plan's `f32` pool.
+//! 2×2 plan makes no allocation as large as the plan's `f32` pool — and
+//! its collectives run kernels planned at compile time, so the second
+//! `run_plan` of the 2×2 decode step stays under half the allocations it
+//! made when they planned kernels per call.
 //!
 //! The test binary is separate from the other suites so the counter only
 //! ever observes this test's own traffic.
@@ -177,6 +180,43 @@ fn assert_second_run_plan_allocates_no_arena() {
     assert_eq!(first, second);
 }
 
+/// Collectives finish in the arena: the second `run_plan` of the tiny
+/// decode step (`BP+MP+MQ`, 2×2) makes at most half the allocations it
+/// made when every collective copied its whole operand into a `Literal`,
+/// cut each piece with a freshly built kernel, re-planned a
+/// `concatenate` per call and copied its result back through a fresh
+/// `Literal`: 1 418 then, 492 with collectives planned at compile time.
+/// A return to per-call kernel planning fails here.
+fn assert_decode_step_collectives_allocate_little() {
+    const BEFORE: u64 = 1418;
+    let decode = partir_models::itransformer::build_decode_step(&ServingConfig::tiny()).unwrap();
+    let mesh = Mesh::new([(BATCH, 2), (MODEL, 2)]).unwrap();
+    let table = partir_models::schedules::itransformer_table2();
+    let (_, schedule) = table.iter().find(|(name, _)| *name == "BP+MP+MQ").unwrap();
+    let program = partir_jit(
+        &decode.func,
+        &HardwareConfig::tpu_v3_pod(mesh.clone()),
+        schedule,
+    )
+    .unwrap()
+    .program;
+    let plan = program.compile().unwrap();
+    let inputs = partir_models::synthetic_inputs(&decode, 1234);
+    let per_device = program.shard_inputs(&inputs).unwrap();
+    let runtime = ThreadedRuntime::default();
+    // The first run sizes the resident executors and the kernels' scratch.
+    let first = runtime.run_plan(&plan, &per_device).unwrap().outputs;
+    let before = ALLOCS.load(Ordering::SeqCst);
+    let second = runtime.run_plan(&plan, &per_device).unwrap().outputs;
+    let allocs = ALLOCS.load(Ordering::SeqCst) - before;
+    assert_eq!(first, second);
+    assert!(
+        allocs <= BEFORE / 2,
+        "second run_plan of the decode step allocated {allocs} times; the bound is {}",
+        BEFORE / 2
+    );
+}
+
 // One test function: the counters are global, so the audits must not run
 // on concurrent test threads.
 #[test]
@@ -207,4 +247,5 @@ fn steady_state_hot_loop_allocates_nothing() {
     assert_hot_loop_allocates_nothing("build_serving loop", &serving.func, &inputs);
 
     assert_second_run_plan_allocates_no_arena();
+    assert_decode_step_collectives_allocate_little();
 }

@@ -7,16 +7,18 @@
 //!   prediction exactly — the refinement of the `CollectiveStats`
 //!   counts down to bytes and messages.
 //! * For random one-collective programs — every collective kind, random
-//!   shapes and axis orders, on four meshes — a scheduled run must equal
-//!   the collective's whole-mesh specification ([`apply_collective`])
-//!   bit for bit, under several seeds, with traffic equal to the
-//!   prediction.
+//!   shapes, axis orders and operand dtypes, on four meshes — a scheduled
+//!   run must equal the collective's whole-mesh specification
+//!   ([`apply_collective`]) bit for bit, under several seeds, with
+//!   traffic equal to the prediction. Every run after the first finds
+//!   the plan's parked arenas full of garbage, so a wait that leaves any
+//!   element of its result slot unwritten fails.
 //!
 //! [`RuntimeStats`]: partir_spmd::RuntimeStats
 
 use partir_core::Partitioning;
 use partir_ir::interp::interpret;
-use partir_ir::{Collective, FuncBuilder, Literal, ReduceOp, TensorType};
+use partir_ir::{Collective, DType, FuncBuilder, Literal, ReduceOp, TensorType};
 use partir_mesh::{Axis, Mesh};
 use partir_models::mlp::MlpConfig;
 use partir_prng::{propcheck::check, Rng};
@@ -216,11 +218,49 @@ fn random_collective(rng: &mut Rng, mesh: &Mesh) -> (Collective, TensorType, &'s
     }
 }
 
-/// Shape and element bits: equality here is bit-identity (signed zeros
-/// and NaN payloads included), not `f32` equality.
-fn bits(lit: &Literal) -> (Vec<usize>, Vec<u32>) {
-    let data = lit.as_f32().unwrap().iter().map(|v| v.to_bits()).collect();
-    (lit.shape().dims().to_vec(), data)
+/// The dtype of a drawn operand: `f32` or `i32` for the reducing kinds
+/// (`pred` has no fold), any of the three for the others.
+fn random_dtype(rng: &mut Rng, c: &Collective) -> DType {
+    match c {
+        Collective::AllReduce { .. } | Collective::ReduceScatter { .. } => {
+            *rng.choose(&[DType::F32, DType::I32])
+        }
+        _ => *rng.choose(&[DType::F32, DType::I32, DType::Pred]),
+    }
+}
+
+/// A device's operand: `f32` values whose sums depend on the fold order,
+/// `i32` values that overflow when summed (sums wrap), random `pred`s.
+fn random_operand(rng: &mut Rng, ty: &TensorType) -> Literal {
+    let (n, shape) = (ty.shape.num_elements(), ty.shape.clone());
+    match ty.dtype {
+        DType::F32 => {
+            let scale = *rng.choose(&[1e-3f32, 1.0, 1e3]);
+            let data = (0..n).map(|_| (rng.unit_f32() - 0.5) * scale).collect();
+            Literal::from_f32(data, shape)
+        }
+        DType::I32 => Literal::from_i32((0..n).map(|_| rng.next_u64() as i32).collect(), shape),
+        DType::Pred => Literal::from_pred((0..n).map(|_| rng.gen_bool(0.5)).collect(), shape),
+        dt => unreachable!("{dt} is never drawn"),
+    }
+    .unwrap()
+}
+
+/// Shape, dtype and element bits: equality here is bit-identity (signed
+/// zeros and NaN payloads included), not `f32` equality.
+fn bits(lit: &Literal) -> (Vec<usize>, DType, Vec<u32>) {
+    let data = match lit.dtype() {
+        DType::F32 => lit.as_f32().unwrap().iter().map(|v| v.to_bits()).collect(),
+        DType::I32 => lit.as_i32().unwrap().iter().map(|&v| v as u32).collect(),
+        DType::Pred => lit
+            .as_pred()
+            .unwrap()
+            .iter()
+            .map(|&v| u32::from(v))
+            .collect(),
+        dt => unreachable!("{dt} is never drawn"),
+    };
+    (lit.shape().dims().to_vec(), lit.dtype(), data)
 }
 
 #[test]
@@ -232,10 +272,13 @@ fn scheduled_collectives_match_their_specification() {
         Mesh::new([("a", 2), ("b", 2), ("c", 2)]).unwrap(),
     ];
     let mut seen = std::collections::BTreeSet::new();
+    let mut dtypes = std::collections::BTreeSet::new();
     check("scheduled collective == specification", 96, |rng| {
         let mesh = rng.choose(&meshes).clone();
         let (c, ty, case) = random_collective(rng, &mesh);
+        let ty = TensorType::new(ty.shape, random_dtype(rng, &c));
         seen.insert(case);
+        dtypes.insert(ty.dtype.to_string());
         let what = format!("{c:?} of {ty} on {mesh:?}");
         let mut b = FuncBuilder::with_mesh("one", mesh.clone());
         let x = b.param("x", ty.clone());
@@ -250,15 +293,8 @@ fn scheduled_collectives_match_their_specification() {
         };
         let plan =
             CompiledPlan::compile(&func, &mesh, &options).map_err(|e| format!("{what}: {e}"))?;
-        // Values whose sums depend on the fold order.
         let inputs: Vec<Vec<Literal>> = (0..mesh.num_devices())
-            .map(|_| {
-                let scale = *rng.choose(&[1e-3f32, 1.0, 1e3]);
-                let data = (0..ty.shape.num_elements())
-                    .map(|_| (rng.unit_f32() - 0.5) * scale)
-                    .collect();
-                vec![Literal::from_f32(data, ty.shape.clone()).unwrap()]
-            })
+            .map(|_| vec![random_operand(rng, &ty)])
             .collect();
         let spec: Vec<_> =
             apply_collective(&c, &mesh, inputs.iter().map(|d| d[0].clone()).collect())
@@ -268,6 +304,9 @@ fn scheduled_collectives_match_their_specification() {
                 .collect();
         let predicted = predict_traffic(&func, &mesh).unwrap();
         for seed in 0..SPEC_SEEDS {
+            // Garbage in the executors the previous run parked: the result
+            // must not depend on what its slot held before.
+            plan.scribble_parked_executors();
             let run = ThreadedRuntime::default()
                 .run_scheduled(&plan, &inputs, seed)
                 .map_err(|e| format!("{what}, seed {seed}: {e}"))?;
@@ -285,4 +324,5 @@ fn scheduled_collectives_match_their_specification() {
         Ok(())
     });
     assert_eq!(seen.len(), 7, "cases drawn: {seen:?}");
+    assert_eq!(dtypes.len(), 3, "dtypes drawn: {dtypes:?}");
 }
