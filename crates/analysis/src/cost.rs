@@ -181,6 +181,44 @@ pub fn oom_penalty(peak_memory_bytes: u64, hbm_bytes: u64) -> f64 {
     }
 }
 
+/// Counts of collective ops in a device-local program, with ops inside a
+/// `for` loop counted once per iteration (the paper notes the IT32 serving
+/// loop "greatly amplifies the number of collectives"). `spmd` counts a
+/// lowered program into it; the static objective counts its replay of
+/// that program.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct CollectiveStats {
+    /// `all_gather` count.
+    pub all_gather: usize,
+    /// `all_reduce` count.
+    pub all_reduce: usize,
+    /// `reduce_scatter` count.
+    pub reduce_scatter: usize,
+    /// `all_to_all` count.
+    pub all_to_all: usize,
+    /// Unfused `all_slice` count (free locally: a slice needs no
+    /// communication, but reported for completeness).
+    pub all_slice: usize,
+}
+
+impl CollectiveStats {
+    /// Total communicating collectives (excludes `all_slice`, which is
+    /// device-local).
+    pub fn total(&self) -> usize {
+        self.all_gather + self.all_reduce + self.reduce_scatter + self.all_to_all
+    }
+}
+
+impl std::fmt::Display for CollectiveStats {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(
+            f,
+            "AG={} AR={} RS={} A2A={}",
+            self.all_gather, self.all_reduce, self.reduce_scatter, self.all_to_all
+        )
+    }
+}
+
 /// The communicating collectives, as ring algorithms executed one mesh
 /// axis (one *stage*) at a time. `all_slice` is device-local and has no
 /// ring form.

@@ -75,8 +75,6 @@ pub mod sharding;
 
 pub use diag::{error_count, max_severity, Diagnostic, Severity};
 pub use memory::{static_peak_bound, PeakWalk};
-pub use objective::{
-    equivalence_classes, static_cost, ObjectiveConfig, StaticCost, StaticObjective, TileCandidate,
-};
+pub use objective::{equivalence_classes, static_cost, StaticCost, StaticObjective, TileCandidate};
 pub use plan::{verify_plan, PlanView};
 pub use sharding::is_legal;

@@ -19,7 +19,8 @@ use partir_prng::Rng;
 
 use crate::{EvalCache, SchedError};
 
-/// Where a search's candidate costs come from.
+/// Where a cost comes from: a search's candidate costs, or the numbers
+/// of a [`TacticReport`](crate::TacticReport).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum CostSource {
     /// The analytical simulator (`sim::evaluate` behind the shared

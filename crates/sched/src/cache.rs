@@ -3,8 +3,8 @@
 //!
 //! MCTS revisits partitioning states constantly — different action
 //! orders reach the same state, rollouts re-score states the tree
-//! already expanded, and `partir_jit`'s per-tactic metadata re-evaluates
-//! states the search just scored. All of those share one [`EvalCache`],
+//! already expanded, and `partir_jit`'s last report re-evaluates the
+//! state a search just chose. All of those share one [`EvalCache`],
 //! keyed by [`Partitioning::fingerprint`], so each distinct state is
 //! lowered and simulated exactly once per schedule run.
 //!

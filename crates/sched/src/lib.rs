@@ -10,8 +10,10 @@
 //! [`partir_jit`] plays the role of the paper's `partir.jit`: it applies
 //! the schedule, lowers to SPMD, fuses collectives, and returns the
 //! program together with per-tactic metadata — collective counts and
-//! simulator estimates after *every* tactic, the incremental feedback the
-//! paper argues makes partitioning predictable and debuggable.
+//! cost estimates after *every* tactic (read off the partitioning by the
+//! static objective until the last tactic, whose program is simulated),
+//! the incremental feedback the paper argues makes partitioning
+//! predictable and debuggable.
 //!
 //! # Examples
 //!

@@ -2,13 +2,14 @@
 
 use std::time::{Duration, Instant};
 
+use partir_analysis::StaticObjective;
 use partir_core::Partitioning;
 use partir_ir::Func;
 use partir_mesh::HardwareConfig;
-use partir_sim::SimReport;
+use partir_sim::{Evaluation, SimReport};
 use partir_spmd::{lower, CollectiveStats, SpmdProgram};
 
-use crate::{CacheStats, EvalCache, SchedError, Tactic};
+use crate::{CacheStats, CostSource, EvalCache, SchedError, Tactic};
 
 /// An ordered list of tactics.
 #[derive(Debug, Clone, Default)]
@@ -47,6 +48,15 @@ impl FromIterator<Tactic> for Schedule {
 
 /// Metadata recorded after each tactic (paper §3: "cost estimates …
 /// recorded after every tactic in the schedule").
+///
+/// The last tactic's numbers simulate the program [`partir_jit`]
+/// returns. Every earlier tactic's come from the static objective
+/// (`partir_analysis::StaticObjective`), which replays lowering and
+/// fusion on the partitioning without building the program: its
+/// collective counts and wire bytes are the simulator's, its seconds and
+/// flops agree to float rounding, and its `sim.peak_memory_bytes` is the
+/// objective's liveness bound, which is ≥ the simulated peak.
+/// [`TacticReport::source`] says which kind a report holds.
 #[derive(Debug, Clone)]
 pub struct TacticReport {
     /// Tactic name.
@@ -59,8 +69,13 @@ pub struct TacticReport {
     pub conflicts: usize,
     /// Collective counts of the program as of this tactic.
     pub stats: CollectiveStats,
-    /// Simulator estimate of the program as of this tactic.
+    /// Cost estimate of the program as of this tactic.
     pub sim: SimReport,
+    /// Where `stats` and `sim` come from: [`CostSource::Static`] before
+    /// the last tactic, [`CostSource::Sim`] for the last — and before it
+    /// too when the objective refuses the function (a tensor of rank
+    /// > 6, an op of more than 8 operands, a mesh of more than 4 axes).
+    pub source: CostSource,
     /// Wall-clock spent applying the tactic (partitioning only).
     pub partition_time: Duration,
 }
@@ -74,12 +89,15 @@ pub struct Jitted {
     pub partitioning: Partitioning,
     /// One report per tactic.
     pub reports: Vec<TacticReport>,
-    /// Total wall-clock spent partitioning (excludes the per-tactic
-    /// lowering done only to produce metadata).
+    /// Total wall-clock spent partitioning, the one lowering of the final
+    /// state included; the metadata evaluations (static costing before
+    /// the last tactic, simulation of the final program) are not.
     pub partition_time: Duration,
-    /// Evaluation-cache counters for the run: automatic tactics and the
-    /// per-tactic metadata evaluations share one cache, so states the
-    /// search already scored are never lowered or simulated twice.
+    /// Evaluation-cache counters for the run. Automatic tactics and the
+    /// last report's simulation share one cache, so a final state a
+    /// search already scored is not simulated again. The static reports
+    /// before it do not touch the cache: an all-manual schedule misses
+    /// exactly once.
     pub cache: CacheStats,
 }
 
@@ -99,9 +117,12 @@ pub fn partir_jit(
     let mut reports = Vec::with_capacity(schedule.tactics().len());
     let mut partition_time = Duration::ZERO;
     // One evaluation cache for the whole run: searches use it as their
-    // transposition table, and the per-tactic metadata evaluation below
-    // hits it for any state a search already scored.
+    // transposition table, and the last report below hits it when a
+    // search already scored the final state.
     let cache = EvalCache::new();
+    // Costs the states before the last tactic. Built on the first of
+    // them, so a one-tactic schedule never pays for it.
+    let mut objective = None;
     let mut program = None;
     let last = schedule.tactics().len().checked_sub(1);
     for (i, tactic) in schedule.tactics().iter().enumerate() {
@@ -115,15 +136,21 @@ pub fn partir_jit(
         let report = part.propagate(func);
         let spent = start.elapsed();
         partition_time += spent;
-        // Metadata evaluation: collective counts + simulator estimates as
-        // of this tactic (the user-facing incremental feedback). The last
+        // Metadata evaluation: collective counts + cost estimates as of
+        // this tactic (the user-facing incremental feedback). The last
         // tactic's state is the one the caller gets lowered, so it is
-        // lowered once and its report simulates that program.
-        let eval = if Some(i) == last {
+        // lowered once and its report simulates that program; every
+        // earlier state is costed statically, without building IR.
+        let (eval, source) = if Some(i) == last {
             let lowered = program.insert(lower_fused(func, &part, &mut partition_time)?);
-            cache.evaluate_lowered(&part, lowered, hw)?
+            (cache.evaluate_lowered(&part, lowered, hw)?, CostSource::Sim)
         } else {
-            cache.evaluate(func, &part, hw)?
+            let objective = objective.get_or_insert_with(|| StaticObjective::new(func));
+            match objective.cost(&part, hw) {
+                Ok(cost) => (Evaluation::from(cost), CostSource::Static),
+                // A function or mesh past the packed walk's bounds.
+                Err(_) => (cache.evaluate(func, &part, hw)?, CostSource::Sim),
+            }
         };
         reports.push(TacticReport {
             tactic: tactic.name().to_string(),
@@ -132,6 +159,7 @@ pub fn partir_jit(
             conflicts: report.conflicts.len(),
             stats: eval.stats,
             sim: eval.sim,
+            source,
             partition_time: spent,
         });
     }
@@ -201,6 +229,7 @@ pub fn partir_jit_single_tactic(
             conflicts: report.conflicts.len(),
             stats: eval.stats,
             sim: eval.sim,
+            source: CostSource::Sim,
             partition_time: spent,
         }],
         partition_time: spent,

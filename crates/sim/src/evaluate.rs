@@ -9,6 +9,7 @@
 //! by [`partir_core::Partitioning::fingerprint`]).
 
 use partir_analysis::cost::oom_penalty;
+use partir_analysis::StaticCost;
 use partir_core::Partitioning;
 use partir_ir::{Func, IrError};
 use partir_mesh::HardwareConfig;
@@ -66,6 +67,26 @@ impl Evaluation {
             peak_memory_bytes: self.sim.peak_memory_bytes,
             penalty,
             cost: self.sim.runtime_s * penalty,
+        }
+    }
+}
+
+/// The static objective's estimate in the simulator's shape: counts,
+/// wire bytes, seconds and flops as the simulator gives them for the
+/// lowered program, and the objective's liveness bound as
+/// `peak_memory_bytes` (≥ the simulated peak).
+impl From<StaticCost> for Evaluation {
+    fn from(cost: StaticCost) -> Self {
+        Evaluation {
+            sim: SimReport {
+                runtime_s: cost.runtime_s(),
+                compute_s: cost.compute_s,
+                comm_s: cost.comm_s,
+                flops: cost.flops,
+                comm_bytes: cost.comm_bytes,
+                peak_memory_bytes: cost.peak_memory_bytes,
+            },
+            stats: cost.stats,
         }
     }
 }

@@ -2,41 +2,7 @@
 
 use partir_ir::{Collective, Func, OpId, OpKind};
 
-/// Counts of collective ops in a device-local program, with ops inside a
-/// `for` loop counted once per iteration (the paper notes the IT32 serving
-/// loop "greatly amplifies the number of collectives").
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct CollectiveStats {
-    /// `all_gather` count.
-    pub all_gather: usize,
-    /// `all_reduce` count.
-    pub all_reduce: usize,
-    /// `reduce_scatter` count.
-    pub reduce_scatter: usize,
-    /// `all_to_all` count.
-    pub all_to_all: usize,
-    /// Unfused `all_slice` count (free locally: a slice needs no
-    /// communication, but reported for completeness).
-    pub all_slice: usize,
-}
-
-impl CollectiveStats {
-    /// Total communicating collectives (excludes `all_slice`, which is
-    /// device-local).
-    pub fn total(&self) -> usize {
-        self.all_gather + self.all_reduce + self.reduce_scatter + self.all_to_all
-    }
-}
-
-impl std::fmt::Display for CollectiveStats {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(
-            f,
-            "AG={} AR={} RS={} A2A={}",
-            self.all_gather, self.all_reduce, self.reduce_scatter, self.all_to_all
-        )
-    }
-}
+pub use partir_analysis::cost::CollectiveStats;
 
 /// Counts the collectives of a lowered function.
 pub fn collect_stats(func: &Func) -> CollectiveStats {

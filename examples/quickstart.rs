@@ -3,7 +3,9 @@
 //! Builds Listing 1, applies the Listing 6 schedule (BP, MP, Z3) tactic
 //! by tactic, and prints after each step what the paper's listings show:
 //! the PartIR:Core view, the collectives of the lowered SPMD program and
-//! the simulator's estimates. Finishes by executing the program on the
+//! the cost estimates (the static objective's before the last tactic,
+//! the simulator's for the final program). Finishes by executing the
+//! program on the
 //! simulated mesh and checking it against the single-device reference.
 //!
 //! Run with: `cargo run -p partir-bench --example quickstart`
@@ -37,11 +39,12 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!("== Incremental feedback after every tactic ==");
     for report in &jitted.reports {
         println!(
-            "  after {:<4}  collectives [{}]  est. step {:>9.3} µs  peak mem {:>8} B",
+            "  after {:<4}  collectives [{}]  est. step {:>9.3} µs  peak mem {:>8} B  ({:?})",
             report.tactic,
             report.stats,
             report.sim.runtime_s * 1e6,
             report.sim.peak_memory_bytes,
+            report.source,
         );
     }
 
