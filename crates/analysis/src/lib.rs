@@ -9,8 +9,9 @@
 //! * [`dataflow`] — a small lattice-based framework (forward fixpoint
 //!   with precise `for`-region feedback, backward fixpoint over the
 //!   simulator's linearisation) the other analyses are built on;
-//! * [`collective`] — proves every device issues the same per-axis
-//!   collective sequence, so the threaded runtime cannot deadlock;
+//! * [`collective`] — structural rules for the collectives of a lowered
+//!   program (unknown, repeated and size-1 axes, zero-trip loops,
+//!   identity all-to-alls);
 //! * [`sharding`] — consistency of `partir_core` propagation results
 //!   (illegal tile entries, unresolved conflicts, implied reshards);
 //! * [`layout`] — forward layout tracking through lowered programs
@@ -21,9 +22,10 @@
 //! * [`memory`] — the one peak-memory walk, and the static bound on it
 //!   guaranteed to dominate `partir_sim`'s simulated peak;
 //! * [`plan`] — translation validation of *compiled execution plans*:
-//!   a happens-before race detector over arena-slot effects and a
+//!   a happens-before race detector over arena-slot effects and the
 //!   cross-device rendezvous-deadlock verifier for the overlap
-//!   scheduler's output ([`plan::verify_plan`]);
+//!   scheduler's output ([`plan::verify_plan`]), the one static
+//!   deadlock check;
 //! * [`objective`] — a static search objective: communication and
 //!   compute costs read straight off a propagated `Partitioning`
 //!   (no lowering, no simulation), plus action equivalence classes

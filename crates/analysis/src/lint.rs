@@ -18,8 +18,9 @@ pub fn lint_partitioning(func: &Func, part: &Partitioning) -> Vec<Diagnostic> {
 }
 
 /// Lints a lowered device-local program: IR verification, collective
-/// structure + rendezvous matching, layout tracking, and the static
-/// memory bound as an `Info` figure.
+/// structure, layout tracking, and the static memory bound as an `Info`
+/// figure. Rendezvous order is the compiled plan's to verify
+/// ([`crate::plan::verify_plan`]).
 ///
 /// `input_ctxs` / `output_ctxs` are the program's declared interface
 /// shardings when known (an `SpmdProgram`'s contexts).
@@ -30,7 +31,7 @@ pub fn lint_device_func(
     output_ctxs: Option<&[ValueCtx]>,
 ) -> Vec<Diagnostic> {
     let mut diags = verify_diags(func, Some(mesh));
-    diags.extend(collective::check_deadlock_freedom(func, mesh));
+    diags.extend(collective::check_structure(func, mesh));
     diags.extend(layout::check_layouts(func, input_ctxs, output_ctxs));
     diags.push(Diagnostic::new(
         Severity::Info,

@@ -57,9 +57,9 @@
 //!   loops, drain to empty under the blocking-rendezvous semantics
 //!   (`plan-rendezvous-deadlock`), and every stage's group agrees on
 //!   axis, membership and order across its members
-//!   (`plan-rendezvous-asymmetric`). This lifts the IR-level
-//!   [`crate::collective`] drain to the compiled representation, where
-//!   the overlap pass has already reordered the waits.
+//!   (`plan-rendezvous-asymmetric`). This is the workspace's one
+//!   deadlock check: it runs on the compiled representation, after the
+//!   overlap pass has reordered the waits.
 //!
 //! # What it does not prove
 //!
@@ -84,8 +84,8 @@ use crate::diag::{Diagnostic, Severity};
 /// Arena pools a plan allocates (`f32`, `i32`, `pred`).
 pub const NUM_POOLS: usize = 3;
 
-/// Abstract traces longer than this are not drained (matches the
-/// IR-level checker's unroll cap); a warning is reported instead.
+/// Abstract traces longer than this are not drained; a warning is
+/// reported instead.
 const UNROLL_CAP: usize = 100_000;
 
 /// Diagnostics cap per check, so a systemically broken plan does not
@@ -837,10 +837,8 @@ struct Rendezvous {
 /// only; starts never block) through the loops and greedily complete
 /// any stage sitting at the head of all of its members' queues.
 /// Completing an enabled stage never disables another (monotonicity),
-/// so the greedy drain empties the queues iff some global order of the
-/// rendezvous edges exists — [`crate::collective::drain`], the drain the
-/// IR-level check runs, applied after the overlap pass has reordered the
-/// waits.
+/// so the greedy [`drain`] empties the queues iff some global order of
+/// the rendezvous edges exists.
 fn check_rendezvous(view: &PlanView, diags: &mut Vec<Diagnostic>) {
     let mut sites: Vec<(u32, Arc<Vec<Vec<StageView>>>)> = Vec::new();
     collect_wait_sites(&view.steps, &mut sites);
@@ -949,10 +947,7 @@ fn check_rendezvous(view: &PlanView, diags: &mut Vec<Diagnostic>) {
                 .collect()
         })
         .collect();
-    let cursor = crate::collective::drain(view.num_devices, |d, c| {
-        let &(tag, stage) = queues[d].get(c)?;
-        Some((&stage.group, (tag, stage)))
-    });
+    let cursor = drain(&queues);
     let blocked: Vec<String> = (0..view.num_devices)
         .filter_map(|d| {
             let (tag, s) = queues[d].get(cursor[d])?;
@@ -968,6 +963,38 @@ fn check_rendezvous(view: &PlanView, diags: &mut Vec<Diagnostic>) {
             "plan-rendezvous-deadlock",
             format!("no rendezvous linearisation exists: {}", blocked.join("; ")),
         ));
+    }
+}
+
+/// Greedy completion of a blocking-rendezvous system: `queues[d]` is
+/// device `d`'s blocking stages, in order, each keyed by its tag. A
+/// stage completes when the same (tag, stage) sits at the head of every
+/// member of its group; completing an enabled stage never disables
+/// another (the system is monotone), so greedy completion is a sound
+/// *and* complete deadlock check: the returned cursors reach the end of
+/// every queue iff no schedule deadlocks.
+fn drain(queues: &[Vec<(u32, &StageView)>]) -> Vec<usize> {
+    let mut cursor = vec![0usize; queues.len()];
+    loop {
+        let mut progressed = false;
+        for d in 0..queues.len() {
+            let Some(head) = queues[d].get(cursor[d]) else {
+                continue;
+            };
+            let group = &head.1.group;
+            if group
+                .iter()
+                .all(|&peer| queues[peer].get(cursor[peer]) == Some(head))
+            {
+                for &peer in group {
+                    cursor[peer] += 1;
+                }
+                progressed = true;
+            }
+        }
+        if !progressed {
+            return cursor;
+        }
     }
 }
 
@@ -1019,7 +1046,7 @@ fn flatten_waits(steps: &[StepView], out: &mut Vec<Rendezvous>) -> bool {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use crate::diag::error_count;
 
@@ -1157,6 +1184,38 @@ mod tests {
             diags.iter().any(|d| d.rule == "plan-rendezvous-deadlock"),
             "{diags:?}"
         );
+    }
+
+    /// `clean_view` on a 2×2 mesh (`B` outer, `M` inner) whose one
+    /// all-reduce waits over both axes; `b_first[d]` says whether device
+    /// `d` runs its `B` stage before its `M` stage.
+    pub(crate) fn two_axis_view(b_first: [bool; 4]) -> PlanView {
+        let stages = (0..4)
+            .map(|d| {
+                let b = stage("B", vec![d % 2, d % 2 + 2]);
+                let m = stage("M", vec![d - d % 2, d - d % 2 + 1]);
+                if b_first[d] {
+                    vec![b, m]
+                } else {
+                    vec![m, b]
+                }
+            })
+            .collect();
+        let mut v = clean_view();
+        v.num_devices = 4;
+        if let StepView::CollWait { stages: s, .. } = &mut v.steps[2] {
+            *s = Arc::new(stages);
+        }
+        v
+    }
+
+    #[test]
+    fn disjoint_axis_reorder_drains() {
+        // Devices 0 and 1 run B then M, 2 and 3 run M then B: M {2, 3}
+        // completes, then both B groups, then M {0, 1}. Reordering
+        // stages is not by itself a deadlock.
+        let diags = verify_plan(&two_axis_view([true, true, false, false]));
+        assert!(diags.is_empty(), "{diags:?}");
     }
 
     #[test]

@@ -1,16 +1,18 @@
 //! Mutation suite: known-bad programs the analyzer must flag.
 //!
-//! Each case seeds one specific defect — a mismatched collective order,
-//! a conflicting tiling, a dropped axis, … — and asserts the analyzer
-//! reports the expected rule. A control case checks the unmutated
+//! Each case seeds one specific defect — a collective over an unknown
+//! axis, a conflicting tiling, a cross-axis wait cycle, … — and asserts
+//! the analyzer reports the expected rule. A control case checks the unmutated
 //! program is clean, so the suite also guards against false positives.
 
-use partir_analysis::collective::{check_deadlock_freedom, check_device_traces, device_trace};
+use partir_analysis::collective::check_structure;
 use partir_analysis::layout::check_layouts;
-use partir_analysis::{error_count, lint, sharding, Severity};
+use partir_analysis::plan::StepView;
+use partir_analysis::{error_count, lint, sharding, verify_plan, Severity};
 use partir_core::{Partitioning, ValueCtx};
 use partir_ir::{Collective, Func, FuncBuilder, ReduceOp, TensorType, ValueId};
 use partir_mesh::Mesh;
+use std::sync::Arc;
 
 fn mesh() -> Mesh {
     Mesh::new([("B", 2), ("M", 2)]).unwrap()
@@ -48,13 +50,6 @@ fn assert_gate_agrees(f: &Func, p: &Partitioning) {
     );
 }
 
-fn two_device_traces(fa: &Func, fb: &Func) -> Vec<Vec<partir_analysis::collective::Event>> {
-    let ta = device_trace(fa);
-    let tb = device_trace(fb);
-    // Devices 0,1 run `fa`; 2,3 run `fb` — each "B" group mixes both.
-    vec![ta.clone(), ta, tb.clone(), tb]
-}
-
 /// Control: an unmutated SPMD program produces zero errors.
 #[test]
 fn control_program_is_clean() {
@@ -67,118 +62,7 @@ fn control_program_is_clean() {
     assert_eq!(error_count(&diags), 0, "{}", lint::render(&diags));
 }
 
-/// Mutation 1: two collectives over the same axis, reordered on half the
-/// devices — the classic rendezvous-order deadlock.
-#[test]
-fn mutation_same_axis_order_mismatch() {
-    let build = |first, second| {
-        let mut b = FuncBuilder::with_mesh("f", mesh());
-        let x = b.param("x", TensorType::f32([4, 4]));
-        let y = ar(&mut b, x, "B", first);
-        let z = ar(&mut b, y, "B", second);
-        b.build([z]).unwrap()
-    };
-    let fa = build(ReduceOp::Sum, ReduceOp::Max);
-    let fb = build(ReduceOp::Max, ReduceOp::Sum);
-    let diags = check_device_traces(&two_device_traces(&fa, &fb), &mesh());
-    assert_rule(&diags, "collective-mismatch");
-}
-
-/// Mutation 2: same position, different reduction monoid — the devices
-/// rendezvous but would compute garbage (and our matcher treats the
-/// monoid as part of the collective's identity).
-#[test]
-fn mutation_reduce_monoid_mismatch() {
-    let build = |reduce| {
-        let mut b = FuncBuilder::with_mesh("f", mesh());
-        let x = b.param("x", TensorType::f32([4, 4]));
-        let y = ar(&mut b, x, "B", reduce);
-        b.build([y]).unwrap()
-    };
-    let fa = build(ReduceOp::Sum);
-    let fb = build(ReduceOp::Max);
-    let diags = check_device_traces(&two_device_traces(&fa, &fb), &mesh());
-    assert_rule(&diags, "collective-mismatch");
-}
-
-/// Mutation 3: payload sizes disagree across the rendezvous.
-#[test]
-fn mutation_payload_size_mismatch() {
-    let build = |rows| {
-        let mut b = FuncBuilder::with_mesh("f", mesh());
-        let x = b.param("x", TensorType::f32([rows, 4]));
-        let y = ar(&mut b, x, "B", ReduceOp::Sum);
-        b.build([y]).unwrap()
-    };
-    let fa = build(4);
-    let fb = build(8);
-    let diags = check_device_traces(&two_device_traces(&fa, &fb), &mesh());
-    assert_rule(&diags, "collective-mismatch");
-}
-
-/// Mutation 4: loop trip counts disagree, so one side issues more
-/// collectives than the other.
-#[test]
-fn mutation_trip_count_mismatch() {
-    let build = |trips| {
-        let mut b = FuncBuilder::with_mesh("f", mesh());
-        let x = b.param("x", TensorType::f32([4, 4]));
-        let results = b
-            .for_loop(trips, &[x], |inner, _i, carried| {
-                let t = inner.collective(
-                    Collective::AllReduce {
-                        axes: vec!["B".into()],
-                        reduce: ReduceOp::Sum,
-                    },
-                    carried[0],
-                )?;
-                Ok(vec![t])
-            })
-            .unwrap();
-        b.build([results[0]]).unwrap()
-    };
-    let fa = build(2);
-    let fb = build(3);
-    let diags = check_device_traces(&two_device_traces(&fa, &fb), &mesh());
-    assert_rule(&diags, "collective-mismatch");
-}
-
-/// Mutation 5: one side drops the collective entirely — the other waits
-/// forever.
-#[test]
-fn mutation_missing_collective() {
-    let mut b = FuncBuilder::with_mesh("f", mesh());
-    let x = b.param("x", TensorType::f32([4, 4]));
-    let y = ar(&mut b, x, "B", ReduceOp::Sum);
-    let fa = b.build([y]).unwrap();
-    let mut b = FuncBuilder::with_mesh("f", mesh());
-    let x = b.param("x", TensorType::f32([4, 4]));
-    let y = b.neg(x).unwrap();
-    let fb = b.build([y]).unwrap();
-    let diags = check_device_traces(&two_device_traces(&fa, &fb), &mesh());
-    assert_rule(&diags, "collective-mismatch");
-}
-
-/// Mutation 6: a cross-axis cyclic wait that per-axis sequence matching
-/// cannot see — only the abstract rendezvous execution catches it.
-#[test]
-fn mutation_cross_axis_cycle() {
-    let build = |first: &str, second: &str| {
-        let mut b = FuncBuilder::with_mesh("f", mesh());
-        let x = b.param("x", TensorType::f32([4, 4]));
-        let y = ar(&mut b, x, first, ReduceOp::Sum);
-        let z = ar(&mut b, y, second, ReduceOp::Sum);
-        b.build([z]).unwrap()
-    };
-    let ta = device_trace(&build("B", "M"));
-    let tb = device_trace(&build("M", "B"));
-    // Wait cycle: 0 on 2 (B), 2 on 3 (M), 3 on 1 (B), 1 on 0 (M).
-    let traces = vec![ta.clone(), tb.clone(), tb, ta];
-    let diags = check_device_traces(&traces, &mesh());
-    assert_rule(&diags, "collective-deadlock");
-}
-
-/// Mutation 7: a collective over an axis the target mesh does not have
+/// Mutation 1: a collective over an axis the target mesh does not have
 /// (lowered for one machine, deployed on another).
 #[test]
 fn mutation_unknown_axis() {
@@ -187,11 +71,11 @@ fn mutation_unknown_axis() {
     let x = b.param("x", TensorType::f32([4, 4]));
     let y = ar(&mut b, x, "z", ReduceOp::Sum);
     let f = b.build([y]).unwrap();
-    let diags = check_deadlock_freedom(&f, &mesh());
+    let diags = check_structure(&f, &mesh());
     assert_rule(&diags, "collective-unknown-axis");
 }
 
-/// Mutation 8: the same axis listed twice in one collective.
+/// Mutation 2: the same axis listed twice in one collective.
 #[test]
 fn mutation_duplicate_axis() {
     let mut b = FuncBuilder::with_mesh("f", mesh());
@@ -206,11 +90,11 @@ fn mutation_duplicate_axis() {
         )
         .unwrap();
     let f = b.build([y]).unwrap();
-    let diags = check_deadlock_freedom(&f, &mesh());
+    let diags = check_structure(&f, &mesh());
     assert_rule(&diags, "collective-duplicate-axis");
 }
 
-/// Mutation 9: gathering an axis the value is not sliced over.
+/// Mutation 3: gathering an axis the value is not sliced over.
 #[test]
 fn mutation_bad_gather() {
     let mut b = FuncBuilder::with_mesh("f", mesh());
@@ -229,7 +113,7 @@ fn mutation_bad_gather() {
     assert_rule(&diags, "layout-bad-gather");
 }
 
-/// Mutation 10: slicing the value over the same axis twice.
+/// Mutation 4: slicing the value over the same axis twice.
 #[test]
 fn mutation_double_slice() {
     let mut b = FuncBuilder::with_mesh("f", mesh());
@@ -256,7 +140,7 @@ fn mutation_double_slice() {
     assert_rule(&diags, "layout-double-slice");
 }
 
-/// Mutation 11: a dropped axis — the program leaves the value sliced but
+/// Mutation 5: a dropped axis — the program leaves the value sliced but
 /// declares a replicated interface.
 #[test]
 fn mutation_dropped_axis() {
@@ -282,7 +166,7 @@ fn mutation_dropped_axis() {
     assert_rule(&diags, "layout-result-mismatch");
 }
 
-/// Mutation 12: conflicting tile assignments — both matmul operands
+/// Mutation 6: conflicting tile assignments — both matmul operands
 /// sharded over the same axis on incompatible dimensions.
 #[test]
 fn mutation_conflicting_tiling() {
@@ -302,7 +186,7 @@ fn mutation_conflicting_tiling() {
     assert_gate_agrees(&f, &p);
 }
 
-/// Mutation 13: a redundant gather/slice round-trip the partitioner
+/// Mutation 7: a redundant gather/slice round-trip the partitioner
 /// should have cancelled.
 #[test]
 fn mutation_redundant_collective_pair() {
@@ -343,7 +227,7 @@ fn mutation_redundant_collective_pair() {
     );
 }
 
-/// Mutation 14: a collective over a size-1 ("degenerate") axis.
+/// Mutation 8: a collective over a size-1 ("degenerate") axis.
 #[test]
 fn mutation_degenerate_axis() {
     let degenerate = Mesh::new([("B", 2), ("one", 1)]).unwrap();
@@ -351,8 +235,48 @@ fn mutation_degenerate_axis() {
     let x = b.param("x", TensorType::f32([4, 4]));
     let y = ar(&mut b, x, "one", ReduceOp::Sum);
     let f = b.build([y]).unwrap();
-    let diags = check_deadlock_freedom(&f, &degenerate);
+    let diags = check_structure(&f, &degenerate);
     assert_rule(&diags, "collective-degenerate-axis");
+}
+
+/// Mutation 9: a cross-axis cyclic wait. A reduction over both axes
+/// lowers to one all-reduce with a B stage and an M stage; reversing
+/// them on the diagonal devices 0 and 3 keeps every group's stage table
+/// symmetric, yet the waits form a cycle: 0 on 2 (B), 2 on 3 (M), 3 on
+/// 1 (B), 1 on 0 (M). Only the drain of the compiled plan catches it.
+#[test]
+fn mutation_cross_axis_cycle() {
+    let mut b = FuncBuilder::new("both_axes");
+    let x = b.param("x", TensorType::f32([4, 4]));
+    let s = b.reduce_sum(x, vec![0, 1]).unwrap();
+    let f = b.build([s]).unwrap();
+    let mut p = Partitioning::new(&f, mesh()).unwrap();
+    p.tile(&f, x, 0, &"B".into()).unwrap();
+    p.tile(&f, x, 1, &"M".into()).unwrap();
+    p.propagate(&f);
+    let plan = partir_spmd::lower(&f, &p).unwrap().compile().unwrap();
+    let mut view = plan.verifier_view().clone();
+    assert_eq!(error_count(&verify_plan(&view)), 0);
+    let mut reversed = false;
+    for step in &mut view.steps {
+        let StepView::CollWait { stages, .. } = step else {
+            continue;
+        };
+        if stages[0].len() == 2 {
+            let stages = Arc::make_mut(stages);
+            stages[0].reverse();
+            stages[3].reverse();
+            reversed = true;
+        }
+    }
+    assert!(reversed, "expected a two-stage all-reduce in the plan");
+    let diags = verify_plan(&view);
+    assert!(
+        !diags.iter().any(|d| d.rule == "plan-rendezvous-asymmetric"),
+        "{}",
+        lint::render(&diags)
+    );
+    assert_rule(&diags, "plan-rendezvous-deadlock");
 }
 
 /// A state checked against a function it was not built for: the action

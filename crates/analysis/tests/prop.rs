@@ -1,8 +1,10 @@
 //! The analyzer's soundness property: programs the static analyzer
-//! passes (zero `Error` diagnostics) execute deadlock-free on the
-//! threaded message-passing runtime — free-running and under the seeded
-//! scheduler, over both a 1×2 and a 2×2 mesh — and the static
-//! peak-memory bound dominates the simulated peak.
+//! passes (zero `Error` diagnostics from the device-program lint and
+//! from the plan verifier, on the overlapped and the blocking plan)
+//! execute deadlock-free on the threaded message-passing runtime —
+//! free-running and under the seeded scheduler, over both a 1×2 and a
+//! 2×2 mesh — and the static peak-memory bound dominates the simulated
+//! peak.
 //!
 //! This is the link the issue demands between the deadlock *checker*
 //! and the deadlock-*prone* runtime: the checker's verdict is tested
@@ -13,7 +15,7 @@ use partir_core::Partitioning;
 use partir_ir::{BinaryOp, Func, FuncBuilder, Literal, TensorType, UnaryOp, ValueId};
 use partir_mesh::{Axis, Mesh};
 use partir_prng::{propcheck::check, Rng};
-use partir_spmd::{lower, RuntimeConfig, ThreadedRuntime};
+use partir_spmd::{lower, PlanOptions, RuntimeConfig, ThreadedRuntime};
 
 const N: usize = 8;
 
@@ -120,6 +122,22 @@ fn analyzer_passing_programs_run_deadlock_free() {
             ));
         }
 
+        // The one static deadlock check: both compiled forms of the
+        // program, overlapped and blocking, must verify clean.
+        let plan = program.compile().map_err(|e| e.to_string())?;
+        let blocking = program
+            .compile_with(&PlanOptions::blocking())
+            .map_err(|e| e.to_string())?;
+        for (label, compiled) in [("overlapped", &plan), ("blocking", &blocking)] {
+            let diags = compiled.verify();
+            if error_count(&diags) > 0 {
+                return Err(format!(
+                    "plan verifier rejected the {label} plan:\n{}",
+                    lint::render(&diags)
+                ));
+            }
+        }
+
         // The analyzer passed it, so the runtime must not deadlock:
         // neither free-running (any timeout or failure falsifies the
         // property) nor under the seeded scheduler, which reports a
@@ -128,7 +146,6 @@ fn analyzer_passing_programs_run_deadlock_free() {
         let (outputs, _stats) = program
             .execute_global_threaded(&inputs, &RuntimeConfig::default())
             .map_err(|e| format!("threaded runtime failed: {e}"))?;
-        let plan = program.compile().map_err(|e| e.to_string())?;
         let per_device = program.shard_inputs(&inputs).map_err(|e| e.to_string())?;
         for seed in 0..4 {
             let run = ThreadedRuntime::default()

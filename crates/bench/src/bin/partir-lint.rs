@@ -23,7 +23,8 @@
 //! `Error`-severity diagnostic was produced; `--deny [SEVERITY]`
 //! lowers that gate (`--deny` alone fails on *any* diagnostic,
 //! `--deny warning` on warnings and errors) so CI can gate on the
-//! sweep without grepping output.
+//! sweep without grepping output. A malformed `--mesh` exits with
+//! code 2 before anything is linted.
 //!
 //! Run with: `cargo run --release -p partir-bench --bin partir-lint`
 
@@ -41,20 +42,25 @@ use partir_models::{
 use partir_sched::{partir_jit, Schedule};
 use partir_spmd::PlanOptions;
 
-fn parse_mesh(spec: &str) -> Mesh {
-    let axes: Vec<(String, usize)> = spec
+/// Parses a `--mesh name=size,...` spec. An empty spec is what
+/// `--mesh` as the last argument leaves behind.
+fn parse_mesh(spec: &str) -> Result<Mesh, String> {
+    if spec.is_empty() {
+        return Err("no value (expected name=size,...)".to_string());
+    }
+    let axes = spec
         .split(',')
         .map(|part| {
             let (name, size) = part
                 .split_once('=')
-                .unwrap_or_else(|| panic!("bad mesh axis {part:?}; expected name=size"));
+                .ok_or_else(|| format!("axis {part:?} is not name=size"))?;
             let size: usize = size
                 .parse()
-                .unwrap_or_else(|_| panic!("bad mesh axis size in {part:?}"));
-            (name.to_string(), size)
+                .map_err(|_| format!("axis size in {part:?} is not a number"))?;
+            Ok((name.to_string(), size))
         })
-        .collect();
-    Mesh::new(axes).expect("valid mesh")
+        .collect::<Result<Vec<_>, String>>()?;
+    Mesh::new(axes).map_err(|e| format!("{spec:?}: {e}"))
 }
 
 /// Lints one unit of work and prints its diagnostics; returns the
@@ -97,6 +103,8 @@ fn lint_files(files: &[String], mesh: &Mesh, deny: Severity) -> usize {
 
 type ZooEntry = (&'static str, partir_ir::Func, Vec<(&'static str, Schedule)>);
 
+/// The model zoo both sweeps run: every model with its Table 2
+/// schedules. `smoke` keeps the transformer-family models only.
 fn zoo(smoke: bool) -> Vec<ZooEntry> {
     let mut models = vec![
         (
@@ -113,11 +121,27 @@ fn zoo(smoke: bool) -> Vec<ZooEntry> {
                 .func,
             schedules::itransformer_table2(),
         ),
+        // The serving-shaped decode step: same weights and schedules,
+        // but a [slots]-batched single position over the KV-cache slot
+        // arena — the plan the serving engine runs every step.
+        (
+            "itransformer-serve",
+            partir_models::itransformer::build_decode_step(&ServingConfig::tiny())
+                .expect("decode step builds")
+                .func,
+            schedules::itransformer_table2(),
+        ),
     ];
     if !smoke {
+        // Batch 8 so the batch axis tiles on every mesh of the plan
+        // ladder.
+        let unet_cfg = UNetConfig {
+            batch: 8,
+            ..UNetConfig::tiny()
+        };
         models.push((
             "unet",
-            partir_models::unet::build_train_step(&UNetConfig::tiny())
+            partir_models::unet::build_train_step(&unet_cfg)
                 .expect("unet builds")
                 .func,
             schedules::unet_table2(),
@@ -218,59 +242,12 @@ fn lint_plans(smoke: bool, deny: Severity) -> usize {
         .into_iter()
         .map(|b| Mesh::new([(BATCH, b), (MODEL, 2)]).expect("mesh"))
         .collect();
-    let mut models = vec![
-        (
-            "transformer",
-            partir_models::transformer::build_train_step(&TransformerConfig::tiny())
-                .expect("transformer builds")
-                .func,
-            schedules::transformer_table2(),
-        ),
-        (
-            "itransformer",
-            partir_models::itransformer::build_serving(&ITransformerConfig::tiny())
-                .expect("itransformer builds")
-                .func,
-            schedules::itransformer_table2(),
-        ),
-        // The serving-shaped decode step: same weights and schedules,
-        // but a [slots]-batched single position over the KV-cache slot
-        // arena — the plan the serving engine runs every step.
-        (
-            "itransformer-serve",
-            partir_models::itransformer::build_decode_step(&ServingConfig::tiny())
-                .expect("decode step builds")
-                .func,
-            schedules::itransformer_table2(),
-        ),
-    ];
-    if !smoke {
-        // Batch 8 so the batch axis tiles on every mesh of the ladder.
-        let unet_cfg = UNetConfig {
-            batch: 8,
-            ..UNetConfig::tiny()
-        };
-        models.push((
-            "unet",
-            partir_models::unet::build_train_step(&unet_cfg)
-                .expect("unet builds")
-                .func,
-            schedules::unet_table2(),
-        ));
-        models.push((
-            "gns",
-            partir_models::gns::build_train_step(&GnsConfig::tiny())
-                .expect("gns builds")
-                .func,
-            schedules::gns_table2(),
-        ));
-    }
     let options = [
         ("overlapped", PlanOptions::default()),
         ("blocking", PlanOptions::blocking()),
     ];
     let mut denied = 0;
-    for (name, func, rows) in models {
+    for (name, func, rows) in zoo(smoke) {
         for mesh in &meshes {
             let hw = HardwareConfig::tpu_v3_pod(mesh.clone());
             let mesh_label: Vec<String> = mesh.axes().iter().map(|(_, s)| s.to_string()).collect();
@@ -319,7 +296,7 @@ fn main() -> ExitCode {
             "--plans" => plans = true,
             "--mesh" => {
                 i += 1;
-                mesh_spec = raw.get(i).expect("--mesh needs a value").clone();
+                mesh_spec = raw.get(i).cloned().unwrap_or_default();
             }
             "--deny" => {
                 // Optional value: bare `--deny` fails on any diagnostic.
@@ -351,17 +328,61 @@ fn main() -> ExitCode {
         i += 1;
     }
 
+    let mesh = match parse_mesh(&mesh_spec) {
+        Ok(mesh) => mesh,
+        Err(e) => {
+            eprintln!("partir-lint: bad --mesh: {e}");
+            return ExitCode::from(2);
+        }
+    };
     let denied = if plans {
         lint_plans(smoke, deny)
     } else if files.is_empty() {
         lint_zoo(smoke, deny)
     } else {
-        lint_files(&files, &parse_mesh(&mesh_spec), deny)
+        lint_files(&files, &mesh, deny)
     };
     if denied > 0 {
         eprintln!("partir-lint: {denied} denied diagnostic(s) at or above --deny {deny}");
         ExitCode::FAILURE
     } else {
         ExitCode::SUCCESS
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn default_mesh_parses() {
+        let mesh = parse_mesh(&format!("{BATCH}=2,{MODEL}=2")).unwrap();
+        assert_eq!(mesh.axis_size(&BATCH.into()).unwrap(), 2);
+        assert_eq!(mesh.axis_size(&MODEL.into()).unwrap(), 2);
+    }
+
+    #[test]
+    fn axis_without_size_is_refused() {
+        let e = parse_mesh("batch=2,model").unwrap_err();
+        assert!(e.contains("not name=size"), "{e}");
+    }
+
+    #[test]
+    fn non_numeric_size_is_refused() {
+        let e = parse_mesh("batch=two").unwrap_err();
+        assert!(e.contains("not a number"), "{e}");
+    }
+
+    #[test]
+    fn specs_the_mesh_refuses_are_errors() {
+        assert!(parse_mesh("batch=2,batch=2").is_err());
+        assert!(parse_mesh("batch=0").is_err());
+    }
+
+    #[test]
+    fn missing_value_is_refused() {
+        // `--mesh` as the last argument leaves an empty spec.
+        let e = parse_mesh("").unwrap_err();
+        assert!(e.contains("no value"), "{e}");
     }
 }
