@@ -639,15 +639,11 @@ impl<'a, 'f> Eval<'a, 'f> {
     }
 
     fn axis_id(&self, axis: &Axis) -> Result<u8, IrError> {
-        for (i, a) in self.axes.iter().enumerate() {
-            // Context axes are clones of the mesh's `Arc<str>` names, so
-            // the fat-pointer comparison almost always short-circuits the
-            // string compare.
-            if std::ptr::eq(a.name(), axis.name()) || a == axis {
-                return Ok(i as u8);
-            }
-        }
-        Err(IrError::invalid(format!("axis {axis} missing from mesh")))
+        self.axes
+            .iter()
+            .position(|a| a == axis)
+            .map(|i| i as u8)
+            .ok_or_else(|| IrError::invalid(format!("axis {axis} missing from mesh")))
     }
 
     fn link(&self, id: u8) -> (f64, f64, f64) {

@@ -10,9 +10,11 @@
 //!   decision. Equal fingerprints mean identical partitionings of the
 //!   same function on the same mesh, which is what the evaluation cache
 //!   in `partir-sched` keys on;
-//! * a dirty set of values/ops touched since the last propagation, so
+//! * pending sets of the values/ops that actions (`tile`, `atomic`,
+//!   `apply_entry`) changed since the last propagation, so
 //!   [`Partitioning::propagate`] runs a *worklist* seeded only from the
 //!   changed neighbourhood instead of re-scanning the whole module. The
+//!   worklist is a bitset over op ids, popped smallest id first. The
 //!   whole-module fixed point survives as
 //!   [`Partitioning::propagate_full`] and is re-run as a debug-assert
 //!   oracle after every incremental propagation in debug builds.
@@ -173,10 +175,12 @@ pub struct Partitioning {
     /// Tables derived from the function alone. Shared by all clones so
     /// MCTS child states copy a pointer, not the tables.
     shared: Arc<FuncTables>,
-    /// Values whose context gained entries since the last `propagate`.
+    /// Values whose context an action extended since the last
+    /// `propagate`. Rewrites inside the fixpoint do not record here: the
+    /// worklist enqueues their neighbourhood itself.
     dirty_values: BTreeSet<ValueId>,
-    /// Ops whose loop context gained entries since the last `propagate`
-    /// (only [`Partitioning::apply_entry`] adds these outside propagation).
+    /// Ops whose loop context [`Partitioning::apply_entry`] extended since
+    /// the last `propagate`.
     dirty_ops: BTreeSet<OpId>,
     /// Ambiguous sites as of the last propagation, keyed by
     /// `(op, axis index)`. BTreeMap so report order matches the historic
@@ -331,7 +335,10 @@ impl Partitioning {
     /// Extends a value context and folds the decision into the
     /// fingerprint. Every context mutation in this module funnels through
     /// here (or [`Partitioning::record_op_entry`]) so the fingerprint and
-    /// dirty sets can never drift from the contexts.
+    /// the probe journal can never drift from the contexts. The pending
+    /// sets are the actions' business: `run_worklist` clears them when it
+    /// ends and enqueues what its own rewrites change, so a rewrite
+    /// inside the fixpoint need not record there.
     fn record_value_entry(&mut self, v: ValueId, axis: &Axis, kind: ShardKind) {
         let pos = self.value_ctx[v.0 as usize].entries().len();
         self.value_ctx[v.0 as usize].push(axis.clone(), kind);
@@ -348,7 +355,6 @@ impl Partitioning {
             ShardKind::Atomic => h.write_u64(2),
         }
         self.fp = Fingerprint(self.fp.0 ^ h.finish().0);
-        self.dirty_values.insert(v);
         if self.journal.depth > 0 {
             self.journal.log.push(Undo::Value(v));
         }
@@ -393,7 +399,6 @@ impl Partitioning {
         self.op_ctx[op.0 as usize]
             .entries
             .push((axis.clone(), OpAxisCtx::Entry(entry.clone())));
-        self.dirty_ops.insert(op);
         if self.journal.depth > 0 {
             self.journal.log.push(Undo::Op(op));
         }
@@ -531,6 +536,7 @@ impl Partitioning {
             });
         }
         self.record_value_entry(v, axis, ShardKind::Tile { dim });
+        self.dirty_values.insert(v);
         Ok(())
     }
 
@@ -550,6 +556,7 @@ impl Partitioning {
             });
         }
         self.record_value_entry(v, axis, ShardKind::Atomic);
+        self.dirty_values.insert(v);
         Ok(())
     }
 
@@ -569,7 +576,7 @@ impl Partitioning {
     pub fn propagate(&mut self, func: &Func) -> PropagationReport {
         partir_obs::counter!("core.propagate.dirty_values", self.dirty_values.len());
         partir_obs::counter!("core.propagate.dirty_ops", self.dirty_ops.len());
-        let mut seeds: BTreeSet<OpId> = BTreeSet::new();
+        let mut seeds = OpSet::new(func.num_ops());
         for &v in &self.dirty_values {
             match func.value(v).def {
                 ValueDef::OpResult { op, .. } | ValueDef::RegionParam { op, .. } => {
@@ -581,7 +588,9 @@ impl Partitioning {
                 seeds.insert(u);
             }
         }
-        seeds.extend(self.dirty_ops.iter().copied());
+        for &op in &self.dirty_ops {
+            seeds.insert(op);
+        }
 
         #[cfg(debug_assertions)]
         let oracle_input = self.clone();
@@ -594,7 +603,7 @@ impl Partitioning {
         #[cfg(debug_assertions)]
         {
             let mut oracle = oracle_input;
-            oracle.run_worklist(func, func.op_ids().collect(), false);
+            oracle.run_worklist(func, OpSet::all(func.num_ops()), false);
             debug_assert_eq!(
                 self.value_ctx, oracle.value_ctx,
                 "incremental propagation diverged from the full fixpoint (value contexts)"
@@ -622,23 +631,18 @@ impl Partitioning {
     /// (and debug oracle) and for callers that constructed the state by
     /// other means.
     pub fn propagate_full(&mut self, func: &Func) -> PropagationReport {
-        self.run_worklist(func, func.op_ids().collect(), true)
+        self.run_worklist(func, OpSet::all(func.num_ops()), true)
     }
 
     /// The shared worklist engine behind [`Partitioning::propagate`] and
     /// [`Partitioning::propagate_full`]. Processes ops smallest-id first
-    /// (`BTreeSet::pop_first`), so runs that start from different seed
-    /// sets but the same fireable rewrites apply them in the same order
-    /// and produce identical entry orderings (hence fingerprints).
+    /// ([`OpSet::pop`]), so runs that start from different seed sets but
+    /// the same fireable rewrites apply them in the same order and
+    /// produce identical entry orderings (hence fingerprints).
     /// `traced = false` suppresses observability output (used by the
     /// debug oracle so debug and release builds record identical traces);
     /// it never changes what the worklist computes.
-    fn run_worklist(
-        &mut self,
-        func: &Func,
-        seeds: BTreeSet<OpId>,
-        traced: bool,
-    ) -> PropagationReport {
+    fn run_worklist(&mut self, func: &Func, seeds: OpSet, traced: bool) -> PropagationReport {
         // One thread-local probe per propagation call, so the per-rule
         // dynamic counter names below are only formatted when recording.
         let traced = traced && partir_obs::current().is_some();
@@ -653,13 +657,13 @@ impl Partitioning {
         let shared = Arc::clone(&self.shared);
         let tmr = shared.tmr(func);
         let mut queue = seeds;
-        let mut touched: BTreeSet<OpId> = queue.clone();
+        let mut touched = queue.clone();
         let mut pops = 0u64;
         let mut fires: BTreeMap<&'static str, u64> = BTreeMap::new();
         // Values whose context one visit extended; reused across visits.
         let mut changed: Vec<ValueId> = Vec::new();
 
-        while let Some(op) = queue.pop_first() {
+        while let Some(op) = queue.pop() {
             pops += 1;
             let applied_before = report.applied;
             for axis in &axes {
@@ -698,7 +702,7 @@ impl Partitioning {
         // own loop context, all of which only change when the op is
         // touched).
         let conflicted: Vec<OpId> = self.conflicts.keys().map(|&(op, _)| op).collect();
-        for op in touched.into_iter().chain(conflicted) {
+        for op in std::iter::from_fn(|| touched.pop()).chain(conflicted) {
             if func.op(op).region.is_some() {
                 continue;
             }
@@ -791,6 +795,7 @@ impl Partitioning {
                             });
                         }
                         self.record_value_entry(operand, axis, ShardKind::Tile { dim: d });
+                        self.dirty_values.insert(operand);
                     }
                 }
             }
@@ -811,10 +816,12 @@ impl Partitioning {
                         });
                     }
                     self.record_value_entry(result, axis, ShardKind::Tile { dim: d });
+                    self.dirty_values.insert(result);
                 }
             }
         }
         self.record_op_entry(op, axis, entry);
+        self.dirty_ops.insert(op);
         Ok(())
     }
 
@@ -1025,6 +1032,59 @@ impl Partitioning {
             )));
         }
         Ok(())
+    }
+}
+
+/// A set of ops as a dense bitset over op ids: the propagation worklist
+/// and the record of what it visited. [`OpSet::pop`] goes smallest id
+/// first, the order a `BTreeSet` gives, without a node allocation per
+/// insert.
+#[derive(Clone)]
+struct OpSet {
+    words: Vec<u64>,
+    /// Every word below `first` is zero, so a pop scans from here.
+    first: usize,
+}
+
+impl OpSet {
+    fn new(num_ops: usize) -> Self {
+        OpSet {
+            words: vec![0; num_ops.div_ceil(64)],
+            first: 0,
+        }
+    }
+
+    fn all(num_ops: usize) -> Self {
+        let mut set = OpSet::new(num_ops);
+        for i in 0..num_ops {
+            set.insert(OpId(i as u32));
+        }
+        set
+    }
+
+    fn insert(&mut self, op: OpId) {
+        let i = op.0 as usize;
+        self.words[i / 64] |= 1 << (i % 64);
+        // An insert below the cursor moves it back, so the next pop still
+        // returns the smallest id.
+        self.first = self.first.min(i / 64);
+    }
+
+    /// Removes and returns the smallest op in the set.
+    fn pop(&mut self) -> Option<OpId> {
+        while let Some(word) = self.words.get_mut(self.first) {
+            if *word != 0 {
+                let bit = word.trailing_zeros();
+                *word &= *word - 1;
+                return Some(OpId(self.first as u32 * 64 + bit));
+            }
+            self.first += 1;
+        }
+        None
+    }
+
+    fn len(&self) -> usize {
+        self.words.iter().map(|w| w.count_ones() as usize).sum()
     }
 }
 

@@ -198,28 +198,38 @@ fn propagation_is_idempotent_and_monotone() {
 /// worklist propagation (seeded from the dirty neighbourhood) must land
 /// on exactly the state the whole-module fixed point lands on — same
 /// contexts, same conflicts, same fingerprint — for every prefix of a
-/// random action sequence on a random program.
+/// random action sequence on a random program, or on random parameters
+/// of a zoo model. The zoo models have hundreds of ops, so their rewrites
+/// re-enqueue ops many 64-op words below the one being visited.
 #[test]
 fn incremental_propagation_matches_full_fixpoint() {
+    let zoo = zoo();
     check("incremental propagation matches full fixpoint", 48, |rng| {
-        let steps = gen_steps(rng);
+        let random;
+        let (func, pool): (&Func, &[ValueId]) = if rng.gen_bool(0.5) {
+            let func = &zoo[rng.gen_range(zoo.len())];
+            (func, func.params())
+        } else {
+            random = build_program(&gen_steps(rng));
+            (&random.0, &random.1)
+        };
         let actions = gen_actions(rng, 1);
-        let (func, pool) = build_program(&steps);
         let (mesh, axes) = test_mesh();
-        let mut inc = Partitioning::new(&func, mesh.clone()).unwrap();
-        let mut full = Partitioning::new(&func, mesh).unwrap();
+        let mut inc = Partitioning::new(func, mesh.clone()).unwrap();
+        let mut full = Partitioning::new(func, mesh).unwrap();
         for &(v, dim, axis, atomic) in &actions {
             let value = pool[v % pool.len()];
+            let dim = dim % func.value_type(value).rank().max(1);
             let axis = &axes[axis];
             let (ri, rf) = if atomic {
                 (
-                    inc.atomic(&func, value, axis),
-                    full.atomic(&func, value, axis),
+                    inc.atomic(func, value, axis),
+                    full.atomic(func, value, axis),
                 )
             } else {
                 (
-                    inc.tile(&func, value, dim, axis),
-                    full.tile(&func, value, dim, axis),
+                    inc.tile(func, value, dim, axis),
+                    full.tile(func, value, dim, axis),
                 )
             };
             if ri.is_ok() != rf.is_ok() {
@@ -227,8 +237,8 @@ fn incremental_propagation_matches_full_fixpoint() {
                     "action acceptance diverged on {value:?}: {ri:?} vs {rf:?}"
                 ));
             }
-            let inc_report = inc.propagate(&func);
-            let full_report = full.propagate_full(&func);
+            let inc_report = inc.propagate(func);
+            let full_report = full.propagate_full(func);
             if inc_report.conflicts != full_report.conflicts {
                 return Err(format!(
                     "conflicts diverged: {:?} vs {:?}",
