@@ -23,13 +23,15 @@
 //! Next to that specification sit the paper's §6 lowering rules, stated
 //! once over any [`AxisStacks`] representation: the reshard split
 //! ([`reshard_split`]) and the two collective fusions
-//! ([`fuse_gather_slice`], [`fuse_reduce_slice`]). `spmd::lower` and
-//! `spmd::fuse` apply them to [`DimLayout`]s; the static objective
-//! applies them to its packed, heap-free layouts.
+//! ([`fuse_gather_slice`], [`fuse_reduce_slice`]), plus the use-site
+//! table ([`collect_uses`], [`UseInfo::sole_site`]) that states when a
+//! chain fuses with its consumer across ops. `spmd::lower` applies them
+//! to [`DimLayout`]s; the static objective applies them to its packed,
+//! heap-free layouts.
 
 use partir_core::ValueCtx;
 use partir_ir::verify::op_path;
-use partir_ir::{Collective, Func, OpId, OpKind, ValueDef};
+use partir_ir::{Collective, Func, OpId, OpKind, ValueDef, ValueId};
 use partir_mesh::Axis;
 
 use crate::dataflow::{forward_fixpoint, Fact, FactMap, Flat, ForwardAnalysis};
@@ -190,6 +192,119 @@ where
         covered,
         residual_reduce,
     })
+}
+
+/// One place a value's stored form is consumed, and resharded first.
+#[derive(Debug, Clone, Copy)]
+pub enum UseSite {
+    /// Operand slot `slot` of `op`; the required layout comes from the
+    /// op's loop context.
+    Operand {
+        /// The consuming op.
+        op: OpId,
+        /// The operand slot.
+        slot: u32,
+    },
+    /// A loop-boundary reshard (`for` init or yield); the required
+    /// layout is the stored layout of region param `param`.
+    Boundary {
+        /// The region param the value is carried into.
+        param: ValueId,
+    },
+}
+
+/// Structural use summary of one value: how often its stored form is
+/// consumed, whether it escapes through the function results, and the
+/// first use site. Partitioning-independent; the layout comparison that
+/// decides a cross-op fusion happens per partitioning.
+#[derive(Debug, Clone, Copy, Default)]
+pub struct UseInfo {
+    count: u32,
+    escapes: bool,
+    site: Option<UseSite>,
+    site_body: u32,
+    def_body: u32,
+}
+
+impl UseInfo {
+    /// The cross-op fusion condition: the value's only use, when it has
+    /// exactly one, does not escape, and sits in the body that defines
+    /// the value (so producer and consumer run under one trip count).
+    /// A chain ending in a bare `all_gather`/`all_reduce` fuses with
+    /// that use's reshard when the reshard is a pure slice the rule
+    /// accepts.
+    pub fn sole_site(&self) -> Option<UseSite> {
+        let sole = !self.escapes && self.count == 1 && self.def_body == self.site_body;
+        self.site.filter(|_| sole)
+    }
+}
+
+/// The use summary of every value of `func`, indexed by value id: every
+/// consumption of a stored form (op operands, `for` init and yield
+/// boundary reshards) is counted, dead consumers included. Body ids are
+/// assigned pre-order, one per region.
+pub fn collect_uses(func: &Func) -> Vec<UseInfo> {
+    let mut uses = vec![UseInfo::default(); func.num_values()];
+    collect_body_uses(func, func.body(), 0, &mut 0, &mut uses);
+    for &r in func.results() {
+        uses[r.0 as usize].escapes = true;
+    }
+    uses
+}
+
+fn collect_body_uses(
+    func: &Func,
+    body: &[OpId],
+    body_id: u32,
+    next_body: &mut u32,
+    uses: &mut [UseInfo],
+) {
+    let note = |uses: &mut [UseInfo], v: ValueId, site: UseSite, b: u32| {
+        let rec = &mut uses[v.0 as usize];
+        rec.count += 1;
+        if rec.count == 1 {
+            rec.site = Some(site);
+            rec.site_body = b;
+        }
+    };
+    for &op_id in body {
+        let op = func.op(op_id);
+        if let (OpKind::For { .. }, Some(region)) = (&op.kind, &op.region) {
+            // Init boundary reshards consume the inits in this body.
+            for (i, &init) in op.operands.iter().enumerate() {
+                let site = UseSite::Boundary {
+                    param: region.params[i + 1],
+                };
+                note(uses, init, site, body_id);
+            }
+            *next_body += 1;
+            let inner = *next_body;
+            for &p in &region.params {
+                uses[p.0 as usize].def_body = inner;
+            }
+            collect_body_uses(func, &region.body, inner, next_body, uses);
+            // Yield boundary reshards consume the yields inside the
+            // region. (A trivial yield reshard is no pure slice, so it
+            // never fuses.)
+            for (i, &y) in region.results.iter().enumerate() {
+                let site = UseSite::Boundary {
+                    param: region.params[i + 1],
+                };
+                note(uses, y, site, inner);
+            }
+        } else {
+            for (i, &operand) in op.operands.iter().enumerate() {
+                let site = UseSite::Operand {
+                    op: op_id,
+                    slot: i as u32,
+                };
+                note(uses, operand, site, body_id);
+            }
+        }
+        for &r in &op.results {
+            uses[r.0 as usize].def_body = body_id;
+        }
+    }
 }
 
 type LayoutFact = Flat<DimLayout>;
@@ -385,7 +500,7 @@ fn check_pass(func: &Func, facts: &FactMap<LayoutFact>) -> Vec<Diagnostic> {
                 }
             }
             // A slice undoing an immediately preceding gather of the
-            // same axes is a round trip the fusion pass should have
+            // same axes is a round trip lowering should have
             // cancelled — all the traffic buys nothing.
             if let (Collective::AllSlice { dim_axes }, ValueDef::OpResult { op: prev, .. }) =
                 (c, &func.value(data.operands[0]).def)

@@ -38,7 +38,7 @@ pub fn lint_device_func(
         "memory-static-bound",
         format!(
             "static peak-memory bound: {} bytes per device",
-            memory::static_peak_bound(func)
+            memory::static_peak_bound(func, &memory::PeakWalk::of(func))
         ),
     ));
     sort(&mut diags);

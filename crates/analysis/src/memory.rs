@@ -12,7 +12,7 @@
 //! and adds each op's gather temporary. Charging region parameters only
 //! ever adds to the resident set, so
 //!
-//! > `static_peak_bound(f) >= partir_sim::peak_memory_bytes(f)`
+//! > `static_peak_bound(f, &PeakWalk::of(f)) >= partir_sim::peak_memory_bytes(f)`
 //!
 //! holds **by construction** for every function — the contract
 //! `partir-sim` re-asserts in debug builds and the zoo tests verify over
@@ -145,10 +145,12 @@ impl PeakWalk {
 }
 
 /// An upper bound on the peak device memory (bytes) of `func`,
-/// guaranteed to dominate the simulator's estimate.
-pub fn static_peak_bound(func: &Func) -> u64 {
+/// guaranteed to dominate the simulator's estimate. `walk` is
+/// `PeakWalk::of(func)`, taken as an argument so a caller pricing the
+/// same walk another way builds it once.
+pub fn static_peak_bound(func: &Func, walk: &PeakWalk) -> u64 {
     let bytes_of = |v: ValueId| func.value_type(v).size_bytes() as u64;
-    PeakWalk::of(func).peak(func, bytes_of, true, |_| false, |_| 0)
+    walk.peak(func, bytes_of, true, |_| false, |_| 0)
 }
 
 #[cfg(test)]
@@ -163,7 +165,7 @@ mod tests {
         let y = b.neg(x).unwrap();
         let z = b.neg(y).unwrap(); // y freed after this
         let f = b.build([z]).unwrap();
-        assert_eq!(static_peak_bound(&f), 64 * 3);
+        assert_eq!(static_peak_bound(&f, &PeakWalk::of(&f)), 64 * 3);
     }
 
     #[test]
@@ -173,7 +175,7 @@ mod tests {
         let w = b.param("w", TensorType::f32([32, 32]));
         let y = b.matmul(x, w).unwrap();
         let f = b.build([y]).unwrap();
-        assert!(static_peak_bound(&f) >= partir_sim::peak_memory_bytes(&f));
+        assert!(static_peak_bound(&f, &PeakWalk::of(&f)) >= partir_sim::peak_memory_bytes(&f));
     }
 
     #[test]
@@ -188,7 +190,7 @@ mod tests {
             .unwrap();
         let f = b.build([results[0]]).unwrap();
         let simulated = partir_sim::peak_memory_bytes(&f);
-        let bound = static_peak_bound(&f);
+        let bound = static_peak_bound(&f, &PeakWalk::of(&f));
         assert!(bound >= simulated, "bound {bound} < simulated {simulated}");
         // The carried region param (256 B) is the slack.
         assert!(

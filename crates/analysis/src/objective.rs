@@ -3,8 +3,8 @@
 //! `sim::evaluate`.
 //!
 //! The analytical simulator is exact but expensive per candidate: every
-//! evaluation builds the device-local function (lowering), rebuilds it
-//! again (collective fusion), and only then walks it. This module walks
+//! evaluation builds the device-local function (lowering, collectives
+//! fused as they are emitted) and only then walks it. This module walks
 //! the *original* function once instead, replaying lowering and fusion
 //! cost-only:
 //!
@@ -18,8 +18,8 @@
 //!   `all_to_all`) applied inside each reshard, *and across op
 //!   boundaries*: when a producer's chain (an op's, or a `for` result's)
 //!   ends in a bare gather/reduce whose stored value has exactly one
-//!   non-escaping, same-body use that reshards by pure slicing, the
-//!   fusion rules are applied to the pair;
+//!   non-escaping, same-body use ([`UseInfo::sole_site`]) that reshards
+//!   by pure slicing, the fusion rules are applied to the pair;
 //! * every collective the fused program keeps, counted by kind
 //!   ([`CollectiveStats`]);
 //! * compute costed with the roofline model, and its flops counted
@@ -32,7 +32,7 @@
 //! nor *which* collectives a reshard or fusion yields is restated here:
 //! the formulas are calls into [`crate::cost`], the same functions the
 //! simulator calls, and the rules are the [`crate::layout`] functions
-//! `spmd::lower` and `spmd::fuse` call, instantiated on packed layouts.
+//! `spmd::lower` calls, instantiated on packed layouts.
 //! What this module owns is the structural replay — where lowering and
 //! fusion would put collectives.
 //!
@@ -70,7 +70,8 @@ use crate::cost::{
     ShapeView, MATMUL_EFFICIENCY,
 };
 use crate::layout::{
-    fuse_gather_slice, fuse_reduce_slice, reshard_split, AxisStacks, GatherSlice, ReduceSlice,
+    collect_uses, fuse_gather_slice, fuse_reduce_slice, reshard_split, AxisStacks, GatherSlice,
+    ReduceSlice, UseInfo, UseSite,
 };
 use crate::memory::PeakWalk;
 
@@ -246,45 +247,20 @@ struct ReplCost {
     class: OpClass,
 }
 
-/// Where a value's stored form is consumed (for cross-op fusion).
-#[derive(Debug, Clone, Copy, Default)]
-enum UseSite {
-    #[default]
-    None,
-    /// Operand slot `slot` of `op`; the required layout comes from the
-    /// op's loop context.
-    Operand { op: OpId, slot: u32 },
-    /// A loop-boundary reshard (`for` init or yield); the required
-    /// layout is the stored layout of region param `param`.
-    Boundary { param: ValueId },
-}
-
-/// Structural use summary of one value — counts, escape flag and the
-/// first use site. Candidate-independent; the layout comparison that
-/// decides fusion eligibility happens per candidate.
-#[derive(Debug, Clone, Copy, Default)]
-struct UseInfo {
-    count: u32,
-    escapes: bool,
-    site: UseSite,
-    site_body: u32,
-}
-
 /// The reusable half of the static objective: everything that depends
 /// only on the function, computed once and shared across every
 /// candidate a search evaluates.
 pub struct StaticObjective<'f> {
     func: &'f Func,
-    /// Values transitively needed by the function results. The fusion
-    /// pass eliminates dead code before the simulator runs (train steps
+    /// Values transitively needed by the function results. Lowering
+    /// leaves dead code out before the simulator runs (train steps
     /// carry dead input-gradient chains, for example), so the static
     /// walk must skip dead ops too.
     live: Vec<bool>,
     /// The memory walk's alloc/free schedule.
     walk: PeakWalk,
-    /// Per-value use summaries and defining-body ids (cross-op fusion).
+    /// Per-value use summaries (cross-op fusion).
     uses: Vec<UseInfo>,
-    def_body: Vec<u32>,
     /// Per-op roofline terms on global shapes (replicated fast path).
     repl: Vec<ReplCost>,
     /// Per-value global byte sizes, packed global shapes and element
@@ -302,20 +278,6 @@ impl<'f> StaticObjective<'f> {
     /// Precomputes the function-level analysis.
     pub fn new(func: &'f Func) -> Self {
         let live = partir_ir::passes::live_values(func);
-        let mut uses = vec![UseInfo::default(); func.num_values()];
-        let mut def_body = vec![0u32; func.num_values()];
-        let mut next_body = 0u32;
-        collect_uses(
-            func,
-            func.body(),
-            0,
-            &mut next_body,
-            &mut def_body,
-            &mut uses,
-        );
-        for &r in func.results() {
-            uses[r.0 as usize].escapes = true;
-        }
         let supported = supported(func);
         let gshape: Vec<LocalShape> = if supported.is_ok() {
             func.value_ids().map(|v| global_shape(func, v)).collect()
@@ -375,8 +337,7 @@ impl<'f> StaticObjective<'f> {
             func,
             live,
             walk: PeakWalk::of(func),
-            uses,
-            def_body,
+            uses: collect_uses(func),
             repl,
             global_bytes,
             gshape,
@@ -385,7 +346,7 @@ impl<'f> StaticObjective<'f> {
         }
     }
 
-    /// Whether the fusion pass's dead-code elimination drops `op`.
+    /// Whether lowering leaves `op` out as dead code.
     fn is_dead(&self, op: OpId) -> bool {
         let results = &self.func.op(op).results;
         !results.iter().any(|r| self.live[r.0 as usize])
@@ -449,70 +410,6 @@ fn global_shape(func: &Func, v: ValueId) -> LocalShape {
         ls.dim[d] = v as u32;
     }
     ls
-}
-
-/// Structural mirror of the fusion pass's use analysis: counts every
-/// consumption of a value's stored form (op operands, `for` init and
-/// yield boundary reshards), remembering the first site. Body ids are
-/// assigned pre-order so producer/consumer same-body checks match the
-/// lowered program's trip-count multipliers.
-fn collect_uses(
-    func: &Func,
-    body: &[OpId],
-    body_id: u32,
-    next_body: &mut u32,
-    def_body: &mut [u32],
-    uses: &mut [UseInfo],
-) {
-    let note = |uses: &mut [UseInfo], v: ValueId, site: UseSite, b: u32| {
-        let rec = &mut uses[v.0 as usize];
-        rec.count += 1;
-        if rec.count == 1 {
-            rec.site = site;
-            rec.site_body = b;
-        }
-    };
-    for &op_id in body {
-        let op = func.op(op_id);
-        if let (OpKind::For { .. }, Some(region)) = (&op.kind, &op.region) {
-            // Init boundary reshards consume the inits in this body.
-            for (i, &init) in op.operands.iter().enumerate() {
-                let site = UseSite::Boundary {
-                    param: region.params[i + 1],
-                };
-                note(uses, init, site, body_id);
-            }
-            *next_body += 1;
-            let inner = *next_body;
-            for &p in &region.params {
-                def_body[p.0 as usize] = inner;
-            }
-            collect_uses(func, &region.body, inner, next_body, def_body, uses);
-            // Yield boundary reshards consume the yields inside the
-            // region. (A trivial yield reshard is rejected per candidate:
-            // its layout diff is empty, never a pure slice.)
-            for (i, &y) in region.results.iter().enumerate() {
-                let site = UseSite::Boundary {
-                    param: region.params[i + 1],
-                };
-                note(uses, y, site, inner);
-            }
-            for &r in &op.results {
-                def_body[r.0 as usize] = body_id;
-            }
-            continue;
-        }
-        for (i, &operand) in op.operands.iter().enumerate() {
-            let site = UseSite::Operand {
-                op: op_id,
-                slot: i as u32,
-            };
-            note(uses, operand, site, body_id);
-        }
-        for &r in &op.results {
-            def_body[r.0 as usize] = body_id;
-        }
-    }
 }
 
 /// What a walk accumulates: the simulator's seconds, wire bytes and
@@ -840,12 +737,10 @@ impl<'a, 'f> Eval<'a, 'f> {
     /// cross-op collective fusion applies (see the module docs). Only
     /// consulted for ops whose chain ends in a bare gather/reduce.
     fn cross_slice(&self, v: ValueId) -> Result<Option<Layout>, IrError> {
-        let u = self.obj.uses[v.0 as usize];
-        if u.escapes || u.count != 1 || self.obj.def_body[v.0 as usize] != u.site_body {
+        let Some(site) = self.obj.uses[v.0 as usize].sole_site() else {
             return Ok(None);
-        }
-        let required = match u.site {
-            UseSite::None => return Ok(None),
+        };
+        let required = match site {
             UseSite::Operand { op, slot } => {
                 let rank = self.obj.func.value_type(v).rank();
                 self.required_operand_layout(op, slot as usize, rank)?

@@ -137,10 +137,7 @@ fn mlp_view() -> PlanView {
     part.tile(&model.func, params[0], 0, &BATCH.into()).unwrap();
     part.tile(&model.func, params[2], 1, &MODEL.into()).unwrap();
     part.propagate(&model.func);
-    let program = partir_spmd::lower(&model.func, &part)
-        .unwrap()
-        .fused()
-        .unwrap();
+    let program = partir_spmd::lower(&model.func, &part).unwrap();
     let plan = program.compile_with(&PlanOptions::default()).unwrap();
     let view = plan.verifier_view().clone();
     assert!(

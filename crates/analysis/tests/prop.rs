@@ -10,7 +10,7 @@
 //! and the deadlock-*prone* runtime: the checker's verdict is tested
 //! against actual concurrent execution, not just against itself.
 
-use partir_analysis::{error_count, lint, static_peak_bound};
+use partir_analysis::{error_count, lint, static_peak_bound, PeakWalk};
 use partir_core::Partitioning;
 use partir_ir::{BinaryOp, Func, FuncBuilder, Literal, TensorType, UnaryOp, ValueId};
 use partir_mesh::{Axis, Mesh};
@@ -162,7 +162,7 @@ fn analyzer_passing_programs_run_deadlock_free() {
         }
 
         // Static memory bound dominates the simulated peak.
-        let bound = static_peak_bound(program.func());
+        let bound = static_peak_bound(program.func(), &PeakWalk::of(program.func()));
         let simulated = partir_sim::peak_memory_bytes(program.func());
         if bound < simulated {
             return Err(format!("static bound {bound} < simulated peak {simulated}"));

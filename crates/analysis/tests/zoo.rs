@@ -6,7 +6,7 @@
 //! analyzer's contract (the mutation suite is the "no false negatives"
 //! half).
 
-use partir_analysis::{error_count, lint, static_peak_bound};
+use partir_analysis::{error_count, lint, static_peak_bound, PeakWalk};
 use partir_mesh::{HardwareConfig, Mesh};
 use partir_models::schedules::{self, BATCH, MODEL};
 use partir_models::{
@@ -115,7 +115,7 @@ fn zoo_goldens_lint_clean() {
 fn static_bound_dominates_simulated_peak_across_zoo() {
     for (name, func, rows) in zoo() {
         // The unpartitioned program itself.
-        let bound = static_peak_bound(&func);
+        let bound = static_peak_bound(&func, &PeakWalk::of(&func));
         let simulated = partir_sim::peak_memory_bytes(&func);
         assert!(
             bound >= simulated,
@@ -133,7 +133,7 @@ fn static_bound_dominates_simulated_peak_across_zoo() {
                 }
                 let jitted = partir_jit(&func, &hw, schedule).unwrap();
                 let f = jitted.program.func();
-                let bound = static_peak_bound(f);
+                let bound = static_peak_bound(f, &PeakWalk::of(f));
                 let simulated = partir_sim::peak_memory_bytes(f);
                 assert!(
                     bound >= simulated,

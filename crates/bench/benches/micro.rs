@@ -77,7 +77,7 @@ fn bench_propagation() {
     });
 }
 
-fn bench_lowering_and_fusion() {
+fn bench_lowering() {
     let func = transformer_func(4);
     let hw = machine();
     let x = func.param_by_name("tokens").unwrap();
@@ -88,11 +88,9 @@ fn bench_lowering_and_fusion() {
         partir_spmd::lower(&func, &part).unwrap()
     });
     let program = partir_spmd::lower(&func, &part).unwrap();
-    bench("fuse/transformer-4L", 2, 10, || program.fused().unwrap());
-    let fused = program.fused().unwrap();
     let sim = Simulator::new(&hw, SimConfig::default());
     bench("simulate/transformer-4L", 2, 10, || {
-        sim.simulate(fused.func()).unwrap()
+        sim.simulate(program.func()).unwrap()
     });
 }
 
@@ -278,7 +276,7 @@ fn main() {
     bench_dot();
     bench_slice_kernels();
     bench_propagation();
-    bench_lowering_and_fusion();
+    bench_lowering();
     bench_end_to_end_jit();
     bench_tmr_queries();
 }

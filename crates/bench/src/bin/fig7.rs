@@ -124,10 +124,7 @@ fn main() {
             }
             heuristic_propagate(&model.func, &mut part);
         }
-        let program = partir_spmd::lower(&model.func, &part)
-            .expect("lower")
-            .fused()
-            .expect("fuse");
+        let program = partir_spmd::lower(&model.func, &part).expect("lower");
         let report = sim.simulate(program.func()).expect("simulate");
         push("GSPMD", report.runtime_s, report.peak_memory_bytes);
 
@@ -140,10 +137,7 @@ fn main() {
             &GspmdOptions::default(),
         )
         .expect("gspmd--");
-        let program = partir_spmd::lower(&model.func, &part)
-            .expect("lower")
-            .fused()
-            .expect("fuse");
+        let program = partir_spmd::lower(&model.func, &part).expect("lower");
         let report = sim.simulate(program.func()).expect("simulate");
         push("GSPMD--", report.runtime_s, report.peak_memory_bytes);
     }

@@ -7,8 +7,8 @@
 //!   with line/column positions.
 //! * `partir-lint [--smoke]` — no files: sweep the model zoo. Every
 //!   Table 2 schedule is applied to every zoo model on each benchmark
-//!   mesh; the propagated partitioning and the lowered device program
-//!   (plus its fused form) are linted. `--smoke` trims the sweep for CI.
+//!   mesh; the propagated partitioning and the lowered (fused) device
+//!   program are linted. `--smoke` trims the sweep for CI.
 //! * `partir-lint --plans [--smoke]` — compile every zoo model ×
 //!   schedule on the 1×2/2×2/4×2 mesh ladder into a [`partir_spmd::CompiledPlan`]
 //!   (both overlapped and blocking) and run the plan-level translation
@@ -210,24 +210,6 @@ fn lint_zoo(smoke: bool, deny: Severity) -> usize {
                     ),
                     deny,
                 );
-                match program.fused() {
-                    Ok(fused) => {
-                        denied += report(
-                            &format!("{label} (fused)"),
-                            &lint::lint_device_func(
-                                fused.func(),
-                                fused.mesh(),
-                                Some(fused.input_ctxs()),
-                                Some(fused.output_ctxs()),
-                            ),
-                            deny,
-                        );
-                    }
-                    Err(e) => {
-                        println!("check {label} (fused)\n      error[fuse] {e}");
-                        denied += 1;
-                    }
-                }
             }
         }
     }

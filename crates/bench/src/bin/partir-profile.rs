@@ -80,10 +80,7 @@ fn compile(
             part.tile(&model.func, params[2], 1, &MODEL.into())
                 .expect("tile model");
             part.propagate(&model.func);
-            partir_spmd::lower(&model.func, &part)
-                .expect("lower")
-                .fused()
-                .expect("fuse")
+            partir_spmd::lower(&model.func, &part).expect("lower")
         }
     });
     Subject {

@@ -85,10 +85,7 @@ fn measure(
         &GspmdOptions::default(),
     )
     .expect("gspmd partition");
-    let program = partir_spmd::lower(&model.func, &part)
-        .expect("lowering")
-        .fused()
-        .expect("fusion");
+    let program = partir_spmd::lower(&model.func, &part).expect("lowering");
     let report = sim.simulate(program.func()).expect("simulates");
     rows.push(
         Row::new("table1", label, "GSPMD")

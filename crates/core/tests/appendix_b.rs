@@ -56,7 +56,7 @@ fn b11_multi_axis_analysis_sees_through_nested_contexts() {
     let reference = interpret(&f, &inputs).unwrap();
     let temporal = partir_core::temporal::interpret_sharded(&f, &p, &inputs).unwrap();
     assert!(reference[0].max_abs_diff(&temporal[0]).unwrap() < 1e-4);
-    let program = partir_spmd::lower(&f, &p).unwrap().fused().unwrap();
+    let program = partir_spmd::lower(&f, &p).unwrap();
     let spmd = program.execute_global(&inputs).unwrap();
     assert!(reference[0].max_abs_diff(&spmd[0]).unwrap() < 1e-4);
 }
@@ -86,7 +86,7 @@ fn b12_deep_tiling_composes_with_prior_slicing() {
     // SPMD execution still matches — the device shards compose.
     let inputs = vec![rand_lit(&[16, 8], 4)];
     let reference = interpret(&f, &inputs).unwrap();
-    let program = partir_spmd::lower(&f, &p).unwrap().fused().unwrap();
+    let program = partir_spmd::lower(&f, &p).unwrap();
     let spmd = program.execute_global(&inputs).unwrap();
     assert_eq!(reference[0], spmd[0]);
 }
@@ -107,7 +107,7 @@ fn same_dim_tiling_order_defines_layout() {
         p.propagate(&f);
         let inputs = vec![rand_lit(&[8, 4], 8)];
         let reference = interpret(&f, &inputs).unwrap();
-        let program = partir_spmd::lower(&f, &p).unwrap().fused().unwrap();
+        let program = partir_spmd::lower(&f, &p).unwrap();
         let spmd = program.execute_global(&inputs).unwrap();
         assert!(reference[0].max_abs_diff(&spmd[0]).unwrap() < 1e-6);
     }

@@ -39,7 +39,7 @@
 //!     &[InputSharding::tile("x", 0, "B")],
 //!     &opts,
 //! )?;
-//! let program = partir_spmd::lower(&f, &part)?.fused()?;
+//! let program = partir_spmd::lower(&f, &part)?;
 //! assert_eq!(program.stats().total(), 0);
 //! # Ok::<(), Box<dyn std::error::Error>>(())
 //! ```
@@ -215,7 +215,7 @@ mod tests {
         let mut check = part.clone();
         assert!(check.propagate(&f).conflicts.is_empty());
         // And the lowered program still computes the right thing.
-        let program = partir_spmd::lower(&f, &part).unwrap().fused().unwrap();
+        let program = partir_spmd::lower(&f, &part).unwrap();
         let inputs = vec![
             partir_ir::Literal::ones(&TensorType::f32([16, 8])),
             partir_ir::Literal::ones(&TensorType::f32([8, 16])),
@@ -254,16 +254,8 @@ mod tests {
             },
         )
         .unwrap();
-        let s_minus = partir_spmd::lower(&f, &minus)
-            .unwrap()
-            .fused()
-            .unwrap()
-            .stats();
-        let s_plus = partir_spmd::lower(&f2, &plus)
-            .unwrap()
-            .fused()
-            .unwrap()
-            .stats();
+        let s_minus = partir_spmd::lower(&f, &minus).unwrap().stats();
+        let s_plus = partir_spmd::lower(&f2, &plus).unwrap().stats();
         // Different programs (the annotation changed conflict resolution).
         assert_ne!(s_minus, s_plus);
     }

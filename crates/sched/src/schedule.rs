@@ -142,7 +142,7 @@ pub fn partir_jit(
         // lowered once and its report simulates that program; every
         // earlier state is costed statically, without building IR.
         let (eval, source) = if Some(i) == last {
-            let lowered = program.insert(lower_fused(func, &part, &mut partition_time)?);
+            let lowered = program.insert(lower_final(func, &part, &mut partition_time)?);
             (cache.evaluate_lowered(&part, lowered, hw)?, CostSource::Sim)
         } else {
             let objective = objective.get_or_insert_with(|| StaticObjective::new(func));
@@ -165,7 +165,7 @@ pub fn partir_jit(
     }
     let program = match program {
         Some(program) => program,
-        None => lower_fused(func, &part, &mut partition_time)?, // empty schedule
+        None => lower_final(func, &part, &mut partition_time)?, // empty schedule
     };
     Ok(Jitted {
         program,
@@ -176,14 +176,14 @@ pub fn partir_jit(
     })
 }
 
-/// Lowers and fuses the final state, charging the time to partitioning.
-fn lower_fused(
+/// Lowers the final state, charging the time to partitioning.
+fn lower_final(
     func: &Func,
     part: &Partitioning,
     partition_time: &mut Duration,
 ) -> Result<SpmdProgram, SchedError> {
     let start = Instant::now();
-    let program = lower(func, part)?.fused()?;
+    let program = lower(func, part)?;
     *partition_time += start.elapsed();
     Ok(program)
 }
@@ -217,7 +217,7 @@ pub fn partir_jit_single_tactic(
     let report = part.propagate(func);
     let spent = start.elapsed();
     let cache = EvalCache::new();
-    let program = lower(func, &part)?.fused()?;
+    let program = lower(func, &part)?;
     let eval = cache.evaluate_lowered(&part, &program, hw)?;
     Ok(Jitted {
         program,

@@ -83,7 +83,7 @@ fn spelled_out(
             source,
         ));
     }
-    let program = lower(func, &part).unwrap().fused().unwrap();
+    let program = lower(func, &part).unwrap();
     (
         program.func().fingerprint(),
         part.fingerprint(),
@@ -156,7 +156,7 @@ fn compile_zoo_cells_jit_as_before() {
     }
     part.propagate(&t);
     let eval = partir_sim::evaluate(&t, &part, &hw).unwrap();
-    let program = lower(&t, &part).unwrap().fused().unwrap();
+    let program = lower(&t, &part).unwrap();
     assert_eq!(
         single.program.func().fingerprint(),
         program.func().fingerprint()

@@ -1,10 +1,9 @@
 //! The single evaluation entry point of the pipeline: lower a
-//! partitioning to its device-local program, fuse collectives, and
-//! simulate the result.
+//! partitioning to its device-local program (collectives fused as they
+//! are emitted) and simulate the result.
 //!
 //! Search tactics (`partir-sched`) and benchmarks previously each glued
-//! `partir_spmd::lower` + `fused` + [`Simulator::simulate`] together by
-//! hand; [`evaluate`] is now the one place that composition lives, and
+//! `partir_spmd::lower` + [`Simulator::simulate`] together by hand; [`evaluate`] is now the one place that composition lives, and
 //! the unit whose results the search's evaluation cache memoises (keyed
 //! by [`partir_core::Partitioning::fingerprint`]).
 
@@ -91,7 +90,7 @@ impl From<StaticCost> for Evaluation {
     }
 }
 
-/// Lowers `func` under `part`, fuses collectives, and simulates the
+/// Lowers `func` under `part` (collectives fused) and simulates the
 /// device-local program on `hw` with the default [`SimConfig`].
 ///
 /// # Errors
@@ -105,7 +104,7 @@ pub fn evaluate(
     hw: &HardwareConfig,
 ) -> Result<Evaluation, IrError> {
     let _span = partir_obs::span!("sim.evaluate");
-    let program = partir_spmd::lower(func, part)?.fused()?;
+    let program = partir_spmd::lower(func, part)?;
     simulate_fused(&program, hw)
 }
 
@@ -157,7 +156,7 @@ mod tests {
         p.propagate(&f);
 
         let eval = evaluate(&f, &p, &hw).unwrap();
-        let program = partir_spmd::lower(&f, &p).unwrap().fused().unwrap();
+        let program = partir_spmd::lower(&f, &p).unwrap();
         let report = Simulator::new(&hw, SimConfig::default())
             .simulate(program.func())
             .unwrap();

@@ -15,13 +15,14 @@ use partir_ir::{Func, ValueId};
 /// loop region params treated as free aliases of their carried inputs.
 pub fn peak_memory_bytes(func: &Func) -> u64 {
     let bytes_of = |v: ValueId| func.value_type(v).size_bytes() as u64;
-    let peak = PeakWalk::of(func).peak(func, bytes_of, false, |_| false, |_| 0);
+    let walk = PeakWalk::of(func);
+    let peak = walk.peak(func, bytes_of, false, |_| false, |_| 0);
     // Contract with the static analyzer: its bound is this walk charging
     // the region params too, so it must dominate on every function.
     debug_assert!(
-        partir_analysis::static_peak_bound(func) >= peak,
+        partir_analysis::static_peak_bound(func, &walk) >= peak,
         "static peak-memory bound fell below the simulated peak ({} < {peak})",
-        partir_analysis::static_peak_bound(func),
+        partir_analysis::static_peak_bound(func, &walk),
     );
     peak
 }

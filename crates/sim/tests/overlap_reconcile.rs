@@ -64,10 +64,7 @@ fn build_program(
             part.tile(&model.func, params[2], 1, &MODEL.into())
                 .expect("tile");
             part.propagate(&model.func);
-            partir_spmd::lower(&model.func, &part)
-                .expect("lower")
-                .fused()
-                .expect("fuse")
+            partir_spmd::lower(&model.func, &part).expect("lower")
         }
     }
 }

@@ -4,7 +4,7 @@
 //! [`lower`] turns a function plus its [`partir_core::Partitioning`] into
 //! a *device-local* program: every value takes its sharded type, every op
 //! runs on local shards, and mesh-axis collectives (`all_reduce`,
-//! `all_gather`, `all_slice`, and after [`fuse_collectives`]:
+//! `all_gather`, `all_slice`, and where a pair fuses as it is emitted:
 //! `reduce_scatter`, `all_to_all`) reconcile layout mismatches — exactly
 //! the reconciliations the paper's schedules are characterised by (one
 //! all-reduce per parameter gradient under batch parallelism, gathers
@@ -66,7 +66,6 @@
 #![forbid(unsafe_code)]
 
 pub mod collectives;
-mod fuse;
 mod interp;
 mod lower;
 pub mod plan;
@@ -75,7 +74,6 @@ pub mod runtime;
 mod stats;
 
 pub use collectives::{predict_traffic, AxisTraffic, TrafficPrediction};
-pub use fuse::fuse_collectives;
 pub use interp::apply_collective;
 pub use lower::lower;
 pub use plan::{CollWindow, CompiledPlan, PlanError, PlanExecutor, PlanOptions};

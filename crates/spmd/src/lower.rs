@@ -1,5 +1,6 @@
 //! Lowering of partitioned functions to device-local SPMD programs
-//! (paper §6.1).
+//! (paper §6.1), with the §6 collective fusions decided as each
+//! collective is emitted — one pass, one function build.
 //!
 //! The rules, per op:
 //!
@@ -11,12 +12,29 @@
 //!    localized. Tiled nullary ops (constants, iota) materialise the full
 //!    value and `all_slice` it.
 //! 3. `#sum` contexts emit an `all_reduce` over their axes; any extra
-//!    tiling recorded on the result value is realised with `all_slice`
-//!    (fusing to `reduce_scatter` later).
+//!    tiling recorded on the result value is realised with `all_slice`.
+//!
+//! Fusion ([`fuse_gather_slice`], [`fuse_reduce_slice`]) applies wherever
+//! a gather or reduce meets a slice:
+//!
+//! * inside one reshard, a gather then a slice cancel or become one
+//!   `all_to_all`;
+//! * an op's `#sum` then a pure-slice result reshard becomes a residual
+//!   `all_slice`, a residual `all_reduce`, then a `reduce_scatter`;
+//! * across ops: when a chain (an op's, or a `for` result's reshard)
+//!   ends in a bare gather or reduce and the value's sole use
+//!   ([`UseInfo::sole_site`]) reshards it by a pure slice the rule
+//!   accepts, the producer is not emitted and the consumer's reshard
+//!   emits the fused form where the slice would have been.
+//!
+//! Ops and `for` results dead in the original function are not lowered.
 
 use std::collections::HashMap;
 
-use partir_analysis::layout::{reshard_split, AxisStacks, DimLayout};
+use partir_analysis::layout::{
+    collect_uses, fuse_gather_slice, fuse_reduce_slice, reshard_split, AxisStacks, DimLayout,
+    GatherSlice, ReduceSlice, UseInfo, UseSite,
+};
 use partir_core::temporal::localize_kind;
 use partir_core::tmr::ResultAction;
 use partir_core::{OpAxisCtx, Partitioning};
@@ -25,7 +43,8 @@ use partir_mesh::Axis;
 
 use crate::program::SpmdProgram;
 
-/// Lowers `func` under `part` into a device-local SPMD program.
+/// Lowers `func` under `part` into a device-local SPMD program, with
+/// collective pairs fused and dead code left out.
 ///
 /// # Errors
 ///
@@ -35,7 +54,15 @@ pub fn lower(func: &Func, part: &Partitioning) -> Result<SpmdProgram, IrError> {
     let _span = partir_obs::span!("spmd.lower");
     let mesh = part.mesh().clone();
     let mut b = FuncBuilder::with_mesh(format!("{}_spmd", func.name()), mesh.clone());
-    let mut map: HashMap<ValueId, ValueId> = HashMap::new();
+    let mut lowerer = Lowerer {
+        func,
+        part,
+        live: partir_ir::passes::live_values(func),
+        uses: collect_uses(func),
+        map: vec![None; func.num_values()],
+        deferred: HashMap::new(),
+        absorbed: 0,
+    };
     for &p in func.params() {
         let local_ty = part.local_type(func, p);
         let name = func
@@ -44,21 +71,21 @@ pub fn lower(func: &Func, part: &Partitioning) -> Result<SpmdProgram, IrError> {
             .clone()
             .unwrap_or_else(|| format!("arg{}", p.0));
         let lp = b.param(name, local_ty);
-        map.insert(p, lp);
+        lowerer.map[p.0 as usize] = Some(lp);
     }
-    let lowerer = Lowerer { func, part };
-    lowerer.lower_body(&mut b, func.body(), &mut map)?;
+    lowerer.lower_body(&mut b, func.body())?;
+    debug_assert!(
+        lowerer.deferred.is_empty(),
+        "a deferred producer was never consumed"
+    );
     let results: Vec<ValueId> = func
         .results()
         .iter()
-        .map(|r| {
-            map.get(r)
-                .copied()
-                .ok_or_else(|| IrError::invalid("function result was not lowered".to_string()))
-        })
+        .map(|&r| lowerer.lowered(r))
         .collect::<Result<_, _>>()?;
     let lowered = b.build(results)?;
     partir_obs::counter!("spmd.lower.ops", lowered.op_ids().count());
+    partir_obs::counter!("spmd.fuse.absorbed", lowerer.absorbed);
     let input_ctxs = func
         .params()
         .iter()
@@ -84,27 +111,112 @@ pub fn lower(func: &Func, part: &Partitioning) -> Result<SpmdProgram, IrError> {
     Ok(SpmdProgram::new(lowered, mesh, input_ctxs, output_ctxs))
 }
 
+/// What a gather or reduce and the `all_slice` after it fuse into.
+enum Fusion {
+    Cancel,
+    AllToAll(Collective),
+    Reduce(ReduceSlice<DimLayout, Vec<Axis>>, ReduceOp),
+}
+
+impl Fusion {
+    /// `all_slice(slice) ∘ all_gather(gather)`, if the rule fuses it.
+    fn gather(gather: &DimLayout, slice: &DimLayout) -> Option<Fusion> {
+        fuse_gather_slice(gather, slice).map(|fused| match fused {
+            GatherSlice::Cancel => Fusion::Cancel,
+            // The rule matched the gathered and sliced stacks.
+            GatherSlice::AllToAll { src_dim, dst_dim } => Fusion::AllToAll(Collective::AllToAll {
+                src_dim,
+                dst_dim,
+                axes: slice[dst_dim].clone(),
+            }),
+        })
+    }
+
+    /// `all_slice(slice) ∘ all_reduce(axes)`, if the rule fuses it.
+    fn reduce(axes: &[Axis], monoid: ReduceOp, slice: &DimLayout) -> Option<Fusion> {
+        fuse_reduce_slice(axes, slice).map(|split| Fusion::Reduce(split, monoid))
+    }
+
+    /// Emits the fused form on `src`, the producer's operand.
+    fn emit(self, b: &mut FuncBuilder, src: ValueId) -> Result<ValueId, IrError> {
+        match self {
+            Fusion::Cancel => Ok(src),
+            Fusion::AllToAll(a2a) => b.collective(a2a, src),
+            Fusion::Reduce(
+                ReduceSlice {
+                    residual_slice,
+                    covered,
+                    residual_reduce,
+                },
+                monoid,
+            ) => {
+                // Uncovered slice prefix first (slice/reduce commute and
+                // this preserves the per-dim slicing order), then the
+                // reductions.
+                let mut cur = src;
+                if residual_slice.has_axes() {
+                    cur = b.collective(
+                        Collective::AllSlice {
+                            dim_axes: residual_slice,
+                        },
+                        cur,
+                    )?;
+                }
+                if !residual_reduce.is_empty() {
+                    cur = b.collective(
+                        Collective::AllReduce {
+                            axes: residual_reduce,
+                            reduce: monoid,
+                        },
+                        cur,
+                    )?;
+                }
+                b.collective(
+                    Collective::ReduceScatter {
+                        dim_axes: covered,
+                        reduce: monoid,
+                    },
+                    cur,
+                )
+            }
+        }
+    }
+}
+
 struct Lowerer<'a> {
     func: &'a Func,
     part: &'a Partitioning,
+    /// Values the original function's results need; the rest is not
+    /// lowered.
+    live: Vec<bool>,
+    uses: Vec<UseInfo>,
+    /// Each original value's lowered stored form, by value id.
+    map: Vec<Option<ValueId>>,
+    /// Values whose chain-ending gather or reduce was not emitted: the
+    /// producer's operand and the fusion their sole use emits instead.
+    deferred: HashMap<ValueId, (ValueId, Fusion)>,
+    /// Gathers and reduces fused away.
+    absorbed: usize,
 }
 
 impl Lowerer<'_> {
-    fn lower_body(
-        &self,
-        b: &mut FuncBuilder,
-        body: &[OpId],
-        map: &mut HashMap<ValueId, ValueId>,
-    ) -> Result<(), IrError> {
+    fn lower_body(&mut self, b: &mut FuncBuilder, body: &[OpId]) -> Result<(), IrError> {
         for &op_id in body {
             let op = self.func.op(op_id);
+            if !op.results.iter().any(|r| self.live[r.0 as usize]) {
+                continue; // dead code
+            }
             if op.region.is_some() {
-                self.lower_for(b, op_id, map)?;
+                self.lower_for(b, op_id)?;
             } else {
-                self.lower_op(b, op_id, map)?;
+                self.lower_op(b, op_id)?;
             }
         }
         Ok(())
+    }
+
+    fn lowered(&self, v: ValueId) -> Result<ValueId, IrError> {
+        self.map[v.0 as usize].ok_or_else(|| IrError::invalid("value used before it was lowered"))
     }
 
     /// The layout the op's context requires for operand slot `i`.
@@ -138,24 +250,27 @@ impl Lowerer<'_> {
         (layout, reduces)
     }
 
-    /// Emits gather/slice collectives moving `v` from layout `from` to
-    /// layout `to`, split by [`reshard_split`]: the common slicing prefix
-    /// stays in place (so "shard this partial result further" costs a
-    /// slice, which fuses with a preceding all_reduce into a
-    /// reduce_scatter). The fusion pass cancels and merges what remains.
-    fn reshard(
-        &self,
+    fn stored_layout(&self, v: ValueId) -> DimLayout {
+        let rank = self.func.value_type(v).rank();
+        self.part.value_ctx(v).dim_axes(rank)
+    }
+
+    /// Emits `all_slice(slice) ∘ all_gather(gather)` on `cur`, empty
+    /// stages dropped and the pair fused when the rule allows.
+    fn gather_slice(
+        &mut self,
         b: &mut FuncBuilder,
-        v: ValueId,
-        from: &DimLayout,
-        to: &DimLayout,
+        mut cur: ValueId,
+        gather: DimLayout,
+        slice: DimLayout,
     ) -> Result<ValueId, IrError> {
-        if from == to {
-            return Ok(v);
-        }
-        let (gather, slice) = reshard_split(from, to);
-        let mut cur = v;
         if gather.has_axes() {
+            if slice.has_axes() {
+                if let Some(fused) = Fusion::gather(&gather, &slice) {
+                    self.absorbed += 1;
+                    return fused.emit(b, cur);
+                }
+            }
             cur = b.collective(Collective::AllGather { dim_axes: gather }, cur)?;
         }
         if slice.has_axes() {
@@ -164,17 +279,124 @@ impl Lowerer<'_> {
         Ok(cur)
     }
 
-    fn stored_layout(&self, v: ValueId) -> DimLayout {
-        let rank = self.func.value_type(v).rank();
-        self.part.value_ctx(v).dim_axes(rank)
+    /// Reshards original value `v` at its use to layout `to`, split by
+    /// [`reshard_split`]: the common slicing prefix stays in place (so
+    /// "shard this partial result further" costs a slice). A deferred
+    /// producer of `v` is emitted here, fused with this use's slice.
+    fn reshard_use(
+        &mut self,
+        b: &mut FuncBuilder,
+        v: ValueId,
+        to: &DimLayout,
+    ) -> Result<ValueId, IrError> {
+        if !self.deferred.is_empty() {
+            if let Some((src, fused)) = self.deferred.remove(&v) {
+                return fused.emit(b, src);
+            }
+        }
+        let lv = self.lowered(v)?;
+        let from = self.stored_layout(v);
+        if from == *to {
+            return Ok(lv);
+        }
+        let (gather, slice) = reshard_split(&from, to);
+        self.gather_slice(b, lv, gather, slice)
     }
 
-    fn lower_op(
+    /// The fusion of `v`'s chain-ending gather or reduce with its sole
+    /// use, when that use reshards `v` by a pure slice: the cross-op rule.
+    fn cross_fusion(
         &self,
+        v: ValueId,
+        stored: &DimLayout,
+        fuse: impl FnOnce(&DimLayout) -> Option<Fusion>,
+    ) -> Option<Fusion> {
+        let required = match self.uses[v.0 as usize].sole_site()? {
+            UseSite::Operand { op, slot } => {
+                self.required_operand_layout(op, slot as usize, stored.len())
+            }
+            UseSite::Boundary { param } => self.stored_layout(param),
+        };
+        let (gather, slice) = reshard_split(stored, &required);
+        if gather.has_axes() || !slice.has_axes() {
+            return None;
+        }
+        fuse(&slice)
+    }
+
+    /// Emits the end of `v`'s producing chain on `value`: the `#sum`
+    /// reduction over `reduces`, then the reshard from `produced` to
+    /// `v`'s stored layout, with every fusion rule applied. Records the
+    /// stored form of `v`, or defers it to `v`'s sole use.
+    fn chain_end(
+        &mut self,
         b: &mut FuncBuilder,
-        op_id: OpId,
-        map: &mut HashMap<ValueId, ValueId>,
+        v: ValueId,
+        mut value: ValueId,
+        reduces: &[(Axis, ReduceOp)],
+        produced: &DimLayout,
     ) -> Result<(), IrError> {
+        let stored = self.stored_layout(v);
+        if reduces.is_empty() && *produced == stored {
+            self.map[v.0 as usize] = Some(value); // most chains end here
+            return Ok(());
+        }
+        let (gather, slice) = reshard_split(produced, &stored);
+        if let Some(&(_, monoid)) = reduces.first() {
+            debug_assert!(
+                reduces.iter().all(|(_, r)| *r == monoid),
+                "mixed reduction monoids on one op"
+            );
+            let axes: Vec<Axis> = reduces.iter().map(|(a, _)| a.clone()).collect();
+            if !gather.has_axes() {
+                let fused = if slice.has_axes() {
+                    Fusion::reduce(&axes, monoid, &slice)
+                } else {
+                    self.cross_fusion(v, &stored, |s| Fusion::reduce(&axes, monoid, s))
+                };
+                if let Some(fused) = fused {
+                    return self.finish(b, v, value, fused, !slice.has_axes());
+                }
+            }
+            value = b.collective(
+                Collective::AllReduce {
+                    axes,
+                    reduce: monoid,
+                },
+                value,
+            )?;
+        }
+        if gather.has_axes() && !slice.has_axes() {
+            if let Some(fused) = self.cross_fusion(v, &stored, |s| Fusion::gather(&gather, s)) {
+                return self.finish(b, v, value, fused, true);
+            }
+        }
+        let out = self.gather_slice(b, value, gather, slice)?;
+        self.map[v.0 as usize] = Some(out);
+        Ok(())
+    }
+
+    /// Absorbs a chain-ending producer into `fused`: emitted now, or
+    /// deferred to `v`'s sole use when `cross` holds.
+    fn finish(
+        &mut self,
+        b: &mut FuncBuilder,
+        v: ValueId,
+        src: ValueId,
+        fused: Fusion,
+        cross: bool,
+    ) -> Result<(), IrError> {
+        self.absorbed += 1;
+        if cross {
+            self.deferred.insert(v, (src, fused));
+        } else {
+            let out = fused.emit(b, src)?;
+            self.map[v.0 as usize] = Some(out);
+        }
+        Ok(())
+    }
+
+    fn lower_op(&mut self, b: &mut FuncBuilder, op_id: OpId) -> Result<(), IrError> {
         let op = self.func.op(op_id);
         let result = op.results[0];
         let result_ty = self.func.value_type(result);
@@ -185,22 +407,18 @@ impl Lowerer<'_> {
         if op.operands.is_empty() {
             let full = b.emit(op.kind.clone(), &[])?[0];
             let stored = self.stored_layout(result);
-            let identity = DimLayout::empty(result_ty.rank());
-            let out = self.reshard(b, full, &identity, &stored)?;
-            map.insert(result, out);
+            let empty = DimLayout::empty(result_ty.rank());
+            let out = self.gather_slice(b, full, empty, stored)?;
+            self.map[result.0 as usize] = Some(out);
             return Ok(());
         }
 
         // 1. Reshard operands to the op's required layouts.
         let mut local_operands = Vec::with_capacity(op.operands.len());
         for (i, &operand) in op.operands.iter().enumerate() {
-            let lv = *map
-                .get(&operand)
-                .ok_or_else(|| IrError::invalid("operand not lowered"))?;
             let rank = self.func.value_type(operand).rank();
-            let from = self.stored_layout(operand);
             let to = self.required_operand_layout(op_id, i, rank);
-            local_operands.push(self.reshard(b, lv, &from, &to)?);
+            local_operands.push(self.reshard_use(b, operand, &to)?);
         }
 
         // 2. Execute the op with localized attributes.
@@ -216,35 +434,13 @@ impl Lowerer<'_> {
             }
         }
         let kind = localize_kind(&op.kind, &Shape::from(local_result_shape))?;
-        let mut value = b.emit(kind, &local_operands)?[0];
+        let value = b.emit(kind, &local_operands)?[0];
 
         // 3. Reduce #sum axes, then reshard to the stored result layout.
-        if !reduces.is_empty() {
-            let monoid = reduces[0].1;
-            debug_assert!(
-                reduces.iter().all(|(_, r)| *r == monoid),
-                "mixed reduction monoids on one op"
-            );
-            value = b.collective(
-                Collective::AllReduce {
-                    axes: reduces.iter().map(|(a, _)| a.clone()).collect(),
-                    reduce: monoid,
-                },
-                value,
-            )?;
-        }
-        let stored = self.stored_layout(result);
-        value = self.reshard(b, value, &produced, &stored)?;
-        map.insert(result, value);
-        Ok(())
+        self.chain_end(b, result, value, &reduces, &produced)
     }
 
-    fn lower_for(
-        &self,
-        b: &mut FuncBuilder,
-        op_id: OpId,
-        map: &mut HashMap<ValueId, ValueId>,
-    ) -> Result<(), IrError> {
+    fn lower_for(&mut self, b: &mut FuncBuilder, op_id: OpId) -> Result<(), IrError> {
         let op = self.func.op(op_id);
         let OpKind::For { trip_count } = op.kind else {
             return Err(IrError::invalid("region op that is not a for"));
@@ -253,38 +449,31 @@ impl Lowerer<'_> {
         // Reshard inits to the region-param layouts.
         let mut inits = Vec::with_capacity(op.operands.len());
         for (i, &init) in op.operands.iter().enumerate() {
-            let lv = *map
-                .get(&init)
-                .ok_or_else(|| IrError::invalid("for init not lowered"))?;
-            let from = self.stored_layout(init);
             let to = self.stored_layout(region.params[i + 1]);
-            inits.push(self.reshard(b, lv, &from, &to)?);
+            inits.push(self.reshard_use(b, init, &to)?);
         }
         let results = b.for_loop(trip_count, &inits, |inner, index, carried| {
-            map.insert(region.params[0], index);
+            self.map[region.params[0].0 as usize] = Some(index);
             for (rp, &c) in region.params[1..].iter().zip(carried) {
-                map.insert(*rp, c);
+                self.map[rp.0 as usize] = Some(c);
             }
-            self.lower_body(inner, &region.body, map)?;
+            self.lower_body(inner, &region.body)?;
             // Reshard yielded values back to the param layouts so the
             // next iteration sees a consistent carried layout.
             let mut yields = Vec::with_capacity(region.results.len());
-            for (i, ry) in region.results.iter().enumerate() {
-                let lv = *map
-                    .get(ry)
-                    .ok_or_else(|| IrError::invalid("yield not lowered"))?;
-                let from = self.stored_layout(*ry);
+            for (i, &ry) in region.results.iter().enumerate() {
                 let to = self.stored_layout(region.params[i + 1]);
-                yields.push(self.reshard(inner, lv, &from, &to)?);
+                yields.push(self.reshard_use(inner, ry, &to)?);
             }
             Ok(yields)
         })?;
-        // Op results carry the param layout; reshard to their stored ctx.
+        // Op results carry the param layout; reshard the live ones to
+        // their stored ctx.
         for (i, (&orig, &lowered)) in op.results.iter().zip(&results).enumerate() {
-            let from = self.stored_layout(region.params[i + 1]);
-            let to = self.stored_layout(orig);
-            let v = self.reshard(b, lowered, &from, &to)?;
-            map.insert(orig, v);
+            if self.live[orig.0 as usize] {
+                let from = self.stored_layout(region.params[i + 1]);
+                self.chain_end(b, orig, lowered, &[], &from)?;
+            }
         }
         Ok(())
     }

@@ -66,7 +66,7 @@ use std::fmt;
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
 use partir_analysis::plan::{Access, ForView, PlanView, StageView, StepView};
-use partir_analysis::Diagnostic;
+use partir_analysis::{Diagnostic, PeakWalk};
 use partir_ir::interp::eval_op;
 use partir_ir::kernels::{apply_bin, apply_un, Buf, BufMut, SliceKernel};
 use partir_ir::{
@@ -539,9 +539,11 @@ impl CompiledPlan {
             .sum();
         // Satellite check: replay the analysis liveness walk with the
         // plan's own pool-element byte accounting and require exact
-        // agreement with the published static bound.
-        let analysis = partir_analysis::static_peak_bound(func);
-        let replayed = replay_bound(func);
+        // agreement with the published static bound. One walk, priced
+        // both ways.
+        let walk = PeakWalk::of(func);
+        let analysis = partir_analysis::static_peak_bound(func, &walk);
+        let replayed = replay_bound(func, &walk);
         if replayed != analysis {
             return Err(PlanError::BoundMismatch { replayed, analysis });
         }
@@ -826,12 +828,12 @@ impl CompiledPlan {
 
 /// The [`partir_analysis::static_peak_bound`] walk with the plan's own
 /// pool-element byte accounting. Must agree exactly with the bound.
-fn replay_bound(func: &Func) -> u64 {
+fn replay_bound(func: &Func, walk: &PeakWalk) -> u64 {
     let bytes_of = |v: ValueId| -> u64 {
         let ty = func.value_type(v);
         ty.shape.num_elements() as u64 * pool_elem_bytes(ty.dtype) as u64
     };
-    partir_analysis::PeakWalk::of(func).peak(func, bytes_of, true, |_| false, |_| 0)
+    walk.peak(func, bytes_of, true, |_| false, |_| 0)
 }
 
 // ---------------------------------------------------------------------------

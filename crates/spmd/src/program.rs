@@ -62,21 +62,16 @@ impl SpmdProgram {
         collect_stats(&self.func)
     }
 
-    /// Returns the program with collective pairs fused
-    /// (`all_slice∘all_gather → all_to_all`,
-    /// `all_slice∘all_reduce → reduce_scatter`) and dead code removed.
+    /// The program itself: [`crate::lower`] already fuses collective
+    /// pairs (`all_slice∘all_gather → all_to_all`,
+    /// `all_slice∘all_reduce → reduce_scatter`) and leaves dead code out,
+    /// so this is the identity, kept for callers that still ask.
     ///
     /// # Errors
     ///
-    /// Fails only on malformed programs.
+    /// Never fails.
     pub fn fused(&self) -> Result<SpmdProgram, IrError> {
-        let func = crate::fuse::fuse_collectives(&self.func, &self.mesh)?;
-        Ok(SpmdProgram {
-            func,
-            mesh: self.mesh.clone(),
-            input_ctxs: self.input_ctxs.clone(),
-            output_ctxs: self.output_ctxs.clone(),
-        })
+        Ok(self.clone())
     }
 
     /// Shards `inputs` per the input contexts, compiles the program and

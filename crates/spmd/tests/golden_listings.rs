@@ -44,7 +44,7 @@ fn listing3_data_parallel_text() {
     let mut p = Partitioning::new(&f, mesh()).unwrap();
     p.tile(&f, x, 0, &"B".into()).unwrap();
     p.propagate(&f);
-    let text = roundtrip_text(&lower(&f, &p).unwrap().fused().unwrap());
+    let text = roundtrip_text(&lower(&f, &p).unwrap());
     // Listing 3: first argument becomes 64x8; weights keep full shapes;
     // no communication at all.
     assert!(text.contains("%x: tensor<64x8xf32>"), "{text}");
@@ -61,7 +61,7 @@ fn listing4_megatron_text() {
     p.propagate(&f);
     p.tile(&f, w1, 1, &"M".into()).unwrap();
     p.propagate(&f);
-    let text = roundtrip_text(&lower(&f, &p).unwrap().fused().unwrap());
+    let text = roundtrip_text(&lower(&f, &p).unwrap());
     // Listing 4: w1 8x8, w2 8x8, one all_reduce over M on a 64x8 value.
     assert!(text.contains("%w1: tensor<8x8xf32>"), "{text}");
     assert!(text.contains("%w2: tensor<8x8xf32>"), "{text}");
@@ -82,7 +82,7 @@ fn listing5_fully_sharded_text() {
     p.tile(&f, w1, 0, &"B".into()).unwrap();
     p.tile(&f, w2, 1, &"B".into()).unwrap();
     p.propagate(&f);
-    let text = roundtrip_text(&lower(&f, &p).unwrap().fused().unwrap());
+    let text = roundtrip_text(&lower(&f, &p).unwrap());
     // Listing 5: parameters stored fully sharded (2x8 / 8x2), gathered
     // just before use on their B-sharded dimension.
     assert!(text.contains("%w1: tensor<2x8xf32>"), "{text}");
@@ -105,7 +105,7 @@ fn es_variation_reduce_scatter_text() {
     p.propagate(&f);
     p.tile(&f, y, 1, &"M".into()).unwrap();
     p.propagate(&f);
-    let text = roundtrip_text(&lower(&f, &p).unwrap().fused().unwrap());
+    let text = roundtrip_text(&lower(&f, &p).unwrap());
     assert!(text.contains("reduce_scatter [{}, {\"M\"}]"), "{text}");
     assert!(!text.contains("all_reduce"), "{text}");
 }

@@ -58,7 +58,7 @@ fn batch_parallel_chain_needs_no_communication() {
     let mut p = Partitioning::new(&f, mesh).unwrap();
     p.tile(&f, x, 0, &"B".into()).unwrap();
     assert!(p.propagate(&f).conflicts.is_empty());
-    let program = lower(&f, &p).unwrap().fused().unwrap();
+    let program = lower(&f, &p).unwrap();
     assert_eq!(program.stats().total(), 0, "{}", program.to_text());
     // Device-local input is 4x8 (batch sliced by 4).
     assert_eq!(program.func().params().len(), 3);
@@ -83,7 +83,7 @@ fn megatron_chain_introduces_one_all_reduce() {
     p.propagate(&f);
     p.tile(&f, w1, 1, &"M".into()).unwrap();
     assert!(p.propagate(&f).conflicts.is_empty());
-    let program = lower(&f, &p).unwrap().fused().unwrap();
+    let program = lower(&f, &p).unwrap();
     let stats = program.stats();
     assert_eq!(stats.all_reduce, 1, "{}", program.to_text());
     assert_eq!(stats.all_gather, 0);
@@ -105,7 +105,7 @@ fn z3_chain_gathers_parameters_before_use() {
     p.tile(&f, w1, 0, &"B".into()).unwrap();
     p.tile(&f, w2, 1, &"B".into()).unwrap();
     assert!(p.propagate(&f).conflicts.is_empty());
-    let program = lower(&f, &p).unwrap().fused().unwrap();
+    let program = lower(&f, &p).unwrap();
     let stats = program.stats();
     assert_eq!(stats.all_gather, 2, "{}", program.to_text());
     assert_eq!(stats.all_reduce, 1);
@@ -129,7 +129,7 @@ fn activation_sharding_converts_reduce_to_reduce_scatter() {
     p.propagate(&f);
     p.tile(&f, y, 1, &"M".into()).unwrap();
     p.propagate(&f);
-    let program = lower(&f, &p).unwrap().fused().unwrap();
+    let program = lower(&f, &p).unwrap();
     let stats = program.stats();
     assert_eq!(stats.reduce_scatter, 1, "{}", program.to_text());
     assert_eq!(stats.all_reduce, 0);
@@ -147,7 +147,7 @@ fn conflicting_single_tactic_still_lowers_correctly() {
     p.tile(&f, w1, 1, &"B".into()).unwrap();
     let report = p.propagate(&f);
     assert!(!report.conflicts.is_empty());
-    let program = lower(&f, &p).unwrap().fused().unwrap();
+    let program = lower(&f, &p).unwrap();
     assert!(program.stats().all_gather >= 2, "{}", program.to_text());
     check_numerics(&f, &program, &chain_inputs());
 }
@@ -164,7 +164,7 @@ fn atomic_keeps_value_replicated_through_lowering() {
     p.atomic(&f, param, &"B".into()).unwrap();
     p.tile(&f, update, 0, &"B".into()).unwrap();
     p.propagate(&f);
-    let program = lower(&f, &p).unwrap().fused().unwrap();
+    let program = lower(&f, &p).unwrap();
     // The sharded update must be gathered before the replicated subtract:
     // exactly the Z2 one-AllGather-per-parameter behaviour.
     assert_eq!(program.stats().all_gather, 1, "{}", program.to_text());
@@ -199,7 +199,7 @@ fn gradient_pattern_reduce_scatters() {
     // Now shard the produced gradient itself (Z-style).
     p.tile(&f, dw, 0, &"B".into()).unwrap();
     p.propagate(&f);
-    let program = lower(&f, &p).unwrap().fused().unwrap();
+    let program = lower(&f, &p).unwrap();
     let stats = program.stats();
     assert_eq!(stats.reduce_scatter, 1, "{}", program.to_text());
     assert_eq!(stats.all_reduce, 0);
@@ -220,7 +220,7 @@ fn for_loop_with_sharded_carry_runs_spmd() {
     let mut p = Partitioning::new(&f, mesh).unwrap();
     p.tile(&f, x, 0, &"B".into()).unwrap();
     assert!(p.propagate(&f).conflicts.is_empty());
-    let program = lower(&f, &p).unwrap().fused().unwrap();
+    let program = lower(&f, &p).unwrap();
     assert_eq!(program.stats().total(), 0, "{}", program.to_text());
     let inputs = vec![rand_lit(&[8, 4], 8), rand_lit(&[4, 4], 9)];
     check_numerics(&f, &program, &inputs);
@@ -280,7 +280,7 @@ fn transformer_like_block_with_reshape_and_softmax() {
     let mut p = Partitioning::new(&f, mesh).unwrap();
     p.tile(&f, x, 0, &"B".into()).unwrap();
     assert!(p.propagate(&f).conflicts.is_empty());
-    let program = lower(&f, &p).unwrap().fused().unwrap();
+    let program = lower(&f, &p).unwrap();
     assert_eq!(program.stats().total(), 0, "{}", program.to_text());
     let inputs = vec![rand_lit(&[bsz, t, d], 10), rand_lit(&[d, d], 11)];
     check_numerics(&f, &program, &inputs);
@@ -290,6 +290,152 @@ fn transformer_like_block_with_reshape_and_softmax() {
     p.tile(&f, wq, 1, &"M".into()).unwrap();
     let report = p.propagate(&f);
     assert!(report.conflicts.is_empty());
-    let program = lower(&f, &p).unwrap().fused().unwrap();
+    let program = lower(&f, &p).unwrap();
     check_numerics(&f, &program, &inputs);
+}
+
+fn count_kind(program: &SpmdProgram, name: &str) -> usize {
+    let f = program.func();
+    f.op_ids().filter(|&o| f.op(o).kind.name() == name).count()
+}
+
+#[test]
+fn partial_scatter_leaves_a_residual_all_reduce() {
+    // The contraction is tiled over both axes, so the dot reduces over
+    // both; its result is sliced over M only. M's share of the reduce
+    // becomes a reduce_scatter, B's stays an all_reduce.
+    let (f, [_, _, w2, y]) = matmul_chain();
+    let mesh = Mesh::new([("B", 2), ("M", 2)]).unwrap();
+    let mut p = Partitioning::new(&f, mesh).unwrap();
+    p.tile(&f, w2, 0, &"B".into()).unwrap();
+    p.tile(&f, w2, 0, &"M".into()).unwrap();
+    p.propagate(&f);
+    p.tile(&f, y, 0, &"M".into()).unwrap();
+    p.propagate(&f);
+    let program = lower(&f, &p).unwrap();
+    let stats = program.stats();
+    assert_eq!(
+        (stats.reduce_scatter, stats.all_reduce, stats.all_slice),
+        (1, 1, 0),
+        "{}",
+        program.to_text()
+    );
+    check_numerics(&f, &program, &chain_inputs());
+}
+
+/// A loop over a carried value tiled on columns whose result is pinned
+/// replicated, so its result reshard gathers the columns; then one
+/// consumer loop per entry of `consumer_dims`, carrying that result tiled
+/// on the given dim, so each init reshard is a pure slice.
+fn pinned_loop_result(consumer_dims: &[usize]) -> (Func, Partitioning) {
+    let mut b = FuncBuilder::new("pinned");
+    let x = b.param("x", TensorType::f32([8, 16]));
+    let w0 = b.param("w0", TensorType::f32([16, 8]));
+    let w1 = b.param("w1", TensorType::f32([8, 8]));
+    let h = b.matmul(x, w0).unwrap();
+    let mut carried = Vec::new();
+    let first = b
+        .for_loop(3, &[h], |b, _, c| {
+            carried.push((c[0], 1));
+            Ok(vec![b.matmul(c[0], w1)?])
+        })
+        .unwrap();
+    let mut outs = Vec::new();
+    for &dim in consumer_dims {
+        let out = b
+            .for_loop(2, &first, |b, _, c| {
+                carried.push((c[0], dim));
+                Ok(vec![b.neg(c[0])?])
+            })
+            .unwrap();
+        outs.push(out[0]);
+    }
+    let f = b.build(outs).unwrap();
+    let m = "m".into();
+    let mut p = Partitioning::new(&f, Mesh::single("m", 2).unwrap()).unwrap();
+    p.atomic(&f, first[0], &m).unwrap();
+    for &(c, dim) in &carried {
+        p.tile(&f, c, dim, &m).unwrap();
+    }
+    p.tile(&f, x, 1, &m).unwrap();
+    p.propagate(&f);
+    (f, p)
+}
+
+fn pinned_inputs() -> Vec<Literal> {
+    vec![
+        rand_lit(&[8, 16], 13),
+        rand_lit(&[16, 8], 14),
+        rand_lit(&[8, 8], 15),
+    ]
+}
+
+#[test]
+fn loop_result_gather_cancels_against_its_sole_use() {
+    // Across ops: the first loop's gathered result is the second loop's
+    // init, which slices it back — the gather is never emitted.
+    let (f, p) = pinned_loop_result(&[1]);
+    let program = lower(&f, &p).unwrap();
+    let text = program.to_text();
+    // The only gather is the final result's; no slice is left.
+    assert_eq!(count_kind(&program, "all_gather"), 1, "{text}");
+    assert_eq!(count_kind(&program, "all_slice"), 0, "{text}");
+    check_numerics(&f, &program, &pinned_inputs());
+}
+
+#[test]
+fn loop_result_gather_and_a_slice_of_another_dim_become_all_to_all() {
+    // Across ops: the first loop's result gathers columns, the second
+    // loop's init slices rows over the same axis — one all_to_all.
+    let (f, p) = pinned_loop_result(&[0]);
+    let program = lower(&f, &p).unwrap();
+    let text = program.to_text();
+    assert_eq!(count_kind(&program, "all_to_all"), 1, "{text}");
+    assert_eq!(count_kind(&program, "all_gather"), 1, "{text}");
+    assert_eq!(count_kind(&program, "all_slice"), 0, "{text}");
+    check_numerics(&f, &program, &pinned_inputs());
+}
+
+#[test]
+fn multi_use_loop_result_keeps_its_gather() {
+    // Two loops consume the gathered result: cross-op fusion needs a sole
+    // use, so the gather stays and each init slices.
+    let (f, p) = pinned_loop_result(&[1, 1]);
+    let program = lower(&f, &p).unwrap();
+    let text = program.to_text();
+    assert_eq!(count_kind(&program, "all_gather"), 3, "{text}");
+    assert_eq!(count_kind(&program, "all_slice"), 2, "{text}");
+    check_numerics(&f, &program, &pinned_inputs());
+}
+
+#[test]
+fn dead_ops_are_not_lowered() {
+    // A dead op, and a loop whose second result is dead and pinned
+    // replicated: neither the op nor that result's gathering reshard is
+    // lowered; the loop still carries both values.
+    let mut b = FuncBuilder::new("dead");
+    let x = b.param("x", TensorType::f32([8, 4]));
+    let _dead = b.neg(x).unwrap();
+    let mut carried = Vec::new();
+    let out = b
+        .for_loop(2, &[x, x], |b, _, c| {
+            carried.extend_from_slice(c);
+            Ok(vec![b.tanh(c[0])?, b.exp(c[1])?])
+        })
+        .unwrap();
+    let live = b.add(out[0], x).unwrap();
+    let f = b.build([live]).unwrap();
+    let mut p = Partitioning::new(&f, Mesh::single("B", 2).unwrap()).unwrap();
+    p.atomic(&f, out[1], &"B".into()).unwrap();
+    p.tile(&f, x, 0, &"B".into()).unwrap();
+    for &c in &carried {
+        p.tile(&f, c, 0, &"B".into()).unwrap();
+    }
+    p.propagate(&f);
+    let program = lower(&f, &p).unwrap();
+    let text = program.to_text();
+    assert_eq!(count_kind(&program, "neg"), 0, "{text}");
+    assert_eq!(count_kind(&program, "exp"), 1, "{text}");
+    assert_eq!(count_kind(&program, "all_gather"), 0, "{text}");
+    check_numerics(&f, &program, &[rand_lit(&[8, 4], 16)]);
 }

@@ -165,10 +165,7 @@ fn mlp_timeline_conforms() {
         part.tile(&model.func, params[0], 0, &BATCH.into()).unwrap();
         part.tile(&model.func, params[2], 1, &MODEL.into()).unwrap();
         part.propagate(&model.func);
-        let program = partir_spmd::lower(&model.func, &part)
-            .unwrap()
-            .fused()
-            .unwrap();
+        let program = partir_spmd::lower(&model.func, &part).unwrap();
         let label = format!("MLP on {} devices", mesh.num_devices());
         check_timeline(&program, &model, &label);
     }

@@ -59,11 +59,6 @@ fn threaded_runtime_matches_reference_and_prediction() {
         }
 
         let program = lower(&model.func, &part).unwrap();
-        let program = if rng.gen_bool(0.5) {
-            program.fused().unwrap()
-        } else {
-            program
-        };
 
         let inputs = partir_models::synthetic_inputs(&model, 4242);
         let plan = program

@@ -53,10 +53,7 @@ fn mlp_program(mesh: Mesh) -> (SpmdProgram, Vec<Literal>) {
     part.tile(&model.func, params[0], 0, &BATCH.into()).unwrap();
     part.tile(&model.func, params[2], 1, &MODEL.into()).unwrap();
     part.propagate(&model.func);
-    let program = partir_spmd::lower(&model.func, &part)
-        .unwrap()
-        .fused()
-        .unwrap();
+    let program = partir_spmd::lower(&model.func, &part).unwrap();
     let inputs = partir_models::synthetic_inputs(&model, 4242);
     (program, inputs)
 }

@@ -130,10 +130,7 @@ fn gspmd_minus_minus_is_noticeably_slower_than_partir() {
         &GspmdOptions::default(),
     )
     .unwrap();
-    let program = partir_spmd::lower(&model.func, &part)
-        .unwrap()
-        .fused()
-        .unwrap();
+    let program = partir_spmd::lower(&model.func, &part).unwrap();
     let sim = Simulator::new(&hw, SimConfig::default());
     let partir_rt = sim.simulate(partir.program.func()).unwrap().runtime_s;
     let gspmd_rt = sim.simulate(program.func()).unwrap().runtime_s;
@@ -155,10 +152,7 @@ fn gspmd_partition_is_correct_at_tiny_scale() {
         &GspmdOptions::default(),
     )
     .unwrap();
-    let program = partir_spmd::lower(&model.func, &part)
-        .unwrap()
-        .fused()
-        .unwrap();
+    let program = partir_spmd::lower(&model.func, &part).unwrap();
     let inputs = synthetic_inputs(&model, 6);
     let reference = interpret(&model.func, &inputs).unwrap();
     let out = program.execute_global(&inputs).unwrap();

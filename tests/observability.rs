@@ -68,10 +68,7 @@ fn run_pipeline(
                 part.tile(&model.func, params[2], 1, &MODEL.into())
                     .expect("tile");
                 part.propagate(&model.func);
-                let program = partir_spmd::lower(&model.func, &part)
-                    .expect("lower")
-                    .fused()
-                    .expect("fuse");
+                let program = partir_spmd::lower(&model.func, &part).expect("lower");
                 (program, part)
             }
         };
@@ -171,10 +168,7 @@ fn golden_program(model: &BuiltModel, mesh: Mesh) -> partir_spmd::SpmdProgram {
     part.tile(&model.func, params[2], 1, &MODEL.into())
         .expect("tile");
     part.propagate(&model.func);
-    partir_spmd::lower(&model.func, &part)
-        .expect("lower")
-        .fused()
-        .expect("fuse")
+    partir_spmd::lower(&model.func, &part).expect("lower")
 }
 
 /// Compiles the golden subject under a fake-clock collector: MLP
