@@ -5,61 +5,8 @@
 //!
 //! Run with: `cargo run --release -p partir-bench --bin fig10 [--json]`
 
-use partir_bench::{emit, tpu_mesh, Row};
-use partir_models::schedules;
-use partir_models::{
-    gns::GnsConfig, itransformer::ITransformerConfig, transformer::TransformerConfig,
-    unet::UNetConfig,
-};
-use partir_sched::{partir_jit, Schedule};
-use partir_sim::event::measured_memory;
-use partir_sim::peak_memory_bytes;
-
-fn run_rows(
-    rows: &mut Vec<Row>,
-    model_name: &str,
-    func: &partir_ir::Func,
-    schedules: Vec<(&'static str, Schedule)>,
-) {
-    let hw = tpu_mesh(8, 4);
-    let mib = |b: u64| b as f64 / (1 << 20) as f64;
-    for (name, schedule) in schedules {
-        match partir_jit(func, &hw, &schedule) {
-            Ok(jitted) => {
-                let estimated = peak_memory_bytes(jitted.program.func());
-                let measured = measured_memory(jitted.program.func());
-                rows.push(
-                    Row::new("fig10", model_name, name)
-                        .metric("estimated_MiB", mib(estimated))
-                        .metric("measured_MiB", mib(measured))
-                        .metric("error_MiB", mib(estimated) - mib(measured)),
-                );
-            }
-            Err(e) => eprintln!("{model_name} {name}: {e}"),
-        }
-    }
-}
+use partir_bench::{emit, paper};
 
 fn main() {
-    let mut rows = Vec::new();
-
-    let t32 = partir_models::transformer::build_train_step(&TransformerConfig::t32()).expect("T32");
-    run_rows(&mut rows, "T32", &t32.func, schedules::transformer_table2());
-
-    let it32 =
-        partir_models::itransformer::build_serving(&ITransformerConfig::it32(4)).expect("IT32");
-    run_rows(
-        &mut rows,
-        "IT32",
-        &it32.func,
-        schedules::itransformer_table2(),
-    );
-
-    let unet = partir_models::unet::build_train_step(&UNetConfig::paper()).expect("UNet");
-    run_rows(&mut rows, "UNet", &unet.func, schedules::unet_table2());
-
-    let gns = partir_models::gns::build_train_step(&GnsConfig::paper()).expect("GNS");
-    run_rows(&mut rows, "GNS", &gns.func, schedules::gns_table2());
-
-    emit(&rows);
+    emit(&paper::fig10(&mut paper::Cells::default()));
 }

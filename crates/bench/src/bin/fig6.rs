@@ -7,107 +7,8 @@
 //!
 //! Run with: `cargo run --release -p partir-bench --bin fig6 [--json]`
 
-use partir_bench::{emit, tpu_mesh, Row};
-use partir_models::schedules::{self, BATCH, MODEL};
-use partir_models::{gns::GnsConfig, transformer::TransformerConfig, unet::UNetConfig};
-use partir_sched::{partir_jit, AutomaticPartition, Schedule, Tactic};
-use partir_sim::event::{measure, EventConfig};
-
-fn auto(name: &str, axes: &[&str], budget: usize) -> Tactic {
-    AutomaticPartition::new(name, axes.iter().copied())
-        .with_budget(budget)
-        .into()
-}
-
-fn run_rows(
-    rows: &mut Vec<Row>,
-    model_name: &str,
-    func: &partir_ir::Func,
-    schedules: Vec<(&str, Schedule)>,
-) {
-    let hw = tpu_mesh(8, 4);
-    for (name, schedule) in schedules {
-        match partir_jit(func, &hw, &schedule) {
-            Ok(jitted) => {
-                let measured = measure(jitted.program.func(), &hw, &EventConfig::default())
-                    .expect("event model runs");
-                rows.push(
-                    Row::new("fig6", model_name, name)
-                        .metric("runtime_ms", measured.runtime_s * 1e3),
-                );
-            }
-            Err(e) => eprintln!("{model_name} {name}: {e}"),
-        }
-    }
-}
+use partir_bench::{emit, paper};
 
 fn main() {
-    let mut rows = Vec::new();
-    let budget = 12;
-
-    let t32 = partir_models::transformer::build_train_step(&TransformerConfig::t32()).expect("T32");
-    run_rows(
-        &mut rows,
-        "T32",
-        &t32.func,
-        vec![
-            (
-                "BP+MP+Z3",
-                Schedule::new([schedules::t_bp(), schedules::t_mp(), schedules::t_z3()]),
-            ),
-            (
-                "BP+AutoMP+Z3",
-                Schedule::new([
-                    schedules::t_bp(),
-                    auto("AutoMP", &[MODEL], budget / 2),
-                    schedules::t_z3(),
-                ]),
-            ),
-            (
-                "AllAuto",
-                Schedule::new([auto("AllAuto", &[BATCH, MODEL], budget)]),
-            ),
-        ],
-    );
-
-    let unet = partir_models::unet::build_train_step(&UNetConfig::paper()).expect("UNet");
-    run_rows(
-        &mut rows,
-        "UNet",
-        &unet.func,
-        vec![
-            (
-                "BP+Z3",
-                Schedule::new([schedules::u_bp(), schedules::u_z3()]),
-            ),
-            (
-                "BP+AutoMP",
-                Schedule::new([schedules::u_bp(), auto("AutoMP", &[MODEL], budget)]),
-            ),
-            (
-                "AllAuto",
-                Schedule::new([auto("AllAuto", &[BATCH, MODEL], budget)]),
-            ),
-        ],
-    );
-
-    let gns = partir_models::gns::build_train_step(&GnsConfig::paper()).expect("GNS");
-    run_rows(
-        &mut rows,
-        "GNS",
-        &gns.func,
-        vec![
-            ("ES", Schedule::new([schedules::g_es()])),
-            (
-                "ES+AutoMP",
-                Schedule::new([schedules::g_es(), auto("AutoMP", &[MODEL], budget)]),
-            ),
-            (
-                "AllAuto",
-                Schedule::new([auto("AllAuto", &[BATCH, MODEL], budget)]),
-            ),
-        ],
-    );
-
-    emit(&rows);
+    emit(&paper::fig6(&mut paper::Cells::default()));
 }

@@ -9,105 +9,8 @@
 //!
 //! Run with: `cargo run --release -p partir-bench --bin table2 [--json]`
 
-use partir_bench::{emit, tpu_mesh, Row};
-use partir_models::schedules;
-use partir_models::{
-    gns::GnsConfig, itransformer::ITransformerConfig, transformer::TransformerConfig,
-    unet::UNetConfig,
-};
-use partir_sched::{partir_jit, Schedule};
-
-fn rows_for(
-    rows: &mut Vec<Row>,
-    model_name: &str,
-    func: &partir_ir::Func,
-    schedules: Vec<(&'static str, Schedule)>,
-    paper: &[(&str, [usize; 4])],
-) {
-    let hw = tpu_mesh(4, 2);
-    for (name, schedule) in schedules {
-        let jitted = match partir_jit(func, &hw, &schedule) {
-            Ok(j) => j,
-            Err(e) => {
-                eprintln!("{model_name} {name}: {e}");
-                continue;
-            }
-        };
-        let stats = jitted.program.stats();
-        let mut row = Row::new("table2", model_name, name)
-            .metric("AG", stats.all_gather as f64)
-            .metric("AR", stats.all_reduce as f64)
-            .metric("RS", stats.reduce_scatter as f64)
-            .metric("A2A", stats.all_to_all as f64);
-        if let Some((_, p)) = paper.iter().find(|(n, _)| *n == name) {
-            row = row
-                .metric("paper_AG", p[0] as f64)
-                .metric("paper_AR", p[1] as f64)
-                .metric("paper_RS", p[2] as f64)
-                .metric("paper_A2A", p[3] as f64);
-        }
-        rows.push(row);
-    }
-}
+use partir_bench::{emit, paper};
 
 fn main() {
-    let mut rows = Vec::new();
-
-    let t32 = partir_models::transformer::build_train_step(&TransformerConfig::t32())
-        .expect("T32 builds");
-    rows_for(
-        &mut rows,
-        "T32",
-        &t32.func,
-        schedules::transformer_table2(),
-        &[
-            ("BP", [0, 290, 0, 0]),
-            ("BP+MP", [0, 418, 0, 0]),
-            ("BP+MP+Z2", [129, 289, 129, 0]),
-            ("BP+MP+Z3", [259, 289, 129, 0]),
-            ("BP+MP+Z3+EMB", [515, 354, 257, 0]),
-            ("MP", [0, 128, 0, 0]),
-            ("EMB", [256, 193, 128, 0]),
-        ],
-    );
-
-    // IT32: the paper's counts are for 1536 serving trips; ours run 4.
-    let it32 = partir_models::itransformer::build_serving(&ITransformerConfig::it32(4))
-        .expect("IT32 builds");
-    rows_for(
-        &mut rows,
-        "IT32",
-        &it32.func,
-        schedules::itransformer_table2(),
-        &[
-            ("BP", [0, 0, 0, 0]),
-            ("BP+MP", [0, 98304, 0, 0]),
-            ("BP+MP+MQ", [64, 98304, 0, 98240]),
-            ("MP", [0, 98304, 0, 0]),
-        ],
-    );
-
-    let unet = partir_models::unet::build_train_step(&UNetConfig::paper()).expect("UNet builds");
-    rows_for(
-        &mut rows,
-        "UNet",
-        &unet.func,
-        schedules::unet_table2(),
-        &[
-            ("BP", [0, 503, 0, 0]),
-            ("BP+Z2", [517, 2, 501, 0]),
-            ("BP+Z3", [799, 2, 501, 0]),
-        ],
-    );
-
-    let gns = partir_models::gns::build_train_step(&GnsConfig::paper()).expect("GNS builds");
-    rows_for(
-        &mut rows,
-        "GNS",
-        &gns.func,
-        schedules::gns_table2(),
-        &[("ES", [0, 423, 0, 0])],
-    );
-
-    emit(&rows);
+    emit(&paper::table2(&mut paper::Cells::default()));
 }

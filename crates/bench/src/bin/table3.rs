@@ -4,110 +4,8 @@
 //!
 //! Run with: `cargo run --release -p partir-bench --bin table3 [--json]`
 
-use partir_bench::{emit, tpu_mesh, Row};
-use partir_models::schedules::{self, BATCH, MODEL};
-use partir_models::{
-    gns::GnsConfig, itransformer::ITransformerConfig, transformer::TransformerConfig,
-    unet::UNetConfig,
-};
-use partir_sched::{partir_jit, AutomaticPartition, Schedule, Tactic};
-
-fn auto(name: &str, axes: &[&str], budget: usize) -> Tactic {
-    AutomaticPartition::new(name, axes.iter().copied())
-        .with_budget(budget)
-        .into()
-}
-
-fn run_rows(
-    rows: &mut Vec<Row>,
-    model_name: &str,
-    func: &partir_ir::Func,
-    schedules: Vec<(&str, Schedule)>,
-) {
-    let hw = tpu_mesh(8, 4);
-    for (name, schedule) in schedules {
-        match partir_jit(func, &hw, &schedule) {
-            Ok(jitted) => {
-                let last = jitted.reports.last().expect("nonempty schedule");
-                let stats = jitted.program.stats();
-                rows.push(
-                    Row::new("table3", model_name, name)
-                        .metric(
-                            "Mem_MiB",
-                            last.sim.peak_memory_bytes as f64 / (1 << 20) as f64,
-                        )
-                        .metric("Est_ms", last.sim.runtime_s * 1e3)
-                        .metric("AG", stats.all_gather as f64)
-                        .metric("AR", stats.all_reduce as f64)
-                        .metric("RS", stats.reduce_scatter as f64)
-                        .metric("A2A", stats.all_to_all as f64),
-                );
-            }
-            Err(e) => eprintln!("{model_name} {name}: {e}"),
-        }
-    }
-}
+use partir_bench::{emit, paper};
 
 fn main() {
-    let mut rows = Vec::new();
-    let budget = 12;
-
-    let gns = partir_models::gns::build_train_step(&GnsConfig::paper()).expect("GNS");
-    run_rows(
-        &mut rows,
-        "GNS",
-        &gns.func,
-        vec![
-            ("ES", Schedule::new([schedules::g_es()])),
-            (
-                "ES+AutoMP",
-                Schedule::new([schedules::g_es(), auto("AutoMP", &[MODEL], budget)]),
-            ),
-            (
-                "ES+AutoBP",
-                Schedule::new([schedules::g_es(), auto("AutoBP", &[BATCH], budget)]),
-            ),
-            (
-                "AllAuto",
-                Schedule::new([auto("AllAuto", &[BATCH, MODEL], budget)]),
-            ),
-        ],
-    );
-
-    let it32 =
-        partir_models::itransformer::build_serving(&ITransformerConfig::it32(4)).expect("IT32");
-    run_rows(
-        &mut rows,
-        "IT32",
-        &it32.func,
-        schedules::itransformer_table2().into_iter().collect(),
-    );
-
-    let t32 = partir_models::transformer::build_train_step(&TransformerConfig::t32()).expect("T32");
-    let mut t32_schedules: Vec<(&str, Schedule)> = vec![(
-        "BP+AutoMP+Z3",
-        Schedule::new([
-            schedules::t_bp(),
-            auto("AutoMP", &[MODEL], budget / 2),
-            schedules::t_z3(),
-        ]),
-    )];
-    t32_schedules.extend(schedules::transformer_table2());
-    run_rows(&mut rows, "T32", &t32.func, t32_schedules);
-
-    let unet = partir_models::unet::build_train_step(&UNetConfig::paper()).expect("UNet");
-    let mut unet_schedules: Vec<(&str, Schedule)> = vec![
-        (
-            "BP+AutoMP",
-            Schedule::new([schedules::u_bp(), auto("AutoMP", &[MODEL], budget)]),
-        ),
-        (
-            "AllAuto",
-            Schedule::new([auto("AllAuto", &[BATCH, MODEL], budget)]),
-        ),
-    ];
-    unet_schedules.extend(schedules::unet_table2());
-    run_rows(&mut rows, "UNet", &unet.func, unet_schedules);
-
-    emit(&rows);
+    emit(&paper::table3(&mut paper::Cells::default()));
 }

@@ -7,6 +7,8 @@ use partir_mesh::{HardwareConfig, Mesh};
 use partir_models::schedules::{BATCH, MODEL};
 use partir_obs::json_escape;
 
+pub mod paper;
+
 /// A machine-readable experiment row, dumped as JSON when `--json` is
 /// passed so EXPERIMENTS.md tables can be regenerated.
 #[derive(Debug, Clone)]
@@ -61,7 +63,7 @@ fn json_number(value: f64) -> String {
 /// serde_json path produced: a list of objects with a `metrics` list of
 /// `[name, value]` pairs). The workspace is registry-free, so the JSON is
 /// rendered by hand, with strings escaped by [`json_escape`].
-fn rows_to_json(rows: &[Row]) -> String {
+pub fn rows_to_json(rows: &[Row]) -> String {
     let mut out = String::from("[\n");
     for (i, row) in rows.iter().enumerate() {
         out.push_str("  {\n");

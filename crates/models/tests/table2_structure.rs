@@ -106,9 +106,16 @@ fn it32_bp_needs_no_communication_and_mp_scales_with_trips() {
         let (mp, _) = run(&model.func, &rows[1].1);
         assert_eq!(mp.all_reduce, 2 * 32 * steps);
         assert_eq!(mp.all_gather, 0);
-        // BP+MP+MQ: cache sharding adds communication on top.
+        // BP+MP+MQ on this 4×2 mesh: the Megatron all-reduces become
+        // reduce-scatters and the sharded caches add gathers, both
+        // linear in trips. The 8×4 mesh differs: 2 trips read AG 128 /
+        // AR 128 / RS 0 and 4 trips AG 512 / AR 256 / RS 0 (the 4-trip
+        // row is pinned by tests/golden/experiments/table3.json), so
+        // there AG is not linear in trips.
         let (mq, _) = run(&model.func, &rows[2].1);
-        assert!(mq.total() > mp.total());
+        assert_eq!(mq.all_gather, 4 * 32 * steps);
+        assert_eq!(mq.all_reduce, 0);
+        assert_eq!(mq.reduce_scatter, 2 * 32 * steps);
     }
 }
 

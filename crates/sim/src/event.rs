@@ -32,28 +32,14 @@ use partir_mesh::{Axis, HardwareConfig};
 use crate::flops::{flops_of, moved_bytes_of};
 use crate::{collective_time, peak_memory_bytes, SimReport};
 
-/// Tunables of the event model.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct EventConfig {
-    /// Per-op dispatch overhead, seconds.
-    pub op_overhead_s: f64,
-    /// Relative amplitude of deterministic per-op jitter (0.05 = ±5%).
-    pub jitter: f64,
-    /// Extra per-step fixed cost (host sync, infeed), seconds.
-    pub step_overhead_s: f64,
-}
-
-impl Default for EventConfig {
-    fn default() -> Self {
-        EventConfig {
-            // Per *fused kernel*: backends merge many IR ops per launch,
-            // so the effective per-op overhead is sub-microsecond.
-            op_overhead_s: 0.3e-6,
-            jitter: 0.08,
-            step_overhead_s: 30e-6,
-        }
-    }
-}
+/// Per-op dispatch overhead, seconds. Per *fused kernel*: backends merge
+/// many IR ops per launch, so the effective per-op overhead is
+/// sub-microsecond.
+const OP_OVERHEAD_S: f64 = 0.3e-6;
+/// Relative amplitude of deterministic per-op jitter (0.08 = ±8%).
+const JITTER: f64 = 0.08;
+/// Extra per-step fixed cost (host sync, infeed), seconds.
+const STEP_OVERHEAD_S: f64 = 30e-6;
 
 /// One collective's predicted schedule in the two-resource model.
 ///
@@ -108,8 +94,8 @@ impl OverlapPrediction {
 /// # Errors
 ///
 /// Fails when collectives reference unknown axes.
-pub fn measure(func: &Func, hw: &HardwareConfig, cfg: &EventConfig) -> Result<SimReport, IrError> {
-    measure_overlap(func, hw, cfg).map(|(report, _)| report)
+pub fn measure(func: &Func, hw: &HardwareConfig) -> Result<SimReport, IrError> {
+    measure_overlap(func, hw).map(|(report, _)| report)
 }
 
 /// Like [`measure`], but also returns the per-collective overlap the
@@ -121,11 +107,9 @@ pub fn measure(func: &Func, hw: &HardwareConfig, cfg: &EventConfig) -> Result<Si
 pub fn measure_overlap(
     func: &Func,
     hw: &HardwareConfig,
-    cfg: &EventConfig,
 ) -> Result<(SimReport, OverlapPrediction), IrError> {
     let mut state = MeasureState {
         hw,
-        cfg,
         ready: vec![0.0; func.num_values()],
         compute_free: 0.0,
         link_free: BTreeMap::new(),
@@ -149,7 +133,7 @@ pub fn measure_overlap(
         }
     }
     let finish = state.finish_time(func);
-    let runtime_s = cfg.step_overhead_s + finish;
+    let runtime_s = STEP_OVERHEAD_S + finish;
     let prediction = OverlapPrediction {
         collectives: state
             .colls
@@ -195,7 +179,6 @@ struct CollState {
 
 struct MeasureState<'a> {
     hw: &'a HardwareConfig,
-    cfg: &'a EventConfig,
     /// Per-value completion time (flat arena, parameters ready at 0).
     ready: Vec<f64>,
     /// When the compute lane frees up.
@@ -220,7 +203,7 @@ impl MeasureState<'_> {
         self.salt ^= self.salt >> 7;
         self.salt ^= self.salt << 17;
         let unit = (self.salt >> 11) as f64 / (1u64 << 53) as f64;
-        1.0 + self.cfg.jitter * (2.0 * unit - 1.0)
+        1.0 + JITTER * (2.0 * unit - 1.0)
     }
 
     /// Assigns each static collective its program-order index — one pass
@@ -311,7 +294,7 @@ impl MeasureState<'_> {
                     let operand_ty = func.value_type(op.operands[0]);
                     let result_ty = func.value_type(op.results[0]);
                     let (t, by) = collective_time(c, operand_ty, result_ty, self.hw)?;
-                    let t = t * self.jitter() + self.cfg.op_overhead_s;
+                    let t = t * self.jitter() + OP_OVERHEAD_S;
                     // The link lanes: one per mesh axis; a multi-axis
                     // collective holds all its axes' lanes throughout.
                     let lanes_free = c
@@ -333,7 +316,7 @@ impl MeasureState<'_> {
                     self.producer[op.results[0].0 as usize] = Some(ci);
                 }
                 _ => {
-                    let t = self.op_time(func, op_id) * self.jitter() + self.cfg.op_overhead_s;
+                    let t = self.op_time(func, op_id) * self.jitter() + OP_OVERHEAD_S;
                     let start = self.consume_operands(&op.operands, self.compute_free);
                     let end = start + t;
                     self.compute_free = end;
@@ -400,7 +383,7 @@ mod tests {
         let est = Simulator::new(&hw, SimConfig::default())
             .simulate(&f)
             .unwrap();
-        let meas = measure(&f, &hw, &EventConfig::default()).unwrap();
+        let meas = measure(&f, &hw).unwrap();
         assert_ne!(est.runtime_s, meas.runtime_s);
         // Within a factor of 3 — the simulator is a coarse proxy.
         let ratio = meas.runtime_s / est.runtime_s;
@@ -411,8 +394,8 @@ mod tests {
     fn measurement_is_deterministic() {
         let hw = HardwareConfig::tpu_v3_pod(Mesh::single("B", 4).unwrap());
         let f = sample_func();
-        let a = measure(&f, &hw, &EventConfig::default()).unwrap();
-        let b = measure(&f, &hw, &EventConfig::default()).unwrap();
+        let a = measure(&f, &hw).unwrap();
+        let b = measure(&f, &hw).unwrap();
         assert_eq!(a, b);
     }
 
@@ -452,9 +435,8 @@ mod tests {
         let m = b.matmul(w, w).unwrap();
         let tight = b.build([t, m]).unwrap();
 
-        let cfg = EventConfig::default();
-        let (_, slack_pred) = measure_overlap(&slack, &hw, &cfg).unwrap();
-        let (_, tight_pred) = measure_overlap(&tight, &hw, &cfg).unwrap();
+        let (_, slack_pred) = measure_overlap(&slack, &hw).unwrap();
+        let (_, tight_pred) = measure_overlap(&tight, &hw).unwrap();
         assert_eq!(slack_pred.collectives.len(), 1);
         assert!(
             slack_pred.hidden_fraction() > 0.9,
@@ -467,8 +449,8 @@ mod tests {
             tight_pred
         );
         // Overlap shortens the critical path.
-        let (slack_rep, _) = measure_overlap(&slack, &hw, &cfg).unwrap();
-        let (tight_rep, _) = measure_overlap(&tight, &hw, &cfg).unwrap();
+        let (slack_rep, _) = measure_overlap(&slack, &hw).unwrap();
+        let (tight_rep, _) = measure_overlap(&tight, &hw).unwrap();
         assert!(slack_rep.runtime_s < tight_rep.runtime_s);
     }
 }
