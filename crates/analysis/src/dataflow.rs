@@ -1,18 +1,13 @@
 //! A small lattice-based dataflow framework over [`Func`] regions.
 //!
 //! Facts are values of a join-semilattice ([`Fact`]) attached to SSA
-//! values. Two solvers are provided:
-//!
-//! * [`forward_fixpoint`] — propagates facts from parameters through ops
-//!   to results. `for` regions are handled precisely: carried region
-//!   params join the loop operands *and* the region results (the
-//!   loop-carried feedback edge), and op results join the region results;
-//!   the solver iterates to a fixpoint, so facts converge for any
-//!   finite-height lattice.
-//! * [`backward_fixpoint`] — propagates facts from use sites back to
-//!   definitions over a [`Linearization`] (the same op order the memory
-//!   simulator uses). Liveness ([`crate::memory`]) is its canonical
-//!   instance.
+//! values. [`forward_fixpoint`] propagates facts from parameters through
+//! ops to results. `for` regions are handled precisely: carried region
+//! params join the loop operands *and* the region results (the
+//! loop-carried feedback edge), and op results join the region results;
+//! the solver iterates to a fixpoint, so facts converge for any
+//! finite-height lattice. Layout tracking ([`crate::layout`]) is its
+//! instance.
 //!
 //! Because all values of a function — including region-nested ones —
 //! live in one flat arena, a fact map is a plain `Vec` indexed by
@@ -24,7 +19,7 @@ use partir_ir::{Func, OpId, ValueId};
 ///
 /// `join` must be monotone, idempotent and commutative, and the lattice
 /// must have finite height (every ascending chain stabilises) or the
-/// solvers may not terminate.
+/// solver may not terminate.
 pub trait Fact: Clone + PartialEq {
     /// The least element (no information).
     fn bottom() -> Self;
@@ -155,101 +150,6 @@ pub fn forward_fixpoint<A: ForwardAnalysis>(func: &Func, analysis: &A) -> FactMa
     }
 }
 
-/// The linearisation every memory estimate walks (through
-/// [`crate::memory::PeakWalk`]): region bodies inline once, *before*
-/// their owning op.
-#[derive(Debug, Clone)]
-pub struct Linearization {
-    order: Vec<OpId>,
-}
-
-impl Linearization {
-    /// Linearises `func`.
-    pub fn of(func: &Func) -> Self {
-        fn walk(func: &Func, body: &[OpId], order: &mut Vec<OpId>) {
-            for &op_id in body {
-                if let Some(region) = &func.op(op_id).region {
-                    walk(func, &region.body, order);
-                }
-                order.push(op_id);
-            }
-        }
-        let mut order = Vec::with_capacity(func.num_ops());
-        walk(func, func.body(), &mut order);
-        Linearization { order }
-    }
-
-    /// Ops in linear order.
-    pub fn order(&self) -> &[OpId] {
-        &self.order
-    }
-
-    /// Number of linearised positions; position `len()` means "after the
-    /// last op" (where results and parameters stay live).
-    pub fn len(&self) -> usize {
-        self.order.len()
-    }
-
-    /// Whether the function has no ops.
-    pub fn is_empty(&self) -> bool {
-        self.order.is_empty()
-    }
-}
-
-/// A backward analysis: facts flow from use sites (and the function
-/// exit) back to value definitions.
-pub trait BackwardAnalysis {
-    /// The lattice.
-    type Fact: Fact;
-
-    /// The fact seeded at the function exit for value `v` (results and
-    /// parameters; ⊥ to seed nothing).
-    fn exit(&self, func: &Func, v: ValueId) -> Self::Fact;
-
-    /// The fact a use of `v` by `op` (at linear position `pos`)
-    /// contributes.
-    fn use_site(&self, func: &Func, op: OpId, pos: usize, v: ValueId) -> Self::Fact;
-}
-
-/// Runs `analysis` backward over `lin` to a fixpoint.
-///
-/// Region results count as used by their owning `for` op (they are what
-/// the loop hands back).
-pub fn backward_fixpoint<A: BackwardAnalysis>(
-    func: &Func,
-    lin: &Linearization,
-    analysis: &A,
-) -> FactMap<A::Fact> {
-    let mut facts = FactMap::new(func.num_values());
-    for &r in func.results() {
-        let f = analysis.exit(func, r);
-        facts.join(r, &f);
-    }
-    for &p in func.params() {
-        let f = analysis.exit(func, p);
-        facts.join(p, &f);
-    }
-    loop {
-        let mut changed = false;
-        for (pos, &op_id) in lin.order().iter().enumerate().rev() {
-            let op = func.op(op_id);
-            for &operand in &op.operands {
-                let f = analysis.use_site(func, op_id, pos, operand);
-                changed |= facts.join(operand, &f);
-            }
-            if let Some(region) = &op.region {
-                for &yielded in &region.results {
-                    let f = analysis.use_site(func, op_id, pos, yielded);
-                    changed |= facts.join(yielded, &f);
-                }
-            }
-        }
-        if !changed {
-            return facts;
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -337,25 +237,5 @@ mod tests {
         assert_eq!(f, Flat::Top);
         assert!(!f.join(&Flat::Known(3)));
         assert!(!Flat::<i32>::Bottom.join(&Flat::Bottom));
-    }
-
-    #[test]
-    fn linearization_matches_simulator_order() {
-        let mut b = FuncBuilder::new("f");
-        let x = b.param("x", TensorType::f32([4]));
-        let results = b
-            .for_loop(2, &[x], |inner, _i, carried| {
-                let t = inner.neg(carried[0])?;
-                Ok(vec![t])
-            })
-            .unwrap();
-        let y = b.neg(results[0]).unwrap();
-        let f = b.build([y]).unwrap();
-        let lin = Linearization::of(&f);
-        assert_eq!(lin.len(), 3);
-        assert!(!lin.is_empty());
-        // Body op first, then the for, then the trailing neg.
-        let kinds: Vec<&str> = lin.order().iter().map(|&o| f.op(o).kind.name()).collect();
-        assert_eq!(kinds, ["neg", "for", "neg"]);
     }
 }

@@ -6,9 +6,8 @@
 //! prove properties of partitioned and lowered programs without running
 //! them:
 //!
-//! * [`dataflow`] — a small lattice-based framework (forward fixpoint
-//!   with precise `for`-region feedback, backward fixpoint over the
-//!   simulator's linearisation) the other analyses are built on;
+//! * [`dataflow`] — a small lattice-based framework (a forward fixpoint
+//!   with precise `for`-region feedback) layout tracking is built on;
 //! * [`collective`] — structural rules for the collectives of a lowered
 //!   program (unknown, repeated and size-1 axes, zero-trip loops,
 //!   identity all-to-alls);

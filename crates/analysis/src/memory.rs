@@ -16,57 +16,48 @@
 //!
 //! holds **by construction** for every function — the contract
 //! `partir-sim` re-asserts in debug builds and the zoo tests verify over
-//! every model/mesh pair. Liveness itself is an instance of the
-//! backward dataflow solver with a max-position lattice.
+//! every model/mesh pair. Liveness is one pass over the linearisation:
+//! a value's last use is the largest position that reads it.
 
 use partir_ir::{Func, OpId, ValueId};
 
-use crate::dataflow::{backward_fixpoint, BackwardAnalysis, Fact, Linearization};
+/// The linearisation every memory estimate walks (through
+/// [`PeakWalk`]): region bodies inline once, *before* their owning op.
+#[derive(Debug, Clone)]
+pub struct Linearization {
+    order: Vec<OpId>,
+}
 
-/// Last-use position lattice: ⊥ = never used (kept resident), otherwise
-/// the maximum linearised position that reads the value.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-struct LastUse(Option<usize>);
-
-impl Fact for LastUse {
-    fn bottom() -> Self {
-        LastUse(None)
-    }
-
-    fn join(&mut self, other: &Self) -> bool {
-        match (self.0, other.0) {
-            (_, None) => false,
-            (None, Some(_)) => {
-                *self = *other;
-                true
-            }
-            (Some(a), Some(b)) => {
-                if b > a {
-                    self.0 = Some(b);
-                    true
-                } else {
-                    false
+impl Linearization {
+    /// Linearises `func`.
+    pub fn of(func: &Func) -> Self {
+        fn walk(func: &Func, body: &[OpId], order: &mut Vec<OpId>) {
+            for &op_id in body {
+                if let Some(region) = &func.op(op_id).region {
+                    walk(func, &region.body, order);
                 }
+                order.push(op_id);
             }
         }
-    }
-}
-
-/// Liveness as a backward dataflow: every use site contributes its
-/// position; results and parameters are used "at the end".
-struct Liveness {
-    end: usize,
-}
-
-impl BackwardAnalysis for Liveness {
-    type Fact = LastUse;
-
-    fn exit(&self, _func: &Func, _v: ValueId) -> LastUse {
-        LastUse(Some(self.end))
+        let mut order = Vec::with_capacity(func.num_ops());
+        walk(func, func.body(), &mut order);
+        Linearization { order }
     }
 
-    fn use_site(&self, _func: &Func, _op: OpId, pos: usize, _v: ValueId) -> LastUse {
-        LastUse(Some(pos))
+    /// Ops in linear order.
+    pub fn order(&self) -> &[OpId] {
+        &self.order
+    }
+
+    /// Number of linearised positions; position `len()` means "after the
+    /// last op" (where results and parameters stay live).
+    pub fn len(&self) -> usize {
+        self.order.len()
+    }
+
+    /// Whether the function has no ops.
+    pub fn is_empty(&self) -> bool {
+        self.order.is_empty()
     }
 }
 
@@ -80,20 +71,32 @@ pub struct PeakWalk {
 }
 
 impl PeakWalk {
-    /// Solves liveness for `func`.
+    /// Solves liveness for `func`: each value is freed at the largest
+    /// linearised position that reads it. A `for` op reads its region
+    /// results (they are what the loop hands back).
     pub fn of(func: &Func) -> Self {
         let lin = Linearization::of(func);
-        let end = lin.len();
-        let live = backward_fixpoint(func, &lin, &Liveness { end });
-        let mut frees = vec![Vec::new(); end + 1];
+        let mut last_use: Vec<Option<usize>> = vec![None; func.num_values()];
+        for (pos, &op_id) in lin.order().iter().enumerate() {
+            let op = func.op(op_id);
+            let yielded = op.region.iter().flat_map(|r| &r.results);
+            for &v in op.operands.iter().chain(yielded) {
+                last_use[v.0 as usize] = Some(pos);
+            }
+        }
+        // Parameters and results are pinned to the end; values never
+        // read stay resident too.
+        for &v in func.params().iter().chain(func.results()) {
+            last_use[v.0 as usize] = None;
+        }
+        let mut frees = vec![Vec::new(); lin.len()];
         for v in func.value_ids() {
-            // ⊥ (never used) and end-pinned values stay resident.
-            if let Some(pos) = live.get(v).0.filter(|&pos| pos < end) {
+            if let Some(pos) = last_use[v.0 as usize] {
                 frees[pos].push(v);
             }
         }
         PeakWalk {
-            order: lin.order().to_vec(),
+            order: lin.order,
             frees,
         }
     }
@@ -197,5 +200,25 @@ mod tests {
             bound - simulated >= 256,
             "bound {bound}, simulated {simulated}"
         );
+    }
+
+    #[test]
+    fn linearization_matches_simulator_order() {
+        let mut b = FuncBuilder::new("f");
+        let x = b.param("x", TensorType::f32([4]));
+        let results = b
+            .for_loop(2, &[x], |inner, _i, carried| {
+                let t = inner.neg(carried[0])?;
+                Ok(vec![t])
+            })
+            .unwrap();
+        let y = b.neg(results[0]).unwrap();
+        let f = b.build([y]).unwrap();
+        let lin = Linearization::of(&f);
+        assert_eq!(lin.len(), 3);
+        assert!(!lin.is_empty());
+        // Body op first, then the for, then the trailing neg.
+        let kinds: Vec<&str> = lin.order().iter().map(|&o| f.op(o).kind.name()).collect();
+        assert_eq!(kinds, ["neg", "for", "neg"]);
     }
 }

@@ -53,11 +53,14 @@
 //!   whose live intervals overlap never share arena elements
 //!   (`plan-slot-overlap`) — an independent reconstruction from the
 //!   scheduled steps, not a rerun of the compiler's liveness replay;
-//! * **deadlock freedom**: per-device stage queues, flattened through
-//!   loops, drain to empty under the blocking-rendezvous semantics
+//! * **deadlock freedom**: at every wait site, the per-device stage
+//!   queues drain to empty under the blocking-rendezvous semantics
 //!   (`plan-rendezvous-deadlock`), and every stage's group agrees on
 //!   axis, membership and order across its members
-//!   (`plan-rendezvous-asymmetric`). This is the workspace's one
+//!   (`plan-rendezvous-asymmetric`). Every device runs the same step
+//!   list, so devices meet the wait sites in the same order and can
+//!   only block inside the current one: one drain per site is exact for
+//!   any trip count, with no unrolling. This is the workspace's one
 //!   deadlock check: it runs on the compiled representation, after the
 //!   overlap pass has reordered the waits.
 //!
@@ -83,10 +86,6 @@ use crate::diag::{Diagnostic, Severity};
 
 /// Arena pools a plan allocates (`f32`, `i32`, `pred`).
 pub const NUM_POOLS: usize = 3;
-
-/// Abstract traces longer than this are not drained; a warning is
-/// reported instead.
-const UNROLL_CAP: usize = 100_000;
 
 /// Diagnostics cap per check, so a systemically broken plan does not
 /// flood the report.
@@ -822,23 +821,18 @@ fn resolve(class: &HashMap<u32, u32>, mut v: u32) -> u32 {
 // 5. Rendezvous linearisation
 // ---------------------------------------------------------------------------
 
-/// One blocking rendezvous event in a device's flattened trace.
-#[derive(Debug, Clone, PartialEq, Eq)]
-struct Rendezvous {
-    tag: u32,
-    stage: usize,
-}
-
 /// Cross-device deadlock freedom of the compiled schedule, in two
 /// parts. *Symmetry*: every stage's group members carry a matching
 /// stage (same axis, same dim, identical group) for the same tag —
 /// otherwise some member rendezvouses with a partner that never shows
-/// up. *Linearisation*: flatten every device's blocking stages (waits
-/// only; starts never block) through the loops and greedily complete
-/// any stage sitting at the head of all of its members' queues.
+/// up. *Linearisation*: at each wait site (starts never block), greedily
+/// complete any stage sitting at the head of all of its members' queues.
 /// Completing an enabled stage never disables another (monotonicity),
 /// so the greedy [`drain`] empties the queues iff some global order of
-/// the rendezvous edges exists.
+/// the site's rendezvous edges exists. Devices meet the sites in one
+/// program order, so the plan is deadlock-free iff every site drains;
+/// sites in zero-trip loops are checked too, which errs on the safe
+/// side.
 fn check_rendezvous(view: &PlanView, diags: &mut Vec<Diagnostic>) {
     let mut sites: Vec<(u32, Arc<Vec<Vec<StageView>>>)> = Vec::new();
     collect_wait_sites(&view.steps, &mut sites);
@@ -917,63 +911,37 @@ fn check_rendezvous(view: &PlanView, diags: &mut Vec<Diagnostic>) {
         return;
     }
 
-    // Flatten each device's blocking trace through the loops.
-    let mut trace: Vec<Rendezvous> = Vec::new();
-    let truncated = flatten_waits(&view.steps, &mut trace);
-    if truncated {
-        diags.push(Diagnostic::new(
-            Severity::Warning,
-            "plan-trace-truncated",
-            format!(
-                "abstract rendezvous trace exceeds {UNROLL_CAP} events; \
-                 deadlock drain skipped (stage symmetry still verified)"
-            ),
-        ));
-        return;
-    }
-    let scheds: HashMap<u32, &Arc<Vec<Vec<StageView>>>> =
-        sites.iter().map(|(t, s)| (*t, s)).collect();
-
-    // Per-device queues over the shared trace: device d blocks on the
-    // stages of its own schedule, in its own order. `trace` enumerates
-    // (tag, stage index); a device skips stages its schedule doesn't
-    // have (size-1 axes are dropped uniformly, so in a well-formed plan
-    // this never diverges; asymmetric counts were flagged above).
-    let queues: Vec<Vec<(u32, &StageView)>> = (0..view.num_devices)
-        .map(|d| {
-            trace
-                .iter()
-                .filter_map(|r| Some((r.tag, scheds.get(&r.tag)?[d].get(r.stage)?)))
-                .collect()
-        })
-        .collect();
-    let cursor = drain(&queues);
-    let blocked: Vec<String> = (0..view.num_devices)
-        .filter_map(|d| {
-            let (tag, s) = queues[d].get(cursor[d])?;
-            Some(format!(
-                "device {d} blocked on tag {tag} axis \"{}\" group {:?}",
-                s.axis, s.group
-            ))
-        })
-        .collect();
-    if !blocked.is_empty() {
-        diags.push(Diagnostic::new(
-            Severity::Error,
-            "plan-rendezvous-deadlock",
-            format!("no rendezvous linearisation exists: {}", blocked.join("; ")),
-        ));
+    for (tag, stages) in &sites {
+        let cursor = drain(stages);
+        let blocked: Vec<String> = (0..view.num_devices)
+            .filter_map(|d| {
+                let s = stages[d].get(cursor[d])?;
+                Some(format!(
+                    "device {d} blocked on tag {tag} axis \"{}\" group {:?}",
+                    s.axis, s.group
+                ))
+            })
+            .collect();
+        if !blocked.is_empty() {
+            // Nothing after the first blocked site is reachable.
+            diags.push(Diagnostic::new(
+                Severity::Error,
+                "plan-rendezvous-deadlock",
+                format!("no rendezvous linearisation exists: {}", blocked.join("; ")),
+            ));
+            return;
+        }
     }
 }
 
-/// Greedy completion of a blocking-rendezvous system: `queues[d]` is
-/// device `d`'s blocking stages, in order, each keyed by its tag. A
-/// stage completes when the same (tag, stage) sits at the head of every
-/// member of its group; completing an enabled stage never disables
-/// another (the system is monotone), so greedy completion is a sound
-/// *and* complete deadlock check: the returned cursors reach the end of
-/// every queue iff no schedule deadlocks.
-fn drain(queues: &[Vec<(u32, &StageView)>]) -> Vec<usize> {
+/// Greedy completion of one wait site's blocking rendezvous: `queues[d]`
+/// is device `d`'s stages, in order. A stage completes when the same
+/// stage sits at the head of every member of its group; completing an
+/// enabled stage never disables another (the system is monotone), so
+/// greedy completion is a sound *and* complete deadlock check: the
+/// returned cursors reach the end of every queue iff no schedule
+/// deadlocks.
+fn drain(queues: &[Vec<StageView>]) -> Vec<usize> {
     let mut cursor = vec![0usize; queues.len()];
     loop {
         let mut progressed = false;
@@ -981,7 +949,7 @@ fn drain(queues: &[Vec<(u32, &StageView)>]) -> Vec<usize> {
             let Some(head) = queues[d].get(cursor[d]) else {
                 continue;
             };
-            let group = &head.1.group;
+            let group = &head.group;
             if group
                 .iter()
                 .all(|&peer| queues[peer].get(cursor[peer]) == Some(head))
@@ -1006,43 +974,6 @@ fn collect_wait_sites(steps: &[StepView], sites: &mut Vec<(u32, Arc<Vec<Vec<Stag
             _ => {}
         }
     }
-}
-
-/// Appends every blocking wait occurrence, loops multiplied out (one
-/// `Rendezvous` per stage index — stage counts per tag are uniform
-/// across devices up to dropped size-1 axes, handled by the caller).
-/// Returns `true` when the trace exceeds [`UNROLL_CAP`].
-fn flatten_waits(steps: &[StepView], out: &mut Vec<Rendezvous>) -> bool {
-    for step in steps {
-        match step {
-            StepView::CollWait { tag, stages, .. } => {
-                let max_stages = stages.iter().map(Vec::len).max().unwrap_or(0);
-                for stage in 0..max_stages {
-                    out.push(Rendezvous { tag: *tag, stage });
-                    if out.len() > UNROLL_CAP {
-                        return true;
-                    }
-                }
-            }
-            StepView::For(l) if l.trip_count > 0 => {
-                // One iteration's waits repeated trip_count times:
-                // expand the body once per iteration so inter-tag
-                // order inside the loop is preserved.
-                let mut body = Vec::new();
-                if flatten_waits(&l.body, &mut body) {
-                    return true;
-                }
-                for _ in 0..l.trip_count {
-                    out.extend(body.iter().cloned());
-                    if out.len() > UNROLL_CAP {
-                        return true;
-                    }
-                }
-            }
-            _ => {}
-        }
-    }
-    false
 }
 
 #[cfg(test)]
@@ -1352,16 +1283,21 @@ pub(crate) mod tests {
     }
 
     #[test]
-    fn huge_trace_truncates_with_warning() {
-        let stages = Arc::new(vec![vec![stage("B", vec![0])]]);
+    fn huge_trip_count_verifies_clean() {
+        // A million-trip loop around one wait site: the per-site drain
+        // runs once, whatever the trip count.
+        let stages = Arc::new(vec![
+            vec![stage("B", vec![0, 1])],
+            vec![stage("B", vec![0, 1])],
+        ]);
         let v = PlanView {
-            num_devices: 1,
+            num_devices: 2,
             num_tags: 1,
             pool_len: [12, 1, 0],
             params: vec![acc(0, 0, 4, 0)],
             results: vec![acc(0, 0, 4, 0)],
             steps: vec![StepView::For(Box::new(ForView {
-                trip_count: 200_000,
+                trip_count: 1_000_000,
                 index: acc(1, 0, 1, 1),
                 entry: vec![],
                 body: vec![
@@ -1382,12 +1318,6 @@ pub(crate) mod tests {
             overlapped: false,
         };
         let diags = verify_plan(&v);
-        assert!(
-            diags
-                .iter()
-                .any(|d| d.rule == "plan-trace-truncated" && d.severity == Severity::Warning),
-            "{diags:?}"
-        );
-        assert_eq!(error_count(&diags), 0, "{diags:?}");
+        assert!(diags.is_empty(), "{diags:?}");
     }
 }

@@ -19,9 +19,14 @@
 //! exactly the data a buggy overlap/allocation pass would have produced,
 //! so the suite pins the verifier's power over the real compiled
 //! representation rather than hand-built toys.
+//!
+//! Every zoo plan and every mutation also meets a **drain oracle**: the
+//! verifier drains the rendezvous once per wait site, and the oracle
+//! unrolls every device's waits through the loops into one queue and
+//! drains that. Both must reach the same deadlock verdict.
 
-use partir_analysis::plan::{PlanView, StageView, StepView};
-use partir_analysis::{verify_plan, Severity};
+use partir_analysis::plan::{Access, ForView, PlanView, StageView, StepView};
+use partir_analysis::{verify_plan, Diagnostic, Severity};
 use partir_core::Partitioning;
 use partir_ir::{FuncBuilder, TensorType};
 use partir_mesh::{HardwareConfig, Mesh};
@@ -102,6 +107,7 @@ fn zoo_plans_verify_under_both_options() {
                         .compile_with(&opts)
                         .unwrap_or_else(|e| panic!("{label} ({opt_label}): {e}"));
                     let diags = plan.verify();
+                    assert_drains_agree(plan.verifier_view(), &diags, &label);
                     assert!(
                         diags.iter().all(|d| d.severity < Severity::Warning),
                         "{label} ({opt_label}) rejected:\n{}",
@@ -121,6 +127,125 @@ fn zoo_plans_verify_under_both_options() {
             }
         }
     }
+}
+
+// ---------------------------------------------------------------------------
+// Drain oracle
+// ---------------------------------------------------------------------------
+
+/// The deadlock drain over whole unrolled traces: each device's blocking
+/// stages, loops multiplied out, in one queue; a stage completes when the
+/// same tag and stage sit at the head of every member of its group.
+/// Greedy completion is exact because completing a stage never disables
+/// another. Costs a queue entry per stage per iteration, so it is kept
+/// only as the oracle of the verifier's per-site drain.
+fn unrolled_drain_deadlocks(view: &PlanView) -> bool {
+    fn unroll<'a>(steps: &'a [StepView], d: usize, out: &mut Vec<(u32, &'a StageView)>) {
+        for step in steps {
+            match step {
+                StepView::CollWait { tag, stages, .. } => {
+                    out.extend(stages[d].iter().map(|s| (*tag, s)));
+                }
+                StepView::For(l) => {
+                    for _ in 0..l.trip_count {
+                        unroll(&l.body, d, out);
+                    }
+                }
+                _ => {}
+            }
+        }
+    }
+    let queues: Vec<Vec<(u32, &StageView)>> = (0..view.num_devices)
+        .map(|d| {
+            let mut q = Vec::new();
+            unroll(&view.steps, d, &mut q);
+            q
+        })
+        .collect();
+    let mut cursor = vec![0usize; queues.len()];
+    loop {
+        let mut progressed = false;
+        for d in 0..queues.len() {
+            let Some(head) = queues[d].get(cursor[d]) else {
+                continue;
+            };
+            let group = &head.1.group;
+            if group
+                .iter()
+                .all(|&peer| queues[peer].get(cursor[peer]) == Some(head))
+            {
+                for &peer in group {
+                    cursor[peer] += 1;
+                }
+                progressed = true;
+            }
+        }
+        if !progressed {
+            return (0..queues.len()).any(|d| cursor[d] < queues[d].len());
+        }
+    }
+}
+
+/// The verifier's findings `diags` on `view` flag
+/// `plan-rendezvous-deadlock` exactly when the unrolled oracle
+/// deadlocks. Asymmetric groups are reported as such before any drain
+/// runs, so they are skipped here.
+fn assert_drains_agree(view: &PlanView, diags: &[Diagnostic], what: &str) {
+    if diags.iter().any(|d| d.rule == "plan-rendezvous-asymmetric") {
+        return;
+    }
+    let flagged = diags.iter().any(|d| d.rule == "plan-rendezvous-deadlock");
+    assert_eq!(
+        flagged,
+        unrolled_drain_deadlocks(view),
+        "{what}: per-site drain and unrolled oracle disagree"
+    );
+}
+
+/// Every way of reversing some devices' two-stage schedules, at top
+/// level and inside a three-trip loop: the per-site drain agrees with
+/// the unrolled oracle on all 16 device subsets, and both verdicts occur.
+#[test]
+fn per_site_drain_matches_unrolled_oracle_on_stage_reorders() {
+    let base = two_axis_view();
+    let mut verdicts = [0usize; 2];
+    for mask in 0..1u32 << base.num_devices {
+        let mut view = base.clone();
+        for step in &mut view.steps {
+            if let StepView::CollWait { stages, .. } = step {
+                let stages = Arc::make_mut(stages);
+                for (d, mine) in stages.iter_mut().enumerate() {
+                    if mask >> d & 1 == 1 {
+                        mine.reverse();
+                    }
+                }
+            }
+        }
+        verdicts[usize::from(unrolled_drain_deadlocks(&view))] += 1;
+        let what = format!("reversed device set {mask:#06b}");
+        assert_drains_agree(&view, &verify_plan(&view), &what);
+        // The same schedules around a loop back-edge.
+        let none = Access {
+            pool: 1,
+            off: 0,
+            len: 0,
+            value: u32::MAX - 1,
+        };
+        view.steps = vec![StepView::For(Box::new(ForView {
+            trip_count: 3,
+            index: none,
+            entry: vec![],
+            body: std::mem::take(&mut view.steps),
+            carry: vec![],
+            exit: vec![],
+            bypass: vec![],
+        }))];
+        assert_drains_agree(&view, &verify_plan(&view), &format!("looped, {what}"));
+    }
+    assert!(
+        verdicts.iter().all(|&n| n > 0),
+        "reorders should both drain and deadlock: {verdicts:?}"
+    );
 }
 
 // ---------------------------------------------------------------------------
@@ -183,6 +308,7 @@ fn rules(view: &PlanView) -> Vec<String> {
 }
 
 fn assert_flags(view: &PlanView, rule: &str, what: &str) {
+    assert_drains_agree(view, &verify_plan(view), what);
     let got = rules(view);
     assert!(
         got.iter().any(|r| r == rule),

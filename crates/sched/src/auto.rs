@@ -19,21 +19,16 @@ use partir_prng::Rng;
 
 use crate::{EvalCache, SchedError};
 
-/// Where a cost comes from: a search's candidate costs, or the numbers
-/// of a [`TacticReport`](crate::TacticReport).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum CostSource {
-    /// The analytical simulator (`sim::evaluate` behind the shared
-    /// [`EvalCache`]) — exact, but pays lowering + fusion + a simulated
-    /// walk per distinct state. Retained as the differential oracle for
-    /// the static objective.
-    #[default]
-    Sim,
-    /// The static objective (`partir_analysis::static_cost`) — costs
-    /// read straight off the propagated state, orders of magnitude
-    /// cheaper per candidate.
-    Static,
-}
+/// Maximum actions per MCTS plan and per static beam search: both
+/// drivers search one action space to one depth.
+pub const MAX_ACTIONS: usize = 8;
+
+/// Maximum candidate actions considered per search node (largest tensors
+/// first), by both drivers.
+pub const MAX_BRANCHING: usize = 24;
+
+/// UCT exploration constant.
+const EXPLORATION: f64 = 0.7;
 
 /// Search-based tactic over one or more mesh axes.
 #[derive(Debug, Clone)]
@@ -44,15 +39,6 @@ pub struct AutomaticPartition {
     pub budget: usize,
     /// RNG seed (searches are deterministic given a seed).
     pub seed: u64,
-    /// Maximum actions per rollout/plan.
-    pub max_actions: usize,
-    /// UCT exploration constant.
-    pub exploration: f64,
-    /// Maximum candidate actions considered per node (largest tensors
-    /// first).
-    pub max_branching: usize,
-    /// Reward source for rollouts ([`CostSource::Sim`] by default).
-    pub cost_source: CostSource,
 }
 
 impl AutomaticPartition {
@@ -63,10 +49,6 @@ impl AutomaticPartition {
             axes: axes.into_iter().map(Into::into).collect(),
             budget: 64,
             seed: 0xA77A,
-            max_actions: 8,
-            exploration: 0.7,
-            max_branching: 24,
-            cost_source: CostSource::Sim,
         }
     }
 
@@ -84,16 +66,6 @@ impl AutomaticPartition {
     /// Sets the RNG seed.
     pub fn with_seed(mut self, seed: u64) -> Self {
         self.seed = seed;
-        self
-    }
-
-    /// Sets where rollout rewards come from. With [`CostSource::Static`]
-    /// the tree search never lowers or simulates a candidate — every
-    /// reward is the static objective — which multiplies the states a
-    /// fixed wall-clock budget can visit. [`CostSource::Sim`] remains
-    /// the differential oracle.
-    pub fn with_cost_source(mut self, source: CostSource) -> Self {
-        self.cost_source = source;
         self
     }
 
@@ -133,16 +105,7 @@ impl AutomaticPartition {
     ) -> Result<usize, SchedError> {
         let _span = partir_obs::span!("sched.mcts");
         let mut rng = Rng::seed_from_u64(self.seed);
-        let evaluator = Evaluator {
-            func,
-            hw,
-            cache,
-            source: self.cost_source,
-            objective: match self.cost_source {
-                CostSource::Static => Some(partir_analysis::StaticObjective::new(func)),
-                CostSource::Sim => None,
-            },
-        };
+        let evaluator = Evaluator { func, hw, cache };
         let baseline = evaluator.cost(part)?;
 
         let mut root = Node::with_state(part.clone());
@@ -171,7 +134,7 @@ impl AutomaticPartition {
             part.propagate(func);
             applied += 1;
             cursor = best;
-            if applied >= self.max_actions {
+            if applied >= MAX_ACTIONS {
                 break;
             }
         }
@@ -195,7 +158,7 @@ impl AutomaticPartition {
             partir_obs::counter!("sched.mcts.expansions", 1);
             node.expanded = true;
             let mut actions = candidate_actions(func, state, &self.axes);
-            actions.truncate(self.max_branching);
+            actions.truncate(MAX_BRANCHING);
             node.children = actions
                 .into_iter()
                 .map(|a| Node::unexplored(Some(a)))
@@ -209,7 +172,7 @@ impl AutomaticPartition {
             // Pick: first unvisited child (in order), else UCT.
             let idx = match node.children.iter().position(|c| c.visits == 0) {
                 Some(i) => i,
-                None => best_child(&node.children, node.visits, self.exploration),
+                None => best_child(&node.children, node.visits, EXPLORATION),
             };
             // Materialise the child state if needed.
             let child = &mut node.children[idx];
@@ -283,7 +246,7 @@ impl AutomaticPartition {
         if steps > 0 {
             let actions = candidate_actions(func, state, &self.axes);
             if !actions.is_empty() && !rng.gen_bool(0.4) {
-                let a = &actions[rng.gen_range(actions.len().min(self.max_branching))];
+                let a = &actions[rng.gen_range(actions.len().min(MAX_BRANCHING))];
                 let deeper = state.probe(func, a.value, a.dim, &a.axis, |next| {
                     if partir_analysis::is_legal(func, next) {
                         Some(self.rollout(next, steps - 1, func, evaluator, baseline, rng))
@@ -415,31 +378,15 @@ struct Evaluator<'a> {
     func: &'a Func,
     hw: &'a HardwareConfig,
     cache: &'a EvalCache,
-    source: CostSource,
-    /// Amortised static objective, built once per search when the reward
-    /// comes from [`CostSource::Static`] (the structural pass over the
-    /// function is paid once; every node costs only the per-candidate
-    /// walk).
-    objective: Option<partir_analysis::StaticObjective<'a>>,
 }
 
 impl Evaluator<'_> {
-    /// Cost = estimated runtime, with a multiplicative penalty once the
-    /// partition exceeds device memory (see [`partir_sim::Evaluation`]).
-    /// Simulator costs are memoised through the shared evaluation cache;
-    /// static costs are cheap enough to recompute (no lowering, no
-    /// simulation — the whole point of [`CostSource::Static`]).
+    /// Cost = simulated runtime, with a multiplicative penalty once the
+    /// partition exceeds device memory (see [`partir_sim::Evaluation`]),
+    /// memoised through the shared evaluation cache.
     fn cost(&self, part: &Partitioning) -> Result<f64, SchedError> {
         let _span = partir_obs::span!("mcts.evaluate");
-        match (&self.source, &self.objective) {
-            (CostSource::Sim, _) => {
-                Ok(self.cache.evaluate(self.func, part, self.hw)?.cost(self.hw))
-            }
-            (CostSource::Static, Some(obj)) => Ok(obj.cost(part, self.hw)?.cost(self.hw)),
-            (CostSource::Static, None) => {
-                Ok(partir_analysis::static_cost(self.func, part, self.hw)?.cost(self.hw))
-            }
-        }
+        Ok(self.cache.evaluate(self.func, part, self.hw)?.cost(self.hw))
     }
 
     /// Reward = speedup over the tactic's starting point.
@@ -537,55 +484,6 @@ mod tests {
             .apply(&f, &hw, &mut p)
             .unwrap();
         assert_eq!(applied, 0);
-    }
-
-    #[test]
-    fn static_reward_search_finds_batch_parallelism() {
-        // Same search as `auto_search_finds_batch_parallelism`, but every
-        // rollout reward comes from the static objective: not a single
-        // candidate is lowered or simulated, and the search still finds a
-        // partition that beats the replicated baseline under the (sim)
-        // oracle.
-        let f = chain();
-        let mesh = Mesh::single("B", 4).unwrap();
-        let hw = HardwareConfig::tpu_v3_pod(mesh.clone());
-        let mut p = Partitioning::new(&f, mesh).unwrap();
-        let cache = EvalCache::new();
-        let tactic = AutomaticPartition::new("auto", ["B"])
-            .with_budget(48)
-            .with_cost_source(CostSource::Static);
-        let applied = tactic.apply_with_cache(&f, &hw, &mut p, &cache).unwrap();
-        assert!(applied >= 1);
-        assert_eq!(
-            cache.stats().misses,
-            0,
-            "static rewards must never reach the simulator"
-        );
-        let searched = partir_sim::evaluate(&f, &p, &hw).unwrap();
-        let replicated =
-            partir_sim::evaluate(&f, &Partitioning::new(&f, hw.mesh.clone()).unwrap(), &hw)
-                .unwrap();
-        assert!(searched.sim.runtime_s < replicated.sim.runtime_s);
-    }
-
-    #[test]
-    fn static_and_sim_rewards_agree_on_the_chain() {
-        // Differential oracle: on the matmul chain the two reward sources
-        // must pick the same principal variation.
-        let f = chain();
-        let mesh = Mesh::single("B", 4).unwrap();
-        let hw = HardwareConfig::tpu_v3_pod(mesh.clone());
-        let run = |source| {
-            let mut p = Partitioning::new(&f, mesh.clone()).unwrap();
-            AutomaticPartition::new("auto", ["B"])
-                .with_budget(32)
-                .with_seed(5)
-                .with_cost_source(source)
-                .apply(&f, &hw, &mut p)
-                .unwrap();
-            p.fingerprint()
-        };
-        assert_eq!(run(CostSource::Sim), run(CostSource::Static));
     }
 
     #[test]

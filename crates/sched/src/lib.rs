@@ -56,10 +56,12 @@ mod schedule;
 mod static_search;
 mod tactic;
 
-pub use auto::{AutomaticPartition, CostSource};
+pub use auto::{AutomaticPartition, MAX_ACTIONS, MAX_BRANCHING};
 pub use cache::{CacheStats, EvalCache};
 pub use dsl::parse_schedule;
 pub use error::SchedError;
-pub use schedule::{partir_jit, partir_jit_single_tactic, Jitted, Schedule, TacticReport};
-pub use static_search::{StaticSearch, StaticSearchReport};
+pub use schedule::{
+    partir_jit, partir_jit_single_tactic, CostSource, Jitted, Schedule, TacticReport,
+};
+pub use static_search::{StaticSearch, StaticSearchReport, BEAM_WIDTH};
 pub use tactic::{DimSpec, ManualPartition, Matcher, Tactic};

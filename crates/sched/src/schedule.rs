@@ -9,7 +9,21 @@ use partir_mesh::HardwareConfig;
 use partir_sim::{Evaluation, SimReport};
 use partir_spmd::{lower, CollectiveStats, SpmdProgram};
 
-use crate::{CacheStats, CostSource, EvalCache, SchedError, Tactic};
+use crate::{CacheStats, EvalCache, SchedError, Tactic};
+
+/// Where the numbers of a [`TacticReport`] come from.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub enum CostSource {
+    /// The analytical simulator (`sim::evaluate` behind the shared
+    /// [`EvalCache`]) — exact, but pays lowering + fusion + a simulated
+    /// walk per distinct state.
+    #[default]
+    Sim,
+    /// The static objective (`partir_analysis::static_cost`) — costs
+    /// read straight off the propagated state, orders of magnitude
+    /// cheaper per candidate.
+    Static,
+}
 
 /// An ordered list of tactics.
 #[derive(Debug, Clone, Default)]

@@ -18,7 +18,7 @@
 //!    counters);
 //! 4. costs each surviving class through one amortised
 //!    [`partir_analysis::StaticObjective`] (built once per search),
-//!    keeps the `beam_width` cheapest, and only then builds those
+//!    keeps the [`BEAM_WIDTH`] cheapest, and only then builds those
 //!    survivors' states as the next frontier.
 //!
 //! Every frontier state ever kept is pooled; at the end the `top_k`
@@ -37,21 +37,18 @@ use partir_core::Partitioning;
 use partir_ir::{Fingerprint, Func};
 use partir_mesh::{Axis, HardwareConfig};
 
-use crate::auto::candidate_actions;
+use crate::auto::{candidate_actions, MAX_ACTIONS, MAX_BRANCHING};
 use crate::cache::FingerprintHasher;
 use crate::{EvalCache, SchedError};
+
+/// Frontier width per beam level.
+pub const BEAM_WIDTH: usize = 4;
 
 /// Static-objective beam search over one or more mesh axes.
 #[derive(Debug, Clone)]
 pub struct StaticSearch {
     name: String,
     axes: Vec<Axis>,
-    /// Maximum composite-strategy length (beam levels).
-    pub max_actions: usize,
-    /// Maximum candidate actions enumerated per frontier state.
-    pub max_branching: usize,
-    /// Frontier width per level.
-    pub beam_width: usize,
     /// Pool entries rescored by the simulator at the end.
     pub top_k: usize,
 }
@@ -88,9 +85,6 @@ impl StaticSearch {
         StaticSearch {
             name: name.into(),
             axes: axes.into_iter().map(Into::into).collect(),
-            max_actions: 8,
-            max_branching: 24,
-            beam_width: 4,
             top_k: 8,
         }
     }
@@ -191,14 +185,14 @@ impl StaticSearch {
         }];
         let mut pool: Vec<(Vec<TileCandidate>, f64)> = Vec::new();
 
-        for _level in 0..self.max_actions {
+        for _level in 0..MAX_ACTIONS {
             let mut next: Vec<Scored> = Vec::new();
             // This level's own decisions, reported as one sample each of
             // the `sched.static.level.*` counters.
             let (mut candidates, mut classes, mut pruned) = (0u64, 0u64, 0u64);
             for (parent, cand) in beam.iter_mut().enumerate() {
                 let mut actions = candidate_actions(func, &cand.state, &self.axes);
-                actions.truncate(self.max_branching);
+                actions.truncate(MAX_BRANCHING);
                 candidates += actions.len() as u64;
                 // Every class is tried, deduplicated, filtered and costed
                 // on `cand.state` in place; nothing is copied here.
@@ -229,7 +223,7 @@ impl StaticSearch {
             report.candidates += candidates;
             report.pruned += pruned;
             next.sort_by(|a, b| a.cost.total_cmp(&b.cost));
-            next.truncate(self.beam_width);
+            next.truncate(BEAM_WIDTH);
             partir_obs::counter!("sched.static.level.candidates", candidates);
             partir_obs::counter!("sched.static.level.classes", classes);
             partir_obs::counter!("sched.static.level.pruned", pruned);

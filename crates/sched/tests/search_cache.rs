@@ -31,12 +31,9 @@ fn transformer_mcts_hits_cache_and_stays_deterministic() {
 
     let run = |cache: &EvalCache| {
         let mut part = Partitioning::new(&model.func, mesh.clone()).unwrap();
-        let mut tactic = AutomaticPartition::new("automap", ["B"])
+        let tactic = AutomaticPartition::new("automap", ["B"])
             .with_budget(48)
             .with_seed(3);
-        // Keep the tree narrow so the budget concentrates visits and the
-        // principal variation becomes decisive.
-        tactic.max_branching = 6;
         let applied = tactic
             .apply_with_cache(&model.func, &hw, &mut part, cache)
             .unwrap();

@@ -11,7 +11,9 @@ use partir_mesh::{HardwareConfig, Mesh};
 use partir_models::schedules::{BATCH, MODEL};
 use partir_models::transformer::{build_train_step, TransformerConfig};
 use partir_obs::Collector;
-use partir_sched::{AutomaticPartition, EvalCache, StaticSearch, StaticSearchReport};
+use partir_sched::{
+    AutomaticPartition, EvalCache, StaticSearch, StaticSearchReport, BEAM_WIDTH, MAX_ACTIONS,
+};
 
 /// Simulated cost every seed of the MCTS panel ends at.
 const MCTS_END_COST: u64 = 0x3f4fa1ab87827b24;
@@ -137,7 +139,7 @@ fn mcts_panel_seeds_are_pinned() {
 
 /// The per-level counters tell the search's own story: one sample per
 /// beam level of each `sched.static.level.*` counter, adding up to the
-/// report's totals, with at most `beam_width` states kept per level and
+/// report's totals, with at most [`BEAM_WIDTH`] states kept per level and
 /// the best kept cost reaching the report's best.
 #[test]
 fn level_counters_add_up_to_the_report() {
@@ -164,7 +166,7 @@ fn level_counters_add_up_to_the_report() {
     let pruned = series("sched.static.level.pruned");
     let kept = series("sched.static.level.kept");
     let best = series("sched.static.level.best_cost");
-    assert_eq!(candidates.len(), tactic.max_actions);
+    assert_eq!(candidates.len(), MAX_ACTIONS);
     assert!([&classes, &pruned, &kept, &best]
         .iter()
         .all(|s| s.len() == candidates.len()));
@@ -174,9 +176,7 @@ fn level_counters_add_up_to_the_report() {
         (report.candidates - report.class_duplicates) as f64
     );
     assert_eq!(pruned.iter().sum::<f64>(), report.pruned as f64);
-    assert!(kept
-        .iter()
-        .all(|&k| k >= 1.0 && k <= tactic.beam_width as f64));
+    assert!(kept.iter().all(|&k| k >= 1.0 && k <= BEAM_WIDTH as f64));
     let best_seen = best.iter().copied().fold(f64::INFINITY, f64::min);
     assert_eq!(best_seen, report.best_static_cost);
     // The old totals are still there, under their old names.

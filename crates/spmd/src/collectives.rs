@@ -6,18 +6,13 @@
 //! runtime's per-device channel endpoints). The algorithms are the
 //! standard hierarchical ones — per mesh axis, in axis order:
 //!
-//! * `all_reduce`: selected by payload size, NCCL-style. At or below
-//!   [`LEADER_ALL_REDUCE_MAX_BYTES`] the group leader receives every
-//!   member's full payload, folds them *linearly in coordinate order*
-//!   into its own, and broadcasts the result (one payload, shared by
-//!   refcount) — minimal messages and no chunks. Above the cutoff,
-//!   two-phase: scatter chunks to distributed roots which fold them in
-//!   the same linear order, then a ring all-gather of the reduced chunks
-//!   — the bandwidth-optimal form that also spreads the fold across
-//!   devices. Both fold orders make the result bit-identical to the
-//!   staged [`crate::apply_collective`] under any interleaving, and both
-//!   move the same total bytes (`2(k-1)·n` per group), so the analytical
-//!   ring formula holds for either.
+//! * `all_reduce`: leader — the group leader receives every member's
+//!   full payload, folds them *linearly in coordinate order* into its own,
+//!   and broadcasts the result (one payload, shared by refcount). The
+//!   fold order makes the result bit-identical to the staged
+//!   [`crate::apply_collective`] under any interleaving, and the leader
+//!   moves `2(k-1)·n` bytes per group in `2(k-1)` messages: the bytes of
+//!   the analytical ring formula, at any payload size.
 //! * `all_gather`: ring — `k-1` steps forwarding the most recently
 //!   received block, then concatenation in coordinate order.
 //! * `reduce_scatter`: per axis, direct exchange of the eventual output
@@ -44,8 +39,8 @@
 //! [`predict_traffic`] states exactly what the algorithms move, byte for
 //! byte and message for message, from types alone. Its byte column is
 //! the analytical model's ring stage rule in exact integer form
-//! (`partir_analysis::cost::ring_traffic`); message counts and the
-//! leader/chunked switch are the runtime's own. It is the oracle
+//! (`partir_analysis::cost::ring_traffic`); message counts are the
+//! runtime's own. It is the oracle
 //! `partir_sim::reconcile` checks [`RuntimeStats`] against.
 //!
 //! [`RuntimeStats`]: crate::runtime::RuntimeStats
@@ -119,16 +114,6 @@ pub(crate) trait Exchange {
     /// Receives the next `tag`-matching message from `src`, attributing
     /// it to `axis`.
     fn recv(&mut self, src: usize, axis: &Axis, tag: u32) -> Result<Literal, RuntimeError>;
-}
-
-/// Element range of flat chunk `j` of `n` elements split `k` ways.
-///
-/// Chunks are contiguous, near-equal, and cover `0..n` exactly; chunk
-/// sizes differ by at most one and trailing chunks may be empty when
-/// `n < k`. Both the runtime and [`predict_traffic`] use this split, so
-/// executed and predicted traffic agree exactly.
-pub(crate) fn chunk_bounds(n: usize, k: usize, j: usize) -> (usize, usize) {
-    (j * n / k, (j + 1) * n / k)
 }
 
 fn invalid(e: impl std::fmt::Display) -> RuntimeError {
@@ -255,25 +240,12 @@ fn schedule_collective(
     Ok((sched, slices))
 }
 
-/// Payload-size cutoff below which `all_reduce` uses the latency-optimal
-/// leader algorithm instead of scatter-reduce + ring gather.
-///
-/// Messages are moved, not copied, through in-process channels, so a
-/// full-payload send costs the same copy out of the arena as the chunks
-/// of it; the ring's only remaining virtue is distributing the fold
-/// across device threads, which pays off only once the fold outweighs
-/// the extra `~2(k-1)²` messages per group.
-pub(crate) const LEADER_ALL_REDUCE_MAX_BYTES: usize = 256 * 1024;
-
 /// How one exchange stage moves and combines data.
 #[derive(Debug)]
 enum Algo {
-    /// `all_reduce` at or below [`LEADER_ALL_REDUCE_MAX_BYTES`]: members
-    /// send their value to the group leader, which folds and broadcasts.
+    /// `all_reduce`: members send their value to the group leader, which
+    /// folds and broadcasts.
     Leader(ReduceOp),
-    /// `all_reduce` above it: flat chunks scatter-reduced to distributed
-    /// roots, then a ring all-gather of the reduced chunks.
-    Chunked(ReduceOp),
     /// Ring all-gather (`all_gather`; the multi-axis `all_to_all`'s
     /// gathers): blocks forwarded around the group, then `join`ed in
     /// coordinate order.
@@ -416,14 +388,7 @@ pub(crate) fn plan_collective(
             SliceKernel::plan(&OpKind::Concatenate { dim }, &vec![ty.clone(); k])
         };
         let (algo, out_ty) = match c {
-            Collective::AllReduce { reduce, .. } => {
-                let algo = if cur.size_bytes() <= LEADER_ALL_REDUCE_MAX_BYTES {
-                    Algo::Leader(*reduce)
-                } else {
-                    Algo::Chunked(*reduce)
-                };
-                (algo, cur.clone())
-            }
+            Collective::AllReduce { reduce, .. } => (Algo::Leader(*reduce), cur.clone()),
             Collective::ReduceScatter { reduce, .. } => {
                 let piece = Piece::plan(&cur, stage.dim, k)?;
                 let out_ty = piece.ty.clone();
@@ -493,7 +458,7 @@ pub(crate) struct CollPending {
 /// exchange stage, without receiving anything, and keeps the piece of
 /// the operand its own wait needs. What it copies out of `src` — the
 /// device's arena slot — is exactly that: the payloads that leave the
-/// device and its own block, piece or chunk. Overlapped plans run this as
+/// device and its own value, block or piece. Overlapped plans run this as
 /// soon as the operand is ready, so the payloads are in flight while the
 /// thread keeps computing; all receives (and every later stage) happen
 /// in [`wait_scheduled`] at the first consuming step.
@@ -578,23 +543,6 @@ fn stage_sends<E: Exchange>(
             ex.send(group[0], axis, tag, value)?;
             Ok(None)
         }
-        Algo::Chunked(_) => {
-            // Chunk j goes to root j = group[j]; the root keeps its own.
-            let mut own = None;
-            for (j, &root) in group.iter().enumerate() {
-                let (lo, hi) = chunk_bounds(src.len(), k, j);
-                if lo == hi {
-                    continue;
-                }
-                let chunk = Literal::from_buf(src.slice(lo..hi), [hi - lo])?;
-                if j == my_pos {
-                    own = Some(chunk);
-                } else {
-                    ex.send(root, axis, tag, chunk)?;
-                }
-            }
-            Ok(own)
-        }
         Algo::Ring { .. } => {
             // Step 0 of the ring forwards the device's own block.
             let block = Literal::from_buf(src, plan.in_ty.shape.clone())?;
@@ -652,46 +600,6 @@ fn stage_finish<E: Exchange>(
                 ex.send(member, axis, tag, acc.clone())?;
             }
             copy(acc.as_buf(), out)
-        }
-        Algo::Chunked(reduce) => {
-            let n = out.len();
-            // Phase 1: root `my_pos` folds every member's chunk `my_pos`
-            // in coordinate order.
-            let (lo, hi) = chunk_bounds(n, k, my_pos);
-            let mut reduced: Option<Literal> = None;
-            if lo < hi {
-                for m in 0..k {
-                    let piece = piece_of(ex, m)?;
-                    reduced = Some(match reduced {
-                        None => piece,
-                        Some(mut acc) => {
-                            fold_reduce(*reduce, acc.as_buf_mut(), piece.as_buf())?;
-                            acc
-                        }
-                    });
-                }
-            }
-            // Phase 2: ring all-gather of the reduced chunks, each written
-            // to its range of `out` as it arrives. At step s a device
-            // forwards the chunk it received at step s - 1 (its own at
-            // step 0) and receives the one originated at (pos - 1 - s).
-            let mut forward = reduced;
-            if let Some(chunk) = &forward {
-                copy(chunk.as_buf(), out.slice(lo..hi))?;
-            }
-            for s in 0..k - 1 {
-                if let Some(chunk) = &forward {
-                    ex.send(next, axis, tag, chunk.clone())?;
-                }
-                let (lo, hi) = chunk_bounds(n, k, (my_pos + k - 1 - s) % k);
-                forward = None;
-                if lo < hi {
-                    let chunk = ex.recv(prev, axis, tag)?;
-                    copy(chunk.as_buf(), out.slice(lo..hi))?;
-                    forward = Some(chunk);
-                }
-            }
-            Ok(())
         }
         Algo::Ring { join } => {
             let mut blocks: Vec<Option<Literal>> = vec![None; k];
@@ -818,28 +726,18 @@ fn predict_collective(
         .collect::<Result<Vec<_>, _>>()
         .map_err(|e| IrError::invalid(e.to_string()))?;
     let stage_bytes = ring_traffic(kind, operand.size_bytes() as u64, devices, &ks);
-    let n = operand.shape.num_elements();
+    let nonempty = u64::from(operand.shape.num_elements() > 0);
     for ((axis, &k), bytes) in axes.into_iter().zip(&ks).zip(stage_bytes) {
         if k == 1 {
             continue;
         }
         // Every device sends one message to each of its k-1 peers; an
-        // all_reduce does so per phase, per group rather than per
-        // device in the leader form and per non-empty chunk in the
-        // chunked form.
-        let messages = if kind != RingKind::AllReduce {
-            devices * (k - 1)
+        // all_reduce's leader gathers in and broadcasts out instead, so
+        // each group sends 2(k-1) messages of a non-empty payload.
+        let messages = if kind == RingKind::AllReduce {
+            2 * (devices / k) * (k - 1) * nonempty
         } else {
-            let per_phase = if operand.size_bytes() <= LEADER_ALL_REDUCE_MAX_BYTES {
-                u64::from(n > 0)
-            } else {
-                let nonempty = |&j: &usize| {
-                    let (lo, hi) = chunk_bounds(n, k as usize, j);
-                    lo < hi
-                };
-                (0..k as usize).filter(nonempty).count() as u64
-            };
-            2 * (devices / k) * (k - 1) * per_phase
+            devices * (k - 1)
         };
         add_traffic(pred, axis, bytes, messages, multiplier);
     }
@@ -849,24 +747,6 @@ fn predict_collective(
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn chunk_bounds_cover_exactly() {
-        for n in [0usize, 1, 3, 7, 8, 17] {
-            for k in [1usize, 2, 3, 4, 8] {
-                let mut total = 0;
-                for j in 0..k {
-                    let (lo, hi) = chunk_bounds(n, k, j);
-                    assert!(lo <= hi && hi <= n);
-                    total += hi - lo;
-                    if j + 1 < k {
-                        assert_eq!(hi, chunk_bounds(n, k, j + 1).0, "contiguous");
-                    }
-                }
-                assert_eq!(total, n, "n={n} k={k}");
-            }
-        }
-    }
 
     #[test]
     fn all_reduce_prediction_matches_ring_formula() {
@@ -887,19 +767,18 @@ mod tests {
 
     #[test]
     fn large_all_reduce_predicts_ring_messages() {
-        // 128K f32 = 512 KiB > LEADER_ALL_REDUCE_MAX_BYTES: chunked
-        // scatter-reduce + ring gather, same bytes, k× the messages.
+        // 128K f32 = 512 KiB: the leader algorithm at every size, so the
+        // ring formula's bytes in the leader's 2(k-1) messages per group.
         let n = 128 * 1024;
-        assert!(n * 4 > LEADER_ALL_REDUCE_MAX_BYTES);
-        let mesh = Mesh::single("B", 4).unwrap();
+        let mesh = Mesh::new([("A", 2), ("B", 4)]).unwrap();
         let c = Collective::AllReduce {
             axes: vec!["B".into()],
             reduce: ReduceOp::Sum,
         };
         let mut pred = TrafficPrediction::default();
         predict_collective(&c, &TensorType::f32([n]), &mesh, 1, &mut pred).unwrap();
-        assert_eq!(pred.total_bytes(), (4 * 2 * 3 * n * 4 / 4) as u64);
-        assert_eq!(pred.per_axis[&Axis::new("B")].messages, 2 * 3 * 4);
+        assert_eq!(pred.total_bytes(), (2 * 2 * 3 * n * 4) as u64);
+        assert_eq!(pred.per_axis[&Axis::new("B")].messages, 2 * 2 * 3);
     }
 
     #[test]

@@ -47,8 +47,7 @@
 //! for it — there is no fallback path.
 //!
 //! The compiler cross-checks its byte accounting against the analysis
-//! crate by replaying the liveness walk ([`PlanError::BoundMismatch`])
-//! and can enforce an arena budget ([`PlanError::ArenaOverflow`]).
+//! crate by replaying the liveness walk ([`PlanError::BoundMismatch`]).
 //! Because all devices execute the same SPMD program, one plan serves
 //! the whole mesh; only the per-device collective schedules differ, and
 //! they are stored per device inside the plan's collective steps.
@@ -90,13 +89,6 @@ const MAX_REGS: usize = 16;
 /// Structured plan-compilation failure.
 #[derive(Debug)]
 pub enum PlanError {
-    /// The arena the layout needs exceeds the configured budget.
-    ArenaOverflow {
-        /// Bytes the compiled layout requires.
-        needed: u64,
-        /// The configured [`PlanOptions::arena_budget`].
-        budget: u64,
-    },
     /// The compiler's replay of the liveness walk disagrees with
     /// [`partir_analysis::static_peak_bound`] — a byte-accounting bug in
     /// one of the two crates.
@@ -113,9 +105,6 @@ pub enum PlanError {
 impl fmt::Display for PlanError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            PlanError::ArenaOverflow { needed, budget } => {
-                write!(f, "plan arena needs {needed} B, budget is {budget} B")
-            }
             PlanError::BoundMismatch { replayed, analysis } => write!(
                 f,
                 "plan replayed peak {replayed} B but analysis bound is {analysis} B"
@@ -145,10 +134,6 @@ impl From<PlanError> for RuntimeError {
 /// Compilation knobs.
 #[derive(Debug, Clone)]
 pub struct PlanOptions {
-    /// Upper bound (bytes) on the per-device arena; compilation fails
-    /// with [`PlanError::ArenaOverflow`] when the layout needs more.
-    /// `None` (the default) accepts whatever the layout requires.
-    pub arena_budget: Option<u64>,
     /// Whether to schedule collectives for compute/communication
     /// overlap: each collective's *start* (its input-dependent sends) is
     /// hoisted to the point its operand is ready and its *wait* (the
@@ -163,10 +148,7 @@ pub struct PlanOptions {
 
 impl Default for PlanOptions {
     fn default() -> Self {
-        PlanOptions {
-            arena_budget: None,
-            overlap: true,
-        }
+        PlanOptions { overlap: true }
     }
 }
 
@@ -175,10 +157,7 @@ impl PlanOptions {
     /// stay blocking program points (start immediately followed by
     /// wait).
     pub fn blocking() -> Self {
-        PlanOptions {
-            overlap: false,
-            ..PlanOptions::default()
-        }
+        PlanOptions { overlap: false }
     }
 }
 
@@ -483,9 +462,7 @@ impl CompiledPlan {
     ///
     /// [`PlanError::BoundMismatch`] when the compiler's byte accounting
     /// disagrees with [`partir_analysis::static_peak_bound`];
-    /// [`PlanError::ArenaOverflow`] when the layout exceeds
-    /// [`PlanOptions::arena_budget`]; [`PlanError::Ir`] on malformed
-    /// programs.
+    /// [`PlanError::Ir`] on malformed programs.
     pub fn compile(func: &Func, mesh: &Mesh, options: &PlanOptions) -> Result<Self, PlanError> {
         let _span = partir_obs::span!("plan.compile");
         let mut external: HashSet<ValueId> = func.results().iter().copied().collect();
@@ -546,14 +523,6 @@ impl CompiledPlan {
         let replayed = replay_bound(func, &walk);
         if replayed != analysis {
             return Err(PlanError::BoundMismatch { replayed, analysis });
-        }
-        if let Some(budget) = options.arena_budget {
-            if arena_bytes > budget {
-                return Err(PlanError::ArenaOverflow {
-                    needed: arena_bytes,
-                    budget,
-                });
-            }
         }
         let (carry_elems, fused_ops) = (c.carry_elems, c.fused_ops);
         let num_colls = c.next_tag as usize;
@@ -2102,33 +2071,6 @@ mod tests {
             "arena {} did not recycle dead slots",
             plan.arena_bytes()
         );
-    }
-
-    #[test]
-    fn shrunk_arena_budget_fails_structured() {
-        let mut b = FuncBuilder::new("f");
-        let x = b.param("x", TensorType::f32([64]));
-        let y = b.neg(x).unwrap();
-        let f = b.build([y]).unwrap();
-        let mesh = single_mesh();
-        let full = CompiledPlan::compile(&f, &mesh, &PlanOptions::default()).unwrap();
-        let needed = full.arena_bytes();
-        let err = CompiledPlan::compile(
-            &f,
-            &mesh,
-            &PlanOptions {
-                arena_budget: Some(needed - 1),
-                ..PlanOptions::default()
-            },
-        )
-        .unwrap_err();
-        match err {
-            PlanError::ArenaOverflow { needed: n, budget } => {
-                assert_eq!(n, needed);
-                assert_eq!(budget, needed - 1);
-            }
-            other => panic!("expected ArenaOverflow, got {other:?}"),
-        }
     }
 
     #[test]

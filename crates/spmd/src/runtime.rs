@@ -1120,11 +1120,13 @@ mod tests {
     }
 
     #[test]
-    fn large_all_reduce_takes_ring_path_and_matches_lockstep() {
-        // 80_001 f32 = ~312 KiB > LEADER_ALL_REDUCE_MAX_BYTES: exercises
-        // the chunked scatter-reduce + ring gather with uneven chunks.
+    fn large_all_reduce_takes_leader_path_and_matches_lockstep() {
+        // 80_001 f32 = ~312 KiB, above the payloads any workload reduces:
+        // the leader algorithm still folds bit-identically to the spec,
+        // in 2(k-1) messages of the full payload per group.
         let n = 80_001usize;
-        let mesh = Mesh::single("a", 4).unwrap();
+        let k = 4;
+        let mesh = Mesh::single("a", k).unwrap();
         let c = Collective::AllReduce {
             axes: vec!["a".into()],
             reduce: ReduceOp::Sum,
@@ -1134,6 +1136,9 @@ mod tests {
         let lockstep = lockstep(&c, &mesh, &inputs);
         let outcome = run(&ThreadedRuntime::default(), &func, &mesh, &inputs).unwrap();
         assert_eq!(outcome.outputs, lockstep);
+        let traffic = outcome.stats.per_axis[&Axis::new("a")];
+        assert_eq!(traffic.messages, 2 * (k as u64 - 1));
+        assert_eq!(traffic.bytes, 2 * (k as u64 - 1) * n as u64 * 4);
         let prediction = predict_traffic(&func, &mesh).unwrap();
         assert!(
             outcome.stats.matches_prediction(&prediction),
@@ -1145,7 +1150,7 @@ mod tests {
 
     #[test]
     fn uneven_chunks_still_match_lockstep() {
-        // n = 3 elements on a 4-way axis: one chunk is empty.
+        // n = 3 elements on a 4-way axis: fewer elements than members.
         let mesh = Mesh::single("a", 4).unwrap();
         let c = Collective::AllReduce {
             axes: vec!["a".into()],

@@ -124,9 +124,9 @@ fn threaded_runtime_matches_reference_and_prediction() {
     });
 }
 
-/// Elements above which an `all_reduce` payload leaves the leader
-/// algorithm for scatter-reduce + ring gather (256 KiB of `f32`).
-const RING_ELEMS: usize = 256 * 1024 / 4;
+/// Elements in 256 KiB of `f32`, more than any workload's `all_reduce`
+/// carries: the leader algorithm must stay exact past it.
+const LARGE_ELEMS: usize = 256 * 1024 / 4;
 
 /// Seeds each one-collective program is scheduled under.
 const SPEC_SEEDS: u64 = 4;
@@ -134,8 +134,8 @@ const SPEC_SEEDS: u64 = 4;
 /// Draws one collective over `mesh` and an operand type it accepts: a
 /// random subset of the mesh's axes in random order, every kind
 /// (`all_to_all` on one axis and on several), `all_reduce` payloads
-/// with fewer elements than devices, and now and then one big enough
-/// for the ring path (with uneven chunks). Also returns which case it
+/// with fewer elements than devices, and now and then one larger than
+/// 256 KiB. Also returns which case it
 /// drew, so the property can require every case.
 fn random_collective(rng: &mut Rng, mesh: &Mesh) -> (Collective, TensorType, &'static str) {
     let kind = rng.gen_range(6);
@@ -169,9 +169,9 @@ fn random_collective(rng: &mut Rng, mesh: &Mesh) -> (Collective, TensorType, &'s
     match kind {
         0 => {
             let (n, case) = if rng.gen_bool(0.25) {
-                (RING_ELEMS + 1 + rng.gen_range(64), "all_reduce ring")
+                (LARGE_ELEMS + 1 + rng.gen_range(64), "all_reduce large")
             } else {
-                (rng.gen_range_in(1, 12), "all_reduce leader")
+                (rng.gen_range_in(1, 12), "all_reduce small")
             };
             let c = Collective::AllReduce {
                 axes: names,
