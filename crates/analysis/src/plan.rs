@@ -53,6 +53,12 @@
 //!   whose live intervals overlap never share arena elements
 //!   (`plan-slot-overlap`) — an independent reconstruction from the
 //!   scheduled steps, not a rerun of the compiler's liveness replay;
+//! * **resident parameters**: no step writes a parameter's range, not
+//!   even after the parameter's last read, which lifetime disjointness
+//!   alone would allow (`plan-param-written`). A device session keeps
+//!   inputs in the arena across steps and copies in only those that
+//!   changed, so a parameter range must still hold its value when the
+//!   next step starts;
 //! * **deadlock freedom**: at every wait site, the per-device stage
 //!   queues drain to empty under the blocking-rendezvous semantics
 //!   (`plan-rendezvous-deadlock`), and every stage's group agrees on
@@ -214,7 +220,8 @@ pub struct PlanView {
 }
 
 /// Verifies one compiled plan: bounds, window structure, races,
-/// slot-lifetime disjointness and rendezvous deadlock freedom. Returns
+/// slot-lifetime disjointness, resident parameters and rendezvous
+/// deadlock freedom. Returns
 /// every finding; an empty vector (or [`Severity::Info`] only) means
 /// the schedule is proven safe under the happens-before model above.
 pub fn verify_plan(view: &PlanView) -> Vec<Diagnostic> {
@@ -227,6 +234,7 @@ pub fn verify_plan(view: &PlanView) -> Vec<Diagnostic> {
     check_windows(view, &mut diags);
     check_token_flow(view, &mut diags);
     check_lifetimes(view, &mut diags);
+    check_params_unwritten(view, &mut diags);
     check_rendezvous(view, &mut diags);
     diags
 }
@@ -818,7 +826,48 @@ fn resolve(class: &HashMap<u32, u32>, mut v: u32) -> u32 {
 }
 
 // ---------------------------------------------------------------------------
-// 5. Rendezvous linearisation
+// 5. Resident parameters
+// ---------------------------------------------------------------------------
+
+/// Requires every parameter range to survive the whole step list: no
+/// write — compute, collective result, loop index or loop copy, at any
+/// depth — may overlap one.
+fn check_params_unwritten(view: &PlanView, diags: &mut Vec<Diagnostic>) {
+    let mut count = 0usize;
+    let (mut reads, mut writes) = (Vec::new(), Vec::new());
+    for step in &view.steps {
+        reads.clear();
+        writes.clear();
+        view_effects(step, &mut reads, &mut writes);
+        for w in &writes {
+            let Some(p) = view
+                .params
+                .iter()
+                .find(|p| p.overlaps_range(w.pool, w.off, w.len))
+            else {
+                continue;
+            };
+            if count < MAX_DIAGS {
+                diags.push(Diagnostic::new(
+                    Severity::Error,
+                    "plan-param-written",
+                    format!(
+                        "step {} writes {} over parameter {} — a session step \
+                         would start from a clobbered input",
+                        step_label(step),
+                        describe_range(w),
+                        describe_range(p),
+                    ),
+                ));
+            }
+            count += 1;
+        }
+    }
+    note_suppressed(diags, count, "plan-param-written");
+}
+
+// ---------------------------------------------------------------------------
+// 6. Rendezvous linearisation
 // ---------------------------------------------------------------------------
 
 /// Cross-device deadlock freedom of the compiled schedule, in two
@@ -1080,6 +1129,21 @@ pub(crate) mod tests {
             diags.iter().any(|d| d.rule == "plan-window-missing"),
             "{diags:?}"
         );
+    }
+
+    /// The last step writes its result over the parameter it is the
+    /// last reader of: a legal reuse for every other check, but the next
+    /// session step would read the result as its input.
+    #[test]
+    fn param_overwrite_after_last_read_flagged() {
+        let mut v = clean_view();
+        v.results = vec![acc(0, 0, 4, 3)];
+        if let StepView::Compute { writes, .. } = &mut v.steps[3] {
+            *writes = vec![acc(0, 0, 4, 3)];
+        }
+        let diags = verify_plan(&v);
+        let rules: Vec<&str> = diags.iter().map(|d| d.rule).collect();
+        assert_eq!(rules, ["plan-param-written"], "{diags:?}");
     }
 
     #[test]

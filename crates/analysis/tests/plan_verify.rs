@@ -7,13 +7,16 @@
 //!   `PlanOptions::default()` (overlapped) and `PlanOptions::blocking()`,
 //!   and the static verifier accepts every one. Blocking plans must
 //!   verify *trivially*: no collective window is open at any step.
-//! * a **mutation suite**: 14 seeded overlap-pass and allocator bugs
+//! * a **mutation suite**: 15 seeded overlap-pass and allocator bugs
 //!   injected into the verifier view of real compiled plans —
 //!   over-hoisted starts, mis-sunk waits, aliased and swapped slots,
-//!   permuted stage orders, dropped wait edges, a dropped loop carry
-//!   and friends — each of which the verifier must flag. The swapped
-//!   slots and the dropped carry are value-bookkeeping bugs no run
-//!   catches by comparison with a second executor: the verifier must.
+//!   permuted stage orders, dropped wait edges, a dropped loop carry,
+//!   a parameter range reused after its last read, and friends — each
+//!   of which the verifier must flag. The swapped slots and the dropped
+//!   carry are value-bookkeeping bugs no run catches by comparison with
+//!   a second executor: the verifier must. The reused parameter range
+//!   is correct for one run and wrong only for a device session, which
+//!   keeps inputs resident between steps.
 //!
 //! The mutations operate on a clone of [`CompiledPlan::verifier_view`],
 //! exactly the data a buggy overlap/allocation pass would have produced,
@@ -701,4 +704,65 @@ fn mutation_dropped_carry() {
     assert!(l.trip_count > 1 && l.carry.len() == 2);
     l.carry.remove(0);
     assert_flags(&view, "plan-race", "dropped carry");
+}
+
+/// Every value `step` reads, loops included wholesale.
+fn step_reads(step: &StepView, out: &mut Vec<u32>) {
+    match step {
+        StepView::Compute { reads, .. } => out.extend(reads.iter().map(|a| a.value)),
+        StepView::CollStart { src, .. } => out.push(src.value),
+        StepView::CollWait { .. } => {}
+        StepView::For(l) => {
+            for (s, _) in l
+                .entry
+                .iter()
+                .chain(&l.carry)
+                .chain(&l.exit)
+                .chain(&l.bypass)
+            {
+                out.push(s.value);
+            }
+            for inner in &l.body {
+                step_reads(inner, out);
+            }
+        }
+    }
+}
+
+/// Mutation 15: parameter range reused — the allocator frees a
+/// parameter after its last read and hands its range to a value
+/// computed later. Within one run every read still sees its value and
+/// no two live values overlap, so only the resident-parameter check can
+/// tell: a session's next step would start from the clobbered input.
+#[test]
+fn mutation_param_range_reused_after_last_read() {
+    let mut view = mlp_view();
+    let last_use = |value: u32| {
+        view.steps.iter().rposition(|s| {
+            let mut reads = Vec::new();
+            step_reads(s, &mut reads);
+            reads.contains(&value)
+        })
+    };
+    let (param, value) = view
+        .params
+        .iter()
+        .find_map(|p| {
+            let after = last_use(p.value).map_or(0, |i| i + 1);
+            view.steps[after..].iter().find_map(|s| match s {
+                StepView::Compute { writes, .. } => writes
+                    .iter()
+                    .find(|w| w.pool == p.pool && w.len <= p.len)
+                    .map(|w| (*p, w.value)),
+                _ => None,
+            })
+        })
+        .expect("no value computed after a parameter's last read fits its range");
+    relocate(&mut view.steps, value, param.off);
+    assert_eq!(
+        rules(&view),
+        ["plan-param-written"],
+        "only the resident-parameter check may flag a range reused after its last read"
+    );
+    assert_drains_agree(&view, &verify_plan(&view), "parameter range reused");
 }

@@ -22,7 +22,11 @@
 //!   `coll.start`, `coll.wait`, gaps between steps, and the tail after
 //!   its last step. The columns partition the call by construction;
 //!   the table also prints the untraced wall time beside the traced
-//!   one. Two more cells cover the other kernel families: the IT32
+//!   one. The decode step is attributed a second way, as steps of one
+//!   device session the way the serving engine runs it (parameters
+//!   resident, caches bound, three slot inputs set per step), so the
+//!   set-up and tail rows of the two tables show what the session
+//!   saves. Two more cells cover the other kernel families: the IT32
 //!   serving loop (`dynamic_*`, `i32` add) and the U-Net step
 //!   (convolutions). These are the tables in DESIGN §8.
 //! * `--tiny` — CI smoke mode: just the MLP on a 1×2 mesh.
@@ -47,7 +51,7 @@ use partir_models::{
 };
 use partir_obs::{with_track, Collector, TrackTrace};
 use partir_sched::{partir_jit, Schedule};
-use partir_spmd::{RuntimeConfig, SpmdProgram, ThreadedRuntime};
+use partir_spmd::{CompiledPlan, RuntimeConfig, Session, SpmdProgram, ThreadedRuntime};
 
 /// One profiling subject: a built model and the lowered program to run.
 struct Subject {
@@ -156,30 +160,47 @@ fn median(mut xs: Vec<f64>) -> f64 {
     xs[xs.len() / 2]
 }
 
-/// Where one device thread's share of a `run_plan` call went, in
-/// milliseconds by category; the categories partition the call.
-fn device_breakdown(track: &TrackTrace, call: (u64, u64)) -> BTreeMap<String, f64> {
+/// The set-up and tail rows of a table: what a device does before its
+/// first plan step and after its last.
+type EdgeLabels = (&'static str, &'static str);
+
+const RUN_PLAN_EDGES: EdgeLabels = ("set-up (spawn, channels, inputs)", "tail (outputs, join)");
+const SESSION_EDGES: EdgeLabels = (
+    "set-up (wake, changed inputs)",
+    "tail (unbound outputs, binds, reply)",
+);
+
+/// Where one device thread's share of one call went, in milliseconds by
+/// category; the categories partition the call. Only the track's spans
+/// inside the call count: a session's worker records every step on one
+/// track.
+fn device_breakdown(
+    track: &TrackTrace,
+    call: (u64, u64),
+    (setup, tail): EdgeLabels,
+) -> BTreeMap<String, f64> {
     let ms = |ns: u64| ns as f64 / 1e6;
     let mut by_kind: BTreeMap<String, f64> = BTreeMap::new();
     let mut add = |kind: &str, v: f64| *by_kind.entry(kind.to_string()).or_default() += v;
+    let spans: Vec<_> = track
+        .spans
+        .iter()
+        .filter(|s| s.start_ns >= call.0 && s.end_ns <= call.1)
+        .collect();
     // Top-level step spans tile the thread's timeline; a `for` span's
     // time is its body's, so attribute its children and keep only the
     // loop's own remainder (carry copies) under `for`.
-    let top: Vec<_> = track.spans.iter().filter(|s| s.depth == 0).collect();
+    let top: Vec<_> = spans.iter().filter(|s| s.depth == 0).collect();
     let (first, last) = (top.first().expect("steps"), top.last().expect("steps"));
-    add(
-        "set-up (spawn, channels, inputs)",
-        ms(first.start_ns - call.0),
-    );
-    add("tail (outputs, join)", ms(call.1 - last.end_ns));
+    add(setup, ms(first.start_ns - call.0));
+    add(tail, ms(call.1 - last.end_ns));
     let mut gaps = 0.0;
     for pair in top.windows(2) {
         gaps += ms(pair[1].start_ns - pair[0].end_ns);
     }
     add("gaps between steps", gaps);
-    for span in &track.spans {
-        let children: u64 = track
-            .spans
+    for span in &spans {
+        let children: u64 = spans
             .iter()
             .filter(|c| {
                 c.depth == span.depth + 1 && c.start_ns >= span.start_ns && c.end_ns <= span.end_ns
@@ -197,57 +218,39 @@ fn device_breakdown(track: &TrackTrace, call: (u64, u64)) -> BTreeMap<String, f6
     by_kind
 }
 
-/// Attributes `run_plan` of one compiled program: median over `runs`
-/// traced calls of every device's breakdown, beside the untraced wall
-/// time of the same call.
-fn attribute(
-    name: &str,
-    model: &BuiltModel,
-    schedule: &Schedule,
-    hw: &HardwareConfig,
-    runs: usize,
+/// Per-category, per-device samples of traced calls:
+/// `samples[category][device]` holds one value per call.
+type Samples = BTreeMap<String, Vec<Vec<f64>>>;
+
+/// Adds every device's breakdown of the traced call `call` of `trace`.
+fn sample_call(
+    samples: &mut Samples,
+    trace: &partir_obs::Trace,
+    call: (u64, u64),
+    n: usize,
+    edges: EdgeLabels,
 ) {
-    let program = partir_jit(&model.func, hw, schedule)
-        .unwrap_or_else(|e| panic!("{name}: jit failed: {e}"))
-        .program;
-    let plan = program.compile().expect("plan compiles");
-    let inputs = partir_models::synthetic_inputs(model, 3);
-    let n = hw.mesh.num_devices();
-    let per_device = program.shard_inputs(&inputs).expect("shard");
-    let runtime = ThreadedRuntime::new(RuntimeConfig::default());
-    for _ in 0..3 {
-        runtime.run_plan(&plan, &per_device).expect("warm-up");
-    }
-    // samples[category][device] → one value per traced run.
-    let mut samples: BTreeMap<String, Vec<Vec<f64>>> = BTreeMap::new();
-    let (mut untraced, mut traced) = (Vec::new(), Vec::new());
-    // Untraced and traced calls alternate, so a slow spell of the
-    // machine lands on both.
-    for _ in 0..runs {
-        let start = std::time::Instant::now();
-        runtime.run_plan(&plan, &per_device).expect("run_plan");
-        untraced.push(start.elapsed().as_secs_f64() * 1e3);
-        let collector = Collector::recording();
-        with_track(&collector, "main", || {
-            let _call = partir_obs::span!("run_plan");
-            runtime.run_plan(&plan, &per_device).expect("run_plan");
-        });
-        let trace = collector.snapshot();
-        let call = &trace.track("main").expect("main track").spans[0];
-        traced.push((call.end_ns - call.start_ns) as f64 / 1e6);
-        for d in 0..n {
-            let track = trace.track(&format!("device{d}")).expect("device track");
-            for (kind, v) in device_breakdown(track, (call.start_ns, call.end_ns)) {
-                samples.entry(kind).or_insert_with(|| vec![Vec::new(); n])[d].push(v);
-            }
+    for d in 0..n {
+        let track = trace.track(&format!("device{d}")).expect("device track");
+        for (kind, v) in device_breakdown(track, call, edges) {
+            samples.entry(kind).or_insert_with(|| vec![Vec::new(); n])[d].push(v);
         }
     }
+}
+
+/// Prints one attribution table: the untraced and traced call medians,
+/// then one row per category — its median on every device, largest
+/// first — and the sum of the rows.
+fn print_table(title: &str, samples: Samples, untraced: Vec<f64>, traced: Vec<f64>, n: usize) {
     println!(
-        "\n# {name}: run_plan {:.2} ms untraced, {:.2} ms traced (medians of {runs})",
+        "\n# {title}: {:.2} ms untraced, {:.2} ms traced (medians of {})",
         median(untraced),
-        median(traced)
+        median(traced),
+        samples
+            .values()
+            .next()
+            .map_or(0, |per_dev| per_dev[0].len())
     );
-    // One row per category: its median on every device, largest first.
     let mut rows: Vec<(String, Vec<f64>)> = samples
         .into_iter()
         .map(|(kind, per_dev)| {
@@ -284,6 +287,141 @@ fn attribute(
     }
 }
 
+/// Jits `model` under `schedule` on `hw` and compiles its plan.
+fn jit_plan(
+    name: &str,
+    model: &BuiltModel,
+    schedule: &Schedule,
+    hw: &HardwareConfig,
+) -> (SpmdProgram, CompiledPlan) {
+    let program = partir_jit(&model.func, hw, schedule)
+        .unwrap_or_else(|e| panic!("{name}: jit failed: {e}"))
+        .program;
+    let plan = program.compile().expect("plan compiles");
+    (program, plan)
+}
+
+/// Attributes `run_plan` of one compiled program: median over `runs`
+/// traced calls of every device's breakdown, beside the untraced wall
+/// time of the same call.
+fn attribute(
+    name: &str,
+    model: &BuiltModel,
+    schedule: &Schedule,
+    hw: &HardwareConfig,
+    runs: usize,
+) {
+    let (program, plan) = jit_plan(name, model, schedule, hw);
+    let inputs = partir_models::synthetic_inputs(model, 3);
+    let n = hw.mesh.num_devices();
+    let per_device = program.shard_inputs(&inputs).expect("shard");
+    let runtime = ThreadedRuntime::new(RuntimeConfig::default());
+    for _ in 0..3 {
+        runtime.run_plan(&plan, &per_device).expect("warm-up");
+    }
+    let mut samples = Samples::new();
+    let (mut untraced, mut traced) = (Vec::new(), Vec::new());
+    // Untraced and traced calls alternate, so a slow spell of the
+    // machine lands on both.
+    for _ in 0..runs {
+        let start = std::time::Instant::now();
+        runtime.run_plan(&plan, &per_device).expect("run_plan");
+        untraced.push(start.elapsed().as_secs_f64() * 1e3);
+        let collector = Collector::recording();
+        with_track(&collector, "main", || {
+            let _call = partir_obs::span!("run_plan");
+            runtime.run_plan(&plan, &per_device).expect("run_plan");
+        });
+        let trace = collector.snapshot();
+        let span = &trace.track("main").expect("main track").spans[0];
+        let call = (span.start_ns, span.end_ns);
+        traced.push((call.1 - call.0) as f64 / 1e6);
+        sample_call(&mut samples, &trace, call, n, RUN_PLAN_EDGES);
+    }
+    print_table(&format!("{name}: run_plan"), samples, untraced, traced, n);
+}
+
+/// Attributes the decode step as the serving engine runs it: steps of
+/// one device session with the parameters resident and every cache
+/// output bound to its input, each step setting the three slot inputs
+/// (tokens, positions, fresh flags) and returning the next tokens. One
+/// call is those three `set_input`s plus `step`.
+fn attribute_session(
+    name: &str,
+    model: &BuiltModel,
+    schedule: &Schedule,
+    hw: &HardwareConfig,
+    runs: usize,
+) {
+    let (program, plan) = jit_plan(name, model, schedule, hw);
+    let inputs = partir_models::synthetic_inputs(model, 3);
+    let n = hw.mesh.num_devices();
+    let shards: Vec<Vec<_>> = inputs
+        .iter()
+        .enumerate()
+        .map(|(k, lit)| program.shard_input(k, lit).expect("shard"))
+        .collect();
+    let slots = model.num_param_tensors..model.num_param_tensors + 3;
+    let open = |session: &mut Session<'_>| {
+        for (k, s) in shards.iter().enumerate() {
+            session.set_input(k, s.clone()).expect("set_input");
+        }
+        // Outputs: next tokens, then the caches in cache-input order.
+        for (j, k) in (slots.end..shards.len()).enumerate() {
+            session.bind(1 + j, k).expect("bind");
+        }
+        for _ in 0..3 {
+            session.step().expect("warm-up");
+        }
+    };
+    let step = |session: &mut Session<'_>| {
+        for k in slots.clone() {
+            session.set_input(k, shards[k].clone()).expect("set_input");
+        }
+        session.step().expect("step");
+    };
+    let runtime = ThreadedRuntime::new(RuntimeConfig::default());
+    let mut untraced = Vec::new();
+    runtime.with_session(&plan, |session| {
+        open(session);
+        for _ in 0..runs {
+            let start = std::time::Instant::now();
+            step(session);
+            untraced.push(start.elapsed().as_secs_f64() * 1e3);
+        }
+    });
+    let collector = Collector::recording();
+    with_track(&collector, "main", || {
+        runtime.with_session(&plan, |session| {
+            open(session);
+            for _ in 0..runs {
+                let _call = partir_obs::span!("session.step");
+                step(session);
+            }
+        })
+    });
+    let trace = collector.snapshot();
+    let calls: Vec<(u64, u64)> = trace
+        .track("main")
+        .expect("main track")
+        .spans
+        .iter()
+        .map(|span| (span.start_ns, span.end_ns))
+        .collect();
+    let mut samples = Samples::new();
+    for &call in &calls {
+        sample_call(&mut samples, &trace, call, n, SESSION_EDGES);
+    }
+    let traced = calls.iter().map(|c| (c.1 - c.0) as f64 / 1e6).collect();
+    print_table(
+        &format!("{name}: session step"),
+        samples,
+        untraced,
+        traced,
+        n,
+    );
+}
+
 /// The two plans `BENCHMARK.json` runs, attributed — then the serving
 /// loop and U-Net, whose time is in kernels those two never run.
 fn attribute_benchmark_plans() {
@@ -316,10 +454,19 @@ fn attribute_benchmark_plans() {
     // One decode step of `serve_mix`'s engine.
     let decode = partir_models::itransformer::build_decode_step(&ServingConfig::it32())
         .expect("decode step");
+    let decode_schedule = row(schedules::itransformer_table2(), "BP+MP+MQ");
+    let decode_name = "serve_mix decode step (IT32 16 slots, BP+MP+MQ, 2x2)";
     attribute(
-        "serve_mix decode step (IT32 16 slots, BP+MP+MQ, 2x2)",
+        decode_name,
         &decode,
-        &row(schedules::itransformer_table2(), "BP+MP+MQ"),
+        &decode_schedule,
+        &hw,
+        ATTRIBUTION_RUNS,
+    );
+    attribute_session(
+        decode_name,
+        &decode,
+        &decode_schedule,
         &hw,
         ATTRIBUTION_RUNS,
     );

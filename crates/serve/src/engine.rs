@@ -1,14 +1,18 @@
 //! The continuous-batching serving engine.
 //!
 //! [`ServingEngine::new`] compiles the IT32 decode step once per
-//! (mesh, schedule, plan options) and keeps every large tensor
-//! *resident per device*: parameters are sharded once at construction,
-//! and the KV-cache slot arena — sharded across the mesh exactly as the
-//! propagated partitioning dictates — is fed back shard-to-shard
-//! between steps, without ever being reassembled. Each
-//! [`ServingEngine::run`] step reshards only the three `[slots]`-sized
-//! slot-addressed inputs (current token, position, fresh flag) and
-//! unshards only the `[slots]` next-token output.
+//! (mesh, schedule, plan options) and shards the parameters and the
+//! zeroed KV-cache slot arena once. The resident unit is the device
+//! session ([`partir_spmd::Session`]): [`ServingEngine::run`] opens one
+//! per run, loads the parameters and the zeroed caches into the device
+//! arenas at its first step, and binds every cache output to its cache
+//! input, so the caches — sharded across the mesh exactly as the
+//! propagated partitioning dictates — stay in the arenas between steps
+//! and never cross to the host. Each step then sets only the three
+//! `[slots]`-sized slot-addressed inputs (current token, position, fresh
+//! flag) and reads back only the `[slots]` next-token output. A schedule
+//! under which some cache output is sharded differently from its input
+//! is refused at construction.
 //!
 //! Between steps the engine admits queued requests into free slots and
 //! retires finished ones. Slot recycling is in-model: an admitted slot
@@ -26,7 +30,8 @@ use partir_models::train::synthetic_inputs;
 use partir_obs::Collector;
 use partir_sched::{partir_jit, SchedError, Schedule};
 use partir_spmd::{
-    CompiledPlan, PlanError, PlanOptions, RuntimeConfig, RuntimeError, SpmdProgram, ThreadedRuntime,
+    CompiledPlan, PlanError, PlanOptions, RuntimeConfig, RuntimeError, Session, SpmdProgram,
+    ThreadedRuntime,
 };
 
 use crate::metrics::{RequestOutcome, ServeReport};
@@ -119,21 +124,19 @@ struct Active {
     fresh: bool,
 }
 
-/// The compiled, sharded decode step plus everything resident on the
-/// devices (see the module docs).
+/// The compiled, sharded decode step plus the shards every run's
+/// session starts from (see the module docs).
 pub struct ServingEngine {
     cfg: ServingConfig,
     program: SpmdProgram,
     plan: CompiledPlan,
     runtime: ThreadedRuntime,
     num_params: usize,
-    /// Parameter shards, `[device][param]` — sharded once.
+    /// Parameter shards, `[param][device]` — sharded once.
     param_shards: Vec<Vec<Literal>>,
-    /// Zeroed cache shards, `[device][cache]` — each run starts here.
-    initial_cache_shards: Vec<Vec<Literal>>,
-    /// Whether every cache output context equals its input context, so
-    /// shards feed back device-to-device with no reassembly.
-    cache_feedback: bool,
+    /// Zeroed cache shards, `[cache][device]` — each run's session
+    /// starts from them.
+    zero_cache_shards: Vec<Vec<Literal>>,
 }
 
 impl ServingEngine {
@@ -144,8 +147,10 @@ impl ServingEngine {
     ///
     /// # Errors
     ///
-    /// Fails if the slot arena does not divide over the mesh, or on any
-    /// partitioning/compilation error.
+    /// Fails if the slot arena does not divide over the mesh, on any
+    /// partitioning/compilation error, and ([`ServeError::Build`], naming
+    /// the cache) if some cache output is sharded differently from its
+    /// input, so could not stay bound on the devices.
     pub fn new(
         cfg: &ServingConfig,
         hw: &HardwareConfig,
@@ -158,28 +163,28 @@ impl ServingEngine {
         let program = jitted.program;
         let plan = program.compile_with(options)?;
         let n = model.num_param_tensors;
-        let devices = program.mesh().num_devices();
 
         let inputs = synthetic_inputs(&model, seed);
-        let mut param_shards: Vec<Vec<Literal>> = vec![Vec::with_capacity(n); devices];
-        for (i, lit) in inputs.iter().take(n).enumerate() {
-            for (d, shard) in program.shard_input(i, lit)?.into_iter().enumerate() {
-                param_shards[d].push(shard);
-            }
-        }
-        let num_caches = 2 * cfg.layers;
-        let mut initial_cache_shards: Vec<Vec<Literal>> =
-            vec![Vec::with_capacity(num_caches); devices];
-        for j in 0..num_caches {
+        let param_shards = inputs
+            .iter()
+            .take(n)
+            .enumerate()
+            .map(|(i, lit)| program.shard_input(i, lit))
+            .collect::<Result<_, _>>()?;
+        let mut zero_cache_shards = Vec::new();
+        for j in 0..2 * cfg.layers {
             let idx = n + 3 + j;
-            let ty = model.func.value_type(model.func.params()[idx]);
-            let zeros = Literal::zeros(ty);
-            for (d, shard) in program.shard_input(idx, &zeros)?.into_iter().enumerate() {
-                initial_cache_shards[d].push(shard);
+            let param = model.func.params()[idx];
+            if program.output_ctxs()[1 + j] != program.input_ctxs()[idx] {
+                let name = model.func.value(param).name.as_deref().unwrap_or("?");
+                return Err(ServeError::Build(format!(
+                    "cache %{name} leaves the step sharded differently from how it \
+                     enters, so it cannot stay on the devices"
+                )));
             }
+            let zeros = Literal::zeros(model.func.value_type(param));
+            zero_cache_shards.push(program.shard_input(idx, &zeros)?);
         }
-        let cache_feedback = (0..num_caches)
-            .all(|j| program.output_ctxs()[1 + j] == program.input_ctxs()[n + 3 + j]);
 
         Ok(ServingEngine {
             cfg: *cfg,
@@ -187,8 +192,7 @@ impl ServingEngine {
             runtime: ThreadedRuntime::new(RuntimeConfig::default()),
             num_params: n,
             param_shards,
-            initial_cache_shards,
-            cache_feedback,
+            zero_cache_shards,
             program,
         })
     }
@@ -208,16 +212,10 @@ impl ServingEngine {
         &self.plan
     }
 
-    /// Whether cache shards feed back device-to-device without
-    /// reassembly (true for every Table 2 IT32 schedule).
-    pub fn cache_feedback(&self) -> bool {
-        self.cache_feedback
-    }
-
-    /// Serves `workload` to completion: admits requests into free slots
-    /// between decode steps, retires them when their decode budget is
-    /// generated, recycles slots, and reports every outcome plus the
-    /// full event timeline.
+    /// Serves `workload` to completion on one device session: admits
+    /// requests into free slots between decode steps, retires them when
+    /// their decode budget is generated, recycles slots, and reports
+    /// every outcome plus the full event timeline.
     ///
     /// # Errors
     ///
@@ -250,6 +248,28 @@ impl ServingEngine {
             }
         }
 
+        self.runtime.with_session(&self.plan, |session| {
+            for (k, shards) in self.param_shards.iter().enumerate() {
+                session.set_input(k, shards.clone())?;
+            }
+            // Inputs: params, tokens, positions, fresh, caches; outputs:
+            // next tokens, caches.
+            for (j, shards) in self.zero_cache_shards.iter().enumerate() {
+                let k = self.num_params + 3 + j;
+                session.set_input(k, shards.clone())?;
+                session.bind(1 + j, k)?;
+            }
+            self.serve(session, workload, opts)
+        })
+    }
+
+    /// The serving loop of [`ServingEngine::run`] on its open session.
+    fn serve(
+        &self,
+        session: &mut Session<'_>,
+        workload: &Workload,
+        opts: &RunOptions,
+    ) -> Result<ServeReport, ServeError> {
         let s = self.cfg.slots;
         let collector = opts.collector.clone().unwrap_or_else(Collector::noop);
         let start = Instant::now();
@@ -270,7 +290,6 @@ impl ServingEngine {
         let mut pending: VecDeque<Request> = workload.requests.iter().cloned().collect();
         let mut queue: VecDeque<Request> = VecDeque::new();
         let mut slots: Vec<Option<Active>> = (0..s).map(|_| None).collect();
-        let mut cache_shards = self.initial_cache_shards.clone();
         let mut outcomes: Vec<RequestOutcome> = Vec::new();
         let mut events: Vec<ServeEvent> = Vec::new();
         let mut steps = 0u64;
@@ -364,7 +383,7 @@ impl ServingEngine {
                 }
             }
             collector.begin_on("serve", "serve.step");
-            let next = self.step(&tok, &pos, &fresh, &mut cache_shards)?;
+            let next = self.step(session, [tok, pos, fresh])?;
             collector.end_on("serve");
             steps += 1;
             active_slot_steps += active as u64;
@@ -426,69 +445,29 @@ impl ServingEngine {
         Ok(report)
     }
 
-    /// Runs one decode step: shards the three slot-addressed inputs,
-    /// executes the compiled plan with the resident parameter and cache
-    /// shards, feeds cache outputs back, and unshards next tokens.
+    /// Runs one decode step: sets the three slot-addressed inputs
+    /// (tokens, positions, fresh flags), steps the session — parameters
+    /// and caches are already in the arenas — and unshards the next
+    /// tokens, the one output the cache bindings leave.
     fn step(
         &self,
-        tok: &[i32],
-        pos: &[i32],
-        fresh: &[i32],
-        cache_shards: &mut [Vec<Literal>],
+        session: &mut Session<'_>,
+        small: [Vec<i32>; 3],
     ) -> Result<Vec<i32>, ServeError> {
-        let s = self.cfg.slots;
-        let n = self.num_params;
-        let shape = Shape::from([s]);
-        let small = [
-            Literal::from_i32(tok.to_vec(), shape.clone())?,
-            Literal::from_i32(pos.to_vec(), shape.clone())?,
-            Literal::from_i32(fresh.to_vec(), shape)?,
-        ];
-        let devices = self.program.mesh().num_devices();
-        let mut per_device: Vec<Vec<Literal>> = (0..devices)
-            .map(|d| {
-                let mut v = Vec::with_capacity(n + 3 + cache_shards[d].len());
-                v.extend(self.param_shards[d].iter().cloned());
-                v
-            })
+        let shape = Shape::from([self.cfg.slots]);
+        for (j, values) in small.into_iter().enumerate() {
+            let lit = Literal::from_i32(values, shape.clone())?;
+            session.set_input(
+                self.num_params + j,
+                self.program.shard_input(self.num_params + j, &lit)?,
+            )?;
+        }
+        let outcome = session.step()?;
+        let tok_shards: Vec<Literal> = outcome
+            .outputs
+            .into_iter()
+            .map(|mut o| o.swap_remove(0))
             .collect();
-        for (j, lit) in small.iter().enumerate() {
-            for (d, shard) in self
-                .program
-                .shard_input(n + j, lit)?
-                .into_iter()
-                .enumerate()
-            {
-                per_device[d].push(shard);
-            }
-        }
-        for (d, dev) in per_device.iter_mut().enumerate() {
-            dev.extend(cache_shards[d].iter().cloned());
-        }
-        let outcome = self.runtime.run_plan(&self.plan, &per_device)?;
-        if self.cache_feedback {
-            for (d, out) in outcome.outputs.iter().enumerate() {
-                cache_shards[d] = out[1..].to_vec();
-            }
-        } else {
-            // Reassemble and re-shard: correct for any sharding, at the
-            // cost of moving the arena through the host each step.
-            let num_caches = cache_shards[0].len();
-            for j in 0..num_caches {
-                let shards: Vec<Literal> =
-                    outcome.outputs.iter().map(|o| o[1 + j].clone()).collect();
-                let global = self.program.unshard_output(1 + j, &shards)?;
-                for (d, shard) in self
-                    .program
-                    .shard_input(n + 3 + j, &global)?
-                    .into_iter()
-                    .enumerate()
-                {
-                    cache_shards[d][j] = shard;
-                }
-            }
-        }
-        let tok_shards: Vec<Literal> = outcome.outputs.iter().map(|o| o[0].clone()).collect();
         let next = self.program.unshard_output(0, &tok_shards)?;
         Ok(next.as_i32().expect("i32 next tokens").to_vec())
     }

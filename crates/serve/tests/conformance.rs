@@ -136,10 +136,16 @@ fn slot_arena_shards_and_feeds_back() {
         .expect("BP+MP+MQ row");
     let engine =
         ServingEngine::new(&cfg, &hw, schedule, &PlanOptions::default(), SEED).expect("builds");
-    assert!(engine.cache_feedback(), "cache shards must feed back");
     let model = partir_models::itransformer::build_decode_step(&cfg).expect("model");
     let n = model.num_param_tensors;
     let program = engine.program();
+    for j in 0..2 * cfg.layers {
+        assert_eq!(
+            program.output_ctxs()[1 + j],
+            program.input_ctxs()[n + 3 + j],
+            "cache {j} must feed back shard to shard"
+        );
+    }
     // First k_cache input: params, tokens, positions, fresh, then caches.
     let axes = program.input_ctxs()[n + 3].dim_axes(3);
     assert_eq!(

@@ -80,6 +80,6 @@ pub use plan::{CollWindow, CompiledPlan, PlanError, PlanExecutor, PlanOptions};
 pub use program::SpmdProgram;
 pub use runtime::{
     seeded_faults, BlockedWait, DeviceCounters, Fault, RunOutcome, RuntimeConfig, RuntimeError,
-    RuntimeStats, ThreadedRuntime,
+    RuntimeStats, Session, ThreadedRuntime,
 };
 pub use stats::{collect_stats, CollectiveStats};

@@ -35,11 +35,11 @@
 //! also collects its blocks' handles in a `Vec`. Its last stage folds or
 //! joins straight into the destination slot. `plan_alloc.rs` bounds the
 //! whole second `run_plan` of the 2×2 decode step. Beyond the
-//! collectives, a run allocates `read_outputs`' results for the caller
-//! and what the threaded runtime sets up around the plan — channels and
-//! one thread per device. The arenas themselves are resident: the plan
-//! owns one [`PlanExecutor`] per device, allocated on the first run and
-//! reused by every later one.
+//! collectives, a step allocates its unbound outputs for the caller, and
+//! opening a device session sets up channels and one worker per device
+//! (`run_plan` opens one per call; a session step sets up nothing). The
+//! arenas themselves are resident: the plan owns one [`PlanExecutor`]
+//! per device, allocated on the first run and reused by every later one.
 //!
 //! An op or operand dtype [`SliceKernel::plan`] has no semantics for
 //! (integer `pow`, a `pred` binary, a non-`f32` dot) is refused here, at
@@ -60,6 +60,7 @@
 //! numerics are checked against the unpartitioned reference by the
 //! conformance suite across the model zoo.
 
+use std::borrow::Cow;
 use std::collections::{HashMap, HashSet};
 use std::fmt;
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
@@ -428,11 +429,11 @@ pub struct CompiledPlan {
     /// with `steps` (including through the overlap pass). Untouched by
     /// execution — zero steady-state cost.
     view: PlanView,
-    /// The plan's resident executors, parked here between runs (at most
-    /// one per device). The plan is the one object that outlives a call
-    /// on every path that runs it — the serving engine holds it across
-    /// decode steps, `execute_global_planned` builds a fresh runtime per
-    /// call — so the arenas live here and are freed when the plan drops.
+    /// The plan's resident executors, parked here between sessions (at
+    /// most one per device). The plan is the one object that outlives a
+    /// session on every path that runs it — the serving engine opens one
+    /// per run, `execute_global_planned` builds a fresh runtime per call
+    /// — so the arenas live here and are freed when the plan drops.
     parked: ExecutorPool,
 }
 
@@ -725,18 +726,47 @@ impl CompiledPlan {
                 inputs.len()
             ))));
         }
-        for ((lit, slot), ty) in inputs.iter().zip(&self.param_slots).zip(&self.param_tys) {
-            // Field-wise comparison: `Literal::ty()` would clone the
-            // shape and so allocate in the hot loop.
-            if lit.dtype() != ty.dtype || lit.shape() != &ty.shape {
-                return Err(RuntimeError::Ir(IrError::invalid(format!(
-                    "plan input has type {}, expected {ty}",
-                    lit.ty()
-                ))));
-            }
-            write_slot(st, *slot, lit)?;
+        for (k, lit) in inputs.iter().enumerate() {
+            self.check_input(k, lit)?;
+            write_slot(st, self.param_slots[k], lit)?;
         }
         Ok(())
+    }
+
+    /// Whether `lit` may be input `k`: `k` names a parameter and `lit`
+    /// has its type. Allocation-free on success.
+    ///
+    /// # Errors
+    ///
+    /// On an out-of-range index or a type mismatch.
+    pub(crate) fn check_input(&self, k: usize, lit: &Literal) -> Result<(), RuntimeError> {
+        let Some(ty) = self.param_tys.get(k) else {
+            return Err(RuntimeError::Ir(IrError::invalid(format!(
+                "plan has {} inputs, no input {k}",
+                self.param_tys.len()
+            ))));
+        };
+        // Field-wise comparison: `Literal::ty()` would clone the shape
+        // and so allocate in the hot loop.
+        if lit.dtype() != ty.dtype || lit.shape() != &ty.shape {
+            return Err(RuntimeError::Ir(IrError::invalid(format!(
+                "plan input {k} has type {}, expected {ty}",
+                lit.ty()
+            ))));
+        }
+        Ok(())
+    }
+
+    /// Per-device result types, in order.
+    pub(crate) fn result_tys(&self) -> &[TensorType] {
+        &self.result_tys
+    }
+
+    /// Whether output `out`'s arena range overlaps input `k`'s: the
+    /// program returns that parameter unchanged.
+    pub(crate) fn output_aliases_input(&self, out: usize, k: usize) -> bool {
+        let (r, p) = (self.result_slots[out], self.param_slots[k]);
+        r.dtype == p.dtype && r.off < p.off + p.len && p.off < r.off + r.len
     }
 
     /// Runs the compiled steps without a communication fabric — the
@@ -780,18 +810,42 @@ impl CompiledPlan {
         self.read_outputs(&st)
     }
 
-    /// Full device execution over an exchange fabric: the threaded
-    /// runtime's per-device body.
+    /// One device's share of one session step — the threaded runtime's
+    /// one device body. Copies the `changed` inputs into their parameter
+    /// slots (every other parameter slot still holds what an earlier
+    /// step left there), runs every step over the exchange fabric, reads
+    /// the outputs `bound` leaves unbound, then copies each bound output
+    /// (`bound[out] == Some(k)`) into input `k`'s slot for the next step.
+    /// Inputs are type-checked when the session stages them.
     pub(crate) fn run_device<E: Exchange>(
         &self,
         ex: &mut E,
         st: &mut PlanExecutor,
-        inputs: &[Literal],
+        changed: &[(usize, Cow<'_, Literal>)],
+        bound: &[Option<usize>],
     ) -> Result<Vec<Literal>, RuntimeError> {
-        self.load_inputs(st, inputs)?;
+        for (k, lit) in changed {
+            write_slot(st, self.param_slots[*k], lit)?;
+        }
         let traced = partir_obs::current().is_some();
         run_steps(&self.steps, st, ex, traced)?;
-        self.read_outputs(st)
+        let outputs = self
+            .result_slots
+            .iter()
+            .zip(&self.result_tys)
+            .zip(bound)
+            .filter(|(_, b)| b.is_none())
+            .map(|((slot, ty), _)| read_slot(st, *slot, ty))
+            .collect::<Result<_, _>>()?;
+        // Results never share a parameter's range unless the program
+        // returns that parameter unchanged, which the session refuses to
+        // bind elsewhere: these copies are independent of their order.
+        for (out, k) in bound.iter().enumerate() {
+            if let Some(k) = *k {
+                copy_slot(st, self.result_slots[out], self.param_slots[k]);
+            }
+        }
+        Ok(outputs)
     }
 }
 

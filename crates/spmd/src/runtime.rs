@@ -12,8 +12,16 @@
 //! `partir_sim::reconcile` cross-checks against the analytical cost
 //! model and the exact mirror [`crate::collectives::predict_traffic`].
 //!
-//! [`ThreadedRuntime::run_plan`] lets the threads run free and detects
-//! deadlock by [`RuntimeConfig::rendezvous_timeout`].
+//! The threads belong to a device session
+//! ([`ThreadedRuntime::with_session`]): one worker per device, parked
+//! between steps, owning its arena and its channel ends for the
+//! session's life. Inputs stay in the arenas until set again, and a
+//! bound output is copied into an input slot on the device after each
+//! step, so loop state such as a KV cache never crosses to the host.
+//!
+//! [`ThreadedRuntime::run_plan`] is a session of one step from host
+//! inputs; its threads run free and detect deadlock by
+//! [`RuntimeConfig::rendezvous_timeout`].
 //! [`ThreadedRuntime::run_scheduled`] runs the same body under a seeded
 //! turn-taking scheduler, so the interleaving replays from its seed and
 //! a deadlock is reported at once ([`RuntimeError::Deadlock`]). Outputs
@@ -31,9 +39,10 @@
 //! ([`RuntimeError::Dropped`]). [`seeded_faults`] derives a deterministic
 //! fault plan from a `partir-prng` seed so failing cases replay exactly.
 
+use std::borrow::Cow;
 use std::collections::{BTreeMap, VecDeque};
 use std::sync::mpsc::{channel, Receiver, RecvTimeoutError, Sender, TryRecvError};
-use std::sync::{Condvar, Mutex, MutexGuard, PoisonError};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::time::Duration;
 
 use partir_ir::{DType, IrError, Literal};
@@ -41,7 +50,7 @@ use partir_mesh::{Axis, Mesh};
 use partir_prng::Rng;
 
 use crate::collectives::{AxisTraffic, Exchange, TrafficPrediction};
-use crate::plan::CompiledPlan;
+use crate::plan::{CompiledPlan, PlanExecutor};
 
 /// Knobs for one threaded execution.
 #[derive(Debug, Clone)]
@@ -294,15 +303,16 @@ impl From<IrError> for RuntimeError {
 /// # Post-join invariant
 ///
 /// Every counter here — including [`RuntimeStats::rendezvous_waits`] —
-/// is only meaningful *after all device threads have joined*: each
-/// device accumulates its own [`DeviceCounters`] privately while
-/// running, and [`ThreadedRuntime::run_plan`] merges them exactly once after
-/// the join barrier. There is no mid-run view; a `RuntimeStats` you hold
-/// is always complete. By construction the merged totals are exact sums
-/// of the per-device rows: `per_axis` is the axis-wise sum of every
-/// `per_device[d].per_axis`, `per_device_bytes[d] ==
-/// per_device[d].bytes`, and `rendezvous_waits` is the sum of
-/// `per_device[d].rendezvous_waits` (asserted by a unit test).
+/// covers one step and is only meaningful *after every device has
+/// replied to it*: each device accumulates its own [`DeviceCounters`]
+/// privately while running the step, and [`Session::step`] merges them
+/// exactly once after the last reply. There is no mid-step view; a
+/// `RuntimeStats` you hold is always complete. By construction the
+/// merged totals are exact sums of the per-device rows: `per_axis` is
+/// the axis-wise sum of every `per_device[d].per_axis`,
+/// `per_device_bytes[d] == per_device[d].bytes`, and `rendezvous_waits`
+/// is the sum of `per_device[d].rendezvous_waits` (asserted by a unit
+/// test).
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct RuntimeStats {
     /// Executed traffic per mesh axis (deterministic).
@@ -445,9 +455,10 @@ fn poison(lit: &mut Literal) {
     }
 }
 
-/// One device's traffic counters, accumulated thread-locally while the
-/// device runs and merged into [`RuntimeStats`] after the join barrier
-/// (see the post-join invariant on [`RuntimeStats`]).
+/// One device's traffic counters for one step, accumulated
+/// thread-locally while the device runs it and merged into
+/// [`RuntimeStats`] after every device replied (see the post-join
+/// invariant on [`RuntimeStats`]).
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct DeviceCounters {
     /// Traffic this device *sent*, per mesh axis.
@@ -610,7 +621,7 @@ impl Drop for TurnGuard<'_> {
 /// One device's channel endpoints — the [`Exchange`] the collective
 /// algorithms run over. Rendezvous partners are baked into the plan's
 /// collective schedules, so links carry no mesh topology of their own.
-struct DeviceLinks<'t> {
+struct DeviceLinks {
     device: usize,
     /// Senders to every device, indexed by destination (self unused).
     txs: Vec<Sender<Message>>,
@@ -630,8 +641,8 @@ struct DeviceLinks<'t> {
     corrupt_at: Option<u64>,
     /// Compute + verify checksums ([`RuntimeConfig::checksums_armed`]).
     verify: bool,
-    /// The shared turn table of a scheduled run; `None` runs free.
-    turns: Option<&'t Turns>,
+    /// The shared turn table of a scheduled step; `None` runs free.
+    turns: Option<Arc<Turns>>,
     /// Whether an observability collector is installed for this thread
     /// (checked once at device start so the per-axis counter names below
     /// are only formatted when recording).
@@ -639,7 +650,7 @@ struct DeviceLinks<'t> {
     stats: DeviceCounters,
 }
 
-impl DeviceLinks<'_> {
+impl DeviceLinks {
     fn disconnected(&self, peer: usize) -> RuntimeError {
         RuntimeError::Disconnected {
             device: self.device,
@@ -696,7 +707,7 @@ impl DeviceLinks<'_> {
             .traced
             .then(|| partir_obs::span_enter("rendezvous_wait"));
         let rx = self.rxs[src].as_ref().expect("no self-receive");
-        if let Some(turns) = self.turns {
+        if let Some(turns) = &self.turns {
             self.stats.rendezvous_waits += 1;
             turns.block(BlockedWait {
                 device: self.device,
@@ -728,7 +739,7 @@ impl DeviceLinks<'_> {
     }
 }
 
-impl Exchange for DeviceLinks<'_> {
+impl Exchange for DeviceLinks {
     fn device(&self) -> usize {
         self.device
     }
@@ -771,7 +782,7 @@ impl Exchange for DeviceLinks<'_> {
                 payload,
             })
             .map_err(|_| self.disconnected(dst))?;
-        if let Some(turns) = self.turns {
+        if let Some(turns) = &self.turns {
             turns.sent(self.device, dst);
         }
         Ok(())
@@ -797,11 +808,304 @@ impl Exchange for DeviceLinks<'_> {
     }
 }
 
-/// The threaded runtime: spawns one thread per mesh device and runs the
-/// device-local `func` on each, exchanging collectives over channels.
+/// The threaded runtime: runs a compiled plan on one worker thread per
+/// mesh device, exchanging collectives over channels.
 #[derive(Debug, Clone, Default)]
 pub struct ThreadedRuntime {
     config: RuntimeConfig,
+}
+
+/// What a session sends its parked workers.
+enum Cmd<'a> {
+    /// Copy output `.0` into input `.1`'s slot after every step.
+    Bind(usize, usize),
+    /// Run one step: copy these changed inputs in first. A scheduled step
+    /// carries its turn table.
+    Step {
+        inputs: Vec<(usize, Cow<'a, Literal>)>,
+        turns: Option<Arc<Turns>>,
+    },
+}
+
+/// One device's reply to a step: its unbound outputs and counters.
+type DeviceResult = Result<(Vec<Literal>, DeviceCounters), RuntimeError>;
+
+/// A compiled plan opened on the devices by
+/// [`ThreadedRuntime::with_session`]: one parked worker per device, each
+/// owning its [`PlanExecutor`] and its ends of the device-pair channels
+/// for the session's whole life.
+///
+/// Inputs are resident: [`Session::set_input`] stages new shards of one
+/// input, and the next [`Session::step`] copies only the staged inputs
+/// into the arenas — every other parameter slot still holds what it held
+/// after the previous step. [`Session::bind`] makes an output loop state:
+/// after every step each device copies that output into an input's slot
+/// and the step no longer returns it.
+///
+/// A step that fails poisons the session: its workers exit, and that
+/// step and every later one return the same [`RuntimeError`]. A caller
+/// mistake — a wrong type, arity or index, or a step before every input
+/// was set — is refused with an error and poisons nothing.
+pub struct Session<'a> {
+    plan: &'a CompiledPlan,
+    cmds: Vec<Sender<Cmd<'a>>>,
+    replies: Vec<Receiver<DeviceResult>>,
+    /// Inputs staged for the next step, per device.
+    staged: Vec<Vec<(usize, Cow<'a, Literal>)>>,
+    /// Whether each input has been set at least once.
+    set: Vec<bool>,
+    /// `bound[out] == Some(k)`: output `out` feeds input `k`.
+    bound: Vec<Option<usize>>,
+    poisoned: Option<RuntimeError>,
+}
+
+fn invalid(msg: String) -> RuntimeError {
+    RuntimeError::Ir(IrError::invalid(msg))
+}
+
+impl<'a> Session<'a> {
+    /// Stages new shards of input `k`, `shards[d]` for device `d`, for
+    /// the next step.
+    ///
+    /// # Errors
+    ///
+    /// If `k` names no input, or the shards are not one per device of
+    /// the input's per-device type.
+    pub fn set_input(&mut self, k: usize, shards: Vec<Literal>) -> Result<(), RuntimeError> {
+        let n = self.staged.len();
+        if shards.len() != n {
+            return Err(invalid(format!(
+                "input {k}: expected one shard for each of {n} devices, got {}",
+                shards.len()
+            )));
+        }
+        for (d, lit) in shards.iter().enumerate() {
+            self.check(d, k, lit)?;
+        }
+        for (staged, lit) in self.staged.iter_mut().zip(shards) {
+            staged.retain(|(j, _)| *j != k);
+            staged.push((k, Cow::Owned(lit)));
+        }
+        self.set[k] = true;
+        Ok(())
+    }
+
+    /// Stages every input from host shards as [`ThreadedRuntime::run_plan`]
+    /// takes them (`inputs[d][k]`), borrowed rather than cloned.
+    fn set_all(&mut self, inputs: &'a [Vec<Literal>]) -> Result<(), RuntimeError> {
+        let n = self.staged.len();
+        if inputs.len() != n {
+            return Err(invalid(format!(
+                "expected inputs for {n} devices, got {}",
+                inputs.len()
+            )));
+        }
+        let arity = self.set.len();
+        for (d, dev) in inputs.iter().enumerate() {
+            if dev.len() != arity {
+                return Err(invalid(format!(
+                    "device {d}: plan expects {arity} inputs, got {}",
+                    dev.len()
+                )));
+            }
+            for (k, lit) in dev.iter().enumerate() {
+                self.check(d, k, lit)?;
+            }
+        }
+        for (staged, dev) in self.staged.iter_mut().zip(inputs) {
+            staged.clear();
+            staged.extend(dev.iter().map(Cow::Borrowed).enumerate());
+        }
+        self.set.fill(true);
+        Ok(())
+    }
+
+    /// Whether `lit` may be device `d`'s shard of input `k`.
+    fn check(&self, d: usize, k: usize, lit: &Literal) -> Result<(), RuntimeError> {
+        self.plan
+            .check_input(k, lit)
+            .map_err(|e| invalid(format!("device {d}: {e}")))
+    }
+
+    /// Binds output `output` to input `input`: after every step, each
+    /// device copies its shard of the output into the input's slot, and
+    /// steps stop returning the output. An input set later overrides the
+    /// fed-back value for the step after.
+    ///
+    /// # Errors
+    ///
+    /// If either index is out of range, the two per-device types differ,
+    /// another output already feeds `input`, or the output is a
+    /// different input returned unchanged. A poisoned session returns
+    /// its error.
+    pub fn bind(&mut self, output: usize, input: usize) -> Result<(), RuntimeError> {
+        let (outs, ins) = (self.plan.result_tys(), self.plan.param_tys());
+        if output >= outs.len() || input >= ins.len() {
+            return Err(invalid(format!(
+                "bind {output} -> {input}: the plan has {} outputs and {} inputs",
+                outs.len(),
+                ins.len()
+            )));
+        }
+        if outs[output] != ins[input] {
+            return Err(invalid(format!(
+                "bind {output} -> {input}: output type {} differs from input type {}",
+                outs[output], ins[input]
+            )));
+        }
+        if let Some(other) = (0..outs.len()).find(|&o| o != output && self.bound[o] == Some(input))
+        {
+            return Err(invalid(format!(
+                "bind {output} -> {input}: output {other} already feeds input {input}"
+            )));
+        }
+        if let Some(m) =
+            (0..ins.len()).find(|&m| m != input && self.plan.output_aliases_input(output, m))
+        {
+            return Err(invalid(format!(
+                "bind {output} -> {input}: output {output} is input {m} returned unchanged"
+            )));
+        }
+        if let Some(e) = &self.poisoned {
+            return Err(e.clone());
+        }
+        self.bound[output] = Some(input);
+        for tx in &self.cmds {
+            // A worker that is gone failed a step, which poisoned the
+            // session; the next step reports it.
+            let _ = tx.send(Cmd::Bind(output, input));
+        }
+        Ok(())
+    }
+
+    /// Runs one step on every device concurrently and returns each
+    /// device's unbound outputs, in output order, with the step's
+    /// [`RuntimeStats`].
+    ///
+    /// # Errors
+    ///
+    /// Before any worker runs: if some input was never set, or the
+    /// session is poisoned (its error again). Otherwise the most
+    /// diagnostic failure across devices, as [`ThreadedRuntime::run_plan`]
+    /// reports it; it poisons the session.
+    pub fn step(&mut self) -> Result<RunOutcome, RuntimeError> {
+        self.step_with(None)
+    }
+
+    /// [`Session::step`], free-running (`seed == None`) or under the
+    /// turn table seeded by `seed`.
+    fn step_with(&mut self, seed: Option<u64>) -> Result<RunOutcome, RuntimeError> {
+        if let Some(e) = &self.poisoned {
+            return Err(e.clone());
+        }
+        if let Some(k) = self.set.iter().position(|s| !s) {
+            return Err(invalid(format!("input {k} was never set")));
+        }
+        let turns = seed.map(|s| Arc::new(Turns::new(self.cmds.len(), s)));
+        for (tx, staged) in self.cmds.iter().zip(&mut self.staged) {
+            let inputs = std::mem::take(staged);
+            // A worker that is gone panicked; its reply channel says so.
+            let _ = tx.send(Cmd::Step {
+                inputs,
+                turns: turns.clone(),
+            });
+        }
+        let results: Vec<DeviceResult> = self
+            .replies
+            .iter()
+            .enumerate()
+            .map(|(d, rx)| {
+                rx.recv()
+                    .unwrap_or(Err(RuntimeError::Panicked { device: d }))
+            })
+            .collect();
+        merge_results(results).inspect_err(|e| {
+            self.poisoned = Some(e.clone());
+            // Parked workers exit once their command channel closes.
+            self.cmds.clear();
+        })
+    }
+}
+
+/// One device's worker: parks on its command channel for the session's
+/// life and runs each step it is sent. After a failed step it exits,
+/// dropping its channel ends, so peers still waiting on it see
+/// [`RuntimeError::Disconnected`] instead of a timeout.
+fn worker(
+    plan: &CompiledPlan,
+    mut links: DeviceLinks,
+    st: &mut PlanExecutor,
+    cmds: Receiver<Cmd<'_>>,
+    replies: Sender<DeviceResult>,
+    (stall_ms, drop_out): (u64, bool),
+) {
+    let d = links.device;
+    let mut bound: Vec<Option<usize>> = vec![None; plan.result_tys().len()];
+    let mut first = true;
+    while let Ok(cmd) = cmds.recv() {
+        let (inputs, turns) = match cmd {
+            Cmd::Bind(out, k) => {
+                bound[out] = Some(k);
+                continue;
+            }
+            Cmd::Step { inputs, turns } => (inputs, turns),
+        };
+        let result = {
+            // Scheduled, nothing — not even a drop-out — runs before the
+            // device's first turn; declared first, the guard passes the
+            // turn on last, before the reply.
+            let _turn = turns.as_deref().map(|t| t.enter(d));
+            links.turns = turns.clone();
+            let first_step = std::mem::take(&mut first);
+            let result = if first_step && drop_out {
+                Err(RuntimeError::Dropped { device: d })
+            } else {
+                if first_step && stall_ms > 0 {
+                    std::thread::sleep(Duration::from_millis(stall_ms));
+                }
+                plan.run_device(&mut links, st, &inputs, &bound)
+                    .map(|outputs| (outputs, std::mem::take(&mut links.stats)))
+            };
+            links.turns = None;
+            result
+        };
+        let failed = result.is_err();
+        if replies.send(result).is_err() || failed {
+            break;
+        }
+    }
+}
+
+/// The most diagnostic error of a step, or its merged outcome.
+fn merge_results(results: Vec<DeviceResult>) -> Result<RunOutcome, RuntimeError> {
+    if let Some(err) = results
+        .iter()
+        .filter_map(|r| r.as_ref().err())
+        .max_by_key(|e| e.severity())
+    {
+        return Err(err.clone());
+    }
+    let n = results.len();
+    let mut stats = RuntimeStats {
+        per_device_bytes: vec![0; n],
+        ..RuntimeStats::default()
+    };
+    let mut outputs = Vec::with_capacity(n);
+    for (d, result) in results.into_iter().enumerate() {
+        let (outs, device_stats) = result.expect("errors handled above");
+        for (axis, traffic) in &device_stats.per_axis {
+            stats
+                .per_axis
+                .entry(axis.clone())
+                .or_default()
+                .add(*traffic);
+        }
+        stats.per_device_bytes[d] = device_stats.bytes;
+        stats.rendezvous_waits += device_stats.rendezvous_waits;
+        stats.per_device.push(device_stats);
+        outputs.push(outs);
+    }
+    Ok(RunOutcome { outputs, stats })
 }
 
 impl ThreadedRuntime {
@@ -810,85 +1114,27 @@ impl ThreadedRuntime {
         ThreadedRuntime { config }
     }
 
-    /// Runs a pre-compiled plan on every device concurrently. The plan
-    /// carries everything once derived from the program — kernel
-    /// bindings, arena layout, per-device collective schedules — so
-    /// repeated steps pay no per-op dispatch or shape inference.
+    /// Opens `plan` on the devices for the duration of `f`: spawns one
+    /// worker per device, each owning one of the plan's resident
+    /// executors and its ends of persistent device-pair channels, and
+    /// hands `f` the [`Session`] that steps them. The workers are scoped
+    /// to this call: when `f` returns, every worker exits and is joined,
+    /// and the executors are parked on the plan again, whatever the
+    /// outcome.
     ///
-    /// `inputs[d]` are device `d`'s local inputs. On success returns the
-    /// per-device outputs plus observed [`RuntimeStats`].
-    ///
-    /// # Errors
-    ///
-    /// Returns the most diagnostic failure across devices: malformed
-    /// inputs, detected deadlock ([`RuntimeError::Timeout`]), corruption,
-    /// or a dropped participant.
-    pub fn run_plan(
+    /// [`RuntimeConfig::faults`] apply once per session: a stall or a
+    /// drop-out at the first step, a corruption at the device's n-th
+    /// message of the session.
+    pub fn with_session<'a, R>(
         &self,
-        plan: &CompiledPlan,
-        inputs: &[Vec<Literal>],
-    ) -> Result<RunOutcome, RuntimeError> {
-        self.run_threads(plan, inputs, None)
-    }
-
-    /// Runs a pre-compiled plan as [`ThreadedRuntime::run_plan`] does,
-    /// but one device at a time: at every send and at every receive that
-    /// finds its channel empty, a stream seeded by `seed` picks which
-    /// runnable device goes next. The interleaving, and with it
-    /// [`RuntimeStats::rendezvous_waits`], is a pure function of (plan,
-    /// inputs, seed); outputs and traffic equal a free-running run's.
-    ///
-    /// # Errors
-    ///
-    /// As [`ThreadedRuntime::run_plan`], except that no receive times
-    /// out: when no device can run while some have not finished, the run
-    /// fails at once with [`RuntimeError::Deadlock`].
-    pub fn run_scheduled(
-        &self,
-        plan: &CompiledPlan,
-        inputs: &[Vec<Literal>],
-        seed: u64,
-    ) -> Result<RunOutcome, RuntimeError> {
-        self.run_threads(plan, inputs, Some(seed))
-    }
-
-    /// The one body of [`ThreadedRuntime::run_plan`] (`seed == None`)
-    /// and [`ThreadedRuntime::run_scheduled`].
-    fn run_threads(
-        &self,
-        plan: &CompiledPlan,
-        inputs: &[Vec<Literal>],
-        seed: Option<u64>,
-    ) -> Result<RunOutcome, RuntimeError> {
+        plan: &'a CompiledPlan,
+        f: impl FnOnce(&mut Session<'a>) -> R,
+    ) -> R {
         let n = plan.num_devices();
-        if inputs.len() != n {
-            return Err(IrError::invalid(format!(
-                "expected inputs for {n} devices, got {}",
-                inputs.len()
-            ))
-            .into());
-        }
-        for (d, device_inputs) in inputs.iter().enumerate() {
-            if device_inputs.len() != plan.param_tys().len() {
-                return Err(
-                    IrError::invalid(format!("device {d}: wrong per-device input arity")).into(),
-                );
-            }
-            for (ty, lit) in plan.param_tys().iter().zip(device_inputs) {
-                if lit.dtype() != ty.dtype || lit.shape() != &ty.shape {
-                    return Err(IrError::invalid(format!(
-                        "device {d} input has type {}, expected {ty}",
-                        lit.ty()
-                    ))
-                    .into());
-                }
-            }
-        }
-
         // One channel per ordered device pair: txs[src][dst] feeds
         // rxs[dst][src]. Senders never block (unbounded), so with every
         // receive bounded by the rendezvous timeout (free-running) or by
-        // deadlock detection (scheduled) all threads terminate.
+        // deadlock detection (scheduled) every step terminates.
         let mut txs: Vec<Vec<Sender<Message>>> = (0..n).map(|_| Vec::with_capacity(n)).collect();
         let mut rxs: Vec<Vec<Option<Receiver<Message>>>> =
             (0..n).map(|_| (0..n).map(|_| None).collect()).collect();
@@ -911,46 +1157,36 @@ impl ThreadedRuntime {
             }
         }
 
-        type DeviceResult = Result<(Vec<Literal>, DeviceCounters), RuntimeError>;
         let timeout = self.config.rendezvous_timeout;
         let verify = self.config.checksums_armed();
-        let turns = seed.map(|s| Turns::new(n, s));
-        let turns = turns.as_ref();
-        // Device threads do not inherit the caller's thread-local
+        // Worker threads do not inherit the caller's thread-local
         // observability scope — capture it here and re-install it inside
-        // each worker under a per-device track, so one run produces one
-        // multi-track timeline (`device0`, `device1`, ...).
+        // each worker under a per-device track, so one session produces
+        // one multi-track timeline (`device0`, `device1`, ...).
         let collector = partir_obs::current();
         // The arenas are resident on the plan: checked out (and, the
         // first time, allocated) here on the calling thread, one lent to
-        // each device thread, parked again after the join whatever the
-        // outcome.
+        // each worker, parked again after the join whatever the outcome.
         let mut executors = plan.checkout_executors();
-        let results: Vec<DeviceResult> = std::thread::scope(|scope| {
+        let result = std::thread::scope(|scope| {
+            let mut cmds = Vec::with_capacity(n);
+            let mut replies = Vec::with_capacity(n);
             let handles: Vec<_> = txs
                 .into_iter()
                 .zip(rxs)
                 .zip(&mut executors)
                 .enumerate()
-                .map(|(d, ((tx_row, rx_row), state))| {
-                    let my_inputs = &inputs[d];
-                    let stall = stall_ms[d];
+                .map(|(d, ((tx_row, rx_row), st))| {
+                    let (cmd_tx, cmd_rx) = channel();
+                    let (reply_tx, reply_rx) = channel();
+                    cmds.push(cmd_tx);
+                    replies.push(reply_rx);
+                    let fault = (stall_ms[d], dropped[d]);
                     let corrupt = corrupt_at[d];
-                    let drop_out = dropped[d];
                     let collector = collector.clone();
-                    scope.spawn(move || -> DeviceResult {
-                        // Scheduled, nothing — not even a drop-out — runs
-                        // before the device's first turn; declared
-                        // first, the guard passes the turn on last.
-                        let _turn = turns.map(|t| t.enter(d));
-                        let body = move || -> DeviceResult {
-                            if drop_out {
-                                return Err(RuntimeError::Dropped { device: d });
-                            }
-                            if stall > 0 {
-                                std::thread::sleep(Duration::from_millis(stall));
-                            }
-                            let mut links = DeviceLinks {
+                    scope.spawn(move || {
+                        let body = move || {
+                            let links = DeviceLinks {
                                 device: d,
                                 txs: tx_row,
                                 rxs: rx_row,
@@ -961,12 +1197,11 @@ impl ThreadedRuntime {
                                 sent_total: 0,
                                 corrupt_at: corrupt,
                                 verify,
-                                turns,
+                                turns: None,
                                 traced: partir_obs::current().is_some(),
                                 stats: DeviceCounters::default(),
                             };
-                            let outputs = plan.run_device(&mut links, state, my_inputs)?;
-                            Ok((outputs, links.stats))
+                            worker(plan, links, st, cmd_rx, reply_tx, fault);
                         };
                         match &collector {
                             Some(c) => partir_obs::with_track(c, &format!("device{d}"), body),
@@ -975,45 +1210,83 @@ impl ThreadedRuntime {
                     })
                 })
                 .collect();
-            handles
-                .into_iter()
-                .enumerate()
-                .map(|(d, h)| {
-                    h.join()
-                        .unwrap_or(Err(RuntimeError::Panicked { device: d }))
-                })
-                .collect()
+            let mut session = Session {
+                plan,
+                cmds,
+                replies,
+                staged: (0..n).map(|_| Vec::new()).collect(),
+                set: vec![false; plan.param_tys().len()],
+                bound: vec![None; plan.result_tys().len()],
+                poisoned: None,
+            };
+            let result = f(&mut session);
+            // Closing the command channels releases the parked workers.
+            drop(session);
+            for h in handles {
+                // A panic was already reported by the step it broke.
+                let _ = h.join();
+            }
+            result
         });
         plan.park_executors(executors);
+        result
+    }
 
-        if let Some(err) = results
-            .iter()
-            .filter_map(|r| r.as_ref().err())
-            .max_by_key(|e| e.severity())
-        {
-            return Err(err.clone());
-        }
+    /// Runs a pre-compiled plan on every device concurrently: a session
+    /// of one step from host inputs. The plan carries everything once
+    /// derived from the program — kernel bindings, arena layout,
+    /// per-device collective schedules — so repeated steps pay no per-op
+    /// dispatch or shape inference.
+    ///
+    /// `inputs[d]` are device `d`'s local inputs. On success returns the
+    /// per-device outputs plus observed [`RuntimeStats`].
+    ///
+    /// # Errors
+    ///
+    /// Returns the most diagnostic failure across devices: malformed
+    /// inputs, detected deadlock ([`RuntimeError::Timeout`]), corruption,
+    /// or a dropped participant.
+    pub fn run_plan(
+        &self,
+        plan: &CompiledPlan,
+        inputs: &[Vec<Literal>],
+    ) -> Result<RunOutcome, RuntimeError> {
+        self.run_once(plan, inputs, None)
+    }
 
-        let mut stats = RuntimeStats {
-            per_device_bytes: vec![0; n],
-            ..RuntimeStats::default()
-        };
-        let mut outputs = Vec::with_capacity(n);
-        for (d, result) in results.into_iter().enumerate() {
-            let (outs, device_stats) = result.expect("errors handled above");
-            for (axis, traffic) in &device_stats.per_axis {
-                stats
-                    .per_axis
-                    .entry(axis.clone())
-                    .or_default()
-                    .add(*traffic);
-            }
-            stats.per_device_bytes[d] = device_stats.bytes;
-            stats.rendezvous_waits += device_stats.rendezvous_waits;
-            stats.per_device.push(device_stats);
-            outputs.push(outs);
-        }
-        Ok(RunOutcome { outputs, stats })
+    /// Runs a pre-compiled plan as [`ThreadedRuntime::run_plan`] does,
+    /// but one device at a time: at every send and at every receive that
+    /// finds its channel empty, a stream seeded by `seed` picks which
+    /// runnable device goes next. The interleaving, and with it
+    /// [`RuntimeStats::rendezvous_waits`], is a pure function of (plan,
+    /// inputs, seed); outputs and traffic equal a free-running run's.
+    ///
+    /// # Errors
+    ///
+    /// As [`ThreadedRuntime::run_plan`], except that no receive times
+    /// out: when no device can run while some have not finished, the run
+    /// fails at once with [`RuntimeError::Deadlock`].
+    pub fn run_scheduled(
+        &self,
+        plan: &CompiledPlan,
+        inputs: &[Vec<Literal>],
+        seed: u64,
+    ) -> Result<RunOutcome, RuntimeError> {
+        self.run_once(plan, inputs, Some(seed))
+    }
+
+    /// The one body of [`ThreadedRuntime::run_plan`] (`seed == None`)
+    /// and [`ThreadedRuntime::run_scheduled`]: a one-step session.
+    fn run_once(
+        &self,
+        plan: &CompiledPlan,
+        inputs: &[Vec<Literal>],
+        seed: Option<u64>,
+    ) -> Result<RunOutcome, RuntimeError> {
+        self.with_session(plan, |session| {
+            session.set_all(inputs)?;
+            session.step_with(seed)
+        })
     }
 }
 

@@ -26,7 +26,10 @@
 //! 2×2 plan makes no allocation as large as the plan's `f32` pool — and
 //! its collectives run kernels planned at compile time, so the second
 //! `run_plan` of the 2×2 decode step stays under half the allocations it
-//! made when they planned kernels per call.
+//! made when they planned kernels per call. A device session keeps its
+//! bound state on the devices: a steady-state decode step with the KV
+//! caches bound allocates at least every device's cache shards less than
+//! the same step feeding the caches back through the host.
 //!
 //! The test binary is separate from the other suites so the counter only
 //! ever observes this test's own traffic.
@@ -41,13 +44,15 @@ use partir_models::schedules::{BATCH, MODEL};
 use partir_models::transformer::TransformerConfig;
 use partir_models::unet::UNetConfig;
 use partir_sched::partir_jit;
-use partir_spmd::{CompiledPlan, ThreadedRuntime};
+use partir_spmd::{CompiledPlan, Session, ThreadedRuntime};
 
 struct CountingAlloc;
 
 static ALLOCS: AtomicU64 = AtomicU64::new(0);
 /// Largest single request since the test last zeroed it, in bytes.
 static LARGEST: AtomicU64 = AtomicU64::new(0);
+/// Bytes requested since the test started, in total.
+static BYTES: AtomicU64 = AtomicU64::new(0);
 
 // SAFETY: every method delegates verbatim to `System`, which upholds
 // the full `GlobalAlloc` contract (layout fitting, non-aliasing,
@@ -63,6 +68,7 @@ unsafe impl GlobalAlloc for CountingAlloc {
     // to `System.alloc` unchanged.
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
         ALLOCS.fetch_add(1, Ordering::Relaxed);
+        BYTES.fetch_add(layout.size() as u64, Ordering::Relaxed);
         LARGEST.fetch_max(layout.size() as u64, Ordering::Relaxed);
         System.alloc(layout)
     }
@@ -76,6 +82,7 @@ unsafe impl GlobalAlloc for CountingAlloc {
     // SAFETY: same delegation argument as `alloc`/`dealloc`.
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
         ALLOCS.fetch_add(1, Ordering::Relaxed);
+        BYTES.fetch_add(new_size as u64, Ordering::Relaxed);
         LARGEST.fetch_max(new_size as u64, Ordering::Relaxed);
         System.realloc(ptr, layout, new_size)
     }
@@ -217,6 +224,94 @@ fn assert_decode_step_collectives_allocate_little() {
     );
 }
 
+/// A steady-state step of a device session over the tiny decode plan
+/// (`BP+MP+MQ`, 2×2), with only the three slot inputs set per step.
+/// With the caches bound, no cache shard is read out to the host: the
+/// bound steps allocate at least one copy of every device's cache shards
+/// per step less than the same steps with the caches fed back through
+/// the host (read out, then set again), the serving engine's path before
+/// sessions. Bytes, not a largest-allocation bar: the session's own
+/// by-design allocations — collective payloads, channel blocks of a few
+/// KiB, the per-step reply vector — are larger than the tiny plan's
+/// smallest resident shards (32 B), so a size bar cannot tell a host
+/// copy from them.
+fn assert_session_step_keeps_caches_on_the_devices() {
+    const STEPS: u64 = 20;
+    let decode = partir_models::itransformer::build_decode_step(&ServingConfig::tiny()).unwrap();
+    let n = decode.num_param_tensors;
+    let mesh = Mesh::new([(BATCH, 2), (MODEL, 2)]).unwrap();
+    let table = partir_models::schedules::itransformer_table2();
+    let (_, schedule) = table.iter().find(|(name, _)| *name == "BP+MP+MQ").unwrap();
+    let program = partir_jit(
+        &decode.func,
+        &HardwareConfig::tpu_v3_pod(mesh.clone()),
+        schedule,
+    )
+    .unwrap()
+    .program;
+    let plan = program.compile().unwrap();
+    let inputs = partir_models::synthetic_inputs(&decode, 1234);
+    let shards: Vec<Vec<Literal>> = inputs
+        .iter()
+        .enumerate()
+        .map(|(k, lit)| program.shard_input(k, lit).unwrap())
+        .collect();
+    let caches = n + 3..inputs.len();
+    let cache_bytes: u64 = shards[caches.clone()]
+        .iter()
+        .flatten()
+        .map(|lit| (lit.num_elements() * lit.dtype().size_bytes()) as u64)
+        .sum();
+    // Bytes allocated by `STEPS` steady-state steps, each setting the
+    // slot inputs and then whatever `feed` sets from its outcome.
+    let steady = |session: &mut Session<'_>, feed: &dyn Fn(&mut Session<'_>, Vec<Vec<Literal>>)| {
+        let small: Vec<Vec<Vec<Literal>>> = (0..STEPS)
+            .map(|_| (n..n + 3).map(|k| shards[k].clone()).collect())
+            .collect();
+        let before = BYTES.load(Ordering::SeqCst);
+        for step_inputs in small {
+            for (j, s) in step_inputs.into_iter().enumerate() {
+                session.set_input(n + j, s).unwrap();
+            }
+            let outputs = session.step().unwrap().outputs;
+            feed(session, outputs);
+        }
+        BYTES.load(Ordering::SeqCst) - before
+    };
+    let (fed, bound) = ThreadedRuntime::default().with_session(&plan, |session| {
+        for (k, s) in shards.iter().enumerate() {
+            session.set_input(k, s.clone()).unwrap();
+        }
+        let through_host = |session: &mut Session<'_>, outputs: Vec<Vec<Literal>>| {
+            for (j, k) in caches.clone().enumerate() {
+                let out: Vec<Literal> = outputs.iter().map(|o| o[1 + j].clone()).collect();
+                session.set_input(k, out).unwrap();
+            }
+        };
+        // Warm-up: sizes the executors, the kernels' scratch and the
+        // channels' first blocks.
+        steady(session, &through_host);
+        let fed = steady(session, &through_host);
+        for (j, k) in caches.clone().enumerate() {
+            session.bind(1 + j, k).unwrap();
+        }
+        let on_device = |_: &mut Session<'_>, outputs: Vec<Vec<Literal>>| {
+            assert!(
+                outputs.iter().all(|o| o.len() == 1),
+                "bound caches returned"
+            );
+        };
+        steady(session, &on_device);
+        (fed, steady(session, &on_device))
+    });
+    assert!(
+        fed >= bound + STEPS * cache_bytes,
+        "{STEPS} bound steps allocated {bound} B, the same steps feeding the caches \
+         through the host {fed} B: binding must save at least the {cache_bytes} B of \
+         cache shards per step"
+    );
+}
+
 // One test function: the counters are global, so the audits must not run
 // on concurrent test threads.
 #[test]
@@ -248,4 +343,5 @@ fn steady_state_hot_loop_allocates_nothing() {
 
     assert_second_run_plan_allocates_no_arena();
     assert_decode_step_collectives_allocate_little();
+    assert_session_step_keeps_caches_on_the_devices();
 }
