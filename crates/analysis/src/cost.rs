@@ -144,12 +144,11 @@ pub struct Roofline {
 }
 
 impl Roofline {
-    /// The roofline of `device` with contractions running at
-    /// `matmul_efficiency` of peak ([`MATMUL_EFFICIENCY`], except where
-    /// the event model derates small tiles).
-    pub fn new(device: &DeviceSpec, matmul_efficiency: f64) -> Self {
+    /// The roofline of `device`, with contractions running at
+    /// [`MATMUL_EFFICIENCY`] of peak.
+    pub fn new(device: &DeviceSpec) -> Self {
         Roofline {
-            contraction_flops: device.peak_flops_f32 * matmul_efficiency,
+            contraction_flops: device.peak_flops_f32 * MATMUL_EFFICIENCY,
             peak_flops: device.peak_flops_f32,
             hbm: device.hbm_bandwidth * HBM_EFFICIENCY,
         }

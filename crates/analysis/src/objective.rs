@@ -67,7 +67,7 @@ use partir_mesh::{Axis, HardwareConfig};
 
 use crate::cost::{
     oom_penalty, op_class, op_flops, ring_time, CollectiveStats, OpClass, RingKind, Roofline,
-    ShapeView, MATMUL_EFFICIENCY,
+    ShapeView,
 };
 use crate::layout::{
     collect_uses, fuse_gather_slice, fuse_reduce_slice, reshard_split, AxisStacks, GatherSlice,
@@ -530,7 +530,7 @@ impl<'a, 'f> Eval<'a, 'f> {
             int_size,
             bw,
             lat,
-            roofline: Roofline::new(&hw.device, MATMUL_EFFICIENCY),
+            roofline: Roofline::new(&hw.device),
             transient: vec![0u64; obj.func.num_ops()],
         })
     }

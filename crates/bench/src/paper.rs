@@ -5,10 +5,13 @@
 //! built once per [`Cells`], every schedule is stated once in
 //! [`Model::schedule`], and every cell is jitted once however many
 //! experiments read it: Table 3, Fig 6, Fig 9 and Fig 10 all read the
-//! same 8×4 cells. Each experiment is a function from cells to rows;
+//! same 8×4 cells. The cells Figs 6, 9 and 10 "measure" are also
+//! compiled to their device plan, once each. Each experiment is a
+//! function from cells to rows;
 //! the `table2` … `fig10` bins print one each, and `tests/experiments.rs`
 //! pins their `--json` output byte for byte.
 
+use std::cmp::Reverse;
 use std::collections::BTreeMap;
 
 use partir_gspmd::{gspmd_partition, heuristic_propagate, GspmdOptions, InputSharding};
@@ -20,8 +23,9 @@ use partir_models::{
 use partir_sched::{
     partir_jit, partir_jit_single_tactic, AutomaticPartition, Jitted, Schedule, Tactic,
 };
-use partir_sim::event::{measure, measured_memory};
-use partir_sim::{peak_memory_bytes, SimConfig, Simulator};
+use partir_sim::event::measure_overlap;
+use partir_sim::{SimConfig, SimReport, Simulator};
+use partir_spmd::CompiledPlan;
 
 use crate::{tpu_mesh, Row};
 
@@ -136,6 +140,7 @@ impl Model {
 pub struct Cells {
     models: BTreeMap<Model, BuiltModel>,
     jitted: BTreeMap<(Model, &'static str, MeshShape), Option<Jitted>>,
+    plans: BTreeMap<(Model, &'static str, MeshShape), Option<CompiledPlan>>,
 }
 
 impl Cells {
@@ -159,9 +164,50 @@ impl Cells {
         self.jitted[&key].as_ref()
     }
 
+    /// Compiles the device plan of every cell of `list` that jits and
+    /// has none yet, two at a time: in a debug build each compile also
+    /// runs the plan verifier, seconds per 8×4 cell. A plan that does not
+    /// compile is `None`, with the error on stderr. Which thread compiles
+    /// which plan changes nothing in it.
+    fn compile_plans(&mut self, list: &[(Model, &'static str)], mesh: MeshShape) {
+        let mut keys = Vec::new();
+        for &(model, label) in list {
+            let key = (model, label, mesh);
+            if !self.plans.contains_key(&key) && self.jit(model, label, mesh).is_some() {
+                keys.push(key);
+            }
+        }
+        let jitted = &self.jitted;
+        let cell =
+            |key: &(Model, &'static str, MeshShape)| jitted[key].as_ref().expect("a jitted cell");
+        // Largest estimated peak first: the verifier's time grows with
+        // the arena, and the longest compile should not start last.
+        keys.sort_by_key(|key| Reverse(cell(key).reports.last().map(|r| r.sim.peak_memory_bytes)));
+        let compile = |key: &(Model, &'static str, MeshShape)| {
+            let plan = cell(key).program.compile();
+            let plan = plan.map_err(|e| eprintln!("{} {}: {e}", key.0.name(), key.1));
+            (*key, plan.ok())
+        };
+        // Alternate cells between the two threads, in that order.
+        let half =
+            |first: usize| -> Vec<_> { keys.iter().skip(first).step_by(2).map(compile).collect() };
+        let plans = std::thread::scope(|s| {
+            let other = s.spawn(|| half(1));
+            let mut plans = half(0);
+            plans.extend(other.join().expect("plan compile thread"));
+            plans
+        });
+        self.plans.extend(plans);
+    }
+
     /// How many distinct cells have been jitted.
     pub fn jits(&self) -> usize {
         self.jitted.len()
+    }
+
+    /// How many distinct cells have been compiled to a plan.
+    pub fn plans(&self) -> usize {
+        self.plans.len()
     }
 }
 
@@ -177,6 +223,32 @@ fn rows(
         .filter_map(|(model, label)| {
             let jitted = cells.jit(model, label, mesh)?;
             Some(metrics(Row::new(experiment, model.name(), label), jitted))
+        })
+        .collect()
+}
+
+/// One row per cell of `list` on the pod mesh whose plan compiles, its
+/// metrics read off the analytical estimate and the plan walk
+/// ([`measure_overlap`]) of the cell's device program.
+fn measured_rows(
+    cells: &mut Cells,
+    experiment: &str,
+    list: impl IntoIterator<Item = (Model, &'static str)>,
+    metrics: impl Fn(Row, &SimReport, &SimReport) -> Row,
+) -> Vec<Row> {
+    let hw = tpu_mesh(POD_MESH.0, POD_MESH.1);
+    let sim = Simulator::new(&hw, SimConfig::default());
+    let list: Vec<(Model, &'static str)> = list.into_iter().collect();
+    cells.compile_plans(&list, POD_MESH);
+    list.into_iter()
+        .filter_map(|(model, label)| {
+            let key = (model, label, POD_MESH);
+            let plan = cells.plans.get(&key)?.as_ref()?;
+            let func = cells.jitted[&key].as_ref()?.program.func();
+            let estimated = sim.simulate(func).expect("estimate");
+            let (measured, _) = measure_overlap(plan, func, &hw).expect("plan walk");
+            let row = Row::new(experiment, model.name(), label);
+            Some(metrics(row, &estimated, &measured))
         })
         .collect()
 }
@@ -282,9 +354,8 @@ pub fn table3(cells: &mut Cells) -> Vec<Row> {
 }
 
 /// **Fig 6**: step runtime of manual, mixed and automatic schedules on
-/// the 8×4 mesh, from the event-level model.
+/// the 8×4 mesh, from the plan walk.
 pub fn fig6(cells: &mut Cells) -> Vec<Row> {
-    let hw = tpu_mesh(POD_MESH.0, POD_MESH.1);
     let list = [
         (Model::T32, "BP+MP+Z3"),
         (Model::T32, "BP+AutoMP+Z3"),
@@ -296,8 +367,7 @@ pub fn fig6(cells: &mut Cells) -> Vec<Row> {
         (Model::Gns, "ES+AutoMP"),
         (Model::Gns, "AllAuto"),
     ];
-    rows(cells, "fig6", POD_MESH, list, |row, jitted| {
-        let measured = measure(jitted.program.func(), &hw).expect("event model runs");
+    measured_rows(cells, "fig6", list, |row, _, measured| {
         row.metric("runtime_ms", measured.runtime_s * 1e3)
     })
 }
@@ -416,15 +486,10 @@ fn annotation_groups(model: &BuiltModel, label: &str) -> Vec<Vec<InputSharding>>
     groups
 }
 
-/// **Fig 9** (A.5.1): the analytical runtime estimate against the
-/// event-level model's "measurement", for Table 2's cells on the 8×4
-/// mesh.
+/// **Fig 9** (A.5.1): the analytical runtime estimate against the plan
+/// walk's "measurement", for Table 2's cells on the 8×4 mesh.
 pub fn fig9(cells: &mut Cells) -> Vec<Row> {
-    let hw = tpu_mesh(POD_MESH.0, POD_MESH.1);
-    let sim = Simulator::new(&hw, SimConfig::default());
-    rows(cells, "fig9", POD_MESH, table2_cells(), |row, jitted| {
-        let est = sim.simulate(jitted.program.func()).expect("estimate");
-        let meas = measure(jitted.program.func(), &hw).expect("measurement model");
+    measured_rows(cells, "fig9", table2_cells(), |row, est, meas| {
         row.metric("estimated_ms", est.runtime_s * 1e3)
             .metric("measured_ms", meas.runtime_s * 1e3)
             .metric("error_ms", (est.runtime_s - meas.runtime_s) * 1e3)
@@ -433,11 +498,12 @@ pub fn fig9(cells: &mut Cells) -> Vec<Row> {
 
 /// **Fig 10** (A.5.2): the peak-memory estimate against the "measured"
 /// memory, for Table 2's cells on the 8×4 mesh. The measured side is
-/// [`measured_memory`], a fixed fraction of the estimate.
+/// what a device's plan executor holds resident: its arena pools and
+/// loop-carry scratch (`CompiledPlan::resident_bytes`).
 pub fn fig10(cells: &mut Cells) -> Vec<Row> {
-    rows(cells, "fig10", POD_MESH, table2_cells(), |row, jitted| {
-        let estimated = mib(peak_memory_bytes(jitted.program.func()));
-        let measured = mib(measured_memory(jitted.program.func()));
+    measured_rows(cells, "fig10", table2_cells(), |row, est, meas| {
+        let estimated = mib(est.peak_memory_bytes);
+        let measured = mib(meas.peak_memory_bytes);
         row.metric("estimated_MiB", estimated)
             .metric("measured_MiB", measured)
             .metric("error_MiB", estimated - measured)

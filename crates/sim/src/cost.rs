@@ -1,7 +1,7 @@
 //! Analytical runtime model: roofline compute costs plus ring-style
 //! collective costs over the mesh topology.
 
-use partir_analysis::cost::{op_class, ring_stages, ring_time, Roofline, MATMUL_EFFICIENCY};
+use partir_analysis::cost::{op_class, ring_stages, ring_time, Roofline};
 use partir_ir::{Collective, Func, IrError, OpId, OpKind, TensorType};
 use partir_mesh::HardwareConfig;
 
@@ -39,7 +39,7 @@ impl<'a> Simulator<'a> {
     /// Fails when a collective references an axis missing from the mesh
     /// or topology.
     pub fn simulate(&self, func: &Func) -> Result<SimReport, IrError> {
-        let roofline = Roofline::new(&self.hw.device, MATMUL_EFFICIENCY);
+        let roofline = Roofline::new(&self.hw.device);
         let (compute_s, comm_s, comm_bytes) = self.walk(func, func.body(), &roofline)?;
         let flops = func_flops(func);
         let runtime_s = compute_s + comm_s * (1.0 - self.cfg.overlap);
@@ -86,7 +86,8 @@ impl<'a> Simulator<'a> {
     }
 }
 
-fn op_time(func: &Func, op_id: OpId, roofline: &Roofline) -> f64 {
+/// Roofline time of one non-region op.
+pub(crate) fn op_time(func: &Func, op_id: OpId, roofline: &Roofline) -> f64 {
     let class = op_class(&func.op(op_id).kind);
     roofline.op_time(class, flops_of(func, op_id), moved_bytes_of(func, op_id))
 }

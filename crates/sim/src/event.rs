@@ -1,328 +1,175 @@
-//! Event-level execution model — the stand-in for real-hardware
-//! measurements (see DESIGN.md substitutions).
+//! Event-level execution model: the compiled plan's own schedule, timed
+//! — the stand-in for real-hardware measurements (see DESIGN.md
+//! substitutions).
 //!
-//! Compared to the analytical [`crate::Simulator`], this model:
+//! [`measure_overlap`] walks `CompiledPlan::verifier_view()` once, in
+//! the order the executor runs it, on a compute lane plus one link lane
+//! per mesh axis. Every cost is the analytical [`crate::Simulator`]'s,
+//! from `partir_analysis::cost`:
 //!
-//! * charges a fixed dispatch overhead per op (kernel launches),
-//! * schedules the program on **two resources** — a compute lane and one
-//!   link lane per mesh axis — so compute/communication overlap emerges
-//!   from the dependency structure instead of a fixed overlap fraction:
-//!   a collective starts when its input is ready and its link is free,
-//!   and only stalls compute when a consumer actually needs its result,
-//! * perturbs each op's cost with a deterministic per-op jitter standing
-//!   in for layout passes, fusion decisions and measurement noise.
+//! * a kernel or baked step is charged the roofline time of its op (the
+//!   op defining the value it writes, looked up in the lowered `Func`);
+//! * a fused elementwise chain is charged once, on the bytes it loads
+//!   and stores (elementwise flops never bind on the roofline);
+//! * a `CollStart` puts its collective's ring time on its axes' link
+//!   lanes where the plan placed it, and the `CollWait` with its tag
+//!   stalls the compute lane until it lands; the stall is charged to
+//!   that tag;
+//! * a loop runs its body trip-count times; loop copies are free, as in
+//!   the estimate.
 //!
-//! This mirrors what the compiled-plan runtime executes: `spmd::plan`
-//! splits every collective into a `CollStart` hoisted to where its input
-//! is ready and a `CollWait` sunk to its first consumer, so the window a
-//! collective has to hide under compute is exactly the dependency slack
-//! this model schedules. [`measure_overlap`] reports the per-collective
-//! hidden time, which `sim::reconcile` checks against the `coll.start` /
-//! `coll.wait` span gaps on real device traces.
-//!
-//! Figures 9 and 10 compare the analytical estimates against this model;
-//! the paper compares against TPUv3 hardware.
+//! So the walk departs from the estimate only where the plan compiler
+//! decided something: fused chains and collective windows. With neither
+//! they agree exactly. Figures 6 and 9 report its runtime as "measured",
+//! and Figure 10 the bytes a device's `PlanExecutor` holds resident; the
+//! paper measures TPUv3 hardware. `sim::reconcile` checks the per-tag
+//! hidden time against the `coll.start` / `coll.wait` spans of real
+//! device traces.
 
 use std::collections::BTreeMap;
 
-use partir_analysis::cost::{op_class, Roofline, MATMUL_EFFICIENCY};
-use partir_ir::{Func, IrError, OpId, OpKind, ValueId};
+use partir_analysis::cost::{OpClass, Roofline};
+use partir_analysis::plan::{Access, StepView};
+use partir_ir::{Func, IrError, OpId, OpKind, ValueDef, ValueId};
 use partir_mesh::{Axis, HardwareConfig};
+use partir_spmd::CompiledPlan;
 
-use crate::flops::{flops_of, moved_bytes_of};
-use crate::{collective_time, peak_memory_bytes, SimReport};
+use crate::cost::op_time;
+use crate::{collective_time, func_flops, SimReport};
 
-/// Per-op dispatch overhead, seconds. Per *fused kernel*: backends merge
-/// many IR ops per launch, so the effective per-op overhead is
-/// sub-microsecond.
-const OP_OVERHEAD_S: f64 = 0.3e-6;
-/// Relative amplitude of deterministic per-op jitter (0.08 = ±8%).
-const JITTER: f64 = 0.08;
-/// Extra per-step fixed cost (host sync, infeed), seconds.
-const STEP_OVERHEAD_S: f64 = 30e-6;
-
-/// One collective's predicted schedule in the two-resource model.
-///
-/// `index` counts static collectives in program order — the same order
-/// `spmd::plan` assigns rendezvous tags, so entry `i` here describes the
-/// collective traced as `coll.start.i` / `coll.wait.i`. For collectives
-/// inside loops, times accumulate across iterations.
+/// One collective's time in the plan walk, per rendezvous tag. For
+/// collectives inside loops, times accumulate across iterations.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CollectiveOverlap {
-    /// Static collective index == runtime rendezvous tag.
+    /// Rendezvous tag (`coll.start.<index>` / `coll.wait.<index>`).
     pub index: u32,
     /// Modeled on-link duration, seconds (summed over loop iterations).
     pub duration_s: f64,
-    /// Portion hidden under other work, seconds: duration minus the
-    /// stall its consumers (or the program end) actually suffered.
+    /// Portion hidden under other work, seconds: the duration less the
+    /// stall its wait charged the compute lane.
     pub hidden_s: f64,
 }
 
-/// Predicted compute/communication overlap for a whole program.
+/// Compute/communication overlap of a whole plan.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct OverlapPrediction {
-    /// Per static collective, in tag order.
+    /// Per collective, in tag order.
     pub collectives: Vec<CollectiveOverlap>,
 }
 
 impl OverlapPrediction {
-    /// Total modeled communication time, seconds.
-    pub fn total_s(&self) -> f64 {
-        self.collectives.iter().map(|c| c.duration_s).sum()
-    }
-
     /// Total communication time hidden under compute, seconds.
     pub fn hidden_s(&self) -> f64 {
         self.collectives.iter().map(|c| c.hidden_s).sum()
     }
-
-    /// Hidden fraction of total communication time (0 when the program
-    /// does not communicate).
-    pub fn hidden_fraction(&self) -> f64 {
-        let total = self.total_s();
-        if total <= 0.0 {
-            0.0
-        } else {
-            self.hidden_s() / total
-        }
-    }
 }
 
-/// Runs the event-level model over a device-local program; the returned
-/// report plays the role of a hardware measurement.
+/// Times one step of `plan`, compiled from the device-local `func`: the
+/// report plays the role of a hardware measurement, beside each
+/// collective's hidden time.
 ///
 /// # Errors
 ///
-/// Fails when collectives reference unknown axes.
-pub fn measure(func: &Func, hw: &HardwareConfig) -> Result<SimReport, IrError> {
-    measure_overlap(func, hw).map(|(report, _)| report)
-}
-
-/// Like [`measure`], but also returns the per-collective overlap the
-/// two-resource schedule predicts.
-///
-/// # Errors
-///
-/// Fails when collectives reference unknown axes.
+/// Fails when a collective references an unknown axis, or when the plan
+/// was not compiled from `func`.
 pub fn measure_overlap(
+    plan: &CompiledPlan,
     func: &Func,
     hw: &HardwareConfig,
 ) -> Result<(SimReport, OverlapPrediction), IrError> {
-    let mut state = MeasureState {
-        hw,
-        ready: vec![0.0; func.num_values()],
-        compute_free: 0.0,
-        link_free: BTreeMap::new(),
-        producer: vec![None; func.num_values()],
-        colls: Vec::new(),
-        static_index: BTreeMap::new(),
+    let view = plan.verifier_view();
+    let tags = view.num_tags as usize;
+    let mut costs = vec![(0.0, 0.0, Vec::new()); tags];
+    collective_costs(func, hw, &view.steps, &mut costs)?;
+    let mut walk = Walk {
+        func,
+        roofline: Roofline::new(&hw.device),
+        clock: 0.0,
+        costs,
+        links: BTreeMap::new(),
+        lands: vec![0.0; tags],
+        colls: (0..view.num_tags)
+            .map(|index| CollectiveOverlap {
+                index,
+                duration_s: 0.0,
+                hidden_s: 0.0,
+            })
+            .collect(),
         compute: 0.0,
         comm: 0.0,
         bytes: 0.0,
-        salt: 0x243f6a8885a308d3,
     };
-    state.number_collectives(func, func.body());
-    state.walk(func, func.body())?;
-    // Collectives whose last issue nobody consumed (program outputs, or
-    // dead values): exposed for however long they outlive the compute
-    // lane — the program can't finish before they complete.
-    let compute_end = state.compute_free;
-    for coll in &mut state.colls {
-        if let Some(end) = coll.unconsumed_end.take() {
-            coll.exposed += (end - compute_end).max(0.0);
-        }
-    }
-    let finish = state.finish_time(func);
-    let runtime_s = STEP_OVERHEAD_S + finish;
-    let prediction = OverlapPrediction {
-        collectives: state
-            .colls
-            .iter()
-            .map(|c| CollectiveOverlap {
-                index: c.index,
-                duration_s: c.duration,
-                hidden_s: (c.duration - c.exposed).max(0.0),
-            })
-            .collect(),
-    };
+    walk.steps(&view.steps)?;
     let report = SimReport {
-        runtime_s,
-        compute_s: state.compute,
-        comm_s: state.comm,
-        flops: crate::func_flops(func),
-        comm_bytes: state.bytes,
-        peak_memory_bytes: measured_memory(func),
+        runtime_s: walk.clock,
+        compute_s: walk.compute,
+        comm_s: walk.comm,
+        flops: func_flops(func),
+        comm_bytes: walk.bytes,
+        peak_memory_bytes: plan.resident_bytes(),
     };
-    Ok((report, prediction))
+    Ok((
+        report,
+        OverlapPrediction {
+            collectives: walk.colls,
+        },
+    ))
 }
 
-/// The "measured" memory: live-range peak plus a workspace factor for
-/// backend temporaries (the analytical estimate deliberately
-/// over-estimates relative to this, Appendix A.5.2).
-pub fn measured_memory(func: &Func) -> u64 {
-    let base = peak_memory_bytes(func);
-    // Backends typically reuse buffers better than a pure live-range
-    // analysis assumes, but add workspace for convolutions and fusions.
-    (base as f64 * 0.92) as u64
-}
-
-/// Accumulated schedule state of one static collective.
-struct CollState {
-    index: u32,
-    /// Total on-link time across iterations.
-    duration: f64,
-    /// Stall time its consumers suffered waiting on it.
-    exposed: f64,
-    /// End time of the latest issue whose result nobody consumed yet.
-    unconsumed_end: Option<f64>,
-}
-
-struct MeasureState<'a> {
-    hw: &'a HardwareConfig,
-    /// Per-value completion time (flat arena, parameters ready at 0).
-    ready: Vec<f64>,
+struct Walk<'a> {
+    func: &'a Func,
+    roofline: Roofline,
+    /// Per tag: ring seconds, wire bytes and the axes it occupies.
+    costs: Vec<(f64, f64, Vec<Axis>)>,
     /// When the compute lane frees up.
-    compute_free: f64,
+    clock: f64,
     /// When each per-axis link lane frees up.
-    link_free: BTreeMap<Axis, f64>,
-    /// Which static collective produced each value (latest issue).
-    producer: Vec<Option<usize>>,
-    colls: Vec<CollState>,
-    /// Static collective index per op, assigned in plan-tag order.
-    static_index: BTreeMap<OpId, usize>,
+    links: BTreeMap<Axis, f64>,
+    /// Per tag: when its latest issue lands.
+    lands: Vec<f64>,
+    colls: Vec<CollectiveOverlap>,
     compute: f64,
     comm: f64,
     bytes: f64,
-    salt: u64,
 }
 
-impl MeasureState<'_> {
-    fn jitter(&mut self) -> f64 {
-        // xorshift-style deterministic jitter in [1-j, 1+j].
-        self.salt ^= self.salt << 13;
-        self.salt ^= self.salt >> 7;
-        self.salt ^= self.salt << 17;
-        let unit = (self.salt >> 11) as f64 / (1u64 << 53) as f64;
-        1.0 + JITTER * (2.0 * unit - 1.0)
-    }
-
-    /// Assigns each static collective its program-order index — one pass
-    /// per op, recursing into regions once: exactly the order
-    /// `spmd::plan` assigns rendezvous tags.
-    fn number_collectives(&mut self, func: &Func, body: &[OpId]) {
-        for &op_id in body {
-            let op = func.op(op_id);
-            match &op.kind {
-                OpKind::For { .. } => {
-                    let region = op.region.as_ref().expect("for has region");
-                    self.number_collectives(func, &region.body);
+impl Walk<'_> {
+    fn steps(&mut self, steps: &[StepView]) -> Result<(), IrError> {
+        for step in steps {
+            match step {
+                StepView::Compute {
+                    name,
+                    reads,
+                    writes,
+                } => {
+                    let t = self.compute_time(name, reads, writes)?;
+                    self.clock += t;
+                    self.compute += t;
                 }
-                OpKind::Collective(_) => {
-                    let idx = self.colls.len();
-                    self.static_index.insert(op_id, idx);
-                    self.colls.push(CollState {
-                        index: idx as u32,
-                        duration: 0.0,
-                        exposed: 0.0,
-                        unconsumed_end: None,
-                    });
-                }
-                _ => {}
-            }
-        }
-    }
-
-    /// Start time for a consumer whose lane frees at `lane_free`, plus
-    /// stall accounting: operands still pending on a collective delay
-    /// the start to their completion, and the binding (latest) one is
-    /// charged the wait beyond the dependency-free start. Every pending
-    /// collective operand is marked consumed.
-    fn consume_operands(&mut self, operands: &[ValueId], lane_free: f64) -> f64 {
-        let mut dep_free = lane_free;
-        let mut binding: Option<(usize, f64)> = None;
-        for &v in operands {
-            let r = self.ready[v.0 as usize];
-            match self.producer[v.0 as usize] {
-                Some(ci) if self.colls[ci].unconsumed_end.is_some() => {
-                    if binding.is_none_or(|(_, e)| r > e) {
-                        binding = Some((ci, r));
-                    }
-                }
-                _ => dep_free = dep_free.max(r),
-            }
-        }
-        let start = binding.map_or(dep_free, |(_, e)| dep_free.max(e));
-        if let Some((ci, end)) = binding {
-            self.colls[ci].exposed += (end - dep_free).max(0.0);
-        }
-        for &v in operands {
-            if let Some(ci) = self.producer[v.0 as usize].take() {
-                self.colls[ci].unconsumed_end = None;
-            }
-        }
-        start
-    }
-
-    fn walk(&mut self, func: &Func, body: &[OpId]) -> Result<(), IrError> {
-        for &op_id in body {
-            let op = func.op(op_id);
-            match &op.kind {
-                OpKind::For { trip_count } => {
-                    let region = op.region.as_ref().expect("for has region");
-                    for iter in 0..*trip_count {
-                        // Wire carried values: inits on the first
-                        // iteration, the previous yield afterwards. The
-                        // i32 index is host-side and free.
-                        for (i, &p) in region.params[1..].iter().enumerate() {
-                            let src = if iter == 0 {
-                                op.operands[i]
-                            } else {
-                                region.results[i]
-                            };
-                            self.ready[p.0 as usize] = self.ready[src.0 as usize];
-                            self.producer[p.0 as usize] = self.producer[src.0 as usize];
-                        }
-                        self.walk(func, &region.body)?;
-                    }
-                    for (i, &r) in op.results.iter().enumerate() {
-                        let src = region.results[i];
-                        self.ready[r.0 as usize] = self.ready[src.0 as usize];
-                        self.producer[r.0 as usize] = self.producer[src.0 as usize];
-                    }
-                }
-                OpKind::Collective(c) => {
-                    let operand_ty = func.value_type(op.operands[0]);
-                    let result_ty = func.value_type(op.results[0]);
-                    let (t, by) = collective_time(c, operand_ty, result_ty, self.hw)?;
-                    let t = t * self.jitter() + OP_OVERHEAD_S;
-                    // The link lanes: one per mesh axis; a multi-axis
-                    // collective holds all its axes' lanes throughout.
-                    let lanes_free = c
-                        .axes()
+                StepView::CollStart { tag, .. } => {
+                    let (t, by, ref axes) = self.costs[*tag as usize];
+                    // A multi-axis collective holds all its axes' lanes.
+                    let start = axes
                         .iter()
-                        .map(|a| self.link_free.get(a).copied().unwrap_or(0.0))
-                        .fold(0.0f64, f64::max);
-                    let start = self.consume_operands(&op.operands, lanes_free);
-                    let end = start + t;
-                    for a in c.axes() {
-                        self.link_free.insert(a.clone(), end);
+                        .map(|a| self.links.get(a).copied().unwrap_or(0.0))
+                        .fold(self.clock, f64::max);
+                    for a in axes {
+                        self.links.insert(a.clone(), start + t);
                     }
+                    self.lands[*tag as usize] = start + t;
+                    self.colls[*tag as usize].duration_s += t;
                     self.comm += t;
                     self.bytes += by;
-                    self.ready[op.results[0].0 as usize] = end;
-                    let ci = self.static_index[&op_id];
-                    self.colls[ci].duration += t;
-                    self.colls[ci].unconsumed_end = Some(end);
-                    self.producer[op.results[0].0 as usize] = Some(ci);
                 }
-                _ => {
-                    let t = self.op_time(func, op_id) * self.jitter() + OP_OVERHEAD_S;
-                    let start = self.consume_operands(&op.operands, self.compute_free);
-                    let end = start + t;
-                    self.compute_free = end;
-                    self.compute += t;
-                    for &r in &op.results {
-                        self.ready[r.0 as usize] = end;
+                StepView::CollWait { tag, .. } => {
+                    let tag = *tag as usize;
+                    let stall = (self.lands[tag] - self.clock).max(0.0);
+                    self.colls[tag].hidden_s += (self.costs[tag].0 - stall).max(0.0);
+                    self.clock += stall;
+                }
+                StepView::For(l) => {
+                    for _ in 0..l.trip_count {
+                        self.steps(&l.body)?;
                     }
                 }
             }
@@ -330,26 +177,67 @@ impl MeasureState<'_> {
         Ok(())
     }
 
-    /// Completion time of the program: its results, plus every lane
-    /// draining (a collective still on the wire holds the step open).
-    fn finish_time(&self, func: &Func) -> f64 {
-        let results = func
-            .results()
-            .iter()
-            .map(|&v| self.ready[v.0 as usize])
-            .fold(self.compute_free, f64::max);
-        self.link_free.values().copied().fold(results, f64::max)
+    /// Roofline time of one compute step. `fused_eltwise` is the plan's
+    /// mnemonic for a fused chain; every other compute step runs the one
+    /// op that defines what it writes.
+    fn compute_time(
+        &self,
+        name: &str,
+        reads: &[Access],
+        writes: &[Access],
+    ) -> Result<f64, IrError> {
+        if name == "fused_eltwise" {
+            let bytes = reads
+                .iter()
+                .chain(writes)
+                .map(|a| self.func.value_type(ValueId(a.value)).size_bytes() as f64)
+                .sum();
+            return Ok(self.roofline.op_time(OpClass::Other, 0.0, bytes));
+        }
+        let Some(w) = writes.first() else {
+            return Ok(0.0);
+        };
+        def_op(self.func, w.value).map(|op| op_time(self.func, op, &self.roofline))
     }
+}
 
-    fn op_time(&self, func: &Func, op_id: OpId) -> f64 {
-        let flops = flops_of(func, op_id);
-        // Real kernels lose efficiency on small tiles.
-        let eff = if flops < 1e7 { 0.3 } else { MATMUL_EFFICIENCY };
-        Roofline::new(&self.hw.device, eff).op_time(
-            op_class(&func.op(op_id).kind),
-            flops,
-            moved_bytes_of(func, op_id),
-        )
+/// Ring seconds, wire bytes and axes of each tag's collective: the op
+/// defining the value its wait writes.
+fn collective_costs(
+    func: &Func,
+    hw: &HardwareConfig,
+    steps: &[StepView],
+    costs: &mut [(f64, f64, Vec<Axis>)],
+) -> Result<(), IrError> {
+    for step in steps {
+        match step {
+            StepView::CollWait { tag, dst, .. } => {
+                let op = func.op(def_op(func, dst.value)?);
+                let OpKind::Collective(c) = &op.kind else {
+                    return Err(IrError::invalid(format!(
+                        "plan wait {tag} writes %{}, which no collective defines",
+                        dst.value
+                    )));
+                };
+                let (operand, result) = (op.operands[0], op.results[0]);
+                let (t, by) =
+                    collective_time(c, func.value_type(operand), func.value_type(result), hw)?;
+                costs[*tag as usize] = (t, by, c.axes());
+            }
+            StepView::For(l) => collective_costs(func, hw, &l.body, costs)?,
+            _ => {}
+        }
+    }
+    Ok(())
+}
+
+/// The op defining value `v`.
+fn def_op(func: &Func, v: u32) -> Result<OpId, IrError> {
+    match func.value(ValueId(v)).def {
+        ValueDef::OpResult { op, .. } => Ok(op),
+        _ => Err(IrError::invalid(format!(
+            "a plan step writes %{v}, which no op defines"
+        ))),
     }
 }
 
@@ -359,6 +247,7 @@ mod tests {
     use crate::{SimConfig, Simulator};
     use partir_ir::{Collective, FuncBuilder, ReduceOp, TensorType};
     use partir_mesh::Mesh;
+    use partir_spmd::PlanOptions;
 
     fn all_reduce_b() -> Collective {
         Collective::AllReduce {
@@ -367,46 +256,55 @@ mod tests {
         }
     }
 
+    /// A matmul, one elementwise op (a kernel step: a chain of one does
+    /// not fuse) and a reduction.
     fn sample_func() -> Func {
         let mut b = FuncBuilder::new("f");
-        let x = b.param("x", TensorType::f32([2048, 2048]));
-        let w = b.param("w", TensorType::f32([2048, 2048]));
+        let x = b.param("x", TensorType::f32([512, 256]));
+        let w = b.param("w", TensorType::f32([256, 512]));
         let y = b.matmul(x, w).unwrap();
         let z = b.tanh(y).unwrap();
-        b.build([z]).unwrap()
+        let s = b.reduce_sum(z, vec![1]).unwrap();
+        b.build([s]).unwrap()
+    }
+
+    fn compile(f: &Func, mesh: &Mesh, options: &PlanOptions) -> CompiledPlan {
+        CompiledPlan::compile(f, mesh, options).unwrap()
     }
 
     #[test]
-    fn measurement_close_to_estimate_but_not_equal() {
-        let hw = HardwareConfig::tpu_v3_pod(Mesh::single("B", 4).unwrap());
+    fn plan_walk_without_collectives_or_fusion_equals_estimate() {
+        let mesh = Mesh::single("B", 4).unwrap();
+        let hw = HardwareConfig::tpu_v3_pod(mesh.clone());
         let f = sample_func();
+        let plan = compile(&f, &mesh, &PlanOptions::default());
+        assert_eq!((plan.num_collectives(), plan.fused_ops()), (0, 0));
         let est = Simulator::new(&hw, SimConfig::default())
             .simulate(&f)
             .unwrap();
-        let meas = measure(&f, &hw).unwrap();
-        assert_ne!(est.runtime_s, meas.runtime_s);
-        // Within a factor of 3 — the simulator is a coarse proxy.
-        let ratio = meas.runtime_s / est.runtime_s;
-        assert!(ratio > 0.3 && ratio < 3.0, "ratio {ratio}");
+        let meas = measure_overlap(&plan, &f, &hw).unwrap().0;
+        assert!(est.runtime_s > 0.0);
+        assert_eq!(meas.runtime_s, est.runtime_s);
+        assert_eq!(meas.compute_s, est.compute_s);
+        assert_eq!(meas.flops, est.flops);
+        assert_eq!(meas.peak_memory_bytes, plan.resident_bytes());
     }
 
     #[test]
     fn measurement_is_deterministic() {
-        let hw = HardwareConfig::tpu_v3_pod(Mesh::single("B", 4).unwrap());
+        let mesh = Mesh::single("B", 4).unwrap();
+        let hw = HardwareConfig::tpu_v3_pod(mesh.clone());
         let f = sample_func();
-        let a = measure(&f, &hw).unwrap();
-        let b = measure(&f, &hw).unwrap();
-        assert_eq!(a, b);
+        let plan = compile(&f, &mesh, &PlanOptions::default());
+        assert_eq!(
+            measure_overlap(&plan, &f, &hw).unwrap().0,
+            measure_overlap(&plan, &f, &hw).unwrap().0
+        );
     }
 
-    #[test]
-    fn measured_memory_is_below_estimate() {
-        let f = sample_func();
-        assert!(measured_memory(&f) < peak_memory_bytes(&f));
-    }
-
-    /// A collective whose result is consumed only after independent
-    /// compute overlaps; one consumed immediately does not.
+    /// A collective whose wait the plan sinks below independent compute
+    /// hides under it; one consumed immediately does not, and neither
+    /// does any collective of a blocking plan.
     #[test]
     fn overlap_emerges_from_dependency_slack() {
         let mesh = Mesh::single("B", 4).unwrap();
@@ -427,7 +325,7 @@ mod tests {
         let slack = b.build([t, m]).unwrap();
 
         // No slack: the reduction's consumer is the very next op.
-        let mut b = FuncBuilder::with_mesh("tight", mesh);
+        let mut b = FuncBuilder::with_mesh("tight", mesh.clone());
         let x = b.param("x", small);
         let w = b.param("w", big);
         let r = b.collective(all_reduce_b(), x).unwrap();
@@ -435,22 +333,25 @@ mod tests {
         let m = b.matmul(w, w).unwrap();
         let tight = b.build([t, m]).unwrap();
 
-        let (_, slack_pred) = measure_overlap(&slack, &hw).unwrap();
-        let (_, tight_pred) = measure_overlap(&tight, &hw).unwrap();
-        assert_eq!(slack_pred.collectives.len(), 1);
-        assert!(
-            slack_pred.hidden_fraction() > 0.9,
-            "slack should hide the collective: {:?}",
-            slack_pred
+        let run = |f: &Func, options: &PlanOptions| {
+            let (report, pred) = measure_overlap(&compile(f, &mesh, options), f, &hw).unwrap();
+            assert_eq!(pred.collectives.len(), 1);
+            (report, pred.collectives[0])
+        };
+        let (slack_rep, slack_coll) = run(&slack, &PlanOptions::default());
+        let (tight_rep, tight_coll) = run(&tight, &PlanOptions::default());
+        assert!(slack_coll.duration_s > 0.0);
+        assert_eq!(
+            slack_coll.hidden_s, slack_coll.duration_s,
+            "slack should hide the collective"
         );
-        assert!(
-            tight_pred.hidden_fraction() < 0.1,
-            "tight chain cannot hide the collective: {:?}",
-            tight_pred
-        );
+        assert_eq!(tight_coll.hidden_s, 0.0, "tight chain cannot hide it");
         // Overlap shortens the critical path.
-        let (slack_rep, _) = measure_overlap(&slack, &hw).unwrap();
-        let (tight_rep, _) = measure_overlap(&tight, &hw).unwrap();
         assert!(slack_rep.runtime_s < tight_rep.runtime_s);
+        for f in [&slack, &tight] {
+            let (report, coll) = run(f, &PlanOptions::blocking());
+            assert_eq!(coll.hidden_s, 0.0, "{}: a blocking plan hid time", f.name());
+            assert_eq!(report.runtime_s, tight_rep.runtime_s);
+        }
     }
 }

@@ -8,10 +8,11 @@
 //! *relative* improvements predictable for users and automatic tactics,
 //! and to reject partitions that exceed device memory.
 //!
-//! The [`event`] module is a second, event-level execution model with
-//! per-op dispatch overheads and imperfect compute/communication overlap.
-//! In this reproduction it stands in for real-hardware measurements when
-//! regenerating Figures 9 and 10 (see DESIGN.md substitutions).
+//! The [`event`] module times the compiled plan instead of the program:
+//! the same per-op costs, charged along the plan's step list, so fused
+//! elementwise chains and the collective windows the plan opens show. In
+//! this reproduction it stands in for real-hardware measurements when
+//! regenerating Figures 6, 9 and 10 (see DESIGN.md substitutions).
 //!
 //! # Examples
 //!

@@ -150,10 +150,10 @@ pub struct OverlapCheck {
     /// Steps between start and wait in the compiled plan (per
     /// [`CollWindow`]); >0 means the compiler found slack to hoist into.
     pub planned_gap_steps: usize,
-    /// Seconds the two-resource event model predicts this collective
+    /// Seconds the plan walk ([`crate::event`]) predicts this collective
     /// hides under compute.
     pub predicted_hidden_s: f64,
-    /// The event model's total duration for this collective.
+    /// The plan walk's total duration for this collective.
     pub predicted_duration_s: f64,
     /// Start/wait span pairs found on device tracks (devices ×
     /// iterations).
@@ -171,7 +171,7 @@ impl OverlapCheck {
         self.planned_gap_steps > 0
     }
 
-    /// Whether the event model predicts any of it hides under compute.
+    /// Whether the plan walk predicts any of it hides under compute.
     pub fn predicted(&self) -> bool {
         self.predicted_hidden_s > 1e-12
     }
@@ -183,7 +183,7 @@ impl OverlapCheck {
 }
 
 /// Result of cross-checking measured overlap (device-trace span gaps)
-/// against the plan's windows and the event model's prediction.
+/// against the plan's windows and the plan walk's prediction.
 #[derive(Debug, Clone)]
 pub struct OverlapReconciliation {
     /// Per collective, in tag order. Only collectives whose spans appear
@@ -200,11 +200,12 @@ impl OverlapReconciliation {
         self.agreement(|c| c.planned())
     }
 
-    /// Fraction of traced collectives where the two-resource event
-    /// model's prediction agrees with the measurement. The model
-    /// schedules value dependencies while the plan schedules arena
-    /// slots, so small disagreement is expected — conformance asserts
-    /// this stays above `1 - tolerance`.
+    /// Fraction of traced collectives where the plan walk's prediction
+    /// agrees with the measurement. Both read the same step list, so
+    /// they part only where a window's time does not: a collective that
+    /// costs nothing on the link (an `all_slice`) hides nothing, and one
+    /// queued behind another on its link may land after its window.
+    /// Conformance asserts this stays above `1 - tolerance`.
     pub fn model_agreement(&self) -> f64 {
         self.agreement(|c| c.predicted())
     }
@@ -223,7 +224,7 @@ impl OverlapReconciliation {
 }
 
 /// Cross-checks one traced execution's *measured* overlap against the
-/// compiled plan's collective windows and the two-resource event model.
+/// compiled plan's collective windows and the plan walk.
 ///
 /// `windows` comes from `CompiledPlan::collective_windows()`,
 /// `prediction` from [`crate::event::measure_overlap`], and `trace` from

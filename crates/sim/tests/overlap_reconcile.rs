@@ -82,7 +82,7 @@ fn measured_overlap_reconciles_with_plan_and_event_model() {
         if plan.num_collectives() == 0 {
             continue;
         }
-        let (_, prediction) = measure_overlap(program.func(), &hw).expect("event model");
+        let (_, prediction) = measure_overlap(&plan, program.func(), &hw).expect("event model");
         let collector = Collector::recording();
         let inputs = partir_models::synthetic_inputs(&model, 7);
         with_track(&collector, "main", || {
@@ -148,7 +148,7 @@ fn overlap_hides_collective_time_at_benchmark_scale() {
         .expect("BP+MP+Z3 row");
     let program = build_program(&model, Some(&schedule), &hw);
     let plan = program.compile().expect("compile");
-    let (_, prediction) = measure_overlap(program.func(), &hw).expect("event model");
+    let (_, prediction) = measure_overlap(&plan, program.func(), &hw).expect("event model");
     let hoisted: Vec<u32> = plan
         .collective_windows()
         .iter()

@@ -192,6 +192,14 @@ fn pool_elem_bytes(dt: DType) -> usize {
     }
 }
 
+/// Bytes of pools `[f32, i32, pred]` of the given element counts.
+fn pool_bytes(lens: [usize; 3]) -> u64 {
+    lens.iter()
+        .zip([DType::F32, DType::I32, DType::Pred])
+        .map(|(&len, dt)| len as u64 * pool_elem_bytes(dt) as u64)
+        .sum()
+}
+
 /// First-fit free-list allocator over one pool. Offsets are in elements;
 /// freed ranges coalesce so the high-water mark tracks true peak usage.
 #[derive(Debug, Default)]
@@ -510,11 +518,7 @@ impl CompiledPlan {
             .map(|&r| func.value_type(r).clone())
             .collect();
         let pool_len = [c.alloc[0].high, c.alloc[1].high, c.alloc[2].high];
-        let arena_bytes = pool_len
-            .iter()
-            .zip([DType::F32, DType::I32, DType::Pred])
-            .map(|(&len, dt)| len as u64 * pool_elem_bytes(dt) as u64)
-            .sum();
+        let arena_bytes = pool_bytes(pool_len);
         // Satellite check: replay the analysis liveness walk with the
         // plan's own pool-element byte accounting and require exact
         // agreement with the published static bound. One walk, priced
@@ -596,6 +600,20 @@ impl CompiledPlan {
     /// Bytes of the per-device arena the executor allocates up front.
     pub fn arena_bytes(&self) -> u64 {
         self.arena_bytes
+    }
+
+    /// Bytes a device's [`PlanExecutor`] holds resident: the arena pools
+    /// (parameters included) plus the loop-carry scratch.
+    pub fn resident_bytes(&self) -> u64 {
+        self.arena_bytes + pool_bytes(self.carry_elems)
+    }
+
+    /// Test hook: bytes of an executor's in-flight collective table, the
+    /// one part of [`PlanExecutor::new`]'s allocation that
+    /// [`CompiledPlan::resident_bytes`] leaves out.
+    #[doc(hidden)]
+    pub fn in_flight_table_bytes(&self) -> u64 {
+        (self.num_colls * std::mem::size_of::<Option<CollPending>>()) as u64
     }
 
     /// Ops folded into fused elementwise loops.
@@ -796,18 +814,6 @@ impl CompiledPlan {
             .zip(&self.result_tys)
             .map(|(slot, ty)| read_slot(st, *slot, ty))
             .collect()
-    }
-
-    /// Convenience single-device execution: load, run, read.
-    ///
-    /// # Errors
-    ///
-    /// See [`CompiledPlan::load_inputs`] / [`CompiledPlan::run_local_steps`].
-    pub fn execute_local(&self, inputs: &[Literal]) -> Result<Vec<Literal>, RuntimeError> {
-        let mut st = self.new_executor();
-        self.load_inputs(&mut st, inputs)?;
-        self.run_local_steps(&mut st)?;
-        self.read_outputs(&st)
     }
 
     /// One device's share of one session step — the threaded runtime's
@@ -2003,6 +2009,14 @@ mod tests {
         Mesh::single("B", 1).unwrap()
     }
 
+    /// Loads, runs and reads one step on a fresh executor.
+    fn run_local(plan: &CompiledPlan, inputs: &[Literal]) -> Vec<Literal> {
+        let mut st = plan.new_executor();
+        plan.load_inputs(&mut st, inputs).unwrap();
+        plan.run_local_steps(&mut st).unwrap();
+        plan.read_outputs(&st).unwrap()
+    }
+
     #[test]
     fn fused_chain_matches_interpreter() {
         let mut b = FuncBuilder::new("f");
@@ -2020,7 +2034,7 @@ mod tests {
             [8],
         )
         .unwrap();
-        let got = plan.execute_local(std::slice::from_ref(&input)).unwrap();
+        let got = run_local(&plan, std::slice::from_ref(&input));
         let want = partir_ir::interp::interpret(&f, &[input]).unwrap();
         assert_eq!(got, want);
     }
@@ -2084,7 +2098,7 @@ mod tests {
         let f = b.build([wide, out[1]]).unwrap();
         let plan = CompiledPlan::compile(&f, &single_mesh(), &PlanOptions::default()).unwrap();
         let input = Literal::from_f32((0..6).map(|i| i as f32).collect::<Vec<_>>(), [6]).unwrap();
-        let got = plan.execute_local(std::slice::from_ref(&input)).unwrap();
+        let got = run_local(&plan, std::slice::from_ref(&input));
         let want = partir_ir::interp::interpret(&f, &[input]).unwrap();
         assert_eq!(got, want);
     }
@@ -2141,7 +2155,7 @@ mod tests {
         let mesh = single_mesh();
         let plan = CompiledPlan::compile(&f, &mesh, &PlanOptions::default()).unwrap();
         let input = Literal::from_f32((0..16).map(|i| i as f32).collect::<Vec<_>>(), [16]).unwrap();
-        let got = plan.execute_local(std::slice::from_ref(&input)).unwrap();
+        let got = run_local(&plan, std::slice::from_ref(&input));
         let want = partir_ir::interp::interpret(&f, &[input]).unwrap();
         assert_eq!(got, want);
     }

@@ -31,6 +31,11 @@
 //! caches bound allocates at least every device's cache shards less than
 //! the same step feeding the caches back through the host.
 //!
+//! The same counter pins Figure 10's "measured" memory: on every plan
+//! here, the bytes `new_executor` allocates, less its in-flight
+//! collective table, are exactly the resident bytes the plan walk
+//! (`partir_sim::event::measure_overlap`) reports.
+//!
 //! The test binary is separate from the other suites so the counter only
 //! ever observes this test's own traffic.
 
@@ -116,11 +121,35 @@ fn compute_func() -> partir_ir::Func {
     b.build([red]).unwrap()
 }
 
+/// Asserts that a fresh executor for `plan` allocates exactly the
+/// resident bytes Fig 10 reports for it, plus its in-flight collective
+/// table.
+fn assert_executor_holds_the_resident_figure(
+    label: &str,
+    func: &Func,
+    plan: &CompiledPlan,
+    mesh: &Mesh,
+) {
+    let hw = HardwareConfig::tpu_v3_pod(mesh.clone());
+    let (report, _) = partir_sim::event::measure_overlap(plan, func, &hw).unwrap();
+    let resident = report.peak_memory_bytes;
+    let before = BYTES.load(Ordering::SeqCst);
+    let st = plan.new_executor();
+    let allocated = BYTES.load(Ordering::SeqCst) - before;
+    drop(st);
+    assert_eq!(
+        allocated - plan.in_flight_table_bytes(),
+        resident,
+        "{label}: a fresh executor allocated {allocated} B"
+    );
+}
+
 /// Compiles `func` for one device and asserts that, after one warm-up
 /// run, `load_inputs` + `run_local_steps` performs no heap allocation.
 fn assert_hot_loop_allocates_nothing(label: &str, func: &Func, inputs: &[Literal]) {
     let mesh = Mesh::single("B", 1).unwrap();
     let plan = CompiledPlan::compile(func, &mesh, &Default::default()).unwrap();
+    assert_executor_holds_the_resident_figure(label, func, &plan, &mesh);
 
     let mut st = plan.new_executor();
     // Warm-up: fills the arena and the kernels' thread-local scratch.
@@ -161,6 +190,7 @@ fn assert_second_run_plan_allocates_no_arena() {
     .unwrap()
     .program;
     let plan = program.compile().unwrap();
+    assert_executor_holds_the_resident_figure("2×2 train step", program.func(), &plan, &mesh);
     let pools = plan.verifier_view().pool_len;
     // Pool bytes as the executor allocates them: `Vec<f32>`, `Vec<i32>`,
     // `Vec<bool>`. The bar is the largest pool — the `f32` one, seven
@@ -208,6 +238,7 @@ fn assert_decode_step_collectives_allocate_little() {
     .unwrap()
     .program;
     let plan = program.compile().unwrap();
+    assert_executor_holds_the_resident_figure("2×2 decode step", program.func(), &plan, &mesh);
     let inputs = partir_models::synthetic_inputs(&decode, 1234);
     let per_device = program.shard_inputs(&inputs).unwrap();
     let runtime = ThreadedRuntime::default();

@@ -1,7 +1,9 @@
 //! The paper's experiment rows, pinned byte for byte: `partir_bench::paper`
 //! must render exactly the committed `--json` output of the `table2`,
 //! `table3`, `fig7`, `fig9` and `fig10` bins, while jitting each
-//! distinct (model, schedule, mesh) cell once across all five.
+//! distinct (model, schedule, mesh) cell once across all five and
+//! compiling the plan of each cell Figs 9 and 10 measure once across
+//! both.
 //!
 //! A golden is regenerated with
 //! `cargo run --release -p partir-bench --bin <bin> -- --json > tests/golden/experiments/<bin>.json`.
@@ -84,4 +86,6 @@ fn paper_rows_match_the_committed_goldens() {
     // Table 3's six mixed and automatic ones; Fig 7's four U-Net cells
     // on 8×2.
     assert_eq!(cells.jits(), 15 + 15 + 6 + 4);
+    // Figs 9 and 10 share the plans of the 15 Table 2 cells on 8×4.
+    assert_eq!(cells.plans(), 15);
 }
