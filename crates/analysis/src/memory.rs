@@ -7,10 +7,9 @@
 //! Callers differ only in what a value weighs and in three switches —
 //! `partir_sim::peak_memory_bytes` treats loop region parameters as
 //! free aliases of their carried inputs, [`static_peak_bound`] charges
-//! them, the SPMD plan compiler replays the bound in arena-pool bytes,
-//! and the static objective charges device-local sizes, skips dead ops
-//! and adds each op's gather temporary. Charging region parameters only
-//! ever adds to the resident set, so
+//! them, and the static objective charges device-local sizes, skips
+//! dead ops and adds each op's gather temporary. Charging region
+//! parameters only ever adds to the resident set, so
 //!
 //! > `static_peak_bound(f, &PeakWalk::of(f)) >= partir_sim::peak_memory_bytes(f)`
 //!

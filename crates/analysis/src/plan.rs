@@ -37,28 +37,29 @@
 //!
 //! # What the verifier proves
 //!
+//! Four checks, and arena safety is one of them — a single abstract
+//! interpretation of which value each arena element holds:
+//!
 //! * every arena access stays inside its pool ([`verify_plan`] rule
 //!   `plan-oob-access`);
 //! * every start/wait pair is well-formed: same region, start first,
 //!   exactly one static site per tag, no window left open across a loop
 //!   back-edge (`plan-window-*`);
-//! * **no race**: abstract interpretation of the scheduled effects
-//!   proves every read — compute operands, collective payload
-//!   snapshots, loop carries, program results — observes exactly the
-//!   value the compiler assigned to that range, on every path through
-//!   every loop (`plan-race`). An over-hoisted start (reading its
-//!   operand before the producer ran) or a mis-sunk wait (landing its
-//!   result after a consumer read stale data) shows up here;
-//! * **lifetime disjointness**: first-fit slot assignments of values
-//!   whose live intervals overlap never share arena elements
-//!   (`plan-slot-overlap`) — an independent reconstruction from the
-//!   scheduled steps, not a rerun of the compiler's liveness replay;
-//! * **resident parameters**: no step writes a parameter's range, not
-//!   even after the parameter's last read, which lifetime disjointness
-//!   alone would allow (`plan-param-written`). A device session keeps
-//!   inputs in the arena across steps and copies in only those that
-//!   changed, so a parameter range must still hold its value when the
-//!   next step starts;
+//! * **the token walk**: interpreting the scheduled effects proves every
+//!   read — compute operands, collective payload snapshots, loop
+//!   carries, program results — observes exactly the value the compiler
+//!   assigned to that range, on every path through every loop
+//!   (`plan-race`). An over-hoisted start (reading its operand before
+//!   the producer ran), a mis-sunk wait (landing its result after a
+//!   consumer read stale data) and two live values sharing arena
+//!   elements all show up at the read that observes the wrong value. A
+//!   write into an open window's source range is no race: the start
+//!   snapshots its payload before the window opens. After the results the walk reads every parameter range once more:
+//!   one that no longer holds its own value was written by some step,
+//!   even after the parameter's last read (`plan-param-written`). A
+//!   device session keeps inputs in the arena across steps and copies
+//!   in only those that changed, so a parameter range must still hold
+//!   its value when the next step starts;
 //! * **deadlock freedom**: at every wait site, the per-device stage
 //!   queues drain to empty under the blocking-rendezvous semantics
 //!   (`plan-rendezvous-deadlock`), and every stage's group agrees on
@@ -74,11 +75,8 @@
 //!
 //! * numerical equivalence of kernels — only *which* ranges are read
 //!   and written, not what is computed;
-//! * writes into an open window's *source* range are legal (the start
-//!   snapshots its payload before the window opens), so they are
-//!   reported as `plan-window-src-write` at [`Severity::Info`] —
-//!   advisory because a future zero-copy transport would turn them
-//!   into real races;
+//! * that no two values share elements where no read can tell (a value
+//!   overwritten after its last read is dead, so the reuse is legal);
 //! * liveness of the underlying transport: the drain proves the
 //!   schedule admits a linearisation, not that a lossy fabric delivers
 //!   the messages.
@@ -111,16 +109,6 @@ pub struct Access {
     pub len: usize,
     /// SSA value id this range holds (the raw `ValueId` index).
     pub value: u32,
-}
-
-impl Access {
-    fn overlaps_range(&self, pool: usize, off: usize, len: usize) -> bool {
-        self.pool == pool
-            && self.len > 0
-            && len > 0
-            && self.off < off + len
-            && off < self.off + self.len
-    }
 }
 
 /// One per-axis exchange stage of a device's AOT collective schedule:
@@ -219,22 +207,20 @@ pub struct PlanView {
     pub overlapped: bool,
 }
 
-/// Verifies one compiled plan: bounds, window structure, races,
-/// slot-lifetime disjointness, resident parameters and rendezvous
-/// deadlock freedom. Returns
-/// every finding; an empty vector (or [`Severity::Info`] only) means
-/// the schedule is proven safe under the happens-before model above.
+/// Verifies one compiled plan: bounds, window structure, the token walk
+/// (races and resident parameters) and rendezvous deadlock freedom.
+/// Returns every finding; an empty vector (or [`Severity::Info`] only)
+/// means the schedule is proven safe under the happens-before model
+/// above.
 pub fn verify_plan(view: &PlanView) -> Vec<Diagnostic> {
     let mut diags = Vec::new();
     check_bounds(view, &mut diags);
     if !diags.is_empty() {
-        // Every later check indexes pools by these ranges; don't.
+        // The token walk indexes pools by these ranges; don't.
         return diags;
     }
     check_windows(view, &mut diags);
     check_token_flow(view, &mut diags);
-    check_lifetimes(view, &mut diags);
-    check_params_unwritten(view, &mut diags);
     check_rendezvous(view, &mut diags);
     diags
 }
@@ -272,40 +258,6 @@ fn visit_accesses(step: &StepView, f: &mut impl FnMut(&Access)) {
     }
 }
 
-/// Conservative effect set of one step: every range it may read or
-/// write, loops included wholesale (mirrors the plan compiler's
-/// `step_effects`).
-fn view_effects(step: &StepView, reads: &mut Vec<Access>, writes: &mut Vec<Access>) {
-    match step {
-        StepView::Compute {
-            reads: r,
-            writes: w,
-            ..
-        } => {
-            reads.extend_from_slice(r);
-            writes.extend_from_slice(w);
-        }
-        StepView::CollStart { src, .. } => reads.push(*src),
-        StepView::CollWait { dst, .. } => writes.push(*dst),
-        StepView::For(l) => {
-            writes.push(l.index);
-            for (s, d) in l
-                .entry
-                .iter()
-                .chain(&l.carry)
-                .chain(&l.exit)
-                .chain(&l.bypass)
-            {
-                reads.push(*s);
-                writes.push(*d);
-            }
-            for inner in &l.body {
-                view_effects(inner, reads, writes);
-            }
-        }
-    }
-}
-
 fn step_label(step: &StepView) -> String {
     match step {
         StepView::Compute { name, .. } => (*name).to_string(),
@@ -317,13 +269,11 @@ fn step_label(step: &StepView) -> String {
 
 fn describe_range(a: &Access) -> String {
     const POOLS: [&str; NUM_POOLS] = ["f32", "i32", "pred"];
-    format!(
-        "{}[{}..{}] (value %{})",
-        POOLS[a.pool],
-        a.off,
-        a.off + a.len,
-        a.value
-    )
+    let pool = POOLS.get(a.pool).copied().unwrap_or("pool?");
+    match a.off.checked_add(a.len) {
+        Some(end) => format!("{pool}[{}..{end}] (value %{})", a.off, a.value),
+        None => format!("{pool}[{}..+{}] (value %{})", a.off, a.len, a.value),
+    }
 }
 
 // ---------------------------------------------------------------------------
@@ -333,7 +283,11 @@ fn describe_range(a: &Access) -> String {
 fn check_bounds(view: &PlanView, diags: &mut Vec<Diagnostic>) {
     let mut count = 0usize;
     let mut check = |a: &Access| {
-        if a.pool >= NUM_POOLS || a.off + a.len > view.pool_len[a.pool.min(NUM_POOLS - 1)] {
+        let in_bounds = a.pool < NUM_POOLS
+            && a.off
+                .checked_add(a.len)
+                .is_some_and(|end| end <= view.pool_len[a.pool]);
+        if !in_bounds {
             if count < MAX_DIAGS {
                 diags.push(Diagnostic::new(
                     Severity::Error,
@@ -409,35 +363,32 @@ fn check_windows_body(
     starts: &mut HashMap<u32, usize>,
     waits: &mut HashMap<u32, usize>,
 ) {
-    // Tag → (position of its open start in this body, src access).
-    let mut open: HashMap<u32, (usize, Access)> = HashMap::new();
-    for (pos, step) in steps.iter().enumerate() {
+    // Tags whose start is open in this body.
+    let mut open: HashSet<u32> = HashSet::new();
+    for step in steps {
         match step {
-            StepView::CollStart { tag, src } => {
+            StepView::CollStart { tag, .. } => {
                 *starts.entry(*tag).or_insert(0) += 1;
-                open.insert(*tag, (pos, *src));
+                open.insert(*tag);
             }
             StepView::CollWait { tag, .. } => {
                 *waits.entry(*tag).or_insert(0) += 1;
-                match open.remove(tag) {
-                    Some((start_pos, src)) => {
-                        check_window_src_writes(&steps[start_pos + 1..pos], *tag, &src, diags);
-                    }
-                    None => diags.push(Diagnostic::new(
+                if !open.remove(tag) {
+                    diags.push(Diagnostic::new(
                         Severity::Error,
                         "plan-window-unpaired",
                         format!(
                             "coll.wait.{tag} has no open start in its region \
                              (wait before start, or start hoisted across a region boundary)"
                         ),
-                    )),
+                    ));
                 }
             }
             StepView::For(l) => check_windows_body(&l.body, diags, starts, waits),
             StepView::Compute { .. } => {}
         }
     }
-    for (tag, _) in open {
+    for tag in open {
         diags.push(Diagnostic::new(
             Severity::Error,
             "plan-window-unpaired",
@@ -449,39 +400,8 @@ fn check_windows_body(
     }
 }
 
-/// Writes into an open window's source range. Legal today — the start
-/// snapshots its payload before the window opens — but fatal for any
-/// zero-copy transport, so it is surfaced as advisory.
-fn check_window_src_writes(
-    between: &[StepView],
-    tag: u32,
-    src: &Access,
-    diags: &mut Vec<Diagnostic>,
-) {
-    for step in between {
-        let (mut reads, mut writes) = (Vec::new(), Vec::new());
-        view_effects(step, &mut reads, &mut writes);
-        if let Some(w) = writes
-            .iter()
-            .find(|w| w.overlaps_range(src.pool, src.off, src.len))
-        {
-            diags.push(Diagnostic::new(
-                Severity::Info,
-                "plan-window-src-write",
-                format!(
-                    "step {} writes {} inside the open window of coll.start.{tag} \
-                     (safe under snapshot-at-start, blocks zero-copy transports)",
-                    step_label(step),
-                    describe_range(w),
-                ),
-            ));
-            return;
-        }
-    }
-}
-
 // ---------------------------------------------------------------------------
-// 3. Token dataflow (the race check)
+// 3. The token walk (races and resident parameters)
 // ---------------------------------------------------------------------------
 
 /// Abstract arena: which SSA value each pool element currently holds.
@@ -520,6 +440,14 @@ impl TokenState {
     }
 }
 
+fn describe_token(t: u32) -> String {
+    if t == UNDEF {
+        "no defined value".to_string()
+    } else {
+        format!("value %{t}")
+    }
+}
+
 struct TokenCheck {
     state: TokenState,
     /// Deduplicated findings (loop bodies are interpreted twice).
@@ -534,11 +462,7 @@ impl TokenCheck {
                 "{at} reads {} but the range holds {} — a write races the value \
                  in the happens-before order",
                 describe_range(a),
-                if found == UNDEF {
-                    "no defined value".to_string()
-                } else {
-                    format!("value %{found}")
-                },
+                describe_token(found),
             );
             if self.seen.insert(msg.clone()) {
                 if self.count < MAX_DIAGS {
@@ -559,7 +483,11 @@ impl TokenCheck {
 
 /// Abstract interpretation of the scheduled effects: parameters are
 /// written, every step's reads are checked against the token map and
-/// its writes update it, and the program results are read at the end.
+/// its writes update it, and the program results are read at the end
+/// (`plan-race`). Then every parameter range is read once more: one
+/// that no longer holds its own token was written by some step
+/// (`plan-param-written`), which a device session, keeping inputs
+/// resident between steps, would start its next step from.
 ///
 /// Loops are interpreted twice (entry + body, then carry + body): the
 /// body-and-carry transformation writes fixed tokens to fixed ranges,
@@ -581,6 +509,26 @@ fn check_token_flow(view: &PlanView, diags: &mut Vec<Diagnostic>) {
         chk.read(r, "program result", diags);
     }
     note_suppressed(diags, chk.count, "plan-race");
+    let mut count = 0usize;
+    for (i, p) in view.params.iter().enumerate() {
+        let Err(found) = chk.state.read(p) else {
+            continue;
+        };
+        if count < MAX_DIAGS {
+            diags.push(Diagnostic::new(
+                Severity::Error,
+                "plan-param-written",
+                format!(
+                    "parameter {i} at {} holds {} after the last step — a session \
+                     step would start from a clobbered input",
+                    describe_range(p),
+                    describe_token(found),
+                ),
+            ));
+        }
+        count += 1;
+    }
+    note_suppressed(diags, count, "plan-param-written");
 }
 
 fn interp_steps(steps: &[StepView], path: &str, chk: &mut TokenCheck, diags: &mut Vec<Diagnostic>) {
@@ -626,248 +574,7 @@ fn interp_steps(steps: &[StepView], path: &str, chk: &mut TokenCheck, diags: &mu
 }
 
 // ---------------------------------------------------------------------------
-// 4. Slot-lifetime disjointness
-// ---------------------------------------------------------------------------
-
-/// Per-value live interval over the flattened step sequence.
-#[derive(Debug, Clone, Copy)]
-struct Life {
-    pool: usize,
-    off: usize,
-    len: usize,
-    def: usize,
-    end: usize,
-}
-
-#[derive(Default)]
-struct LifeWalk {
-    /// Value → interval and range.
-    lives: HashMap<u32, Life>,
-    /// `(value, read position)` pairs, for the loop-extension pass.
-    reads: Vec<(u32, usize)>,
-    /// `(first position, last position)` of every loop.
-    loops: Vec<(usize, usize)>,
-    pos: usize,
-}
-
-impl LifeWalk {
-    fn write(&mut self, a: &Access) {
-        let pos = self.pos;
-        let life = self.lives.entry(a.value).or_insert(Life {
-            pool: a.pool,
-            off: a.off,
-            len: a.len,
-            def: pos,
-            end: pos,
-        });
-        life.end = life.end.max(pos);
-    }
-
-    fn read(&mut self, a: &Access) {
-        // A read before any write (a parameter, or a racy plan the token
-        // check reports separately) still pins the range from here on.
-        self.write(a);
-        self.reads.push((a.value, self.pos));
-    }
-
-    fn copy_pairs(&mut self, pairs: &[(Access, Access)]) {
-        for (s, d) in pairs {
-            self.read(s);
-            self.write(d);
-        }
-    }
-
-    fn walk(&mut self, steps: &[StepView]) {
-        for step in steps {
-            self.pos += 1;
-            match step {
-                StepView::Compute { reads, writes, .. } => {
-                    for r in reads {
-                        self.read(r);
-                    }
-                    for w in writes {
-                        self.write(w);
-                    }
-                }
-                StepView::CollStart { src, .. } => self.read(src),
-                StepView::CollWait { dst, .. } => self.write(dst),
-                StepView::For(l) => {
-                    let first = self.pos;
-                    self.copy_pairs(&l.entry);
-                    self.write(&l.index);
-                    self.walk(&l.body);
-                    self.pos += 1;
-                    self.copy_pairs(&l.carry);
-                    self.pos += 1;
-                    self.copy_pairs(&l.exit);
-                    self.copy_pairs(&l.bypass);
-                    self.loops.push((first, self.pos));
-                }
-            }
-        }
-    }
-}
-
-/// Reconstructs every value's live interval from the scheduled steps
-/// and requires values with intersecting intervals to occupy disjoint
-/// arena ranges. Values read inside a loop but defined before it are
-/// extended to the loop's end (iteration `k + 1` re-reads them at a
-/// flattened position before the back-edge). Identity carry pairs —
-/// region result and loop param deliberately sharing one range — are
-/// unioned into one storage class first; their handoff is a token
-/// relabel, not a conflict.
-fn check_lifetimes(view: &PlanView, diags: &mut Vec<Diagnostic>) {
-    let mut walk = LifeWalk::default();
-    for p in &view.params {
-        walk.write(p);
-    }
-    walk.walk(&view.steps);
-    walk.pos += 1;
-    for r in &view.results {
-        walk.read(r);
-    }
-
-    // Loop extension: a value defined before a loop and read inside it
-    // is live for the whole loop.
-    for &(value, read_pos) in &walk.reads {
-        let Some(life) = walk.lives.get(&value).copied() else {
-            continue;
-        };
-        let mut end = life.end;
-        for &(first, last) in &walk.loops {
-            if life.def < first && read_pos >= first && read_pos <= last {
-                end = end.max(last);
-            }
-        }
-        walk.lives.get_mut(&value).expect("value present").end = end;
-    }
-
-    // Storage classes: union values connected by identity carries.
-    let mut class: HashMap<u32, u32> = HashMap::new();
-    collect_identity_unions(&view.steps, &mut class);
-
-    let mut lives: Vec<(u32, Life)> = walk.lives.into_iter().collect();
-    lives.sort_by_key(|&(v, _)| v);
-    let mut count = 0usize;
-    for (i, &(va, a)) in lives.iter().enumerate() {
-        for &(vb, b) in &lives[i + 1..] {
-            if a.pool != b.pool
-                || a.len == 0
-                || b.len == 0
-                || a.off >= b.off + b.len
-                || b.off >= a.off + a.len
-            {
-                continue;
-            }
-            if resolve(&class, va) == resolve(&class, vb) {
-                continue;
-            }
-            // Touching endpoints are legal: the handoff step reads the
-            // dying value before writing the new one.
-            if a.def.max(b.def) < a.end.min(b.end) {
-                if count < MAX_DIAGS {
-                    diags.push(Diagnostic::new(
-                        Severity::Error,
-                        "plan-slot-overlap",
-                        format!(
-                            "values %{va} and %{vb} share arena elements while both live \
-                             ({} over [{}, {}] vs {} over [{}, {}]) — first-fit lifetimes \
-                             must be disjoint",
-                            describe_range(&Access {
-                                pool: a.pool,
-                                off: a.off,
-                                len: a.len,
-                                value: va
-                            }),
-                            a.def,
-                            a.end,
-                            describe_range(&Access {
-                                pool: b.pool,
-                                off: b.off,
-                                len: b.len,
-                                value: vb
-                            }),
-                            b.def,
-                            b.end,
-                        ),
-                    ));
-                }
-                count += 1;
-            }
-        }
-    }
-    note_suppressed(diags, count, "plan-slot-overlap");
-}
-
-fn collect_identity_unions(steps: &[StepView], class: &mut HashMap<u32, u32>) {
-    for step in steps {
-        if let StepView::For(l) = step {
-            for (s, d) in &l.carry {
-                if s.pool == d.pool && s.off == d.off && s.len == d.len {
-                    let (a, b) = (s.value.min(d.value), s.value.max(d.value));
-                    let ra = resolve(class, a);
-                    class.insert(b, ra);
-                    class.entry(ra).or_insert(ra);
-                }
-            }
-            collect_identity_unions(&l.body, class);
-        }
-    }
-}
-
-fn resolve(class: &HashMap<u32, u32>, mut v: u32) -> u32 {
-    while let Some(&p) = class.get(&v) {
-        if p == v {
-            break;
-        }
-        v = p;
-    }
-    v
-}
-
-// ---------------------------------------------------------------------------
-// 5. Resident parameters
-// ---------------------------------------------------------------------------
-
-/// Requires every parameter range to survive the whole step list: no
-/// write — compute, collective result, loop index or loop copy, at any
-/// depth — may overlap one.
-fn check_params_unwritten(view: &PlanView, diags: &mut Vec<Diagnostic>) {
-    let mut count = 0usize;
-    let (mut reads, mut writes) = (Vec::new(), Vec::new());
-    for step in &view.steps {
-        reads.clear();
-        writes.clear();
-        view_effects(step, &mut reads, &mut writes);
-        for w in &writes {
-            let Some(p) = view
-                .params
-                .iter()
-                .find(|p| p.overlaps_range(w.pool, w.off, w.len))
-            else {
-                continue;
-            };
-            if count < MAX_DIAGS {
-                diags.push(Diagnostic::new(
-                    Severity::Error,
-                    "plan-param-written",
-                    format!(
-                        "step {} writes {} over parameter {} — a session step \
-                         would start from a clobbered input",
-                        step_label(step),
-                        describe_range(w),
-                        describe_range(p),
-                    ),
-                ));
-            }
-            count += 1;
-        }
-    }
-    note_suppressed(diags, count, "plan-param-written");
-}
-
-// ---------------------------------------------------------------------------
-// 6. Rendezvous linearisation
+// 4. Rendezvous linearisation
 // ---------------------------------------------------------------------------
 
 /// Cross-device deadlock freedom of the compiled schedule, in two
@@ -1028,7 +735,6 @@ fn collect_wait_sites(steps: &[StepView], sites: &mut Vec<(u32, Arc<Vec<Vec<Stag
 #[cfg(test)]
 pub(crate) mod tests {
     use super::*;
-    use crate::diag::error_count;
 
     fn acc(pool: usize, off: usize, len: usize, value: u32) -> Access {
         Access {
@@ -1107,6 +813,21 @@ pub(crate) mod tests {
         );
     }
 
+    /// A range whose end overflows `usize` is out of bounds, not a
+    /// panic in the bounds check or a wrapped sum that passes it.
+    #[test]
+    fn overflowing_range_is_oob() {
+        for (pool, off) in [(0, usize::MAX), (0, usize::MAX - 2), (7, 0)] {
+            let mut v = clean_view();
+            if let StepView::Compute { writes, .. } = &mut v.steps[0] {
+                writes[0] = acc(pool, off, 4, 1);
+            }
+            let diags = verify_plan(&v);
+            let rules: Vec<&str> = diags.iter().map(|d| d.rule).collect();
+            assert_eq!(rules, ["plan-oob-access"], "{diags:?}");
+        }
+    }
+
     #[test]
     fn over_hoisted_start_races() {
         let mut v = clean_view();
@@ -1157,10 +878,7 @@ pub(crate) mod tests {
             reads[0] = acc(0, 0, 4, 2);
         }
         let diags = verify_plan(&v);
-        assert!(
-            diags.iter().any(|d| d.rule == "plan-slot-overlap"),
-            "{diags:?}"
-        );
+        assert!(diags.iter().any(|d| d.rule == "plan-race"), "{diags:?}");
     }
 
     #[test]
@@ -1228,23 +946,6 @@ pub(crate) mod tests {
             diags.iter().any(|d| d.rule == "plan-rendezvous-asymmetric"),
             "{diags:?}"
         );
-    }
-
-    #[test]
-    fn src_write_in_window_is_advisory() {
-        let mut v = clean_view();
-        // A recycled-range write into the open window's source: legal
-        // under snapshot-at-start, reported as Info.
-        v.steps
-            .insert(2, compute("baked", vec![], vec![acc(0, 4, 4, 9)]));
-        let diags = verify_plan(&v);
-        assert!(
-            diags
-                .iter()
-                .any(|d| d.rule == "plan-window-src-write" && d.severity == Severity::Info),
-            "{diags:?}"
-        );
-        assert_eq!(error_count(&diags), 0, "{diags:?}");
     }
 
     #[test]

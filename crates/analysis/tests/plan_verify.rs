@@ -9,14 +9,16 @@
 //!   verify *trivially*: no collective window is open at any step.
 //! * a **mutation suite**: 15 seeded overlap-pass and allocator bugs
 //!   injected into the verifier view of real compiled plans —
-//!   over-hoisted starts, mis-sunk waits, aliased and swapped slots,
-//!   permuted stage orders, dropped wait edges, a dropped loop carry,
-//!   a parameter range reused after its last read, and friends — each
-//!   of which the verifier must flag. The swapped slots and the dropped
-//!   carry are value-bookkeeping bugs no run catches by comparison with
-//!   a second executor: the verifier must. The reused parameter range
-//!   is correct for one run and wrong only for a device session, which
-//!   keeps inputs resident between steps.
+//!   over-hoisted starts, mis-sunk waits, aliased slots (every pair of
+//!   values whose live ranges overlap, in a straight-line plan and in a
+//!   serving loop), swapped slots, permuted stage orders, dropped wait
+//!   edges, a dropped loop carry, a parameter range reused after its
+//!   last read, and friends — each of which the verifier must flag.
+//!   The swapped slots and the dropped carry are value-bookkeeping bugs
+//!   no run catches by comparison with a second executor: the verifier
+//!   must. The reused parameter range is correct for one run and wrong
+//!   only for a device session, which keeps inputs resident between
+//!   steps.
 //!
 //! The mutations operate on a clone of [`CompiledPlan::verifier_view`],
 //! exactly the data a buggy overlap/allocation pass would have produced,
@@ -456,57 +458,145 @@ fn relocate(steps: &mut [StepView], value: u32, off: usize) {
     }
 }
 
-/// Mutation 6: aliased slots — two simultaneously-live values assigned
-/// overlapping arena ranges.
-#[test]
-fn mutation_aliased_slots() {
-    let mut view = mlp_view();
-    // def/last-read positions of every top-level compute-written value.
-    struct Life {
-        def: usize,
-        last_read: usize,
-        pool: usize,
-        off: usize,
-    }
-    let mut lives: Vec<(u32, Life)> = Vec::new();
-    for (i, step) in view.steps.iter().enumerate() {
-        let StepView::Compute { reads, writes, .. } = step else {
-            continue;
+/// Live ranges over one pass through the step list, loop bodies walked
+/// once in place (the order of a loop's first iteration): every value's
+/// access, defining position and last reading position. Parameters are
+/// defined at position 0.
+struct LiveRanges {
+    lives: Vec<(Access, usize, usize)>,
+    pos: usize,
+}
+
+impl LiveRanges {
+    fn of(view: &PlanView) -> Self {
+        let mut walk = LiveRanges {
+            lives: view.params.iter().map(|p| (*p, 0, 0)).collect(),
+            pos: 0,
         };
-        for w in writes {
-            lives.push((
-                w.value,
-                Life {
-                    def: i,
-                    last_read: i,
-                    pool: w.pool,
-                    off: w.off,
-                },
-            ));
+        walk.steps(&view.steps);
+        walk
+    }
+
+    fn def(&mut self, a: &Access) {
+        self.lives.push((*a, self.pos, self.pos));
+    }
+
+    fn read(&mut self, a: &Access) {
+        let pos = self.pos;
+        for life in self.lives.iter_mut().filter(|l| l.0.value == a.value) {
+            life.2 = pos;
         }
-        for r in reads {
-            if let Some((_, l)) = lives.iter_mut().find(|(v, _)| *v == r.value) {
-                l.last_read = i;
+    }
+
+    fn copies(&mut self, pairs: &[(Access, Access)]) {
+        self.pos += 1;
+        for (s, d) in pairs {
+            self.read(s);
+            self.def(d);
+        }
+    }
+
+    fn steps(&mut self, steps: &[StepView]) {
+        for step in steps {
+            self.pos += 1;
+            match step {
+                StepView::Compute { reads, writes, .. } => {
+                    reads.iter().for_each(|r| self.read(r));
+                    writes.iter().for_each(|w| self.def(w));
+                }
+                StepView::CollStart { src, .. } => self.read(src),
+                StepView::CollWait { dst, .. } => self.def(dst),
+                StepView::For(l) if l.trip_count == 0 => self.copies(&l.bypass),
+                StepView::For(l) => {
+                    self.copies(&l.entry);
+                    self.def(&l.index);
+                    self.steps(&l.body);
+                    if l.trip_count > 1 {
+                        // A second iteration follows: the carry reads
+                        // the region results after the body.
+                        for (s, _) in &l.carry {
+                            self.read(s);
+                        }
+                    }
+                    self.copies(&l.exit);
+                }
             }
         }
     }
-    // A pair (victim, thief): thief defined while victim still live, in
-    // the same pool, at a different range.
-    let (victim, thief) = lives
-        .iter()
-        .find_map(|(v, lv)| {
-            let thief = lives.iter().find(|(w, lw)| {
-                w != v
-                    && lw.pool == lv.pool
-                    && lw.off != lv.off
-                    && lv.def < lw.def
-                    && lw.def < lv.last_read
-            })?;
-            Some(((*v, lv.off), thief.0))
-        })
-        .expect("no overlapping-lifetime pair in the plan");
-    relocate(&mut view.steps, thief, victim.1);
-    assert_flags(&view, "plan-slot-overlap", "aliased slots");
+}
+
+/// Every `(victim, thief)` pair of `view`'s values where the thief is
+/// defined strictly inside the victim's live range (after the victim's
+/// definition, before its last read) at another offset of the same
+/// pool, from which relocating the thief onto the victim's offset stays
+/// in bounds. Returns `(victim offset, thief value)`.
+fn aliasing_pairs(view: &PlanView) -> Vec<(usize, u32)> {
+    let lives = LiveRanges::of(view).lives;
+    let mut pairs = Vec::new();
+    for (v, v_def, v_last) in &lives {
+        for (t, t_def, _) in &lives {
+            if t.value != v.value
+                && t.pool == v.pool
+                && t.off != v.off
+                && t.len > 0
+                && v_def < t_def
+                && t_def < v_last
+                && v.off + t.len <= view.pool_len[v.pool]
+            {
+                pairs.push((v.off, t.value));
+            }
+        }
+    }
+    pairs
+}
+
+/// Mutation 6: aliased slots — a first-fit allocator bug hands a value
+/// a range another value still holds. Every such pair of the plan is
+/// tried, and the token walk must report a race: the victim's last read
+/// observes the thief.
+fn sweep_aliased_slots(view: &PlanView, what: &str) {
+    let pairs = aliasing_pairs(view);
+    assert!(!pairs.is_empty(), "{what}: no overlapping-lifetime pair");
+    for &(victim_off, thief) in &pairs {
+        let mut view = view.clone();
+        relocate(&mut view.steps, thief, victim_off);
+        let got = rules(&view);
+        assert!(
+            got.iter().any(|r| r == "plan-race"),
+            "{what}: %{thief} moved to offset {victim_off}: expected plan-race, got {got:?}"
+        );
+    }
+}
+
+#[test]
+fn mutation_aliased_slots() {
+    sweep_aliased_slots(&mlp_view(), "mlp");
+}
+
+/// The same sweep over a plan with a loop: the tiny `itransformer`
+/// serving loop, `BP+MP` on 1×2.
+#[test]
+fn mutation_aliased_slots_around_a_loop() {
+    let func = partir_models::itransformer::build_serving(&ITransformerConfig::tiny())
+        .unwrap()
+        .func;
+    let mesh = Mesh::new([(BATCH, 1), (MODEL, 2)]).unwrap();
+    let hw = HardwareConfig::tpu_v3_pod(mesh);
+    let (_, schedule) = schedules::itransformer_table2()
+        .into_iter()
+        .find(|(label, _)| *label == "BP+MP")
+        .expect("BP+MP row");
+    let plan = partir_jit(&func, &hw, &schedule)
+        .unwrap()
+        .program
+        .compile_with(&PlanOptions::default())
+        .unwrap();
+    let view = plan.verifier_view();
+    assert!(
+        view.steps.iter().any(|s| matches!(s, StepView::For(_))),
+        "the serving plan has a loop"
+    );
+    sweep_aliased_slots(view, "itransformer serving");
 }
 
 /// Mutation 7: permuted stage order — a buggy scheduler reverses the

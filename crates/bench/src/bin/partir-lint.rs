@@ -12,8 +12,9 @@
 //! * `partir-lint --plans [--smoke]` — compile every zoo model ×
 //!   schedule on the 1×2/2×2/4×2 mesh ladder into a [`partir_spmd::CompiledPlan`]
 //!   (both overlapped and blocking) and run the plan-level translation
-//!   validator ([`partir_analysis::plan`]): happens-before races,
-//!   arena-lifetime disjointness, and cross-device rendezvous
+//!   validator ([`partir_analysis::plan`]): arena bounds, collective
+//!   windows, one token walk over the arena (happens-before races and
+//!   clobbered parameter ranges), and cross-device rendezvous
 //!   linearisation. A cell whose program holds an op the plan compiler
 //!   refuses (no kernel for the op or its operand dtype) fails with
 //!   `error[plan]`.

@@ -63,7 +63,10 @@ fn parse_tactic(line: &str, lineno: usize) -> Result<Tactic, SchedError> {
     let name = name.trim();
     let (axes_text, rules_text) = match rest.find('{') {
         Some(open) => {
-            let close = rest.rfind('}').ok_or_else(|| err(lineno, "missing `}`"))?;
+            let close = rest[open..]
+                .rfind('}')
+                .map(|c| open + c)
+                .ok_or_else(|| err(lineno, "missing `}` after `{`"))?;
             (rest[..open].trim(), rest[open + 1..close].trim())
         }
         None => (rest.trim(), ""),
@@ -208,5 +211,27 @@ mod tests {
         assert!(parse_schedule("Auto: m { frobnicate = 1 }").is_err());
         let e = parse_schedule("BP: batch { x = 0 }\nMP: { }").unwrap_err();
         assert!(e.to_string().contains("line 2"), "{e}");
+    }
+
+    /// Outside input with its braces in the wrong order is refused with
+    /// the line it is on, not a slice-index panic.
+    #[test]
+    fn rejects_close_brace_before_open() {
+        for text in [
+            "BP: batch } x = 0 {",
+            "MP: m { w = 1 }\nBP: batch }{",
+            "BP: b } {",
+        ] {
+            let e = parse_schedule(text).unwrap_err();
+            let SchedError::Invalid(msg) = &e else {
+                panic!("{text:?}: expected SchedError::Invalid, got {e:?}");
+            };
+            let line = if text.contains('\n') {
+                "line 2"
+            } else {
+                "line 1"
+            };
+            assert!(msg.contains(line) && msg.contains("missing `}`"), "{msg}");
+        }
     }
 }

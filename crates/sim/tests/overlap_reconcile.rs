@@ -8,10 +8,13 @@
 //! 1. the plan's own collective windows — must agree **exactly**: the
 //!    runtime executes the plan's step list in order, so steps sit
 //!    between start and wait on the trace iff the plan put them there;
-//! 2. the two-resource event model — must agree within [`TOLERANCE`]:
-//!    the model schedules value dependencies while the plan schedules
-//!    arena slots, so the model may predict overlap the plan could not
-//!    realize (but both derive from the same dependency structure).
+//! 2. the plan walk ([`measure_overlap`]) — must agree within
+//!    [`TOLERANCE`]: the walk reads the same compiled plan, so each
+//!    collective's start and wait sit where the trace shows them, but
+//!    it predicts overlap only where the collective's modelled link time
+//!    hides under compute. A collective that costs nothing on the link
+//!    (an `all_slice`) has steps inside its window on the trace and
+//!    hides no time in the walk.
 
 use partir_core::Partitioning;
 use partir_mesh::{HardwareConfig, Mesh};

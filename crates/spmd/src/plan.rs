@@ -12,10 +12,10 @@
 //! * adjacent same-shape `f32` elementwise ops are fused into a single
 //!   register-machine loop body ([`Step::Eltwise`]), so chains like
 //!   `neg → exp → add` make one pass over memory;
-//! * buffer lifetimes are derived from the same liveness schedule as
-//!   [`partir_analysis::static_peak_bound`] (hierarchically per region,
-//!   so loop-carried storage is never reused across iterations) and each
-//!   intermediate gets a fixed slot in a per-device arena;
+//! * buffer lifetimes end at each value's last use, hierarchically per
+//!   region (so loop-carried storage is never reused across iterations),
+//!   and each intermediate gets a fixed first-fit slot in a per-device
+//!   arena;
 //! * collectives ([`crate::collectives`]) are planned ahead of time:
 //!   rendezvous partners and staging order per device, and once for all
 //!   devices the kernels that cut a stage's pieces out of the arena and
@@ -46,8 +46,6 @@
 //! [`CompiledPlan::compile`], with the [`IrError`] the interpreter raises
 //! for it — there is no fallback path.
 //!
-//! The compiler cross-checks its byte accounting against the analysis
-//! crate by replaying the liveness walk ([`PlanError::BoundMismatch`]).
 //! Because all devices execute the same SPMD program, one plan serves
 //! the whole mesh; only the per-device collective schedules differ, and
 //! they are stored per device inside the plan's collective steps.
@@ -55,8 +53,10 @@
 //! Plans are the only way partitioned programs run: the threaded runtime
 //! executes them free-running or under its seeded scheduler, with
 //! bit-identical outputs either way. What the compiler decides about
-//! values — slots, lifetimes, loop carries, stage orders — is proven by
-//! [`CompiledPlan::verify`] (a debug post-condition of every compile);
+//! values — slots, lifetimes, loop carries, resident parameters — is
+//! proven by one token walk over the arena, and its stage orders by one
+//! rendezvous drain per wait site, in [`CompiledPlan::verify`] (a debug
+//! post-condition of every compile);
 //! numerics are checked against the unpartitioned reference by the
 //! conformance suite across the model zoo.
 
@@ -66,7 +66,7 @@ use std::fmt;
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
 use partir_analysis::plan::{Access, ForView, PlanView, StageView, StepView};
-use partir_analysis::{Diagnostic, PeakWalk};
+use partir_analysis::Diagnostic;
 use partir_ir::interp::eval_op;
 use partir_ir::kernels::{apply_bin, apply_un, Buf, BufMut, SliceKernel};
 use partir_ir::{
@@ -90,15 +90,6 @@ const MAX_REGS: usize = 16;
 /// Structured plan-compilation failure.
 #[derive(Debug)]
 pub enum PlanError {
-    /// The compiler's replay of the liveness walk disagrees with
-    /// [`partir_analysis::static_peak_bound`] — a byte-accounting bug in
-    /// one of the two crates.
-    BoundMismatch {
-        /// Peak bytes the plan compiler's own accounting replayed.
-        replayed: u64,
-        /// Peak bytes the analysis crate reports.
-        analysis: u64,
-    },
     /// Malformed input program.
     Ir(IrError),
 }
@@ -106,10 +97,6 @@ pub enum PlanError {
 impl fmt::Display for PlanError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            PlanError::BoundMismatch { replayed, analysis } => write!(
-                f,
-                "plan replayed peak {replayed} B but analysis bound is {analysis} B"
-            ),
             PlanError::Ir(e) => write!(f, "{e}"),
         }
     }
@@ -127,7 +114,6 @@ impl From<PlanError> for RuntimeError {
     fn from(e: PlanError) -> Self {
         match e {
             PlanError::Ir(e) => RuntimeError::Ir(e),
-            other => RuntimeError::Ir(IrError::invalid(other.to_string())),
         }
     }
 }
@@ -183,20 +169,11 @@ fn pool_index(dt: DType) -> usize {
     }
 }
 
-fn pool_elem_bytes(dt: DType) -> usize {
-    match dt {
-        DType::F32 => std::mem::size_of::<f32>(),
-        DType::I32 => std::mem::size_of::<i32>(),
-        DType::Pred => std::mem::size_of::<bool>(),
-        _ => unreachable!("plan: unsupported dtype {dt}"),
-    }
-}
-
 /// Bytes of pools `[f32, i32, pred]` of the given element counts.
 fn pool_bytes(lens: [usize; 3]) -> u64 {
     lens.iter()
         .zip([DType::F32, DType::I32, DType::Pred])
-        .map(|(&len, dt)| len as u64 * pool_elem_bytes(dt) as u64)
+        .map(|(&len, dt)| len as u64 * dt.size_bytes() as u64)
         .sum()
 }
 
@@ -469,9 +446,8 @@ impl CompiledPlan {
     ///
     /// # Errors
     ///
-    /// [`PlanError::BoundMismatch`] when the compiler's byte accounting
-    /// disagrees with [`partir_analysis::static_peak_bound`];
-    /// [`PlanError::Ir`] on malformed programs.
+    /// [`PlanError::Ir`] on malformed programs and on ops the plan has
+    /// no kernel for.
     pub fn compile(func: &Func, mesh: &Mesh, options: &PlanOptions) -> Result<Self, PlanError> {
         let _span = partir_obs::span!("plan.compile");
         let mut external: HashSet<ValueId> = func.results().iter().copied().collect();
@@ -519,16 +495,6 @@ impl CompiledPlan {
             .collect();
         let pool_len = [c.alloc[0].high, c.alloc[1].high, c.alloc[2].high];
         let arena_bytes = pool_bytes(pool_len);
-        // Satellite check: replay the analysis liveness walk with the
-        // plan's own pool-element byte accounting and require exact
-        // agreement with the published static bound. One walk, priced
-        // both ways.
-        let walk = PeakWalk::of(func);
-        let analysis = partir_analysis::static_peak_bound(func, &walk);
-        let replayed = replay_bound(func, &walk);
-        if replayed != analysis {
-            return Err(PlanError::BoundMismatch { replayed, analysis });
-        }
         let (carry_elems, fused_ops) = (c.carry_elems, c.fused_ops);
         let num_colls = c.next_tag as usize;
         let view = PlanView {
@@ -552,9 +518,9 @@ impl CompiledPlan {
         };
         // Post-condition (debug builds only, compile time only): the
         // schedule just produced must pass plan-level translation
-        // validation — races, slot-lifetime overlaps and rendezvous
-        // deadlocks in the overlap scheduler's output are compiler
-        // bugs, caught here before a plan ever runs.
+        // validation — races, clobbered parameters and rendezvous
+        // deadlocks in the overlap scheduler's or the allocator's output
+        // are compiler bugs, caught here before a plan ever runs.
         #[cfg(debug_assertions)]
         {
             let diags = partir_analysis::verify_plan(&view);
@@ -646,8 +612,9 @@ impl CompiledPlan {
         &self.view
     }
 
-    /// Statically verifies the compiled schedule: happens-before
-    /// races, first-fit slot-lifetime overlaps, window structure and
+    /// Statically verifies the compiled schedule: arena bounds, window
+    /// structure, one token walk (every read finds the value the compiler
+    /// put there; no step leaves a parameter range clobbered) and
     /// cross-device rendezvous deadlock freedom. An empty (or
     /// `Info`-only) result is a proof under the happens-before model in
     /// [`partir_analysis::plan`]. The same check runs automatically as
@@ -853,16 +820,6 @@ impl CompiledPlan {
         }
         Ok(outputs)
     }
-}
-
-/// The [`partir_analysis::static_peak_bound`] walk with the plan's own
-/// pool-element byte accounting. Must agree exactly with the bound.
-fn replay_bound(func: &Func, walk: &PeakWalk) -> u64 {
-    let bytes_of = |v: ValueId| -> u64 {
-        let ty = func.value_type(v);
-        ty.shape.num_elements() as u64 * pool_elem_bytes(ty.dtype) as u64
-    };
-    walk.peak(func, bytes_of, true, |_| false, |_| 0)
 }
 
 // ---------------------------------------------------------------------------
