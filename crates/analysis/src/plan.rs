@@ -6,11 +6,12 @@
 //! first-fit arena. Both transformations were previously assured only
 //! dynamically — a schedule-fuzzing chaos battery. This module checks
 //! them *statically*, the way translation validation checks a compiler:
-//! the plan compiler hands over a [`PlanView`] (a neutral description of
-//! the scheduled steps, their arena effects tagged with the SSA value
-//! each range is supposed to hold, and the per-device collective stage
-//! tables) and [`verify_plan`] proves, or refutes with a pinned
-//! [`Diagnostic`], that the schedule is race- and deadlock-free.
+//! the plan compiler derives a [`PlanView`] from its executable steps (a
+//! neutral description of the scheduled steps, their arena effects
+//! tagged with the SSA value each range is supposed to hold, and the
+//! per-device collective stage tables) and [`verify_plan`] proves, or
+//! refutes with a pinned [`Diagnostic`], that the schedule is race- and
+//! deadlock-free.
 //!
 //! # The happens-before model
 //!
@@ -54,12 +55,13 @@
 //!   consumer read stale data) and two live values sharing arena
 //!   elements all show up at the read that observes the wrong value. A
 //!   write into an open window's source range is no race: the start
-//!   snapshots its payload before the window opens. After the results the walk reads every parameter range once more:
-//!   one that no longer holds its own value was written by some step,
-//!   even after the parameter's last read (`plan-param-written`). A
-//!   device session keeps inputs in the arena across steps and copies
-//!   in only those that changed, so a parameter range must still hold
-//!   its value when the next step starts;
+//!   snapshots its payload before the window opens. After the results
+//!   the walk reads every parameter range once more: one that no longer
+//!   holds its own value was written by some step, even after the
+//!   parameter's last read (`plan-param-written`). A device session
+//!   keeps inputs in the arena across steps and copies in only those
+//!   that changed, so a parameter range must still hold its value when
+//!   the next step starts;
 //! * **deadlock freedom**: at every wait site, the per-device stage
 //!   queues drain to empty under the blocking-rendezvous semantics
 //!   (`plan-rendezvous-deadlock`), and every stage's group agrees on
@@ -186,9 +188,9 @@ pub enum StepView {
 
 /// A compiled plan reduced to what verification needs: the scheduled
 /// steps with their effects, the arena geometry, and the program's
-/// boundary values. Constructed by `partir_spmd`'s plan compiler in
-/// lockstep with the executable steps (including through the overlap
-/// pass, which permutes both together).
+/// boundary values. Derived by `partir_spmd`'s
+/// `CompiledPlan::verifier_view` from the executable steps, so it
+/// describes exactly the schedule the executor runs.
 #[derive(Debug, Clone)]
 pub struct PlanView {
     /// Devices the plan serves.

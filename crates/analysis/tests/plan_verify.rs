@@ -112,7 +112,7 @@ fn zoo_plans_verify_under_both_options() {
                         .compile_with(&opts)
                         .unwrap_or_else(|e| panic!("{label} ({opt_label}): {e}"));
                     let diags = plan.verify();
-                    assert_drains_agree(plan.verifier_view(), &diags, &label);
+                    assert_drains_agree(&plan.verifier_view(), &diags, &label);
                     assert!(
                         diags.iter().all(|d| d.severity < Severity::Warning),
                         "{label} ({opt_label}) rejected:\n{}",
@@ -596,7 +596,7 @@ fn mutation_aliased_slots_around_a_loop() {
         view.steps.iter().any(|s| matches!(s, StepView::For(_))),
         "the serving plan has a loop"
     );
-    sweep_aliased_slots(view, "itransformer serving");
+    sweep_aliased_slots(&view, "itransformer serving");
 }
 
 /// Mutation 7: permuted stage order — a buggy scheduler reverses the

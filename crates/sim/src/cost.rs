@@ -73,9 +73,7 @@ impl<'a> Simulator<'a> {
                     bytes += *trip_count as f64 * by;
                 }
                 OpKind::Collective(c) => {
-                    let operand_ty = func.value_type(op.operands[0]);
-                    let result_ty = func.value_type(op.results[0]);
-                    let (t, by) = collective_time(c, operand_ty, result_ty, self.hw)?;
+                    let (t, by) = collective_time(c, func.value_type(op.operands[0]), self.hw)?;
                     comm += t;
                     bytes += by;
                 }
@@ -95,8 +93,8 @@ pub(crate) fn op_time(func: &Func, op_id: OpId, roofline: &Roofline) -> f64 {
 /// Ring-style cost of one collective: `(seconds, bytes_on_wire)`.
 ///
 /// Multi-axis collectives execute one axis at a time (sizes grow/shrink
-/// per stage from the operand's, so `_result` is not consulted),
-/// matching the hierarchical implementations used on real meshes.
+/// per stage from the operand's), matching the hierarchical
+/// implementations used on real meshes.
 ///
 /// # Errors
 ///
@@ -104,7 +102,6 @@ pub(crate) fn op_time(func: &Func, op_id: OpId, roofline: &Roofline) -> f64 {
 pub fn collective_time(
     c: &Collective,
     operand: &TensorType,
-    _result: &TensorType,
     hw: &HardwareConfig,
 ) -> Result<(f64, f64), IrError> {
     let Some((kind, axes)) = ring_stages(c) else {
@@ -144,7 +141,6 @@ mod tests {
                 reduce: ReduceOp::Sum,
             },
             &t,
-            &t,
             &hw,
         )
         .unwrap();
@@ -154,7 +150,6 @@ mod tests {
                 reduce: ReduceOp::Sum,
             },
             &t,
-            &TensorType::f32([256, 1024]),
             &hw,
         )
         .unwrap();
@@ -170,7 +165,6 @@ mod tests {
                 dim_axes: vec![vec!["B".into()]],
             },
             &t,
-            &TensorType::f32([256]),
             &hw,
         )
         .unwrap();

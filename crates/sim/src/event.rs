@@ -2,9 +2,10 @@
 //! — the stand-in for real-hardware measurements (see DESIGN.md
 //! substitutions).
 //!
-//! [`measure_overlap`] walks `CompiledPlan::verifier_view()` once, in
-//! the order the executor runs it, on a compute lane plus one link lane
-//! per mesh axis. Every cost is the analytical [`crate::Simulator`]'s,
+//! [`measure_overlap`] walks `CompiledPlan::verifier_view()` — derived
+//! from the executable steps, so it is the schedule the executor runs —
+//! once, in that order, on a compute lane plus one link lane per mesh
+//! axis. Every cost is the analytical [`crate::Simulator`]'s,
 //! from `partir_analysis::cost`:
 //!
 //! * a kernel or baked step is charged the roofline time of its op (the
@@ -219,9 +220,7 @@ fn collective_costs(
                         dst.value
                     )));
                 };
-                let (operand, result) = (op.operands[0], op.results[0]);
-                let (t, by) =
-                    collective_time(c, func.value_type(operand), func.value_type(result), hw)?;
+                let (t, by) = collective_time(c, func.value_type(op.operands[0]), hw)?;
                 costs[*tag as usize] = (t, by, c.axes());
             }
             StepView::For(l) => collective_costs(func, hw, &l.body, costs)?,

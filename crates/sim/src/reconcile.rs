@@ -195,7 +195,7 @@ impl OverlapReconciliation {
     /// Fraction of traced collectives where the runtime's measured
     /// overlap agrees with the plan's window (both present or both
     /// absent). The plan and the runtime share the step list, so this
-    /// should be 1.0; chaos perturbation cannot change it.
+    /// should be 1.0.
     pub fn plan_agreement(&self) -> f64 {
         self.agreement(|c| c.planned())
     }

@@ -22,7 +22,6 @@ fn faster_links_make_cheaper_collectives() {
                 reduce: ReduceOp::Sum,
             },
             &t,
-            &t,
             &hw,
         )
         .unwrap()
@@ -42,7 +41,6 @@ fn bigger_axes_cost_more_per_all_reduce() {
                 axes: vec![axis.into()],
                 reduce: ReduceOp::Sum,
             },
-            &t,
             &t,
             &hw,
         )
@@ -68,7 +66,6 @@ fn gather_of_small_shards_is_cheaper_than_reduce_of_full() {
             dim_axes: vec![vec!["b".into()], vec![]],
         },
         &shard,
-        &full,
         &hw,
     )
     .unwrap();
@@ -77,7 +74,6 @@ fn gather_of_small_shards_is_cheaper_than_reduce_of_full() {
             axes: vec!["b".into()],
             reduce: ReduceOp::Sum,
         },
-        &full,
         &full,
         &hw,
     )
@@ -102,7 +98,6 @@ fn all_to_all_is_cheapest_data_exchange() {
             axes: vec!["b".into()],
         },
         &local,
-        &TensorType::f32([1024, 128]),
         &hw,
     )
     .unwrap();
@@ -111,7 +106,6 @@ fn all_to_all_is_cheapest_data_exchange() {
             dim_axes: vec![vec!["b".into()], vec![]],
         },
         &local,
-        &TensorType::f32([1024, 1024]),
         &hw,
     )
     .unwrap();
@@ -128,7 +122,6 @@ fn unknown_axis_is_an_error() {
             axes: vec!["nope".into()],
             reduce: ReduceOp::Sum
         },
-        &t,
         &t,
         &hw
     )

@@ -153,11 +153,31 @@ impl PlanOptions {
 // ---------------------------------------------------------------------------
 
 /// A fixed range of one typed arena pool, assigned to one SSA value.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy)]
 struct Slot {
     dtype: DType,
     off: usize,
     len: usize,
+    /// The value the compiler placed here: a step's slots are also its
+    /// verifier view ([`Slot::access`]).
+    value: ValueId,
+}
+
+impl Slot {
+    /// Whether both slots are one arena range, whatever values they hold.
+    fn same_range(self, other: Slot) -> bool {
+        (self.dtype, self.off, self.len) == (other.dtype, other.off, other.len)
+    }
+
+    /// The verifier's view of this slot.
+    fn access(self) -> Access {
+        Access {
+            pool: pool_index(self.dtype),
+            off: self.off,
+            len: self.len,
+            value: self.value.0,
+        }
+    }
 }
 
 fn pool_index(dt: DType) -> usize {
@@ -402,18 +422,12 @@ pub struct CompiledPlan {
     result_slots: Vec<Slot>,
     result_tys: Vec<TensorType>,
     num_devices: usize,
-    arena_bytes: u64,
     fused_ops: usize,
-    /// Static collective steps (also the executor's pending-table size).
-    num_colls: usize,
-    /// Per-collective start→wait windows, sorted by tag.
+    /// Per-collective start→wait windows, sorted by tag: one per static
+    /// collective, so also the size of the executor's pending table.
     windows: Vec<CollWindow>,
     /// Whether the overlap scheduler ran ([`PlanOptions::overlap`]).
     overlapped: bool,
-    /// The verifier's neutral view of the schedule, built in lockstep
-    /// with `steps` (including through the overlap pass). Untouched by
-    /// execution — zero steady-state cost.
-    view: PlanView,
     /// The plan's resident executors, parked here between sessions (at
     /// most one per device). The plan is the one object that outlives a
     /// session on every path that runs it — the serving engine opens one
@@ -473,13 +487,12 @@ impl CompiledPlan {
             .iter()
             .map(|&p| func.value_type(p).clone())
             .collect();
-        let mut out = PlanSteps::default();
+        let mut steps = Vec::new();
         // Top-level leftovers (results, never-used values) stay resident.
-        let _ = c.compile_body(func.body(), func.results(), &mut out)?;
+        let _ = c.compile_body(func.body(), func.results(), &mut steps)?;
         if options.overlap {
-            overlap_pass(&mut out.steps, &mut out.views);
+            overlap_pass(&mut steps);
         }
-        let PlanSteps { steps, views } = out;
         let mut windows = Vec::new();
         collect_windows(&steps, &mut windows);
         windows.sort_by_key(|w| w.tag);
@@ -493,28 +506,19 @@ impl CompiledPlan {
             .iter()
             .map(|&r| func.value_type(r).clone())
             .collect();
-        let pool_len = [c.alloc[0].high, c.alloc[1].high, c.alloc[2].high];
-        let arena_bytes = pool_bytes(pool_len);
-        let (carry_elems, fused_ops) = (c.carry_elems, c.fused_ops);
-        let num_colls = c.next_tag as usize;
-        let view = PlanView {
+        let plan = CompiledPlan {
+            steps,
+            pool_len: [c.alloc[0].high, c.alloc[1].high, c.alloc[2].high],
+            carry_elems: c.carry_elems,
+            param_slots,
+            param_tys,
+            result_slots,
+            result_tys,
             num_devices: mesh.num_devices(),
-            num_tags: c.next_tag,
-            pool_len,
-            params: func
-                .params()
-                .iter()
-                .zip(&param_slots)
-                .map(|(&p, &s)| view_access(p, s))
-                .collect(),
-            results: func
-                .results()
-                .iter()
-                .zip(&result_slots)
-                .map(|(&r, &s)| view_access(r, s))
-                .collect(),
-            steps: views,
+            fused_ops: c.fused_ops,
+            windows,
             overlapped: options.overlap,
+            parked: ExecutorPool::default(),
         };
         // Post-condition (debug builds only, compile time only): the
         // schedule just produced must pass plan-level translation
@@ -523,7 +527,7 @@ impl CompiledPlan {
         // are compiler bugs, caught here before a plan ever runs.
         #[cfg(debug_assertions)]
         {
-            let diags = partir_analysis::verify_plan(&view);
+            let diags = plan.verify();
             assert!(
                 partir_analysis::error_count(&diags) == 0,
                 "compiled plan failed static verification:\n{}",
@@ -534,23 +538,7 @@ impl CompiledPlan {
                     .join("\n")
             );
         }
-        Ok(CompiledPlan {
-            steps,
-            pool_len,
-            carry_elems,
-            param_slots,
-            param_tys,
-            result_slots,
-            result_tys,
-            num_devices: mesh.num_devices(),
-            arena_bytes,
-            fused_ops,
-            num_colls,
-            windows,
-            overlapped: options.overlap,
-            view,
-            parked: ExecutorPool::default(),
-        })
+        Ok(plan)
     }
 
     /// Devices the plan was compiled for.
@@ -565,13 +553,13 @@ impl CompiledPlan {
 
     /// Bytes of the per-device arena the executor allocates up front.
     pub fn arena_bytes(&self) -> u64 {
-        self.arena_bytes
+        pool_bytes(self.pool_len)
     }
 
     /// Bytes a device's [`PlanExecutor`] holds resident: the arena pools
     /// (parameters included) plus the loop-carry scratch.
     pub fn resident_bytes(&self) -> u64 {
-        self.arena_bytes + pool_bytes(self.carry_elems)
+        self.arena_bytes() + pool_bytes(self.carry_elems)
     }
 
     /// Test hook: bytes of an executor's in-flight collective table, the
@@ -579,7 +567,7 @@ impl CompiledPlan {
     /// [`CompiledPlan::resident_bytes`] leaves out.
     #[doc(hidden)]
     pub fn in_flight_table_bytes(&self) -> u64 {
-        (self.num_colls * std::mem::size_of::<Option<CollPending>>()) as u64
+        (self.windows.len() * std::mem::size_of::<Option<CollPending>>()) as u64
     }
 
     /// Ops folded into fused elementwise loops.
@@ -589,7 +577,7 @@ impl CompiledPlan {
 
     /// Static collective steps in the plan (loop bodies counted once).
     pub fn num_collectives(&self) -> usize {
-        self.num_colls
+        self.windows.len()
     }
 
     /// Whether the plan was compiled with overlap scheduling
@@ -607,9 +595,18 @@ impl CompiledPlan {
     /// The verifier's neutral view of this plan's schedule: arena
     /// effects tagged with the SSA value each range holds, plus the
     /// per-device collective stage tables (see
-    /// [`partir_analysis::plan`]).
-    pub fn verifier_view(&self) -> &PlanView {
-        &self.view
+    /// [`partir_analysis::plan`]). Derived from the executable steps on
+    /// every call, so it describes exactly what the executor runs.
+    pub fn verifier_view(&self) -> PlanView {
+        PlanView {
+            num_devices: self.num_devices,
+            num_tags: self.windows.len() as u32,
+            pool_len: self.pool_len,
+            params: self.param_slots.iter().map(|s| s.access()).collect(),
+            results: self.result_slots.iter().map(|s| s.access()).collect(),
+            steps: step_views(&self.steps),
+            overlapped: self.overlapped,
+        }
     }
 
     /// Statically verifies the compiled schedule: arena bounds, window
@@ -620,7 +617,7 @@ impl CompiledPlan {
     /// [`partir_analysis::plan`]. The same check runs automatically as
     /// a debug post-condition of [`CompiledPlan::compile`].
     pub fn verify(&self) -> Vec<Diagnostic> {
-        partir_analysis::verify_plan(&self.view)
+        partir_analysis::verify_plan(&self.verifier_view())
     }
 
     /// Dynamic step count of one run: static steps with loop bodies
@@ -842,33 +839,6 @@ impl ScopeAlloc {
     }
 }
 
-/// Executable steps and their verifier views, built in lockstep: every
-/// emission pushes one of each, and the overlap pass permutes both
-/// arrays together — so the view is, by construction, a faithful
-/// description of the schedule the executor will run.
-#[derive(Default)]
-struct PlanSteps {
-    steps: Vec<Step>,
-    views: Vec<StepView>,
-}
-
-impl PlanSteps {
-    fn push(&mut self, step: Step, view: StepView) {
-        self.steps.push(step);
-        self.views.push(view);
-    }
-}
-
-/// The verifier's view of one slot assignment.
-fn view_access(v: ValueId, slot: Slot) -> Access {
-    Access {
-        pool: pool_index(slot.dtype),
-        off: slot.off,
-        len: slot.len,
-        value: v.0,
-    }
-}
-
 struct Compiler<'f> {
     func: &'f Func,
     mesh: &'f Mesh,
@@ -894,6 +864,7 @@ impl<'f> Compiler<'f> {
             dtype: dt,
             off,
             len,
+            value: v,
         };
         self.slots[v.0 as usize] = Some(slot);
         slot
@@ -902,29 +873,6 @@ impl<'f> Compiler<'f> {
     fn slot_of(&self, v: ValueId) -> Result<Slot, PlanError> {
         self.slots[v.0 as usize]
             .ok_or_else(|| PlanError::Ir(IrError::invalid("plan: value has no slot")))
-    }
-
-    fn access_of(&self, v: ValueId) -> Result<Access, PlanError> {
-        Ok(view_access(v, self.slot_of(v)?))
-    }
-
-    /// Generic verifier view of one op: it reads its operands' ranges
-    /// and writes its results'. Call after the result slots exist.
-    fn op_view(&self, op_id: OpId) -> Result<StepView, PlanError> {
-        let op = self.func.op(op_id);
-        Ok(StepView::Compute {
-            name: op.kind.name(),
-            reads: op
-                .operands
-                .iter()
-                .map(|&o| self.access_of(o))
-                .collect::<Result<_, _>>()?,
-            writes: op
-                .results
-                .iter()
-                .map(|&r| self.access_of(r))
-                .collect::<Result<_, _>>()?,
-        })
     }
 
     fn free_slot(&mut self, slot: Slot) {
@@ -964,7 +912,7 @@ impl<'f> Compiler<'f> {
         &mut self,
         body: &[OpId],
         end_uses: &[ValueId],
-        out: &mut PlanSteps,
+        out: &mut Vec<Step>,
     ) -> Result<Vec<ValueId>, PlanError> {
         let last = self.scope_last_use(body);
         let end_pinned: HashSet<ValueId> = end_uses.iter().copied().collect();
@@ -1095,26 +1043,19 @@ impl<'f> Compiler<'f> {
         &mut self,
         seg: &[OpId],
         n: usize,
-        out: &mut PlanSteps,
+        out: &mut Vec<Step>,
         scope: &mut ScopeAlloc,
     ) -> Result<(), PlanError> {
         let seg_ops: HashSet<OpId> = seg.iter().copied().collect();
         let mut regmap: HashMap<ValueId, u8> = HashMap::new();
         let mut next: u8 = 0;
         let mut loads: Vec<(u8, Slot)> = Vec::new();
-        let mut reads: Vec<Access> = Vec::new();
         let mut instrs: Vec<EltInstr> = Vec::new();
         for &op_id in seg {
             let op = self.func.op(op_id);
             let instr = match &op.kind {
                 OpKind::Unary(u) => {
-                    let a = self.fused_reg(
-                        op.operands[0],
-                        &mut regmap,
-                        &mut next,
-                        &mut loads,
-                        &mut reads,
-                    )?;
+                    let a = self.fused_reg(op.operands[0], &mut regmap, &mut next, &mut loads)?;
                     EltInstr {
                         op: EltOp::Un(*u),
                         a,
@@ -1123,20 +1064,8 @@ impl<'f> Compiler<'f> {
                     }
                 }
                 OpKind::Binary(bo) => {
-                    let a = self.fused_reg(
-                        op.operands[0],
-                        &mut regmap,
-                        &mut next,
-                        &mut loads,
-                        &mut reads,
-                    )?;
-                    let b = self.fused_reg(
-                        op.operands[1],
-                        &mut regmap,
-                        &mut next,
-                        &mut loads,
-                        &mut reads,
-                    )?;
+                    let a = self.fused_reg(op.operands[0], &mut regmap, &mut next, &mut loads)?;
+                    let b = self.fused_reg(op.operands[1], &mut regmap, &mut next, &mut loads)?;
                     EltInstr {
                         op: EltOp::Bin(*bo),
                         a,
@@ -1160,30 +1089,21 @@ impl<'f> Compiler<'f> {
             "fused segment overflows registers"
         );
         let mut stores: Vec<(u8, Slot)> = Vec::new();
-        let mut writes: Vec<Access> = Vec::new();
         for &op_id in seg {
             let v = self.func.op(op_id).results[0];
             if self.needs_store(v, &seg_ops) {
                 let slot = self.alloc_value(v);
                 scope.add(v);
                 stores.push((regmap[&v], slot));
-                writes.push(view_access(v, slot));
             }
         }
         self.fused_ops += seg.len();
-        out.push(
-            Step::Eltwise(EltwiseStep {
-                n,
-                loads,
-                instrs,
-                stores,
-            }),
-            StepView::Compute {
-                name: "fused_eltwise",
-                reads,
-                writes,
-            },
-        );
+        out.push(Step::Eltwise(EltwiseStep {
+            n,
+            loads,
+            instrs,
+            stores,
+        }));
         Ok(())
     }
 
@@ -1193,16 +1113,13 @@ impl<'f> Compiler<'f> {
         regmap: &mut HashMap<ValueId, u8>,
         next: &mut u8,
         loads: &mut Vec<(u8, Slot)>,
-        reads: &mut Vec<Access>,
     ) -> Result<u8, PlanError> {
         if let Some(&r) = regmap.get(&v) {
             return Ok(r);
         }
         let r = *next;
         *next += 1;
-        let slot = self.slot_of(v)?;
-        loads.push((r, slot));
-        reads.push(view_access(v, slot));
+        loads.push((r, self.slot_of(v)?));
         regmap.insert(v, r);
         Ok(r)
     }
@@ -1210,7 +1127,7 @@ impl<'f> Compiler<'f> {
     fn emit_op(
         &mut self,
         op_id: OpId,
-        out: &mut PlanSteps,
+        out: &mut Vec<Step>,
         scope: &mut ScopeAlloc,
     ) -> Result<(), PlanError> {
         let op = self.func.op(op_id);
@@ -1222,15 +1139,11 @@ impl<'f> Compiler<'f> {
                 let lits = eval_op(&op.kind, &[])?;
                 let dst = self.alloc_value(op.results[0]);
                 scope.add(op.results[0]);
-                let view = self.op_view(op_id)?;
-                out.push(
-                    Step::Baked(BakedStep {
-                        data: baked_data(&lits[0])?,
-                        dst,
-                        name,
-                    }),
-                    view,
-                );
+                out.push(Step::Baked(BakedStep {
+                    data: baked_data(&lits[0])?,
+                    dst,
+                    name,
+                }));
             }
             OpKind::For { trip_count } => self.emit_for(op_id, *trip_count, out, scope)?,
             OpKind::Collective(c) => {
@@ -1242,52 +1155,22 @@ impl<'f> Compiler<'f> {
                 scope.add(op.results[0]);
                 let tag = self.next_tag;
                 self.next_tag += 1;
-                // The verifier sees the same per-device stage tables the
-                // runtime will rendezvous on.
-                let stage_views: Arc<Vec<Vec<StageView>>> = Arc::new(
-                    scheds
-                        .iter()
-                        .map(|s| {
-                            s.stages
-                                .iter()
-                                .map(|st| StageView {
-                                    axis: st.axis.clone(),
-                                    dim: st.dim,
-                                    group: st.group.clone(),
-                                })
-                                .collect()
-                        })
-                        .collect(),
-                );
                 // Emitted adjacent (the blocking layout); the overlap
                 // pass hoists the start and sinks the wait afterwards.
-                out.push(
-                    Step::CollStart(Box::new(CollStartStep {
-                        kernels: kernels.clone(),
-                        scheds: scheds.clone(),
-                        tag,
-                        src,
-                        span: format!("coll.start.{tag}"),
-                    })),
-                    StepView::CollStart {
-                        tag,
-                        src: view_access(op.operands[0], src),
-                    },
-                );
-                out.push(
-                    Step::CollWait(Box::new(CollWaitStep {
-                        kernels,
-                        scheds,
-                        tag,
-                        dst,
-                        span: format!("coll.wait.{tag}"),
-                    })),
-                    StepView::CollWait {
-                        tag,
-                        dst: view_access(op.results[0], dst),
-                        stages: stage_views,
-                    },
-                );
+                out.push(Step::CollStart(Box::new(CollStartStep {
+                    kernels: kernels.clone(),
+                    scheds: scheds.clone(),
+                    tag,
+                    src,
+                    span: format!("coll.start.{tag}"),
+                })));
+                out.push(Step::CollWait(Box::new(CollWaitStep {
+                    kernels,
+                    scheds,
+                    tag,
+                    dst,
+                    span: format!("coll.wait.{tag}"),
+                })));
             }
             // Every other op is the slice kernel `ir::kernels` defines for
             // it; an op or operand dtype it has no semantics for is
@@ -1306,16 +1189,12 @@ impl<'f> Compiler<'f> {
                     .collect::<Result<_, _>>()?;
                 let dst = self.alloc_value(op.results[0]);
                 scope.add(op.results[0]);
-                let view = self.op_view(op_id)?;
-                out.push(
-                    Step::Kernel(Box::new(KernelStep {
-                        kernel,
-                        srcs,
-                        dst,
-                        name,
-                    })),
-                    view,
-                );
+                out.push(Step::Kernel(Box::new(KernelStep {
+                    kernel,
+                    srcs,
+                    dst,
+                    name,
+                })));
             }
         }
         Ok(())
@@ -1325,7 +1204,7 @@ impl<'f> Compiler<'f> {
         &mut self,
         op_id: OpId,
         trip_count: usize,
-        out: &mut PlanSteps,
+        out: &mut Vec<Step>,
         scope: &mut ScopeAlloc,
     ) -> Result<(), PlanError> {
         let op = self.func.op(op_id);
@@ -1339,47 +1218,33 @@ impl<'f> Compiler<'f> {
         // for the whole loop regardless of textual last use, so carried
         // state is never clobbered across iterations.
         let index = self.alloc_value(region.params[0]);
-        let index_view = view_access(region.params[0], index);
         let mut entry = Vec::new();
-        let mut entry_view = Vec::new();
         for (j, &p) in region.params[1..].iter().enumerate() {
-            let pslot = self.alloc_value(p);
-            entry.push((self.slot_of(operands[j])?, pslot));
-            entry_view.push((self.access_of(operands[j])?, view_access(p, pslot)));
+            entry.push((self.slot_of(operands[j])?, self.alloc_value(p)));
         }
-        let mut body = PlanSteps::default();
+        let mut body = Vec::new();
         let leftover = self.compile_body(&region.body, &region.results, &mut body)?;
         // Op results are allocated while every region value is still
         // live, so exit copies can never alias their sources.
         let mut exit = Vec::new();
-        let mut exit_view = Vec::new();
         let mut bypass = Vec::new();
-        let mut bypass_view = Vec::new();
         for (j, &r) in results.iter().enumerate() {
             let rslot = self.alloc_value(r);
             scope.add(r);
-            let rview = view_access(r, rslot);
             exit.push((self.slot_of(region.results[j])?, rslot));
-            exit_view.push((self.access_of(region.results[j])?, rview));
             bypass.push((self.slot_of(operands[j])?, rslot));
-            bypass_view.push((self.access_of(operands[j])?, rview));
         }
-        let mut carry = Vec::new();
-        let mut carry_view = Vec::new();
-        for (j, &p) in region.params[1..].iter().enumerate() {
-            let src = self.slot_of(region.results[j])?;
-            let dst = self.slot_of(p)?;
-            // The view keeps identity pairs the executor drops: they
-            // relabel the region result back to the param value, which
-            // the verifier's token flow depends on.
-            carry_view.push((self.access_of(region.results[j])?, view_access(p, dst)));
-            if src != dst {
-                carry.push((src, dst));
-            }
-        }
+        // Region result `j` feeds param `j` (`exit[j].0` → `entry[j].1`);
+        // a pair already sharing one range needs no copy.
+        let carry: Vec<(Slot, Slot)> = exit
+            .iter()
+            .zip(&entry)
+            .map(|(&(src, _), &(_, dst))| (src, dst))
+            .filter(|&(src, dst)| !src.same_range(dst))
+            .collect();
         let carry_staged = carry
             .iter()
-            .any(|&(s, _)| carry.iter().any(|&(_, d)| s == d));
+            .any(|&(s, _)| carry.iter().any(|&(_, d)| s.same_range(d)));
         if carry_staged {
             let mut elems = [0usize; 3];
             for &(s, _) in &carry {
@@ -1400,31 +1265,16 @@ impl<'f> Compiler<'f> {
                 self.free_slot(slot);
             }
         }
-        let PlanSteps {
-            steps: body_steps,
-            views: body_views,
-        } = body;
-        out.push(
-            Step::For(Box::new(ForStep {
-                trip_count,
-                index,
-                entry,
-                body: body_steps,
-                carry,
-                carry_staged,
-                exit,
-                bypass,
-            })),
-            StepView::For(Box::new(ForView {
-                trip_count,
-                index: index_view,
-                entry: entry_view,
-                body: body_views,
-                carry: carry_view,
-                exit: exit_view,
-                bypass: bypass_view,
-            })),
-        );
+        out.push(Step::For(Box::new(ForStep {
+            trip_count,
+            index,
+            entry,
+            body,
+            carry,
+            carry_staged,
+            exit,
+            bypass,
+        })));
         Ok(())
     }
 }
@@ -1448,11 +1298,13 @@ fn any_conflict(xs: &[Slot], ys: &[Slot]) -> bool {
     xs.iter().any(|&x| ys.iter().any(|&y| slots_conflict(x, y)))
 }
 
-/// Arena ranges a step reads and writes, conservatively: `For` steps
-/// account for their whole body plus entry/carry/exit/bypass copies, so
-/// nothing ever moves across a dependency hidden in a nested region.
-/// Collective starts read only their operand (what they copy out of it
-/// is executor-private); waits write only their result.
+/// Arena ranges a step reads and writes — the one statement of a step's
+/// effects, read by the overlap pass and by the verifier view
+/// ([`step_views`]). Conservative for `For` steps: they account for
+/// their whole body plus entry/carry/exit/bypass copies, so nothing ever
+/// moves across a dependency hidden in a nested region. Collective
+/// starts read only their operand (what they copy out of it is
+/// executor-private); waits write only their result.
 fn step_effects(step: &Step, reads: &mut Vec<Slot>, writes: &mut Vec<Slot>) {
     match step {
         Step::Baked(b) => writes.push(b.dst),
@@ -1487,6 +1339,72 @@ fn step_effects(step: &Step, reads: &mut Vec<Slot>, writes: &mut Vec<Slot>) {
             writes.push(k.dst);
         }
     }
+}
+
+/// The verifier's view of a step list, read off the executable steps: a
+/// leaf step's reads and writes are its [`step_effects`], a wait's stage
+/// tables its per-device [`CollSched`]s. A loop's carry view pairs every
+/// region result with its param (`exit[j].0` → `entry[j].1`), keeping
+/// the identity pairs the executor drops: they relabel the result back
+/// to the param value, which the verifier's token walk depends on.
+fn step_views(steps: &[Step]) -> Vec<StepView> {
+    let accesses = |pairs: &[(Slot, Slot)]| -> Vec<(Access, Access)> {
+        pairs
+            .iter()
+            .map(|&(s, d)| (s.access(), d.access()))
+            .collect()
+    };
+    steps
+        .iter()
+        .map(|step| match step {
+            Step::CollStart(c) => StepView::CollStart {
+                tag: c.tag,
+                src: c.src.access(),
+            },
+            Step::CollWait(c) => StepView::CollWait {
+                tag: c.tag,
+                dst: c.dst.access(),
+                stages: Arc::new(
+                    c.scheds
+                        .iter()
+                        .map(|s| {
+                            s.stages
+                                .iter()
+                                .map(|st| StageView {
+                                    axis: st.axis.clone(),
+                                    dim: st.dim,
+                                    group: st.group.clone(),
+                                })
+                                .collect()
+                        })
+                        .collect(),
+                ),
+            },
+            Step::For(f) => StepView::For(Box::new(ForView {
+                trip_count: f.trip_count,
+                index: f.index.access(),
+                entry: accesses(&f.entry),
+                body: step_views(&f.body),
+                carry: f
+                    .exit
+                    .iter()
+                    .zip(&f.entry)
+                    .map(|(&(src, _), &(_, dst))| (src.access(), dst.access()))
+                    .collect(),
+                exit: accesses(&f.exit),
+                bypass: accesses(&f.bypass),
+            })),
+            Step::Baked(_) | Step::Eltwise(_) | Step::Kernel(_) => {
+                let (mut reads, mut writes) = (Vec::new(), Vec::new());
+                step_effects(step, &mut reads, &mut writes);
+                StepView::Compute {
+                    name: step.name(),
+                    reads: reads.into_iter().map(Slot::access).collect(),
+                    writes: writes.into_iter().map(Slot::access).collect(),
+                }
+            }
+        })
+        .collect()
 }
 
 /// Reusable effect buffers for the quadratic commute queries of the
@@ -1528,15 +1446,11 @@ fn steps_commute(a: &Step, b: &Step, s: &mut EffectScratch) -> bool {
 /// reordered step list, sends never block, and each wait's messages are
 /// issued by a start strictly earlier in that shared order — so the
 /// earliest blocked wait always has its inputs in flight.
-///
-/// The verifier's [`StepView`] list is permuted in lockstep so the
-/// static model keeps describing exactly the schedule that executes.
-fn overlap_pass(steps: &mut [Step], views: &mut [StepView]) {
-    debug_assert_eq!(steps.len(), views.len());
+fn overlap_pass(steps: &mut [Step]) {
     let mut scratch = EffectScratch::default();
-    for (step, view) in steps.iter_mut().zip(views.iter_mut()) {
-        if let (Step::For(f), StepView::For(v)) = (step, view) {
-            overlap_pass(&mut f.body, &mut v.body);
+    for step in steps.iter_mut() {
+        if let Step::For(f) = step {
+            overlap_pass(&mut f.body);
         }
     }
     // Hoist starts: earliest position keeps payloads in flight longest.
@@ -1547,7 +1461,6 @@ fn overlap_pass(steps: &mut [Step], views: &mut [StepView]) {
         let mut j = i;
         while j > 0 && steps_commute(&steps[j - 1], &steps[j], &mut scratch) {
             steps.swap(j - 1, j);
-            views.swap(j - 1, j);
             j -= 1;
         }
     }
@@ -1559,7 +1472,6 @@ fn overlap_pass(steps: &mut [Step], views: &mut [StepView]) {
         let mut j = i;
         while j + 1 < steps.len() && steps_commute(&steps[j], &steps[j + 1], &mut scratch) {
             steps.swap(j, j + 1);
-            views.swap(j, j + 1);
             j += 1;
         }
     }
@@ -1643,7 +1555,7 @@ impl PlanExecutor {
             carry_f32s: vec![0.0; plan.carry_elems[0]],
             carry_i32s: vec![0; plan.carry_elems[1]],
             carry_preds: vec![false; plan.carry_elems[2]],
-            pending: (0..plan.num_colls).map(|_| None).collect(),
+            pending: (0..plan.windows.len()).map(|_| None).collect(),
         }
     }
 }
@@ -2115,6 +2027,54 @@ mod tests {
         let got = run_local(&plan, std::slice::from_ref(&input));
         let want = partir_ir::interp::interpret(&f, &[input]).unwrap();
         assert_eq!(got, want);
+    }
+
+    fn error_rules(plan: &CompiledPlan) -> Vec<&'static str> {
+        let diags = plan.verify();
+        diags
+            .iter()
+            .filter(|d| d.severity == partir_analysis::Severity::Error)
+            .map(|d| d.rule)
+            .collect()
+    }
+
+    /// The verifier reads the steps the executor runs: corrupting an
+    /// executable step — a kernel reading another live value's range, a
+    /// loop missing one entry copy — is a race at the read.
+    #[test]
+    fn corrupted_executable_steps_are_races() {
+        let mut b = FuncBuilder::new("f");
+        let x = b.param("x", TensorType::f32([4]));
+        let y = b.param("y", TensorType::f32([4]));
+        let xs = b.reshape(x, [2, 2]).unwrap();
+        let ys = b.reshape(y, [2, 2]).unwrap();
+        let f = b.build([xs, ys]).unwrap();
+        let mut plan = CompiledPlan::compile(&f, &single_mesh(), &PlanOptions::default()).unwrap();
+        assert_eq!(error_rules(&plan), Vec::<&str>::new());
+        let y_slot = plan.param_slots[1];
+        let Step::Kernel(k) = &mut plan.steps[0] else {
+            panic!("expected the first reshape as a kernel step");
+        };
+        assert_eq!(k.srcs[0].value, x);
+        k.srcs[0].off = y_slot.off;
+        assert!(error_rules(&plan).contains(&"plan-race"));
+
+        let mut b = FuncBuilder::new("g");
+        let x = b.param("x", TensorType::f32([4]));
+        let w = b.param("w", TensorType::f32([4]));
+        let out = b
+            .for_loop(3, &[x, w], |inner, _i, c| {
+                Ok(vec![inner.mul(c[0], c[1])?, c[1]])
+            })
+            .unwrap();
+        let f = b.build([out[0]]).unwrap();
+        let mut plan = CompiledPlan::compile(&f, &single_mesh(), &PlanOptions::default()).unwrap();
+        assert_eq!(error_rules(&plan), Vec::<&str>::new());
+        let Some(Step::For(l)) = plan.steps.iter_mut().find(|s| matches!(s, Step::For(_))) else {
+            panic!("expected a loop step");
+        };
+        l.entry.pop();
+        assert!(error_rules(&plan).contains(&"plan-race"));
     }
 
     /// Mutation 7 of `analysis/tests/plan_verify.rs` on an executable

@@ -99,9 +99,8 @@ impl SpmdProgram {
     ///
     /// # Errors
     ///
-    /// Fails on malformed programs or when the plan's arena layout
-    /// disagrees with `partir_analysis`'s static memory bound — see
-    /// [`PlanError`].
+    /// Fails on malformed programs and on ops the plan has no kernel
+    /// for — see [`PlanError`].
     pub fn compile(&self) -> Result<CompiledPlan, PlanError> {
         self.compile_with(&PlanOptions::default())
     }

@@ -119,8 +119,7 @@ fn analytic_bytes_times_devices_equal_predicted_traffic() {
             .map_err(|e| format!("{c:?}: {e}"))?;
         let f = b.build([y]).unwrap();
 
-        let (_, per_device) =
-            partir_sim::collective_time(&c, &operand, f.value_type(y), &hw).unwrap();
+        let (_, per_device) = partir_sim::collective_time(&c, &operand, &hw).unwrap();
         let analytic = per_device * mesh.num_devices() as f64;
         let predicted = predict_traffic(&f, &mesh).unwrap().total_bytes() as f64;
 
