@@ -39,7 +39,9 @@
 //! # What the verifier proves
 //!
 //! Four checks, and arena safety is one of them — a single abstract
-//! interpretation of which value each arena element holds:
+//! interpretation of which value each arena range holds, kept as a map
+//! of disjoint runs per pool (about one run per live slot), so the proof
+//! costs the accesses it interprets, not the arena it checks:
 //!
 //! * every arena access stays inside its pool ([`verify_plan`] rule
 //!   `plan-oob-access`);
@@ -83,7 +85,8 @@
 //!   schedule admits a linearisation, not that a lossy fabric delivers
 //!   the messages.
 
-use std::collections::{HashMap, HashSet};
+use std::collections::{BTreeMap, HashMap, HashSet};
+use std::fmt;
 use std::sync::Arc;
 
 use partir_mesh::Axis;
@@ -260,12 +263,33 @@ fn visit_accesses(step: &StepView, f: &mut impl FnMut(&Access)) {
     }
 }
 
-fn step_label(step: &StepView) -> String {
-    match step {
-        StepView::Compute { name, .. } => (*name).to_string(),
-        StepView::CollStart { tag, .. } => format!("coll.start.{tag}"),
-        StepView::CollWait { tag, .. } => format!("coll.wait.{tag}"),
-        StepView::For(l) => format!("for x{}", l.trip_count),
+/// Where the token walk reads: `steps[3](for x4)[0](neg)`. Borrowed
+/// from the walk and rendered only when a read has a finding.
+enum Loc<'a> {
+    /// A location with no step: the step list itself, or the results.
+    Root(&'static str),
+    /// Step `pos` of the body that `parent` names.
+    Step {
+        parent: &'a Loc<'a>,
+        pos: usize,
+        step: &'a StepView,
+    },
+}
+
+impl fmt::Display for Loc<'_> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let (parent, pos, step) = match self {
+            Loc::Root(name) => return f.write_str(name),
+            Loc::Step { parent, pos, step } => (parent, pos, step),
+        };
+        write!(f, "{parent}[{pos}](")?;
+        match step {
+            StepView::Compute { name, .. } => f.write_str(name)?,
+            StepView::CollStart { tag, .. } => write!(f, "coll.start.{tag}")?,
+            StepView::CollWait { tag, .. } => write!(f, "coll.wait.{tag}")?,
+            StepView::For(l) => write!(f, "for x{}", l.trip_count)?,
+        }
+        f.write_str(")")
     }
 }
 
@@ -406,39 +430,75 @@ fn check_windows_body(
 // 3. The token walk (races and resident parameters)
 // ---------------------------------------------------------------------------
 
-/// Abstract arena: which SSA value each pool element currently holds.
+/// Abstract arena: which SSA value each pool element currently holds,
+/// as disjoint runs per pool (start → (end, token)). An element in no
+/// run holds [`UNDEF`]. A plan writes whole slots, so a pool holds about
+/// one run per live slot: the walk's memory and time grow with the
+/// accesses it interprets, not with the arena it checks.
+#[derive(Default)]
 struct TokenState {
-    pools: [Vec<u32>; NUM_POOLS],
+    pools: [BTreeMap<usize, (usize, u32)>; NUM_POOLS],
 }
 
 /// "Uninitialized" token.
 const UNDEF: u32 = u32::MAX;
 
 impl TokenState {
-    fn new(pool_len: &[usize; NUM_POOLS]) -> Self {
-        TokenState {
-            pools: [
-                vec![UNDEF; pool_len[0]],
-                vec![UNDEF; pool_len[1]],
-                vec![UNDEF; pool_len[2]],
-            ],
-        }
-    }
-
+    /// Stamps `a.value` over the range: every run overlapping it is cut
+    /// to its parts outside the range. Writing [`UNDEF`] leaves the range
+    /// empty.
     fn write(&mut self, a: &Access) {
-        self.pools[a.pool][a.off..a.off + a.len].fill(a.value);
+        if a.len == 0 {
+            return;
+        }
+        let runs = &mut self.pools[a.pool];
+        let end = a.off + a.len;
+        if let Some((&s, &(e, t))) = runs.range(..a.off).next_back() {
+            if e > a.off {
+                runs.insert(s, (a.off, t));
+                if e > end {
+                    runs.insert(end, (e, t));
+                }
+            }
+        }
+        while let Some((&s, &(e, t))) = runs.range(a.off..end).next() {
+            runs.remove(&s);
+            if e > end {
+                runs.insert(end, (e, t));
+            }
+        }
+        if a.value != UNDEF {
+            runs.insert(a.off, (end, a.value));
+        }
     }
 
     /// `Ok` when every element of the range holds `a.value`; `Err` with
-    /// the first offending token otherwise.
+    /// the first offending token otherwise (a gap between runs holds
+    /// [`UNDEF`]).
     fn read(&self, a: &Access) -> Result<(), u32> {
-        match self.pools[a.pool][a.off..a.off + a.len]
-            .iter()
-            .find(|&&t| t != a.value)
-        {
-            None => Ok(()),
-            Some(&t) => Err(t),
+        if a.len == 0 {
+            return Ok(());
         }
+        let runs = &self.pools[a.pool];
+        let end = a.off + a.len;
+        let first = match runs.range(..=a.off).next_back() {
+            Some((&s, &(e, _))) if e > a.off => s,
+            _ => a.off,
+        };
+        let mut at = a.off;
+        for (&s, &(e, t)) in runs.range(first..end) {
+            if s > at && a.value != UNDEF {
+                return Err(UNDEF);
+            }
+            if t != a.value {
+                return Err(t);
+            }
+            at = e;
+        }
+        if at < end && a.value != UNDEF {
+            return Err(UNDEF);
+        }
+        Ok(())
     }
 }
 
@@ -458,7 +518,7 @@ struct TokenCheck {
 }
 
 impl TokenCheck {
-    fn read(&mut self, a: &Access, at: &str, diags: &mut Vec<Diagnostic>) {
+    fn read(&mut self, a: &Access, at: &Loc, diags: &mut Vec<Diagnostic>) {
         if let Err(found) = self.state.read(a) {
             let msg = format!(
                 "{at} reads {} but the range holds {} — a write races the value \
@@ -475,7 +535,7 @@ impl TokenCheck {
         }
     }
 
-    fn copy_pairs(&mut self, pairs: &[(Access, Access)], at: &str, diags: &mut Vec<Diagnostic>) {
+    fn copy_pairs(&mut self, pairs: &[(Access, Access)], at: &Loc, diags: &mut Vec<Diagnostic>) {
         for (s, d) in pairs {
             self.read(s, at, diags);
             self.state.write(d);
@@ -499,16 +559,16 @@ impl TokenCheck {
 /// iteration, so the back-edge kills every param no carry redefines.
 fn check_token_flow(view: &PlanView, diags: &mut Vec<Diagnostic>) {
     let mut chk = TokenCheck {
-        state: TokenState::new(&view.pool_len),
+        state: TokenState::default(),
         seen: HashSet::new(),
         count: 0,
     };
     for p in &view.params {
         chk.state.write(p);
     }
-    interp_steps(&view.steps, "steps", &mut chk, diags);
+    interp_steps(&view.steps, &Loc::Root("steps"), &mut chk, diags);
     for r in &view.results {
-        chk.read(r, "program result", diags);
+        chk.read(r, &Loc::Root("program result"), diags);
     }
     note_suppressed(diags, chk.count, "plan-race");
     let mut count = 0usize;
@@ -533,9 +593,13 @@ fn check_token_flow(view: &PlanView, diags: &mut Vec<Diagnostic>) {
     note_suppressed(diags, count, "plan-param-written");
 }
 
-fn interp_steps(steps: &[StepView], path: &str, chk: &mut TokenCheck, diags: &mut Vec<Diagnostic>) {
+fn interp_steps(steps: &[StepView], path: &Loc, chk: &mut TokenCheck, diags: &mut Vec<Diagnostic>) {
     for (pos, step) in steps.iter().enumerate() {
-        let at = format!("{path}[{pos}]({})", step_label(step));
+        let at = Loc::Step {
+            parent: path,
+            pos,
+            step,
+        };
         match step {
             StepView::Compute { reads, writes, .. } => {
                 for r in reads {
@@ -737,6 +801,7 @@ fn collect_wait_sites(steps: &[StepView], sites: &mut Vec<(u32, Arc<Vec<Vec<Stag
 #[cfg(test)]
 pub(crate) mod tests {
     use super::*;
+    use partir_prng::{propcheck::check, Rng};
 
     fn acc(pool: usize, off: usize, len: usize, value: u32) -> Access {
         Access {
@@ -796,6 +861,83 @@ pub(crate) mod tests {
             ],
             overlapped: true,
         }
+    }
+
+    /// The per-element token map the run map replaced: one token per
+    /// arena element. Kept as the oracle of `run_map_matches_per_element_oracle`.
+    struct ElementTokens {
+        pools: [Vec<u32>; NUM_POOLS],
+    }
+
+    impl ElementTokens {
+        fn write(&mut self, a: &Access) {
+            self.pools[a.pool][a.off..a.off + a.len].fill(a.value);
+        }
+
+        fn read(&self, a: &Access) -> Result<(), u32> {
+            match self.pools[a.pool][a.off..a.off + a.len]
+                .iter()
+                .find(|&&t| t != a.value)
+            {
+                None => Ok(()),
+                Some(&t) => Err(t),
+            }
+        }
+    }
+
+    /// Random writes (`UNDEF` kills among them) and reads over the three
+    /// pools give the same `Ok` or `Err(token)` from the run map as from
+    /// the per-element map. Offsets come from a coarse grid half the
+    /// time, so ranges often nest, share an edge or coincide; lengths
+    /// include zero.
+    #[test]
+    fn run_map_matches_per_element_oracle() {
+        check("token run map == per-element map", 256, |rng| {
+            let pool_len: [usize; NUM_POOLS] = std::array::from_fn(|_| rng.gen_range(40));
+            let mut runs = TokenState::default();
+            let mut oracle = ElementTokens {
+                pools: pool_len.map(|n| vec![UNDEF; n]),
+            };
+            let tokens = [0, 1, 2, 3, UNDEF];
+            let access = |rng: &mut Rng| {
+                let pool = rng.gen_range(NUM_POOLS);
+                let n = pool_len[pool];
+                let point = |rng: &mut Rng| {
+                    let p = rng.gen_range(n + 1);
+                    if rng.gen_bool(0.5) {
+                        p - p % 4
+                    } else {
+                        p
+                    }
+                };
+                let (x, y) = (point(rng), point(rng));
+                let (off, end) = (x.min(y), x.max(y));
+                let len = if rng.gen_bool(0.1) { 0 } else { end - off };
+                acc(pool, off, len, *rng.choose(&tokens))
+            };
+            for op in 0..rng.gen_range_in(1, 60) {
+                let a = access(rng);
+                if rng.gen_bool(0.5) {
+                    runs.write(&a);
+                    oracle.write(&a);
+                    continue;
+                }
+                let (got, want) = (runs.read(&a), oracle.read(&a));
+                if got != want {
+                    return Err(format!("op {op}: read {a:?} gave {got:?}, oracle {want:?}"));
+                }
+            }
+            // Every element reads back the oracle's token.
+            for (pool, tokens) in oracle.pools.iter().enumerate() {
+                for (off, &t) in tokens.iter().enumerate() {
+                    let got = runs.read(&acc(pool, off, 1, t));
+                    if got.is_err() {
+                        return Err(format!("{pool}[{off}] should hold {t}, read {got:?}"));
+                    }
+                }
+            }
+            Ok(())
+        });
     }
 
     #[test]
