@@ -193,8 +193,8 @@ pub struct Partitioning {
 /// What every state of one function shares.
 struct FuncTables {
     /// Reverse def-use map indexed by value id, *including* the edges from
-    /// a region's yielded values to the owning region op (which
-    /// [`Func::uses`] omits — it only walks operand lists).
+    /// a region's yielded values to the owning region op (which a walk
+    /// of operand lists alone omits).
     uses: Vec<Vec<OpId>>,
     /// Built by the first propagation, not by [`Partitioning::new`]:
     /// states that are only constructed, printed or lowered never pay

@@ -221,18 +221,6 @@ impl Func {
             .find(|&v| self.value(v).name.as_deref() == Some(name))
     }
 
-    /// A map from value to the ops that consume it (anywhere in the
-    /// function, including region bodies).
-    pub fn uses(&self) -> HashMap<ValueId, Vec<OpId>> {
-        let mut uses: HashMap<ValueId, Vec<OpId>> = HashMap::new();
-        for op in self.op_ids() {
-            for &operand in &self.op(op).operands {
-                uses.entry(operand).or_default().push(op);
-            }
-        }
-        uses
-    }
-
     /// Attaches a source position to an op (used by the parser). Like
     /// value names, locations do not affect the structural fingerprint.
     ///
@@ -316,9 +304,6 @@ mod tests {
         let f = b.build([s]).unwrap();
         assert_eq!(f.param_by_name("x"), Some(x));
         assert_eq!(f.param_by_name("nope"), None);
-        let uses = f.uses();
-        assert_eq!(uses[&x].len(), 1);
-        assert_eq!(uses[&y].len(), 1);
         assert_eq!(f.name(), "f");
         assert_eq!(f.num_ops(), 1);
     }

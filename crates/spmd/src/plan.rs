@@ -12,10 +12,10 @@
 //! * adjacent same-shape `f32` elementwise ops are fused into a single
 //!   register-machine loop body ([`Step::Eltwise`]), so chains like
 //!   `neg → exp → add` make one pass over memory;
-//! * buffer lifetimes end at each value's last use, hierarchically per
-//!   region (so loop-carried storage is never reused across iterations),
-//!   and each intermediate gets a fixed first-fit slot in a per-device
-//!   arena;
+//! * buffer lifetimes end at each value's last use on the memory
+//!   estimates' own walk ([`PeakWalk`], whose loop rules keep
+//!   loop-carried storage from being reused across iterations), and each
+//!   intermediate gets a fixed first-fit slot in a per-device arena;
 //! * collectives ([`crate::collectives`]) are planned ahead of time:
 //!   rendezvous partners and staging order per device, and once for all
 //!   devices the kernels that cut a stage's pieces out of the arena and
@@ -66,7 +66,7 @@ use std::fmt;
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
 use partir_analysis::plan::{Access, ForView, PlanView, StageView, StepView};
-use partir_analysis::Diagnostic;
+use partir_analysis::{Diagnostic, PeakWalk};
 use partir_ir::interp::eval_op;
 use partir_ir::kernels::{apply_bin, apply_un, Buf, BufMut, SliceKernel};
 use partir_ir::{
@@ -464,19 +464,13 @@ impl CompiledPlan {
     /// no kernel for.
     pub fn compile(func: &Func, mesh: &Mesh, options: &PlanOptions) -> Result<Self, PlanError> {
         let _span = partir_obs::span!("plan.compile");
-        let mut external: HashSet<ValueId> = func.results().iter().copied().collect();
-        for op_id in func.op_ids() {
-            if let Some(region) = &func.op(op_id).region {
-                external.extend(region.results.iter().copied());
-            }
-        }
         let mut c = Compiler {
             func,
             mesh,
             slots: vec![None; func.num_values()],
             alloc: Default::default(),
-            uses: func.uses(),
-            external,
+            walk: PeakWalk::of(func),
+            pos: 0,
             carry_elems: [0; 3],
             fused_ops: 0,
             next_tag: 0,
@@ -488,8 +482,8 @@ impl CompiledPlan {
             .map(|&p| func.value_type(p).clone())
             .collect();
         let mut steps = Vec::new();
-        // Top-level leftovers (results, never-used values) stay resident.
-        let _ = c.compile_body(func.body(), func.results(), &mut steps)?;
+        // Parameters and results are pinned: their slots stay resident.
+        c.compile_body(func.body(), &mut steps)?;
         if options.overlap {
             overlap_pass(&mut steps);
         }
@@ -823,31 +817,15 @@ impl CompiledPlan {
 // Compiler
 // ---------------------------------------------------------------------------
 
-/// Per-scope bookkeeping: which values this scope allocated (and may
-/// therefore free).
-#[derive(Default)]
-struct ScopeAlloc {
-    order: Vec<ValueId>,
-    set: HashSet<ValueId>,
-}
-
-impl ScopeAlloc {
-    fn add(&mut self, v: ValueId) {
-        if self.set.insert(v) {
-            self.order.push(v);
-        }
-    }
-}
-
 struct Compiler<'f> {
     func: &'f Func,
     mesh: &'f Mesh,
     slots: Vec<Option<Slot>>,
     alloc: [PoolAlloc; 3],
-    uses: HashMap<ValueId, Vec<OpId>>,
-    /// Values read by op scaffolding rather than operand lists: function
-    /// results and every region's yielded values. Always materialized.
-    external: HashSet<ValueId>,
+    /// The one liveness: every slot is freed after its last use here.
+    walk: PeakWalk,
+    /// Position in `walk` of the next op whose frees are due.
+    pos: usize,
     carry_elems: [usize; 3],
     fused_ops: usize,
     /// Next collective message tag (also its pending-table index).
@@ -875,57 +853,24 @@ impl<'f> Compiler<'f> {
             .ok_or_else(|| PlanError::Ir(IrError::invalid("plan: value has no slot")))
     }
 
-    fn free_slot(&mut self, slot: Slot) {
-        self.alloc[pool_index(slot.dtype)].free(slot.off, slot.len);
-    }
-
-    /// Last use position of every value read in this scope. Reads inside
-    /// nested regions bubble up to the position of the owning op, so a
-    /// value used only inside a loop stays allocated for the whole loop.
-    fn scope_last_use(&self, body: &[OpId]) -> HashMap<ValueId, usize> {
-        fn collect_reads(func: &Func, op_id: OpId, pos: usize, last: &mut HashMap<ValueId, usize>) {
-            let op = func.op(op_id);
-            for &v in &op.operands {
-                last.insert(v, pos);
-            }
-            if let Some(region) = &op.region {
-                for &v in &region.results {
-                    last.insert(v, pos);
-                }
-                for &inner in &region.body {
-                    collect_reads(func, inner, pos, last);
+    /// Steps the walk over `ops`, just emitted, freeing every slot whose
+    /// last use is one of them.
+    fn free_after(&mut self, ops: &[OpId]) {
+        for &op_id in ops {
+            debug_assert_eq!(self.walk.order()[self.pos], op_id, "plan: off the walk");
+            for &v in self.walk.frees_at(self.pos) {
+                if let Some(slot) = self.slots[v.0 as usize] {
+                    self.alloc[pool_index(slot.dtype)].free(slot.off, slot.len);
                 }
             }
+            self.pos += 1;
         }
-        let mut last = HashMap::new();
-        for (pos, &op_id) in body.iter().enumerate() {
-            collect_reads(self.func, op_id, pos, &mut last);
-        }
-        last
     }
 
-    /// Compiles one region body. Values this scope allocates are freed at
-    /// their last in-scope use; values pinned by `end_uses` (the scope's
-    /// yields) and never-used values are returned so the caller can free
-    /// them once the enclosing construct no longer needs them.
-    fn compile_body(
-        &mut self,
-        body: &[OpId],
-        end_uses: &[ValueId],
-        out: &mut Vec<Step>,
-    ) -> Result<Vec<ValueId>, PlanError> {
-        let last = self.scope_last_use(body);
-        let end_pinned: HashSet<ValueId> = end_uses.iter().copied().collect();
-        let mut frees_at: Vec<Vec<ValueId>> = vec![Vec::new(); body.len()];
-        for (&v, &p) in &last {
-            frees_at[p].push(v);
-        }
-        for list in &mut frees_at {
-            list.sort_by_key(|v| v.0);
-        }
-        let mut scope = ScopeAlloc::default();
-        let mut freed: HashSet<ValueId> = HashSet::new();
-
+    /// Compiles one region body, freeing each slot after its last use on
+    /// the walk. The walk puts a loop's body before the loop, the order
+    /// this emits in, so one position counter (`self.pos`) follows it.
+    fn compile_body(&mut self, body: &[OpId], out: &mut Vec<Step>) -> Result<(), PlanError> {
         let mut pos = 0;
         while pos < body.len() {
             match self.fusable_n(body[pos]) {
@@ -936,46 +881,22 @@ impl<'f> Compiler<'f> {
                     }
                     for (s, e) in self.segment_run(body, pos, run_end) {
                         if e - s == 1 {
-                            self.emit_op(body[s], out, &mut scope)?;
+                            self.emit_op(body[s], out)?;
                         } else {
-                            self.emit_fused(&body[s..e], n, out, &mut scope)?;
+                            self.emit_fused(&body[s..e], n, out)?;
                         }
-                        for frees in &frees_at[s..e] {
-                            self.apply_frees(frees, &scope, &end_pinned, &mut freed);
-                        }
+                        self.free_after(&body[s..e]);
                     }
                     pos = run_end;
                 }
                 None => {
-                    self.emit_op(body[pos], out, &mut scope)?;
-                    self.apply_frees(&frees_at[pos], &scope, &end_pinned, &mut freed);
+                    self.emit_op(body[pos], out)?;
+                    self.free_after(&body[pos..=pos]);
                     pos += 1;
                 }
             }
         }
-        Ok(scope
-            .order
-            .iter()
-            .copied()
-            .filter(|v| !freed.contains(v))
-            .collect())
-    }
-
-    fn apply_frees(
-        &mut self,
-        vals: &[ValueId],
-        scope: &ScopeAlloc,
-        end_pinned: &HashSet<ValueId>,
-        freed: &mut HashSet<ValueId>,
-    ) {
-        for &v in vals {
-            if scope.set.contains(&v) && !end_pinned.contains(&v) && !freed.contains(&v) {
-                if let Some(slot) = self.slots[v.0 as usize] {
-                    self.free_slot(slot);
-                    freed.insert(v);
-                }
-            }
-        }
+        Ok(())
     }
 
     /// `Some(element count)` when the op is a same-shape `f32`
@@ -1028,25 +949,13 @@ impl<'f> Compiler<'f> {
     }
 
     /// Whether a fused result must be written back to the arena: it is
-    /// read by some op outside the segment, yielded by a region, or a
-    /// function result. Purely-internal temporaries live in registers.
-    fn needs_store(&self, v: ValueId, seg_ops: &HashSet<OpId>) -> bool {
-        if self.external.contains(&v) {
-            return true;
-        }
-        self.uses
-            .get(&v)
-            .is_some_and(|us| us.iter().any(|u| !seg_ops.contains(u)))
+    /// pinned, or last used after the segment's last op (at walk position
+    /// `seg_last`). Purely-internal temporaries live in registers.
+    fn needs_store(&self, v: ValueId, seg_last: usize) -> bool {
+        self.walk.last_use(v).is_none_or(|p| p > seg_last)
     }
 
-    fn emit_fused(
-        &mut self,
-        seg: &[OpId],
-        n: usize,
-        out: &mut Vec<Step>,
-        scope: &mut ScopeAlloc,
-    ) -> Result<(), PlanError> {
-        let seg_ops: HashSet<OpId> = seg.iter().copied().collect();
+    fn emit_fused(&mut self, seg: &[OpId], n: usize, out: &mut Vec<Step>) -> Result<(), PlanError> {
         let mut regmap: HashMap<ValueId, u8> = HashMap::new();
         let mut next: u8 = 0;
         let mut loads: Vec<(u8, Slot)> = Vec::new();
@@ -1089,11 +998,11 @@ impl<'f> Compiler<'f> {
             "fused segment overflows registers"
         );
         let mut stores: Vec<(u8, Slot)> = Vec::new();
+        let seg_last = self.pos + seg.len() - 1;
         for &op_id in seg {
             let v = self.func.op(op_id).results[0];
-            if self.needs_store(v, &seg_ops) {
+            if self.needs_store(v, seg_last) {
                 let slot = self.alloc_value(v);
-                scope.add(v);
                 stores.push((regmap[&v], slot));
             }
         }
@@ -1124,12 +1033,7 @@ impl<'f> Compiler<'f> {
         Ok(r)
     }
 
-    fn emit_op(
-        &mut self,
-        op_id: OpId,
-        out: &mut Vec<Step>,
-        scope: &mut ScopeAlloc,
-    ) -> Result<(), PlanError> {
+    fn emit_op(&mut self, op_id: OpId, out: &mut Vec<Step>) -> Result<(), PlanError> {
         let op = self.func.op(op_id);
         let name = op.kind.name();
         match &op.kind {
@@ -1138,21 +1042,19 @@ impl<'f> Compiler<'f> {
                 // its kernel writes.
                 let lits = eval_op(&op.kind, &[])?;
                 let dst = self.alloc_value(op.results[0]);
-                scope.add(op.results[0]);
                 out.push(Step::Baked(BakedStep {
                     data: baked_data(&lits[0])?,
                     dst,
                     name,
                 }));
             }
-            OpKind::For { trip_count } => self.emit_for(op_id, *trip_count, out, scope)?,
+            OpKind::For { trip_count } => self.emit_for(op_id, *trip_count, out)?,
             OpKind::Collective(c) => {
                 let (kernels, scheds) =
                     plan_collective(c, self.func.value_type(op.operands[0]), self.mesh)?;
                 let (kernels, scheds) = (Arc::new(kernels), Arc::new(scheds));
                 let src = self.slot_of(op.operands[0])?;
                 let dst = self.alloc_value(op.results[0]);
-                scope.add(op.results[0]);
                 let tag = self.next_tag;
                 self.next_tag += 1;
                 // Emitted adjacent (the blocking layout); the overlap
@@ -1188,7 +1090,6 @@ impl<'f> Compiler<'f> {
                     .map(|&o| self.slot_of(o))
                     .collect::<Result<_, _>>()?;
                 let dst = self.alloc_value(op.results[0]);
-                scope.add(op.results[0]);
                 out.push(Step::Kernel(Box::new(KernelStep {
                     kernel,
                     srcs,
@@ -1205,7 +1106,6 @@ impl<'f> Compiler<'f> {
         op_id: OpId,
         trip_count: usize,
         out: &mut Vec<Step>,
-        scope: &mut ScopeAlloc,
     ) -> Result<(), PlanError> {
         let op = self.func.op(op_id);
         let region = op
@@ -1214,23 +1114,23 @@ impl<'f> Compiler<'f> {
             .ok_or_else(|| PlanError::Ir(IrError::invalid("for without region")))?
             .clone();
         let (operands, results) = (op.operands.clone(), op.results.clone());
-        // Loop-scope storage: the induction slot and carried params live
-        // for the whole loop regardless of textual last use, so carried
-        // state is never clobbered across iterations.
+        // Loop-scope storage: the walk frees the induction slot, the
+        // carried params and every outer value the body reads only at the
+        // loop's own position (its rules 1 and 2), so nothing a later trip
+        // reads is recycled inside the body.
         let index = self.alloc_value(region.params[0]);
         let mut entry = Vec::new();
         for (j, &p) in region.params[1..].iter().enumerate() {
             entry.push((self.slot_of(operands[j])?, self.alloc_value(p)));
         }
         let mut body = Vec::new();
-        let leftover = self.compile_body(&region.body, &region.results, &mut body)?;
+        self.compile_body(&region.body, &mut body)?;
         // Op results are allocated while every region value is still
         // live, so exit copies can never alias their sources.
         let mut exit = Vec::new();
         let mut bypass = Vec::new();
         for (j, &r) in results.iter().enumerate() {
             let rslot = self.alloc_value(r);
-            scope.add(r);
             exit.push((self.slot_of(region.results[j])?, rslot));
             bypass.push((self.slot_of(operands[j])?, rslot));
         }
@@ -1252,17 +1152,6 @@ impl<'f> Compiler<'f> {
             }
             for (have, need) in self.carry_elems.iter_mut().zip(elems) {
                 *have = (*have).max(need);
-            }
-        }
-        // The loop is assembled: its private storage can be recycled.
-        for v in leftover {
-            if let Some(slot) = self.slots[v.0 as usize] {
-                self.free_slot(slot);
-            }
-        }
-        for &p in &region.params {
-            if let Some(slot) = self.slots[p.0 as usize] {
-                self.free_slot(slot);
             }
         }
         out.push(Step::For(Box::new(ForStep {
@@ -1967,6 +1856,30 @@ mod tests {
         let f = b.build([wide, out[1]]).unwrap();
         let plan = CompiledPlan::compile(&f, &single_mesh(), &PlanOptions::default()).unwrap();
         let input = Literal::from_f32((0..6).map(|i| i as f32).collect::<Vec<_>>(), [6]).unwrap();
+        let got = run_local(&plan, std::slice::from_ref(&input));
+        let want = partir_ir::interp::interpret(&f, &[input]).unwrap();
+        assert_eq!(got, want);
+    }
+
+    /// A value from outside a loop, read only by the body's first op,
+    /// keeps its slot for every trip: the body value of the same size
+    /// emitted after that read must not take it.
+    #[test]
+    fn outer_value_read_early_in_a_loop_keeps_its_slot() {
+        let mut b = FuncBuilder::new("f");
+        let p = b.param("p", TensorType::f32([4, 4]));
+        let e = b.exp(p).unwrap();
+        let out = b
+            .for_loop(3, &[p], |inner, _i, c| {
+                let t = inner.add(c[0], e)?;
+                Ok(vec![inner.transpose(t, vec![1, 0])?])
+            })
+            .unwrap();
+        let f = b.build([out[0]]).unwrap();
+        let plan = CompiledPlan::compile(&f, &single_mesh(), &PlanOptions::default()).unwrap();
+        let diags = plan.verify();
+        assert_eq!(partir_analysis::error_count(&diags), 0, "{diags:?}");
+        let input = Literal::from_f32((0..16).map(|i| i as f32 / 16.0).collect(), [4, 4]).unwrap();
         let got = run_local(&plan, std::slice::from_ref(&input));
         let want = partir_ir::interp::interpret(&f, &[input]).unwrap();
         assert_eq!(got, want);

@@ -306,6 +306,18 @@ mod reference {
         }
     }
 
+    /// A map from value to the ops that consume it (anywhere in the
+    /// function, including region bodies).
+    fn uses(func: &Func) -> HashMap<ValueId, Vec<OpId>> {
+        let mut uses: HashMap<ValueId, Vec<OpId>> = HashMap::new();
+        for op in func.op_ids() {
+            for &operand in &func.op(op).operands {
+                uses.entry(operand).or_default().push(op);
+            }
+        }
+        uses
+    }
+
     /// Returns a copy of `func` with collective pairs fused and dead ops
     /// removed.
     ///
@@ -315,7 +327,7 @@ mod reference {
     ///
     /// Fails only on malformed functions.
     pub fn fuse_collectives(func: &Func, mesh: &partir_mesh::Mesh) -> Result<Func, IrError> {
-        let uses = func.uses();
+        let uses = uses(func);
         // Values that escape through function or region results are used even
         // though no op consumes them.
         let mut escapes: HashSet<ValueId> = func.results().iter().copied().collect();
