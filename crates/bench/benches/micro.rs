@@ -1,9 +1,10 @@
 //! Micro-benchmarks for the PartIR-rs compiler stack: propagation, SPMD
 //! lowering, collective fusion, the analytical simulator and the
 //! end-to-end `partir_jit` — the slice kernels beside the index-walk
-//! forms they replaced, at the shard shapes of the benchmarked training
-//! step — and the `dot` kernel at every device shape of the benchmarked
-//! training and decode steps.
+//! forms they replaced and the `tanh`/`exp`/`logistic` lanes beside libm,
+//! at the shard shapes of the benchmarked training step — and the `dot`
+//! kernel at every device shape of the benchmarked training and decode
+//! steps.
 //!
 //! The workspace is registry-free, so this is a self-timed harness
 //! (`harness = false`) instead of criterion: each benchmark runs a
@@ -17,8 +18,8 @@ use std::time::Instant;
 
 use partir_core::Partitioning;
 use partir_ir::interp::eval_op;
-use partir_ir::kernels::{Buf, BufMut, SliceKernel};
-use partir_ir::{reference, CompareDir, DotDims, Literal, OpKind, TensorType};
+use partir_ir::kernels::{apply_un, Buf, BufMut, SliceKernel};
+use partir_ir::{reference, CompareDir, DotDims, Literal, OpKind, TensorType, UnaryOp};
 use partir_mesh::{HardwareConfig, Mesh};
 use partir_models::itransformer::ServingConfig;
 use partir_models::schedules::{self, BATCH, MODEL};
@@ -178,6 +179,36 @@ fn bench_slice_kernels() {
         OpKind::ScatterAdd { axis: 0, size: 64 },
         &[&rows, &tokens],
     );
+    // The activations of one training-step device, [16, 32, 128] over
+    // [-4, 4], written in place as a plan step writes its arena range.
+    let act: Vec<f32> = (0..16 * 32 * 128)
+        .map(|i| ((i % 97) as f32 - 48.0) / 12.0)
+        .collect();
+    let mut out = vec![0.0; act.len()];
+    unary_pair("tanh", UnaryOp::Tanh, |x| x.tanh(), &act, &mut out);
+    unary_pair("exp", UnaryOp::Exp, |x| x.exp(), &act, &mut out);
+    unary_pair(
+        "logistic",
+        UnaryOp::Logistic,
+        |x| 1.0 / (1.0 + (-x).exp()),
+        &act,
+        &mut out,
+    );
+}
+
+/// One unary lane over `a` into `d`: `old` is the libm call per element
+/// the lanes made before `ir::math`, `new` is `apply_un`.
+fn unary_pair(name: &str, op: UnaryOp, libm: impl Fn(f32) -> f32, a: &[f32], d: &mut [f32]) {
+    bench(&format!("{name} [16,32,128] old"), 5, 50, || {
+        for (y, &x) in d.iter_mut().zip(a) {
+            *y = libm(x);
+        }
+        std::hint::black_box(&mut *d);
+    });
+    bench(&format!("{name} [16,32,128] new"), 5, 50, || {
+        apply_un(op, a, d);
+        std::hint::black_box(&mut *d);
+    });
 }
 
 /// Every distinct `dot` one device runs in `model` partitioned by

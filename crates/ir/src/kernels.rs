@@ -33,7 +33,9 @@
 //!   the output offset incrementally; `concatenate`, `pad` and the
 //!   dynamic slices copy whole row spans; the elementwise lanes
 //!   ([`apply_un`], [`apply_bin`]) are also what a plan's fused
-//!   elementwise machine calls per register block.
+//!   elementwise machine calls per register block. `tanh`, `exp` and
+//!   `logistic` are [`crate::math`]'s branch-free formulas, which
+//!   vectorise; `log`, `sin` and `cos` are still scalar libm calls.
 //! * [`fold_reduce`] is the collectives' accumulation step: it folds a
 //!   received payload into an accumulator buffer in place — a compiled
 //!   plan's destination slot, or the first payload of a fold.
@@ -54,8 +56,8 @@ use std::ops::Range;
 pub use crate::reference::dot_general_reference;
 
 use crate::{
-    BinaryOp, CompareDir, ConvDims, DType, DotDims, IrError, Literal, OpKind, ReduceOp, Shape,
-    TensorType, UnaryOp,
+    math, BinaryOp, CompareDir, ConvDims, DType, DotDims, IrError, Literal, OpKind, ReduceOp,
+    Shape, TensorType, UnaryOp,
 };
 
 // ---------------------------------------------------------------------------
@@ -1271,7 +1273,10 @@ fn iota_into<T: Copy>(out: &mut [T], n: usize, inner: usize, from: impl Fn(usize
 /// each arm is a tight, autovectorizable kernel. The one statement of the
 /// unary lane formulas: [`SliceKernel::Unary`] and the register blocks of
 /// a compiled plan's fused elementwise machine both call it, so fused and
-/// op-by-op evaluation agree bit for bit.
+/// op-by-op evaluation agree bit for bit. The `Tanh`, `Exp` and
+/// `Logistic` lanes call [`crate::math`] (as [`crate::reference::unary`]
+/// does), whose loops vectorise and give the same bits on every host;
+/// `Log`, `Sin` and `Cos` call libm one element at a time.
 pub fn apply_un(op: UnaryOp, a: &[f32], d: &mut [f32]) {
     assert_eq!(a.len(), d.len());
     macro_rules! lanes {
@@ -1283,13 +1288,13 @@ pub fn apply_un(op: UnaryOp, a: &[f32], d: &mut [f32]) {
     }
     match op {
         UnaryOp::Neg => lanes!(|x: f32| -x),
-        UnaryOp::Exp => lanes!(f32::exp),
+        UnaryOp::Exp => lanes!(math::exp),
         UnaryOp::Log => lanes!(f32::ln),
-        UnaryOp::Tanh => lanes!(f32::tanh),
+        UnaryOp::Tanh => lanes!(math::tanh),
         UnaryOp::Sqrt => lanes!(f32::sqrt),
         UnaryOp::Rsqrt => lanes!(|x: f32| 1.0 / x.sqrt()),
         UnaryOp::Abs => lanes!(f32::abs),
-        UnaryOp::Logistic => lanes!(|x: f32| 1.0 / (1.0 + (-x).exp())),
+        UnaryOp::Logistic => lanes!(math::logistic),
         UnaryOp::Sin => lanes!(f32::sin),
         UnaryOp::Cos => lanes!(f32::cos),
     }

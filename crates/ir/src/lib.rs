@@ -54,6 +54,7 @@ pub mod infer;
 pub mod interp;
 pub mod kernels;
 mod literal;
+pub mod math;
 mod ops;
 pub mod parse;
 pub mod passes;

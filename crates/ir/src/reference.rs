@@ -10,7 +10,7 @@
 //! micro benches can hold each kernel to the definition it replaced, bit
 //! for bit.
 
-use crate::{BinaryOp, CompareDir, DType, DotDims, IrError, Literal, Shape, UnaryOp};
+use crate::{math, BinaryOp, CompareDir, DType, DotDims, IrError, Literal, Shape, UnaryOp};
 
 /// The original element-at-a-time `Dot` evaluation: walks every output
 /// element and every contraction index through multi-index iterators.
@@ -80,13 +80,13 @@ pub fn unary(u: UnaryOp, x: &Literal) -> Result<Literal, IrError> {
     let f = |v: f32| -> f32 {
         match u {
             UnaryOp::Neg => -v,
-            UnaryOp::Exp => v.exp(),
+            UnaryOp::Exp => math::exp(v),
             UnaryOp::Log => v.ln(),
-            UnaryOp::Tanh => v.tanh(),
+            UnaryOp::Tanh => math::tanh(v),
             UnaryOp::Sqrt => v.sqrt(),
             UnaryOp::Rsqrt => 1.0 / v.sqrt(),
             UnaryOp::Abs => v.abs(),
-            UnaryOp::Logistic => 1.0 / (1.0 + (-v).exp()),
+            UnaryOp::Logistic => math::logistic(v),
             UnaryOp::Sin => v.sin(),
             UnaryOp::Cos => v.cos(),
         }
